@@ -23,6 +23,9 @@ Scenarios
 * ``pool``         — per-run fixed cost of a trivial program, fresh
   backend per run vs. one persistent pool (skipped when running against
   a library version without ``ProcessBackend.pool``).
+* ``args-large``   — per-run dispatch of two 8 MiB array arguments to a
+  warm pool running a no-op body: what shipping ``(program, args)``
+  costs, in MB of arguments per second of ``run()`` wall.
 * ``memcpy-baseline`` — single-process ``np.copyto`` bandwidth over the
   ``numpy-large`` buffer size: the hardware ceiling one payload copy can
   reach on this host.  ``numpy-large`` additionally reports
@@ -102,6 +105,10 @@ def small_program(bsp, steps: int, nmsgs: int) -> int:
         for pkt in bsp.packets():
             acc += pkt.payload
     return acc
+
+
+def noop_program(bsp, a, b) -> int:
+    return a.shape[0] + b.shape[0]
 
 
 def trivial_program(bsp) -> int:
@@ -235,6 +242,29 @@ def bench_pool(nprocs: int, nruns: int) -> dict:
     return out
 
 
+def bench_args(nprocs: int, narrays: int, array_bytes: int,
+               *, nruns: int) -> dict:
+    """Per-run cost of dispatching large arguments to a warm pool.
+
+    The body does nothing, so the wall is dispatch + result collection;
+    ``mb_per_s`` counts the argument bytes once (however many workers
+    read them), which is what a floor on dispatch needs.
+    """
+    arrays = tuple(np.random.default_rng(i).standard_normal(array_bytes // 8)
+                   for i in range(narrays))
+    with ProcessBackend.pool(nprocs) as backend:
+        backend.run(noop_program, nprocs, args=arrays)  # warm workers + arena
+        walls = [_time_run(backend, noop_program, nprocs, arrays)
+                 for _ in range(nruns)]
+    wall = statistics.median(walls)
+    return {
+        "nprocs": nprocs, "runs": nruns, "narrays": narrays,
+        "array_bytes": array_bytes,
+        "ms_per_run": round(1e3 * wall, 3),
+        "mb_per_s": round(narrays * array_bytes / 1e6 / wall, 2),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -307,6 +337,14 @@ def main(argv=None) -> int:
     print(f"{'pool':14s} fresh {scenarios['pool']['fresh_ms_per_run']:.1f} "
           f"ms/run, pooled "
           f"{'n/a' if pooled is None else f'{pooled:.1f} ms/run'}")
+
+    if hasattr(ProcessBackend, "pool"):
+        scenarios["args-large"] = bench_args(
+            p, 2, 8 << 20, nruns=6 if args.quick else 20)
+        print(f"{'args-large':14s} "
+              f"{scenarios['args-large']['mb_per_s']:10.1f} MB/s "
+              f"({scenarios['args-large']['ms_per_run']:.1f} ms/run "
+              f"dispatching 2 x 8 MiB)")
 
     snapshot = {
         "python": platform.python_version(),

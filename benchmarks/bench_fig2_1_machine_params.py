@@ -4,7 +4,10 @@ The paper measures each library version's bandwidth cost ``g`` (µs per
 16-byte packet, total-exchange superstep) and latency ``L`` (µs for a
 single-packet superstep).  This benchmark runs the same two
 microbenchmarks against *our* three backends and prints the results next
-to the paper's table.
+to the paper's table.  Both columns are per-boundary costs:
+``calibrate_backend`` times a zero-round run of the latency program and
+takes that per-run dispatch (forks, program shipping, result collection)
+out of both, so one-shot and pooled backends are measured alike.
 
 What should hold: L grows with p on every implementation; the
 message-passing backend (processes, the MPI/TCP analogue) has far larger

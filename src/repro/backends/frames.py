@@ -378,8 +378,10 @@ class FrameTransport:
         self._zc_token = shm.fabric_token()
         #: Fork-shared per-src count of segments ever created: all the
         #: parent needs to sweep a (possibly SIGKILLed) worker's segments
-        #: by deterministic name.  Single writer per slot (the owner).
-        self._segc_mm = mmap.mmap(-1, max(8 * nprocs, mmap.PAGESIZE))
+        #: by deterministic name.  Single writer per slot (the owner);
+        #: slot ``nprocs`` is the parent's own dispatch arena, which a
+        #: full sweep takes with the workers' segments.
+        self._segc_mm = mmap.mmap(-1, max(8 * (nprocs + 1), mmap.PAGESIZE))
         self._segc = memoryview(self._segc_mm).cast("Q")
         #: Fork-shared zerocopy telemetry: slot ``2*src`` counts buffers
         #: that took a segment lease, ``2*src + 1`` buffers big enough
@@ -390,7 +392,8 @@ class FrameTransport:
         #: Post-fork, lazily built, per-process state: each worker only
         #: ever touches its own pid's slot.  ``False`` marks a pool whose
         #: creation failed (no /dev/shm): big buffers then fall back.
-        self._seg_pools: list[Any] = [None] * nprocs
+        #: Slot ``nprocs`` is the parent's dispatch arena.
+        self._seg_pools: list[Any] = [None] * (nprocs + 1)
         self._seg_maps: list[shm.SegmentMap | None] = [None] * nprocs
         self._lease_tables: list[shm.LeaseTable | None] = [None] * nprocs
         #: Per-src broadcast dedup: ``((run_id, step), {data_ptr: (pin,
@@ -465,7 +468,7 @@ class FrameTransport:
         return int(hits), int(fallbacks)
 
     def segment_counts(self) -> dict[int, int]:
-        """Per-src segments ever created (parent-side sweep input)."""
+        """Segments each worker ever created (the parent's arena apart)."""
         return {pid: int(self._segc[pid]) for pid in range(self.nprocs)}
 
     def sweep_segments(self, pids: Sequence[int] | None = None) -> int:
@@ -476,10 +479,56 @@ class FrameTransport:
         live.  Unlinking never invalidates a live mapping, so receivers
         still holding views into a dead sender's segment are unaffected.
         """
-        counts = self.segment_counts()
-        if pids is not None:
-            counts = {pid: counts.get(pid, 0) for pid in pids}
+        pids = range(self.nprocs + 1) if pids is None else pids
+        counts = {pid: int(self._segc[pid]) for pid in pids}
         return shm.sweep_segments(self._zc_token, counts)
+
+    # -- run dispatch --------------------------------------------------------
+
+    def encode_dispatch(self, obj: Any) -> tuple[bytes, tuple]:
+        """Encode one run's ``(program, args, kwargs)`` once, for all ranks.
+
+        Parent side.  Returns ``(head, refs)``: a protocol-5 pickle plus
+        one ``(segment, offset, length)`` ref per out-of-band buffer.
+        Buffers at or above the zero-copy threshold are copied once into
+        the parent's arena (src slot ``nprocs`` of the segment plane) and
+        every worker rebuilds them in place; smaller ones stay in
+        ``head``.  The arena is rewound here, so a dispatched buffer is
+        valid until the next dispatch on this fabric — runs are
+        serialized and results are pickled before a run completes, so
+        nothing that leaves a worker aliases it.
+        """
+        arena = self._seg_pool(self.nprocs) if self._zc_enabled else None
+        if arena is not None:
+            arena.reset()
+        refs = []
+
+        def place(pb: pickle.PickleBuffer) -> bool:
+            mv = pb.raw()
+            if arena is None or mv.nbytes < self._zc_threshold:
+                return True  # in-band: rides ``head``
+            try:
+                _, name, offset, region = arena.lease(0, mv.nbytes)
+            except OSError:  # /dev/shm full: this buffer rides ``head`` too
+                return True
+            region[:] = mv
+            refs.append((name, offset, mv.nbytes))
+            return False
+
+        head = pickle.dumps(obj, protocol=5, buffer_callback=place)
+        return head, tuple(refs)
+
+    def decode_dispatch(self, pid: int, head: bytes, refs: tuple) -> Any:
+        """Worker-side inverse of :meth:`encode_dispatch`: arena buffers
+        come back as read-only views over the shared pages (every rank
+        sees one object, as on the threads backend and the simulator)."""
+        seg_map = self._seg_map(pid)
+        buffers = []
+        for name, offset, nbytes in refs:
+            region = seg_map.region(name, offset, nbytes)
+            region.flags.writeable = False
+            buffers.append(region)
+        return pickle.loads(head, buffers=buffers)
 
     # -- supervision ---------------------------------------------------------
 

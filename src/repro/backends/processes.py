@@ -29,10 +29,12 @@ Two execution modes share all of the above:
   whole transport fabric alive across runs and ships ``(program, args)``
   per run — amortizing fork+pipe+slab setup across a harness sweep's many
   configurations.  Pooled programs *are* pickled, so they must be
-  module-level callables.  A failed run does not poison the pool: after a
-  :class:`VirtualProcessorError` the workers drain in-flight frames behind
-  a fence barrier and the next run starts clean; only a deadlock timeout
-  forces a full worker rebuild.
+  module-level callables; the payload is encoded once for all workers,
+  and array arguments above the zero-copy threshold arrive as read-only
+  views of one shared-memory copy (valid for the run).  A failed run
+  does not poison the pool: after a :class:`VirtualProcessorError` the
+  workers drain in-flight frames behind a fence barrier and the next run
+  starts clean; only a deadlock timeout forces a full worker rebuild.
 
 Both modes are **supervised**.  While waiting for results the parent
 multiplexes the result queue with every worker's ``Process.sentinel``
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
-import pickle
 import queue as queue_mod
 import threading
 import time
@@ -539,9 +540,10 @@ def _pool_worker(pid: int, transport: FrameTransport, ctrl_q: Any,
             _do_fence(pid, nprocs, fence_id, transport)
             result_q.put(("fenced", fence_id, pid, None, None))
         elif kind == "run":
-            _, run_id, nprocs, blob, sync = msg
+            _, run_id, nprocs, head, refs, sync = msg
             try:
-                program, args, kwargs = pickle.loads(blob)
+                program, args, kwargs = transport.decode_dispatch(
+                    pid, head, refs)
             except BaseException:  # noqa: BLE001 - reported to the parent
                 result_q.put(("error", run_id, pid, traceback.format_exc(),
                               None))
@@ -1122,14 +1124,6 @@ class BspPool:
         if nprocs > self._capacity:
             raise BspConfigError(
                 f"run of {nprocs} processors on a pool of {self._capacity}")
-        try:
-            blob = pickle.dumps((program, args, kwargs or {}))
-        except Exception as exc:
-            raise BspUsageError(
-                "a persistent pool ships the program by pickle; use a "
-                "module-level function (not a lambda/closure) or a fresh "
-                "ProcessBackend(), whose fork inherits the program"
-            ) from exc
         if not self._run_lock.acquire(blocking=False):
             raise BspUsageError(
                 "BspPool.run() called while another run is in flight on "
@@ -1137,16 +1131,28 @@ class BspPool:
                 "pool per concurrent job (repro.service keeps a warm "
                 "fleet for exactly this) or create another BspPool")
         try:
-            return self._run_locked(nprocs, blob, sync)
+            # Encoded under the lock: placing large args rewinds the
+            # dispatch arena the in-flight run's workers are reading.
+            try:
+                head, refs = self._transport.encode_dispatch(
+                    (program, args, kwargs or {}))
+            except Exception as exc:
+                raise BspUsageError(
+                    "a persistent pool ships the program by pickle; use a "
+                    "module-level function (not a lambda/closure) or a "
+                    "fresh ProcessBackend(), whose fork inherits the program"
+                ) from exc
+            return self._run_locked(nprocs, head, refs, sync)
         finally:
             self._run_lock.release()
 
-    def _run_locked(self, nprocs: int, blob: bytes, sync: str) -> BackendRun:
+    def _run_locked(self, nprocs: int, head: bytes, refs: tuple,
+                    sync: str) -> BackendRun:
         self._run_id += 1
         run_id = self._run_id
         t0 = time.perf_counter()
         for pid in range(nprocs):
-            self._ctrl[pid].put(("run", run_id, nprocs, blob, sync))
+            self._ctrl[pid].put(("run", run_id, nprocs, head, refs, sync))
         try:
             outcomes = _collect_outcomes(
                 self._result, nprocs, run_id, self._join_timeout,

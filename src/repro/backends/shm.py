@@ -45,19 +45,22 @@ run); the parent sweeps them by name — creation counts live in a
 fork-shared counter — on pool teardown, rebuild, and partial heal, so a
 SIGKILLed worker cannot leak ``/dev/shm`` entries.
 
-CPython 3.11's ``resource_tracker`` registers every POSIX segment on
-*both* create and attach and would unlink (and warn about) segments
-behind our back; every handle here is unregistered immediately and the
-sweep owns the unlink.
+Every handle is a bare ``shm_open`` + ``mmap`` (:func:`open_segment`),
+not ``multiprocessing.shared_memory``: CPython 3.11's class registers
+each segment with the ``resource_tracker`` on *both* create and attach —
+it would unlink segments behind the sweep's back, and the first create
+in a pool's parent spawns a tracker child that outlives the pool.
 """
 
 from __future__ import annotations
 
+import errno
+import mmap
 import os
 import sys
 import threading
-from multiprocessing import shared_memory
 
+import _posixshmem
 import numpy as np
 
 #: Default capacity of one pooled segment; larger leases get a dedicated
@@ -106,40 +109,41 @@ def _aligned(n: int) -> int:
     return (n + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _untrack(seg: shared_memory.SharedMemory) -> None:
-    """Undo resource_tracker's unconditional create/attach registration."""
-    try:  # pragma: no branch
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - non-POSIX / tracker absent
-        pass
+def open_segment(name: str, size: int = 0) -> mmap.mmap:
+    """Map the POSIX segment ``name``; ``size > 0`` creates it first.
+
+    The one way this library opens a segment, creating or attaching:
+    no ``resource_tracker`` registration, so nothing but the parent's
+    name sweep ever unlinks, and no tracker process is ever spawned."""
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
+    try:
+        if size:
+            # tmpfs grants any ftruncate and delivers SIGBUS at the first
+            # write it cannot back: refuse up front instead.
+            vfs = os.fstatvfs(fd)
+            if vfs.f_blocks and size > vfs.f_bavail * vfs.f_frsize:
+                raise OSError(errno.ENOSPC, f"/dev/shm cannot hold {name}")
+            os.ftruncate(fd, size)
+        return mmap.mmap(fd, size)  # 0 on attach: the whole segment
+    except OSError:
+        if size:
+            unlink_segment(name)
+        raise
+    finally:
+        os.close(fd)
 
 
-try:
-    import _posixshmem
+def unlink_segment(name: str) -> bool:
+    """Unlink ``name`` if it exists; ``True`` when something was removed.
 
-    def unlink_segment(name: str) -> bool:
-        """Unlink ``name`` if it exists; ``True`` when something was removed.
-
-        Unlinking is always safe while mappings are live (POSIX keeps the
-        pages until the last munmap); only the name disappears."""
-        try:
-            _posixshmem.shm_unlink("/" + name)
-        except (FileNotFoundError, OSError):
-            return False
-        return True
-except ImportError:  # pragma: no cover - exotic platforms
-    def unlink_segment(name: str) -> bool:
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
-            return False
-        _untrack(seg)
-        try:
-            seg.unlink()
-        finally:
-            seg.close()
-        return True
+    Unlinking is always safe while mappings are live (POSIX keeps the
+    pages until the last munmap); only the name disappears."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except OSError:
+        return False
+    return True
 
 
 def sweep_segments(token: str, counts: dict[int, int]) -> int:
@@ -169,13 +173,13 @@ def scan_orphans() -> list[str]:
 class _Segment:
     """One named segment owned by a :class:`SegmentPool`."""
 
-    __slots__ = ("name", "shm", "buf", "capacity", "used", "outstanding")
+    __slots__ = ("name", "mm", "buf", "capacity", "used", "outstanding")
 
-    def __init__(self, name: str, seg: shared_memory.SharedMemory):
+    def __init__(self, name: str, mm: mmap.mmap):
         self.name = name
-        self.shm = seg
-        self.buf = seg.buf
-        self.capacity = seg.size
+        self.mm = mm
+        self.buf = memoryview(mm)
+        self.capacity = len(mm)
         #: Bump-allocation high-water mark; rewinds to 0 only when
         #: ``outstanding`` returns to 0, so no live lease is overwritten.
         self.used = 0
@@ -225,13 +229,11 @@ class SegmentPool:
     def _new_segment(self, nbytes: int) -> _Segment:
         capacity = max(self._segment_bytes, _aligned(nbytes))
         name = segment_name(self._token, self._src, self._created)
-        seg = shared_memory.SharedMemory(name=name, create=True,
-                                         size=capacity)
-        _untrack(seg)
+        mm = open_segment(name, capacity)
         self._created += 1
         if self._counter is not None:
             self._counter[self._src] = self._created
-        return _Segment(name, seg)
+        return _Segment(name, mm)
 
     def lease(self, dst: int, nbytes: int) -> tuple[int, str, int, memoryview]:
         """Reserve ``nbytes`` for ``dst``: (lease id, name, offset, view)."""
@@ -312,7 +314,8 @@ class SegmentPool:
             for segs in self._pools.values():
                 for seg in segs:
                     try:
-                        seg.shm.close()
+                        seg.buf.release()
+                        seg.mm.close()
                     except BufferError:  # pragma: no cover - views alive
                         pass
             self._pools.clear()
@@ -322,10 +325,10 @@ class SegmentPool:
 class SegmentMap:
     """Receiver-side attach cache: one mapping per segment name, kept for
     the process lifetime (payload views may outlive everything else, and
-    ``SharedMemory.close`` refuses while exports are live anyway)."""
+    ``mmap.close`` refuses while exports are live anyway)."""
 
     def __init__(self) -> None:
-        self._segs: dict[str, shared_memory.SharedMemory] = {}
+        self._segs: dict[str, mmap.mmap] = {}
 
     def region(self, name: str, offset: int, nbytes: int) -> np.ndarray:
         """A per-lease writable uint8 exporter over one leased region.
@@ -336,10 +339,8 @@ class SegmentMap:
         exporter would conflate every lease in the segment)."""
         seg = self._segs.get(name)
         if seg is None:
-            seg = shared_memory.SharedMemory(name=name)
-            _untrack(seg)
-            self._segs[name] = seg
-        return np.frombuffer(seg.buf, dtype=np.uint8, count=nbytes,
+            seg = self._segs[name] = open_segment(name)
+        return np.frombuffer(seg, dtype=np.uint8, count=nbytes,
                              offset=offset)
 
     def close(self) -> None:

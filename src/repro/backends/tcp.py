@@ -142,6 +142,7 @@ from .tcp_launch import (
     relink_accept,
     relink_dial,
     rendezvous_fabric,
+    tune_mesh_socket,
 )
 
 _TOKEN_COUNTER = itertools.count(1)
@@ -1259,6 +1260,9 @@ class _Link:
     __slots__ = ("sock", "dec", "eof", "rank")
 
     def __init__(self, sock: socket.socket):
+        # NODELAY above all: a TAG_RUN written under Nagle waits out the
+        # rank's delayed ACK (~40 ms per pooled run).
+        tune_mesh_socket(sock)
         sock.setblocking(False)
         self.sock = sock
         self.dec = wire.FrameDecoder()
@@ -1677,10 +1681,11 @@ class TcpMesh:
         self._run_id += 1
         run_id = self._run_id
         t0 = time.perf_counter()
-        payload = (run_id, nprocs, blob, sync)
+        # Encoded once: the chunks are read-only, every rank gets the same.
+        chunks = wire.encode_object_frame(
+            wire.TAG_RUN, run_id, 0, -1, (run_id, nprocs, blob, sync))
         for rank in range(nprocs):
-            self._send_ctrl(self._links[rank], wire.encode_object_frame(
-                wire.TAG_RUN, run_id, 0, -1, payload))
+            self._send_ctrl(self._links[rank], chunks)
         try:
             outcomes = _collect_tcp(nprocs, run_id, self._procs[:nprocs],
                                     self._links, self._join_timeout,

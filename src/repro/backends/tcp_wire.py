@@ -363,8 +363,22 @@ class FrameDecoder:
 # ---------------------------------------------------------------------------
 
 
+#: Frames up to this size leave :func:`send_chunks` as one ``sendall``.
+_COALESCE_BYTES = 1 << 16
+
+
 def send_chunks(sock, chunks: Iterable[Any]) -> None:
-    """Write every chunk to a *blocking* socket."""
+    """Write every chunk to a *blocking* socket.
+
+    A small frame (envelope+header, buffers, trailer) is joined first so
+    it is one write and one segment — written chunk by chunk, the
+    trailer of a control frame would sit behind Nagle / the peer's
+    delayed ACK.  Large frames go out chunk by chunk, uncopied.
+    """
+    chunks = list(chunks)
+    if sum(memoryview(c).nbytes for c in chunks) <= _COALESCE_BYTES:
+        sock.sendall(b"".join(chunks))
+        return
     for chunk in chunks:
         sock.sendall(chunk)
 

@@ -295,7 +295,13 @@ def calibrate_backend(
     ``L`` is the average wall-clock time of a superstep in which each
     processor sends one packet; ``g`` is the average per-packet time of a
     total-exchange superstep with ``(p-1) * packets_each`` packets per
-    processor, after the latency share is subtracted.
+    processor, after the latency share is subtracted.  Both are
+    *per-boundary* costs, as the paper defines them: what a run pays once
+    however many supersteps it has — shipping the program, starting or
+    waking the workers, collecting results — is timed separately (the
+    latency program with zero rounds, best of three) and taken out of
+    both walls, so neither parameter depends on how a backend or pool
+    dispatches a run.
 
     ``sync`` selects the barrier protocol under measurement (the
     latency microbenchmark is barrier-bound, so its L directly shows
@@ -308,39 +314,29 @@ def calibrate_backend(
     backend_name = backend if isinstance(backend, str) else (
         getattr(backend, "name", "") or type(backend).__name__)
 
-    t0 = time.perf_counter()
-    bsp_run(_latency_program, nprocs, backend=backend,
-            args=(latency_rounds, sync == "elide"), sync=sync)
-    latency_wall = time.perf_counter() - t0
-    L_us = latency_wall / latency_rounds / US
+    def timed(program, p: int, *args) -> float:
+        t0 = time.perf_counter()
+        bsp_run(program, p, backend=backend, args=args, sync=sync)
+        return time.perf_counter() - t0
+
+    declare = sync == "elide"
+    latency_wall = timed(_latency_program, nprocs, latency_rounds, declare)
+    # After the latency run, so warm-up is never mistaken for dispatch.
+    dispatch = min(timed(_latency_program, nprocs, 0, declare)
+                   for _ in range(3))
+    L_us = max(latency_wall - dispatch, 0.0) / latency_rounds / US
 
     if nprocs == 1:
         # Degenerate total exchange; g is the per-packet handling cost,
         # measured with self-sends.
-        t0 = time.perf_counter()
-        bsp_run(
-            _selfsend_program,
-            1,
-            backend=backend,
-            args=(bandwidth_rounds, packets_each),
-            sync=sync,
-        )
-        wall = time.perf_counter() - t0
-        per_step = wall / bandwidth_rounds
-        g_us = max(per_step - L_us * US, 0.0) / packets_each / US
+        wall = timed(_selfsend_program, 1, bandwidth_rounds, packets_each)
+        h = packets_each
     else:
-        t0 = time.perf_counter()
-        bsp_run(
-            _bandwidth_program,
-            nprocs,
-            backend=backend,
-            args=(bandwidth_rounds, packets_each, sync == "elide"),
-            sync=sync,
-        )
-        wall = time.perf_counter() - t0
-        per_step = wall / bandwidth_rounds
+        wall = timed(_bandwidth_program, nprocs, bandwidth_rounds,
+                     packets_each, declare)
         h = (nprocs - 1) * packets_each
-        g_us = max(per_step - L_us * US, 0.0) / h / US
+    per_step = max(wall - dispatch, 0.0) / bandwidth_rounds
+    g_us = max(per_step - L_us * US, 0.0) / h / US
     return CalibrationResult(
         backend=backend_name, nprocs=nprocs, g_us=g_us, L_us=L_us, sync=sync)
 

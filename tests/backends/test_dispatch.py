@@ -1,0 +1,317 @@
+"""Run dispatch on the data plane (BspPool.run / TcpMesh.run).
+
+A pooled run ships ``(program, args, kwargs)`` to its workers *once*:
+one protocol-5 pickle, every out-of-band buffer at or above the
+zero-copy threshold copied once into the parent's arena on the
+``repro-zc-*`` segment plane, and each worker rebuilding the arrays as
+read-only views over the shared pages.  Exercised here:
+
+* value fidelity over arbitrary arg tuples (small objects, arrays on
+  both sides of the threshold, non-contiguous and non-float64 arrays,
+  one array passed twice), read-only-ness of what rode the arena, and
+  that a twice-passed array is placed once;
+* the arena is rewound per run — repeated large dispatches do not grow
+  ``/dev/shm``;
+* ``REPRO_ZEROCOPY=off`` is the same path with an empty buffer list:
+  identical results and ledgers;
+* unpicklable programs still raise the usage error;
+* SIGKILL mid-run with large args heals, and close() sweeps the arena;
+* the parent never grows a ``resource_tracker`` child;
+* TCP: control links are NODELAY (a pooled noop run is sub-20 ms, not a
+  delayed-ACK 44 ms) and the run payload is pickled once for all ranks.
+"""
+
+import os
+import statistics
+import time
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import faults
+from repro.apps.matmul.cannon import cannon_matmul
+from repro.backends import shm
+from repro.backends.processes import BspPool, ProcessBackend
+from repro.backends.tcp import TcpBackend
+from repro.core.errors import BspUsageError, WorkerCrashError
+
+THRESHOLD = shm.DEFAULT_THRESHOLD
+MIB = 1 << 20
+
+
+@pytest.fixture(autouse=True)
+def no_segment_leaks():
+    """Every test in this module must leave /dev/shm as it found it."""
+    before = set(shm.scan_orphans())
+    yield
+    after = set(shm.scan_orphans())
+    assert after <= before, f"leaked segments: {sorted(after - before)}"
+
+
+def _children() -> set[int]:
+    """Live child processes of this process, from /proc."""
+    me = os.getpid()
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                # "pid (comm) state ppid ..." — comm may contain spaces.
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == me and fields[0] != "Z":
+            found.add(int(entry))
+    return found
+
+
+def _arena_leases(pool: BspPool) -> int:
+    """Buffers the last dispatch placed in the parent's arena."""
+    arena = pool._transport._seg_pools[pool.capacity]
+    return arena.outstanding if arena else 0
+
+
+# Module-level programs: pooled runs ship them by pickle.
+
+
+def describe_args(bsp, *args, **kwargs):
+    """What this rank received, in a form that survives the trip back."""
+    out = []
+    for arg in (*args, *kwargs.values()):
+        if isinstance(arg, np.ndarray):
+            out.append((arg.tobytes(), str(arg.dtype), arg.shape,
+                        bool(arg.flags.writeable), id(arg)))
+        else:
+            out.append(arg)
+    return out
+
+
+def checksum_args(bsp, a, b):
+    bsp.sync()
+    return float(a[0, 0] + b[-1, -1]), a.flags.writeable
+
+
+def exchange_with_big_args(bsp, a):
+    """Two supersteps over a large arg, so a KILL at step 1 lands mid-run."""
+    total = 0.0
+    for _ in range(2):
+        bsp.send((bsp.pid + 1) % bsp.nprocs, float(a[bsp.pid]))
+        bsp.sync()
+        total += sum(pkt.payload for pkt in bsp.packets())
+    return total
+
+
+def noop(bsp, *args):
+    bsp.sync()
+    return bsp.pid
+
+
+class CountedReduce:
+    """Counts, in the pickling process, how often it is pickled."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return (CountedReduce, ())
+
+
+# -- value fidelity -----------------------------------------------------------
+
+
+def _array(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "f8":
+        return rng.standard_normal(n)
+    if kind == "i4":
+        return rng.integers(-1000, 1000, n).astype(np.int32)
+    if kind == "u1":
+        return rng.integers(0, 255, n).astype(np.uint8)
+    if kind == "c16":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "strided":  # non-contiguous: every other element
+        return rng.standard_normal(2 * n)[::2]
+    if kind == "fortran":  # F-contiguous 2-D
+        return np.asfortranarray(rng.standard_normal((n // 8 + 1, 8)))
+    raise AssertionError(kind)
+
+
+_small_objects = st.one_of(
+    st.integers(-10**9, 10**9), st.text(max_size=20), st.none(),
+    st.lists(st.floats(allow_nan=False), max_size=5),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=3))
+# 8 bytes/element for most kinds: 64..4000 stays below 64 KiB,
+# 9000..20000 is above it (u1 and i4 stay below — also a case).
+_arrays = st.builds(
+    _array, st.sampled_from(["f8", "i4", "u1", "c16", "strided", "fortran"]),
+    st.one_of(st.integers(64, 4000), st.integers(9000, 20000)))
+_arg_lists = st.lists(st.one_of(_small_objects, _arrays), max_size=5)
+
+
+def _rides_arena(arg) -> bool:
+    return (isinstance(arg, np.ndarray) and arg.nbytes >= THRESHOLD
+            and (arg.flags.c_contiguous or arg.flags.f_contiguous))
+
+
+class TestArgFidelity:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with BspPool(2, join_timeout=60.0) as pool:
+            # Create the arena now, so the per-function leak check sees
+            # a steady state rather than a lazily appearing segment.
+            pool.run(noop, 2, args=(np.zeros(2 * THRESHOLD),))
+            yield pool
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(items=_arg_lists, twice=st.data())
+    def test_every_rank_receives_the_originals(self, pool, items, twice):
+        """Values equal the originals on every rank; what rode the arena
+        is read-only; an array passed twice is one object, placed once."""
+        args = list(items)
+        if args:
+            # Pass one of the items a second time, by identity.
+            args.append(args[twice.draw(st.integers(0, len(args) - 1))])
+        run = pool.run(describe_args, 2, args=tuple(args[:-1]),
+                       kwargs={"last": args[-1]} if args else {})
+        for got in run.results:
+            assert len(got) == len(args)
+            for sent, back in zip(args, got):
+                if not isinstance(sent, np.ndarray):
+                    assert back == sent
+                    continue
+                raw, dtype, shape, writeable, _ = back
+                assert (dtype, shape) == (str(sent.dtype), sent.shape)
+                assert np.array_equal(
+                    np.frombuffer(raw, dtype=dtype).reshape(shape), sent)
+                if _rides_arena(sent):
+                    assert writeable is False
+            if args:
+                same = [back[4] if isinstance(back, tuple) else None
+                        for sent, back in zip(args, got)
+                        if sent is args[-1]]
+                assert len(set(same)) == 1  # one object on the worker too
+        placed = {id(a) for a in args if _rides_arena(a)}
+        assert _arena_leases(pool) == len(placed)
+
+
+# -- arena lifetime -----------------------------------------------------------
+
+
+class TestArena:
+    def test_repeated_large_dispatch_does_not_grow_shm(self):
+        a = np.ones((1024, 1024))  # 8 MiB
+        b = np.full((1024, 1024), 2.0)
+        with BspPool(2, join_timeout=60.0) as pool:
+            assert pool.run(checksum_args, 2, args=(a, b)).results == \
+                [(3.0, False)] * 2
+            counts = pool._transport.segment_counts()
+            names = shm.scan_orphans()
+            for i in range(50):
+                a[0, 0] = i  # the arena must carry *this* run's bytes
+                run = pool.run(checksum_args, 2, args=(a, b))
+                assert run.results == [(i + 2.0, False)] * 2
+            assert pool._transport.segment_counts() == counts
+            assert shm.scan_orphans() == names
+
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_zerocopy_off_is_golden_identical(self, monkeypatch, sync):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((192, 192))  # 288 KiB args, 72 KiB blocks
+        b = rng.standard_normal((192, 192))
+        runs = {}
+        for mode in ("on", "off"):
+            monkeypatch.setenv("REPRO_ZEROCOPY", mode)
+            with ProcessBackend.pool(4, join_timeout=60.0) as backend:
+                run = cannon_matmul(a, b, 4, backend=backend, sync=sync)
+                placed = _arena_leases(backend._pool)
+            runs[mode] = (run.c.tobytes(), run.stats.S, run.stats.H,
+                          list(run.stats.h_series), list(run.stats.m_series))
+            assert placed == (2 if mode == "on" else 0)
+        assert runs["on"] == runs["off"]
+        assert np.allclose(np.frombuffer(runs["on"][0]).reshape(192, 192),
+                           a @ b)
+
+    def test_full_dev_shm_falls_back_in_band(self, monkeypatch):
+        """No room for the arena must cost speed, never the run."""
+        def refuse(name, size=0):
+            raise OSError(28, "No space left on device")
+        a = np.ones((256, 256))
+        with BspPool(2, join_timeout=30.0) as pool:
+            monkeypatch.setattr(shm, "open_segment", refuse)
+            run = pool.run(checksum_args, 2, args=(a, a))
+            assert run.results == [(2.0, True)] * 2
+            assert _arena_leases(pool) == 0
+
+    def test_lambda_program_still_raises_usage_error(self):
+        with BspPool(2, join_timeout=30.0) as pool:
+            with pytest.raises(BspUsageError, match="module-level"):
+                pool.run(lambda bsp: None, 2, args=(np.zeros(THRESHOLD),))
+            assert pool.run(noop, 2).results == [0, 1]
+
+    def test_payload_is_pickled_once_for_all_ranks(self):
+        CountedReduce.pickles = 0
+        with BspPool(4, join_timeout=30.0) as pool:
+            pool.run(noop, 4, args=(CountedReduce(),))
+        assert CountedReduce.pickles == 1
+
+
+# -- crash safety -------------------------------------------------------------
+
+
+class TestCrashSafety:
+    def test_kill_mid_run_heals_and_close_sweeps_the_arena(self):
+        a = np.arange(2 * MIB, dtype=np.float64)  # 16 MiB
+        plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=1)])
+        with faults.injected(plan):
+            pool = BspPool(3, join_timeout=30.0)
+        with pool:
+            with pytest.raises(WorkerCrashError):
+                pool.run(exchange_with_big_args, 3, args=(a,))
+            # The healed pool (one re-forked worker, which maps the
+            # arena afresh) runs the next job on new bytes.
+            clean = pool.run(exchange_with_big_args, 3, args=(a + 1.0,))
+            assert clean.results == [2 * 3.0, 2 * 1.0, 2 * 2.0]
+            assert pool.health().alive == 3
+            assert any(f"-{pool.capacity}-" in name
+                       for name in shm.scan_orphans())
+        assert shm.scan_orphans() == []
+
+    def test_no_child_besides_the_workers(self):
+        """``shared_memory.SharedMemory`` in the parent would spawn a
+        resource_tracker child that outlives the pool."""
+        before = _children()
+        with BspPool(2, join_timeout=30.0) as pool:
+            pool.run(noop, 2, args=(np.zeros(MIB),))
+            workers = {proc.pid for proc in pool._procs}
+            assert _children() - before == workers
+        assert _children() - before == set()
+
+
+# -- TCP mesh -----------------------------------------------------------------
+
+
+class TestTcpDispatch:
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_pooled_noop_run_is_not_nagled(self, sync):
+        """Control links carry TCP_NODELAY and a frame is one segment:
+        a pooled noop run costs well under a delayed ACK (was 44 ms)."""
+        with TcpBackend.pool(2) as backend:
+            backend.run(noop, 2, sync=sync)
+            walls = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                backend.run(noop, 2, sync=sync)
+                walls.append(time.perf_counter() - t0)
+        assert statistics.median(walls) < 0.020
+
+    def test_payload_is_pickled_once_for_all_ranks(self):
+        CountedReduce.pickles = 0
+        big = np.arange(MIB, dtype=np.float64)
+        with TcpBackend.pool(3) as backend:
+            run = backend.run(noop, 3, args=(CountedReduce(), big))
+        assert run.results == [0, 1, 2]
+        assert CountedReduce.pickles == 1
