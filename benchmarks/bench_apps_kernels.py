@@ -12,12 +12,13 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_apps_kernels.py           # full
     PYTHONPATH=src python benchmarks/bench_apps_kernels.py --smoke   # CI
 
-The full run sizes the Barnes–Hut walk at n=4096 bodies (the paper-scale
-force phase; expected ≥5x) and the graph phases at paper-like sizes
-(expected ≥2x).  ``--smoke`` shrinks every input so the whole sweep fits
-in CI's five-minute cap while still exercising every kernel pair; smoke
-results are written under a separate label and never overwrite full
-measurements.
+The full run sizes the Barnes–Hut walk, octree build and count-only walk
+at n=4096 bodies (the paper-scale force phase; walk and build expected
+≥5x, the count ≥3x faster than the walk) and the graph phases at
+paper-like sizes (expected ≥2x).  ``--smoke`` shrinks every input so the
+whole sweep fits in CI's five-minute cap while still exercising every
+kernel pair; smoke results are written under a separate label and never
+overwrite full measurements.
 """
 
 from __future__ import annotations
@@ -71,17 +72,44 @@ def compare(make_call, repeats: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+BH_THETA = 0.8
+
+
+def _bh_fixture(n: int):
+    """Bodies, their tree and the self-skip index the BH scenarios share."""
+    b = plummer(n, seed=1)
+    return b, BHTree(b.pos, b.mass), np.arange(n, dtype=np.int64)
+
+
+def scenario_bh_build(n: int, repeats: int) -> dict:
+    """Octree construction: per-body bucketing vs one sort per level."""
+    b = plummer(n, seed=1)
+    # ``compare`` selects the mode; ``BHTree`` builds with ``bh_build``.
+    rec = compare(lambda mode: lambda: BHTree(b.pos, b.mass), repeats)
+    rec["n"] = n
+    return rec
+
+
 def scenario_bh_walk(n: int, repeats: int) -> dict:
     """The BH local force phase: one full walk over all n bodies."""
-    b = plummer(n, seed=1)
-    tree = BHTree(b.pos, b.mass)
-    kernels.get("bh_walk")(tree, b.pos, 0.8, 0.05,
-                           np.arange(n, dtype=np.int64))  # warm flat cache
+    b, tree, skip = _bh_fixture(n)
 
     def make_call(mode):
         walk = kernels.get("bh_walk", mode)
-        skip = np.arange(n, dtype=np.int64)
-        return lambda: walk(tree, b.pos, 0.8, 0.05, skip)
+        return lambda: walk(tree, b.pos, BH_THETA, 0.05, skip)
+
+    rec = compare(make_call, repeats)
+    rec["n"] = n
+    return rec
+
+
+def scenario_bh_count(n: int, repeats: int) -> dict:
+    """The ORB load estimate: the walk's counts without its forces."""
+    b, tree, skip = _bh_fixture(n)
+
+    def make_call(mode):
+        count = kernels.get("bh_count", mode)
+        return lambda: count(tree, b.pos, BH_THETA, skip)
 
     rec = compare(make_call, repeats)
     rec["n"] = n
@@ -222,17 +250,21 @@ def scenario_sort_partition(n: int, repeats: int) -> dict:
 
 def run_suite(smoke: bool) -> dict:
     if smoke:
-        sizes = {"bh_walk": 512, "bh_direct": 256, "mst_labels": 2000,
+        sizes = {"bh_build": 512, "bh_walk": 512, "bh_count": 512,
+                 "bh_direct": 256, "mst_labels": 2000,
                  "mst_minima": 2000, "sssp_updates": 800,
                  "sort_partition": 20000}
         repeats = 2
     else:
-        sizes = {"bh_walk": 4096, "bh_direct": 2048, "mst_labels": 20000,
+        sizes = {"bh_build": 4096, "bh_walk": 4096, "bh_count": 4096,
+                 "bh_direct": 2048, "mst_labels": 20000,
                  "mst_minima": 20000, "sssp_updates": 8000,
                  "sort_partition": 500000}
         repeats = 3
     scenarios = {
+        "bh_build": scenario_bh_build,
         "bh_walk": scenario_bh_walk,
+        "bh_count": scenario_bh_count,
         "bh_direct": scenario_bh_direct,
         "mst_labels": scenario_mst_labels,
         "mst_minima": scenario_mst_minima,
@@ -246,6 +278,12 @@ def run_suite(smoke: bool) -> dict:
         print(f"{name:>16}: ref {rec['ref_s']*1e3:9.2f} ms   "
               f"vec {rec['vec_s']*1e3:9.2f} ms   {rec['speedup']:6.1f}x",
               flush=True)
+    # Same n, same theta, same bodies: what dropping the forces buys.
+    out["bh_count"]["vs_walk_vec"] = round(
+        out["bh_walk"]["vec_s"] / max(out["bh_count"]["vec_s"], 1e-12), 2
+    )
+    print(f"{'bh_count':>16}: {out['bh_count']['vs_walk_vec']:.1f}x faster "
+          "than bh_walk (both vectorized)", flush=True)
     return out
 
 
@@ -283,15 +321,23 @@ def main(argv: list[str] | None = None) -> int:
     # Sanity floor: the vectorized mode must never be meaningfully slower
     # than the reference (0.8 allows for timer noise on near-parity
     # phases).  The full run additionally enforces the acceptance
-    # thresholds: ≥5x on the BH force phase, ≥2x on a graph local phase.
+    # thresholds: ≥5x on the BH force phase and the octree build, the
+    # count-only walk ≥3x faster than the force walk, ≥2x on a graph
+    # local phase.
     failures = []
     for name, rec in scenarios.items():
         if rec["speedup"] < 0.8:
             failures.append(f"{name}: {rec['speedup']}x (regressed)")
     if not args.smoke:
-        if scenarios["bh_walk"]["speedup"] < 5.0:
+        for name in ("bh_walk", "bh_build"):
+            if scenarios[name]["speedup"] < 5.0:
+                failures.append(
+                    f"{name}: {scenarios[name]['speedup']}x < 5x floor"
+                )
+        if scenarios["bh_count"]["vs_walk_vec"] < 3.0:
             failures.append(
-                f"bh_walk: {scenarios['bh_walk']['speedup']}x < 5x floor"
+                f"bh_count: {scenarios['bh_count']['vs_walk_vec']}x faster "
+                "than bh_walk < 3x floor"
             )
         if max(scenarios["mst_labels"]["speedup"],
                scenarios["sssp_updates"]["speedup"]) < 2.0:

@@ -5,6 +5,12 @@ cells; a cell of side ``s`` whose centre of mass lies at distance ``d``
 from an evaluation point may stand in for all its bodies when
 ``s / d < θ`` (the opening criterion), giving O(N log N) force evaluation.
 
+The tree has one representation: the contiguous cell arrays the
+``bh_build`` kernel fills (:class:`repro.kernels.bh.Cells` — com, mass,
+half-width, an 8-wide child table, a CSR span over leaf body lists).  The
+scalar traversals below and the blocked kernels in ``repro.kernels.bh``
+read the same arrays.
+
 Two consumers:
 
 * :func:`accelerations` — sequential force evaluation over the whole tree
@@ -20,8 +26,6 @@ Two consumers:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,38 +67,16 @@ def softened_inv_r3(r2: np.ndarray) -> np.ndarray:
         return r2 ** -1.5
 
 
-@dataclass
-class _Cell:
-    """One octree node (internal or leaf)."""
-
-    center: np.ndarray
-    half: float
-    mass: float = 0.0
-    com: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    children: list["_Cell | None"] | None = None  # None => leaf
-    body_index: list[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-
 class BHTree:
     """Barnes–Hut octree over a fixed set of bodies.
 
     ``leaf_size`` > 1 buckets nearby bodies into one leaf (bodies in a
-    leaf always interact exactly); ``bounds`` forces a specific root cube
-    so that independently built trees decompose space identically.
+    leaf always interact exactly).  The tree is the array set
+    ``self.cells`` (:class:`repro.kernels.bh.Cells`, root at row 0) built
+    by the ``bh_build`` kernel; ``pos``/``mass`` are the bodies.
     """
 
-    def __init__(
-        self,
-        pos: np.ndarray,
-        mass: np.ndarray,
-        *,
-        leaf_size: int = 8,
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
+    def __init__(self, pos: np.ndarray, mass: np.ndarray, *, leaf_size: int = 8):
         pos = np.ascontiguousarray(pos, dtype=np.float64)
         mass = np.ascontiguousarray(mass, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
@@ -106,60 +88,18 @@ class BHTree:
         self.pos = pos
         self.mass = mass
         self.leaf_size = leaf_size
-        if bounds is None:
-            if len(pos) == 0:
-                lo = np.zeros(3)
-                hi = np.ones(3)
-            else:
-                lo, hi = pos.min(axis=0), pos.max(axis=0)
+        if len(pos) == 0:
+            lo = np.zeros(3)
+            hi = np.ones(3)
         else:
-            lo, hi = np.asarray(bounds[0], float), np.asarray(bounds[1], float)
+            lo, hi = pos.min(axis=0), pos.max(axis=0)
         center = (lo + hi) / 2.0
         half = float(max((hi - lo).max() / 2.0, 1e-12)) * (1 + 1e-9)
-        self.root = _Cell(center=center, half=half)
-        self._build(self.root, list(range(len(pos))))
-
-    def _build(self, cell: _Cell, index: list[int]) -> None:
-        cell.body_index = index
-        if index:
-            m = self.mass[index]
-            cell.mass = float(m.sum())
-            cell.com = (m[:, None] * self.pos[index]).sum(axis=0) / cell.mass
-        if len(index) <= self.leaf_size:
-            return
-        cell.children = [None] * 8
-        buckets: list[list[int]] = [[] for _ in range(8)]
-        c = cell.center
-        for i in index:
-            p = self.pos[i]
-            octant = (
-                (4 if p[0] >= c[0] else 0)
-                | (2 if p[1] >= c[1] else 0)
-                | (1 if p[2] >= c[2] else 0)
+        # A massless cell has no centre of mass (0/0); walks skip it.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.cells = kernels.get("bh_build")(
+                pos, mass, leaf_size, center, half
             )
-            buckets[octant].append(i)
-        quarter = cell.half / 2.0
-        for octant, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            offset = np.array(
-                [
-                    quarter if octant & 4 else -quarter,
-                    quarter if octant & 2 else -quarter,
-                    quarter if octant & 1 else -quarter,
-                ]
-            )
-            child = _Cell(center=c + offset, half=quarter)
-            cell.children[octant] = child
-            if len(bucket) == len(index):
-                # Degenerate: identical positions — stop splitting.
-                child.body_index = bucket
-                m = self.mass[bucket]
-                child.mass = float(m.sum())
-                child.com = cell.com.copy()
-                continue
-            self._build(child, bucket)
-        cell.body_index = []  # internal nodes don't keep body lists
 
     # -- queries -------------------------------------------------------------
 
@@ -168,24 +108,37 @@ class BHTree:
         return len(self.mass)
 
     def cell_count(self) -> int:
-        count = 0
-        stack = [self.root]
+        return len(self.cells.half)
+
+    def _prune(self, distance, theta: float, skip: int = -1):
+        """Depth-first traversal with the opening criterion.
+
+        A cell whose ``distance(com)`` satisfies ``2·half / d < θ`` is
+        emitted whole, any other is opened (children pushed in octant
+        order); leaves emit their bodies except ``skip``.  Returns the
+        emitted ``(masses, positions)`` as lists, in visit order.
+        """
+        com, cmass, half, child, is_leaf, leaf_ptr, leaf_bodies = self.cells
+        masses: list[float] = []
+        points: list[np.ndarray] = []
+        stack = [0]
         while stack:
-            cell = stack.pop()
-            count += 1
-            if cell.children:
-                stack.extend(ch for ch in cell.children if ch is not None)
-        return count
-
-    def depth(self) -> int:
-        def rec(cell: _Cell) -> int:
-            if not cell.children:
-                return 1
-            return 1 + max(
-                rec(ch) for ch in cell.children if ch is not None
-            )
-
-        return rec(self.root)
+            row = stack.pop()
+            if cmass[row] <= 0.0:
+                continue
+            if is_leaf[row]:
+                for i in leaf_bodies[leaf_ptr[row]:leaf_ptr[row + 1]].tolist():
+                    if i != skip:
+                        masses.append(float(self.mass[i]))
+                        points.append(self.pos[i])
+                continue
+            d = distance(com[row])
+            if d > 0.0 and (2.0 * half[row]) / d < theta:
+                masses.append(float(cmass[row]))
+                points.append(com[row])
+            else:
+                stack.extend(ch for ch in child[row].tolist() if ch >= 0)
+        return masses, points
 
     def force_terms(
         self, point: np.ndarray, theta: float, *, skip: int = -1
@@ -196,26 +149,9 @@ class BHTree:
         index (the evaluation body itself).  The returned interaction
         count is the paper-era load measure used for ORB weights.
         """
-        masses: list[float] = []
-        points: list[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            cell = stack.pop()
-            if cell.mass <= 0.0:
-                continue
-            if cell.is_leaf:
-                for i in cell.body_index:
-                    if i != skip:
-                        masses.append(float(self.mass[i]))
-                        points.append(self.pos[i])
-                continue
-            d = float(np.linalg.norm(cell.com - point))
-            if d > 0.0 and (2.0 * cell.half) / d < theta:
-                masses.append(cell.mass)
-                points.append(cell.com)
-            else:
-                assert cell.children is not None
-                stack.extend(ch for ch in cell.children if ch is not None)
+        masses, points = self._prune(
+            lambda com: float(np.linalg.norm(com - point)), theta, skip
+        )
         if not masses:
             return np.zeros(0), np.zeros((0, 3)), 0
         return np.array(masses), np.vstack(points), len(masses)
@@ -233,25 +169,9 @@ class BHTree:
         box to the cell's centre of mass — then it holds for every body in
         the box; otherwise the cell is opened.  Leaves emit their bodies.
         """
-        masses: list[float] = []
-        points: list[np.ndarray] = []
-        stack = [self.root]
-        while stack:
-            cell = stack.pop()
-            if cell.mass <= 0.0:
-                continue
-            if cell.is_leaf:
-                for i in cell.body_index:
-                    masses.append(float(self.mass[i]))
-                    points.append(self.pos[i])
-                continue
-            d_min = box_min_distance(box_lo, box_hi, cell.com)
-            if d_min > 0.0 and (2.0 * cell.half) / d_min < theta:
-                masses.append(cell.mass)
-                points.append(cell.com)
-            else:
-                assert cell.children is not None
-                stack.extend(ch for ch in cell.children if ch is not None)
+        masses, points = self._prune(
+            lambda com: box_min_distance(box_lo, box_hi, com), theta
+        )
         if not masses:
             return np.zeros(0), np.zeros((0, 3))
         return np.array(masses), np.vstack(points)

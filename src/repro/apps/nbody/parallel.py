@@ -75,6 +75,9 @@ def nbody_program(
         mine = parts[bsp.pid].subset(np.arange(len(parts[bsp.pid])))
     p = bsp.nprocs
     nrepartitions = 0
+    # The selected walk kernel (vectorized by default; the per-body
+    # reference traversal under REPRO_KERNELS=reference).
+    walk = kernels.get("bh_walk")
 
     start_index = 0
     restored = bsp.resume_state()
@@ -136,10 +139,7 @@ def nbody_program(
             BHTree(far_p, far_m, leaf_size=leaf_size) if len(far_m) else None
         )
 
-        # Force evaluation: local tree + merged foreign-record tree, via
-        # the selected walk kernel (vectorized by default; the per-body
-        # reference traversal under REPRO_KERNELS=reference).
-        walk = kernels.get("bh_walk")
+        # Force evaluation: local tree + merged foreign-record tree.
         n_local = len(mine)
         acc = np.zeros((n_local, 3))
         inter = np.zeros(n_local, dtype=np.int64)
@@ -250,14 +250,14 @@ def bsp_nbody(
         raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
     # The paper partitions by the *previous iteration's* load; for a fresh
     # start we estimate per-body interaction counts with one untimed
-    # sequential BH pass (the central bodies of a Plummer sphere interact
-    # with far more cells than the halo — uniform weights would leave the
-    # inner processors ~2x overloaded).
-    if balance and len(bodies) > 1:
+    # sequential count-only BH pass (the central bodies of a Plummer
+    # sphere interact with far more cells than the halo — uniform weights
+    # would leave the inner processors ~2x overloaded).  One processor
+    # owns everything whatever the weights, so it skips the pass.
+    if balance and nprocs > 1 and len(bodies) > 1:
         tree = BHTree(bodies.pos, bodies.mass, leaf_size=leaf_size)
-        _, counts = kernels.get("bh_walk")(
-            tree, bodies.pos, theta, eps,
-            np.arange(len(bodies), dtype=np.int64),
+        counts = kernels.get("bh_count")(
+            tree, bodies.pos, theta, np.arange(len(bodies), dtype=np.int64)
         )
         weights = np.maximum(counts.astype(np.float64), 1.0)
     else:

@@ -385,15 +385,14 @@ class FrameTransport:
         self._segc = memoryview(self._segc_mm).cast("Q")
         #: Fork-shared zerocopy telemetry: slot ``2*src`` counts buffers
         #: that took a segment lease, ``2*src + 1`` buffers big enough
-        #: but routed through slab/pipe (REPRO_ZEROCOPY=off or a pool
-        #: failure).  Surfaced by ``BspPool.health()``.
+        #: but routed through slab/pipe (REPRO_ZEROCOPY=off).  Surfaced
+        #: by ``BspPool.health()``.
         self._zc_mm = mmap.mmap(-1, max(16 * nprocs, mmap.PAGESIZE))
         self._zc = memoryview(self._zc_mm).cast("Q")
         #: Post-fork, lazily built, per-process state: each worker only
-        #: ever touches its own pid's slot.  ``False`` marks a pool whose
-        #: creation failed (no /dev/shm): big buffers then fall back.
-        #: Slot ``nprocs`` is the parent's dispatch arena.
-        self._seg_pools: list[Any] = [None] * (nprocs + 1)
+        #: ever touches its own pid's slot.  Slot ``nprocs`` is the
+        #: parent's dispatch arena.
+        self._seg_pools: list[shm.SegmentPool | None] = [None] * (nprocs + 1)
         self._seg_maps: list[shm.SegmentMap | None] = [None] * nprocs
         self._lease_tables: list[shm.LeaseTable | None] = [None] * nprocs
         #: Per-src broadcast dedup: ``((run_id, step), {data_ptr: (pin,
@@ -406,15 +405,13 @@ class FrameTransport:
 
     # -- zero-copy data plane ------------------------------------------------
 
-    def _seg_pool(self, src: int) -> shm.SegmentPool | None:
+    def _seg_pool(self, src: int) -> shm.SegmentPool:
         pool = self._seg_pools[src]
         if pool is None:
-            try:
-                pool = shm.SegmentPool(self._zc_token, src, self._segc)
-            except OSError:  # pragma: no cover - /dev/shm unavailable
-                pool = False
-            self._seg_pools[src] = pool
-        return pool or None
+            pool = self._seg_pools[src] = shm.SegmentPool(
+                self._zc_token, src, self._segc
+            )
+        return pool
 
     def _lease_table(self, pid: int) -> shm.LeaseTable:
         table = self._lease_tables[pid]
@@ -447,15 +444,13 @@ class FrameTransport:
     def leak_segment(self, pid: int) -> None:
         """LEAK_SEGMENT fault hook: create a segment only the sweep can
         reclaim."""
-        pool = self._seg_pool(pid)
-        if pool is not None:
-            pool.leak()
+        self._seg_pool(pid).leak()
 
     def reset_segments(self, pid: int) -> None:
         """Fence ``pid``'s zero-copy state: rewind the pool (generation
         bump) and forget inbound leases of the dead run."""
         pool = self._seg_pools[pid]
-        if pool not in (None, False):
+        if pool is not None:
             pool.reset()
         table = self._lease_tables[pid]
         if table is not None:
@@ -748,7 +743,7 @@ class FrameTransport:
             # run they belong to — ids are monotonic and unknown ids are
             # ignored, so a stale release can never free a live region.
             seg_pool = self._seg_pools[pid]
-            if seg_pool not in (None, False) and extra:
+            if seg_pool is not None and extra:
                 seg_pool.release(extra)
             return Frame(tag, run_id, step, src, None, None, more)
         if tag != TAG_PKT:
@@ -778,7 +773,7 @@ class FrameTransport:
             generation, entries, rel = extra
             if rel:
                 seg_pool = self._seg_pools[pid]
-                if seg_pool not in (None, False):
+                if seg_pool is not None:
                     seg_pool.release(rel)
             if entries:
                 # Zero-copy delivery: map each leased region (attach is
@@ -814,7 +809,7 @@ class FrameTransport:
         except (ValueError, OSError):  # pragma: no cover - already closed
             pass
         for seg_pool in self._seg_pools:
-            if seg_pool not in (None, False):
+            if seg_pool is not None:
                 seg_pool.close()
         # Tables before maps: dropping the table's region exporters
         # releases their buffer exports, so the map's segments close

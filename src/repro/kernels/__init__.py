@@ -2,9 +2,11 @@
 
 PRs 1–3 attacked the ``gH`` and ``LS`` terms of the paper's cost model
 ``T = W + gH + LS``; this package attacks ``W``.  Each kernel is the
-local-compute core of one application superstep — the Barnes–Hut force
-walk, MST fragment labeling, SSSP border-update application, samplesort
-splitter partitioning — available in two implementations:
+local-compute core of one application superstep — the Barnes–Hut octree
+build (``bh_build``), force walk (``bh_walk``) and the count-only walk
+behind the ORB load estimate (``bh_count``), MST fragment labeling, SSSP
+border-update application, samplesort splitter partitioning — available
+in two implementations:
 
 * ``reference`` — the original pure-Python per-element code, kept verbatim
   as the semantic oracle;

@@ -170,9 +170,10 @@ class TestBHTree:
     def test_mass_conservation(self):
         b = plummer(300, seed=3)
         tree = BHTree(b.pos, b.mass)
-        assert tree.root.mass == pytest.approx(b.mass.sum())
+        assert tree.cells.mass[0] == pytest.approx(b.mass.sum())
         assert np.allclose(
-            tree.root.com, (b.mass[:, None] * b.pos).sum(axis=0) / b.mass.sum()
+            tree.cells.com[0],
+            (b.mass[:, None] * b.pos).sum(axis=0) / b.mass.sum(),
         )
 
     def test_theta_zero_is_direct_sum(self):
@@ -201,7 +202,12 @@ class TestBHTree:
     def test_identical_positions_handled(self):
         pos = np.zeros((5, 3))
         tree = BHTree(pos, np.ones(5))
-        assert tree.root.mass == pytest.approx(5.0)
+        assert tree.cells.mass[0] == pytest.approx(5.0)
+        # Forced to split, all five land in one octant: one leaf child.
+        tree = BHTree(pos, np.ones(5), leaf_size=2)
+        assert tree.cells.mass.tolist() == [5.0, 5.0]
+        assert tree.cells.is_leaf.tolist() == [False, True]
+        assert tree.cells.leaf_bodies.tolist() == [0, 1, 2, 3, 4]
 
     def test_leaf_size_bucketing(self):
         b = plummer(200, seed=8)
@@ -263,6 +269,27 @@ class TestEssentialRecords:
             assert np.linalg.norm(approx - exact) <= (
                 0.05 * np.linalg.norm(exact) + 1e-12
             )
+
+
+    def test_record_order_is_pinned(self):
+        """Records leave in depth-first order, highest octant first — the
+        order the far tree is built from.  Body counts per record (mass
+        x n) as emitted by the linked-cell octree this tree replaced."""
+        b = plummer(256, seed=7)
+        tree = BHTree(b.pos, b.mass, leaf_size=4)
+        masses, points = tree.essential_records(
+            np.array([1.5, 1.0, 0.5]), np.array([2.5, 2.0, 1.5]), theta=0.9
+        )
+        assert np.rint(masses * 256).astype(int).tolist() == [
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 8, 1, 1, 1, 1, 1, 1,
+            1, 1, 1, 1, 10, 1, 18, 1, 1, 1, 20, 1, 1, 35, 1, 1, 5, 10, 5, 12,
+            1, 21, 1, 70, 1, 1, 1, 1, 1, 1, 1,
+        ]
+        assert np.allclose(points[[0, 5, -1]], [
+            [9.653507775, 3.991197997, 2.027204817],
+            [2.300986061, -0.710916209, 0.359209676],
+            [-0.668248945, -0.308420132, -2.362782496],
+        ], rtol=0, atol=1e-9)
 
 
 class TestOrb:
@@ -407,6 +434,55 @@ class TestBspNBody:
         run = bsp_nbody(b, p, steps=1, theta=0.0, dt=0.01)
         direct = simulate_direct(b, steps=1, dt=0.01)
         assert np.allclose(run.bodies.pos, direct.bodies.pos, atol=1e-9)
+
+
+class TestLoadEstimate:
+    """The driver's ORB pre-pass counts interactions; it forms no forces."""
+
+    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
+    @pytest.mark.parametrize("seed,h_total", [(0, 2915), (3, 2635)])
+    def test_benchmark_shaped_ledger_is_pinned(self, mode, seed, h_total):
+        from repro import kernels
+
+        with kernels.using(mode):
+            run = bsp_nbody(plummer(4096, seed=seed), 2, steps=1,
+                            warmup_steps=1)
+        assert (run.stats.S, run.stats.H) == (7, h_total)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
+    def test_count_weights_give_the_walk_weights_owner(self, mode):
+        from repro import kernels
+
+        b = plummer(700, seed=21)
+        tree = BHTree(b.pos, b.mass)
+        skip = np.arange(len(b), dtype=np.int64)
+        counted = kernels.get("bh_count", mode)(tree, b.pos, 1.0, skip)
+        _, walked = kernels.get("bh_walk", mode)(tree, b.pos, 1.0, 0.05, skip)
+        assert np.array_equal(counted, walked)
+        for p in (2, 3, 4):
+            assert np.array_equal(
+                orb_partition(b.pos, np.maximum(counted, 1.0), p),
+                orb_partition(b.pos, np.maximum(walked, 1.0), p),
+            )
+
+    def test_one_processor_skips_the_estimate(self, monkeypatch):
+        """p=1 owns everything whatever the weights: no whole-system tree."""
+        from repro.apps.nbody import parallel
+
+        b = plummer(60, seed=22)
+        uniform = bsp_nbody(b, 1, steps=1, balance=False)
+        built = []
+        tree_cls = parallel.BHTree
+        monkeypatch.setattr(
+            parallel, "BHTree",
+            lambda *a, **k: built.append(1) or tree_cls(*a, **k),
+        )
+        run = bsp_nbody(b, 1, steps=1)
+        assert len(built) == 1  # the rank's own tree only
+        assert np.array_equal(run.bodies.pos, uniform.bodies.pos)
+        assert (run.stats.S, run.stats.H, run.stats.total_charged) == (
+            uniform.stats.S, uniform.stats.H, uniform.stats.total_charged
+        )
 
 
 class TestWarmup:

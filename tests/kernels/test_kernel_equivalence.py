@@ -71,8 +71,139 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Barnes–Hut: walk and direct kernels vs the oracles
+# Barnes–Hut: build, walk, count and direct kernels vs the oracles
 # ---------------------------------------------------------------------------
+
+BODY_SHAPES = ("plummer", "uniform", "two_cluster", "collinear", "coincident")
+
+
+def body_set(shape, n, seed):
+    """``(pos, mass)`` in one of the shapes that stress octree splitting."""
+    rng = np.random.default_rng(seed)
+    mass = rng.random(n) + 0.1
+    if n == 0:
+        return np.zeros((0, 3)), mass
+    if shape == "plummer":
+        return plummer(n, seed=seed).pos, mass
+    if shape == "uniform":
+        return uniform_cube(n, seed=seed).pos, mass
+    if shape == "two_cluster":
+        pos = 0.05 * rng.normal(size=(n, 3))
+        pos[n // 2:] += 10.0
+        return pos, mass
+    if shape == "collinear":
+        return np.outer(rng.random(n), [1.0, 0.0, 0.0]), mass
+    return np.full((n, 3), 0.25), mass
+
+
+class TestBhBuildEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(BODY_SHAPES),
+        n=st.sampled_from([0, 1, 2, 9, 300]),
+        leaf=st.sampled_from([1, 8, 16]),
+        seed=st.integers(0, 1000),
+    )
+    def test_property_builders_fill_identical_arrays(self, shape, n, leaf,
+                                                     seed):
+        pos, mass = body_set(shape, n, seed)
+        with kernels.using("reference"):
+            ref = BHTree(pos, mass, leaf_size=leaf).cells
+        with kernels.using("vectorized"):
+            vec = BHTree(pos, mass, leaf_size=leaf).cells
+        for name in ("child", "half", "is_leaf", "leaf_ptr", "leaf_bodies"):
+            got, want = getattr(vec, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert np.allclose(vec.mass, ref.mass, rtol=0, atol=1e-15)
+        # The empty tree's root has no centre of mass (0/0) in either.
+        assert np.allclose(vec.com, ref.com, rtol=0, atol=1e-15,
+                           equal_nan=True)
+        # Every body sits in exactly one leaf, each leaf in body order.
+        assert sorted(vec.leaf_bodies.tolist()) == list(range(n))
+        for row in np.flatnonzero(vec.is_leaf):
+            held = vec.leaf_bodies[vec.leaf_ptr[row]:vec.leaf_ptr[row + 1]]
+            assert np.all(np.diff(held) > 0)
+
+    def test_far_apart_scales_keep_summaries_tight(self):
+        """com/mass within 1e-15 *relative* where coordinates are large."""
+        pos, mass = body_set("two_cluster", 300, 5)
+        with kernels.using("reference"):
+            ref = BHTree(pos * 1e6, mass).cells
+        vec = BHTree(pos * 1e6, mass).cells
+        assert np.array_equal(vec.child, ref.child)
+        assert np.allclose(vec.com, ref.com, rtol=1e-15, atol=0)
+
+
+class TestBhCountEquivalence:
+    """``bh_count`` is ``bh_walk``'s second return value, in both modes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(BODY_SHAPES),
+        n=st.sampled_from([1, 2, 9, 150]),
+        leaf=st.sampled_from([1, 8, 16]),
+        theta=st.sampled_from([0.0, 0.5, 1.0, 1.2]),
+        own=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_property_count_equals_walk_counts(self, shape, n, leaf, theta,
+                                               own, seed):
+        pos, mass = body_set(shape, n, seed)
+        tree = BHTree(pos, mass, leaf_size=leaf)
+        if own:  # the local phase: each body against its own tree
+            points, skip = pos, np.arange(n, dtype=np.int64)
+        else:    # the far-tree phase: points outside the tree's cube
+            points, skip = uniform_cube(40, seed=seed).pos + 25.0, None
+        _, walked = kernels.get("bh_walk", "reference")(
+            tree, points, theta, 0.05, skip
+        )
+        for mode in MODES:
+            counted = kernels.get("bh_count", mode)(tree, points, theta, skip)
+            assert counted.dtype == np.int64
+            assert np.array_equal(counted, walked), mode
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 1.2])
+    def test_massless_cell_is_skipped_alike(self, theta):
+        """A cluster of zero-mass bodies is a cell the walk never enters."""
+        pos, mass = body_set("two_cluster", 120, 9)
+        mass[60:] = 0.0
+        tree = BHTree(pos, mass, leaf_size=4)
+        assert np.any((tree.cells.mass == 0.0) & ~tree.cells.is_leaf)
+        skip = np.arange(120, dtype=np.int64)
+        for mode in MODES:
+            _, walked = kernels.get("bh_walk", mode)(
+                tree, pos, theta, 0.05, skip
+            )
+            counted = kernels.get("bh_count", mode)(tree, pos, theta, skip)
+            assert np.array_equal(counted, walked)
+        if theta == 0.0:  # every massive body but oneself, no massless one
+            assert counted[:60].tolist() == [59] * 60
+            assert counted[60:].tolist() == [60] * 60
+
+    def test_skip_naming_no_body_excludes_nothing(self):
+        b = plummer(50, seed=12)
+        tree = BHTree(b.pos, b.mass, leaf_size=4)
+        skip = np.array([-1, 50, 10**6] + [0] * 47, dtype=np.int64)
+        for mode in MODES:
+            _, walked = kernels.get("bh_walk", mode)(
+                tree, b.pos, 0.0, 0.05, skip
+            )
+            counted = kernels.get("bh_count", mode)(tree, b.pos, 0.0, skip)
+            assert np.array_equal(counted, walked)
+        assert counted[:4].tolist() == [50, 50, 50, 49]
+
+    def test_blocks_cover_every_point(self):
+        b = plummer(130, seed=13)
+        tree = BHTree(b.pos, b.mass)
+        skip = np.arange(130, dtype=np.int64)
+        from repro.kernels.bh import _bh_count_vectorized
+
+        whole = _bh_count_vectorized(tree, b.pos, 0.8, skip)
+        assert np.array_equal(
+            _bh_count_vectorized(tree, b.pos, 0.8, skip, block=32), whole
+        )
+
 
 
 class TestBhEquivalence:
