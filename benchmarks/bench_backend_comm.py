@@ -20,6 +20,9 @@ Scenarios
 * ``numpy-halo``   — many medium arrays per peer (ocean ghost exchange,
   essential trees): stresses per-packet overhead *and* copy volume.
 * ``small-objects``— many tiny int payloads: pure per-packet overhead.
+* ``halo-small``   — one 528-byte float64 row per peer per superstep on a
+  warm p=2 pool (ocean-66's ghost exchange): microseconds per boundary,
+  strict and relaxed — per-frame software overhead, no bandwidth.
 * ``pool``         — per-run fixed cost of a trivial program, fresh
   backend per run vs. one persistent pool (skipped when running against
   a library version without ``ProcessBackend.pool``).
@@ -122,9 +125,9 @@ def trivial_program(bsp) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _time_run(backend, program, nprocs, args) -> float:
+def _time_run(backend, program, nprocs, args, **kw) -> float:
     t0 = time.perf_counter()
-    backend.run(program, nprocs, args=args)
+    backend.run(program, nprocs, args=args, **kw)
     return time.perf_counter() - t0
 
 
@@ -191,6 +194,20 @@ def bench_small(nprocs: int, steps: int, nmsgs: int, *, repeats: int) -> dict:
         "wall_s": round(wall, 4),
         "packets_per_s": round(msgs / wall, 1),
     }
+
+
+def bench_halo_small(steps: int, *, repeats: int) -> dict:
+    """Cost of one boundary that carries a single ghost row each way."""
+    nprocs, size = 2, 66  # ocean-66 at p=2: 66 float64 = 528 bytes
+    out = {"nprocs": nprocs, "steps": steps, "array_bytes": size * 8}
+    with ProcessBackend.pool(nprocs) as backend:
+        backend.run(exchange_program, nprocs, args=(2, 1, size))  # warm
+        for sync in ("strict", "relaxed"):
+            wall = min(_time_run(backend, exchange_program, nprocs,
+                                 (steps, 1, size), sync=sync)
+                       for _ in range(repeats))
+            out[f"{sync}_us_per_boundary"] = round(wall / steps * 1e6, 1)
+    return out
 
 
 def bench_memcpy(array_bytes: int, *, repeats: int) -> dict:
@@ -331,6 +348,15 @@ def main(argv=None) -> int:
     print(f"{'small-objects':14s} {'':10s} "
           f"{scenarios['small-objects']['packets_per_s']:12.0f} pkt/s "
           f"({scenarios['small-objects']['wall_s']:.3f}s wall)")
+
+    if hasattr(ProcessBackend, "pool"):
+        scenarios["halo-small"] = bench_halo_small(
+            500 if args.quick else 2000, repeats=repeats)
+        print(f"{'halo-small':14s} strict "
+              f"{scenarios['halo-small']['strict_us_per_boundary']:.1f} "
+              f"us/boundary, relaxed "
+              f"{scenarios['halo-small']['relaxed_us_per_boundary']:.1f} "
+              f"us/boundary (528 B per peer)")
 
     scenarios["pool"] = bench_pool(p, nruns=4 if args.quick else 12)
     pooled = scenarios["pool"]["pooled_ms_per_run"]

@@ -23,8 +23,13 @@ barrier that changed the answer would be worthless.
 
 Acceptance floors (enforced, nonzero exit):
 
-* microbench ``relaxed_speedup_x >= 2.0`` on **both** backends
-  (``>= 1.3`` under ``--quick``);
+* pipes microbench: per-mode *ceilings* on the effective L —
+  ``L_strict_us <= 1000`` and ``L_relaxed_us <= 700`` (``1300`` / ``900``
+  under ``--quick``) — plus relaxed not slower than strict.  Ceilings,
+  not a strict/relaxed ratio: strict now pushes its empty frames from
+  the calling thread, and a ratio floor fails whenever strict gets
+  faster;
+* TCP microbench ``relaxed_speedup_x >= 2.0`` (``>= 1.3`` quick);
 * ocean-on-TCP ``relaxed_speedup_x >= 1.1`` (``>= 1.0`` quick).
 
 Usage::
@@ -151,6 +156,8 @@ def main(argv=None) -> int:
     rounds = ROUNDS_QUICK if args.quick else ROUNDS
     repeats = REPEATS_QUICK if args.quick else REPEATS
     floor = 1.3 if args.quick else 2.0
+    ceilings = {"strict": 1300.0, "relaxed": 900.0} if args.quick \
+        else {"strict": 1000.0, "relaxed": 700.0}
     ocean_floor = 1.0 if args.quick else 1.1
 
     micro = {kind: bench_microbench(kind, rounds, repeats)
@@ -166,9 +173,17 @@ def main(argv=None) -> int:
               f"relaxed {row['L_relaxed_us']:8.1f} us   "
               f"elide {row['L_elide_us']:8.1f} us   "
               f"-> {row['relaxed_speedup_x']}x relaxed")
-        if row["relaxed_speedup_x"] < floor:
-            failed.append(f"{kind} microbench "
-                          f"({row['relaxed_speedup_x']}x < {floor}x)")
+    for mode, ceiling in ceilings.items():
+        got = micro["processes"][f"L_{mode}_us"]
+        if got > ceiling:
+            failed.append(f"processes microbench L_{mode}_us "
+                          f"({got} us > {ceiling} us)")
+    if micro["processes"]["relaxed_speedup_x"] < 1.0:
+        failed.append("processes microbench (relaxed slower than strict "
+                      "on empty supersteps)")
+    if micro["tcp"]["relaxed_speedup_x"] < floor:
+        failed.append(f"tcp microbench "
+                      f"({micro['tcp']['relaxed_speedup_x']}x < {floor}x)")
     print(f"ocean {OCEAN_N}-grid end-to-end, p={OCEAN_NPROCS}, "
           f"{ocean['tcp']['supersteps']} supersteps")
     for kind, row in ocean.items():
@@ -185,6 +200,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "floor_x": floor,
+        "pipe_ceilings_us": ceilings,
         "ocean_floor_x": ocean_floor,
         "microbench": micro,
         "ocean": ocean,

@@ -15,14 +15,22 @@ boundary as **one frame**:
   plus their payloads, serialized once with pickle protocol 5 so that
   large contiguous buffers (NumPy halos, Cannon blocks, essential trees)
   are split out as out-of-band buffers instead of being copied into the
-  pickle stream;
+  pickle stream.  *Small* buffers — under :data:`_INBAND_MAX` (half of
+  ``PIPE_BUF``) and under the zero-copy threshold — stay in the stream:
+  for a 528-byte ghost row the slab round trip below costs more than
+  the copy it saves, and in-band the whole frame is one pipe message no
+  larger than ``PIPE_BUF``, which the kernel writes atomically;
 * the out-of-band *buffers* themselves, which travel through a
   fork-shared anonymous ``mmap`` ring (the *slab*) — sender memcpys each
   buffer into the destination's slab, receiver copies it back out into a
   writable ``bytearray`` and reconstructs the arrays over it with
-  ``pickle.loads(meta, buffers=...)``.  Two memcpys total, no pickle
-  stream ever contains the payload bytes, and no pipe write is ever
-  larger than the metadata.
+  ``pickle.loads(meta, buffers=...)``.  Two memcpys total, and no pickle
+  stream ever contains the bytes of a buffer of ``_INBAND_MAX`` or more.
+
+Sending is two steps, :meth:`FrameTransport.encode_frame` then
+:meth:`FrameTransport.push_frame`, so that a boundary can first offer
+every frame to a push that *never waits* and hand only the frames it
+refuses to a thread that may block (:mod:`repro.backends.processes`).
 
 Buffers at or above the zero-copy threshold (default 64 KiB, see
 :mod:`repro.backends.shm`) skip the slab entirely: the sender memcpys
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import mmap
 import pickle
+import select
 import sys
 import time
 from dataclasses import dataclass
@@ -86,6 +95,17 @@ _DATA_OFF = 64
 
 #: Default slab capacity per destination processor.
 DEFAULT_SLAB_BYTES = 64 << 20
+
+#: Largest ``Connection.send_bytes`` payload that is still one atomic
+#: ``write``: ``PIPE_BUF`` less the 4-byte length prefix it is sent with.
+_PIPE_MSG_MAX = select.PIPE_BUF - 4
+
+#: Payload buffers smaller than this (and below the zero-copy threshold)
+#: stay in the pickle stream: a ghost row then crosses as one atomic pipe
+#: message instead of a slab round trip that saves a copy of a few
+#: hundred bytes.  Half of ``PIPE_BUF`` so one such buffer plus the
+#: frame's metadata still fits a write the kernel never splits.
+_INBAND_MAX = select.PIPE_BUF // 2
 
 
 def _aligned(n: int) -> int:
@@ -137,11 +157,12 @@ class _RecvPool:
 class Slab:
     """Fork-shared single-consumer ring buffer for frame payloads.
 
-    ``alloc``/``write`` are the sender side and must be called holding the
-    destination's transport lock; ``read_copy``/``free_to`` are the
-    receiver side and need no lock (one consumer per slab).  Offsets are
-    *logical* (monotonically increasing); the physical position is
-    ``offset % capacity`` and allocations never straddle the wrap point.
+    ``reserve``/``write``/``commit`` are the sender side and must be
+    called holding the destination's transport lock; ``read_copy``/
+    ``free_to`` are the receiver side and need no lock (one consumer per
+    slab).  Offsets are *logical* (monotonically increasing); the
+    physical position is ``offset % capacity`` and allocations never
+    straddle the wrap point.
     """
 
     def __init__(self, capacity: int = DEFAULT_SLAB_BYTES, *,
@@ -164,12 +185,17 @@ class Slab:
 
     # -- sender side (destination lock held) -------------------------------
 
-    def alloc(self, nbytes: int) -> int:
-        """Reserve ``nbytes`` contiguous bytes; returns the logical offset.
+    def reserve(self, nbytes: int,
+                block: bool = True) -> tuple[int, int] | None:
+        """Find ``nbytes`` contiguous bytes: logical ``(start, end)``.
 
-        Spin-waits (with backoff) while the ring lacks room — the receiver
-        frees space as it drains its pipe, which it is guaranteed to be
-        doing whenever senders are pushing boundary frames.
+        The tail does not move until :meth:`commit` — the caller holds
+        the destination lock, so nobody else can take the region in
+        between.  While the ring lacks room this spin-waits (with
+        backoff): the receiver frees space as it drains its pipe, which
+        it is guaranteed to be doing whenever senders are pushing
+        boundary frames.  With ``block`` false it returns ``None``
+        instead of waiting.
         """
         tail = self._ctrl[1]
         room_to_end = self.capacity - (tail % self.capacity)
@@ -178,7 +204,7 @@ class Slab:
         if need > self.capacity:
             # Even a fully drained ring holds at most ``capacity`` bytes,
             # so waiting could never succeed: fail fast instead of
-            # spinning out the whole timeout.  send_packets() keeps this
+            # spinning out the whole timeout.  push_frame() keeps this
             # unreachable by capping slab frames at ``max_frame``.
             raise ValueError(
                 f"frame of {nbytes} bytes (+{pad} wrap padding) can never "
@@ -187,6 +213,8 @@ class Slab:
         deadline = None
         spins = 0
         while self._ctrl[0] + self.capacity - tail < need:
+            if not block:
+                return None
             if deadline is None:
                 deadline = time.monotonic() + self._spin_timeout
             elif time.monotonic() > deadline:
@@ -195,8 +223,17 @@ class Slab:
                     "draining its boundary exchange?)")
             spins += 1
             time.sleep(0 if spins < 32 else 0.0001)
-        self._ctrl[1] = tail + need
-        return tail + pad
+        return tail + pad, tail + need
+
+    def commit(self, end: int) -> None:
+        """Take the region :meth:`reserve` found (tail := its ``end``)."""
+        self._ctrl[1] = end
+
+    def alloc(self, nbytes: int) -> int:
+        """:meth:`reserve` + :meth:`commit`; returns the logical offset."""
+        start, end = self.reserve(nbytes)
+        self.commit(end)
+        return start
 
     def write(self, offset: int, buf: Any) -> None:
         phys = offset % self.capacity
@@ -295,18 +332,28 @@ class Frame:
         ]
 
 
-def encode_packets(packets: Sequence[Packet]) -> tuple[bytes, list[memoryview]]:
+def encode_packets(packets: Sequence[Packet],
+                   inband: int = _INBAND_MAX) -> tuple[bytes, list[memoryview]]:
     """Combine one per-destination bucket into (meta, out-of-band buffers).
 
     ``meta`` is a protocol-5 pickle of ``(seqs, hs, payloads)``; large
     contiguous payload buffers are extracted out-of-band and returned as
-    raw memoryviews (no intermediate copy).
+    raw memoryviews (no intermediate copy).  Buffers under ``inband``
+    bytes stay inside ``meta`` (a fabric lowers it to its zero-copy
+    threshold when that is smaller, so every leasable buffer surfaces).
     """
     pbufs: list[pickle.PickleBuffer] = []
+
+    def split(pb: pickle.PickleBuffer) -> bool:
+        if memoryview(pb).nbytes < inband:
+            return True  # in-band
+        pbufs.append(pb)
+        return False
+
     meta = pickle.dumps(
         ([p.seq for p in packets], [p.h for p in packets],
          [p.payload for p in packets]),
-        protocol=5, buffer_callback=pbufs.append,
+        protocol=5, buffer_callback=split,
     )
     buffers = []
     for pb in pbufs:
@@ -366,15 +413,21 @@ class FrameTransport:
         #: kernel wait, not a spin — essential on few-core hosts, where
         #: spinning steals the CPU from the very peer being waited for.
         self._ep_cond = ctx.Condition()
+        #: One ``POLLOUT`` poller per pipe write end, for the
+        #: non-blocking push (pollers hold fd numbers only: fork-safe).
+        self._pollers = []
         for _ in range(nprocs):
             r, w = ctx.Pipe(duplex=False)
             self._recv_conns.append(r)
             self._send_conns.append(w)
+            self._pollers.append(select.poll())
+            self._pollers[-1].register(w.fileno(), select.POLLOUT)
         # -- zero-copy data plane (repro.backends.shm) ----------------------
         # Env knobs are read here, in the parent, before forking, so every
         # worker of one fabric agrees on them.
         self._zc_enabled = shm.zerocopy_enabled()
         self._zc_threshold = shm.zerocopy_threshold()
+        self._inband = min(_INBAND_MAX, self._zc_threshold)
         self._zc_token = shm.fabric_token()
         #: Fork-shared per-src count of segments ever created: all the
         #: parent needs to sweep a (possibly SIGKILLed) worker's segments
@@ -638,83 +691,128 @@ class FrameTransport:
     def send_packets(self, dst: int, run_id: int, step: int, src: int,
                      packets: Sequence[Packet], *, more: int = 0,
                      releases: Sequence[int] = ()) -> None:
+        frame = self.encode_frame(dst, run_id, step, src, packets,
+                                  more=more, releases=releases)
+        if frame is not None:
+            self.push_frame(frame)
+
+    def encode_frame(self, dst: int, run_id: int, step: int, src: int,
+                     packets: Sequence[Packet], *, more: int = 0,
+                     releases: Sequence[int] = ()) -> tuple | None:
+        """Serialize one bucket into the frame :meth:`push_frame` takes.
+
+        What must happen once per frame, however many pushes it then
+        needs, happens here: the fault hooks (``None``: an injected
+        DROP_FRAME swallowed it), the pickle pass, and marking the
+        buffers that will lease zero-copy regions.
+        """
         # Fault-injection hook: one attribute load + None test per frame
         # (never per packet) when disabled.
         plan = faults._ACTIVE
         if plan is not None:
             if plan.drops_frame(src, step, dst):
-                return
+                return None
             plan.count_frame(src)
-        meta, buffers = encode_packets(packets)
+        meta, buffers = encode_packets(packets, self._inband)
+        big: Sequence[int] = ()
+        if buffers:
+            big = [i for i, mv in enumerate(buffers)
+                   if mv.nbytes >= self._zc_threshold]
+            if big and not self._zc_enabled:
+                self._zc[2 * src + 1] += len(big)
+                big = ()
+        return (dst, run_id, step, src, meta, buffers, big, more,
+                tuple(releases))
+
+    def push_frame(self, frame: tuple, *, block: bool = True) -> bool:
+        """Write one encoded frame to its destination; ``True`` once done.
+
+        With ``block`` false the push completes without waiting for
+        anything or changes nothing and returns ``False``.  It goes
+        through only if the destination lock is free, the ring has room
+        now, and the whole pipe message fits ``PIPE_BUF`` on a pipe
+        reporting ``POLLOUT`` — every writer holds the lock, so the
+        kernel takes that write whole.  Zero-copy placements are refused
+        before leasing: leased ahead of this boundary's inbound
+        releases, they could not reuse the regions those free.
+        """
+        dst, run_id, step, src, meta, buffers, big, more, rel = frame
+        if not block and (big or len(meta) > _PIPE_MSG_MAX):
+            return False
         # Zero-copy placement: buffers at or above the threshold go into
         # leased shared-memory regions (one sender memcpy, no receiver
         # copy); the frame carries only (index, name, offset, nbytes,
         # lease id).  Leasing happens before the destination lock — the
         # pool belongs to this sender alone.
-        entries: tuple = ()
-        rel = tuple(releases)
         extra = None
-        if buffers:
-            threshold = self._zc_threshold
-            big = [i for i, mv in enumerate(buffers)
-                   if mv.nbytes >= threshold]
-            if big:
-                pool = self._seg_pool(src) if self._zc_enabled else None
-                if pool is not None:
-                    cache = self._dedup[src]
-                    if cache is None or cache[0] != (run_id, step):
-                        cache = self._dedup[src] = ((run_id, step), {})
-                    seen = cache[1]
-                    placed = []
-                    for i in big:
-                        mv = buffers[i]
-                        key = (np.frombuffer(mv, np.uint8).ctypes.data,
-                               mv.nbytes)
-                        hit = seen.get(key)
-                        alias = pool.alias(hit[4]) if hit is not None \
-                            else None
-                        if alias is not None:
-                            # Same bytes, another destination: no copy.
-                            placed.append((i, hit[1], hit[2], hit[3], alias))
-                            continue
-                        lease_id, name, offset, region = pool.lease(
-                            dst, mv.nbytes)
-                        region[:] = mv
-                        placed.append((i, name, offset, mv.nbytes, lease_id))
-                        seen[key] = (mv, name, offset, mv.nbytes, lease_id)
-                    entries = tuple(placed)
-                    self._zc[2 * src] += len(big)
-                    big_set = set(big)
-                    buffers = [mv for i, mv in enumerate(buffers)
-                               if i not in big_set]
-                else:
-                    self._zc[2 * src + 1] += len(big)
-        if entries or rel:
-            generation = self._seg_pools[src].generation if entries else 0
-            extra = (generation, entries, rel)
+        if big:
+            pool = self._seg_pool(src)
+            cache = self._dedup[src]
+            if cache is None or cache[0] != (run_id, step):
+                cache = self._dedup[src] = ((run_id, step), {})
+            seen = cache[1]
+            placed = []
+            for i in big:
+                mv = buffers[i]
+                key = (np.frombuffer(mv, np.uint8).ctypes.data, mv.nbytes)
+                hit = seen.get(key)
+                alias = pool.alias(hit[4]) if hit is not None else None
+                if alias is not None:
+                    # Same bytes, another destination: no copy.
+                    placed.append((i, hit[1], hit[2], hit[3], alias))
+                    continue
+                lease_id, name, offset, region = pool.lease(dst, mv.nbytes)
+                region[:] = mv
+                placed.append((i, name, offset, mv.nbytes, lease_id))
+                seen[key] = (mv, name, offset, mv.nbytes, lease_id)
+            self._zc[2 * src] += len(big)
+            big_set = set(big)
+            buffers = [mv for i, mv in enumerate(buffers)
+                       if i not in big_set]
+            extra = (pool.generation, tuple(placed), rel)
+        elif rel:
+            extra = (0, (), rel)
         lens = tuple(mv.nbytes for mv in buffers)
         total = sum(map(_aligned, lens))
         slab = self._slabs[dst]
         use_slab = slab is not None and 0 < total <= slab.max_frame
-        conn = self._send_conns[dst]
-        # The header carries the (small) meta blob too: one pipe message —
-        # hence one reader wake-up — per slab frame.
-        with self._locks[dst]:
+        if buffers and not (use_slab or block):
+            return False  # buffers as pipe messages of their own
+        lock = self._locks[dst]
+        if not lock.acquire(block):
+            return False
+        try:
+            start = end = 0
             if use_slab:
-                start = slab.alloc(total)
+                spot = slab.reserve(total, block)
+                if spot is None:
+                    return False
+                start, end = spot
+            # The header carries the meta blob too: one pipe message —
+            # hence one reader wake-up — per frame without pipe buffers.
+            header = pickle.dumps(
+                (TAG_PKT, run_id, step, src,
+                 _MODE_SLAB if use_slab else _MODE_PIPE, lens, start, meta,
+                 more, extra))
+            if not block:
+                ready = self._pollers[dst].poll(0)
+                if len(header) > _PIPE_MSG_MAX or not ready \
+                        or ready[0][1] != select.POLLOUT:
+                    return False
+            conn = self._send_conns[dst]
+            if use_slab:
                 offset = start
                 for mv, n in zip(buffers, lens):
                     slab.write(offset, mv)
                     offset += _aligned(n)
-                conn.send_bytes(pickle.dumps(
-                    (TAG_PKT, run_id, step, src, _MODE_SLAB, lens, start,
-                     meta, more, extra)))
-            else:
-                conn.send_bytes(pickle.dumps(
-                    (TAG_PKT, run_id, step, src, _MODE_PIPE, lens, 0, meta,
-                     more, extra)))
+                slab.commit(end)
+            conn.send_bytes(header)
+            if not use_slab:
                 for mv in buffers:
                     conn.send_bytes(mv)
+        finally:
+            lock.release()
+        return True
 
     # -- receiving ----------------------------------------------------------
 

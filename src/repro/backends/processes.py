@@ -15,6 +15,17 @@ are issued in the :func:`~repro.backends.exchange.peer_order` of the
 precomputed total-exchange pairing schedule, the TCP version's
 deadlock-avoidance discipline (B.3).
 
+Who writes a frame is decided per frame.  The thread that called
+``sync()`` offers each one to a push that never waits (destination lock
+free, slab room now, one pipe message within ``PIPE_BUF`` on a writable
+pipe): ocean's ghost rows and every empty strict frame go out this way,
+one ``write`` each, and no second thread is ever started.  Whatever that
+push refuses — a frame that could fill a pipe or the ring, or one whose
+large buffers lease zero-copy regions — is handed, already encoded, to a
+per-run sender thread, while the calling thread turns receiver: B.3's
+"receivers must actively empty the pipe", kept for exactly the frames
+it is about.
+
 Like the thread backend's vanishing barrier, a processor that finishes
 sends a departure sentinel so peers stop waiting for it; mismatched
 superstep counts then surface as a stats-merge error rather than a hang.
@@ -130,6 +141,12 @@ class _FrameChannel:
     Run-ahead is bounded to one superstep in every mode (a peer cannot
     start superstep ``s+1`` before observing this worker's boundary-``s``
     completion), which is what ``_stash`` absorbs.
+
+    In every mode frames go out through :meth:`_push`: from the calling
+    thread when that cannot wait, else from a sender thread that exists
+    only once a frame needed it.  A failed send (an unpicklable payload)
+    ends the same on either thread: recorded, ``TAG_DEAD`` to every
+    peer, the original exception raised out of ``exchange``.
     """
 
     def __init__(self, pid: int, nprocs: int, transport: FrameTransport,
@@ -149,18 +166,20 @@ class _FrameChannel:
         #: (flat heartbeats → DeadlockError) that a lost message means.
         self._epoch_frozen = False
         self._peers = peer_order(nprocs, pid)
+        self._peer_set = frozenset(self._peers)
         self._departed: set[int] = set()
         #: Early arrivals from peers already one superstep ahead.
         self._stash: dict[int, dict[int, list[Packet]]] = {}
-        # Persistent sender thread, fed one request per superstep (thread
-        # start-up per sync is measurable on small machines).  Daemonic: if
-        # we abort because a peer died, an in-flight send may be stuck on a
-        # frame nobody will ever drain; the thread must not keep the
-        # process alive then.
+        # Sender thread for the frames the calling thread could not push
+        # without waiting; started by the first such frame and then fed
+        # one request per boundary (thread start-up per sync is
+        # measurable on small machines).  Daemonic: if we abort because a
+        # peer died, an in-flight send may be stuck on a frame nobody
+        # will ever drain; the thread must not keep the process alive
+        # then.
         self._cv = threading.Condition()
-        self._req: tuple[int, dict[int, list[Packet]],
-                         Sequence[int], int | None,
-                         dict[int, list[int]]] | None = None
+        #: (step, encoded frames, publish the epoch afterwards?)
+        self._req: tuple[int, list[tuple], bool] | None = None
         self._stop = False
         self._push_error: list[BaseException] = []
         self._sender: threading.Thread | None = None
@@ -173,66 +192,102 @@ class _FrameChannel:
         """Run the next boundary on the strict protocol (checkpoint cut)."""
         self._fence_strict = True
 
-    # -- sender thread -------------------------------------------------------
+    # -- sending -------------------------------------------------------------
+
+    def _push(self, step: int, buckets: dict[int, list[Packet]],
+              targets: Sequence[int], releases: dict[int, list[int]], *,
+              epoch: bool = False) -> None:
+        """Put one frame per target on the wire, in schedule order.
+
+        Pipe writes and slab allocations block once full, so two peers
+        pushing large boundary frames at each other would deadlock — the
+        exact hazard Appendix B.3 describes ("receivers [must] actively
+        empty the pipe").  So the calling thread pushes only what cannot
+        wait (for ocean's ghost rows: everything) and then plays the
+        receiver; frames that could block go, already encoded, to the
+        sender thread.  A relaxed boundary (``epoch``) publishes its
+        epoch after the last pipe write, whichever thread made it, so an
+        observed epoch guarantees the frames are drainable.
+        """
+        transport, run_id, pid = self._transport, self._run_id, self._pid
+        deferred = []
+        try:
+            for peer in targets:
+                frame = transport.encode_frame(
+                    peer, run_id, step, pid, buckets.get(peer, ()),
+                    releases=releases.get(peer, ()))
+                if frame is not None and not transport.push_frame(
+                        frame, block=False):
+                    deferred.append(frame)
+        except BaseException as exc:  # e.g. an unpicklable payload
+            self._send_failed(exc)
+            raise
+        if deferred:
+            if self._sender is None:
+                self._sender = threading.Thread(
+                    target=self._sender_loop, name=f"bsp-send-{pid}",
+                    daemon=True)
+                self._sender.start()
+            with self._cv:
+                self._req = (step, deferred, epoch)
+                self._cv.notify_all()
+        elif epoch:
+            self._publish_epoch(step)
+
+    def _publish_epoch(self, step: int) -> None:
+        """Relaxed boundary ``step`` is complete here: every owed frame
+        is in a pipe (or was dropped by a fault, which freezes us)."""
+        plan = faults._ACTIVE
+        if plan is not None and plan.drops_any_frame(self._pid, step):
+            self._epoch_frozen = True
+        if not self._epoch_frozen:
+            self._transport.set_epoch(
+                self._pid, (self._run_id << 32) | (step + 1), self._nprocs)
+
+    def _send_failed(self, exc: BaseException) -> None:
+        """Record a failed send and wake every peer (fail fast: nobody
+        may block on a frame that will never arrive)."""
+        self._push_error.append(exc)
+        try:
+            self.die()
+        except BaseException:  # pragma: no cover - transport gone
+            pass
 
     def _sender_loop(self) -> None:
-        transport, run_id = self._transport, self._run_id
+        transport = self._transport
         while True:
             with self._cv:
                 while self._req is None and not self._stop:
                     self._cv.wait()
                 if self._req is None:
                     return
-                step, buckets, targets, epoch, releases = self._req
+                step, frames, epoch = self._req
             try:
-                for peer in targets:
-                    transport.send_packets(
-                        peer, run_id, step, self._pid, buckets.get(peer, ()),
-                        releases=releases.get(peer, ()))
-            except BaseException as exc:  # e.g. an unpicklable payload
-                self._push_error.append(exc)
-                # Fail fast: wake every peer (and ourselves) so nobody
-                # blocks on a frame that will never arrive.
-                try:
-                    for peer in self._peers:
-                        transport.send_control(peer, TAG_DEAD, run_id,
-                                               self._pid)
-                    transport.send_control(self._pid, TAG_DEAD, run_id,
-                                           self._pid)
+                for frame in frames:
+                    transport.push_frame(frame)
+            except BaseException as exc:
+                self._send_failed(exc)
+                try:  # ...and this worker's own receive loop
+                    transport.send_control(self._pid, TAG_DEAD,
+                                           self._run_id, self._pid)
                 except BaseException:  # pragma: no cover - transport gone
                     pass
             else:
-                if epoch is not None:
-                    # Relaxed boundary: the epoch is published *here*,
-                    # right after the last pipe write, so an observed
-                    # epoch guarantees the frames are drainable.
-                    plan = faults._ACTIVE
-                    if plan is not None and plan.drops_any_frame(
-                            self._pid, step):
-                        self._epoch_frozen = True
-                    if not self._epoch_frozen:
-                        transport.set_epoch(self._pid, epoch, self._nprocs)
+                if epoch:
+                    self._publish_epoch(step)
             with self._cv:
                 self._req = None
                 self._cv.notify_all()
 
-    def _send_async(self, step: int, buckets: dict[int, list[Packet]],
-                    targets: Sequence[int], *,
-                    epoch: int | None = None,
-                    releases: dict[int, list[int]] | None = None) -> None:
-        if self._sender is None:
-            self._sender = threading.Thread(
-                target=self._sender_loop, name=f"bsp-send-{self._pid}",
-                daemon=True)
-            self._sender.start()
-        with self._cv:
-            self._req = (step, buckets, targets, epoch, releases or {})
-            self._cv.notify_all()
-
     def _send_wait(self) -> None:
-        with self._cv:
-            while self._req is not None:
-                self._cv.wait()
+        """Wait out the sender thread's current request, then surface a
+        failed send — this boundary's or an earlier one's."""
+        if self._req is not None:
+            with self._cv:
+                while self._req is not None:
+                    self._cv.wait()
+        if self._push_error:
+            raise self._push_error[0]
 
     def close(self) -> None:
         """Ask the sender thread to exit once its current send completes."""
@@ -271,60 +326,28 @@ class _FrameChannel:
         if not strict:
             return self._exchange_relaxed(step, buckets, releases)
 
-        # Pipe writes and slab allocations block once full, so two peers
-        # pushing large boundary frames at each other would deadlock — the
-        # exact hazard Appendix B.3 describes ("receivers [must] actively
-        # empty the pipe").  We play the receiver role on this thread while
-        # the sender thread performs the blocking sends in schedule order.
         transport = self._transport
-        run_id = self._run_id
         # Releases for owners we owe no frame this boundary (a previous
         # run on this pool used more processors) go on dedicated control
         # frames; everything else piggybacks.
-        covered = set(self._peers)
         for owner, ids in releases.items():
-            if owner not in covered:
-                transport.send_release(owner, run_id, self._pid, ids)
-        self._send_async(step, buckets, self._peers, releases=releases)
+            if owner not in self._peer_set:
+                transport.send_release(owner, self._run_id, self._pid, ids)
+        self._push(step, buckets, self._peers, releases)
 
         got: dict[int, list[Packet]] = {}
         own = buckets.get(self._pid)
         if own is not None:
             got[self._pid] = own
         got.update(self._stash.pop(step, {}))
-        while True:
-            waiting = set(self._peers) - self._departed - set(got)
-            if not waiting:
-                break
-            frame = transport.recv(self._pid)
-            if frame.run_id != run_id:
-                continue  # stale frame from an earlier run on this pool
-            if frame.tag == TAG_PKT:
-                if frame.stale:
-                    raise PacketError(
-                        f"pid {self._pid}: frame from pid {frame.src} at "
-                        f"superstep {frame.step} carries a zero-copy lease "
-                        "from a reset segment pool (stale generation)")
-                pkts = frame.packets(self._pid)
-                if frame.step == step:
-                    got[frame.src] = pkts
-                else:
-                    self._stash.setdefault(frame.step, {})[frame.src] = pkts
-            elif frame.tag == TAG_LEFT:
-                self._departed.add(frame.src)
-            elif frame.tag == TAG_DEAD:
-                if frame.src == self._pid:
-                    self._send_wait()
-                    raise self._push_error[0]  # our own send failed
-                raise _Abort()
+        while self._peer_set - self._departed - got.keys():
+            self._consume(transport.recv(self._pid), step, got)
         self._send_wait()
-        if self._push_error:
-            raise self._push_error[0]
         # A strict boundary inside a relaxed/elide run (a checkpoint
         # fence) must keep the epoch invariant — epoch == completed
         # boundaries — so peers' later relaxed waits stay satisfiable.
         if self._sync != "strict" and not self._epoch_frozen:
-            transport.set_epoch(self._pid, (run_id << 32) | (step + 1),
+            transport.set_epoch(self._pid, (self._run_id << 32) | (step + 1),
                                 self._nprocs)
         # One frame per source, each a seq-sorted run: the inbox is
         # already in canonical order once concatenated by src.
@@ -350,8 +373,7 @@ class _FrameChannel:
             self._departed.add(frame.src)
         elif frame.tag == TAG_DEAD:
             if frame.src == self._pid:
-                self._send_wait()
-                raise self._push_error[0]  # our own send failed
+                self._send_wait()  # raises: our own send failed
             raise _Abort()
 
     def _exchange_relaxed(self, step: int,
@@ -367,36 +389,21 @@ class _FrameChannel:
         this superstep, because each peer's pipe writes happen before its
         epoch store.
         """
-        transport, run_id, pid = self._transport, self._run_id, self._pid
+        transport, pid = self._transport, self._pid
         pattern = self._pattern
         targets = [peer for peer in self._peers if buckets.get(peer)]
         # Releases piggyback on the data frames we owe; owners getting no
         # frame this boundary (empty bucket) get a dedicated control
         # frame.  Lease releases only exist at all after large payloads
         # flowed, so empty-superstep frame budgets are unchanged.
-        covered = set(targets)
         for owner, ids in releases.items():
-            if owner not in covered:
-                transport.send_release(owner, run_id, pid, ids)
-        target = (run_id << 32) | (step + 1)
-        queued = bool(targets)
-        if queued:
-            # The sender thread publishes our epoch itself, right after
-            # its last pipe write — this thread never has to poll for
-            # its own send completion.
-            self._send_async(step, buckets, targets, epoch=target,
-                             releases=releases)
-        else:
-            # Barrier-bound fast path: nothing to write means nothing
-            # can block, so the epoch is published inline and the whole
-            # sender-thread round trip (two condvar handoffs and two
-            # thread switches per boundary) disappears.  This is what
-            # makes an empty superstep cost less than a strict one.
-            plan = faults._ACTIVE
-            if plan is not None and plan.drops_any_frame(pid, step):
-                self._epoch_frozen = True
-            if not self._epoch_frozen:
-                transport.set_epoch(pid, target, self._nprocs)
+            if owner not in targets:
+                transport.send_release(owner, self._run_id, pid, ids)
+        # Nothing deferred (always so for an empty superstep) means the
+        # epoch is published inline and no thread is ever woken — which
+        # is what makes an empty superstep cost less than a strict one.
+        self._push(step, buckets, targets, releases, epoch=True)
+        target = (self._run_id << 32) | (step + 1)
 
         got: dict[int, list[Packet]] = {}
         own = buckets.get(pid)
@@ -406,7 +413,7 @@ class _FrameChannel:
         if self._sync == "elide" and pattern is not None:
             waitset = set(pattern.receives_from)
         else:
-            waitset = set(self._peers)
+            waitset = self._peer_set
         while True:
             frame = transport.try_recv(pid)
             while frame is not None:
@@ -426,10 +433,7 @@ class _FrameChannel:
         while frame is not None:
             self._consume(frame, step, got)
             frame = transport.try_recv(pid)
-        if queued:
-            self._send_wait()
-            if self._push_error:
-                raise self._push_error[0]
+        self._send_wait()
         return PacketRuns(got.items())
 
     def depart(self) -> None:

@@ -189,8 +189,9 @@ class _Segment:
 class SegmentPool:
     """Sender-side pool of named segments, one sub-pool per destination.
 
-    Thread-safe: the channel's sender thread leases while the main
-    thread applies releases collected from inbound frames.
+    Thread-safe: only the channel's sender thread leases (a frame with
+    zero-copy placements is never pushed from the calling thread),
+    while the calling thread applies releases from inbound frames.
     """
 
     def __init__(self, token: str, src: int, counter=None, *,

@@ -20,9 +20,10 @@ Fault kinds
 ``RAISE``       an ordinary Python exception out of the program body —
                 the :class:`~repro.core.errors.VirtualProcessorError`
                 path.
-``POISON``      append an unpicklable payload to the outbox — fails in
-                the *sender thread*, after the program thought the send
-                succeeded.
+``POISON``      append an unpicklable payload to the outbox — fails at
+                the boundary, when the frame is encoded on the thread
+                that called ``sync()``, after the program thought the
+                send succeeded.
 ``DELAY``       sleep before the boundary — slow but alive, visible as
                 advancing heartbeats.
 ``DROP_FRAME``  silently drop the boundary frame to one peer — a lost

@@ -1,0 +1,467 @@
+"""The never-blocking inline push and what still needs the sender thread.
+
+Boundary frames are first offered, on the thread that called ``sync()``,
+to ``FrameTransport.push_frame(frame, block=False)``; only the frames it
+refuses reach the per-run sender thread.  Exercised here:
+
+* the non-blocking push cannot wait: against a full pipe with a parked
+  reader, a destination lock held by another process, a full slab ring,
+  an over-``PIPE_BUF`` message and a zero-copy placement it returns
+  ``False`` within 50 ms and writes, allocates and leases nothing;
+* Appendix B.3 still holds: every rank pushing frames larger than a pipe
+  (and than ``slab.max_frame``) at its peers, mixed with 8-byte frames,
+  for 50 boundaries, strict and relaxed, equals the simulator;
+* small buffers ride in-band without changing what a program receives:
+  hypothesis over sizes straddling the in-band cut and the zero-copy
+  threshold, 0-d / empty / non-contiguous / read-only arrays;
+* faults met on the calling thread end as they did on the sender
+  thread, and ``count_frame`` ticks once per frame on either path;
+* a pooled ocean run never starts a ``bsp-send-*`` thread, a pooled
+  Cannon run does.
+"""
+
+import fcntl
+import multiprocessing as mp
+import os
+import select
+import struct
+import termios
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import bsp_run
+from repro import faults
+from repro.backends import frames, processes, shm
+from repro.backends.frames import FrameTransport
+from repro.backends.processes import BspPool, ProcessBackend
+from repro.core.errors import DeadlockError, VirtualProcessorError
+from repro.core.packets import Packet, h_units
+from repro.core.stats import ProgramStats
+from repro.harness.runner import run_app
+
+pytestmark = pytest.mark.timeout(240)
+
+CTX = mp.get_context("fork")
+#: "Returns within 50 ms" — the bound the non-blocking push is held to.
+NO_WAIT_S = 0.05
+
+
+@pytest.fixture(autouse=True)
+def no_segment_leaks():
+    before = set(shm.scan_orphans())
+    yield
+    assert set(shm.scan_orphans()) <= before
+
+
+def _pkt(src, dst, payload, seq=0):
+    return Packet(src=src, dst=dst, payload=payload, h=h_units(payload),
+                  seq=seq)
+
+
+def _pipe_bytes(transport, pid):
+    """Bytes sitting unread in ``pid``'s inbound pipe (FIONREAD)."""
+    raw = fcntl.ioctl(transport._recv_conns[pid].fileno(), termios.FIONREAD,
+                      b"\0" * 4)
+    return struct.unpack("i", raw)[0]
+
+
+def _fill_pipe(transport, pid):
+    """Fill ``pid``'s inbound pipe to capacity; nobody is reading it."""
+    fd = transport._send_conns[pid].fileno()
+    os.set_blocking(fd, False)
+    try:
+        for chunk in (bytes(select.PIPE_BUF), b"\0"):
+            try:
+                while True:
+                    os.write(fd, chunk)
+            except BlockingIOError:
+                pass
+    finally:
+        os.set_blocking(fd, True)
+
+
+def _refused(transport, frame):
+    """A non-blocking push of ``frame`` must refuse, fast, and leave the
+    destination's pipe, ring and lock exactly as they were."""
+    dst = frame[0]
+    slab = transport._slabs[dst]
+    before = (_pipe_bytes(transport, dst), slab._ctrl[0], slab._ctrl[1])
+    t0 = time.monotonic()
+    pushed = transport.push_frame(frame, block=False)
+    elapsed = time.monotonic() - t0
+    assert pushed is False
+    assert elapsed < NO_WAIT_S
+    assert (_pipe_bytes(transport, dst), slab._ctrl[0],
+            slab._ctrl[1]) == before
+
+
+@pytest.fixture()
+def transport():
+    t = FrameTransport(2, CTX, slab_bytes=64 << 10, spin_timeout=5.0)
+    yield t
+    t.close()
+
+
+def _hold_lock(lock, held, release):
+    with lock:
+        held.set()
+        release.wait(30.0)
+
+
+class TestNeverBlocks:
+    def test_small_frame_goes_inline_as_one_atomic_message(self, transport):
+        ghost = np.arange(66, dtype=np.float64)  # ocean's 528-byte row
+        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, ghost)])
+        *_, buffers, _big, _more, _rel = frame
+        assert buffers == []  # in-band: no out-of-band buffer at all
+        assert transport.push_frame(frame, block=False) is True
+        assert 0 < _pipe_bytes(transport, 1) <= select.PIPE_BUF
+        assert transport._slabs[1]._ctrl[1] == 0  # no slab round trip
+        (got,) = transport.recv(1).packets(1)
+        np.testing.assert_array_equal(got.payload, ghost)
+
+    def test_slab_frame_goes_inline_when_ring_and_pipe_have_room(
+            self, transport):
+        halo = np.arange(1024, dtype=np.float64)  # 8 KiB: out-of-band
+        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, halo)])
+        assert transport.push_frame(frame, block=False) is True
+        assert transport._slabs[1]._ctrl[1] == halo.nbytes
+        (got,) = transport.recv(1).packets(1)
+        np.testing.assert_array_equal(got.payload, halo)
+
+    @pytest.mark.parametrize("payload", [
+        7, np.arange(66, dtype=np.float64), np.arange(1024, dtype=np.float64)],
+        ids=["int", "inband-array", "slab-array"])
+    def test_full_pipe_parked_reader(self, transport, payload):
+        _fill_pipe(transport, 1)
+        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, payload)])
+        _refused(transport, frame)
+        assert transport.locks_free(timeout=0.0)
+
+    def test_lock_held_by_another_process(self, transport):
+        held, release = CTX.Event(), CTX.Event()
+        holder = CTX.Process(target=_hold_lock,
+                             args=(transport._locks[1], held, release),
+                             daemon=True)
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, 7)])
+            _refused(transport, frame)
+            assert _pipe_bytes(transport, 1) == 0
+        finally:
+            release.set()
+            holder.join(10.0)
+        assert not holder.is_alive()
+        assert transport.push_frame(frame, block=False) is True
+        assert transport.recv(1).packets(1)[0].payload == 7
+
+    def test_full_ring_is_refused_without_spinning(self, transport):
+        slab = transport._slabs[1]
+        slab.alloc(slab.max_frame)
+        slab.alloc(slab.max_frame)  # ring full, receiver not draining
+        halo = np.arange(1024, dtype=np.float64)
+        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, halo)])
+        _refused(transport, frame)
+        assert transport.locks_free(timeout=0.0)
+
+    def test_message_over_pipe_buf_is_refused(self, transport):
+        # bytes never go out-of-band: the whole blob rides the header.
+        frame = transport.encode_frame(
+            1, 1, 0, 0, [_pkt(0, 1, bytes(select.PIPE_BUF))])
+        _refused(transport, frame)
+        # ...and so is a frame whose buffers would be pipe messages of
+        # their own (over max_frame: the ring cannot take it).
+        over = np.zeros(transport._slabs[1].max_frame // 8 + 8)
+        with_pipe_buffers = transport.encode_frame(
+            1, 1, 1, 0, [_pkt(0, 1, over)])
+        *_, buffers, big, _more, _rel = with_pipe_buffers
+        assert buffers and not big
+        _refused(transport, with_pipe_buffers)
+
+    def test_zero_copy_placement_never_leases_on_the_caller(self):
+        transport = FrameTransport(2, CTX)
+        try:
+            big = np.arange(20_000, dtype=np.float64)
+            frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, big)])
+            _refused(transport, frame)
+            assert transport._seg_pools[0] is None  # nothing leased
+            assert transport.zerocopy_stats() == (0, 0)
+            assert transport.push_frame(frame) is True
+            assert transport.zerocopy_stats() == (1, 0)
+            (got,) = transport.recv(1).packets(1)
+            np.testing.assert_array_equal(np.asarray(got.payload), big)
+            del got
+        finally:
+            transport.close()
+
+    def test_fault_hooks_fire_once_however_many_pushes(self, transport):
+        counter = faults.FrameCounter(2)
+        try:
+            with faults.injected(faults.FaultPlan([], frame_counter=counter)):
+                _fill_pipe(transport, 1)
+                frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, 7)])
+                _refused(transport, frame)
+                _refused(transport, frame)
+                transport.send_packets(0, 1, 0, 0, [_pkt(0, 0, 8)])
+            assert counter.per_sender() == [2, 0]
+        finally:
+            counter.close()
+
+
+# -- B.3: frames that can fill a pipe still cannot deadlock --------------------
+
+#: Larger than a pipe (64 KiB) whichever way it travels: the bytes blob
+#: rides the header, the array is out-of-band and — on the 64 KiB slabs
+#: these tests build — over ``max_frame``, so with zero-copy off it goes
+#: down the pipe as a message of its own.
+BLOB = 96 << 10
+ARRAY_N = 12_288  # float64: 96 KiB
+BOUNDARIES = 50
+
+
+def heavy_mixed(bsp, boundaries=BOUNDARIES):
+    """Every link carries a pipe-filling frame at two boundaries in three
+    — both directions at once, the B.3 hazard — and an 8-byte one
+    otherwise, so most ranks push both kinds in one superstep."""
+    digest = 0
+    big = np.arange(ARRAY_N, dtype=np.float64) + bsp.pid
+    for step in range(boundaries):
+        for q in range(bsp.nprocs):
+            if q == bsp.pid:
+                continue
+            if (step + bsp.pid + q) % 3:
+                bsp.send(q, bytes([step % 251]) * BLOB)
+                bsp.send(q, big)
+            else:
+                bsp.send(q, np.int64(step * 7 + bsp.pid))
+        bsp.sync()
+        for pkt in bsp.packets():
+            payload = pkt.payload
+            if isinstance(payload, bytes):
+                digest += len(payload) + payload[0]
+            else:
+                digest += int(np.asarray(payload).sum()) % 1_000_003
+    return digest
+
+
+def _ledger_key(stats):
+    return (stats.S, stats.H, stats.h_series, stats.m_series)
+
+
+@pytest.mark.parametrize("zerocopy", ["on", "off"])
+@pytest.mark.parametrize("sync", ["strict", "relaxed"])
+@pytest.mark.parametrize("nprocs", [2, 3])
+def test_mutual_large_pushes_complete(monkeypatch, nprocs, sync, zerocopy):
+    monkeypatch.setenv("REPRO_ZEROCOPY", zerocopy)
+    golden = bsp_run(heavy_mixed, nprocs)
+    with ProcessBackend.pool(nprocs, slab_bytes=64 << 10,
+                             join_timeout=120.0) as backend:
+        run = bsp_run(heavy_mixed, nprocs, backend=backend, sync=sync)
+        health = backend.health()
+    assert run.results == golden.results
+    assert _ledger_key(run.stats) == _ledger_key(golden.stats)
+    assert health.restarts == 0
+    if zerocopy == "on":
+        assert health.zerocopy_hits > 0 and health.zerocopy_fallbacks == 0
+    else:
+        assert health.zerocopy_hits == 0 and health.zerocopy_fallbacks > 0
+
+
+# -- in-band small buffers: what the program receives is unchanged -------------
+
+_CUT = frames._INBAND_MAX // 8  # float64 elements at the in-band cut
+
+
+def _variant(kind, n):
+    base = np.arange(n, dtype=np.float64) * 0.5 - 3.0
+    if kind == "readonly":
+        base.flags.writeable = False
+    elif kind == "strided":
+        # NumPy pickles a non-contiguous array by value, whatever its
+        # size: capped so five of them fit the pipe nobody reads until
+        # the (same-thread) send returns.
+        base = np.arange(2 * min(n, 1024), dtype=np.float64)[::2]
+    elif kind == "fortran":
+        base = np.asfortranarray(
+            np.arange(2 * n, dtype=np.float64).reshape(2, n))
+    elif kind == "int32":
+        base = np.arange(n, dtype=np.int32)
+    elif kind == "0-d":
+        base = np.array(float(n))
+    return base
+
+
+def _sizes(threshold_elems):
+    edges = [0, 1, _CUT - 1, _CUT, _CUT + 1,
+             threshold_elems - 1, threshold_elems, threshold_elems + 1]
+    return st.one_of(st.sampled_from(edges),
+                     st.integers(0, threshold_elems + 64))
+
+
+@pytest.mark.parametrize("threshold", [None, 256],
+                         ids=["default-64KiB", "REPRO_ZEROCOPY_THRESHOLD=256"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_roundtrip_straddling_the_cuts(threshold, data):
+    old = os.environ.get("REPRO_ZEROCOPY_THRESHOLD")
+    if threshold is not None:
+        os.environ["REPRO_ZEROCOPY_THRESHOLD"] = str(threshold)
+    try:
+        cut_bytes = shm.zerocopy_threshold()
+        specs = data.draw(st.lists(st.tuples(
+            st.sampled_from(["plain", "readonly", "strided", "fortran",
+                             "int32", "0-d"]),
+            _sizes(cut_bytes // 8)), min_size=1, max_size=5))
+        sent = [_variant(kind, n) for kind, n in specs]
+        transport = FrameTransport(2, CTX, slab_bytes=4 << 20)
+        try:
+            transport.send_packets(1, 1, 0, 0, [
+                _pkt(0, 1, arr, seq=i) for i, arr in enumerate(sent)])
+            got = [np.asarray(p.payload) for p in
+                   transport.recv(1).packets(1)]
+            for arr, back in zip(sent, got):
+                assert back.dtype == arr.dtype and back.shape == arr.shape
+                assert back.tobytes() == arr.tobytes()  # bit-equal
+                # NumPy pickles only contiguous arrays as buffers; the
+                # rest it copies (always writable), on every path.
+                if arr.flags.c_contiguous or arr.flags.f_contiguous:
+                    assert back.flags.writeable == arr.flags.writeable
+                    if back.flags.writeable and back.size:
+                        back.flat[0] = 1  # really writable
+            leased = sum(
+                1 for arr in sent if arr.nbytes >= cut_bytes
+                and (arr.flags.c_contiguous or arr.flags.f_contiguous))
+            assert transport.zerocopy_stats() == (leased, 0)
+            del got, back
+        finally:
+            transport.close()
+    finally:
+        if old is None:
+            os.environ.pop("REPRO_ZEROCOPY_THRESHOLD", None)
+        else:
+            os.environ["REPRO_ZEROCOPY_THRESHOLD"] = old
+
+
+# -- faults on the inline path -------------------------------------------------
+
+
+def ring_program(bsp, rounds=2):
+    for _ in range(rounds):
+        bsp.send((bsp.pid + 1) % bsp.nprocs, bsp.pid)
+        bsp.sync()
+    return sorted(pkt.payload for pkt in bsp.packets())
+
+
+def small_and_big(bsp, rounds=4):
+    """Each boundary: an int to the next rank (inline), a leased array to
+    the one after (sender thread)."""
+    big = np.ones(20_000)
+    for _ in range(rounds):
+        bsp.send((bsp.pid + 1) % bsp.nprocs, bsp.pid)
+        bsp.send((bsp.pid + 2) % bsp.nprocs, big)
+        bsp.sync()
+    return len(list(bsp.packets()))
+
+
+def _pool_under(plan, nprocs=3, **kw):
+    """A pool whose workers inherited ``plan`` but whose parent did not."""
+    kw.setdefault("join_timeout", 30.0)
+    with faults.injected(plan):
+        return BspPool(nprocs, **kw)
+
+
+def _snapshot(run):
+    stats = ProgramStats.from_ledgers(run.ledgers)
+    return [list(r) for r in run.results], _ledger_key(stats)
+
+
+def _golden(nprocs, rounds):
+    run = bsp_run(ring_program, nprocs, args=(rounds,))
+    return [list(r) for r in run.results], _ledger_key(run.stats)
+
+
+class TestFaultsOnTheInlinePath:
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_poison_raises_from_the_calling_thread(self, sync):
+        plan = faults.FaultPlan([faults.Fault(faults.POISON, pid=1, step=3)])
+        with _pool_under(plan) as pool:
+            t0 = time.monotonic()
+            with pytest.raises(VirtualProcessorError) as err:
+                pool.run(ring_program, 3, args=(4,), sync=sync)
+            assert time.monotonic() - t0 < 10.0  # peers aborted, no timeout
+            assert err.value.pid == 1
+            assert "injected pickle failure" in err.value.traceback_text
+            assert "in _push" in err.value.traceback_text
+            assert "_sender_loop" not in err.value.traceback_text
+            health = pool.health()
+            assert health.restarts == 0 and health.generation == 0
+            # Fewer rounds never reach the inherited fault: a clean run.
+            assert _snapshot(pool.run(ring_program, 3, args=(2,),
+                                      sync=sync)) == _golden(3, 2)
+
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_dropped_inline_frame_is_still_a_deadlock(self, sync):
+        plan = faults.FaultPlan(
+            [faults.Fault(faults.DROP_FRAME, pid=0, step=0, arg=1)])
+        with _pool_under(plan, join_timeout=2.5) as pool:
+            with pytest.raises(DeadlockError) as err:
+                pool.run(ring_program, 3, sync=sync)
+            assert err.value.stalled
+            # The rebuilt workers forked from a plan-free parent.
+            assert _snapshot(pool.run(ring_program, 3,
+                                      sync=sync)) == _golden(3, 2)
+
+    @pytest.mark.parametrize("sync,frames_per_round", [
+        ("strict", 6),    # one per link, empty or not
+        ("relaxed", 6),   # two non-empty buckets per rank
+    ])
+    def test_count_frame_ticks_once_inline_or_deferred(self, sync,
+                                                       frames_per_round):
+        counter = faults.FrameCounter(3)
+        try:
+            plan = faults.FaultPlan([], frame_counter=counter)
+            with _pool_under(plan) as pool:
+                run = pool.run(small_and_big, 3, args=(4,), sync=sync)
+                assert pool.health().zerocopy_hits == 12  # all deferred
+            assert run.results == [2, 2, 2]
+            assert counter.total() == 4 * frames_per_round
+        finally:
+            counter.close()
+
+
+# -- who starts a sender thread ------------------------------------------------
+
+
+class TestSenderThreadStartedOnlyWhenNeeded:
+    @pytest.fixture()
+    def sender_starts(self, monkeypatch):
+        """Fork-shared count of ``bsp-send-*`` threads each rank started:
+        the patched loop is inherited by every worker forked after it."""
+        counter = faults.FrameCounter(4)
+        original = processes._FrameChannel._sender_loop
+
+        def counted(channel):
+            counter.add(channel._pid)
+            original(channel)
+
+        monkeypatch.setattr(processes._FrameChannel, "_sender_loop", counted)
+        yield counter
+        counter.close()
+
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_pooled_ocean_never_starts_one(self, sender_starts, sync):
+        with ProcessBackend.pool(2, join_timeout=60.0) as backend:
+            stats = run_app("ocean", "66", 2, backend=backend, sync=sync)
+        assert stats.S > 400
+        assert sender_starts.total() == 0
+
+    def test_pooled_cannon_starts_one_per_rank(self, sender_starts):
+        with ProcessBackend.pool(4, join_timeout=60.0) as backend:
+            run_app("matmult", "288", 4, backend=backend)
+            assert backend.health().zerocopy_hits > 0
+        assert sender_starts.per_sender() == [1, 1, 1, 1]
