@@ -761,14 +761,18 @@ class FrameTransport:
                     # Same bytes, another destination: no copy.
                     placed.append((i, hit[1], hit[2], hit[3], alias))
                     continue
-                lease_id, name, offset, region = pool.lease(dst, mv.nbytes)
+                try:
+                    lease_id, name, offset, region = pool.lease(dst,
+                                                                mv.nbytes)
+                except OSError:  # /dev/shm full: it stays a slab/pipe buffer
+                    self._zc[2 * src + 1] += 1
+                    continue
                 region[:] = mv
                 placed.append((i, name, offset, mv.nbytes, lease_id))
                 seen[key] = (mv, name, offset, mv.nbytes, lease_id)
-            self._zc[2 * src] += len(big)
-            big_set = set(big)
-            buffers = [mv for i, mv in enumerate(buffers)
-                       if i not in big_set]
+            self._zc[2 * src] += len(placed)
+            gone = {entry[0] for entry in placed}
+            buffers = [mv for i, mv in enumerate(buffers) if i not in gone]
             extra = (pool.generation, tuple(placed), rel)
         elif rel:
             extra = (0, (), rel)

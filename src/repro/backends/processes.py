@@ -30,79 +30,48 @@ Like the thread backend's vanishing barrier, a processor that finishes
 sends a departure sentinel so peers stop waiting for it; mismatched
 superstep counts then surface as a stats-merge error rather than a hang.
 
-Two execution modes share all of the above:
+Everything around the exchange — worker lifecycle, the supervised gather
+of one outcome per rank, crash/deadlock triage, one-shot vs pooled — is
+the fabric-independent :mod:`~repro.backends.pool` core.  This module is
+the pipe fabric behind it: :class:`_FrameChannel` (the exchange above)
+and :class:`BspPool`, which supplies only
 
-* **one-shot** (plain ``ProcessBackend()``): ``run()`` forks ``p`` fresh
-  workers; with fork, programs and arguments need not be picklable, but
-  packet *payloads* must be, since they cross process boundaries.
-* **pooled** (``ProcessBackend.pool(p)`` or ``ProcessBackend(pool=...)``):
-  a persistent :class:`BspPool` keeps the ``p`` forked workers and the
-  whole transport fabric alive across runs and ships ``(program, args)``
-  per run — amortizing fork+pipe+slab setup across a harness sweep's many
-  configurations.  Pooled programs *are* pickled, so they must be
-  module-level callables; the payload is encoded once for all workers,
-  and array arguments above the zero-copy threshold arrive as read-only
-  views of one shared-memory copy (valid for the run).  A failed run
-  does not poison the pool: after a :class:`VirtualProcessorError` the
-  workers drain in-flight frames behind a fence barrier and the next run
-  starts clean; only a deadlock timeout forces a full worker rebuild.
+* **build / teardown**: one :class:`~repro.backends.frames.FrameTransport`
+  (pipes, slab rings, segment pools, heartbeat and epoch words), a
+  control queue per worker and one result queue;
+* **dispatch**: ``(program, args)`` encoded once for all workers, array
+  arguments above the zero-copy threshold arriving as read-only views of
+  one shared-memory copy (valid for the run);
+* **failure policy**: pipes can be *fenced*.  After a
+  :class:`VirtualProcessorError` the workers drain in-flight frames
+  behind a fence barrier and the next run starts clean.  On a crash the
+  pool re-forks only the dead workers (falling back to a full fabric
+  rebuild when a dead sender wedged a transport lock); on a deadlock it
+  rebuilds everything — both within a bounded restart budget with
+  exponential backoff, after which the pool shuts down and raises
+  :class:`~repro.core.errors.PoolExhaustedError`.
 
-Both modes are **supervised**.  While waiting for results the parent
-multiplexes the result queue with every worker's ``Process.sentinel``
-(:func:`multiprocessing.connection.wait`), so a worker that dies without
-reporting — OOM kill, segfaulting extension, ``os._exit`` — surfaces as a
-:class:`WorkerCrashError` naming the victim pid and signal within
-milliseconds, not after the full ``join_timeout``.  Per-worker heartbeat
-counters in the fork-shared transport (bumped at every superstep
-boundary) let the deadline path distinguish a genuinely deadlocked
-program (:class:`DeadlockError`) from one that is merely slow, and every
-timeout message carries a per-pid liveness/exit-code/heartbeat table.
-
-A pool **self-heals**: on a crash it re-forks only the dead workers
-(falling back to a full fabric rebuild when a dead sender wedged a
-transport lock), on a deadlock it rebuilds everything, both within a
-bounded restart budget with exponential backoff.  ``BspPool.health()``
-reports generation, restart count, and the last fault; once the budget is
-spent the pool shuts down and raises
-:class:`~repro.core.errors.PoolExhaustedError` (which
-``ProcessBackend(degrade_to_threads=True)`` converts into a fallback run
-on the thread backend).  Deterministic fault injection for all of these
-paths lives in :mod:`repro.faults`.
+Deterministic fault injection for all of these paths lives in
+:mod:`repro.faults`.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import multiprocessing.connection as mp_connection
 import queue as queue_mod
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .. import faults
-from ..core.api import Bsp
 from ..core.errors import (
-    BspConfigError,
-    BspUsageError,
-    DeadlockError,
     PacketError,
     PoolExhaustedError,
     SynchronizationError,
-    VirtualProcessorError,
     WorkerCrashError,
 )
 from ..core.packets import Packet, PacketRuns
-from .base import (
-    Backend,
-    BackendRun,
-    Program,
-    WorkerStatus,
-    check_pattern_sends,
-    check_sync,
-    describe_workers,
-)
+from .base import Program, check_pattern_sends
 from .exchange import peer_order
 from .frames import (
     DEFAULT_SLAB_BYTES,
@@ -112,16 +81,20 @@ from .frames import (
     TAG_PKT,
     FrameTransport,
 )
+from .pool import (
+    Abort,
+    PoolBackend,
+    PoolHealth,  # noqa: F401 - re-exported: the snapshot's public home
+    WorkerPool,
+    join_escalating,
+    run_rank,
+)
 
 #: How much of each slab a persistent pool commits up-front (the rest of
 #: the ring faults in lazily as frames actually use it), bounding the
 #: pool's baseline resident footprint at nprocs x this, not
 #: nprocs x slab_bytes.
 _POOL_PREFAULT_BYTES = 4 << 20
-
-
-class _Abort(BaseException):
-    """Unwinds a worker after a peer reported failure."""
 
 
 class _FrameChannel:
@@ -374,7 +347,7 @@ class _FrameChannel:
         elif frame.tag == TAG_DEAD:
             if frame.src == self._pid:
                 self._send_wait()  # raises: our own send failed
-            raise _Abort()
+            raise Abort()
 
     def _exchange_relaxed(self, step: int,
                           buckets: dict[int, list[Packet]],
@@ -459,39 +432,6 @@ class _FrameChannel:
             self._transport.send_control(peer, TAG_DEAD, self._run_id, self._pid)
 
 
-def _execute(pid: int, nprocs: int, run_id: int, transport: FrameTransport,
-             program: Program, args: Sequence[Any],
-             kwargs: dict[str, Any],
-             sync: str = "strict") -> tuple[str, int, int, Any, Any]:
-    """Run one program instance; returns the worker's outcome tuple."""
-    transport.beat(pid)  # marks "the run actually started here"
-    channel = _FrameChannel(pid, nprocs, transport, run_id, sync=sync)
-    bsp = Bsp(pid, nprocs, channel)
-    try:
-        result = program(bsp, *args, **kwargs)
-        ledger = bsp._finish()
-        channel.depart()
-        return ("ok", run_id, pid, result, ledger)
-    except _Abort:
-        return ("aborted", run_id, pid, None, None)
-    except BaseException:  # noqa: BLE001 - reported to the parent
-        channel.die()
-        return ("error", run_id, pid, traceback.format_exc(), None)
-    finally:
-        channel.close()
-
-
-def _oneshot_worker(pid: int, nprocs: int, program: Program,
-                    args: Sequence[Any], kwargs: dict[str, Any],
-                    transport: FrameTransport, result_q: Any,
-                    sync: str = "strict") -> None:
-    result_q.put(_execute(pid, nprocs, 0, transport, program, args, kwargs,
-                          sync))
-    # mp.Queue.put is asynchronous (feeder thread); exiting before it
-    # flushes can silently drop the result and leave the parent to its
-    # timeout.  close() + join_thread() forces the flush.
-    result_q.close()
-    result_q.join_thread()
 
 
 def _do_fence(pid: int, nprocs: int, fence_id: int,
@@ -531,9 +471,29 @@ def _do_fence(pid: int, nprocs: int, fence_id: int,
     transport.reset_segments(pid)
 
 
-def _pool_worker(pid: int, transport: FrameTransport, ctrl_q: Any,
-                 result_q: Any) -> None:
-    """Persistent worker loop: execute runs shipped over the control queue."""
+def _pool_worker(pid: int, capacity: int, transport: FrameTransport,
+                 ctrl_q: Any, result_q: Any, first: tuple | None) -> None:
+    """Worker main: execute the runs shipped over the control queue — or,
+    in a pool of one run, the run inherited through fork, then exit."""
+
+    def execute(run_id: int, nprocs: int, program: Program,
+                args: Sequence[Any], kwargs: dict[str, Any],
+                sync: str) -> tuple:
+        transport.beat(pid)  # marks "the run actually started here"
+        channel = _FrameChannel(pid, nprocs, transport, run_id, sync=sync)
+        outcome = run_rank(channel, pid, nprocs, run_id, program, args,
+                           kwargs, (Abort,))
+        channel.close()
+        return outcome
+
+    if first is not None:
+        result_q.put(execute(0, capacity, *first))
+        # mp.Queue.put is asynchronous (feeder thread); exiting before it
+        # flushes can silently drop the result and leave the parent to
+        # its timeout.  close() + join_thread() forces the flush.
+        result_q.close()
+        result_q.join_thread()
+        return
     while True:
         msg = ctrl_q.get()
         kind = msg[0]
@@ -552,191 +512,30 @@ def _pool_worker(pid: int, transport: FrameTransport, ctrl_q: Any,
                 result_q.put(("error", run_id, pid, traceback.format_exc(),
                               None))
                 continue
-            result_q.put(_execute(pid, nprocs, run_id, transport, program,
-                                  args, kwargs, sync))
+            result_q.put(execute(run_id, nprocs, program, args, kwargs, sync))
 
 
-#: How long a dead worker's in-flight result gets to surface from the
-#: queue's feeder pipe before the death is declared a crash.  This bounds
-#: crash-detection latency: a dead worker is attributed in about this
-#: long, versus the full ``join_timeout`` at the seed revision.  Workers
-#: that exited cleanly (code 0) get the longer window — a clean exit
-#: flushes its result before exiting, so a missing result there is a
-#: protocol anomaly worth a patient drain; a signal death or non-zero
-#: exit cannot produce a late result, so only a token window guards
-#: against an in-flight pipe write.
-_CRASH_GRACE = 0.25
-_CRASH_GRACE_ABNORMAL = 0.02
+class _QueueSource:
+    """The pipe fabric's result source: outcomes on the result queue,
+    heartbeats in the fork-shared transport words."""
 
+    def __init__(self, result_q: Any, transport: FrameTransport):
+        self._queue = result_q
+        self._transport = transport
 
-def _worker_statuses(nprocs: int, outcomes: Sequence[Any], procs: Sequence[Any],
-                     transport: Any, hb_when: Sequence[float],
-                     now: float) -> list[WorkerStatus]:
-    statuses = []
-    for pid in range(nprocs):
-        proc = procs[pid]
-        statuses.append(WorkerStatus(
-            pid=pid,
-            alive=proc.is_alive(),
-            os_pid=proc.pid,
-            exitcode=proc.exitcode,
-            heartbeat=int(transport.heartbeat(pid)) if transport is not None
-            else 0,
-            last_progress_age=now - hb_when[pid],
-            has_result=outcomes[pid] is not None,
-        ))
-    return statuses
+    def waitables(self) -> list:
+        return [self._queue._reader]
 
-
-def _timeout_failure(nprocs: int, outcomes: Sequence[Any],
-                     procs: Sequence[Any] | None, transport: Any,
-                     hb_when: Sequence[float],
-                     timeout: float) -> SynchronizationError:
-    """Build the right exception for an expired collection deadline.
-
-    Three fates, told apart by liveness and heartbeat progress: a dead
-    worker is a :class:`WorkerCrashError` (normally caught earlier via its
-    sentinel — this is the backstop), flat heartbeats are a
-    :class:`DeadlockError`, and still-advancing heartbeats are a plain
-    :class:`SynchronizationError` telling the caller the program is slow,
-    not stuck.  Every message carries the per-pid status table.
-    """
-    now = time.monotonic()
-    missing = [pid for pid in range(nprocs) if outcomes[pid] is None]
-    if procs is None:
-        return SynchronizationError(
-            f"timed out after {timeout}s waiting for worker results "
-            f"(workers {missing} missing; deadlocked BSP program?); no "
-            "liveness information available for this run")
-    statuses = _worker_statuses(nprocs, outcomes, procs, transport, hb_when,
-                                now)
-    detail = describe_workers(statuses)
-    dead = [pid for pid in missing if not procs[pid].is_alive()]
-    if dead:
-        proc = procs[dead[0]]
-        proc.join(timeout=1.0)
-        return WorkerCrashError(dead[0], proc.exitcode, os_pid=proc.pid,
-                                detail=detail)
-    stall_window = min(5.0, max(1.0, timeout / 4.0))
-    stalled = [pid for pid in missing if now - hb_when[pid] >= stall_window]
-    if not stalled:
-        return SynchronizationError(
-            f"timed out after {timeout}s, but workers {missing} are alive "
-            "and still advancing supersteps — slow, not deadlocked; raise "
-            f"join_timeout ({detail})")
-    return DeadlockError(
-        f"timed out after {timeout}s; workers {stalled} are alive but made "
-        f"no superstep progress in the last {stall_window:.1f}s — "
-        f"deadlocked BSP program? ({detail})", stalled=tuple(stalled))
-
-
-def _collect_outcomes(result_q: Any, nprocs: int, run_id: int,
-                      timeout: float, *, procs: Sequence[Any] | None = None,
-                      transport: Any = None,
-                      ) -> list[tuple[str, Any, Any] | None]:
-    """Gather one outcome per pid against a single wall-clock deadline.
-
-    The deadline covers the whole collection: ``p`` stragglers share one
-    budget instead of accumulating ``p`` per-worker timeouts.
-
-    When ``procs`` is given, collection *supervises*: the result queue's
-    pipe and every outstanding worker's ``Process.sentinel`` are
-    multiplexed through :func:`multiprocessing.connection.wait`, so a
-    worker that dies without reporting raises :class:`WorkerCrashError`
-    (naming pid, os pid, and signal/exit code) within
-    :data:`_CRASH_GRACE` seconds instead of consuming the whole timeout.
-    ``transport`` supplies the heartbeat counters used by the deadline
-    path to separate deadlock from slowness.
-    """
-    start = time.monotonic()
-    deadline = start + timeout
-    outcomes: list[tuple[str, Any, Any] | None] = [None] * nprocs
-    got = 0
-    hb_seen = [-1] * nprocs
-    hb_when = [start] * nprocs
-
-    def note(msg: tuple[str, int, int, Any, Any]) -> None:
-        nonlocal got
-        tag, rid, pid, a, b = msg
-        if rid != run_id or tag == "fenced":
-            return  # stray reply from an earlier, already-failed run
-        if outcomes[pid] is None:
-            got += 1
-        outcomes[pid] = (tag, a, b)
-
-    reader = getattr(result_q, "_reader", None)
-    supervised = procs is not None and reader is not None
-
-    while got < nprocs:
-        now = time.monotonic()
-        if transport is not None:
-            for pid in range(nprocs):
-                hb = transport.heartbeat(pid)
-                if hb != hb_seen[pid]:
-                    hb_seen[pid], hb_when[pid] = hb, now
-        remaining = deadline - now
-        if remaining <= 0:
-            raise _timeout_failure(nprocs, outcomes, procs, transport,
-                                   hb_when, timeout)
-        if not supervised:
-            try:
-                note(result_q.get(timeout=remaining))
-            except queue_mod.Empty:
-                pass
-            continue
-        pending = [pid for pid in range(nprocs) if outcomes[pid] is None]
-        # Capped at 1s so heartbeat progress keeps being sampled even
-        # while nothing is arriving.
-        mp_connection.wait(
-            [reader] + [procs[pid].sentinel for pid in pending],
-            timeout=min(remaining, 1.0))
+    def poll(self) -> list[tuple]:
+        got = []
         while True:
             try:
-                note(result_q.get_nowait())
+                got.append(self._queue.get_nowait())
             except queue_mod.Empty:
-                break
-        crashed = [pid for pid in pending
-                   if outcomes[pid] is None and not procs[pid].is_alive()]
-        if not crashed:
-            continue
-        # The victim's result may still be in the queue's feeder pipe (a
-        # worker exiting right after reporting): one short grace window
-        # before declaring a crash.
-        for pid in crashed:
-            procs[pid].join(timeout=1.0)  # reap, so exitcode is final
-        window = _CRASH_GRACE if any(procs[pid].exitcode == 0
-                                     for pid in crashed) \
-            else _CRASH_GRACE_ABNORMAL
-        grace = time.monotonic() + window
-        while any(outcomes[pid] is None for pid in crashed):
-            wait_left = grace - time.monotonic()
-            if wait_left <= 0:
-                break
-            try:
-                note(result_q.get(timeout=wait_left))
-            except queue_mod.Empty:
-                break
-        lost = [pid for pid in crashed if outcomes[pid] is None]
-        if lost:
-            proc = procs[lost[0]]
-            proc.join(timeout=1.0)
-            detail = describe_workers(_worker_statuses(
-                nprocs, outcomes, procs, transport, hb_when,
-                time.monotonic()))
-            raise WorkerCrashError(lost[0], proc.exitcode, os_pid=proc.pid,
-                                   detail=detail)
-    return outcomes
+                return got
 
-
-def _raise_run_failure(outcomes: list[tuple[str, Any, Any] | None]) -> None:
-    """Translate non-ok outcomes into the backend's exceptions."""
-    for pid, outcome in enumerate(outcomes):
-        if outcome is not None and outcome[0] == "error":
-            raise VirtualProcessorError(pid, outcome[1])
-    missing = [pid for pid, o in enumerate(outcomes) if o is None or o[0] != "ok"]
-    if missing:
-        raise SynchronizationError(
-            f"workers {missing} did not complete (aborted or lost)")
+    def heartbeat(self, pid: int) -> int:
+        return self._transport.heartbeat(pid)
 
 
 def _broadcast_dead(transport: FrameTransport, nprocs: int,
@@ -745,7 +544,7 @@ def _broadcast_dead(transport: FrameTransport, nprocs: int,
     """Send TAG_DEAD to every peer *on behalf of* each dead worker.
 
     Survivors blocked in their receive loop waiting for a frame the
-    victim will never push unwind immediately (``_Abort``) instead of
+    victim will never push unwind immediately (``Abort``) instead of
     sitting out the join timeout.  Done from a helper thread with a
     deadline: a pipe that cannot accept even a control frame means the
     fabric is wedged and the caller must rebuild rather than heal.
@@ -768,142 +567,15 @@ def _broadcast_dead(transport: FrameTransport, nprocs: int,
     return not pusher.is_alive()
 
 
-def _join_escalating(procs: Sequence[Any], *, grace: float) -> None:
-    """Join workers with terminate→kill escalation; no zombies survive.
+class BspPool(WorkerPool):
+    """A persistent set of ``p`` forked BSP workers on the pipe/slab fabric.
 
-    ``grace`` bounds the initial cooperative join; processes still alive
-    are sent SIGTERM, then SIGKILL for any that ignore it, and each stage
-    is joined so every child is reaped before returning.
-    """
-    deadline = time.monotonic() + grace
-    for proc in procs:
-        proc.join(timeout=max(0.0, deadline - time.monotonic()))
-    stubborn = [proc for proc in procs if proc.is_alive()]
-    for proc in stubborn:
-        proc.terminate()
-    deadline = time.monotonic() + 2.0
-    for proc in stubborn:
-        proc.join(timeout=max(0.0, deadline - time.monotonic()))
-    for proc in stubborn:
-        if proc.is_alive():  # pragma: no cover - SIGTERM ignored/blocked
-            proc.kill()
-            proc.join()
-
-
-@dataclass(frozen=True)
-class PoolHealth:
-    """Snapshot of a :class:`BspPool`'s supervision state.
-
-    Attributes
-    ----------
-    generation:
-        Bumped every time the pool recovers from a fault (partial heal or
-        full rebuild).  Generation 0 is the original fork set.
-    restarts:
-        Total worker processes re-forked over the pool's lifetime.
-    restarts_left:
-        Remaining fault events in the restart budget; when it hits zero
-        the next fault shuts the pool down (:class:`PoolExhaustedError`).
-        ``-1`` means unbounded — a :class:`~repro.backends.tcp.TcpMesh`
-        (which shares this snapshot type) has no restart budget.
-    last_fault:
-        ``repr``-style description of the most recent fault, or ``None``.
-    alive:
-        Number of currently live workers.
-    capacity:
-        Pool size (maximum ``nprocs`` per run).
-    heal_kinds:
-        How each recovery was performed, oldest first: ``"re-fork"``
-        (dead workers replaced in place), ``"rebuild"`` (whole fabric
-        torn down and re-forked), ``"re-admit"`` (an SPMD rank rejoined
-        through a re-rendezvous epoch).  Link-level reconnects do not
-        appear here — they never lose a worker; see ``reconnects``.
-    retransmits:
-        Frames re-sent from per-link send journals after a CRC NACK
-        (TCP mesh only; telemetry for flaky links).
-    reconnects:
-        Mesh links transparently re-established mid-run after a drop or
-        reset (TCP mesh only).  High ``reconnects`` with zero
-        ``heal_kinds`` entries means link flaps, not rank deaths.
-    zerocopy_hits:
-        Payload buffers delivered through shared-memory segment leases
-        (no receive-side copy) over the pool's lifetime.
-    zerocopy_fallbacks:
-        Buffers large enough for the zero-copy path that took the
-        slab/pipe path instead (``REPRO_ZEROCOPY=off`` or segment
-        creation failure) — nonzero hits with zero fallbacks means the
-        data plane is fully engaged.
-    quarantines:
-        Times the service gateway quarantined the pool's fleet slot
-        (failed health probes or a restart storm); filled in by the
-        service layer, always 0 on a snapshot taken from the pool itself.
-    probes_failed:
-        Gateway health probes this pool failed over its lifetime
-        (service layer, like ``quarantines``).
-    journal_replays:
-        Resumed jobs (journal replay after a gateway crash) this pool's
-        slot has run (service layer, like ``quarantines``).
-    """
-
-    generation: int
-    restarts: int
-    restarts_left: int
-    last_fault: str | None
-    alive: int
-    capacity: int
-    heal_kinds: tuple[str, ...] = ()
-    retransmits: int = 0
-    reconnects: int = 0
-    zerocopy_hits: int = 0
-    zerocopy_fallbacks: int = 0
-    quarantines: int = 0
-    probes_failed: int = 0
-    journal_replays: int = 0
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data view of this snapshot, safe for ``json.dumps``.
-
-        Service telemetry and CLI ``status`` output ship health over the
-        wire; a live snapshot must never be pickled for that, so every
-        field here is a JSON scalar or a list of strings.
-        """
-        return {
-            "generation": self.generation,
-            "restarts": self.restarts,
-            "restarts_left": self.restarts_left,
-            "last_fault": self.last_fault,
-            "alive": self.alive,
-            "capacity": self.capacity,
-            "heal_kinds": list(self.heal_kinds),
-            "retransmits": self.retransmits,
-            "reconnects": self.reconnects,
-            "zerocopy_hits": self.zerocopy_hits,
-            "zerocopy_fallbacks": self.zerocopy_fallbacks,
-            "quarantines": self.quarantines,
-            "probes_failed": self.probes_failed,
-            "journal_replays": self.journal_replays,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PoolHealth":
-        """Inverse of :meth:`to_dict` (used by service clients)."""
-        fields = dict(data)
-        fields["heal_kinds"] = tuple(fields.get("heal_kinds", ()))
-        return cls(**fields)
-
-
-class BspPool:
-    """A persistent set of ``p`` forked BSP workers plus their transport.
-
-    Forking processes and building the pipe/slab fabric costs tens of
-    milliseconds; a harness sweep executes dozens of configurations, so
-    the pool keeps both alive and dispatches ``(program, args)`` per run.
-    Runs may use any ``nprocs <= capacity``.  Each run gets fresh
-    :class:`~repro.core.stats.VPLedger` accounting (a new ``Bsp`` context
-    per worker), and a failed run is followed by a fence that drains the
-    transport, so the pool survives :class:`VirtualProcessorError` without
-    a rebuild; only an unresponsive worker (deadlock timeout) triggers
-    re-forking.
+    Failure policy: pipes can be fenced.  A failed run is followed by a
+    fence that drains the transport, so the pool survives
+    :class:`VirtualProcessorError` without a rebuild; a crash re-forks
+    only the dead workers when the fabric is recoverable; only an
+    unresponsive worker (deadlock timeout) or a wedged fabric triggers a
+    full re-fork — all within a bounded restart budget.
 
     Memory footprint: each worker owns a ``slab_bytes`` (default 64 MiB)
     shared ring, so the worst case is ``nprocs x slab_bytes`` of shared
@@ -914,38 +586,18 @@ class BspPool:
     ``slab_bytes // 2`` automatically take the slower pipe path).
     """
 
+    _oneshot = "ProcessBackend()"
+
     def __init__(self, nprocs: int, *, join_timeout: float = 120.0,
                  slab_bytes: int = DEFAULT_SLAB_BYTES,
                  max_restarts: int = 5, backoff_base: float = 0.05):
-        Backend.check_nprocs(nprocs)
-        try:
-            self._ctx = mp.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise BspConfigError(
-                "the process backend requires a fork-capable platform"
-            ) from exc
-        self._capacity = nprocs
-        self._join_timeout = join_timeout
+        super().__init__(nprocs, join_timeout)
         self._slab_bytes = slab_bytes
-        self._run_id = 0
-        self._closed = False
-        # Supervision state: a bounded budget of fault events (crash,
-        # deadlock, wedged fence), exponential backoff between them, and
-        # the health counters surfaced by health().
+        # A bounded budget of fault events (crash, deadlock, wedged
+        # fence), with exponential backoff between them.
         self._max_restarts = max_restarts
         self._backoff_base = backoff_base
         self._restarts_left = max_restarts
-        self._generation = 0
-        self._restarts = 0
-        self._last_fault: str | None = None
-        self._faults_in_a_row = 0
-        self._broken: str | None = None
-        self._heal_kinds: list[str] = []
-        # One run at a time: the fence/epoch discipline assumes a single
-        # in-flight run per fabric, so a second concurrent run() would
-        # corrupt it.  Guarded, not serialized — the service scheduler
-        # leases one job per pool and anything else is a caller bug.
-        self._run_lock = threading.Lock()
         self._build()
 
     # -- lifecycle ----------------------------------------------------------
@@ -955,25 +607,30 @@ class BspPool:
         self._transport = FrameTransport(
             self._capacity, ctx, slab_bytes=self._slab_bytes,
             spin_timeout=self._join_timeout)
-        # Fault the first slab pages in once, here in the parent, so the
-        # pool's first small exchanges are as fast as its hundredth.  Only
-        # a prefix: committing every page would pin nprocs x slab_bytes of
-        # resident memory for the pool's lifetime whether or not any frame
-        # ever needs it; the remainder faults lazily on first use.
-        self._transport.prefault(_POOL_PREFAULT_BYTES)
+        if self._first is None:
+            # Fault the first slab pages in once, here in the parent, so
+            # the pool's first small exchanges are as fast as its
+            # hundredth (a pool of one run has no hundredth to warm for).
+            # Only a prefix: committing every page would pin
+            # nprocs x slab_bytes of resident memory for the pool's
+            # lifetime whether or not any frame ever needs it; the
+            # remainder faults lazily on first use.
+            self._transport.prefault(_POOL_PREFAULT_BYTES)
         self._ctrl = [ctx.SimpleQueue() for _ in range(self._capacity)]
         self._result = ctx.Queue()
-        self._procs = [
-            ctx.Process(
-                target=_pool_worker,
-                args=(pid, self._transport, self._ctrl[pid], self._result),
-                name=f"bsp-pool-{pid}",
-                daemon=True,
-            )
-            for pid in range(self._capacity)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._source = _QueueSource(self._result, self._transport)
+        self._procs = [self._fork(pid) for pid in range(self._capacity)]
+
+    def _fork(self, pid: int) -> Any:
+        proc = self._ctx.Process(
+            target=_pool_worker,
+            args=(pid, self._capacity, self._transport, self._ctrl[pid],
+                  self._result, self._first),
+            name=f"bsp-pool-{pid}",
+            daemon=True,
+        )
+        proc.start()
+        return proc
 
     def _teardown(self, *, graceful: bool) -> None:
         if graceful:
@@ -982,9 +639,18 @@ class BspPool:
                     ctrl.put(("close",))
                 except (OSError, ValueError):  # pragma: no cover
                     pass
+        elif self._first is not None:
+            # A pool of one run did not heal, so nobody told the
+            # survivors: wake those blocked on a victim's never-coming
+            # frame, and the escalating join below reaps them at once.
+            dead = [pid for pid, proc in enumerate(self._procs)
+                    if not proc.is_alive() and proc.exitcode not in (0, None)]
+            if dead:
+                _broadcast_dead(self._transport, self._capacity, dead,
+                                self._run_id, timeout=2.0)
         # join → terminate → kill, each stage reaped: a close() racing an
         # in-flight (or failed) run must never leave zombie children.
-        _join_escalating(self._procs, grace=5.0 if graceful else 0.5)
+        join_escalating(self._procs, grace=5.0 if graceful else 0.5)
         self._transport.close()
         self._result.close()
         for ctrl in self._ctrl:
@@ -994,55 +660,19 @@ class BspPool:
         self._teardown(graceful=False)
         self._build()
 
-    def close(self) -> None:
-        """Shut the workers down; the pool is unusable afterwards."""
-        if not self._closed:
-            self._closed = True
-            self._teardown(graceful=True)
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __enter__(self) -> "BspPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum ``nprocs`` a run on this pool may use."""
-        return self._capacity
-
-    def health(self) -> PoolHealth:
-        """Supervision snapshot: generation, restarts, last fault."""
-        alive = 0 if self._closed else \
-            sum(1 for proc in self._procs if proc.is_alive())
+    def _fabric_health(self) -> dict[str, Any]:
         zc_hits = zc_fallbacks = 0
         if not self._closed:
             try:
                 zc_hits, zc_fallbacks = self._transport.zerocopy_stats()
             except (ValueError, OSError):  # pragma: no cover - closing race
                 pass
-        return PoolHealth(
-            generation=self._generation,
-            restarts=self._restarts,
-            restarts_left=self._restarts_left,
-            last_fault=self._last_fault,
-            alive=alive,
-            capacity=self._capacity,
-            heal_kinds=tuple(self._heal_kinds),
-            zerocopy_hits=zc_hits,
-            zerocopy_fallbacks=zc_fallbacks,
-        )
+        return {"restarts_left": self._restarts_left,
+                "zerocopy_hits": zc_hits, "zerocopy_fallbacks": zc_fallbacks}
 
-    # -- fault recovery -----------------------------------------------------
+    # -- failure policy -----------------------------------------------------
 
-    def _recover(self, run_id: int, *, fault: BaseException,
-                 crashed: bool) -> None:
+    def _recover(self, run_id: int, fault: SynchronizationError) -> None:
         """Restore the pool after ``fault``, within the restart budget.
 
         A crash tries a *partial* heal (re-fork only the dead workers,
@@ -1053,20 +683,17 @@ class BspPool:
         the pool down and raises :class:`PoolExhaustedError`.
         """
         self._generation += 1
-        self._faults_in_a_row += 1
-        self._last_fault = f"{type(fault).__name__}: {fault}"
         if self._restarts_left <= 0:
             self._broken = (
                 f"restart budget ({self._max_restarts}) exhausted; last "
                 f"fault: {self._last_fault}")
-            self._closed = True
-            self._teardown(graceful=False)
+            self._shutdown(graceful=False)
             raise PoolExhaustedError(
                 f"BspPool gave up: {self._broken}") from fault
         self._restarts_left -= 1
         time.sleep(min(self._backoff_base * 2 ** (self._faults_in_a_row - 1),
                        2.0))
-        if crashed and self._try_heal(run_id):
+        if isinstance(fault, WorkerCrashError) and self._try_heal(run_id):
             self._heal_kinds.append("re-fork")
         else:
             self._restarts += self._capacity
@@ -1093,14 +720,7 @@ class BspPool:
             return False
         for pid in dead:
             self._procs[pid].join(timeout=1.0)
-            proc = self._ctx.Process(
-                target=_pool_worker,
-                args=(pid, self._transport, self._ctrl[pid], self._result),
-                name=f"bsp-pool-{pid}",
-                daemon=True,
-            )
-            self._procs[pid] = proc
-            proc.start()
+            self._procs[pid] = self._fork(pid)
         self._restarts += len(dead)
         if self._fence(self._capacity):
             self._transport.reset_slabs()
@@ -1112,84 +732,8 @@ class BspPool:
         self._transport.sweep_segments(dead)
         return True
 
-    # -- running ------------------------------------------------------------
-
-    def run(self, program: Program, nprocs: int | None = None,
-            args: Sequence[Any] = (),
-            kwargs: dict[str, Any] | None = None, *,
-            sync: str = "strict") -> BackendRun:
-        if self._broken is not None:
-            raise PoolExhaustedError(f"BspPool gave up: {self._broken}")
-        if self._closed:
-            raise BspConfigError("BspPool is closed")
-        check_sync(sync)
-        nprocs = self._capacity if nprocs is None else nprocs
-        Backend.check_nprocs(nprocs)
-        if nprocs > self._capacity:
-            raise BspConfigError(
-                f"run of {nprocs} processors on a pool of {self._capacity}")
-        if not self._run_lock.acquire(blocking=False):
-            raise BspUsageError(
-                "BspPool.run() called while another run is in flight on "
-                "this pool; a pool executes one job at a time — lease one "
-                "pool per concurrent job (repro.service keeps a warm "
-                "fleet for exactly this) or create another BspPool")
-        try:
-            # Encoded under the lock: placing large args rewinds the
-            # dispatch arena the in-flight run's workers are reading.
-            try:
-                head, refs = self._transport.encode_dispatch(
-                    (program, args, kwargs or {}))
-            except Exception as exc:
-                raise BspUsageError(
-                    "a persistent pool ships the program by pickle; use a "
-                    "module-level function (not a lambda/closure) or a "
-                    "fresh ProcessBackend(), whose fork inherits the program"
-                ) from exc
-            return self._run_locked(nprocs, head, refs, sync)
-        finally:
-            self._run_lock.release()
-
-    def _run_locked(self, nprocs: int, head: bytes, refs: tuple,
-                    sync: str) -> BackendRun:
-        self._run_id += 1
-        run_id = self._run_id
-        t0 = time.perf_counter()
-        for pid in range(nprocs):
-            self._ctrl[pid].put(("run", run_id, nprocs, head, refs, sync))
-        try:
-            outcomes = _collect_outcomes(
-                self._result, nprocs, run_id, self._join_timeout,
-                procs=self._procs[:nprocs], transport=self._transport)
-        except WorkerCrashError as exc:
-            # A worker died without reporting: heal the pool (re-fork the
-            # victims, or rebuild if the fabric is wedged), then surface
-            # the crash — the caller decides whether the run is
-            # idempotent enough to retry (bsp_run(retries=...)).
-            self._recover(run_id, fault=exc, crashed=True)
-            raise
-        except SynchronizationError as exc:
-            # Deadlocked (or unattributably stuck) workers: the only safe
-            # reset is a full re-fork.
-            self._recover(run_id, fault=exc, crashed=False)
-            raise
-        except KeyboardInterrupt:
-            # An interactive abort must not strand workers mid-barrier:
-            # escalate terminate→kill and close the pool.  Checkpoint
-            # shards already published by the interrupted run stay on
-            # disk, so a checkpointing run remains resumable.
-            self._closed = True
-            self._last_fault = "KeyboardInterrupt"
-            self._teardown(graceful=False)
-            raise
-        self._faults_in_a_row = 0
-        wall = time.perf_counter() - t0
-        if any(o is None or o[0] != "ok" for o in outcomes):
-            self._fence(nprocs)
-            _raise_run_failure(outcomes)
-        results = [outcome[1] for outcome in outcomes]  # type: ignore[index]
-        ledgers = [outcome[2] for outcome in outcomes]  # type: ignore[index]
-        return BackendRun(results=results, ledgers=ledgers, wall_seconds=wall)
+    def _after_failed_run(self, nprocs: int) -> None:
+        self._fence(nprocs)
 
     def _fence(self, nprocs: int) -> bool:
         """Drain transport debris left by a failed run.
@@ -1220,33 +764,38 @@ class BspPool:
                 pending.discard(pid)
         return True
 
+    # -- dispatch -----------------------------------------------------------
 
-class ProcessBackend(Backend):
+    def _encode(self, program: Program, args: Sequence[Any],
+                kwargs: dict[str, Any]) -> tuple:
+        # Once for all workers; array arguments above the zero-copy
+        # threshold are placed in the dispatch arena, which the previous
+        # run's workers were reading — hence under the run lock.
+        return self._transport.encode_dispatch((program, args, kwargs))
+
+    def _dispatch(self, run_id: int, nprocs: int, payload: tuple,
+                  sync: str) -> None:
+        head, refs = payload
+        for pid in range(nprocs):
+            self._ctrl[pid].put(("run", run_id, nprocs, head, refs, sync))
+
+
+class ProcessBackend(PoolBackend):
     """One process per virtual processor; boundary all-to-all frame exchange."""
 
     name = "processes"
+    _pool_type = BspPool
 
     def __init__(self, *, join_timeout: float = 120.0,
                  pool: BspPool | None = None,
-                 slab_bytes: int = DEFAULT_SLAB_BYTES,
-                 degrade_to_threads: bool = False):
-        self._join_timeout = join_timeout
-        self._pool = pool
-        self._owns_pool = False
-        self._slab_bytes = slab_bytes
-        self._degrade_to_threads = degrade_to_threads
-        try:
-            self._ctx = mp.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise BspConfigError(
-                "the process backend requires a fork-capable platform"
-            ) from exc
+                 slab_bytes: int = DEFAULT_SLAB_BYTES):
+        super().__init__(pool, join_timeout=join_timeout,
+                         slab_bytes=slab_bytes)
 
     @classmethod
     def pool(cls, nprocs: int, *, join_timeout: float = 120.0,
              slab_bytes: int = DEFAULT_SLAB_BYTES,
-             max_restarts: int = 5,
-             degrade_to_threads: bool = False) -> "ProcessBackend":
+             max_restarts: int = 5) -> "ProcessBackend":
         """A backend bound to its own persistent :class:`BspPool`.
 
         Usable as a context manager::
@@ -1265,100 +814,12 @@ class ProcessBackend(Backend):
         hosts; frames over ``slab_bytes // 2`` fall back to the pipe path.
 
         ``max_restarts`` bounds the pool's fault-recovery budget (crashes
-        and deadlocks each consume one unit); ``degrade_to_threads=True``
-        converts the terminal :class:`PoolExhaustedError` into a fallback
-        run on the thread backend instead of an exception.
+        and deadlocks each consume one unit); once spent, runs raise
+        :class:`~repro.core.errors.PoolExhaustedError`.
         """
         backend = cls(
-            join_timeout=join_timeout,
+            join_timeout=join_timeout, slab_bytes=slab_bytes,
             pool=BspPool(nprocs, join_timeout=join_timeout,
-                         slab_bytes=slab_bytes, max_restarts=max_restarts),
-            slab_bytes=slab_bytes,
-            degrade_to_threads=degrade_to_threads,
-        )
+                         slab_bytes=slab_bytes, max_restarts=max_restarts))
         backend._owns_pool = True
         return backend
-
-    def __enter__(self) -> "ProcessBackend":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release the owned pool, if any (no-op for one-shot backends)."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-
-    def health(self) -> PoolHealth | None:
-        """The bound pool's supervision snapshot; ``None`` when one-shot."""
-        return None if self._pool is None else self._pool.health()
-
-    def run(
-        self,
-        program: Program,
-        nprocs: int,
-        args: Sequence[Any] = (),
-        kwargs: dict[str, Any] | None = None,
-        *,
-        sync: str = "strict",
-    ) -> BackendRun:
-        self.check_nprocs(nprocs)
-        check_sync(sync)
-        kwargs = kwargs or {}
-        if self._pool is not None:
-            try:
-                return self._pool.run(program, nprocs, args=args,
-                                      kwargs=kwargs, sync=sync)
-            except PoolExhaustedError:
-                if not self._degrade_to_threads:
-                    raise
-                # Opt-in degradation: the process substrate is too broken
-                # to keep restarting, but the program may still complete on
-                # threads (same routing, same deterministic delivery order
-                # — lower isolation and GIL-bound compute).
-                from .threads import ThreadBackend
-                return ThreadBackend().run(
-                    program, nprocs, args=args, kwargs=kwargs, sync=sync)
-        ctx = self._ctx
-        transport = FrameTransport(nprocs, ctx, slab_bytes=self._slab_bytes,
-                                   spin_timeout=self._join_timeout)
-        result_q = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_oneshot_worker,
-                args=(pid, nprocs, program, args, kwargs, transport, result_q,
-                      sync),
-                name=f"bsp-{pid}",
-                daemon=True,
-            )
-            for pid in range(nprocs)
-        ]
-        t0 = time.perf_counter()
-        for proc in procs:
-            proc.start()
-        try:
-            outcomes = _collect_outcomes(result_q, nprocs, 0,
-                                         self._join_timeout, procs=procs,
-                                         transport=transport)
-        except WorkerCrashError:
-            # Wake survivors blocked on the victim's never-coming frame so
-            # the escalating join below reaps them quickly and cleanly.
-            dead = [pid for pid in range(nprocs)
-                    if not procs[pid].is_alive()
-                    and procs[pid].exitcode not in (0, None)]
-            if dead:
-                _broadcast_dead(transport, nprocs, dead, 0, timeout=2.0)
-            raise
-        finally:
-            # Near-instant after a clean run (workers already exited);
-            # after a failure the grace only delays SIGTERM to stuck
-            # workers, so keep it short.
-            _join_escalating(procs, grace=2.0)
-            transport.close()
-            result_q.close()
-        wall = time.perf_counter() - t0
-        _raise_run_failure(outcomes)
-        results = [outcome[1] for outcome in outcomes]  # type: ignore[index]
-        ledgers = [outcome[2] for outcome in outcomes]  # type: ignore[index]
-        return BackendRun(results=results, ledgers=ledgers, wall_seconds=wall)

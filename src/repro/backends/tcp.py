@@ -41,12 +41,12 @@ receives overlap — the loop *is* Appendix B.3's "receivers actively
 empty the pipe" discipline, which is what makes two peers pushing large
 boundary frames at each other deadlock-free.
 
-Supervision mirrors the process backend (whose helpers it reuses): every
-rank keeps a control connection to its supervisor carrying heartbeat
-frames per boundary and the final outcome; the supervisor multiplexes
-those sockets with each rank's ``Process.sentinel``, so a SIGKILLed rank
-surfaces as :class:`~repro.core.errors.WorkerCrashError` within
-milliseconds and flat heartbeats at the deadline become a
+Supervision is the fabric-independent :mod:`~repro.backends.pool` core;
+this fabric's *result source* is the control plane: every rank keeps a
+control connection to its supervisor carrying a heartbeat frame per
+boundary and the final outcome, so a SIGKILLed rank surfaces as
+:class:`~repro.core.errors.WorkerCrashError` within milliseconds and
+flat heartbeats at the deadline become a
 :class:`~repro.core.errors.DeadlockError`.  Mesh sockets carry
 ``SO_KEEPALIVE`` so a vanished *machine* (no FIN, no RST) eventually
 dies too.  Peer-death propagates in-band: EOF from a peer that never
@@ -67,72 +67,62 @@ checkpointed run resumes on the healed mesh without tearing down the
 surviving processes.  ``integrity=False`` switches all of it off for
 overhead measurement.
 
-Three execution modes:
+Behind the pool core, :class:`TcpMesh` supplies only
 
-* **one-shot** (plain ``TcpBackend()``): ``run()`` forks ``p`` fresh
-  ranks on localhost; programs need not be picklable (fork inherits
-  them).  The parent pre-binds the rendezvous listener so rank 0 inherits
-  it — no port race.
-* **persistent** (``TcpBackend.pool(p)`` / :class:`TcpMesh`): ranks and
-  mesh stay up across runs; programs are shipped by pickle, so they must
-  be module-level callables.  Unlike :class:`~repro.backends.processes.
-  BspPool` there is no fence protocol: an aborted boundary can leave a
-  half-flushed frame in a socket stream, so a failed run marks the mesh
-  dirty and the next run rebuilds it — except a worker *crash*, which
-  ``TcpMesh`` heals in place by re-forking only the dead ranks.
-* **SPMD** (:class:`TcpSpmdBackend`): one already-launched rank per
-  machine (``python -m repro.harness launch-tcp --rank r ...``); every
-  invocation runs the same program and all-gathers outcomes at the end.
-  After a failed run, ``remesh()`` re-admits the surviving ranks (and a
-  relaunched replacement) at the next generation.
+* **build / teardown**: fork ``p`` ranks on localhost, which dial the
+  supervisor's control listener and rendezvous into a full mesh.  The
+  parent pre-binds the rendezvous listener so rank 0 inherits it — no
+  port race.
+* **dispatch**: one ``TAG_RUN`` control frame per rank carrying the
+  pickled ``(program, args)``.
+* **failure policy**: a byte stream cannot be fenced — an aborted
+  boundary can leave a half-flushed frame in a socket stream — so a
+  failed run marks the mesh dirty and the next run rebuilds it; except a
+  worker *crash*, which is healed in place by re-forking only the dead
+  ranks (``TAG_REMESH``).
+
+:class:`TcpSpmdBackend` is the multi-host entry: one already-launched
+rank per machine (``python -m repro.harness launch-tcp --rank r ...``);
+every invocation runs the same program on the shared rank main and
+all-gathers outcomes at the end.  After a failed run, ``remesh()``
+re-admits the surviving ranks (and a relaunched replacement) at the
+next generation.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
-import multiprocessing.connection as mp_connection
 import os
 import pickle
 import selectors
 import socket
 import struct
-import threading
 import time
 import traceback
 from collections import deque
 from typing import Any, Sequence
 
 from .. import faults
-from ..core.api import Bsp
 from ..core.errors import (
     BspConfigError,
-    BspUsageError,
     PacketError,
     RemeshError,
     SynchronizationError,
     WorkerCrashError,
 )
 from ..core.packets import Packet, PacketRuns
-from .base import (
-    Backend,
-    BackendRun,
-    Program,
-    check_pattern_sends,
-    check_sync,
-    describe_workers,
-)
+from .base import Backend, BackendRun, Program, check_pattern_sends, check_sync
 from .exchange import peer_order
 from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, Frame
-from .processes import (
-    _Abort,
-    _CRASH_GRACE,
-    _CRASH_GRACE_ABNORMAL,
-    _join_escalating,
-    _raise_run_failure,
-    _timeout_failure,
-    _worker_statuses,
+from .pool import (
+    Abort,
+    PoolBackend,
     PoolHealth,
+    WorkerPool,
+    finish_run,
+    join_escalating,
+    run_rank,
+    worker_table,
 )
 from . import tcp_wire as wire
 from .tcp_launch import (
@@ -458,7 +448,7 @@ class _MeshChannel:
             deadline = time.monotonic() + self._reconnect_timeout
             while True:
                 if self._ctrl_watched:
-                    self._read_ctrl()  # raises _Abort on supervisor abort
+                    self._read_ctrl()  # raises Abort on supervisor abort
                 now = time.monotonic()
                 if now >= deadline:
                     self._close_peer(peer)
@@ -554,7 +544,7 @@ class _MeshChannel:
             # loop's blocking recv, which drains _ready first.
             ctrl._dec._ready.append(frame)
         if abort:
-            raise _Abort()
+            raise Abort()
 
     def _inject_reset(self, peer: int) -> None:
         """Fault injection: abort the TCP connection (RST, not FIN)."""
@@ -702,7 +692,7 @@ class _MeshChannel:
             return
         if tag == TAG_DEAD:
             if frame.run_id == self._run_id and not self._gathering:
-                raise _Abort()
+                raise Abort()
             return
         if frame.run_id != self._run_id:
             return  # debris from an earlier, failed run on this mesh
@@ -972,7 +962,7 @@ class _MeshChannel:
         while any(self._out.values()) and time.monotonic() < deadline:
             try:
                 self._pump()
-            except _Abort:
+            except Abort:
                 break  # the run is over either way
             except _PeerLost:
                 # That link's queue died with it (_close_peer popped it);
@@ -1112,26 +1102,6 @@ class _CtrlLink:
             pass
 
 
-def _run_program(channel: _MeshChannel, rank: int, nprocs: int, run_id: int,
-                 program: Program, args: Sequence[Any],
-                 kwargs: dict[str, Any]) -> tuple:
-    """Run one program instance; returns the rank's outcome tuple."""
-    bsp = Bsp(rank, nprocs, channel)
-    try:
-        result = program(bsp, *args, **kwargs)
-        ledger = bsp._finish()
-        channel.depart()
-        return ("ok", run_id, rank, result, ledger)
-    except (_Abort, _PeerLost):
-        return ("aborted", run_id, rank, None, None)
-    except BaseException:  # noqa: BLE001 - reported to the supervisor
-        try:
-            channel.die()
-        except BaseException:  # pragma: no cover - mesh already gone
-            pass
-        return ("error", run_id, rank, traceback.format_exc(), None)
-
-
 def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
     # Retried with backoff+jitter: a freshly forked rank can dial before
     # the supervisor's accept loop is servicing the listener backlog.
@@ -1142,52 +1112,37 @@ def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
     return ctrl
 
 
-def _oneshot_rank(rank: int, nprocs: int, coord_addr: tuple[str, int],
-                  parent_addr: tuple[str, int],
-                  coord_listener: socket.socket | None, token: int,
-                  program: Program, args: Sequence[Any],
-                  kwargs: dict[str, Any], sync: str = "strict",
-                  heartbeat_interval: float = 0.25,
-                  integrity: bool = True,
-                  reconnect_timeout: float = 5.0) -> None:
-    """Forked rank main for a one-shot run (program inherited via fork)."""
+def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
+               parent_addr: tuple[str, int],
+               coord_listener: socket.socket | None, token: int,
+               heartbeat_interval: float, integrity: bool,
+               reconnect_timeout: float, generation: int,
+               first: tuple | None) -> None:
+    """Rank main: execute the runs shipped over the control link — or, in
+    a pool of one run, the run inherited through fork, then exit."""
     if rank != 0 and coord_listener is not None:
         coord_listener.close()  # inherited fd; only rank 0 may own it
     ctrl = _connect_ctrl(parent_addr, rank)
     fabric = rendezvous_fabric(
-        rank, nprocs, coord_addr, token=token,
-        coordinator_listener=coord_listener if rank == 0 else None)
-    # No fabric is handed to the channel: a one-shot run has no
-    # supervisor abort path, so waiting out a reconnect window on a
-    # *dead* peer would only delay the teardown — frame integrity
-    # (CRC + NACK retransmit) stays on, link loss aborts as before.
-    channel = _MeshChannel(rank, nprocs, fabric.socks, 0, ctrl, sync=sync,
-                           integrity=integrity,
-                           heartbeat_interval=heartbeat_interval,
-                           reconnect_timeout=reconnect_timeout)
-    try:
-        outcome = _run_program(channel, rank, nprocs, 0, program, args,
-                               kwargs)
-    finally:
-        channel.shutdown()
-    ctrl.result(outcome)
-    fabric.close()
-    ctrl.close()
-
-
-def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
-               parent_addr: tuple[str, int],
-               coord_listener: socket.socket | None, token: int,
-               heartbeat_interval: float = 0.25, integrity: bool = True,
-               reconnect_timeout: float = 5.0,
-               generation: int = 0) -> None:
-    """Persistent rank loop: execute runs shipped over the control link."""
-    if rank != 0 and coord_listener is not None:
-        coord_listener.close()
-    ctrl = _connect_ctrl(parent_addr, rank)
-    fabric = rendezvous_fabric(
         rank, capacity, coord_addr, token=token, generation=generation,
         coordinator_listener=coord_listener if rank == 0 else None)
+    if first is not None:
+        program, args, kwargs, sync = first
+        # No fabric is handed to the channel: a pool of one run has no
+        # supervisor abort path, so waiting out a reconnect window on a
+        # *dead* peer would only delay the teardown — frame integrity
+        # (CRC + NACK retransmit) stays on, link loss aborts.
+        channel = _MeshChannel(rank, capacity, fabric.socks, 0, ctrl,
+                               sync=sync, integrity=integrity,
+                               heartbeat_interval=heartbeat_interval,
+                               reconnect_timeout=reconnect_timeout)
+        outcome = run_rank(channel, rank, capacity, 0, program, args,
+                           kwargs, (Abort, _PeerLost))
+        channel.shutdown()
+        ctrl.result(outcome)
+        fabric.close()
+        ctrl.close()
+        return
     # Link state (decoder, sequence numbers, journal) persists across
     # runs: numbering is a property of the connection, and leftover
     # frames of a failed run are dropped by run_id.
@@ -1241,8 +1196,8 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
                                heartbeat_interval=heartbeat_interval,
                                reconnect_timeout=reconnect_timeout,
                                watch_ctrl=True)
-        outcome = _run_program(channel, rank, nprocs, run_id, program, args,
-                               kwargs)
+        outcome = run_rank(channel, rank, nprocs, run_id, program, args,
+                           kwargs, (Abort, _PeerLost))
         channel.shutdown(close=False)
         ctrl.result(outcome)
     fabric.close()
@@ -1276,144 +1231,110 @@ class _Link:
             pass
 
 
-class _HbTable:
-    """Adapter giving ``_timeout_failure`` its ``heartbeat(pid)`` probe."""
+class _CtrlPlane:
+    """The supervisor's end of every rank's control connection — and the
+    pool core's *result source* over them.
 
-    def __init__(self, counts: list[int]):
-        self._counts = counts
-
-    def heartbeat(self, pid: int) -> int:
-        return self._counts[pid]
-
-
-def _drain_link(link: _Link, handle) -> None:
-    """Read everything currently available on a supervisor-side link."""
-    while not link.eof:
-        try:
-            data = link.sock.recv(1 << 16)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            link.eof = True
-            return
-        for frame in link.dec.feed(data):
-            handle(link, frame)
-
-
-def _collect_tcp(nprocs: int, run_id: int, procs: Sequence[Any],
-                 links: dict[int, _Link], timeout: float, *,
-                 listener: socket.socket | None = None,
-                 anon: list[_Link] | None = None,
-                 stats: dict[int, tuple] | None = None
-                 ) -> list[tuple | None]:
-    """Supervised gather of one outcome per rank over the control plane.
-
-    Mirrors ``processes._collect_outcomes``: multiplexes every control
-    socket, the hello listener (one-shot mode, where ranks are still
-    dialing in) and each missing rank's ``Process.sentinel`` through
-    :func:`multiprocessing.connection.wait`.  A control-socket EOF plus a
-    dead process and no buffered result is a :class:`WorkerCrashError`
-    within the crash-grace window; the expired deadline goes through the
-    shared :func:`~repro.backends.processes._timeout_failure` triage
-    (crash / deadlock / merely slow).
+    Ranks dial ``listener`` and introduce themselves (``TAG_HELLO``),
+    then stream one ``TAG_HB`` per boundary (some carrying the rank's
+    link-repair counters) and their outcomes (``TAG_RESULT``).  Frames
+    are filed whenever they are read — while a build is still accepting
+    hellos, a fast rank of a one-run pool may already be reporting — and
+    handed out by the next :meth:`poll`.
     """
-    start = time.monotonic()
-    deadline = start + timeout
-    outcomes: list[tuple | None] = [None] * nprocs
-    got = 0
-    hb_counts = [0] * nprocs
-    hb_when = [start] * nprocs
-    hbtable = _HbTable(hb_counts)
-    anon = anon if anon is not None else []
 
-    def handle(link: _Link, frame: Frame) -> None:
-        nonlocal got
-        if frame.tag == wire.TAG_HELLO:
-            link.rank = wire.frame_object(frame)
-            links[link.rank] = link
-            if link in anon:
-                anon.remove(link)
-            return
-        rank = link.rank
-        if rank is None or rank >= nprocs:
-            return  # idle mesh rank of a smaller run
-        if frame.tag == wire.TAG_HB:
-            hb_counts[rank] += 1
-            hb_when[rank] = time.monotonic()
-            if frame.meta is not None and stats is not None:
+    def __init__(self, listener: socket.socket, capacity: int):
+        self.listener = listener
+        self._capacity = capacity
+        self.links: dict[int, _Link] = {}
+        #: Accepted connections that have not said hello yet.
+        self.anon: list[_Link] = []
+        #: Per-rank (retransmits, reconnects) piggybacked on heartbeats.
+        self.stats: dict[int, tuple] = {}
+        self._beats = [0] * capacity
+        self._inbox: list[tuple] = []
+
+    def pump(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` for control-plane traffic — a rank
+        dialing in, or frames on any link — then adopt and read it all;
+        ``False`` when nothing came.  One selector over the listener and
+        every link, so a build or heal reacts the moment a rank speaks
+        (MTTR is the product there) instead of padding each round with
+        a fixed accept timeout."""
+        with selectors.DefaultSelector() as sel:
+            sel.register(self.listener, selectors.EVENT_READ)
+            for link in self.anon + list(self.links.values()):
+                if not link.eof:
+                    sel.register(link.sock, selectors.EVENT_READ)
+            ready = {key.fileobj for key, _ in sel.select(timeout)}
+        if self.listener in ready:
+            while True:
                 try:
-                    stats[rank] = pickle.loads(frame.meta)
+                    sock, _ = self.listener.accept()
+                except (BlockingIOError, socket.timeout, OSError):
+                    break
+                self.anon.append(_Link(sock))
+        self._read()
+        return bool(ready)
+
+    def _read(self) -> None:
+        """File everything currently readable on any link."""
+        for link in self.anon + list(self.links.values()):
+            while not link.eof:
+                try:
+                    data = link.sock.recv(1 << 16)
+                except (BlockingIOError, InterruptedError):
+                    break
+                except OSError:
+                    data = b""
+                if not data:
+                    link.eof = True
+                    break
+                for frame in link.dec.feed(data):
+                    self._handle(link, frame)
+        self.anon = [link for link in self.anon if not link.eof]
+
+    def _handle(self, link: _Link, frame: Frame) -> None:
+        if frame.tag == wire.TAG_HELLO:
+            rank = wire.frame_object(frame)
+            if isinstance(rank, int) and 0 <= rank < self._capacity:
+                link.rank = rank
+                self.links[rank] = link
+                if link in self.anon:
+                    self.anon.remove(link)
+        elif link.rank is None:
+            pass  # a stranger on the listener: unheard until it hangs up
+        elif frame.tag == wire.TAG_HB:
+            self._beats[link.rank] += 1
+            if frame.meta is not None:
+                try:
+                    self.stats[link.rank] = pickle.loads(frame.meta)
                 except Exception:
                     pass  # malformed piggyback: the beat still counts
         elif frame.tag == wire.TAG_RESULT:
-            outcome = wire.frame_object(frame)
-            tag, rid = outcome[0], outcome[1]
-            if rid != run_id or tag == "remeshed":
-                return  # stray reply from an earlier run / late heal ack
-            if outcomes[rank] is None:
-                got += 1
-            outcomes[rank] = (tag, outcome[3], outcome[4])
+            self._inbox.append(wire.frame_object(frame))
 
-    while got < nprocs:
-        now = time.monotonic()
-        remaining = deadline - now
-        if remaining <= 0:
-            raise _timeout_failure(nprocs, outcomes, procs, hbtable,
-                                   hb_when, timeout)
-        missing = [pid for pid in range(nprocs) if outcomes[pid] is None]
-        waitables: list[Any] = []
-        if listener is not None:
-            waitables.append(listener)
-        for link in list(links.values()) + list(anon):
-            if link.eof:
-                continue
-            if link.rank is not None and (link.rank >= nprocs
-                                          or outcomes[link.rank] is not None):
-                continue
-            waitables.append(link.sock)
-        waitables += [procs[pid].sentinel for pid in missing]
-        mp_connection.wait(waitables, timeout=min(remaining, 0.25))
-        if listener is not None:
-            while True:
-                try:
-                    sock, _ = listener.accept()
-                except (BlockingIOError, socket.timeout, OSError):
-                    break
-                anon.append(_Link(sock))
-        for link in list(anon) + list(links.values()):
-            _drain_link(link, handle)
-        crashed = [pid for pid in missing
-                   if outcomes[pid] is None and not procs[pid].is_alive()]
-        if not crashed:
-            continue
-        for pid in crashed:
-            procs[pid].join(timeout=1.0)  # reap, so exitcode is final
-        # The victim's result may still be in its socket buffer (an exit
-        # right after reporting): TCP keeps buffered bytes readable after
-        # death, so one short grace drain before declaring a crash.
-        window = _CRASH_GRACE if any(procs[pid].exitcode == 0
-                                     for pid in crashed) \
-            else _CRASH_GRACE_ABNORMAL
-        grace = time.monotonic() + window
-        while any(outcomes[pid] is None for pid in crashed):
-            for pid in crashed:
-                link = links.get(pid)
-                if link is not None:
-                    _drain_link(link, handle)
-            if time.monotonic() >= grace:
-                break
-            time.sleep(0.005)
-        lost = [pid for pid in crashed if outcomes[pid] is None]
-        if lost:
-            proc = procs[lost[0]]
-            proc.join(timeout=1.0)
-            detail = describe_workers(_worker_statuses(
-                nprocs, outcomes, procs, hbtable, hb_when, time.monotonic()))
-            raise WorkerCrashError(lost[0], proc.exitcode, os_pid=proc.pid,
-                                   detail=detail)
-    return outcomes
+    def close(self) -> None:
+        for link in list(self.links.values()) + self.anon:
+            link.close()
+        self.links, self.anon = {}, []
+        try:
+            self.listener.close()
+        except OSError:
+            pass
+
+    # -- result source --------------------------------------------------------
+
+    def waitables(self) -> list:
+        return [link.sock for link in self.links.values() if not link.eof]
+
+    def poll(self) -> list[tuple]:
+        self._read()
+        got, self._inbox = self._inbox, []
+        return got
+
+    def heartbeat(self, pid: int) -> int:
+        return self._beats[pid]
 
 
 # ---------------------------------------------------------------------------
@@ -1421,162 +1342,116 @@ def _collect_tcp(nprocs: int, run_id: int, procs: Sequence[Any],
 # ---------------------------------------------------------------------------
 
 
-class TcpMesh:
+class TcpMesh(WorkerPool):
     """A persistent local TCP mesh: ``p`` rank processes alive across runs.
 
-    The socket analogue of :class:`~repro.backends.processes.BspPool`:
-    rendezvous + full-mesh connect cost tens of milliseconds, so a
+    Rendezvous + full-mesh connect cost tens of milliseconds, so a
     harness sweep keeps the ranks and ships ``(program, args)`` per run
-    by pickle (module-level callables only).  Runs may use any
-    ``nprocs <= capacity``; idle ranks sit out.
+    by pickle (module-level callables only).
 
-    Failure policy differs from ``BspPool``: a byte stream cannot be
-    fenced — an aborted boundary may leave a half-flushed frame that
-    desynchronizes the receiver's decoder forever — so a failed run
-    (error, deadlock) marks the mesh dirty and the next ``run()``
-    rebuilds ranks and sockets from scratch.  A worker *crash* is
-    instead healed in place when ``heal_in_place`` is on: only the dead
-    ranks are re-forked and every rank re-rendezvouses at the next mesh
-    generation, which is what lets a checkpointed ``bsp_run(...,
-    retries=...)`` resume on the same mesh within milliseconds instead
-    of rebuilding the world.
+    Failure policy: a byte stream cannot be fenced — an aborted boundary
+    may leave a half-flushed frame that desynchronizes the receiver's
+    decoder forever — so a failed run (error, deadlock) marks the mesh
+    dirty and the next ``run()`` rebuilds ranks and sockets from
+    scratch.  A worker *crash* is instead healed in place when
+    ``heal_in_place`` is on: only the dead ranks are re-forked and every
+    rank re-rendezvouses at the next mesh generation, which is what lets
+    a checkpointed ``bsp_run(..., retries=...)`` resume on the same mesh
+    within milliseconds instead of rebuilding the world.
     """
+
+    _noun = "mesh"
+    _oneshot = "TcpBackend()"
 
     def __init__(self, nprocs: int, *, host: str = "127.0.0.1",
                  join_timeout: float = 120.0, heal_in_place: bool = True,
                  max_heals: int = 8, heartbeat_interval: float = 0.25,
                  integrity: bool = True, reconnect_timeout: float = 5.0):
-        Backend.check_nprocs(nprocs)
-        try:
-            self._ctx = mp.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise BspConfigError(
-                "the tcp backend requires a fork-capable platform") from exc
-        self._capacity = nprocs
+        super().__init__(nprocs, join_timeout)
         self._host = host
-        self._join_timeout = join_timeout
         self._heal_in_place = heal_in_place
         self._max_heals = max_heals
         self._heartbeat_interval = heartbeat_interval
         self._integrity = integrity
         self._reconnect_timeout = reconnect_timeout
-        self._run_id = 0
-        self._closed = False
         self._dirty = False
-        # Supervision counters surfaced by health(), mirroring BspPool.
-        # A WorkerCrashError first tries an in-place heal ("re-fork"):
-        # only the dead ranks are re-forked and the mesh re-rendezvouses
-        # at a new generation; any other failed run (or a failed heal)
-        # still re-forks the whole rank set at the next run ("rebuild").
-        self._generation = 0
-        self._restarts = 0
         self._heals = 0
-        self._heal_kinds: list[str] = []
-        self._last_fault: str | None = None
-        #: Per-rank (retransmits, reconnects) piggybacked on heartbeats,
-        #: plus the folded totals of ranks that no longer exist.
-        self._stats: dict[int, tuple] = {}
+        #: Folded link-repair totals of ranks that no longer exist (the
+        #: live ranks' are in the control plane's ``stats``).
         self._stats_base = (0, 0)
-        # One run at a time per mesh (BspPool.run parity): the barrier
-        # and stream-dirtying discipline assume a single in-flight run.
-        self._run_lock = threading.Lock()
         self._token = 0
         self._coord_addr: tuple[str, int] | None = None
         self._parent_addr: tuple[str, int] | None = None
-        self._parent_listener: socket.socket | None = None
-        self._links: dict[int, _Link] = {}
-        self._procs: list[Any] = []
         self._build()
 
     # -- lifecycle ----------------------------------------------------------
+
+    def _fork(self, rank: int, coord_listener: socket.socket | None,
+              generation: int) -> Any:
+        proc = self._ctx.Process(
+            target=_pool_rank,
+            args=(rank, self._capacity, self._coord_addr, self._parent_addr,
+                  coord_listener, self._token, self._heartbeat_interval,
+                  self._integrity, self._reconnect_timeout, generation,
+                  self._first),
+            name=f"bsp-tcp-pool-{rank}",
+            daemon=True,
+        )
+        proc.start()
+        return proc
 
     def _build(self) -> None:
         self._token = _next_token()
         coord_listener = bind_listener(self._host)
         # The parent listener stays bound for the life of the mesh:
         # replacement ranks forked by a heal dial it to register.
-        self._parent_listener = bind_listener(self._host)
+        parent_listener = bind_listener(self._host)
         self._coord_addr = coord_listener.getsockname()
-        self._parent_addr = self._parent_listener.getsockname()
-        self._procs = [
-            self._ctx.Process(
-                target=_pool_rank,
-                args=(rank, self._capacity, self._coord_addr,
-                      self._parent_addr, coord_listener, self._token,
-                      self._heartbeat_interval, self._integrity,
-                      self._reconnect_timeout, 0),
-                name=f"bsp-tcp-pool-{rank}",
-                daemon=True,
-            )
-            for rank in range(self._capacity)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._parent_addr = parent_listener.getsockname()
+        self._source = plane = _CtrlPlane(parent_listener, self._capacity)
+        self._procs = [self._fork(rank, coord_listener, 0)
+                       for rank in range(self._capacity)]
         coord_listener.close()  # rank 0 inherited it; parent's copy is done
-        self._links = {}
         deadline = time.monotonic() + 30.0
-        self._parent_listener.settimeout(0.2)
+        parent_listener.setblocking(False)
         try:
-            while len(self._links) < self._capacity:
+            while len(plane.links) < self._capacity:
                 if time.monotonic() > deadline:
                     raise SynchronizationError(
                         "tcp mesh build timed out waiting for rank "
                         "control connections")
+                if plane.pump(0.2):
+                    continue
+                # Nobody left in the backlog, so a dead rank without a
+                # link never said hello.  (A rank of a one-run pool may
+                # be dead because it already finished: its link, and its
+                # outcome, are in hand.)
                 dead = [r for r, p in enumerate(self._procs)
-                        if not p.is_alive()]
+                        if r not in plane.links and not p.is_alive()]
                 if dead:
                     proc = self._procs[dead[0]]
                     proc.join(timeout=1.0)
-                    now = time.monotonic()
-                    detail = describe_workers(_worker_statuses(
-                        self._capacity, [None] * self._capacity,
-                        self._procs, None, [now] * self._capacity, now))
-                    raise WorkerCrashError(dead[0], proc.exitcode,
-                                           os_pid=proc.pid, detail=detail)
-                try:
-                    sock, _ = self._parent_listener.accept()
-                except socket.timeout:
-                    continue
-                link = _Link(sock)
-                hello_deadline = time.monotonic() + 5.0
-                while link.rank is None and not link.eof \
-                        and time.monotonic() < hello_deadline:
-                    _drain_link(link, self._note_hello)
-                    if link.rank is None:
-                        time.sleep(0.002)
-                if link.rank is None or not 0 <= link.rank < self._capacity:
-                    link.close()
-                    continue
-                self._links[link.rank] = link
+                    raise WorkerCrashError(
+                        dead[0], proc.exitcode, os_pid=proc.pid,
+                        detail=worker_table(
+                            self._procs, [None] * self._capacity, plane,
+                            [time.monotonic()] * self._capacity))
         except BaseException:
-            self._parent_listener.close()
-            self._parent_listener = None
+            self._teardown(graceful=False)
             raise
         self._dirty = False
 
-    @staticmethod
-    def _note_hello(link: _Link, frame: Frame) -> None:
-        if frame.tag == wire.TAG_HELLO:
-            link.rank = wire.frame_object(frame)
-
     def _teardown(self, *, graceful: bool) -> None:
+        plane = self._source
         if graceful:
-            for link in self._links.values():
+            for link in plane.links.values():
                 try:
                     wire.send_chunks(link.sock, wire.encode_frame(
                         wire.TAG_CLOSE, 0, 0, -1))
                 except OSError:
                     pass
-        _join_escalating(self._procs, grace=5.0 if graceful else 0.5)
-        for link in self._links.values():
-            link.close()
-        self._links = {}
-        if self._parent_listener is not None:
-            try:
-                self._parent_listener.close()
-            except OSError:
-                pass
-            self._parent_listener = None
+        join_escalating(self._procs, grace=5.0 if graceful else 0.5)
+        plane.close()
 
     def _fold_stats(self, ranks: Sequence[int] | None = None) -> None:
         """Fold (a subset of) per-rank link counters into the base.
@@ -1584,93 +1459,33 @@ class TcpMesh:
         Called before a rank process is replaced or the mesh is rebuilt,
         so ``health()`` totals survive the process that produced them.
         """
+        stats = self._source.stats
         base_rt, base_rc = self._stats_base
-        for rank in list(self._stats) if ranks is None else ranks:
-            rt, rc = self._stats.pop(rank, (0, 0))
+        for rank in list(stats) if ranks is None else ranks:
+            rt, rc = stats.pop(rank, (0, 0))
             base_rt += rt
             base_rc += rc
         self._stats_base = (base_rt, base_rc)
 
-    def close(self) -> None:
-        """Shut the ranks down; the mesh is unusable afterwards."""
-        if not self._closed:
-            self._closed = True
-            self._teardown(graceful=True)
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __enter__(self) -> "TcpMesh":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    @property
-    def capacity(self) -> int:
-        """Maximum ``nprocs`` a run on this mesh may use."""
-        return self._capacity
-
-    def health(self) -> PoolHealth:
-        """Supervision snapshot (``BspPool.health`` parity).
-
-        ``restarts_left`` is ``-1``: a mesh has no restart budget — a
-        crash is healed in place when possible, and every other failed
-        run is followed by a full rebuild at the next ``run()``.
-        ``retransmits``/``reconnects`` aggregate the link-repair
-        counters every rank piggybacks on its heartbeats.
-        """
-        alive = 0 if self._closed else \
-            sum(1 for proc in self._procs if proc.is_alive())
+    def _fabric_health(self) -> dict[str, Any]:
+        # No restart budget (-1): a crash is healed in place when
+        # possible, and every other failed run is followed by a full
+        # rebuild at the next ``run()``.  ``retransmits``/``reconnects``
+        # aggregate the link-repair counters every rank piggybacks on
+        # its heartbeats.
         base_rt, base_rc = self._stats_base
-        return PoolHealth(
-            generation=self._generation,
-            restarts=self._restarts,
-            restarts_left=-1,
-            last_fault=self._last_fault,
-            alive=alive,
-            capacity=self._capacity,
-            heal_kinds=tuple(self._heal_kinds),
-            retransmits=base_rt + sum(v[0] for v in self._stats.values()),
-            reconnects=base_rc + sum(v[1] for v in self._stats.values()),
-        )
+        stats = self._source.stats.values()
+        return {"restarts_left": -1,
+                "retransmits": base_rt + sum(v[0] for v in stats),
+                "reconnects": base_rc + sum(v[1] for v in stats)}
 
-    # -- running ------------------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
 
-    def run(self, program: Program, nprocs: int | None = None,
-            args: Sequence[Any] = (),
-            kwargs: dict[str, Any] | None = None, *,
-            sync: str = "strict") -> BackendRun:
-        if self._closed:
-            raise BspConfigError("TcpMesh is closed")
-        nprocs = self._capacity if nprocs is None else nprocs
-        Backend.check_nprocs(nprocs)
-        check_sync(sync)
-        if nprocs > self._capacity:
-            raise BspConfigError(
-                f"run of {nprocs} processors on a mesh of {self._capacity}")
-        try:
-            blob = pickle.dumps((program, args, kwargs or {}))
-        except Exception as exc:
-            raise BspUsageError(
-                "a persistent tcp mesh ships the program by pickle; use a "
-                "module-level function (not a lambda/closure) or a fresh "
-                "TcpBackend(), whose fork inherits the program") from exc
-        if not self._run_lock.acquire(blocking=False):
-            raise BspUsageError(
-                "TcpMesh.run() called while another run is in flight on "
-                "this mesh; a mesh executes one job at a time — lease one "
-                "mesh per concurrent job (repro.service keeps a warm "
-                "fleet for exactly this) or create another TcpMesh")
-        try:
-            return self._run_locked(nprocs, blob, sync)
-        finally:
-            self._run_lock.release()
+    def _encode(self, program: Program, args: Sequence[Any],
+                kwargs: dict[str, Any]) -> bytes:
+        return pickle.dumps((program, args, kwargs))
 
-    def _run_locked(self, nprocs: int, blob: bytes, sync: str) -> BackendRun:
+    def _ready(self) -> None:
         if self._dirty:
             self._fold_stats()
             self._teardown(graceful=False)
@@ -1678,49 +1493,33 @@ class TcpMesh:
             self._generation += 1
             self._restarts += self._capacity
             self._heal_kinds.append("rebuild")
-        self._run_id += 1
-        run_id = self._run_id
-        t0 = time.perf_counter()
+
+    def _dispatch(self, run_id: int, nprocs: int, payload: bytes,
+                  sync: str) -> None:
         # Encoded once: the chunks are read-only, every rank gets the same.
         chunks = wire.encode_object_frame(
-            wire.TAG_RUN, run_id, 0, -1, (run_id, nprocs, blob, sync))
+            wire.TAG_RUN, run_id, 0, -1, (run_id, nprocs, payload, sync))
         for rank in range(nprocs):
-            self._send_ctrl(self._links[rank], chunks)
-        try:
-            outcomes = _collect_tcp(nprocs, run_id, self._procs[:nprocs],
-                                    self._links, self._join_timeout,
-                                    stats=self._stats)
-        except WorkerCrashError as exc:
-            self._last_fault = f"{type(exc).__name__}: {exc}"
-            healed = False
-            if self._heal_in_place and self._heals < self._max_heals:
-                try:
-                    healed = self._heal(run_id)
-                except Exception:  # pragma: no cover - heal is best-effort
-                    healed = False
-            if not healed:
-                self._dirty = True
-            raise
-        except SynchronizationError as exc:
+            self._send_ctrl(self._source.links[rank], chunks)
+
+    # -- failure policy -----------------------------------------------------
+
+    def _recover(self, run_id: int, fault: SynchronizationError) -> None:
+        """A crash first tries an in-place heal ("re-fork"); any other
+        fault, or a failed heal, leaves the mesh dirty for a full rebuild
+        at the next run ("rebuild")."""
+        healed = False
+        if isinstance(fault, WorkerCrashError) and self._heal_in_place \
+                and self._heals < self._max_heals:
+            try:
+                healed = self._heal(run_id)
+            except Exception:  # pragma: no cover - heal is best-effort
+                healed = False
+        if not healed:
             self._dirty = True
-            self._last_fault = f"{type(exc).__name__}: {exc}"
-            raise
-        except KeyboardInterrupt:
-            # An interactive abort must not strand rank processes behind
-            # wedged sockets: escalate terminate→kill and close the mesh.
-            # Checkpoint shards already published by the interrupted run
-            # stay on disk, so a checkpointing run remains resumable.
-            self._closed = True
-            self._last_fault = "KeyboardInterrupt"
-            self._teardown(graceful=False)
-            raise
-        wall = time.perf_counter() - t0
-        if any(o is None or o[0] != "ok" for o in outcomes):
-            self._dirty = True  # streams may hold half-flushed frames
-            _raise_run_failure(outcomes)
-        results = [o[1] for o in outcomes]  # type: ignore[index]
-        ledgers = [o[2] for o in outcomes]  # type: ignore[index]
-        return BackendRun(results=results, ledgers=ledgers, wall_seconds=wall)
+
+    def _after_failed_run(self, nprocs: int) -> None:
+        self._dirty = True  # streams may hold half-flushed frames
 
     # -- in-run rank replacement --------------------------------------------
 
@@ -1741,13 +1540,14 @@ class TcpMesh:
             return False
         gen = self._generation + 1
         self._fold_stats(dead)
+        links = self._source.links
         abort = wire.encode_frame(wire.TAG_ABORT, run_id, 0, -1)
-        for rank in list(self._links):
+        for rank in list(links):
             if rank in dead:
-                self._links.pop(rank).close()
+                links.pop(rank).close()
                 continue
             try:
-                self._send_ctrl(self._links[rank], abort)
+                self._send_ctrl(links[rank], abort)
             except OSError:
                 return False
         for rank in dead:
@@ -1760,23 +1560,13 @@ class TcpMesh:
             self._coord_addr = coord_listener.getsockname()
         try:
             for rank in dead:
-                proc = self._ctx.Process(
-                    target=_pool_rank,
-                    args=(rank, self._capacity, self._coord_addr,
-                          self._parent_addr, coord_listener, self._token,
-                          self._heartbeat_interval, self._integrity,
-                          self._reconnect_timeout, gen),
-                    name=f"bsp-tcp-pool-{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                self._procs[rank] = proc
+                self._procs[rank] = self._fork(rank, coord_listener, gen)
         finally:
             if coord_listener is not None:
                 coord_listener.close()  # the replacement inherited it
         remesh = wire.encode_object_frame(
             wire.TAG_REMESH, gen, 0, -1, (gen, tuple(self._coord_addr)))
-        for rank, link in self._links.items():
+        for link in links.values():
             try:
                 self._send_ctrl(link, remesh)
             except OSError:
@@ -1794,70 +1584,23 @@ class TcpMesh:
         """Collect one ``remeshed`` ack per rank for generation ``gen``,
         registering the replacement ranks' fresh control connections."""
         acked: set[int] = set()
-        failed = False
-        anon: list[_Link] = []
-        listener = self._parent_listener
-        if listener is None:  # pragma: no cover - build failed earlier
-            return False
-        listener.settimeout(0.0)
+        plane = self._source
         deadline = time.monotonic() + 30.0
-
-        def handle(link: _Link, frame: Frame) -> None:
-            nonlocal failed
-            if frame.tag == wire.TAG_HELLO:
-                link.rank = wire.frame_object(frame)
-                self._links[link.rank] = link
-                if link in anon:
-                    anon.remove(link)
-            elif frame.tag == wire.TAG_RESULT:
-                outcome = wire.frame_object(frame)
-                if outcome[0] == "remeshed" and outcome[1] == gen \
-                        and link.rank is not None:
-                    acked.add(link.rank)
-                elif outcome[0] == "error" and outcome[1] == gen:
-                    failed = True
-
-        # One selector over the listener and every control link: acks
-        # arrive the moment they are readable, with no fixed accept
-        # timeout padding each loop round (MTTR is the product here).
-        sel = selectors.DefaultSelector()
-        try:
-            sel.register(listener, selectors.EVENT_READ)
-            registered = set()
-            while len(acked) < self._capacity:
-                if failed or time.monotonic() > deadline:
+        while len(acked) < self._capacity:
+            if time.monotonic() > deadline:
+                return False
+            if any(not p.is_alive() for p in self._procs):
+                return False
+            plane.pump(0.05)
+            for tag, epoch, rank, _, _ in plane.poll():
+                if epoch == gen and tag == "remeshed":
+                    acked.add(rank)
+                elif epoch == gen and tag == "error":
                     return False
-                if any(not p.is_alive() for p in self._procs):
-                    return False
-                for link in list(anon) + list(self._links.values()):
-                    if id(link) not in registered and not link.eof:
-                        try:
-                            sel.register(link.sock, selectors.EVENT_READ)
-                        except (KeyError, ValueError, OSError):
-                            pass
-                        registered.add(id(link))
-                ready = {key.fileobj for key, _ in sel.select(timeout=0.05)}
-                if listener in ready:
-                    try:
-                        sock, _ = listener.accept()
-                    except (BlockingIOError, socket.timeout, OSError):
-                        pass
-                    else:
-                        anon.append(_Link(sock))
-                for link in list(anon) + list(self._links.values()):
-                    _drain_link(link, handle)
-                    if link.eof and link.rank is not None \
-                            and link.rank not in acked:
-                        return False
-                    if link.eof:
-                        try:
-                            sel.unregister(link.sock)
-                        except (KeyError, ValueError):
-                            pass
-                anon = [link for link in anon if not link.eof]
-            return True
-        finally:
-            sel.close()
+            if any(link.eof and rank not in acked
+                   for rank, link in plane.links.items()):
+                return False
+        return True
 
     @staticmethod
     def _send_ctrl(link: _Link, chunks: Sequence[Any]) -> None:
@@ -1871,27 +1614,24 @@ class TcpMesh:
             link.sock.setblocking(False)
 
 
-class TcpBackend(Backend):
+class TcpBackend(PoolBackend):
     """One process per virtual processor over a real TCP mesh (B.3)."""
 
     name = "tcp"
+    _pool_type = TcpMesh
 
     def __init__(self, *, join_timeout: float = 120.0,
                  host: str = "127.0.0.1", mesh: TcpMesh | None = None,
                  heartbeat_interval: float = 0.25, integrity: bool = True,
                  reconnect_timeout: float = 5.0):
-        self._join_timeout = join_timeout
-        self._host = host
-        self._mesh = mesh
-        self._owns_mesh = False
-        self._heartbeat_interval = heartbeat_interval
-        self._integrity = integrity
-        self._reconnect_timeout = reconnect_timeout
-        try:
-            self._ctx = mp.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise BspConfigError(
-                "the tcp backend requires a fork-capable platform") from exc
+        super().__init__(mesh, join_timeout=join_timeout, host=host,
+                         heartbeat_interval=heartbeat_interval,
+                         integrity=integrity,
+                         reconnect_timeout=reconnect_timeout)
+
+    @property
+    def _mesh(self) -> TcpMesh | None:
+        return self._pool
 
     @classmethod
     def pool(cls, nprocs: int, *, host: str = "127.0.0.1",
@@ -1910,93 +1650,14 @@ class TcpBackend(Backend):
         Ranks rendezvous and mesh once; every ``run()`` reuses them.
         Programs are shipped by pickle (module-level callables only).
         """
-        backend = cls(join_timeout=join_timeout, host=host,
+        shared = dict(host=host, join_timeout=join_timeout,
                       heartbeat_interval=heartbeat_interval,
                       integrity=integrity,
-                      reconnect_timeout=reconnect_timeout,
-                      mesh=TcpMesh(nprocs, host=host,
-                                   join_timeout=join_timeout,
-                                   heal_in_place=heal_in_place,
-                                   max_heals=max_heals,
-                                   heartbeat_interval=heartbeat_interval,
-                                   integrity=integrity,
-                                   reconnect_timeout=reconnect_timeout))
-        backend._owns_mesh = True
+                      reconnect_timeout=reconnect_timeout)
+        backend = cls(mesh=TcpMesh(nprocs, heal_in_place=heal_in_place,
+                                   max_heals=max_heals, **shared), **shared)
+        backend._owns_pool = True
         return backend
-
-    def __enter__(self) -> "TcpBackend":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Release the owned mesh, if any (no-op for one-shot backends)."""
-        if self._owns_mesh and self._mesh is not None:
-            self._mesh.close()
-
-    def health(self) -> PoolHealth | None:
-        """The bound mesh's supervision snapshot; ``None`` when one-shot."""
-        return None if self._mesh is None else self._mesh.health()
-
-    def run(
-        self,
-        program: Program,
-        nprocs: int,
-        args: Sequence[Any] = (),
-        kwargs: dict[str, Any] | None = None,
-        *,
-        sync: str = "strict",
-    ) -> BackendRun:
-        self.check_nprocs(nprocs)
-        check_sync(sync)
-        kwargs = kwargs or {}
-        if self._mesh is not None:
-            return self._mesh.run(program, nprocs, args=args, kwargs=kwargs,
-                                  sync=sync)
-        ctx = self._ctx
-        token = _next_token()
-        # Pre-bind the rendezvous listener in the parent: rank 0 inherits
-        # the bound socket, so rank 1's first dial cannot race the bind.
-        coord_listener = bind_listener(self._host)
-        parent_listener = bind_listener(self._host)
-        coord_addr = coord_listener.getsockname()
-        parent_addr = parent_listener.getsockname()
-        parent_listener.setblocking(False)
-        procs = [
-            ctx.Process(
-                target=_oneshot_rank,
-                args=(rank, nprocs, coord_addr, parent_addr, coord_listener,
-                      token, program, args, kwargs, sync,
-                      self._heartbeat_interval, self._integrity,
-                      self._reconnect_timeout),
-                name=f"bsp-tcp-{rank}",
-                daemon=True,
-            )
-            for rank in range(nprocs)
-        ]
-        t0 = time.perf_counter()
-        for proc in procs:
-            proc.start()
-        coord_listener.close()
-        links: dict[int, _Link] = {}
-        anon: list[_Link] = []
-        try:
-            outcomes = _collect_tcp(nprocs, 0, procs, links,
-                                    self._join_timeout,
-                                    listener=parent_listener, anon=anon)
-        finally:
-            # Near-instant after a clean run (ranks already exited); after
-            # a failure the grace only delays SIGTERM to stuck ranks.
-            _join_escalating(procs, grace=2.0)
-            parent_listener.close()
-            for link in list(links.values()) + anon:
-                link.close()
-        wall = time.perf_counter() - t0
-        _raise_run_failure(outcomes)
-        results = [o[1] for o in outcomes]  # type: ignore[index]
-        ledgers = [o[2] for o in outcomes]  # type: ignore[index]
-        return BackendRun(results=results, ledgers=ledgers, wall_seconds=wall)
 
 
 class TcpSpmdBackend(Backend):
@@ -2129,12 +1790,12 @@ class TcpSpmdBackend(Backend):
             reconnect_timeout=self._reconnect_timeout)
         t0 = time.perf_counter()
         try:
-            outcome = _run_program(channel, self._rank, nprocs, run_id,
-                                   program, args, kwargs or {})
+            outcome = run_rank(channel, self._rank, nprocs, run_id, program,
+                               args, kwargs or {}, (Abort, _PeerLost))
             channel.broadcast_result(outcome)
             try:
                 gathered = channel.gather_results(nprocs, self._timeout)
-            except (_Abort, _PeerLost) as exc:
+            except (Abort, _PeerLost) as exc:
                 self._dirty = True
                 self._last_fault = f"{type(exc).__name__}: {exc}"
                 raise SynchronizationError(
@@ -2151,10 +1812,7 @@ class TcpSpmdBackend(Backend):
         if any(o is None or o[0] != "ok" for o in outcomes):
             self._dirty = True
             self._last_fault = "run failure (see raised error)"
-            _raise_run_failure(outcomes)
-        results = [o[1] for o in outcomes]  # type: ignore[index]
-        ledgers = [o[2] for o in outcomes]  # type: ignore[index]
-        return BackendRun(results=results, ledgers=ledgers, wall_seconds=wall)
+        return finish_run(outcomes, wall)
 
     def close(self) -> None:
         self._fabric.close()

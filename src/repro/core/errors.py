@@ -157,9 +157,9 @@ class AdmissionError(BspError, RuntimeError):
 class PoolExhaustedError(BspError, RuntimeError):
     """A self-healing worker pool spent its restart budget and shut down.
 
-    Terminal for the pool: subsequent ``run()`` calls re-raise it.  An
-    opt-in degradation policy (``ProcessBackend(degrade_to_threads=True)``)
-    converts it into a fallback run on the thread backend instead.
+    Terminal for the pool: subsequent ``run()`` calls re-raise it.  A
+    caller that prefers a degraded run to no run catches it and re-runs
+    on ``ThreadBackend()`` (README "Fault tolerance").
     """
 
 

@@ -1,0 +1,46 @@
+"""Shared fixtures for the backend suites."""
+
+import multiprocessing as mp
+import os
+
+import pytest
+
+from repro.backends import shm
+
+
+def _own_listening_sockets() -> set[str]:
+    """Inodes of the TCP sockets this process holds in LISTEN state."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[8:-1])
+    listening = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as fh:
+                rows = fh.read().splitlines()[1:]
+        except OSError:
+            continue
+        for row in rows:
+            cols = row.split()
+            if cols[3] == "0A" and cols[9] in inodes:  # st == LISTEN
+                listening.add(cols[9])
+    return listening
+
+
+@pytest.fixture
+def no_leaks():
+    """Whatever the test did to a pool — and however the pool ended —
+    nothing outlives it: no ``bsp-*`` child process, no ``repro-zc-*``
+    shared-memory segment, no listening socket."""
+    segments = set(shm.scan_orphans())
+    listening = _own_listening_sockets()
+    yield
+    assert not [c for c in mp.active_children() if c.name.startswith("bsp-")]
+    leaked = set(shm.scan_orphans()) - segments
+    assert not leaked, f"leaked segments: {sorted(leaked)}"
+    assert _own_listening_sockets() <= listening

@@ -236,15 +236,6 @@ class TestSelfHealing:
                 pool.run(ring_program, 3)
             assert pool.health().alive == 0
 
-    def test_degrade_to_threads_on_exhaustion(self):
-        plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=0, step=0)])
-        with faults.injected(plan):
-            backend = ProcessBackend.pool(
-                2, join_timeout=30.0, max_restarts=0, degrade_to_threads=True)
-        with backend:
-            run = bsp_run(ring_program, 2, backend=backend)
-        assert [sorted(r) for r in run.results] == [[1], [0]]
-
     def test_bsp_run_retries_recovers_crash(self):
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=0)])
         with faults.injected(plan):

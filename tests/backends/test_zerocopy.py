@@ -26,6 +26,7 @@ is backed by the shared pages themselves.  Exercised here:
   copy-on-send value semantics.
 """
 
+import errno
 import multiprocessing as mp
 import os
 
@@ -38,7 +39,7 @@ from repro import bsp_run
 from repro import faults
 from repro.backends import shm
 from repro.backends.frames import FrameTransport
-from repro.backends.processes import BspPool
+from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import PoolExhaustedError, WorkerCrashError
 from repro.core.packets import Packet, h_units
 
@@ -385,6 +386,24 @@ class TestPooledEndToEnd:
         assert health.zerocopy_hits == 0
         assert health.zerocopy_fallbacks > 0
         assert run_on.results == run_off.results  # bit-identical floats
+
+    def test_full_dev_shm_falls_back_to_the_slab(self, monkeypatch):
+        """A segment that cannot be created is a fallback, not a failed
+        run: the buffer stays on the slab/pipe path it was already on."""
+        def no_space(name, size=0):
+            raise OSError(errno.ENOSPC, f"/dev/shm cannot hold {name}")
+
+        golden = bsp_run(big_allgather, 2, backend="simulator")
+        monkeypatch.setattr(shm, "open_segment", no_space)
+        with BspPool(2, join_timeout=60.0) as pool:  # forks the patch
+            run = bsp_run(big_allgather, 2, backend=ProcessBackend(pool=pool))
+            health = pool.health()
+        assert run.results == golden.results
+        assert (run.stats.S, run.stats.H) == (golden.stats.S, golden.stats.H)
+        assert [(s.h, s.m) for s in run.stats.supersteps] == \
+            [(s.h, s.m) for s in golden.stats.supersteps]
+        assert health.zerocopy_fallbacks > 0
+        assert health.zerocopy_hits == 0
 
     def test_small_payloads_never_lease(self):
         with BspPool(2, join_timeout=60.0) as pool:
