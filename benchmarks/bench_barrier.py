@@ -1,21 +1,25 @@
-"""Measure what relaxed synchronization buys per superstep boundary.
+"""Measure what each synchronization mode costs per superstep boundary.
 
-Two experiments, three sync modes each:
+A boundary is one frame per link of its link set (DESIGN
+"Synchronization modes"); the modes differ in the link set and, on
+sockets, in strict's release round.  Three experiments:
 
-* **Barrier-bound microbench** — ``ROUNDS`` pure-barrier supersteps
-  (no sends at all: the shape of ocean's tiny ghost-exchange steps and
-  the nbody non-rebalance steps, which are almost pure L).  The
-  effective per-superstep synchronization cost is ``wall / rounds``;
-  best-of-``REPEATS`` to shave 1-core scheduler noise.  On pipes,
-  relaxed mode publishes the boundary epoch inline and sends **zero**
-  frames; on TCP it sends one piggybacked empty-final per link instead
-  of strict's counts + release rounds.
+* **Empty supersteps** — ``ROUNDS`` pure-barrier supersteps (no sends
+  at all: the shape of ocean's tiny ghost-exchange steps and the nbody
+  non-rebalance steps, which are almost pure L), strict vs relaxed.
+  The effective per-superstep synchronization cost is ``wall / rounds``;
+  best-of-``REPEATS`` to shave scheduler noise.  On pipes the two modes
+  are the same code path; on TCP relaxed sends one empty final per link
+  where strict sends a final and a release.
+* **Declared ring** — one packet per rank around a ring whose pattern
+  is declared, under all three modes.  Only ``elide`` uses the
+  declaration: its boundary is one frame per rank instead of ``p - 1``,
+  which is what the elide cell measures (an undeclared elide run is
+  relaxed by definition, and measuring it would measure relaxed twice).
 * **Ocean end-to-end** — the full paper application (66-grid, 2 time
   steps), strict vs relaxed wall-clock.  The win shows on the TCP
-  (PC-LAN) backend, where strict pays two extra protocol rounds per
-  boundary; the pipe backend's strict protocol already piggybacks
-  counts on its single combined frame per link, so for ocean's
-  all-links-busy collectives relaxed pipes are reported but not gated.
+  (PC-LAN) backend, where strict pays the release round per boundary;
+  the pipe rows are reported but not gated.
 
 Every timed configuration is also checked for bit-identical results and
 (S, H, h-series, m-series) ledgers against the strict golden — a fast
@@ -23,13 +27,13 @@ barrier that changed the answer would be worthless.
 
 Acceptance floors (enforced, nonzero exit):
 
-* pipes microbench: per-mode *ceilings* on the effective L —
-  ``L_strict_us <= 1000`` and ``L_relaxed_us <= 700`` (``1300`` / ``900``
-  under ``--quick``) — plus relaxed not slower than strict.  Ceilings,
-  not a strict/relaxed ratio: strict now pushes its empty frames from
-  the calling thread, and a ratio floor fails whenever strict gets
-  faster;
-* TCP microbench ``relaxed_speedup_x >= 2.0`` (``>= 1.3`` quick);
+* pipes: one *ceiling* on the effective L of every mode —
+  ``<= 1000`` us (``1300`` under ``--quick``) for empty strict, empty
+  relaxed and declared-ring elide.  A ceiling, not a strict/relaxed
+  ratio: the two are one code path on pipes, so their ratio is a coin
+  flip;
+* both fabrics: declared-ring ``elide <= 0.8 x strict`` at p=8;
+* TCP empty supersteps ``relaxed_speedup_x >= 2.0`` (``>= 1.3`` quick);
 * ocean-on-TCP ``relaxed_speedup_x >= 1.1`` (``>= 1.0`` quick).
 
 Usage::
@@ -69,6 +73,18 @@ def barrier_rounds(bsp, rounds):
     return bsp.pid
 
 
+def declared_ring(bsp, rounds):
+    """One packet per rank around a ring whose pattern is declared."""
+    right = (bsp.pid + 1) % bsp.nprocs
+    bsp.pattern({right}, {(bsp.pid - 1) % bsp.nprocs})
+    for _ in range(rounds):
+        bsp.send(right, 0)
+        bsp.sync()
+        for _ in bsp.packets():
+            pass
+    return bsp.pid
+
+
 def identity_ring(bsp, rounds=3):
     """A small exchange used to pin mode-equivalence during the bench."""
     total = 0
@@ -95,6 +111,16 @@ def bench_microbench(kind: str, rounds: int, repeats: int) -> dict:
 
     row: dict = {"nprocs": NPROCS, "rounds": rounds}
     with cls.pool(NPROCS) as backend:
+
+        def per_boundary_us(program, mode):
+            def once():
+                t0 = time.perf_counter()
+                bsp_run(program, NPROCS, args=(rounds,), backend=backend,
+                        sync=mode)
+                return time.perf_counter() - t0
+
+            return round(_best_of(once, repeats) / rounds * 1e6, 1)
+
         bsp_run(barrier_rounds, NPROCS, args=(rounds,),
                 backend=backend)  # warm the pool + fabric
         for mode in MODES:
@@ -103,19 +129,13 @@ def bench_microbench(kind: str, rounds: int, repeats: int) -> dict:
             if (check.results, _ledger_key(check.stats)) != golden_key:
                 raise AssertionError(
                     f"{kind}/{mode}: run diverged from the strict golden")
-
-            def timed(mode=mode):
-                t0 = time.perf_counter()
-                bsp_run(barrier_rounds, NPROCS, args=(rounds,),
-                        backend=backend, sync=mode)
-                return time.perf_counter() - t0
-
-            wall = _best_of(timed, repeats)
-            row[f"L_{mode}_us"] = round(wall / rounds * 1e6, 1)
+            if mode != "elide":  # undeclared elide *is* relaxed
+                row[f"L_{mode}_us"] = per_boundary_us(barrier_rounds, mode)
+            row[f"ring_{mode}_us"] = per_boundary_us(declared_ring, mode)
     row["relaxed_speedup_x"] = round(
         row["L_strict_us"] / row["L_relaxed_us"], 2)
     row["elide_speedup_x"] = round(
-        row["L_strict_us"] / row["L_elide_us"], 2)
+        row["ring_strict_us"] / row["ring_elide_us"], 2)
     return row
 
 
@@ -156,8 +176,8 @@ def main(argv=None) -> int:
     rounds = ROUNDS_QUICK if args.quick else ROUNDS
     repeats = REPEATS_QUICK if args.quick else REPEATS
     floor = 1.3 if args.quick else 2.0
-    ceilings = {"strict": 1300.0, "relaxed": 900.0} if args.quick \
-        else {"strict": 1000.0, "relaxed": 700.0}
+    ceiling = 1300.0 if args.quick else 1000.0
+    elide_ratio = 0.8
     ocean_floor = 1.0 if args.quick else 1.1
 
     micro = {kind: bench_microbench(kind, rounds, repeats)
@@ -166,21 +186,26 @@ def main(argv=None) -> int:
              for kind in ("processes", "tcp")}
 
     failed = []
-    print(f"barrier-bound microbench: p={NPROCS}, {rounds} empty "
-          f"supersteps, best of {repeats} (effective L per boundary)")
+    print(f"effective L per boundary: p={NPROCS}, {rounds} supersteps, "
+          f"best of {repeats}")
     for kind, row in micro.items():
-        print(f"  {kind:<10} strict {row['L_strict_us']:8.1f} us   "
+        print(f"  {kind:<10} empty: strict {row['L_strict_us']:8.1f} us   "
               f"relaxed {row['L_relaxed_us']:8.1f} us   "
-              f"elide {row['L_elide_us']:8.1f} us   "
               f"-> {row['relaxed_speedup_x']}x relaxed")
-    for mode, ceiling in ceilings.items():
-        got = micro["processes"][f"L_{mode}_us"]
+        print(f"  {'':<10} declared ring: strict "
+              f"{row['ring_strict_us']:8.1f} us   "
+              f"relaxed {row['ring_relaxed_us']:8.1f} us   "
+              f"elide {row['ring_elide_us']:8.1f} us   "
+              f"-> {row['elide_speedup_x']}x elide")
+        if row["ring_elide_us"] > elide_ratio * row["ring_strict_us"]:
+            failed.append(f"{kind} declared ring (elide "
+                          f"{row['ring_elide_us']} us > {elide_ratio} x "
+                          f"strict {row['ring_strict_us']} us)")
+    for cell in ("L_strict_us", "L_relaxed_us", "ring_elide_us"):
+        got = micro["processes"][cell]
         if got > ceiling:
-            failed.append(f"processes microbench L_{mode}_us "
+            failed.append(f"processes microbench {cell} "
                           f"({got} us > {ceiling} us)")
-    if micro["processes"]["relaxed_speedup_x"] < 1.0:
-        failed.append("processes microbench (relaxed slower than strict "
-                      "on empty supersteps)")
     if micro["tcp"]["relaxed_speedup_x"] < floor:
         failed.append(f"tcp microbench "
                       f"({micro['tcp']['relaxed_speedup_x']}x < {floor}x)")
@@ -200,7 +225,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "floor_x": floor,
-        "pipe_ceilings_us": ceilings,
+        "pipe_ceiling_us": ceiling,
+        "elide_ring_ratio": elide_ratio,
         "ocean_floor_x": ocean_floor,
         "microbench": micro,
         "ocean": ocean,

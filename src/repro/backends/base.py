@@ -57,13 +57,10 @@ __all__ = [
 #: Signature of a user BSP program.
 Program = Callable[..., Any]
 
-#: Synchronization modes of the exchange protocol (DESIGN
-#: "Synchronization modes").  ``strict`` is the two-phase barrier used
-#: everywhere before this layer existed and remains the accounting
-#: oracle; ``relaxed`` piggybacks completion on the data frames so a
-#: processor passes ``bspSynch`` as soon as its own inbound frames are
-#: complete; ``elide`` additionally skips the empty frames of peers
-#: outside a declared :class:`~repro.bsplib.CommPattern`.
+#: Synchronization modes of the exchange protocol; what each means is
+#: :func:`repro.backends.exchange.boundary_links` (DESIGN
+#: "Synchronization modes").  The simulator and the thread backend
+#: accept all three and ignore them.
 SYNC_MODES = ("strict", "relaxed", "elide")
 
 

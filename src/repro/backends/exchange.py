@@ -13,13 +13,21 @@ processor sits out exactly one (its partner is :data:`IDLE`).
 The schedule is used by the process backend to order its sends, and is a
 good property-test target: every stage must be a perfect matching, and the
 union over stages must cover every unordered pair exactly once.
+
+The module also defines, once for both frame fabrics, what a superstep
+boundary *is*: :func:`boundary_links` maps a synchronization mode to the
+links a boundary uses, and :class:`LinkChannel` is the part of
+``exchange()`` that does not depend on what a link is made of.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Any, Sequence
 
 from ..core.errors import BspConfigError
+from ..core.packets import Packet, PacketRuns
+from .base import check_pattern_sends
 
 #: Partner value for a processor idle in a stage (odd ``p`` only).
 IDLE = -1
@@ -79,6 +87,89 @@ def peer_order(nprocs: int, pid: int) -> list[int]:
     return [
         stage[pid] for stage in exchange_schedule(nprocs) if stage[pid] != IDLE
     ]
+
+
+def boundary_links(sync: str, fence: bool, pattern: Any,
+                   peers: Sequence[int]
+                   ) -> tuple[Sequence[int], frozenset[int], bool]:
+    """The superstep boundary contract: ``(out_links, in_links,
+    release_round)``.
+
+    A processor sends exactly one frame — its bucket, or an empty final —
+    on each out-link, in ``peers`` (schedule) order, and passes once it
+    holds exactly one from each live in-link: the all-to-all is the
+    barrier (B.2), and link FIFO bounds a neighbour's run-ahead to one
+    superstep.  ``strict`` and ``relaxed`` use every peer; ``elide`` with
+    a declared :class:`~repro.bsplib.CommPattern` uses ``sends_to`` /
+    ``receives_from``, so the boundary costs O(degree) and undeclared
+    links carry nothing; a checkpoint ``fence`` uses every peer whatever
+    the mode, because a cut needs all processors at the same boundary.
+
+    ``release_round`` is what ``strict`` (and a fence) adds on a fabric
+    whose links cannot prove receipt: a frame handed to a socket may be
+    lost and replayed, so passing additionally waits for a release from
+    every peer it sent to.  A pipe write is its own receipt — the frame
+    sits in the destination's pipe and slab when the call returns — so
+    the pipe fabric runs the same round in every mode.
+    """
+    if sync == "elide" and pattern is not None and not fence:
+        out_links = [q for q in peers if q in pattern.sends_to]
+        return out_links, pattern.receives_from, False
+    return peers, frozenset(peers), fence or sync == "strict"
+
+
+class LinkChannel:
+    """What ``exchange()`` does on every frame fabric.
+
+    A fabric subclass supplies ``_enter`` (heartbeat and boundary fault
+    hooks) and ``_round`` (put one frame on each out-link, collect one
+    per live in-link, by source); everything about *which* links a
+    boundary uses is :func:`boundary_links`.
+    """
+
+    def __init__(self, pid: int, nprocs: int, sync: str):
+        self._pid = pid
+        self._nprocs = nprocs
+        self._sync = sync
+        self._pattern = None
+        #: One-shot: the next boundary is a checkpoint cut.
+        self._fence = False
+        self._peers = peer_order(nprocs, pid)
+        self._departed: set[int] = set()
+
+    def declare_pattern(self, pattern) -> None:
+        """Bind this processor's :class:`~repro.bsplib.CommPattern`.
+
+        Under ``elide`` it prunes the boundary to its declared links; in
+        every mode a validating pattern turns an out-of-pattern send
+        into a :class:`~repro.core.errors.BspUsageError` at the next
+        boundary.
+        """
+        self._pattern = pattern
+
+    def fence_next_sync(self) -> None:
+        """Make the next boundary a full fence (checkpoint cut)."""
+        self._fence = True
+
+    def exchange(self, pid: int, step: int,
+                 outbox: list[Packet]) -> PacketRuns:
+        self._enter(step, outbox)
+        buckets: dict[int, list[Packet]] = {}
+        for pkt in outbox:
+            buckets.setdefault(pkt.dst, []).append(pkt)
+        if self._pattern is not None:
+            check_pattern_sends(pid, step, buckets, self._pattern)
+        links = boundary_links(self._sync, self._fence, self._pattern,
+                               self._peers)
+        self._fence = False
+        got = self._round(step, buckets, *links)
+        own = buckets.get(pid)
+        if own is not None:
+            got[pid] = own
+        # One run per source, each seq-sorted: canonical order once
+        # concatenated by src (empty finals decode to empty runs, which
+        # PacketRuns drops).
+        return PacketRuns(got.items())
 
 
 def validate_schedule(nprocs: int) -> None:

@@ -81,7 +81,7 @@ from ..core.packets import Packet
 from . import shm
 
 #: Frame tags.  TAG_RELEASE carries zero-copy lease ids back to the
-#: segment owner when no data frame is owed to piggyback them on.
+#: segment owner when no boundary frame is owed to piggyback them on.
 TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_FENCE, TAG_RELEASE = 0, 1, 2, 3, 4
 
 #: Buffer transport modes.
@@ -293,10 +293,10 @@ class Slab:
 class Frame:
     """One received boundary frame, payload still undecoded.
 
-    ``more`` is the relaxed-sync piggyback bit: 0 marks the *final*
-    frame from ``src`` for this superstep (nothing more is coming on
-    this link), 1 means further frames follow.  Strict-mode frames all
-    carry 0 — there is exactly one data frame per link per boundary.
+    ``more`` is the completion bit: 0 marks the *final* frame from
+    ``src`` for this superstep (nothing more is coming on this link), 1
+    means further frames follow.  Boundary frames all carry 0 — there is
+    exactly one per link per boundary in every sync mode.
 
     ``seq``/``ack`` are the TCP wire envelope's link-sequencing fields
     (see :mod:`repro.backends.tcp_wire`): ``seq`` is this frame's
@@ -399,20 +399,6 @@ class FrameTransport:
         #: "dead" and "deadlocked".
         self._hb_mm = mmap.mmap(-1, max(8 * nprocs, mmap.PAGESIZE))
         self._hb = memoryview(self._hb_mm).cast("Q")
-        #: Fork-shared relaxed-sync epochs: one 8-byte slot per worker
-        #: holding ``(run_id << 32) | completed_boundaries`` — published by
-        #: its owner *after* all its boundary frames for a superstep are
-        #: in the pipes, so a peer observing the epoch can drain its pipe
-        #: non-blockingly and is guaranteed to find every frame for that
-        #: superstep.  Same single-writer atomicity argument as ``_hb``.
-        #: Strict-mode runs never touch these slots.
-        self._ep_mm = mmap.mmap(-1, max(8 * nprocs, mmap.PAGESIZE))
-        self._ep = memoryview(self._ep_mm).cast("Q")
-        #: Wakes epoch waiters without polling: publishers notify under
-        #: this fork-shared condition, so a boundary wait is a blocking
-        #: kernel wait, not a spin — essential on few-core hosts, where
-        #: spinning steals the CPU from the very peer being waited for.
-        self._ep_cond = ctx.Condition()
         #: One ``POLLOUT`` poller per pipe write end, for the
         #: non-blocking push (pollers hold fd numbers only: fork-safe).
         self._pollers = []
@@ -592,50 +578,6 @@ class FrameTransport:
         """Snapshot of every worker's heartbeat counter."""
         return [self._hb[pid] for pid in range(self.nprocs)]
 
-    # -- relaxed-sync epochs -------------------------------------------------
-
-    def set_epoch(self, pid: int, value: int, n: int | None = None, *,
-                  notify: bool = False) -> None:
-        """Publish ``pid``'s epoch word (owning worker only).
-
-        Must be called only after every boundary frame the worker owed
-        for the superstep has been written to the pipes — the store is
-        the release that lets peers drain without blocking.
-
-        Waiter wakeups are *completion-triggered*: with ``n`` given,
-        waiters are notified only when this store makes every worker in
-        ``range(n)`` reach ``value`` — i.e. by the last publisher of a
-        boundary — so each waiter wakes once per boundary instead of
-        once per publish (p-1 spurious scheduler wakeups per boundary
-        otherwise, which on few-core hosts costs more than the barrier
-        itself).  ``notify=True`` forces a wakeup regardless (departure
-        sentinels, which satisfy waits mid-boundary).
-        """
-        with self._ep_cond:
-            self._ep[pid] = value
-            if notify or (n is not None and all(
-                    self._ep[q] >= value for q in range(n))):
-                self._ep_cond.notify_all()
-
-    def epoch(self, pid: int) -> int:
-        """Current epoch word of ``pid`` (any reader)."""
-        return self._ep[pid]
-
-    def wait_epochs(self, pids, target: int, departed, timeout: float) -> bool:
-        """Block until every ``pid`` in ``pids`` is departed or has an
-        epoch word >= ``target``; ``False`` on timeout.
-
-        The satisfied-check runs under the same condition the publishers
-        notify, so a store between check and wait cannot be missed.  The
-        caller still needs a bounded ``timeout``: departures and aborts
-        arrive as pipe frames, which do not notify this condition.
-        """
-        with self._ep_cond:
-            if all(p in departed or self._ep[p] >= target for p in pids):
-                return True
-            self._ep_cond.wait(timeout)
-            return all(p in departed or self._ep[p] >= target for p in pids)
-
     def locks_free(self, timeout: float = 0.25) -> bool:
         """True when every per-destination writer lock is acquirable.
 
@@ -678,9 +620,10 @@ class FrameTransport:
                      lease_ids: Sequence[int]) -> None:
         """Return lease ids to segment owner ``dst`` on a control frame.
 
-        Only used when no data frame to ``dst`` is owed this boundary
-        (relaxed sync with an empty bucket); otherwise releases piggyback
-        on the boundary frame for free.
+        Only used when no boundary frame to ``dst`` is owed: ``dst`` is
+        outside this boundary's out-links (``elide`` with a declared
+        pattern), or outside this run's ``nprocs`` on a larger pool.
+        Every other release piggybacks on the boundary frame for free.
         """
         header = pickle.dumps(
             (TAG_RELEASE, run_id, -1, src, _MODE_PIPE, (), 0, None, 0,
@@ -820,17 +763,6 @@ class FrameTransport:
 
     # -- receiving ----------------------------------------------------------
 
-    def try_recv(self, pid: int) -> Frame | None:
-        """Non-blocking :meth:`recv`: ``None`` when no frame is ready.
-
-        Used by the relaxed-sync drain loop, which polls its own pipe
-        while spinning on peers' epoch words instead of blocking on
-        either.
-        """
-        if not self._recv_conns[pid].poll(0):
-            return None
-        return self.recv(pid)
-
     def recv(self, pid: int) -> Frame:
         """Block for the next frame addressed to ``pid``.
 
@@ -936,11 +868,6 @@ class FrameTransport:
         try:
             self._hb.release()
             self._hb_mm.close()
-        except (BufferError, ValueError):  # pragma: no cover
-            pass
-        try:
-            self._ep.release()
-            self._ep_mm.close()
         except (BufferError, ValueError):  # pragma: no cover
             pass
         try:

@@ -6,19 +6,24 @@ parallel (no GIL).  As in the paper's MPI version, communication happens
 buckets its outgoing packets per destination; at the boundary it pushes one
 **combined frame** per peer (possibly empty — the all-to-all itself is the
 implicit synchronization, exactly as in B.2) and blocks until it has
-received the boundary frame of every live peer.  Frames are the batched
-zero-copy representation of :mod:`~repro.backends.frames`: per-bucket
-``seq``/``h`` metadata plus protocol-5 out-of-band payload buffers moved
-through a fork-shared slab ring, so a bucket of NumPy halos crosses the
-boundary with two memcpys instead of a pickle stream per packet.  Sends
-are issued in the :func:`~repro.backends.exchange.peer_order` of the
-precomputed total-exchange pairing schedule, the TCP version's
-deadlock-avoidance discipline (B.3).
+received the boundary frame of every live peer.  That one round serves
+every ``sync`` mode — a pipe write is its own receipt, so ``strict`` and
+``relaxed`` coincide here, and ``elide`` runs it over the links of a
+declared pattern (:func:`~repro.backends.exchange.boundary_links`).
+
+Frames are the batched zero-copy representation of
+:mod:`~repro.backends.frames`: per-bucket ``seq``/``h`` metadata plus
+protocol-5 out-of-band payload buffers moved through a fork-shared slab
+ring, so a bucket of NumPy halos crosses the boundary with two memcpys
+instead of a pickle stream per packet.  Sends are issued in the
+:func:`~repro.backends.exchange.peer_order` of the precomputed
+total-exchange pairing schedule, the TCP version's deadlock-avoidance
+discipline (B.3).
 
 Who writes a frame is decided per frame.  The thread that called
 ``sync()`` offers each one to a push that never waits (destination lock
 free, slab room now, one pipe message within ``PIPE_BUF`` on a writable
-pipe): ocean's ghost rows and every empty strict frame go out this way,
+pipe): ocean's ghost rows and every empty frame go out this way,
 one ``write`` each, and no second thread is ever started.  Whatever that
 push refuses — a frame that could fill a pipe or the ring, or one whose
 large buffers lease zero-copy regions — is handed, already encoded, to a
@@ -37,8 +42,8 @@ the pipe fabric behind it: :class:`_FrameChannel` (the exchange above)
 and :class:`BspPool`, which supplies only
 
 * **build / teardown**: one :class:`~repro.backends.frames.FrameTransport`
-  (pipes, slab rings, segment pools, heartbeat and epoch words), a
-  control queue per worker and one result queue;
+  (pipes, slab rings, segment pools, heartbeat words), a control queue
+  per worker and one result queue;
 * **dispatch**: ``(program, args)`` encoded once for all workers, array
   arguments above the zero-copy threshold arriving as read-only views of
   one shared-memory copy (valid for the run);
@@ -70,9 +75,9 @@ from ..core.errors import (
     SynchronizationError,
     WorkerCrashError,
 )
-from ..core.packets import Packet, PacketRuns
-from .base import Program, check_pattern_sends
-from .exchange import peer_order
+from ..core.packets import Packet
+from .base import Program
+from .exchange import LinkChannel
 from .frames import (
     DEFAULT_SLAB_BYTES,
     TAG_DEAD,
@@ -97,50 +102,28 @@ from .pool import (
 _POOL_PREFAULT_BYTES = 4 << 20
 
 
-class _FrameChannel:
+class _FrameChannel(LinkChannel):
     """Superstep-boundary exchange over the shared frame transport.
 
-    ``sync`` selects the boundary protocol.  **strict** (default): push
-    one frame per peer (empty buckets included — the all-to-all is the
-    barrier) and block until every live peer's frame arrived.
-    **relaxed**: push frames only for non-empty buckets, then pass the
-    boundary once every live peer's *epoch word* in the fork-shared
-    transport shows it completed this boundary — the pipe ``write()``
-    returns before the owner publishes its epoch, so an observed epoch
-    guarantees that peer's frames are already drainable; empty
-    supersteps cost zero frames.  **elide**: like relaxed, but with a
-    declared :class:`~repro.bsplib.CommPattern` the wait covers only
-    ``receives_from`` neighbours, making the boundary O(degree).
-    Run-ahead is bounded to one superstep in every mode (a peer cannot
-    start superstep ``s+1`` before observing this worker's boundary-``s``
-    completion), which is what ``_stash`` absorbs.
+    One protocol for every ``sync`` mode, that of
+    :func:`~repro.backends.exchange.boundary_links`: push one frame per
+    out-link (empty buckets included), block until every live in-link's
+    frame arrived.  The modes differ only in the link sets, and a pipe
+    needs no release round.  ``_stash`` absorbs the frames of peers
+    already a superstep ahead.
 
-    In every mode frames go out through :meth:`_push`: from the calling
-    thread when that cannot wait, else from a sender thread that exists
-    only once a frame needed it.  A failed send (an unpicklable payload)
-    ends the same on either thread: recorded, ``TAG_DEAD`` to every
-    peer, the original exception raised out of ``exchange``.
+    Frames go out through :meth:`_push`: from the calling thread when
+    that cannot wait, else from a sender thread that exists only once a
+    frame needed it.  A failed send (an unpicklable payload) ends the
+    same on either thread: recorded, ``TAG_DEAD`` to every peer, the
+    original exception raised out of ``exchange``.
     """
 
     def __init__(self, pid: int, nprocs: int, transport: FrameTransport,
                  run_id: int, *, sync: str = "strict"):
-        self._pid = pid
-        self._nprocs = nprocs
+        super().__init__(pid, nprocs, sync)
         self._transport = transport
         self._run_id = run_id
-        self._sync = sync
-        self._pattern = None
-        #: One-shot downgrade to the strict protocol (checkpoint cuts).
-        self._fence_strict = False
-        #: Sticky: once an injected DROP_FRAME fires, this worker never
-        #: publishes an epoch again — a one-time withhold would let the
-        #: victim observe a *later* epoch, pass the barrier, and silently
-        #: miss the dropped data; freezing turns the loss into the stall
-        #: (flat heartbeats → DeadlockError) that a lost message means.
-        self._epoch_frozen = False
-        self._peers = peer_order(nprocs, pid)
-        self._peer_set = frozenset(self._peers)
-        self._departed: set[int] = set()
         #: Early arrivals from peers already one superstep ahead.
         self._stash: dict[int, dict[int, list[Packet]]] = {}
         # Sender thread for the frames the calling thread could not push
@@ -151,25 +134,16 @@ class _FrameChannel:
         # will ever drain; the thread must not keep the process alive
         # then.
         self._cv = threading.Condition()
-        #: (step, encoded frames, publish the epoch afterwards?)
-        self._req: tuple[int, list[tuple], bool] | None = None
+        #: The encoded frames the sender thread is to push, if any.
+        self._req: list[tuple] | None = None
         self._stop = False
         self._push_error: list[BaseException] = []
         self._sender: threading.Thread | None = None
 
-    def declare_pattern(self, pattern) -> None:
-        """Bind this processor's :class:`~repro.bsplib.CommPattern`."""
-        self._pattern = pattern
-
-    def fence_next_sync(self) -> None:
-        """Run the next boundary on the strict protocol (checkpoint cut)."""
-        self._fence_strict = True
-
     # -- sending -------------------------------------------------------------
 
     def _push(self, step: int, buckets: dict[int, list[Packet]],
-              targets: Sequence[int], releases: dict[int, list[int]], *,
-              epoch: bool = False) -> None:
+              targets: Sequence[int], releases: dict[int, list[int]]) -> None:
         """Put one frame per target on the wire, in schedule order.
 
         Pipe writes and slab allocations block once full, so two peers
@@ -178,9 +152,7 @@ class _FrameChannel:
         empty the pipe").  So the calling thread pushes only what cannot
         wait (for ocean's ghost rows: everything) and then plays the
         receiver; frames that could block go, already encoded, to the
-        sender thread.  A relaxed boundary (``epoch``) publishes its
-        epoch after the last pipe write, whichever thread made it, so an
-        observed epoch guarantees the frames are drainable.
+        sender thread.
         """
         transport, run_id, pid = self._transport, self._run_id, self._pid
         deferred = []
@@ -202,20 +174,8 @@ class _FrameChannel:
                     daemon=True)
                 self._sender.start()
             with self._cv:
-                self._req = (step, deferred, epoch)
+                self._req = deferred
                 self._cv.notify_all()
-        elif epoch:
-            self._publish_epoch(step)
-
-    def _publish_epoch(self, step: int) -> None:
-        """Relaxed boundary ``step`` is complete here: every owed frame
-        is in a pipe (or was dropped by a fault, which freezes us)."""
-        plan = faults._ACTIVE
-        if plan is not None and plan.drops_any_frame(self._pid, step):
-            self._epoch_frozen = True
-        if not self._epoch_frozen:
-            self._transport.set_epoch(
-                self._pid, (self._run_id << 32) | (step + 1), self._nprocs)
 
     def _send_failed(self, exc: BaseException) -> None:
         """Record a failed send and wake every peer (fail fast: nobody
@@ -234,7 +194,7 @@ class _FrameChannel:
                     self._cv.wait()
                 if self._req is None:
                     return
-                step, frames, epoch = self._req
+                frames = self._req
             try:
                 for frame in frames:
                     transport.push_frame(frame)
@@ -245,9 +205,6 @@ class _FrameChannel:
                                            self._run_id, self._pid)
                 except BaseException:  # pragma: no cover - transport gone
                     pass
-            else:
-                if epoch:
-                    self._publish_epoch(step)
             with self._cv:
                 self._req = None
                 self._cv.notify_all()
@@ -270,7 +227,7 @@ class _FrameChannel:
 
     # -- exchange ------------------------------------------------------------
 
-    def exchange(self, pid: int, step: int, outbox: list[Packet]) -> PacketRuns:
+    def _enter(self, step: int, outbox: list[Packet]) -> None:
         # Heartbeat: one bump per superstep boundary makes "slow but
         # alive" visible to the supervisor; a flat counter past the stall
         # window is what distinguishes a deadlock from a long superstep.
@@ -279,52 +236,34 @@ class _FrameChannel:
         plan = faults._ACTIVE
         if plan is not None:
             plan.at_boundary(self._pid, step, self._nprocs, outbox)
+
+    def _round(self, step: int, buckets: dict[int, list[Packet]],
+               out_links: Sequence[int], in_links: frozenset[int],
+               release_round: bool) -> dict[int, list[Packet]]:
+        # No release round on this fabric: a pushed frame is already in
+        # its destination's pipe and slab.
+        transport, pid = self._transport, self._pid
         # Zero-copy lease upkeep: reap inbound leases whose payloads the
         # program dropped; their ids ride home piggybacked on this
-        # boundary's outgoing frames (strict mode always owes one frame
-        # per peer, so releases are free).  TORN_LEASE discards them —
-        # the owner's pool must grow, never alias.
-        releases = self._transport.collect_releases(
-            self._pid,
-            discard=plan is not None and plan.tears_lease(self._pid, step))
-        if plan is not None and plan.leaks_segment(self._pid, step):
-            self._transport.leak_segment(self._pid)
-        buckets: dict[int, list[Packet]] = {}
-        for pkt in outbox:
-            buckets.setdefault(pkt.dst, []).append(pkt)
-        if self._pattern is not None:
-            check_pattern_sends(self._pid, step, buckets, self._pattern)
-        strict = self._sync == "strict" or self._fence_strict
-        self._fence_strict = False
-        if not strict:
-            return self._exchange_relaxed(step, buckets, releases)
-
-        transport = self._transport
-        # Releases for owners we owe no frame this boundary (a previous
-        # run on this pool used more processors) go on dedicated control
-        # frames; everything else piggybacks.
+        # boundary's frames.  TORN_LEASE discards them — the owner's
+        # pool must grow, never alias.
+        plan = faults._ACTIVE
+        releases = transport.collect_releases(
+            pid, discard=plan is not None and plan.tears_lease(pid, step))
+        if plan is not None and plan.leaks_segment(pid, step):
+            transport.leak_segment(pid)
+        # An owner we owe no frame this boundary — outside the declared
+        # out-links under elide, or outside this run's nprocs on a larger
+        # pool — gets its ids on a dedicated control frame.
         for owner, ids in releases.items():
-            if owner not in self._peer_set:
-                transport.send_release(owner, self._run_id, self._pid, ids)
-        self._push(step, buckets, self._peers, releases)
-
-        got: dict[int, list[Packet]] = {}
-        own = buckets.get(self._pid)
-        if own is not None:
-            got[self._pid] = own
-        got.update(self._stash.pop(step, {}))
-        while self._peer_set - self._departed - got.keys():
-            self._consume(transport.recv(self._pid), step, got)
+            if owner not in out_links:
+                transport.send_release(owner, self._run_id, pid, ids)
+        self._push(step, buckets, out_links, releases)
+        got = self._stash.pop(step, {})
+        while in_links - self._departed - got.keys():
+            self._consume(transport.recv(pid), step, got)
         self._send_wait()
-        # A strict boundary inside a relaxed/elide run (a checkpoint
-        # fence) must keep the epoch invariant — epoch == completed
-        # boundaries — so peers' later relaxed waits stay satisfiable.
-        if self._sync != "strict" and not self._epoch_frozen:
-            transport.set_epoch(self._pid, (self._run_id << 32) | (step + 1),
-                                self._nprocs)
-        # One frame per source, each a seq-sorted run: the inbox is
-        # already in canonical order once concatenated by src.
-        return PacketRuns(got.items())
+        return got
 
     def _consume(self, frame, step: int,
                  got: dict[int, list[Packet]]) -> None:
@@ -349,89 +288,16 @@ class _FrameChannel:
                 self._send_wait()  # raises: our own send failed
             raise Abort()
 
-    def _exchange_relaxed(self, step: int,
-                          buckets: dict[int, list[Packet]],
-                          releases: dict[int, list[int]]) -> PacketRuns:
-        """Relaxed/elide boundary: frames for data, epochs for the barrier.
-
-        Only non-empty buckets become frames.  This thread drains its own
-        pipe non-blockingly (so mutual large pushes cannot deadlock),
-        publishes its epoch word once its sends completed, and passes the
-        boundary when every awaited peer's epoch shows the same — after
-        which one final drain is guaranteed to find every frame owed for
-        this superstep, because each peer's pipe writes happen before its
-        epoch store.
-        """
-        transport, pid = self._transport, self._pid
-        pattern = self._pattern
-        targets = [peer for peer in self._peers if buckets.get(peer)]
-        # Releases piggyback on the data frames we owe; owners getting no
-        # frame this boundary (empty bucket) get a dedicated control
-        # frame.  Lease releases only exist at all after large payloads
-        # flowed, so empty-superstep frame budgets are unchanged.
-        for owner, ids in releases.items():
-            if owner not in targets:
-                transport.send_release(owner, self._run_id, pid, ids)
-        # Nothing deferred (always so for an empty superstep) means the
-        # epoch is published inline and no thread is ever woken — which
-        # is what makes an empty superstep cost less than a strict one.
-        self._push(step, buckets, targets, releases, epoch=True)
-        target = (self._run_id << 32) | (step + 1)
-
-        got: dict[int, list[Packet]] = {}
-        own = buckets.get(pid)
-        if own is not None:
-            got[pid] = own
-        got.update(self._stash.pop(step, {}))
-        if self._sync == "elide" and pattern is not None:
-            waitset = set(pattern.receives_from)
-        else:
-            waitset = self._peer_set
-        while True:
-            frame = transport.try_recv(pid)
-            while frame is not None:
-                self._consume(frame, step, got)
-                frame = transport.try_recv(pid)
-            # Blocking wait with a bounded timeout: epoch publishes wake
-            # us via the shared condition; the timeout keeps us draining
-            # our pipe (which is what unsticks a peer's sender — or our
-            # own — blocked on a full pipe or slab) and lets us notice
-            # TAG_LEFT / TAG_DEAD frames, which do not notify epochs.
-            if transport.wait_epochs(waitset, target, self._departed, 0.002):
-                break
-        # Final full drain: every awaited peer's pipe writes happen
-        # before its epoch store, so all frames owed for this superstep
-        # are pollable by now.
-        frame = transport.try_recv(pid)
-        while frame is not None:
-            self._consume(frame, step, got)
-            frame = transport.try_recv(pid)
-        self._send_wait()
-        return PacketRuns(got.items())
-
     def depart(self) -> None:
         plan = faults._ACTIVE
-        dropped = False
         for peer in self._peers:
             if plan is not None and plan.drops_depart(self._pid, peer):
-                dropped = True
                 continue
             self._transport.send_control(peer, TAG_LEFT, self._run_id, self._pid)
-        # Relaxed/elide peers wait on our epoch word, not only on frames:
-        # publish a max-step sentinel (still below any later run's values)
-        # so every future boundary of this run sees us satisfied.  A
-        # dropped departure must keep stalling peers — that is the fault
-        # being injected — so the sentinel is withheld whenever any
-        # TAG_LEFT was dropped, or the epoch is frozen by a dropped frame.
-        if self._sync != "strict" and not self._epoch_frozen and not dropped:
-            self._transport.set_epoch(
-                self._pid, (self._run_id << 32) | 0xFFFFFFFF, notify=True)
 
     def die(self) -> None:
         for peer in self._peers:
             self._transport.send_control(peer, TAG_DEAD, self._run_id, self._pid)
-
-
 
 
 def _do_fence(pid: int, nprocs: int, fence_id: int,

@@ -9,31 +9,28 @@ combined frame per peer** using the exact pickle-5 out-of-band layout of
 :mod:`~repro.backends.frames` — so ``seq``/``h`` accounting (and hence
 every ledger) is bit-identical to the other backends.
 
-``bspSynch`` is a two-phase barrier over the mesh:
+``bspSynch`` is the one boundary round of
+:func:`~repro.backends.exchange.boundary_links`: in
+:func:`~repro.backends.exchange.peer_order` (B.3's pairing discipline)
+every rank sends each out-link exactly one frame — its combined bucket,
+or an empty final — and has "arrived" once every live in-link's frame is
+in hand; per-link TCP FIFO bounds run-ahead to one superstep (early
+frames are stashed by step).  A socket cannot prove receipt, so the
+**strict** (default) mode adds a *release* round: an arrived rank
+broadcasts ``TAG_RELEASE`` and passes only after receiving every live
+peer's release — two frames per link per boundary, data-bearing or not.
+That is what lets strict send its payload buffers uncopied: the release
+proves they were received before the program can touch them.
 
-1. *counts exchange* — in :func:`~repro.backends.exchange.peer_order`
-   (B.3's pairing discipline), every rank sends each peer a tiny
-   ``TAG_COUNTS`` frame announcing how many data frames follow for this
-   superstep (0 or 1, since buckets are combined), then the data frame
-   itself.  A rank has "arrived" once every live peer's announced frames
-   are in hand.
-2. *release* — it then broadcasts ``TAG_RELEASE`` and may pass the
-   barrier only after receiving every live peer's release.  This bounds
-   run-ahead to one superstep (early frames are stashed by step), and
-   gives DROP_FRAME fault injection its honest semantics: a dropped
-   frame stalls phase 1 forever, which supervision reports as a
-   :class:`~repro.core.errors.DeadlockError`.
-
-That is the **strict** (default) mode.  ``run(..., sync="relaxed")``
-drops both control rounds: completion is piggybacked on the data frames
-themselves (the wire header's ``more`` bit), every live link carries
-exactly one frame per boundary (empty buckets become an empty final
-frame), and per-link TCP FIFO bounds run-ahead to one superstep.
-``sync="elide"`` additionally uses a declared
-:class:`~repro.bsplib.CommPattern` to skip non-neighbour links
-entirely.  See :class:`_MeshChannel`.  All modes deliver bit-identical
-results and ledgers; checkpoint cuts fence through the strict barrier
-in every mode.
+``run(..., sync="relaxed")`` drops the release round — one frame per
+live link per boundary, the journal snapshotting payload bytes instead —
+and ``sync="elide"`` additionally uses a declared
+:class:`~repro.bsplib.CommPattern` to skip undeclared links entirely.
+All modes deliver bit-identical results and ledgers; checkpoint cuts run
+the strict round over every link in every mode; and in every mode a
+dropped frame (DROP_FRAME fault injection) stalls its receiver forever,
+which supervision reports as a
+:class:`~repro.core.errors.DeadlockError`.
 
 All sockets are non-blocking and serviced by one
 :mod:`selectors`-based event loop per rank, so serialization, sends, and
@@ -110,9 +107,9 @@ from ..core.errors import (
     SynchronizationError,
     WorkerCrashError,
 )
-from ..core.packets import Packet, PacketRuns
-from .base import Backend, BackendRun, Program, check_pattern_sends, check_sync
-from .exchange import peer_order
+from ..core.packets import Packet
+from .base import Backend, BackendRun, Program, check_sync
+from .exchange import LinkChannel
 from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, Frame
 from .pool import (
     Abort,
@@ -202,21 +199,18 @@ class _LinkState:
 # ---------------------------------------------------------------------------
 
 
-class _MeshChannel:
+class _MeshChannel(LinkChannel):
     """Superstep-boundary exchange over a socket mesh (one rank's view).
 
-    ``sync`` selects the boundary protocol.  **strict** (default): the
-    two-phase counts→release barrier described in the module docstring.
-    **relaxed**: no TAG_COUNTS round and no TAG_RELEASE broadcast — each
-    rank sends exactly one TAG_PKT frame per live link (empty buckets
-    become an empty final frame) with the header's ``more`` bit cleared,
-    and passes the barrier as soon as its own inbound final frames for
-    the step are all in and its outbound queues drained.  Per-link TCP
-    FIFO bounds run-ahead to one superstep (a peer cannot start step
-    ``s+1`` before our step-``s`` final reached it).  **elide**: like
-    relaxed, but with a declared :class:`~repro.bsplib.CommPattern` the
-    rank sends finals only along ``sends_to`` links and awaits only
-    ``receives_from`` links — non-neighbours exchange nothing at all.
+    One round for every ``sync`` mode, that of
+    :func:`~repro.backends.exchange.boundary_links`: one ``TAG_PKT``
+    frame per out-link with the header's ``more`` bit cleared (an empty
+    bucket becomes an empty final — it *is* the "no data" announcement),
+    pass once every live in-link's final is in and the outbound queues
+    are drained.  Per-link TCP FIFO bounds run-ahead to one superstep (a
+    peer cannot start step ``s+1`` before our step-``s`` final reached
+    it).  ``strict`` and checkpoint fences add the release round
+    described in the module docstring.
     """
 
     def __init__(self, rank: int, nprocs: int,
@@ -229,31 +223,24 @@ class _MeshChannel:
                  heartbeat_interval: float = 0.25,
                  reconnect_timeout: float = 5.0,
                  watch_ctrl: bool = False):
-        self._rank = rank
-        self._nprocs = nprocs
+        super().__init__(rank, nprocs, sync)
         self._socks = dict(socks)
         self._run_id = run_id
         self._ctrl = ctrl
-        self._sync = sync
         self._fabric = fabric
         self._integrity = integrity
         self._reconnect_timeout = reconnect_timeout
-        self._pattern = None
-        #: One-shot downgrade to the strict protocol (checkpoint cuts).
-        self._fence_strict = False
         #: Heartbeat piggybacking state (relaxed/elide): inbound data
         #: frames since the last control beat, and when that beat was.
         self._data_beats = 0
         self._last_beat = time.monotonic()
         self._hb_interval = heartbeat_interval
         self._hb_sent = (0, 0)
-        self._peers = peer_order(nprocs, rank)
         self._sel = selectors.DefaultSelector()
         self._link = links if links is not None else {
             peer: _LinkState() for peer in self._socks}
         self._out: dict[int, deque] = {p: deque() for p in self._socks}
         self._mask: dict[int, int] = {}
-        self._departed: set[int] = set()
         self._eof: set[int] = set()
         #: Peers whose reconnect we are passively awaiting (they dial
         #: us, per the pair rule) -> monotonic deadline.
@@ -261,12 +248,9 @@ class _MeshChannel:
         self._gathering = False
         #: Per-step stashes; TCP per-link ordering bounds them to one
         #: step of run-ahead, but the dicts handle the general case.
-        self._counts: dict[int, dict[int, int]] = {}
         self._data: dict[int, dict[int, list[Packet]]] = {}
         self._release: dict[int, set[int]] = {}
-        #: Relaxed-sync completion: peers whose final (``more == 0``)
-        #: frame for a step has arrived.  Strict-mode data frames also
-        #: land here (they carry ``more == 0`` too); both paths pop it.
+        #: Peers whose final (``more == 0``) frame for a step has arrived.
         self._final: dict[int, set[int]] = {}
         self._results: dict[int, Any] = {}
         for peer, sock in self._socks.items():
@@ -507,7 +491,7 @@ class _MeshChannel:
             if got is None:
                 continue
             peer, peer_rx = got
-            if not (0 <= peer < self._nprocs and peer != self._rank
+            if not (0 <= peer < self._nprocs and peer != self._pid
                     and peer in self._link) or peer in self._departed:
                 try:
                     sock.close()
@@ -640,7 +624,7 @@ class _MeshChannel:
                 self._link_down(peer)  # unsequenced: cannot NACK
                 return
             self._enqueue(peer, wire.encode_frame(
-                wire.TAG_NACK, self._run_id, frame.seq, self._rank,
+                wire.TAG_NACK, self._run_id, frame.seq, self._pid,
                 crc=self._integrity))
             return
         if frame.tag == wire.TAG_NACK:
@@ -699,33 +683,15 @@ class _MeshChannel:
         if tag == TAG_PKT:
             self._data_beats += 1
             self._data.setdefault(frame.step, {})[frame.src] = \
-                frame.packets(self._rank)
+                frame.packets(self._pid)
             if frame.more == 0:
                 self._final.setdefault(frame.step, set()).add(frame.src)
-        elif tag == wire.TAG_COUNTS:
-            self._counts.setdefault(frame.step, {})[frame.src] = \
-                pickle.loads(frame.meta)
         elif tag == wire.TAG_RELEASE:
             self._release.setdefault(frame.step, set()).add(frame.src)
         elif tag == wire.TAG_RESULT:
             self._results[frame.src] = wire.frame_object(frame)
 
     # -- the ExchangeChannel contract ---------------------------------------
-
-    def declare_pattern(self, pattern) -> None:
-        """Declare the static communication pattern of this rank.
-
-        In ``elide`` mode the pattern prunes the boundary to its true
-        edges; in every mode a declared pattern (with ``validate=True``)
-        turns out-of-pattern sends into a
-        :class:`~repro.core.errors.BspUsageError` at the next boundary.
-        """
-        self._pattern = pattern
-
-    def fence_next_sync(self) -> None:
-        """Force the *next* boundary through the strict two-phase
-        barrier (checkpoint cuts need a full fence in every mode)."""
-        self._fence_strict = True
 
     def _beat(self, step: int) -> None:
         """Heartbeat, piggybacked on data traffic in relaxed/elide.
@@ -759,134 +725,34 @@ class _MeshChannel:
             meta = pickle.dumps(totals)
         self._ctrl.beat(step, meta)
 
-    def exchange(self, pid: int, step: int,
-                 outbox: list[Packet]) -> PacketRuns:
+    def _enter(self, step: int, outbox: list[Packet]) -> None:
         self._beat(step)
         # Fault-injection hook — one attribute load + None test when off.
         plan = faults._ACTIVE
         if plan is not None:
-            plan.at_boundary(self._rank, step, self._nprocs, outbox)
+            plan.at_boundary(self._pid, step, self._nprocs, outbox)
             if plan.has_network_faults():
                 for peer in plan.reset_peers(
-                        self._rank, step,
+                        self._pid, step,
                         [q for q in self._peers if q in self._socks]):
                     self._inject_reset(peer)
-        buckets: dict[int, list[Packet]] = {}
-        for pkt in outbox:
-            buckets.setdefault(pkt.dst, []).append(pkt)
-        if self._pattern is not None:
-            check_pattern_sends(self._rank, step, buckets, self._pattern)
-        strict = self._sync == "strict" or self._fence_strict
-        self._fence_strict = False
-        if not strict:
-            return self._exchange_relaxed(step, buckets)
-        run_id, rank = self._run_id, self._rank
 
-        # Phase 1 sends, in the total-exchange pairing order (B.3).
-        for peer in self._peers:
-            if peer in self._departed:
-                continue
-            corrupt = dup = False
-            if plan is not None:
-                if plan.drops_frame(rank, step, peer):
-                    continue  # lost message: the peer stalls in phase 1
-                delay = plan.slow_link(rank, step, peer)
-                if delay:
-                    time.sleep(delay)
-                corrupt = plan.corrupts_frame(rank, step, peer)
-                dup = plan.duplicates_frame(rank, step, peer)
-            bucket = buckets.get(peer)
-            # Encode the data frame *before* enqueueing anything for this
-            # peer: a pickling failure must not leave a counts frame
-            # announcing data that will never arrive.
-            data_chunks = wire.encode_packet_frame(
-                run_id, step, rank, bucket,
-                crc=self._integrity) if bucket else None
-            self._post(peer, wire.encode_frame(
-                wire.TAG_COUNTS, run_id, step, rank,
-                pickle.dumps(1 if bucket else 0), crc=self._integrity),
-                volatile=True, corrupt=corrupt and data_chunks is None,
-                dup=dup)
-            if plan is not None:
-                plan.count_frame(rank)
-            if data_chunks is not None:
-                self._post(peer, data_chunks, volatile=True,
-                           corrupt=corrupt, dup=dup)
-                if plan is not None:
-                    plan.count_frame(rank)
+    def _round(self, step: int, buckets: dict[int, list[Packet]],
+               out_links: Sequence[int], in_links: frozenset[int],
+               release_round: bool) -> dict[int, list[Packet]]:
+        """One boundary: a final per out-link, one from each live in-link.
 
-        # Event loop: flush our frames while receiving theirs.
-        sent_release = False
-        while True:
-            counts = self._counts.get(step, {})
-            data = self._data.get(step, {})
-            live = [q for q in self._peers if q not in self._departed]
-            if not sent_release and all(
-                    q in counts and (counts[q] == 0 or q in data)
-                    for q in live):
-                for peer in live:
-                    self._post(peer, wire.encode_frame(
-                        wire.TAG_RELEASE, run_id, step, rank,
-                        crc=self._integrity))
-                    if plan is not None:
-                        plan.count_frame(rank)
-                sent_release = True
-            if sent_release:
-                rel = self._release.get(step, ())
-                if all(q in rel or q in self._departed
-                       for q in self._peers) \
-                        and not any(self._out.values()):
-                    break
-            self._pump()
-        if self._integrity:
-            # A peer's release proves it received every phase-1 frame we
-            # sent it, so the volatile journal entries (whose payload
-            # memoryviews alias live program arrays about to mutate) can
-            # never be NACKed or replayed — trim them now.
-            for q in self._release.get(step, ()):
-                link = self._link.get(q)
-                if link is None:
-                    continue
-                for s in link.volatile:
-                    link.journal.pop(s, None)
-                    link.attempts.pop(s, None)
-                link.volatile.clear()
-        self._counts.pop(step, None)
-        self._release.pop(step, None)
-        self._final.pop(step, None)
-        got = self._data.pop(step, {})
-        own = buckets.get(rank)
-        if own is not None:
-            got[rank] = own
-        # One run per source, each seq-sorted: canonical order once
-        # concatenated by src.
-        return PacketRuns(got.items())
-
-    def _exchange_relaxed(self, step: int,
-                          buckets: dict[int, list[Packet]]) -> PacketRuns:
-        """One-phase boundary: finals piggybacked on the data frames.
-
-        Exactly one TAG_PKT frame per out-link (an empty bucket becomes
-        an empty final frame) with ``more == 0``; the barrier passes as
-        soon as every awaited peer's final for this step is in hand and
-        our outbound queues are drained (payload memoryviews reference
-        live program arrays, so returning earlier would let the program
-        mutate bytes still queued on a socket).  Run-ahead is bounded to
-        one superstep by per-link TCP FIFO: a peer cannot pass step
-        ``s`` before our step-``s`` final, which we only send after
-        passing step ``s-1``.
+        The round passes only once our outbound queues are drained too:
+        payload memoryviews reference live program arrays, so returning
+        earlier would let the program mutate bytes still queued on a
+        socket.  With ``release_round``, once every in-link's final is
+        in hand we post ``TAG_RELEASE`` to those peers, and pass after
+        the release of every peer we sent to — proof it holds our frame.
         """
-        run_id, rank = self._run_id, self._rank
+        run_id, rank = self._run_id, self._pid
         plan = faults._ACTIVE
-        pattern = self._pattern
-        if self._sync == "elide" and pattern is not None:
-            out_targets = [q for q in self._peers if q in pattern.sends_to]
-            expect = set(pattern.receives_from)
-        else:
-            out_targets = list(self._peers)
-            expect = set(self._peers)
         empty_final = None  # identical for every empty link: encode once
-        for peer in out_targets:
+        for peer in out_links:
             if peer in self._departed:
                 continue
             corrupt = dup = False
@@ -908,28 +774,55 @@ class _MeshChannel:
                     empty_final = wire.encode_packet_frame(
                         run_id, step, rank, (), crc=self._integrity)
                 chunks = empty_final
-            # copy=True: relaxed run-ahead means the program may mutate
-            # the payload arrays before any ack arrives, so the journal
-            # snapshots the bytes (reenvelope inside _post re-addresses
-            # the shared empty final per peer).
-            self._post(peer, chunks, copy=True, eager=True,
+            # The chunks alias live program arrays.  A release round
+            # proves receipt before the program runs again, so the
+            # journal entry is volatile (trimmed below); without one the
+            # program may mutate them before any ack arrives, so the
+            # journal snapshots the bytes, and the frame goes straight
+            # into the kernel.  (reenvelope inside _post re-addresses
+            # the shared empty final per peer.)
+            self._post(peer, chunks, volatile=release_round,
+                       copy=not release_round, eager=not release_round,
                        corrupt=corrupt, dup=dup)
             if plan is not None:
                 plan.count_frame(rank)
-        while True:
-            final = self._final.get(step, ())
-            if all(q in final or q in self._departed for q in expect) \
-                    and not any(self._out.values()):
-                break
+        final = self._final.setdefault(step, set())
+        while self._awaiting(final, in_links):
             self._pump()
+        if release_round:
+            for peer in self._peers:
+                if peer not in in_links or peer in self._departed:
+                    continue
+                self._post(peer, wire.encode_frame(
+                    wire.TAG_RELEASE, run_id, step, rank,
+                    crc=self._integrity))
+                if plan is not None:
+                    plan.count_frame(rank)
+            released = self._release.setdefault(step, set())
+            while self._awaiting(released, out_links):
+                self._pump()
+        while any(self._out.values()):
+            self._pump()
+        if release_round and self._integrity:
+            # A peer's release proves it received the frame we sent it,
+            # so the volatile journal entries can never be NACKed or
+            # replayed — trim them before the arrays they alias mutate.
+            for q in self._release.get(step, ()):
+                link = self._link.get(q)
+                if link is None:
+                    continue
+                for s in link.volatile:
+                    link.journal.pop(s, None)
+                    link.attempts.pop(s, None)
+                link.volatile.clear()
+        self._release.pop(step, None)
         self._final.pop(step, None)
-        got = self._data.pop(step, {})
-        own = buckets.get(rank)
-        if own is not None:
-            got[rank] = own
-        # Empty finals decoded to empty runs; PacketRuns drops them, so
-        # the merged inbox (and every ledger) matches strict mode.
-        return PacketRuns(got.items())
+        return self._data.pop(step, {})
+
+    def _awaiting(self, got: set[int], links) -> bool:
+        """Some live link of ``links`` has not delivered into ``got``."""
+        departed = self._departed
+        return any(q not in got and q not in departed for q in links)
 
     def depart(self) -> None:
         # Note: a peer being in ``_departed`` does NOT mean it stopped
@@ -940,10 +833,10 @@ class _MeshChannel:
         for peer in self._peers:
             if peer in self._eof:
                 continue
-            if plan is not None and plan.drops_depart(self._rank, peer):
+            if plan is not None and plan.drops_depart(self._pid, peer):
                 continue
             self._post(peer, wire.encode_frame(
-                TAG_LEFT, self._run_id, 0, self._rank,
+                TAG_LEFT, self._run_id, 0, self._pid,
                 crc=self._integrity))
         self._drain(timeout=30.0)
 
@@ -952,7 +845,7 @@ class _MeshChannel:
             if peer in self._eof:
                 continue
             self._post(peer, wire.encode_frame(
-                TAG_DEAD, self._run_id, 0, self._rank,
+                TAG_DEAD, self._run_id, 0, self._pid,
                 crc=self._integrity))
         self._drain(timeout=5.0)
 
@@ -975,7 +868,7 @@ class _MeshChannel:
 
     def broadcast_result(self, outcome: tuple) -> None:
         chunks = wire.encode_object_frame(
-            wire.TAG_RESULT, self._run_id, 0, self._rank, outcome,
+            wire.TAG_RESULT, self._run_id, 0, self._pid, outcome,
             crc=self._integrity)
         for peer in self._peers:
             if peer not in self._eof:

@@ -80,8 +80,7 @@ from .frames import Frame, encode_packets
 
 #: TCP-only frame tags, disjoint from the pipe fabric's 0..3 range
 #: (TAG_PKT/TAG_LEFT/TAG_DEAD/TAG_FENCE in :mod:`repro.backends.frames`).
-TAG_COUNTS = 4      #: barrier phase 1 — "n data frames follow for step s"
-TAG_RELEASE = 5     #: barrier phase 2 — "I have received everything of step s"
+TAG_RELEASE = 5     #: strict's release round — "I hold every frame of step s"
 TAG_HB = 6          #: heartbeat, rank -> supervisor
 TAG_HELLO = 7       #: control-channel registration, rank -> supervisor
 TAG_RESULT = 8      #: final outcome tuple, rank -> supervisor / rank 0

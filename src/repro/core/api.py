@@ -236,11 +236,12 @@ class Bsp:
         local and never need declaring — the own pid is silently dropped
         from both sets.
 
-        Under ``sync="elide"`` the declared pattern lets the runtime
-        skip even the empty completion frames of non-neighbors; every
-        processor must declare a *consistent* view (q appears in p's
-        ``sends_to`` iff p appears in q's ``receives_from``) — an
-        inconsistent declaration stalls the run like a lost message.
+        Under ``sync="elide"`` a boundary sends one frame to each
+        ``sends_to`` peer and waits for one from each ``receives_from``
+        peer, nothing else, on every backend; every processor must
+        declare a *consistent* view (q appears in p's ``sends_to`` iff
+        p appears in q's ``receives_from``) — an inconsistent
+        declaration stalls the run like a lost message.
         With ``validate=True`` (the default) a send outside the pattern
         raises :class:`~repro.core.errors.BspUsageError` at the next
         boundary.  Under strict/relaxed sync the declaration only

@@ -96,12 +96,13 @@ def bsp_run(
         side-effecting programs may observe partial effects of the
         crashed attempt.
     sync:
-        Synchronization mode of the exchange protocol — ``"strict"``
-        (the default two-phase barrier), ``"relaxed"`` (per-link
-        completion piggybacked on the data frames, run-ahead bounded to
-        one superstep), or ``"elide"`` (relaxed plus skipping the empty
-        frames of peers outside a pattern declared with
-        ``bsp.pattern(...)``).  Results and (S, H, h) ledgers are
+        Synchronization mode of the exchange protocol.  Every boundary
+        is one frame per link, run-ahead bounded to one superstep by
+        link FIFO; ``"strict"`` (the default) additionally proves
+        receipt with a release round where the fabric needs one
+        (sockets — on pipes it is the same round as ``"relaxed"``), and
+        ``"elide"`` uses only the links of a pattern declared with
+        ``bsp.pattern(...)``.  Results and (S, H, h) ledgers are
         bit-identical across modes; only the barrier cost differs.
     checkpoint:
         A :class:`~repro.checkpoint.CheckpointConfig`, or ``None`` (no

@@ -27,9 +27,10 @@ Fault kinds
 ``DELAY``       sleep before the boundary — slow but alive, visible as
                 advancing heartbeats.
 ``DROP_FRAME``  silently drop the boundary frame to one peer — a lost
-                message, producing a genuine deadlock.
-``DROP_DEPART`` suppress the departure sentinel to one peer — peers wait
-                on a processor that already returned.
+                message: in every sync mode that peer stalls on the
+                link, a genuine deadlock.
+``DROP_DEPART`` suppress the departure sentinel to one peer — that peer
+                waits on the link of a processor that already returned.
 =============== ==========================================================
 
 Network-targeted kinds (consulted by the TCP mesh channel at superstep
@@ -288,7 +289,6 @@ class FaultPlan:
         self.frame_counter = frame_counter
         self._boundary: dict[tuple[int, int], Fault] = {}
         self._drops: set[tuple[int, int, int]] = set()
-        self._drop_steps: set[tuple[int, int]] = set()
         self._drop_departs: set[tuple[int, int]] = set()
         self._ckpt_tampers: dict[tuple[int, int], str] = {}
         self._corrupts: set[tuple[int, int, int]] = set()
@@ -304,7 +304,6 @@ class FaultPlan:
         for fault in self.faults:
             if fault.kind == DROP_FRAME:
                 self._drops.add((fault.pid, fault.step, int(fault.arg)))
-                self._drop_steps.add((fault.pid, fault.step))
             elif fault.kind == DROP_DEPART:
                 self._drop_departs.add((fault.pid, int(fault.arg)))
             elif fault.kind in CHECKPOINT_KINDS:
@@ -388,16 +387,6 @@ class FaultPlan:
 
     def drops_frame(self, src: int, step: int, dst: int) -> bool:
         return (src, step, dst) in self._drops
-
-    def drops_any_frame(self, src: int, step: int) -> bool:
-        """True when ``src`` is scheduled to drop *some* frame at ``step``.
-
-        The relaxed pipe protocol has no per-destination frame for empty
-        buckets to drop, so a scheduled loss is modeled by withholding the
-        sender's epoch publication instead — this is the hook that tells
-        it a loss is scheduled for the boundary.
-        """
-        return (src, step) in self._drop_steps
 
     def drops_depart(self, pid: int, peer: int) -> bool:
         return (pid, peer) in self._drop_departs

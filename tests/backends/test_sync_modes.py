@@ -18,13 +18,14 @@ the program observes.  Exercised here:
 * crash-mid-superstep recovery under checkpointing reproduces the
   golden run in relaxed mode (the checkpoint cut falls back to a strict
   fence, so a resumed run restarts from a fully quiesced boundary);
-* the per-mode wire-frame budgets on empty supersteps, counted by a
-  :class:`~repro.faults.FrameCounter` at the actual send sites: pipes
-  send **zero** frames in relaxed/elide, TCP relaxed sends exactly one
-  empty-final per live link per boundary, and TCP elide with a declared
-  empty pattern sends nothing at all (full barrier elision);
+* the wire-frame budgets of the one boundary contract, counted by a
+  :class:`~repro.faults.FrameCounter` at the actual send sites: one
+  frame per link of the boundary's link set on both fabrics (every peer;
+  the declared links under elide; none for an empty pattern), plus one
+  release per link for TCP strict — data-bearing or not;
 * an out-of-pattern send under a validating declaration fails loudly at
-  the next boundary instead of deadlocking the receiver.
+  the next boundary instead of deadlocking the receiver, and an
+  inconsistent declaration stalls the run on both fabrics alike.
 """
 
 import random
@@ -124,6 +125,32 @@ def empty_pattern_steps(bsp, rounds=4):
     for _ in range(rounds):
         bsp.sync()
     return bsp.pid
+
+
+def one_packet_ring(bsp, rounds=4):
+    """Every boundary carries data on one link per rank, none on the rest."""
+    for r in range(rounds):
+        bsp.send((bsp.pid + 1) % bsp.nprocs, r)
+        bsp.sync()
+    return bsp.pid
+
+
+def declared_ring_steps(bsp, rounds=4):
+    """Empty supersteps under a declared ring: one live link per rank."""
+    p = bsp.nprocs
+    bsp.pattern({(bsp.pid + 1) % p}, {(bsp.pid - 1) % p})
+    return empty_steps(bsp, rounds)
+
+
+def inconsistent_pattern(bsp, rounds=2):
+    """pid 0 declares it hears from pid 1; pid 1 omits 0 from sends_to."""
+    if bsp.pid == 0:
+        bsp.pattern({1}, {1})
+    elif bsp.pid == 1:
+        bsp.pattern((), {0})
+    else:
+        bsp.pattern(())
+    return empty_steps(bsp, rounds)
 
 
 def out_of_pattern(bsp):
@@ -273,6 +300,23 @@ class TestRelaxedFaultContracts:
         assert "declared communication pattern" in err.value.traceback_text
 
 
+    @pytest.mark.parametrize("backend_kind", ["processes", "tcp"])
+    def test_inconsistent_declaration_stalls_on_every_fabric(self,
+                                                             backend_kind):
+        """``Bsp.pattern``: an inconsistent declaration "stalls the run
+        like a lost message" — pid 0 awaits a frame pid 1 never owes it,
+        whatever the link is made of; the pool then serves the next run."""
+        cls = {"processes": ProcessBackend, "tcp": TcpBackend}[backend_kind]
+        golden = _snapshot(bsp_run(pattern_ring, 3))
+        with cls.pool(3, join_timeout=2.5) as backend:
+            with pytest.raises(DeadlockError) as err:
+                bsp_run(inconsistent_pattern, 3, backend=backend,
+                        sync="elide")
+            assert 0 in err.value.stalled
+            run = bsp_run(pattern_ring, 3, backend=backend, sync="elide")
+        assert _snapshot(run) == golden
+
+
 def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4):
     """Total wire frames a pooled run actually sent, via FrameCounter."""
     counter = faults.FrameCounter(nprocs)
@@ -287,20 +331,21 @@ def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4):
 
 
 class TestEmptySuperstepFrameBudgets:
-    """Regression: the whole point of relaxed sync is what is NOT sent.
+    """Regression: a boundary costs one frame per link of its link set.
 
-    ``rounds`` pure-barrier supersteps at p processors must cost, in
-    boundary frames on the wire (p=3, rounds=4 here):
+    ``rounds`` supersteps at p processors must cost, in boundary frames
+    on the wire (p=3, rounds=4 here; "links" = p·(p−1)·rounds):
 
-    ========== ======================== =====
-    backend    mode                     frames
-    ========== ======================== =====
-    processes  strict                   p·(p−1)·rounds (one per link)
-    processes  relaxed / elide          0 (inline epoch publish)
-    tcp        strict                   2·p·(p−1)·rounds (counts+release)
-    tcp        relaxed                  p·(p−1)·rounds (one empty-final)
-    tcp        elide, empty pattern     0 (full barrier elision)
-    ========== ======================== =====
+    ========== ============================ ==========================
+    backend    mode                         frames
+    ========== ============================ ==========================
+    processes  strict / relaxed / elide     links (one per link)
+    tcp        relaxed                      links (one final per link)
+    tcp        strict, empty or with data   2·links (final + release)
+    both       elide, declared ring         p·rounds (one per declared
+                                            link)
+    both       elide, empty pattern         0 (full barrier elision)
+    ========== ============================ ==========================
     """
 
     P, ROUNDS = 3, 4
@@ -311,17 +356,28 @@ class TestEmptySuperstepFrameBudgets:
                              self.P, self.ROUNDS) == self.LINKS
 
     @pytest.mark.parametrize("sync", ["relaxed", "elide"])
-    def test_processes_relaxed_sends_nothing(self, sync):
+    def test_processes_every_mode_one_frame_per_link(self, sync):
         assert _count_frames("processes", sync, empty_steps,
-                             self.P, self.ROUNDS) == 0
+                             self.P, self.ROUNDS) == self.LINKS
 
     def test_tcp_strict_baseline(self):
         assert _count_frames("tcp", "strict", empty_steps,
                              self.P, self.ROUNDS) == 2 * self.LINKS
 
+    def test_tcp_strict_with_data_still_two_per_link(self):
+        """The final *is* the data frame: no third, announcing, frame."""
+        assert _count_frames("tcp", "strict", one_packet_ring,
+                             self.P, self.ROUNDS) == 2 * self.LINKS
+
     def test_tcp_relaxed_one_final_per_link(self):
         assert _count_frames("tcp", "relaxed", empty_steps,
                              self.P, self.ROUNDS) == self.LINKS
+
+    @pytest.mark.parametrize("backend_kind", ["processes", "tcp"])
+    def test_elide_declared_ring_one_frame_per_declared_link(self,
+                                                             backend_kind):
+        assert _count_frames(backend_kind, "elide", declared_ring_steps,
+                             self.P, self.ROUNDS) == self.P * self.ROUNDS
 
     def test_tcp_elide_empty_pattern_sends_nothing(self):
         assert _count_frames("tcp", "elide", empty_pattern_steps,

@@ -119,13 +119,13 @@ class TestFrameDecoder:
         assert [f.step for f in frames] == [0, 1, 2, 3]
 
     def test_split_straddling_two_frames(self):
-        a = _flatten(wire.encode_frame(wire.TAG_COUNTS, 1, 0, 0,
+        a = _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0,
                                        pickle.dumps(1)))
         b = _flatten(wire.encode_packet_frame(1, 0, 0, _sample_packets()))
         dec = wire.FrameDecoder()
         cut = len(a) + 3  # mid-prefix of the second frame
         first = dec.feed((a + b)[:cut])
-        assert [f.tag for f in first] == [wire.TAG_COUNTS]
+        assert [f.tag for f in first] == [wire.TAG_RELEASE]
         assert dec.mid_frame
         second = dec.feed((a + b)[cut:])
         assert [f.tag for f in second] == [TAG_PKT]

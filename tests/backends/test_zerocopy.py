@@ -77,6 +77,19 @@ def big_allgather(bsp, n=BIG_N, rounds=2):
     return total
 
 
+def big_declared_ring(bsp, n=10 * BIG_N, rounds=12):
+    """A declared ring of big arrays: more bytes per link than one
+    segment holds, and the lease owner (pid - 1) is never an out-link
+    (pid + 1) at p >= 3, so every release rides a dedicated frame."""
+    bsp.pattern({(bsp.pid + 1) % bsp.nprocs}, {(bsp.pid - 1) % bsp.nprocs})
+    total = 0.0
+    for r in range(rounds):
+        bsp.send((bsp.pid + 1) % bsp.nprocs, np.full(n, float(r + bsp.pid)))
+        bsp.sync()
+        total += sum(float(pkt.payload[0]) for pkt in bsp.packets())
+    return total
+
+
 def hostile_consumer(bsp, rounds, n):
     """Verify every delivery, then vandalize the received views in place
     and keep half of them alive across supersteps.  Returns the number
@@ -414,13 +427,21 @@ class TestPooledEndToEnd:
 
     def test_pool_reuse_reuses_segments(self):
         """Back-to-back runs on one warm pool must not grow /dev/shm —
-        the fence rewinds pools instead of unlinking them."""
-        with BspPool(2, join_timeout=60.0) as pool:
-            pool.run(big_allgather, 2)
-            counts1 = pool._transport.segment_counts()
-            pool.run(big_allgather, 2)
-            counts2 = pool._transport.segment_counts()
-        assert counts1 == counts2
+        the fence rewinds pools instead of unlinking them.  Under elide
+        with a declared ring the releases come home on dedicated frames
+        (no boundary frame is owed to the owner) and each run moves more
+        bytes per link than a segment holds: the count still stops at
+        the two segments a link alternates between, where lost releases
+        would need a third in the second run."""
+        for program, nprocs, sync, cap in ((big_allgather, 2, "strict", 1),
+                                           (big_declared_ring, 3, "elide", 2)):
+            with BspPool(nprocs, join_timeout=60.0) as pool:
+                pool.run(program, nprocs, sync=sync)
+                pool.run(program, nprocs, sync=sync)
+                counts = pool._transport.segment_counts()
+                hits = pool.health().zerocopy_hits
+            assert max(counts.values()) <= cap, (sync, counts)
+            assert hits > 0, sync
 
 
 class TestHostileConsumerProperty:
