@@ -30,41 +30,15 @@ from __future__ import annotations
 import numpy as np
 
 from ... import kernels
+# The zero-distance guard is defined beside the kernels that apply it and
+# re-exported here, where the applications have always found it.
+from ...kernels.bh import MIN_SOFTENED_R2, softened_inv_r3  # noqa: F401
 from .bodies import box_min_distance
 
 #: Default opening angle; the SPLASH/paper-era customary value.
 DEFAULT_THETA = 1.0
 #: Default Plummer softening (fraction of the system scale).
 DEFAULT_EPS = 0.05
-
-#: Softened-distance floor: ``r² + eps²`` below this means two bodies sit
-#: at (numerically) the same point with no softening, and ``r²^{-1.5}``
-#: would overflow into ``inf``/``nan`` accelerations that silently corrupt
-#: every downstream integration step.  The floor is far below any physical
-#: separation (``1e-30`` ≈ (1e-15)², the square of double-precision noise
-#: on unit-scale coordinates) so it never triggers on healthy inputs.
-MIN_SOFTENED_R2 = 1e-30
-
-
-def softened_inv_r3(r2: np.ndarray) -> np.ndarray:
-    """``r2 ** -1.5`` with the zero-distance guard.
-
-    Raises :class:`ZeroDivisionError` when any softened squared distance
-    falls below :data:`MIN_SOFTENED_R2` — a zero-distance pair evaluated
-    with ``eps = 0`` — instead of propagating ``inf``/``nan`` into the
-    accelerations.  Evaluated under ``np.errstate`` so legitimate large
-    values never emit spurious warnings.
-    """
-    r2 = np.asarray(r2)
-    if r2.size and float(np.min(r2)) < MIN_SOFTENED_R2:
-        raise ZeroDivisionError(
-            "zero-distance body pair with eps=0: softened r^2 "
-            f"{float(np.min(r2)):.3g} is below the {MIN_SOFTENED_R2:.0e} "
-            "floor; separate the coincident bodies or use a positive "
-            "softening eps"
-        )
-    with np.errstate(divide="ignore", over="ignore"):
-        return r2 ** -1.5
 
 
 class BHTree:

@@ -39,15 +39,16 @@ The kernels are registered as:
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import register
 
-#: Bodies advanced through the tree together.  Bounds peak memory: a
-#: round's live pair set is O(block × frontier width).
-DEFAULT_BLOCK = 2048
+#: Bodies advanced through the tree together: few enough that a round's
+#: pair arrays (O(block × frontier width)) stay cache-resident — DESIGN.md.
+DEFAULT_BLOCK = 256
 
 #: Row tile for the vectorized direct (O(N²)) kernel: bounds the (tile, n)
 #: temporaries so no N×N array is ever materialized.
@@ -57,17 +58,44 @@ DIRECT_TILE = 256
 _OCTANT_BITS = np.array([4, 2, 1])
 
 
+#: Softened-distance floor: ``r² + eps²`` below this means two bodies sit
+#: at (numerically) the same point with no softening, and ``r²^{-1.5}``
+#: would overflow into ``inf``/``nan`` accelerations that silently corrupt
+#: every downstream integration step.  The floor is far below any physical
+#: separation (``1e-30`` ≈ (1e-15)², the square of double-precision noise
+#: on unit-scale coordinates) so it never triggers on healthy inputs.
+MIN_SOFTENED_R2 = 1e-30
+
+
+def softened_inv_r3(r2: np.ndarray) -> np.ndarray:
+    """``r2 ** -1.5`` with the zero-distance guard.
+
+    Raises :class:`ZeroDivisionError` when any softened squared distance
+    falls below :data:`MIN_SOFTENED_R2` — a zero-distance pair evaluated
+    with ``eps = 0`` — instead of propagating ``inf``/``nan`` into the
+    accelerations.  Evaluated under ``np.errstate`` so legitimate large
+    values never emit spurious warnings.
+    """
+    r2 = np.asarray(r2)
+    if r2.size and float(np.min(r2)) < MIN_SOFTENED_R2:
+        raise ZeroDivisionError(
+            "zero-distance body pair with eps=0: softened r^2 "
+            f"{float(np.min(r2)):.3g} is below the {MIN_SOFTENED_R2:.0e} "
+            "floor; separate the coincident bodies or use a positive "
+            "softening eps"
+        )
+    with np.errstate(divide="ignore", over="ignore"):
+        return r2 ** -1.5
+
+
 def _fast_inv_r3(r2):
     """``softened_inv_r3`` restated as ``1 / (r2 · √r2)``.
 
     ``r2 ** -1.5`` routes through libm ``pow`` (~40 ns/element); the
     sqrt-and-divide form vectorizes and differs only in the final
     rounding, within the kernel layer's floating-point tolerance.  The
-    zero-distance guard is delegated to the canonical implementation so
-    the error and its floor stay defined in exactly one place.
+    zero-distance guard raises through the canonical implementation.
     """
-    from ..apps.nbody.bhtree import MIN_SOFTENED_R2, softened_inv_r3
-
     if r2.size and float(np.min(r2)) < MIN_SOFTENED_R2:
         softened_inv_r3(r2)  # raises the canonical ZeroDivisionError
     return 1.0 / (r2 * np.sqrt(r2))
@@ -253,117 +281,129 @@ def _bh_count_reference(tree, points, theta, skip=None):
     )
 
 
+def _tree_view(tree) -> SimpleNamespace:
+    """One call's structure-of-arrays view of a tree: ``com`` as contiguous
+    columns, ``size = 2·half``, and the bodies' index, position columns and
+    mass in ``leaf_bodies`` order, so a leaf's span of ``leaf_ptr`` reads
+    them with one gather.  ``child`` holds what a walk meets on opening a
+    cell: an internal child as its row, a leaf child as ``−2 − row``, −1
+    for none or massless; its extra last row opens onto the root."""
+    c = tree.cells
+    rows = np.arange(len(c.half))
+    met = np.where(c.mass > 0.0, np.where(c.is_leaf, -2 - rows, rows), -1)
+    child = np.append(met, -1)[np.vstack([c.child, [0] + 7 * [-1]])]
+    return SimpleNamespace(
+        com=tuple(np.ascontiguousarray(c.com.T)), mass=c.mass, child=child,
+        size=2.0 * c.half, leaf_ptr=c.leaf_ptr, held=np.diff(c.leaf_ptr),
+        body=c.leaf_bodies, body_mass=tree.mass[c.leaf_bodies],
+        body_pos=tuple(np.ascontiguousarray(tree.pos[c.leaf_bodies].T)),
+    )
+
+
 def _blocks(points, skip, block):
-    """``(lo, hi, points[lo:hi], skip[lo:hi] or None)`` per block."""
+    """Per block: ``(lo, hi, contiguous x/y/z columns, skip or None)``."""
+    columns = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
     for lo in range(0, len(points), block):
         hi = min(lo + block, len(points))
         skp = None if skip is None else np.asarray(skip[lo:hi], dtype=np.int64)
-        yield lo, hi, points[lo:hi], skp
+        yield lo, hi, columns[:, lo:hi], skp
 
 
 def _bh_walk_vectorized(tree, points, theta, eps, skip=None,
                         block=DEFAULT_BLOCK):
     """Blocked multipole-acceptance walk over the cell arrays."""
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    acc = np.zeros((n, 3))
-    inter = np.zeros(n, dtype=np.int64)
+    acc = np.zeros((3, len(points)))
+    inter = np.zeros(len(points), dtype=np.int64)
+    view, eps2 = _tree_view(tree), eps * eps
     for lo, hi, pts, skp in _blocks(points, skip, block):
-        _walk_block(tree, pts, skp, theta, eps * eps, acc[lo:hi], inter[lo:hi])
-    return acc, inter
+        acc_b, inter_b = acc[:, lo:hi], inter[lo:hi]
+        for ib, inode, accept, disp, lb, lnode in _mac_rounds(view, pts, theta):
+            # Accepted cells: the MAC test's own displacement is the term's.
+            if len(accept):
+                dx, dy, dz, d2 = (col[accept] for col in disp)
+                w = view.mass[inode[accept]] * _fast_inv_r3(d2 + eps2)
+                _accumulate(ib[accept], w, (dx, dy, dz), acc_b, inter_b)
+            # Leaves: every held body is a term, the skipped one at weight 0.
+            if len(lb):
+                held = view.held[lnode]
+                owner = np.repeat(lb, held)
+                first = view.leaf_ptr[lnode] - (np.cumsum(held) - held)
+                slot = np.repeat(first, held) + np.arange(len(owner))
+                dx, dy, dz = (col[slot] - p[owner]
+                              for col, p in zip(view.body_pos, pts))
+                r2 = (dx * dx + dy * dy) + dz * dz + eps2
+                if skp is not None:
+                    # Set aside before the zero-distance guard (at eps = 0
+                    # the skipped pair's r² is 0); 1/inf³ is its weight 0.
+                    own = np.flatnonzero(view.body[slot] == skp[owner])
+                    r2[own] = np.inf
+                    inter_b[owner[own]] -= 1
+                w = view.body_mass[slot] * _fast_inv_r3(r2)
+                _accumulate(owner, w, (dx, dy, dz), acc_b, inter_b)
+    return np.ascontiguousarray(acc.T), inter
+
+
+def _accumulate(owner, w, delta, acc_out, inter_out):
+    """Add each point's terms ``w · delta`` and their number to its sums.
+    ``owner`` ascends (``_mac_rounds`` keeps pairs in point order), so a
+    point's terms are one run and ``reduceat`` is the segmented sum."""
+    first = np.concatenate(([0], np.flatnonzero(owner[1:] != owner[:-1]) + 1))
+    at = owner[first]
+    inter_out[at] += np.diff(first, append=len(owner))
+    for axis in range(3):
+        acc_out[axis, at] += np.add.reduceat(w * delta[axis], first)
 
 
 def _bh_count_vectorized(tree, points, theta, skip=None, block=DEFAULT_BLOCK):
     """Blocked count-only walk: ``bh_walk``'s rounds without the terms."""
-    points = np.asarray(points, dtype=np.float64)
     inter = np.zeros(len(points), dtype=np.int64)
-    cells = tree.cells
+    view = _tree_view(tree)
     nbodies = len(tree.mass)
     # Row of the leaf holding each body; slot ``nbodies`` (no leaf) takes
     # every skip index that names no body of this tree.
     leaf_of = np.full(nbodies + 1, -1)
-    leaf_of[cells.leaf_bodies] = np.repeat(
-        np.arange(len(cells.half)), np.diff(cells.leaf_ptr)
-    )
+    leaf_of[view.body] = np.repeat(np.arange(len(view.held)), view.held)
     for lo, hi, pts, skp in _blocks(points, skip, block):
         if skp is not None:
             skp = np.where((skp >= 0) & (skp < nbodies), skp, nbodies)
-        for (ab, _), (lb, lnode) in _mac_rounds(cells, pts, theta):
-            held = cells.leaf_ptr[lnode + 1] - cells.leaf_ptr[lnode]
+        for ib, _, accept, _, lb, lnode in _mac_rounds(view, pts, theta):
+            held = view.held[lnode]
             if skp is not None:
                 held = held - (leaf_of[skp[lb]] == lnode)
-            inter[lo:hi] += np.bincount(ab, minlength=len(pts))
+            inter[lo:hi] += np.bincount(ib[accept], minlength=hi - lo)
             inter[lo:hi] += np.bincount(
-                lb, weights=held, minlength=len(pts)
+                lb, weights=held, minlength=hi - lo
             ).astype(np.int64)
     return inter
 
 
-def _mac_rounds(cells, pts, theta):
+def _mac_rounds(view, pts, theta):
     """The frontier rounds of one block of points against the tree.
 
-    Each round yields ``(accepted, leaves)`` as ``(point, cell)`` index
-    pairs: the internal cells that pass the multipole-acceptance
-    comparison — exactly as the scalar walk writes it, ``d > 0 and
-    (2·half)/d < θ`` — and the leaves reached.  Rejected cells open into
-    their children for the next round; massless cells are dropped.
+    Each round opens cells and yields ``(ib, inode, accept, (dx, dy, dz,
+    d²), lb, lnode)``: the ``(point, cell)`` pairs of the internal children
+    met, the positions of those that pass the multipole-acceptance
+    comparison — as the scalar walk writes it, ``d > 0 and (2·half)/d < θ``
+    — the displacement it measured, and the pairs of the leaf children.
+    The rejected open next.  Pairs stay in ascending point order;
+    selections are ``flatnonzero`` + take (a boolean-mask read costs 5x).
     """
-    pair_b = np.arange(len(pts), dtype=np.int64)
-    pair_n = np.zeros(len(pts), dtype=np.int64)
-    while len(pair_b):
-        alive = cells.mass[pair_n] > 0.0
-        pair_b, pair_n = pair_b[alive], pair_n[alive]
-        leaf = cells.is_leaf[pair_n]
-        ib, inode = pair_b[~leaf], pair_n[~leaf]
-        delta = cells.com[inode] - pts[ib]
-        d = np.sqrt((delta * delta).sum(axis=1))
+    (cx, cy, cz), (px, py, pz) = view.com, pts
+    point = np.arange(len(px), dtype=np.int64)
+    opened = np.full(len(px), len(view.child) - 1)  # the row onto the root
+    while len(point):
+        met = view.child[opened].ravel()
+        inner, outer = np.flatnonzero(met >= 0), np.flatnonzero(met < -1)
+        ib, inode = point[inner >> 3], met[inner]
+        dx, dy, dz = cx[inode] - px[ib], cy[inode] - py[ib], cz[inode] - pz[ib]
+        d2 = (dx * dx + dy * dy) + dz * dz  # sum(axis=1)'s order, bit for bit
+        d = np.sqrt(d2)
         with np.errstate(divide="ignore"):
-            ratio = (2.0 * cells.half[inode]) / d
-        accept = (d > 0.0) & (ratio < theta)
-        yield (ib[accept], inode[accept]), (pair_b[leaf], pair_n[leaf])
-        children = cells.child[inode[~accept]]
-        valid = children >= 0
-        pair_b = np.repeat(ib[~accept], 8)[valid.ravel()]
-        pair_n = children[valid]
-
-
-def _walk_block(tree, pts, skip, theta, eps2, acc_out, inter_out):
-    cells = tree.cells
-    nb = len(pts)
-    for (ab, anode), (lb, lnode) in _mac_rounds(cells, pts, theta):
-        term_b = [ab]
-        term_m = [cells.mass[anode]]
-        term_p = [cells.com[anode]]
-
-        # Leaves: every held body is a term, minus the per-point skip.
-        counts = cells.leaf_ptr[lnode + 1] - cells.leaf_ptr[lnode]
-        total = int(counts.sum())
-        if total:
-            starts = np.repeat(cells.leaf_ptr[lnode], counts)
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            body_ids = cells.leaf_bodies[starts + offsets]
-            owners = np.repeat(lb, counts)
-            if skip is not None:
-                keep = body_ids != skip[owners]
-                body_ids, owners = body_ids[keep], owners[keep]
-            term_b.append(owners)
-            term_m.append(tree.mass[body_ids])
-            term_p.append(tree.pos[body_ids])
-
-        tb = np.concatenate(term_b)
-        if len(tb):
-            tm = np.concatenate(term_m)
-            tp = np.vstack(term_p)
-            inter_out += np.bincount(tb, minlength=nb)
-            tdelta = tp - pts[tb]
-            r2 = (tdelta * tdelta).sum(axis=1) + eps2
-            w = tm * _fast_inv_r3(r2)
-            for axis in range(3):
-                acc_out[:, axis] += np.bincount(
-                    tb, weights=w * tdelta[:, axis], minlength=nb
-                )
+            accept = (d > 0.0) & (view.size[inode] / d < theta)
+        yield (ib, inode, np.flatnonzero(accept), (dx, dy, dz, d2),
+               point[outer >> 3], -2 - met[outer])
+        reject = np.flatnonzero(~accept)
+        point, opened = ib[reject], inode[reject]
 
 
 # ---------------------------------------------------------------------------

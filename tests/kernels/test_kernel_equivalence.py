@@ -283,17 +283,24 @@ class TestBhEquivalence:
         assert np.array_equal(int_v, int_r)
         assert np.allclose(acc_v, acc_r, rtol=0, atol=1e-10)
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=120),
         theta=st.floats(min_value=0.0, max_value=1.5),
         leaf=st.integers(min_value=1, max_value=16),
         seed=st.integers(0, 1000),
+        far=st.booleans(),
     )
-    def test_property_walk_equivalence(self, n, theta, leaf, seed):
+    def test_property_walk_equivalence(self, n, theta, leaf, seed, far):
         b = plummer(n, seed=seed)
         tree = BHTree(b.pos, b.mass, leaf_size=leaf)
         skip = np.arange(n, dtype=np.int64)
+        if far:  # the far-tree phase: a tree of a neighbour's records
+            theirs = plummer(n, seed=seed + 1)
+            rec_m, rec_p = BHTree(
+                theirs.pos + 3.0, theirs.mass, leaf_size=leaf
+            ).essential_records(*b.aabb(), theta)
+            tree, skip = BHTree(rec_p, rec_m, leaf_size=leaf), None
         acc_v, int_v = kernels.get("bh_walk", "vectorized")(
             tree, b.pos, theta, 0.05, skip
         )
@@ -302,6 +309,64 @@ class TestBhEquivalence:
         )
         assert np.array_equal(int_v, int_r)
         assert np.allclose(acc_v, acc_r, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("block", [1, 32, 130])
+    def test_blocks_cover_every_point(self, block):
+        """The block size moves no count and no force beyond roundoff."""
+        from repro.kernels.bh import _bh_walk_vectorized
+
+        b = plummer(130, seed=13)
+        tree = BHTree(b.pos, b.mass)
+        skip = np.arange(130, dtype=np.int64)
+        acc, inter = _bh_walk_vectorized(tree, b.pos, 0.8, 0.05, skip)
+        acc_b, inter_b = _bh_walk_vectorized(tree, b.pos, 0.8, 0.05, skip,
+                                             block=block)
+        assert np.array_equal(inter_b, inter)
+        assert np.allclose(acc_b, acc, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("massless", [slice(None), slice(60, None)])
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_massless_tree_and_subtree(self, massless, theta):
+        """Massless cells — the root included — contribute nothing."""
+        pos, mass = body_set("two_cluster", 120, 9)
+        mass[massless] = 0.0
+        tree = BHTree(pos, mass, leaf_size=4)
+        skip = np.arange(120, dtype=np.int64)
+        acc_r, int_r = kernels.get("bh_walk", "reference")(
+            tree, pos, theta, 0.05, skip
+        )
+        acc_v, int_v = kernels.get("bh_walk", "vectorized")(
+            tree, pos, theta, 0.05, skip
+        )
+        assert np.array_equal(int_v, int_r)
+        assert np.allclose(acc_v, acc_r, rtol=0, atol=1e-10)
+        if massless == slice(None):
+            assert not int_v.any() and not acc_v.any()
+
+    def test_self_pair_is_masked_before_the_guard(self):
+        """eps = 0: the skipped body sits at r² = 0 and is no error, in
+        either mode."""
+        b = plummer(90, seed=21)
+        tree = BHTree(b.pos, b.mass, leaf_size=4)
+        skip = np.arange(90, dtype=np.int64)
+        acc_v, int_v = kernels.get("bh_walk", "vectorized")(
+            tree, b.pos, 0.7, 0.0, skip
+        )
+        acc_r, int_r = kernels.get("bh_walk", "reference")(
+            tree, b.pos, 0.7, 0.0, skip
+        )
+        assert np.array_equal(int_v, int_r)
+        assert np.all(np.isfinite(acc_v)) and np.all(np.isfinite(acc_r))
+        assert np.allclose(acc_v, acc_r, rtol=1e-12, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_coincident_pair_at_zero_eps_still_raises(self, mode):
+        """Masking the self pair must not mask a genuine zero distance."""
+        pos = np.vstack([plummer(40, seed=22).pos, np.zeros((2, 3)) + 0.5])
+        tree = BHTree(pos, np.ones(42), leaf_size=4)
+        skip = np.arange(42, dtype=np.int64)
+        with pytest.raises(ZeroDivisionError, match="zero-distance body pair"):
+            kernels.get("bh_walk", mode)(tree, pos, 0.7, 0.0, skip)
 
 
 # ---------------------------------------------------------------------------
