@@ -22,7 +22,8 @@ Four measurements against a live gateway serving warm process pools:
 Acceptance floors (enforced, nonzero exit):
 
 * ``sustained_jobs_per_s >= 50``  (``>= 25`` under ``--quick``);
-* ``gateway_overhead_ms  <= 5.0``;
+* ``gateway_overhead_ms  <= 2.49`` (1.5 x the recorded reading, so a
+  per-request fixed cost such as the old dial cannot drift back);
 * the two scaling floors across the 1/2/4-pool rows as above.
 
 Usage::
@@ -149,7 +150,7 @@ def main(argv=None) -> int:
     flood = 40 if args.quick else 120
     serial = 20 if args.quick else 60
     throughput_floor = 25.0 if args.quick else 50.0
-    overhead_ceiling_ms = 5.0
+    overhead_ceiling_ms = 2.49  # 1.5 x the BENCH_service.json reading (1.66)
     scaling_ratio_floor = 0.75
 
     scaling = [bench_throughput(pools, flood) for pools in (1, 2, 4)]

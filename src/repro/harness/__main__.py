@@ -455,20 +455,22 @@ def _submit(argv: list[str]) -> int:
 
     from ..core.errors import BspError, GatewayUnavailableError
     from ..service import ServiceClient
-    client = ServiceClient(args.host, args.port, tenant=args.tenant)
     try:
-        outcome = client.submit(
-            app=args.app, size=args.size, nprocs=args.nprocs,
-            backend=args.backend, sync=args.sync, seed=args.seed,
-            retries=args.retries, checkpoint_every=args.checkpoint_every,
-            key=args.key, wait=False)
-        if args.no_wait:
-            outcome.close()
-            print(json.dumps(outcome.job, indent=2))
-            return 0
-        final = outcome.wait(
-            on_state=lambda job: print(f"[{job['job_id']}] {job['state']}",
-                                       file=sys.stderr))
+        with ServiceClient(args.host, args.port,
+                           tenant=args.tenant) as client:
+            outcome = client.submit(
+                app=args.app, size=args.size, nprocs=args.nprocs,
+                backend=args.backend, sync=args.sync, seed=args.seed,
+                retries=args.retries,
+                checkpoint_every=args.checkpoint_every,
+                key=args.key, wait=False)
+            if args.no_wait:
+                outcome.close()
+                print(json.dumps(outcome.job, indent=2))
+                return 0
+            final = outcome.wait(
+                on_state=lambda job: print(
+                    f"[{job['job_id']}] {job['state']}", file=sys.stderr))
     except GatewayUnavailableError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return _EX_UNAVAILABLE
@@ -497,22 +499,24 @@ def _status(argv: list[str]) -> int:
 
     from ..core.errors import BspError, GatewayUnavailableError
     from ..service import ServiceClient
-    client = ServiceClient(args.host, args.port, tenant=args.tenant)
     try:
-        if args.job_id is not None:
-            print(json.dumps(client.status(args.job_id), indent=2))
-        else:
-            health = client.health()
-            if not args.json:
-                # Summary view: drop the per-slot detail, keep the
-                # fleet-level counters (quarantines included).
-                health = dict(health)
-                health["fleet"] = [
-                    {k: slot[k] for k in ("slot", "busy_job", "jobs_run",
-                                          "recycles", "quarantined")
-                     if k in slot}
-                    for slot in health.get("fleet", [])]
-            print(json.dumps(health, indent=2))
+        with ServiceClient(args.host, args.port,
+                           tenant=args.tenant) as client:
+            if args.job_id is not None:
+                print(json.dumps(client.status(args.job_id), indent=2))
+            else:
+                health = client.health()
+                if not args.json:
+                    # Summary view: drop the per-slot detail, keep the
+                    # fleet-level counters (quarantines included).
+                    health = dict(health)
+                    health["fleet"] = [
+                        {k: slot[k]
+                         for k in ("slot", "busy_job", "jobs_run",
+                                   "recycles", "quarantined")
+                         if k in slot}
+                        for slot in health.get("fleet", [])]
+                print(json.dumps(health, indent=2))
     except GatewayUnavailableError as exc:
         print(f"status failed: {exc}", file=sys.stderr)
         return _EX_UNAVAILABLE
@@ -535,9 +539,10 @@ def _cancel(argv: list[str]) -> int:
 
     from ..core.errors import BspError, GatewayUnavailableError
     from ..service import ServiceClient
-    client = ServiceClient(args.host, args.port, tenant=args.tenant)
     try:
-        print(json.dumps(client.cancel(args.job_id), indent=2))
+        with ServiceClient(args.host, args.port,
+                           tenant=args.tenant) as client:
+            print(json.dumps(client.cancel(args.job_id), indent=2))
     except GatewayUnavailableError as exc:
         print(f"cancel failed: {exc}", file=sys.stderr)
         return _EX_UNAVAILABLE

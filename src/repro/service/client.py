@@ -1,23 +1,29 @@
 """``ServiceClient`` — the blocking Python client of the job gateway.
 
-One connection per request keeps the client trivially robust (no
-multiplexing): ``submit`` holds its connection open only while streaming
-the job's lifecycle; ``status`` / ``cancel`` / ``health`` are single
-round trips.  On loopback a connect costs tens of microseconds —
-measured as part of the gateway-overhead row in ``BENCH_service.json``.
+A connection carries one request at a time (no multiplexing) and the
+client keeps **one** alive between requests: every request checks the
+idle connection out, dialling only when there is none (a stream is still
+open on it) or a zero-timeout peek shows it readable — the gateway closed
+it or restarted.  A streaming handle hands its connection back on the
+terminal frame and closes it on ``close()``, an error, or abandonment;
+``close()`` on the client (or leaving its ``with`` block) drops the idle
+one.  The single retry rule: a *reused* connection that dies before the
+reply gets one fresh dial and the request again — except an unkeyed
+``submit``, which is not idempotent and raises.  (A connection per
+request, the old contract, cost ≈1.2 ms of a 6.5 ms keyed noop job under
+the profiler: dial, accept, transport build, two closes.)
 
-A gateway whose socket is gone surfaces as the typed
+A gateway that is gone surfaces as the typed
 :class:`~repro.core.errors.GatewayUnavailableError` (never a raw
 ``ConnectionRefusedError``), carrying the address that went dark.  A
-streaming submit that supplied an idempotency ``key`` goes further: if
-the stream drops mid-job (the gateway bounced), the handle reconnects
-with exponential backoff and full jitter — the same retry shape the TCP
-mesh uses for rank dials — and re-attaches to the *same* job by key via
-a ``watch`` frame, so a durable gateway's restart is a pause, not a
-failure, from the client's point of view.
+streaming submit with an idempotency ``key`` goes further: if the stream
+drops mid-job (the gateway bounced), the handle reconnects with
+exponential backoff and full jitter — the retry shape the TCP mesh uses
+for rank dials — and re-attaches to the *same* job by key via a ``watch``
+frame: a durable gateway's restart is a pause, not a failure.
 
->>> client = ServiceClient("127.0.0.1", port)          # doctest: +SKIP
->>> job = client.submit(app="noop", size="1", nprocs=4)  # doctest: +SKIP
+>>> with ServiceClient("127.0.0.1", port) as client:    # doctest: +SKIP
+...     job = client.submit(app="noop", size="1", nprocs=4)
 >>> job["state"], job["result"]["S"]                   # doctest: +SKIP
 ('DONE', 2)
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import random
 import socket
+import threading
 import time
 from functools import partial
 from typing import Any, Callable
@@ -38,8 +45,7 @@ from ..core.errors import (
     GatewayUnavailableError,
     ServiceOverloadError,
 )
-from . import protocol
-from .protocol import ProtocolError
+from .protocol import Connection, ProtocolError
 
 #: Error code → exception raised client-side.  Unknown codes raise the
 #: base ``BspError`` so new server-side types degrade gracefully.
@@ -68,14 +74,17 @@ class SubmitHandle:
     When built with a ``reattach`` callable (submissions carrying an
     idempotency key), a dropped stream is survivable: the handle
     reconnects and resumes watching the same job, counting each recovery
-    in ``reconnects``.  Without one, a dropped stream raises.
+    in ``reconnects``.  Without one, a dropped stream raises.  The
+    terminal frame hands the connection back through ``release``.
     """
 
-    def __init__(self, sock: socket.socket, job: dict[str, Any],
-                 reattach: Callable[[], tuple[socket.socket,
+    def __init__(self, conn: Connection, job: dict[str, Any],
+                 release: Callable[[Connection], None],
+                 reattach: Callable[[], tuple[Connection,
                                               dict[str, Any]]] | None = None):
-        self._sock = sock
+        self._conn: Connection | None = conn
         self.job = job
+        self._release = release
         self._reattach = reattach
         self.reconnects = 0
 
@@ -88,8 +97,9 @@ class SubmitHandle:
         try:
             while True:
                 try:
-                    frame = protocol.recv_frame(self._sock)
-                except (ConnectionError, socket.timeout, OSError):
+                    frame = (self._conn.recv_frame()
+                             if self._conn is not None else None)
+                except OSError:  # reset, timeout, closed under us
                     frame = None
                 if frame is None:
                     # The stream died before a terminal state: either the
@@ -99,8 +109,8 @@ class SubmitHandle:
                         raise ProtocolError(
                             f"gateway closed the stream for {self.job_id} "
                             "before a terminal state")
-                    self._sock.close()
-                    self._sock, accepted = self._reattach()
+                    self.close()
+                    self._conn, accepted = self._reattach()
                     self.reconnects += 1
                     self.job = accepted["job"]
                     continue
@@ -108,11 +118,16 @@ class SubmitHandle:
                     _raise_error(frame)
                 snapshot = frame["job"]
                 self.job = snapshot
+                terminal = snapshot["state"] in ("DONE", "FAILED",
+                                                 "CANCELLED")
+                if terminal:  # nothing follows: the connection is idle
+                    conn, self._conn = self._conn, None
+                    self._release(conn)
                 yield snapshot
-                if snapshot["state"] in ("DONE", "FAILED", "CANCELLED"):
+                if terminal:
                     return
         finally:
-            self._sock.close()
+            self.close()
 
     def wait(self, on_state: Callable[[dict[str, Any]], None] | None = None,
              ) -> dict[str, Any]:
@@ -125,15 +140,19 @@ class SubmitHandle:
         return last
 
     def close(self) -> None:
-        self._sock.close()
+        """Stop watching (the job keeps running server-side)."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
 
 class ServiceClient:
     """Blocking client for one gateway (host, port).
 
-    ``reconnect_timeout`` bounds how long a keyed streaming submit keeps
-    retrying to re-attach after its stream drops (exponential backoff
-    with full jitter, capped at 1s between attempts).
+    Threads sharing a client share its one idle connection; whoever
+    finds it checked out dials its own.  ``reconnect_timeout`` bounds how
+    long a keyed streaming submit keeps retrying to re-attach after its
+    stream drops (exponential backoff with full jitter, capped at 1s).
     """
 
     def __init__(self, host: str, port: int, *,
@@ -144,76 +163,110 @@ class ServiceClient:
         self.tenant = tenant
         self.timeout = timeout
         self.reconnect_timeout = reconnect_timeout
+        self._lock = threading.Lock()
+        self._idle: Connection | None = None
+        self._closed = False
 
-    def _connect(self) -> socket.socket:
+    def close(self) -> None:
+        """Drop the idle connection (and any a handle hands back later)."""
+        with self._lock:
+            conn, self._idle, self._closed = self._idle, None, True
+        if conn is not None:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def _connect(self) -> Connection:
         try:
             sock = socket.create_connection((self.host, self.port),
                                             timeout=self.timeout)
         except OSError as exc:
             raise GatewayUnavailableError(
-                self.host, self.port,
-                cause=type(exc).__name__) from exc
+                self.host, self.port, cause=type(exc).__name__) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return sock
+        return Connection(sock)
+
+    def _checkin(self, conn: Connection) -> None:
+        """Keep ``conn`` for the next request (or close it: one is kept)."""
+        with self._lock:
+            if self._idle is None and not self._closed:
+                self._idle = conn
+                return
+        conn.close()
+
+    def _exchange(self, request: dict[str, Any], *, resend: bool = True,
+                  ) -> tuple[Connection, dict[str, Any]]:
+        """Send ``request``; returns the connection, still checked out,
+        and the first reply frame (error frames raise).  A reused
+        connection that dies before the reply was closed behind the stale
+        probe's back: one fresh dial, unless ``resend`` is false (an
+        unkeyed submit must never be sent twice)."""
+        with self._lock:
+            conn, self._idle = self._idle, None
+        if conn is not None and conn.stale():
+            conn.close()
+            conn = None
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = self._connect()
+            try:
+                conn.send_frame(request)
+                frame = conn.recv_frame()
+            except ConnectionError:
+                frame = None  # reset or broken pipe: as gone as a clean EOF
+            except BaseException:
+                conn.close()
+                raise
+            if frame is None:
+                conn.close()
+                if not (reused and resend):
+                    raise GatewayUnavailableError(
+                        self.host, self.port,
+                        cause="closed the connection before replying")
+                conn, reused = None, False
+            elif frame.get("type") == "error":
+                self._checkin(conn)  # the gateway keeps serving after one
+                _raise_error(frame)
+            else:
+                return conn, frame
 
     def _reattach(self, *, key: str | None = None,
                   job_id: str | None = None,
-                  ) -> tuple[socket.socket, dict[str, Any]]:
+                  ) -> tuple[Connection, dict[str, Any]]:
         """Reconnect (backoff + full jitter) and re-open a job's stream.
 
         The retry shape is the TCP mesh's ``connect_retry``: double the
         delay each miss, sleep a uniformly random fraction of it (full
         jitter, so a fleet of re-attaching clients doesn't stampede the
         freshly restarted gateway), give up past ``reconnect_timeout``
-        with the typed :class:`GatewayUnavailableError`.
+        with the typed :class:`GatewayUnavailableError`.  An error frame
+        (the gateway is *up* and rejected us) is not retryable.
         """
-        request: dict[str, Any] = {"type": "watch", "stream": True}
-        if key is not None:
-            request["key"] = key
-        else:
-            request["job_id"] = job_id
+        request = {"type": "watch", "stream": True,
+                   **({"job_id": job_id} if key is None else {"key": key})}
         deadline = time.monotonic() + self.reconnect_timeout
         delay = 0.05
         while True:
-            sock = None
             try:
-                sock = self._connect()
-                protocol.send_frame(sock, request)
-                frame = protocol.recv_frame(sock)
-                if frame is None:
-                    raise GatewayUnavailableError(
-                        self.host, self.port,
-                        cause="connection closed during re-attach")
-                if frame.get("type") == "error":
-                    # The gateway is *up* and rejected us (e.g. the job
-                    # is genuinely unknown): not retryable.
-                    _raise_error(frame)
-                return sock, frame
-            except (GatewayUnavailableError, ConnectionError,
-                    socket.timeout) as exc:
-                if sock is not None:
-                    sock.close()
+                return self._exchange(request)
+            except (ConnectionError, socket.timeout) as exc:
                 if time.monotonic() >= deadline:
                     if isinstance(exc, GatewayUnavailableError):
                         raise
                     raise GatewayUnavailableError(
-                        self.host, self.port,
-                        cause=type(exc).__name__) from exc
+                        self.host, self.port, cause=type(exc).__name__,
+                    ) from exc
                 time.sleep(delay * (0.5 + random.random() * 0.5))
                 delay = min(delay * 2, 1.0)
-            except BaseException:
-                if sock is not None:
-                    sock.close()
-                raise
 
     def _roundtrip(self, request: dict[str, Any]) -> dict[str, Any]:
-        with self._connect() as sock:
-            protocol.send_frame(sock, request)
-            frame = protocol.recv_frame(sock)
-        if frame is None:
-            raise ProtocolError("gateway closed the connection mid-request")
-        if frame.get("type") == "error":
-            _raise_error(frame)
+        conn, frame = self._exchange(request)
+        self._checkin(conn)
         return frame
 
     # -- requests -----------------------------------------------------------
@@ -258,24 +311,11 @@ class ServiceClient:
                    "stream": True, "job": job}
         if key is not None:
             request["key"] = key
-        sock = self._connect()
-        try:
-            protocol.send_frame(sock, request)
-            frame = protocol.recv_frame(sock)
-            if frame is None:
-                raise ProtocolError(
-                    "gateway closed the connection mid-submit")
-            if frame.get("type") == "error":
-                _raise_error(frame)
-        except BaseException:
-            sock.close()
-            raise
+        conn, frame = self._exchange(request, resend=key is not None)
         reattach = (partial(self._reattach, key=key)
                     if key is not None else None)
-        handle = SubmitHandle(sock, frame["job"], reattach)
-        if not wait:
-            return handle
-        return handle.wait(on_state)
+        handle = SubmitHandle(conn, frame["job"], self._checkin, reattach)
+        return handle.wait(on_state) if wait else handle
 
     def watch(self, *, job_id: str | None = None, key: str | None = None,
               wait: bool = True,
@@ -290,12 +330,10 @@ class ServiceClient:
         """
         if job_id is None and key is None:
             raise BspUsageError("watch() needs a job_id or a key")
-        sock, frame = self._reattach(key=key, job_id=job_id)
+        conn, frame = self._reattach(key=key, job_id=job_id)
         reattach = partial(self._reattach, key=key, job_id=job_id)
-        handle = SubmitHandle(sock, frame["job"], reattach)
-        if not wait:
-            return handle
-        return handle.wait(on_state)
+        handle = SubmitHandle(conn, frame["job"], self._checkin, reattach)
+        return handle.wait(on_state) if wait else handle
 
     def status(self, job_id: str | None = None) -> dict[str, Any]:
         """One job record, or ``{"jobs": [...], "total": n}`` for all."""

@@ -120,6 +120,8 @@ class ServiceGateway:
         self._stopping = asyncio.Event()
         self._job_counter = 0
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
+        #: Open (kept-alive) client connections, for _shutdown to close.
+        self._writers: set[asyncio.StreamWriter] = set()
         self._checkpoint_root: str | None = None
         self._owns_checkpoint_root = False
         self.journal: JobJournal | None = None
@@ -212,12 +214,14 @@ class ServiceGateway:
     async def stop(self) -> None:
         self._stopping.set()
         if self._wake is not None:
-            async with self._wake:
-                self._wake.notify_all()
+            await self._wake_dispatchers()
 
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+            # 3.12.1+ waits below for open connections, idle or streaming.
+            for writer in list(self._writers):
+                writer.close()
             await self._server.wait_closed()
         for task in self._dispatchers:
             task.cancel()
@@ -248,16 +252,13 @@ class ServiceGateway:
         while not self._stopping.is_set():
             # Lease under the condition lock: a submit's notify_all also
             # holds it, so "checked empty, then missed the wakeup" cannot
-            # happen (the timeout is only a liveness backstop for stop()).
+            # happen (stop() notifies too, and _shutdown cancels us).
             async with self._wake:
                 record = None
                 if not slot.quarantined:
                     record = self.scheduler.next_job(slot.key)
                 if record is None:
-                    try:
-                        await asyncio.wait_for(self._wake.wait(), timeout=0.5)
-                    except asyncio.TimeoutError:
-                        pass
+                    await self._wake.wait()
             if record is None:
                 continue
             record.started_at = time.time()
@@ -299,8 +300,7 @@ class ServiceGateway:
                 await loop.run_in_executor(self._executor, slot.recycle)
             # A pool just came free: wake sibling dispatchers whose keys
             # may have queued work gated by in-flight caps.
-            async with self._wake:
-                self._wake.notify_all()
+            await self._wake_dispatchers()
 
     async def _await_with_progress(self, record: JobRecord, future) -> Any:
         """Await a running job, observing its checkpoint progress.
@@ -389,9 +389,7 @@ class ServiceGateway:
             if pids:
                 self._journal_append("FLEET", pids=pids)
         slot.unquarantine()
-        assert self._wake is not None
-        async with self._wake:
-            self._wake.notify_all()
+        await self._wake_dispatchers()
 
     def _publish(self, record: JobRecord) -> None:
         """Push a state transition to every subscriber of the job."""
@@ -406,7 +404,7 @@ class ServiceGateway:
         if record.terminal:
             del self._subscribers[record.job_id]
 
-    async def _notify_submitted(self) -> None:
+    async def _wake_dispatchers(self) -> None:
         assert self._wake is not None
         async with self._wake:
             self._wake.notify_all()
@@ -415,6 +413,7 @@ class ServiceGateway:
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -450,6 +449,7 @@ class ServiceGateway:
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; its job (if any) keeps running
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -533,7 +533,7 @@ class ServiceGateway:
         self._journal_append("ADMITTED", record.job_id)
         await protocol.write_frame(
             writer, {"type": "accepted", "job": record.to_dict()})
-        await self._notify_submitted()
+        await self._wake_dispatchers()
         if queue is None:
             return
         await self._stream_states(record.job_id, queue, writer)
@@ -683,7 +683,7 @@ class RunningService:
     clients in the same process).  Use as a context manager::
 
         with serve_in_background(config) as svc:
-            client = ServiceClient(svc.host, svc.port)
+            with ServiceClient(svc.host, svc.port) as client: ...
     """
 
     def __init__(self, gateway: ServiceGateway, thread: threading.Thread,

@@ -55,8 +55,9 @@ Record kinds
 
 Durability
 ----------
-Appends are flushed and (by default) fsynced before :meth:`append`
-returns — the gateway journals *then* acknowledges.  Startup compaction
+Appends are flushed, and all kinds but ``SUBMITTED``/``RUNNING`` fsynced,
+before :meth:`append` returns — the gateway journals *then* acknowledges
+(DESIGN.md "Durable service" has the table).  Startup compaction
 rewrites the log to just the live state using the checkpoint store's
 atomic-write primitive (:func:`repro.checkpoint.atomic_replace_write`:
 dot-tmp + fsync + ``os.replace``), so the log stays O(live jobs) across
@@ -92,7 +93,10 @@ _LOG_NAME = "journal.log"
 JOURNAL_KINDS = ("SUBMITTED", "ADMITTED", "RUNNING", "STEP", "DONE",
                  "FAILED", "CANCELLED", "FLEET", "SCHED")
 
-_TERMINAL_KINDS = frozenset({"DONE", "FAILED", "CANCELLED"})
+#: Kinds that are flushed but do not force the log: it is one append-only
+#: file, so ``SUBMITTED`` rides ``ADMITTED``'s fsync (before ``accepted`` is
+#: sent) and ``RUNNING`` the first ``STEP``'s or the terminal record's.
+_RIDES_NEXT_FSYNC = frozenset({"SUBMITTED", "RUNNING"})
 
 
 def encode_record(rec: dict[str, Any]) -> bytes:
@@ -160,12 +164,12 @@ class JobJournal:
 
     def append(self, kind: str, job_id: str | None = None,
                **fields: Any) -> int:
-        """Durably append one record; returns its sequence number.
+        """Append one record; returns its sequence number.
 
-        The record is on disk (flushed, fsynced unless the journal was
-        built with ``fsync=False``) when this returns — callers
-        acknowledge *after* appending, which is what makes the log
-        write-ahead.
+        The record is flushed, and — unless its kind rides the next
+        fsync, or the journal was built with ``fsync=False`` — on disk
+        with every record before it when this returns: callers
+        acknowledge *after* appending, which makes the log write-ahead.
         """
         if kind not in JOURNAL_KINDS:
             raise BspConfigError(f"unknown journal record kind {kind!r}")
@@ -180,7 +184,7 @@ class JobJournal:
             fh = self._open()
             fh.write(line)
             fh.flush()
-            if self._fsync:
+            if self._fsync and kind not in _RIDES_NEXT_FSYNC:
                 os.fsync(fh.fileno())
             plan = faults._ACTIVE
             if plan is not None:

@@ -14,6 +14,9 @@ fail loudly against new gateways (and vice versa).
 
 Request frames (client → gateway)
 ---------------------------------
+A connection carries any number of requests, one at a time: the next
+request follows the last reply frame (for a stream, the terminal state).
+
 ``{"v": 1, "type": "submit", "tenant": t, "stream": bool, "job": {...}}``
     Queue one job (see :class:`~repro.service.jobs.JobSpec` for the
     ``job`` fields).  With ``stream`` (the default) the connection stays
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import select
 import socket
 import struct
 from typing import Any
@@ -88,7 +92,7 @@ def encode_frame(obj: dict[str, Any]) -> bytes:
     return _PREFIX.pack(len(payload)) + payload
 
 
-def decode_payload(payload: bytes) -> dict[str, Any]:
+def decode_payload(payload: bytes | bytearray) -> dict[str, Any]:
     """Parse and version-check one frame's JSON payload."""
     try:
         obj = json.loads(payload.decode("utf-8"))
@@ -103,6 +107,15 @@ def decode_payload(payload: bytes) -> dict[str, Any]:
             f"protocol version mismatch: frame says {version!r}, this end "
             f"speaks {PROTOCOL_VERSION}")
     return obj
+
+
+def _payload_length(prefix: bytes | bytearray) -> int:
+    (length,) = _PREFIX.unpack_from(prefix)
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame of {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame ceiling")
+    return length
 
 
 def error_frame(error: str, message: str, **extra: Any) -> dict[str, Any]:
@@ -123,13 +136,8 @@ async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
         if not exc.partial:
             return None
         raise ProtocolError("connection closed mid-prefix") from None
-    (length,) = _PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame ceiling")
     try:
-        payload = await reader.readexactly(length)
+        payload = await reader.readexactly(_payload_length(prefix))
     except asyncio.IncompleteReadError:
         raise ProtocolError("connection closed mid-frame") from None
     return decode_payload(payload)
@@ -143,33 +151,43 @@ async def write_frame(writer: asyncio.StreamWriter,
 
 # -- blocking side (client) --------------------------------------------------
 
-def send_frame(sock: socket.socket, obj: dict[str, Any]) -> None:
-    sock.sendall(encode_frame(obj))
+class Connection:
+    """A blocking socket and the bytes received past the last frame.
 
+    One request at a time; when its replies are read the next may follow.
+    A frame costs one buffered ``recv`` (not prefix-then-payload): what
+    arrives behind it waits in the buffer for the next ``recv_frame``.
+    """
 
-def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
-    """Blocking read of one frame; ``None`` on clean EOF."""
-    prefix = _recv_exact(sock, _PREFIX.size, eof_ok=True)
-    if prefix is None:
-        return None
-    (length,) = _PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame ceiling")
-    payload = _recv_exact(sock, length, eof_ok=False)
-    assert payload is not None
-    return decode_payload(payload)
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self._buf = bytearray()
 
+    def send_frame(self, obj: dict[str, Any]) -> None:
+        self.sock.sendall(encode_frame(obj))
 
-def _recv_exact(sock: socket.socket, nbytes: int, *,
-                eof_ok: bool) -> bytes | None:
-    parts = bytearray()
-    while len(parts) < nbytes:
-        chunk = sock.recv(nbytes - len(parts))
-        if not chunk:
-            if eof_ok and not parts:
-                return None
-            raise ProtocolError("connection closed mid-frame")
-        parts += chunk
-    return bytes(parts)
+    def recv_frame(self) -> dict[str, Any] | None:
+        """Blocking read of one frame; ``None`` on clean EOF."""
+        buf = self._buf
+        while True:
+            if len(buf) >= _PREFIX.size:
+                end = _PREFIX.size + _payload_length(buf)
+                if len(buf) >= end:
+                    payload = buf[_PREFIX.size:end]
+                    del buf[:end]
+                    return decode_payload(payload)
+            chunk = self.sock.recv(1 << 16)
+            if not chunk:
+                if not buf:
+                    return None
+                raise ProtocolError("connection closed mid-frame")
+            buf += chunk
+
+    def stale(self) -> bool:
+        """Zero-timeout peek at an *idle* connection: the gateway sends
+        nothing between requests, so readable means EOF (it closed or
+        restarted) or stray bytes — either way, not reusable."""
+        return bool(self._buf or select.select([self.sock], (), (), 0)[0])
+
+    def close(self) -> None:
+        self.sock.close()

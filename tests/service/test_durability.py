@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.core.errors import (
+    BspError,
     GatewayUnavailableError,
     ServiceOverloadError,
 )
@@ -35,8 +36,10 @@ from repro.service import (
     GatewayConfig,
     SchedulerConfig,
     ServiceClient,
+    protocol,
     serve_in_background,
 )
+from repro.service import journal as journal_module
 from repro.service.jobs import JobRecord, JobSpec
 from repro.service.journal import (
     JobJournal,
@@ -615,3 +618,247 @@ class TestGatewayCrashChaos:
                 proc.wait(timeout=60)
             except subprocess.TimeoutExpired:
                 proc.kill()
+
+
+# -- kept-alive client connection across a gateway bounce ---------------------
+
+class TestStaleConnection:
+    """The client's kept-alive connection does not survive a gateway
+    restart; what the client does about it is the single retry rule."""
+
+    def _config(self, journal_dir, port):
+        return GatewayConfig(
+            port=port,
+            fleet=(FleetSpec(backend="threads", nprocs=2, pools=1),),
+            journal_dir=str(journal_dir), probe_interval=0.0)
+
+    @pytest.mark.parametrize("probe", [True, False],
+                             ids=["probe-sees-eof", "send-fails"])
+    def test_keyed_submit_survives_restart_on_one_fresh_dial(
+            self, tmp_path, dials, monkeypatch, probe):
+        """With the probe the dead connection is never used; without it
+        (the gateway died behind the probe's back) the request fails on
+        the reused connection and is sent once more on a fresh one."""
+        if not probe:
+            monkeypatch.setattr(protocol.Connection, "stale",
+                                lambda self: False)
+        port = _free_port()
+        noop = dict(app="noop", size="1", nprocs=2, backend="threads")
+        with ServiceClient("127.0.0.1", port) as client:
+            with serve_in_background(self._config(tmp_path, port)):
+                first = client.submit(**noop, key="bounce")
+                assert first["state"] == "DONE"
+                assert len(dials) == 1
+            with serve_in_background(self._config(tmp_path, port)):
+                again = client.submit(**noop, key="bounce")
+                assert len(dials) == 2
+                assert again["job_id"] == first["job_id"]
+                assert again["result"]["digest"] == first["result"]["digest"]
+                assert client.status()["total"] == 1  # deduped, not re-run
+                assert len(dials) == 2
+
+    @pytest.mark.parametrize("probe", [True, False],
+                             ids=["probe-sees-eof", "send-fails"])
+    def test_gateway_gone_is_still_the_typed_error(
+            self, tmp_path, dials, monkeypatch, probe):
+        if not probe:
+            monkeypatch.setattr(protocol.Connection, "stale",
+                                lambda self: False)
+        port = _free_port()
+        with ServiceClient("127.0.0.1", port,
+                           reconnect_timeout=0.0) as client:
+            with serve_in_background(self._config(tmp_path, port)):
+                client.health()
+            with pytest.raises(GatewayUnavailableError) as excinfo:
+                client.submit(app="noop", size="1", nprocs=2,
+                              backend="threads", key="gone")
+            assert excinfo.value.port == port
+            with pytest.raises(GatewayUnavailableError):
+                client.health()
+
+    def test_unkeyed_submit_on_a_dead_connection_raises(
+            self, tmp_path, dials, monkeypatch):
+        """The reused connection dies before the reply: an unkeyed submit
+        is not idempotent, so it is not sent again — the caller hears
+        about it, and the journal holds at most one job for it."""
+        monkeypatch.setattr(protocol.Connection, "stale", lambda self: False)
+        port = _free_port()
+        with ServiceClient("127.0.0.1", port) as client:
+            with serve_in_background(self._config(tmp_path, port)):
+                client.health()
+            with serve_in_background(self._config(tmp_path, port)):
+                with pytest.raises((BspError, ConnectionError)):
+                    client.submit(app="noop", size="1", nprocs=2,
+                                  backend="threads")
+                assert len(dials) == 1  # no second dial for the submit
+                assert client.status()["total"] <= 1
+            records, _ = JobJournal(tmp_path).scan()
+            assert sum(r["kind"] == "SUBMITTED" for r in records) <= 1
+
+
+# -- the fsync rule: which records force the log ------------------------------
+
+@pytest.fixture()
+def fsyncs(monkeypatch):
+    """``os.fsync`` calls made through ``repro.service.journal``."""
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        return real(fd)
+
+    monkeypatch.setattr(journal_module.os, "fsync", counting)
+    return calls
+
+
+class TestFsyncRule:
+    """SUBMITTED and RUNNING ride the next fsync; every acknowledgement
+    still waits for the fsync that makes its record durable."""
+
+    def _config(self, journal_dir):
+        return GatewayConfig(
+            fleet=(FleetSpec(backend="threads", nprocs=2, pools=1),),
+            journal_dir=str(journal_dir), probe_interval=0.0)
+
+    def test_which_kinds_force_the_log(self, tmp_path, fsyncs):
+        journal = JobJournal(tmp_path)
+        forced = []
+        for kind in journal_module.JOURNAL_KINDS:
+            before = len(fsyncs)
+            journal.append(kind, "j1")
+            if len(fsyncs) > before:
+                forced.append(kind)
+        journal.close()
+        # STEP forces: a checkpointing job's RUNNING (appended just before
+        # it here) is durable once its progress is journaled.
+        assert forced == ["ADMITTED", "STEP", "DONE", "FAILED", "CANCELLED",
+                          "FLEET", "SCHED"]
+        # Unforced records are still written through to the file (a
+        # SIGKILL loses nothing): a fresh reader sees all of them.
+        assert len(JobJournal(tmp_path).scan()[0]) == len(
+            journal_module.JOURNAL_KINDS)
+
+    def test_keyed_noop_job_costs_two_fsyncs(self, tmp_path, fsyncs):
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
+            client.health()
+            before = len(fsyncs)
+            final = client.submit(app="noop", size="1", nprocs=2,
+                                  backend="threads", key="two")
+            assert final["state"] == "DONE"
+            assert len(fsyncs) - before == 2
+            records, _ = svc.gateway.journal.scan()
+            assert [r["kind"] for r in records if "job_id" in r] == [
+                "SUBMITTED", "ADMITTED", "RUNNING", "DONE"]
+
+    def test_acknowledgements_wait_for_their_fsync(self, tmp_path,
+                                                   monkeypatch):
+        """``accepted`` is never written before the ADMITTED fsync has
+        returned, a terminal ``state`` never before its record's."""
+        log = []
+        real_fsync, real_append = os.fsync, JobJournal.append
+        real_write = protocol.write_frame
+
+        def fsync(fd):
+            real_fsync(fd)
+            log.append("fsync")
+
+        def append(self, kind, job_id=None, **fields):
+            log.append(f"append {kind}")  # entered; returns after its fsync
+            return real_append(self, kind, job_id, **fields)
+
+        async def write_frame(writer, obj):
+            state = obj.get("job", {}).get("state", "")
+            log.append(f"frame {obj['type']} {state}".strip())
+            await real_write(writer, obj)
+
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
+            monkeypatch.setattr(journal_module.os, "fsync", fsync)
+            monkeypatch.setattr(JobJournal, "append", append)
+            monkeypatch.setattr(protocol, "write_frame", write_frame)
+            final = client.submit(app="noop", size="1", nprocs=2,
+                                  backend="threads", key="order")
+            assert final["state"] == "DONE"
+        submitted = log.index("append SUBMITTED")
+        assert log[submitted:submitted + 4] == [
+            "append SUBMITTED", "append ADMITTED", "fsync",
+            "frame accepted QUEUED"]
+        done = log.index("append DONE")
+        assert log[done:done + 3] == [
+            "append DONE", "fsync", "frame state DONE"]
+        running = log.index("append RUNNING")
+        assert "fsync" not in log[running:done]
+
+    # -- power loss: the log as the disk would hold it after losing every
+    #    record behind the last fsync --------------------------------------
+
+    def _log_cut_after(self, journal_dir, kind):
+        """Run one keyed noop job to DONE on a fresh journal, then cut
+        the log right after its ``kind`` record; returns the DONE job."""
+        with serve_in_background(self._config(journal_dir)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
+            done = client.submit(app="noop", size="1", nprocs=2,
+                                 backend="threads", key="power")
+        path = os.path.join(journal_dir, "journal.log")
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
+        kinds = [decode_record(line[:-1])["kind"] for line in lines]
+        with open(path, "wb") as fh:
+            fh.writelines(lines[:kinds.index(kind) + 1])
+        return done
+
+    def test_power_loss_after_submitted_leaves_no_job(self, tmp_path):
+        """Nobody was told ``accepted`` (it waits for ADMITTED's fsync),
+        so the replay owes nobody a job."""
+        self._log_cut_after(tmp_path, "SUBMITTED")
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
+            assert client.status()["total"] == 0
+            assert client.health()["journal"]["replayed"] == 0
+            fresh = client.submit(app="noop", size="1", nprocs=2,
+                                  backend="threads", key="power")
+            assert fresh["state"] == "DONE"
+            assert client.status()["total"] == 1
+
+    def test_power_loss_of_running_requeues_and_runs_once(self, tmp_path):
+        """The un-synced RUNNING is lost: the job replays as QUEUED (the
+        state a crash between lease and append always produced), runs
+        once to the golden digest, and its key still dedupes."""
+        golden = self._log_cut_after(tmp_path, "ADMITTED")
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
+            assert client.health()["journal"]["replayed"] == 1
+            final = client.watch(key="power")
+            assert final["state"] == "DONE"
+            assert final["job_id"] == golden["job_id"]
+            assert final["attempts"] == 1
+            assert final["result"]["digest"] == golden["result"]["digest"]
+            again = client.submit(app="noop", size="1", nprocs=2,
+                                  backend="threads", key="power")
+            assert again["job_id"] == golden["job_id"]
+            assert again["attempts"] == 1
+            assert client.status()["total"] == 1
+
+    def test_power_loss_after_step_resumes_the_running_job(self, tmp_path):
+        """STEP forced the log, so the RUNNING before it survived: the
+        replay resumes the job from the journaled step."""
+        journal = JobJournal(tmp_path)
+        journal.append("SUBMITTED", "j1", tenant="t", key="k",
+                       spec=spec().to_dict(), submitted_at=1.0)
+        journal.append("ADMITTED", "j1")
+        journal.append("RUNNING", "j1", attempts=1, started_at=2.0)
+        journal.append("STEP", "j1", step=3)
+        journal.append("STEP", "j1", step=4)  # behind the last fsync: lost
+        journal.close()
+        with open(journal.path, "rb+") as fh:
+            lines = fh.readlines()
+            fh.seek(0)
+            fh.truncate()
+            fh.writelines(lines[:4])
+        records, damaged = JobJournal(tmp_path).scan()
+        replay = restore_scheduler(records, Scheduler(), damaged=damaged)
+        assert [r.job_id for r in replay.resumed] == ["j1"]
+        assert replay.jobs["j1"].resume
+        assert replay.jobs["j1"].progress_step == 3

@@ -7,17 +7,27 @@ client's stream must reach a terminal state (never hang), and the fleet
 must be back at capacity afterwards.
 """
 
+import gc
+import socket
+import threading
 import time
+import warnings
 
 import pytest
 
 from repro import faults
-from repro.core.errors import AdmissionError, BspConfigError, BspUsageError
+from repro.core.errors import (
+    AdmissionError,
+    BspConfigError,
+    BspError,
+    BspUsageError,
+)
 from repro.service import (
     FleetSpec,
     GatewayConfig,
     SchedulerConfig,
     ServiceClient,
+    protocol,
     serve_in_background,
 )
 
@@ -38,7 +48,8 @@ def service():
 
 @pytest.fixture()
 def client(service):
-    return ServiceClient(service.host, service.port)
+    with ServiceClient(service.host, service.port) as client:
+        yield client
 
 
 class TestSubmitLifecycle:
@@ -189,6 +200,167 @@ class TestShutdown:
         while svc._thread.is_alive():
             assert time.time() < deadline, "gateway did not stop"
             time.sleep(0.05)
+
+
+    def test_stop_closes_open_connections(self):
+        """stop() must not wait on an idle kept-alive connection or on a
+        client streaming a still-queued job (Server.wait_closed does, on
+        Python >= 3.12.1), and must leave nothing listening."""
+        config = GatewayConfig(
+            fleet=(FleetSpec(backend="threads", nprocs=4, pools=1),))
+        svc = serve_in_background(config)
+        with ServiceClient(svc.host, svc.port) as idle, \
+                ServiceClient(svc.host, svc.port) as streamer:
+            idle.health()
+            blocker = streamer.submit(app="spin", size="4", nprocs=4,
+                                      backend="threads",
+                                      params={"spin_seconds": 0.1},
+                                      wait=False)
+            watcher = streamer.submit(app="noop", size="1", nprocs=4,
+                                      backend="threads", wait=False)
+            assert idle.status(watcher.job_id)["state"] == "QUEUED"
+            t0 = time.monotonic()
+            svc.stop()
+            elapsed = time.monotonic() - t0
+            assert not svc._thread.is_alive()
+            assert elapsed < 2.0, f"stop() took {elapsed:.1f}s"
+            with pytest.raises(OSError):
+                socket.create_connection((svc.host, svc.port), timeout=5)
+            blocker.close()
+            watcher.close()
+
+
+class TestConnectionReuse:
+    """One kept-alive connection per client; one request at a time on it."""
+
+    def test_sequential_requests_share_one_dial(self, service, dials):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with ServiceClient(service.host, service.port) as client:
+                first = client.submit(app="noop", size="1", nprocs=4,
+                                      backend="threads")
+                assert client.status(first["job_id"])["state"] == "DONE"
+                second = client.submit(app="noop", size="1", nprocs=4,
+                                       backend="threads", key="reuse")
+                assert second["job_id"] != first["job_id"]
+                # A typed error reply leaves the connection usable.
+                with pytest.raises(BspUsageError, match="unknown job id"):
+                    client.status("j999999")
+                assert client.health()["scheduler"]["completed"] == 2
+                assert len(dials) == 1
+            del client
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category,
+                                                  ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
+
+    def test_two_threads_sharing_a_client_dial_twice(self, service, dials):
+        """A connection carries one request at a time: while one thread's
+        stream holds the kept-alive connection the other dials its own,
+        and afterwards one of the two is kept."""
+        both_streaming = threading.Barrier(2)
+        finals = []
+
+        def worker(client):
+            handle = client.submit(app="noop", size="1", nprocs=4,
+                                   backend="threads", wait=False)
+            both_streaming.wait(timeout=60)
+            finals.append(handle.wait())
+
+        with ServiceClient(service.host, service.port) as client:
+            threads = [threading.Thread(target=worker, args=(client,))
+                       for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert [final["state"] for final in finals] == ["DONE", "DONE"]
+            assert len(dials) == 2
+            assert client.status()["total"] == 2
+            assert len(dials) == 2
+
+    def test_abandoned_stream_closes_its_connection(self, service, dials):
+        with ServiceClient(service.host, service.port) as client:
+            handle = client.submit(app="spin", size="3", nprocs=4,
+                                   backend="threads", wait=False)
+            for snapshot in handle.events():
+                break  # abandon mid-stream: the job keeps running
+            assert snapshot["state"] == "RUNNING"
+            assert client.status(handle.job_id)["job_id"] == handle.job_id
+            assert len(dials) == 2  # the abandoned one was not reused
+
+
+class _SilentGateway:
+    """A listener that answers ``health`` and hangs up on its first
+    ``drop_submits`` submit frames without replying (later ones run to
+    DONE), counting the submit frames it was sent."""
+
+    def __init__(self, drop_submits):
+        self.drop_submits = drop_submits
+        self.submits = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            with sock:
+                conn = protocol.Connection(sock)
+                while (frame := conn.recv_frame()) is not None:
+                    if frame["type"] == "health":
+                        conn.send_frame({"type": "health"})
+                        continue
+                    self.submits += 1
+                    if self.submits <= self.drop_submits:
+                        break
+                    conn.send_frame({"type": "accepted", "job": {
+                        "job_id": "j1", "state": "DONE"}})
+                    conn.send_frame({"type": "state", "job": {
+                        "job_id": "j1", "state": "DONE"}})
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=30)
+
+
+class TestSingleRetryRule:
+    """A reused connection that dies before any reply byte gets exactly
+    one fresh dial — unless the request is an unkeyed submit."""
+
+    @pytest.fixture()
+    def silent(self):
+        gateway = _SilentGateway(drop_submits=1)
+        yield gateway
+        gateway.close()
+
+    def test_unkeyed_submit_is_never_sent_twice(self, silent, dials):
+        with ServiceClient("127.0.0.1", silent.port) as client:
+            client.health()  # the kept-alive connection now exists
+            with pytest.raises((BspError, ConnectionError)):
+                client.submit(app="noop", size="1", nprocs=4)
+            assert silent.submits == 1
+            assert len(dials) == 1
+
+    def test_keyed_submit_gets_one_fresh_dial(self, silent, dials):
+        with ServiceClient("127.0.0.1", silent.port) as client:
+            client.health()
+            final = client.submit(app="noop", size="1", nprocs=4, key="k")
+            assert final["state"] == "DONE"
+            assert silent.submits == 2
+            assert len(dials) == 2
+
+    def test_fresh_connection_is_not_retried(self, silent, dials):
+        with ServiceClient("127.0.0.1", silent.port) as client:
+            with pytest.raises((BspError, ConnectionError)):
+                client.submit(app="noop", size="1", nprocs=4, key="k")
+            assert silent.submits == 1
+            assert len(dials) == 1
 
 
 class TestChaos:

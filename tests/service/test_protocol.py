@@ -76,8 +76,9 @@ class TestBlockingSide:
     def test_send_recv_round_trip(self):
         a, b = socket.socketpair()
         try:
-            protocol.send_frame(a, {"type": "status", "job_id": "j1"})
-            frame = protocol.recv_frame(b)
+            protocol.Connection(a).send_frame(
+                {"type": "status", "job_id": "j1"})
+            frame = protocol.Connection(b).recv_frame()
             assert frame["type"] == "status"
             assert frame["job_id"] == "j1"
         finally:
@@ -88,7 +89,7 @@ class TestBlockingSide:
         a, b = socket.socketpair()
         a.close()
         try:
-            assert protocol.recv_frame(b) is None
+            assert protocol.Connection(b).recv_frame() is None
         finally:
             b.close()
 
@@ -100,7 +101,7 @@ class TestBlockingSide:
             a.close()
         try:
             with pytest.raises(ProtocolError, match="mid-frame"):
-                protocol.recv_frame(b)
+                protocol.Connection(b).recv_frame()
         finally:
             b.close()
 
@@ -109,10 +110,41 @@ class TestBlockingSide:
         try:
             a.sendall(struct.pack("<I", MAX_FRAME_BYTES + 1))
             with pytest.raises(ProtocolError, match="frame ceiling"):
-                protocol.recv_frame(b)
+                protocol.Connection(b).recv_frame()
         finally:
             a.close()
             b.close()
+
+
+    def test_frames_behind_a_frame_wait_in_the_buffer(self):
+        """One ``recv`` may bring several frames (or a frame and a half):
+        each ``recv_frame`` hands out exactly one, in order."""
+        a, b = socket.socketpair()
+        try:
+            third = encode_frame({"type": "state", "n": 3})
+            a.sendall(encode_frame({"type": "accepted", "n": 1})
+                      + encode_frame({"type": "state", "n": 2})
+                      + third[:5])
+            conn = protocol.Connection(b)
+            assert conn.recv_frame()["n"] == 1
+            assert conn.stale()  # unread bytes: not reusable as idle
+            assert conn.recv_frame()["n"] == 2
+            a.sendall(third[5:])
+            assert conn.recv_frame()["n"] == 3
+            assert not conn.stale()
+        finally:
+            a.close()
+            b.close()
+
+    def test_stale_probe_sees_a_closed_peer(self):
+        a, b = socket.socketpair()
+        conn = protocol.Connection(b)
+        try:
+            assert not conn.stale()
+            a.close()
+            assert conn.stale()
+        finally:
+            conn.close()
 
 
 class TestAsyncioSide:
