@@ -667,58 +667,61 @@ class FrameTransport:
         return (dst, run_id, step, src, meta, buffers, big, more,
                 tuple(releases))
 
+    def _place(self, frame: tuple, buffers: list, recycled: bool
+               ) -> tuple | None:
+        """Copy ``buffers`` into ONE leased region of ``src``'s pool.
+
+        Returns the header's ``(generation, name, offset, lease id)``, or
+        ``None`` when nothing recycled fits (``recycled``) or no segment
+        could be created.  A frame whose buffer list was already placed
+        this boundary — a broadcast — aliases that region instead.
+        """
+        dst, run_id, step, src = frame[:4]
+        pool = self._seg_pool(src)
+        cache = self._dedup[src]
+        if cache is None or cache[0] != (run_id, step):
+            cache = self._dedup[src] = ((run_id, step), {})
+        key = tuple((id(mv.obj), mv.nbytes) for mv in buffers)
+        hit = cache[1].get(key)
+        if hit is not None:
+            alias = pool.alias(hit[3])
+            if alias is not None:  # same bytes, another destination: no copy
+                return pool.generation, hit[1], hit[2], alias
+        total = sum(shm.aligned(mv.nbytes) for mv in buffers)
+        try:
+            got = pool.lease(dst, total, recycled=recycled)
+        except OSError:  # /dev/shm full
+            return None
+        if got is None:
+            return None
+        lease_id, name, offset, region = got
+        at = 0
+        for mv in buffers:
+            region[at:at + mv.nbytes] = mv
+            at += shm.aligned(mv.nbytes)
+        # The pinned buffers keep their exporters alive, so an ``id``
+        # cannot be recycled while its cache entry exists.
+        cache[1][key] = (buffers, name, offset, lease_id)
+        return pool.generation, name, offset, lease_id
+
     def push_frame(self, frame: tuple, *, block: bool = True) -> bool:
         """Write one encoded frame to its destination; ``True`` once done.
 
         With ``block`` false the push completes without waiting for
         anything or changes nothing and returns ``False``.  It goes
         through only if the destination lock is free, the ring has room
-        now, and the whole pipe message fits ``PIPE_BUF`` on a pipe
-        reporting ``POLLOUT`` — every writer holds the lock, so the
-        kernel takes that write whole.  Zero-copy placements are refused
-        before leasing: leased ahead of this boundary's inbound
-        releases, they could not reuse the regions those free.
+        now, the lease is served from recycled bytes, and the whole pipe
+        message fits ``PIPE_BUF`` on a pipe reporting ``POLLOUT`` —
+        every writer holds the lock, so the kernel takes that write
+        whole.
         """
         dst, run_id, step, src, meta, buffers, big, more, rel = frame
-        if not block and (big or len(meta) > _PIPE_MSG_MAX):
+        if not block and len(meta) > _PIPE_MSG_MAX:
             return False
-        # Zero-copy placement: buffers at or above the threshold go into
-        # leased shared-memory regions (one sender memcpy, no receiver
-        # copy); the frame carries only (index, name, offset, nbytes,
-        # lease id).  Leasing happens before the destination lock — the
-        # pool belongs to this sender alone.
-        extra = None
+        leased = [buffers[i] for i in big]
         if big:
-            pool = self._seg_pool(src)
-            cache = self._dedup[src]
-            if cache is None or cache[0] != (run_id, step):
-                cache = self._dedup[src] = ((run_id, step), {})
-            seen = cache[1]
-            placed = []
-            for i in big:
-                mv = buffers[i]
-                key = (np.frombuffer(mv, np.uint8).ctypes.data, mv.nbytes)
-                hit = seen.get(key)
-                alias = pool.alias(hit[4]) if hit is not None else None
-                if alias is not None:
-                    # Same bytes, another destination: no copy.
-                    placed.append((i, hit[1], hit[2], hit[3], alias))
-                    continue
-                try:
-                    lease_id, name, offset, region = pool.lease(dst,
-                                                                mv.nbytes)
-                except OSError:  # /dev/shm full: it stays a slab/pipe buffer
-                    self._zc[2 * src + 1] += 1
-                    continue
-                region[:] = mv
-                placed.append((i, name, offset, mv.nbytes, lease_id))
-                seen[key] = (mv, name, offset, mv.nbytes, lease_id)
-            self._zc[2 * src] += len(placed)
-            gone = {entry[0] for entry in placed}
+            gone = set(big)
             buffers = [mv for i, mv in enumerate(buffers) if i not in gone]
-            extra = (pool.generation, tuple(placed), rel)
-        elif rel:
-            extra = (0, (), rel)
         lens = tuple(mv.nbytes for mv in buffers)
         total = sum(map(_aligned, lens))
         slab = self._slabs[dst]
@@ -726,26 +729,53 @@ class FrameTransport:
         if buffers and not (use_slab or block):
             return False  # buffers as pipe messages of their own
         lock = self._locks[dst]
-        if not lock.acquire(block):
+        lease = None
+        if block:
+            # Leasing (which may map a segment) and the copy happen
+            # before the destination lock: the pool is this sender's own.
+            if leased:
+                lease = self._place(frame, leased, False)
+                if lease is None:  # they stay slab/pipe buffers
+                    self._zc[2 * src + 1] += len(leased)
+                    buffers = list(frame[5])
+                    lens = tuple(mv.nbytes for mv in buffers)
+                    total = sum(map(_aligned, lens))
+                    use_slab = slab is not None and 0 < total <= slab.max_frame
+                    big = ()
+            lock.acquire()
+        elif not lock.acquire(False):
             return False
         try:
+            if not block:
+                ready = self._pollers[dst].poll(0)
+                if not ready or ready[0][1] != select.POLLOUT:
+                    return False
             start = end = 0
             if use_slab:
                 spot = slab.reserve(total, block)
                 if spot is None:
                     return False
                 start, end = spot
+            if leased and not block:
+                lease = self._place(frame, leased, True)
+                if lease is None:
+                    return False
+            extra = None
+            if lease is not None:
+                extra = (lease, tuple(big),
+                         tuple(mv.nbytes for mv in leased), rel)
+            elif rel:
+                extra = (None, (), (), rel)
             # The header carries the meta blob too: one pipe message —
             # hence one reader wake-up — per frame without pipe buffers.
             header = pickle.dumps(
                 (TAG_PKT, run_id, step, src,
                  _MODE_SLAB if use_slab else _MODE_PIPE, lens, start, meta,
                  more, extra))
-            if not block:
-                ready = self._pollers[dst].poll(0)
-                if len(header) > _PIPE_MSG_MAX or not ready \
-                        or ready[0][1] != select.POLLOUT:
-                    return False
+            if not block and len(header) > _PIPE_MSG_MAX:
+                if lease is not None:  # leave the pool as it was found
+                    self._seg_pool(src).release((lease[3],))
+                return False
             conn = self._send_conns[dst]
             if use_slab:
                 offset = start
@@ -759,6 +789,8 @@ class FrameTransport:
                     conn.send_bytes(mv)
         finally:
             lock.release()
+        if lease is not None:
+            self._zc[2 * src] += len(leased)
         return True
 
     # -- receiving ----------------------------------------------------------
@@ -804,25 +836,28 @@ class FrameTransport:
                 buffers.append(buf)
         stale = 0
         if extra is not None:
-            generation, entries, rel = extra
+            lease, indices, sizes, rel = extra
             if rel:
                 seg_pool = self._seg_pools[pid]
                 if seg_pool is not None:
                     seg_pool.release(rel)
-            if entries:
-                # Zero-copy delivery: map each leased region (attach is
-                # cached per segment) and splice the per-lease exporters
-                # into the buffer list at their original indices — the
-                # reconstructed payloads are then backed by the shared
-                # pages themselves, no receive-side copy.
-                table = self._lease_table(pid)
-                seg_map = self._seg_map(pid)
-                full: list[Any] = [None] * (len(lens) + len(entries))
-                for index, name, offset, nbytes, lease_id in entries:
-                    region = seg_map.region(name, offset, nbytes)
-                    if table.register(src, lease_id, generation, region):
-                        stale = 1
-                    full[index] = region
+            if lease is not None:
+                # Zero-copy delivery: map the frame's one leased region
+                # (attach is cached per segment), register it as one
+                # exporter, and splice views of it into the buffer list
+                # at the buffers' original indices — the reconstructed
+                # payloads are backed by the shared pages themselves.
+                generation, name, offset, lease_id = lease
+                region = self._seg_map(pid).region(
+                    name, offset, sum(map(shm.aligned, sizes)))
+                if self._lease_table(pid).register(src, lease_id,
+                                                   generation, region):
+                    stale = 1
+                full: list[Any] = [None] * (len(lens) + len(indices))
+                at = 0
+                for index, n in zip(indices, sizes):
+                    full[index] = region[at:at + n]
+                    at += shm.aligned(n)
                 small = iter(buffers)
                 for j, slot in enumerate(full):
                     if slot is None:

@@ -59,6 +59,7 @@ import mmap
 import os
 import sys
 import threading
+from itertools import chain
 
 import _posixshmem
 import numpy as np
@@ -105,7 +106,8 @@ def segment_name(token: str, src: int, k: int) -> str:
     return f"{NAME_PREFIX}-{token}-{src}-{k}"
 
 
-def _aligned(n: int) -> int:
+def aligned(n: int) -> int:
+    """``n`` rounded up to the region alignment."""
     return (n + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
@@ -173,25 +175,49 @@ def scan_orphans() -> list[str]:
 class _Segment:
     """One named segment owned by a :class:`SegmentPool`."""
 
-    __slots__ = ("name", "mm", "buf", "capacity", "used", "outstanding")
+    __slots__ = ("name", "mm", "buf", "capacity", "used", "high", "free",
+                 "outstanding")
 
     def __init__(self, name: str, mm: mmap.mmap):
         self.name = name
         self.mm = mm
         self.buf = memoryview(mm)
         self.capacity = len(mm)
-        #: Bump-allocation high-water mark; rewinds to 0 only when
-        #: ``outstanding`` returns to 0, so no live lease is overwritten.
+        #: Bump pointer; rewinds to 0 only when ``outstanding`` returns
+        #: to 0, so no live lease is overwritten.
         self.used = 0
+        #: High-water mark of ``used``: every byte below it has been
+        #: leased before, so its page is already resident.
+        self.high = 0
+        #: Released regions below ``used``, by aligned size.
+        self.free: dict[int, list[_Region]] = {}
         self.outstanding = 0
+
+
+class _Region:
+    """One leased stretch of a segment, shared by a lease and its aliases."""
+
+    __slots__ = ("seg", "offset", "size", "holders")
+
+    def __init__(self, seg: _Segment, offset: int, size: int):
+        self.seg = seg
+        self.offset = offset
+        self.size = size
+        self.holders = 0
 
 
 class SegmentPool:
     """Sender-side pool of named segments, one sub-pool per destination.
 
-    Thread-safe: only the channel's sender thread leases (a frame with
-    zero-copy placements is never pushed from the calling thread),
-    while the calling thread applies releases from inbound frames.
+    A released region goes on its segment's free list and is handed out
+    again to the next lease of the same aligned size, so a link in
+    steady state alternates two regions — the paper's two input buffers
+    per processor (Appendix B.1).  A segment whose leases are all back
+    rewinds its bump pointer and forgets its free regions.
+
+    Thread-safe: the thread that called ``sync()`` leases recycled
+    regions and applies the releases of inbound frames, the channel's
+    sender thread takes the leases that may map.
     """
 
     def __init__(self, token: str, src: int, counter=None, *,
@@ -209,7 +235,7 @@ class SegmentPool:
         self._next_lease = 1
         self._generation = 0
         self._pools: dict[int, list[_Segment]] = {}
-        self._leases: dict[int, _Segment] = {}
+        self._leases: dict[int, _Region] = {}
         self._lock = threading.Lock()
 
     @property
@@ -228,7 +254,7 @@ class SegmentPool:
         return sum(len(segs) for segs in self._pools.values())
 
     def _new_segment(self, nbytes: int) -> _Segment:
-        capacity = max(self._segment_bytes, _aligned(nbytes))
+        capacity = max(self._segment_bytes, nbytes)
         name = segment_name(self._token, self._src, self._created)
         mm = open_segment(name, capacity)
         self._created += 1
@@ -236,43 +262,69 @@ class SegmentPool:
             self._counter[self._src] = self._created
         return _Segment(name, mm)
 
-    def lease(self, dst: int, nbytes: int) -> tuple[int, str, int, memoryview]:
-        """Reserve ``nbytes`` for ``dst``: (lease id, name, offset, view)."""
+    def _hold(self, region: _Region) -> int:
+        """A fresh lease id over ``region`` (pool lock held)."""
+        region.holders += 1
+        region.seg.outstanding += 1
+        lease_id = self._next_lease
+        self._next_lease += 1
+        self._leases[lease_id] = region
+        return lease_id
+
+    def lease(self, dst: int, nbytes: int, *, recycled: bool = False
+              ) -> tuple[int, str, int, memoryview] | None:
+        """Reserve ``nbytes`` for ``dst``: (lease id, name, offset, view).
+
+        A free region of the same aligned size first, then the bump
+        pointer, then a new segment.  With ``recycled`` only bytes that
+        were leased before are handed out — a free region, or room below
+        a segment's high-water mark — else ``None``: nothing is mapped
+        and no new page is touched, so a push that may not wait, and may
+        not grow the pool ahead of this boundary's releases, can lease.
+        """
+        size = aligned(nbytes)
         with self._lock:
             segs = self._pools.setdefault(dst, [])
-            seg = next((s for s in segs
-                        if s.capacity - s.used >= nbytes), None)
-            if seg is None:
-                seg = self._new_segment(nbytes)
-                segs.append(seg)
-            offset = seg.used
-            seg.used = _aligned(offset + nbytes)
-            seg.outstanding += 1
-            lease_id = self._next_lease
-            self._next_lease += 1
-            self._leases[lease_id] = seg
-            return lease_id, seg.name, offset, seg.buf[offset:offset + nbytes]
+            # Any receiver can map any segment, so a free region serves
+            # whichever destination asks next (a broadcast placed for one
+            # peer last boundary, another this one); ``dst``'s own first.
+            for seg in chain(segs, *self._pools.values()):
+                spare = seg.free.get(size)
+                if spare:
+                    region = spare.pop()
+                    break
+            else:
+                for seg in segs:
+                    if size <= (seg.high if recycled
+                                else seg.capacity) - seg.used:
+                        break
+                else:
+                    if recycled:
+                        return None
+                    seg = self._new_segment(size)
+                    segs.append(seg)
+                region = _Region(seg, seg.used, size)
+                seg.used += size
+                if seg.used > seg.high:
+                    seg.high = seg.used
+            offset = region.offset
+            return (self._hold(region), seg.name, offset,
+                    seg.buf[offset:offset + nbytes])
 
     def alias(self, lease_id: int) -> int | None:
         """A fresh lease over an existing lease's region (broadcast dedup).
 
         The same payload sent to several destinations is copied into its
         segment once; every further destination gets its own lease id —
-        and so its own release — over the same bytes.  The segment's
-        outstanding count rises per alias, so it rewinds only after
-        *every* receiver has let go.  ``None`` when ``lease_id`` is no
-        longer live (released, or wiped by a reset): the caller must
-        place a fresh copy.
+        and so its own release — over the same bytes.  The region is
+        recycled, and its segment rewinds, only after *every* receiver
+        has let go.  ``None`` when ``lease_id`` is no longer live
+        (released, or wiped by a reset): the caller must place a fresh
+        copy.
         """
         with self._lock:
-            seg = self._leases.get(lease_id)
-            if seg is None:
-                return None
-            seg.outstanding += 1
-            alias_id = self._next_lease
-            self._next_lease += 1
-            self._leases[alias_id] = seg
-            return alias_id
+            region = self._leases.get(lease_id)
+            return None if region is None else self._hold(region)
 
     def release(self, lease_ids) -> None:
         """Return leases; unknown ids (stale generation, duplicate
@@ -280,12 +332,17 @@ class SegmentPool:
         always safe."""
         with self._lock:
             for lease_id in lease_ids:
-                seg = self._leases.pop(lease_id, None)
-                if seg is None:
+                region = self._leases.pop(lease_id, None)
+                if region is None:
                     continue
+                seg = region.seg
+                region.holders -= 1
                 seg.outstanding -= 1
                 if seg.outstanding == 0:
                     seg.used = 0
+                    seg.free.clear()
+                elif region.holders == 0:
+                    seg.free.setdefault(region.size, []).append(region)
 
     def leak(self) -> None:
         """Create a segment nothing will ever release (LEAK_SEGMENT
@@ -306,6 +363,7 @@ class SegmentPool:
                 for seg in segs:
                     seg.outstanding = 0
                     seg.used = 0
+                    seg.free.clear()
 
     def close(self) -> None:
         """Drop this process's mappings (unlinking is the parent sweep's
@@ -356,13 +414,14 @@ class SegmentMap:
 class LeaseTable:
     """Receiver-side ledger of live inbound leases.
 
-    One entry per lease: ``(src, region exporter)``.  The exporter's
-    refcount is the probe — 2 means only the table and the probe itself
-    hold it, i.e. every reconstructed payload is gone.
+    One entry per lease: ``(src, lease id) -> region exporter`` — lease
+    ids count per sender pool, so only the pair names a lease.  The
+    exporter's refcount is the probe — 2 means only the table and the
+    probe itself hold it, i.e. every reconstructed payload is gone.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[int, tuple[int, np.ndarray]] = {}
+        self._entries: dict[tuple[int, int], np.ndarray] = {}
         #: Highest pool generation seen per src; a frame below it leased
         #: from a pool that has since been reset — stale.
         self._gen: dict[int, int] = {}
@@ -375,25 +434,25 @@ class LeaseTable:
         if generation < seen:
             return True
         self._gen[src] = generation
-        self._entries[lease_id] = (src, region)
+        self._entries[src, lease_id] = region
         return False
 
     def collect_free(self) -> dict[int, list[int]]:
         """Reap leases with no live consumer, grouped by owning src.
 
-        ``getrefcount(region) <= 2``: the entry tuple plus the probe
+        ``getrefcount(region) <= 2``: the table entry plus the probe
         argument.  ``<=`` so interpreters that report more (immortal or
         deferred counts) merely delay reaping, never reap a live lease.
-        The probe indexes the entry tuple instead of unpacking it — a
+        The probe indexes the table instead of iterating its values — a
         named loop variable would itself hold a third reference and no
         lease would ever test free.
         """
         freed: dict[int, list[int]] = {}
-        dead = [lease_id for lease_id, entry in self._entries.items()
-                if sys.getrefcount(entry[1]) <= 2]
-        for lease_id in dead:
-            src, _ = self._entries.pop(lease_id)
-            freed.setdefault(src, []).append(lease_id)
+        dead = [key for key in self._entries
+                if sys.getrefcount(self._entries[key]) <= 2]
+        for key in dead:
+            del self._entries[key]
+            freed.setdefault(key[0], []).append(key[1])
         return freed
 
     def __len__(self) -> int:

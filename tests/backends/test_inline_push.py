@@ -183,22 +183,6 @@ class TestNeverBlocks:
         assert buffers and not big
         _refused(transport, with_pipe_buffers)
 
-    def test_zero_copy_placement_never_leases_on_the_caller(self):
-        transport = FrameTransport(2, CTX)
-        try:
-            big = np.arange(20_000, dtype=np.float64)
-            frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, big)])
-            _refused(transport, frame)
-            assert transport._seg_pools[0] is None  # nothing leased
-            assert transport.zerocopy_stats() == (0, 0)
-            assert transport.push_frame(frame) is True
-            assert transport.zerocopy_stats() == (1, 0)
-            (got,) = transport.recv(1).packets(1)
-            np.testing.assert_array_equal(np.asarray(got.payload), big)
-            del got
-        finally:
-            transport.close()
-
     def test_fault_hooks_fire_once_however_many_pushes(self, transport):
         counter = faults.FrameCounter(2)
         try:

@@ -280,9 +280,7 @@ class TestTransportRoundTrip:
         # a fresh mapping of the same region.
         arr = np.asarray(got[0].payload)
         arr[0] = -123.0
-        entries = transport._lease_tables[1]._entries
-        (lease_id, (src, region)), = [
-            (k, v) for k, v in entries.items()]
+        ((src, _lease_id), region), = transport._lease_tables[1]._entries.items()
         assert src == 0
         assert region[:8].view(np.float64)[0] == -123.0
 
