@@ -23,13 +23,12 @@ Scenarios
 * ``halo-small``   — one 528-byte float64 row per peer per superstep on a
   warm p=2 pool (ocean-66's ghost exchange): microseconds per boundary,
   strict and relaxed — per-frame software overhead, no bandwidth.
-* ``halo-ladder``  — why three payload planes: µs per boundary for 1 and
-  16 float64 arrays per peer of 2 KiB … 64 KiB − 8 (the band between
-  the in-band cut and the zero-copy threshold), p ∈ {2, 4}, strict and
-  relaxed, each cell on a fabric built with the default threshold (the
-  slab ring carries the band) and on one built under
-  ``REPRO_ZEROCOPY_THRESHOLD=2048`` (shm leases carry it);
-  ``zerocopy_hits`` shows which plane a cell took.  Full mode only.
+* ``halo-ladder``  — the shm plane just above the in-band cut: µs per
+  boundary for 1 and 16 float64 arrays per peer of 2 KiB … 64 KiB − 8,
+  p ∈ {2, 4}, strict and relaxed, on one warm pool per p (one recycled
+  lease per frame, pushed inline; DESIGN "Why two planes" holds the
+  table this grid was measured against the slab ring with).
+  ``zerocopy_hits`` counts the buffers leased.  Full mode only.
 * ``pool``         — per-run fixed cost of a trivial program, fresh
   backend per run vs. one persistent pool (skipped when running against
   a library version without ``ProcessBackend.pool``).
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
@@ -218,50 +216,34 @@ def bench_halo_small(steps: int, *, repeats: int) -> dict:
     return out
 
 
-#: The band the mmap slab ring serves: above the in-band cut, below the
-#: default zero-copy threshold.
+#: From the in-band cut up to where a frame no longer fits a pipe.
 LADDER_BYTES = (2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, (64 << 10) - 8)
 
 
 def bench_halo_ladder(steps: int, *, repeats: int) -> list[dict]:
-    """One boundary carrying slab-band arrays, through slab and through shm.
-
-    The threshold is read when a fabric is built, so each (p, threshold)
-    pair gets its own warm pool; every cell is min-of-``repeats``.
-    """
+    """One boundary carrying 2-64 KiB arrays; every cell is
+    min-of-``repeats`` on one warm pool per p."""
     rows = []
     for nprocs in (2, 4):
-        for threshold in (None, 2048):
-            saved = os.environ.get("REPRO_ZEROCOPY_THRESHOLD")
-            if threshold is not None:
-                os.environ["REPRO_ZEROCOPY_THRESHOLD"] = str(threshold)
-            try:
-                backend = ProcessBackend.pool(nprocs)
-            finally:
-                if saved is None:
-                    os.environ.pop("REPRO_ZEROCOPY_THRESHOLD", None)
-                else:
-                    os.environ["REPRO_ZEROCOPY_THRESHOLD"] = saved
-            with backend:
-                for narrays in (1, 16):
-                    for nbytes in LADDER_BYTES:
-                        shape = (narrays, nbytes // 8)
-                        backend.run(exchange_program, nprocs,
-                                    args=(2, *shape))  # warm blocks + plane
-                        hits = backend.health().zerocopy_hits
-                        row = {"nprocs": nprocs, "narrays": narrays,
-                               "array_bytes": nbytes,
-                               "threshold": threshold or "default"}
-                        for sync in ("strict", "relaxed"):
-                            wall = min(_time_run(backend, exchange_program,
-                                                 nprocs, (steps, *shape),
-                                                 sync=sync)
-                                       for _ in range(repeats))
-                            row[f"{sync}_us_per_boundary"] = round(
-                                wall / steps * 1e6, 1)
-                        row["zerocopy_hits"] = \
-                            backend.health().zerocopy_hits - hits
-                        rows.append(row)
+        with ProcessBackend.pool(nprocs) as backend:
+            for narrays in (1, 16):
+                for nbytes in LADDER_BYTES:
+                    shape = (narrays, nbytes // 8)
+                    backend.run(exchange_program, nprocs,
+                                args=(4, *shape))  # warm blocks + regions
+                    hits = backend.health().zerocopy_hits
+                    row = {"nprocs": nprocs, "narrays": narrays,
+                           "array_bytes": nbytes}
+                    for sync in ("strict", "relaxed"):
+                        wall = min(_time_run(backend, exchange_program,
+                                             nprocs, (steps, *shape),
+                                             sync=sync)
+                                   for _ in range(repeats))
+                        row[f"{sync}_us_per_boundary"] = round(
+                            wall / steps * 1e6, 1)
+                    row["zerocopy_hits"] = \
+                        backend.health().zerocopy_hits - hits
+                    rows.append(row)
     return rows
 
 
@@ -415,21 +397,12 @@ def main(argv=None) -> int:
 
     if hasattr(ProcessBackend, "pool") and not args.quick:
         scenarios["halo-ladder"] = bench_halo_ladder(200, repeats=5)
-        print(f"{'halo-ladder':14s} us/boundary, strict (relaxed): "
-              "slab | shm leases | shm/slab")
-        cells = {(r["nprocs"], r["narrays"], r["array_bytes"],
-                  r["threshold"]): r for r in scenarios["halo-ladder"]}
-        for (nprocs, narrays, nbytes, threshold), slab in cells.items():
-            if threshold != "default":
-                continue
-            shm_row = cells[nprocs, narrays, nbytes, 2048]
-            print(f"  p={nprocs} x{narrays:<2d} {nbytes:6d} B  "
-                  f"{slab['strict_us_per_boundary']:7.1f} "
-                  f"({slab['relaxed_us_per_boundary']:7.1f}) | "
-                  f"{shm_row['strict_us_per_boundary']:7.1f} "
-                  f"({shm_row['relaxed_us_per_boundary']:7.1f}) | "
-                  f"{shm_row['strict_us_per_boundary'] / slab['strict_us_per_boundary']:.2f}x "
-                  f"({shm_row['relaxed_us_per_boundary'] / slab['relaxed_us_per_boundary']:.2f}x)")
+        print(f"{'halo-ladder':14s} us/boundary, strict (relaxed)")
+        for row in scenarios["halo-ladder"]:
+            print(f"  p={row['nprocs']} x{row['narrays']:<2d} "
+                  f"{row['array_bytes']:6d} B  "
+                  f"{row['strict_us_per_boundary']:7.1f} "
+                  f"({row['relaxed_us_per_boundary']:7.1f})")
 
     scenarios["pool"] = bench_pool(p, nruns=4 if args.quick else 12)
     pooled = scenarios["pool"]["pooled_ms_per_run"]

@@ -109,7 +109,7 @@ def boundary_links(sync: str, fence: bool, pattern: Any,
     whose links cannot prove receipt: a frame handed to a socket may be
     lost and replayed, so passing additionally waits for a release from
     every peer it sent to.  A pipe write is its own receipt — the frame
-    sits in the destination's pipe and slab when the call returns — so
+    sits in the destination's pipe when the call returns — so
     the pipe fabric runs the same round in every mode.
     """
     if sync == "elide" and pattern is not None and not fence:

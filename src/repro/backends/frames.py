@@ -7,56 +7,43 @@ pickling a Python ``list[Packet]`` per peer — one reduce call and one
 payload copy per packet — each per-destination bucket crosses the process
 boundary as **one frame**:
 
-* a small pickled *header* ``(tag, run_id, step, src, mode, buffer
-  lengths, slab offset, meta, more, extra)`` — one pipe message per
-  frame; ``extra`` carries the zero-copy plane's lease entries and
-  piggybacked lease releases (``None`` for purely small frames);
+* a small pickled *header* ``(tag, run_id, step, src, buffer lengths,
+  meta, more, lease, releases)`` — one pipe message per frame;
+  ``releases`` are the lease ids piggybacked home to the destination's
+  own segment pool;
 * the *meta* blob riding the header: the packets' ``seq``/``h`` arrays
   plus their payloads, serialized once with pickle protocol 5 so that
-  large contiguous buffers (NumPy halos, Cannon blocks, essential trees)
-  are split out as out-of-band buffers instead of being copied into the
+  contiguous buffers (NumPy halos, Cannon blocks, essential trees) are
+  split out as out-of-band buffers instead of being copied into the
   pickle stream.  *Small* buffers — under :data:`_INBAND_MAX` (half of
-  ``PIPE_BUF``) and under the zero-copy threshold — stay in the stream:
-  for a 528-byte ghost row the slab round trip below costs more than
-  the copy it saves, and in-band the whole frame is one pipe message no
-  larger than ``PIPE_BUF``, which the kernel writes atomically;
-* the out-of-band *buffers* themselves, which travel through a
-  fork-shared anonymous ``mmap`` ring (the *slab*) — sender memcpys each
-  buffer into the destination's slab, receiver copies it back out into a
-  writable ``bytearray`` and reconstructs the arrays over it with
-  ``pickle.loads(meta, buffers=...)``.  Two memcpys total, and no pickle
-  stream ever contains the bytes of a buffer of ``_INBAND_MAX`` or more.
+  ``PIPE_BUF``) — stay in the stream: for a 528-byte ghost row a
+  shared-memory round trip costs more than the copy it saves, and
+  in-band the whole frame is one pipe message no larger than
+  ``PIPE_BUF``, which the kernel writes atomically;
+* the out-of-band *buffers* themselves, all of them in **one leased
+  region** of the sender's shared-memory segment pool
+  (:mod:`repro.backends.shm`) at running 64-byte-aligned offsets: the
+  sender memcpys each buffer in, the header names the region
+  ``(generation, segment, offset, lease id)``, and the receiver
+  reconstructs the payloads with ``pickle.loads(meta, buffers=...)``
+  directly over views of the shared pages.  One copy end to end, and no
+  pickle stream ever contains the bytes of a buffer of ``_INBAND_MAX``
+  or more.
+
+That is the whole data plane: one cut, two planes, no knob.  The one
+fallback is for a region that cannot be had — ``REPRO_ZEROCOPY=off``, or
+``/dev/shm`` refusing a segment: the frame's buffers then follow the
+header as pipe messages of their own (``Connection.send_bytes`` straight
+from the source memoryview), copy-minimal but slower than shared memory.
 
 Sending is two steps, :meth:`FrameTransport.encode_frame` then
 :meth:`FrameTransport.push_frame`, so that a boundary can first offer
 every frame to a push that *never waits* and hand only the frames it
 refuses to a thread that may block (:mod:`repro.backends.processes`).
-
-Buffers at or above the zero-copy threshold (default 64 KiB, see
-:mod:`repro.backends.shm`) skip the slab entirely: the sender memcpys
-them into a leased shared-memory segment region and the receiver's
-payload is reconstructed directly over the shared pages — one copy end
-to end, and the receive-side copy of the slab path disappears.  The
-slab/pipe machinery below still moves the (small) remainder of such
-frames.
-
-Frames whose buffers total more than **half** the slab capacity fall back
-to dedicated pipe messages (``Connection.send_bytes`` straight from the
-source memoryview), which is still copy-minimal, just slower than shared
-memory.  Half, not all: allocations never straddle the wrap point, so a
-frame needs up to ``nbytes`` of wasted padding in the worst case — only
-``nbytes <= capacity // 2`` guarantees the ring can always satisfy the
-request once the receiver drains.
-
-The slab is a single-consumer ring: 8-byte *logical* head/tail counters
-live in the first cache line of the mapping (head advanced only by the
-owning receiver, tail only by senders holding the destination's lock, so
-each word has exactly one writer; aligned 8-byte loads/stores are atomic
-on every platform we fork on).  Because slab regions are allocated under
-the same per-destination lock that orders the pipe messages, frames are
-consumed in exactly allocation order and the receiver frees by bumping
-head past each consumed frame — padding skipped at the wrap point is
-reclaimed implicitly.
+The push that never waits leases only *recycled* bytes — a region the
+receiver released, or room below a segment's high-water mark — so it
+maps nothing and touches no new page; in steady state a link alternates
+two regions, the paper's two input buffers per processor (Appendix B.1).
 
 Everything here is transport: h-unit accounting is carried through
 byte-for-byte (``seq`` and ``h`` ride the frame metadata), so ledgers are
@@ -68,15 +55,10 @@ from __future__ import annotations
 import mmap
 import pickle
 import select
-import sys
-import time
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from .. import faults
-from ..core.errors import SynchronizationError
 from ..core.packets import Packet
 from . import shm
 
@@ -84,209 +66,17 @@ from . import shm
 #: segment owner when no boundary frame is owed to piggyback them on.
 TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_FENCE, TAG_RELEASE = 0, 1, 2, 3, 4
 
-#: Buffer transport modes.
-_MODE_SLAB, _MODE_PIPE = 0, 1
-
-#: Slab buffer alignment (one cache line).
-_ALIGN = 64
-
-#: Offset of the data region (head/tail counters live below).
-_DATA_OFF = 64
-
-#: Default slab capacity per destination processor.
-DEFAULT_SLAB_BYTES = 64 << 20
-
 #: Largest ``Connection.send_bytes`` payload that is still one atomic
 #: ``write``: ``PIPE_BUF`` less the 4-byte length prefix it is sent with.
 _PIPE_MSG_MAX = select.PIPE_BUF - 4
 
-#: Payload buffers smaller than this (and below the zero-copy threshold)
+#: The one cut of the data plane.  Payload buffers smaller than this
 #: stay in the pickle stream: a ghost row then crosses as one atomic pipe
-#: message instead of a slab round trip that saves a copy of a few
-#: hundred bytes.  Half of ``PIPE_BUF`` so one such buffer plus the
+#: message instead of a shared-memory round trip that saves a copy of a
+#: few hundred bytes.  Half of ``PIPE_BUF`` so one such buffer plus the
 #: frame's metadata still fits a write the kernel never splits.
+#: Everything else rides a shared-memory lease.
 _INBAND_MAX = select.PIPE_BUF // 2
-
-
-def _aligned(n: int) -> int:
-    return (n + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-class _RecvPool:
-    """Recycled receive buffers, reclaimed once every consumer drops them.
-
-    Each received out-of-band buffer becomes the backing store of the
-    reconstructed payload (e.g. a NumPy array's base), so it cannot be
-    reused while the program still holds that payload.  The pool therefore
-    keeps a permanent reference to every buffer it hands out and recycles
-    one only when its refcount shows no outside holders — repeated
-    steady-state exchanges then stop paying the allocator's page-fault
-    churn for multi-megabyte buffers (~3x on the receive copy).
-    """
-
-    _MAX_BUFS = 64
-    _MAX_BYTES = 256 << 20
-
-    __slots__ = ("_bufs", "_bytes")
-
-    def __init__(self) -> None:
-        self._bufs: list[bytearray] = []
-        self._bytes = 0
-
-    def take(self, nbytes: int) -> bytearray:
-        if nbytes:
-            for buf in self._bufs:
-                # pool list + loop variable + getrefcount argument == 3 on
-                # refcounting CPython: nothing else (no memoryview export,
-                # no array base) holds the buffer, so its bytes may be
-                # overwritten.  ``<=`` (not ``==``) so interpreters where
-                # getrefcount reports something larger — free-threaded
-                # builds, immortalization — merely disable recycling and
-                # fall through to a fresh allocation, never corrupt a
-                # buffer a consumer still holds.
-                if len(buf) == nbytes and sys.getrefcount(buf) <= 3:
-                    return buf
-        buf = bytearray(nbytes)
-        if nbytes and len(self._bufs) < self._MAX_BUFS \
-                and self._bytes + nbytes <= self._MAX_BYTES:
-            self._bufs.append(buf)
-            self._bytes += nbytes
-        return buf
-
-
-class Slab:
-    """Fork-shared single-consumer ring buffer for frame payloads.
-
-    ``reserve``/``write``/``commit`` are the sender side and must be
-    called holding the destination's transport lock; ``read_copy``/
-    ``free_to`` are the receiver side and need no lock (one consumer per
-    slab).  Offsets are *logical* (monotonically increasing); the
-    physical position is ``offset % capacity`` and allocations never
-    straddle the wrap point.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_SLAB_BYTES, *,
-                 spin_timeout: float = 120.0):
-        if capacity % mmap.PAGESIZE:
-            capacity = _aligned(capacity) + mmap.PAGESIZE - (
-                _aligned(capacity) % mmap.PAGESIZE or mmap.PAGESIZE)
-        self.capacity = capacity
-        #: Largest frame alloc() is guaranteed to eventually satisfy:
-        #: wrap padding can cost up to another ``nbytes``, so anything
-        #: over half the ring may exceed capacity depending on where the
-        #: tail sits.  Callers route bigger frames through the pipe path.
-        self.max_frame = capacity // 2
-        self._spin_timeout = spin_timeout
-        self._mm = mmap.mmap(-1, _DATA_OFF + capacity)
-        self._view = memoryview(self._mm)
-        #: [0] = head (receiver-owned), [1] = tail (sender-owned, locked).
-        self._ctrl = self._view[:16].cast("Q")
-        self._data = self._view[_DATA_OFF:]
-
-    # -- sender side (destination lock held) -------------------------------
-
-    def reserve(self, nbytes: int,
-                block: bool = True) -> tuple[int, int] | None:
-        """Find ``nbytes`` contiguous bytes: logical ``(start, end)``.
-
-        The tail does not move until :meth:`commit` — the caller holds
-        the destination lock, so nobody else can take the region in
-        between.  While the ring lacks room this spin-waits (with
-        backoff): the receiver frees space as it drains its pipe, which
-        it is guaranteed to be doing whenever senders are pushing
-        boundary frames.  With ``block`` false it returns ``None``
-        instead of waiting.
-        """
-        tail = self._ctrl[1]
-        room_to_end = self.capacity - (tail % self.capacity)
-        pad = 0 if nbytes <= room_to_end else room_to_end
-        need = nbytes + pad
-        if need > self.capacity:
-            # Even a fully drained ring holds at most ``capacity`` bytes,
-            # so waiting could never succeed: fail fast instead of
-            # spinning out the whole timeout.  push_frame() keeps this
-            # unreachable by capping slab frames at ``max_frame``.
-            raise ValueError(
-                f"frame of {nbytes} bytes (+{pad} wrap padding) can never "
-                f"fit the {self.capacity}-byte slab; frames over "
-                f"max_frame={self.max_frame} bytes must use the pipe path")
-        deadline = None
-        spins = 0
-        while self._ctrl[0] + self.capacity - tail < need:
-            if not block:
-                return None
-            if deadline is None:
-                deadline = time.monotonic() + self._spin_timeout
-            elif time.monotonic() > deadline:
-                raise SynchronizationError(
-                    "timed out waiting for slab space (receiver not "
-                    "draining its boundary exchange?)")
-            spins += 1
-            time.sleep(0 if spins < 32 else 0.0001)
-        return tail + pad, tail + need
-
-    def commit(self, end: int) -> None:
-        """Take the region :meth:`reserve` found (tail := its ``end``)."""
-        self._ctrl[1] = end
-
-    def alloc(self, nbytes: int) -> int:
-        """:meth:`reserve` + :meth:`commit`; returns the logical offset."""
-        start, end = self.reserve(nbytes)
-        self.commit(end)
-        return start
-
-    def write(self, offset: int, buf: Any) -> None:
-        phys = offset % self.capacity
-        n = memoryview(buf).nbytes
-        self._data[phys:phys + n] = buf
-
-    # -- receiver side ------------------------------------------------------
-
-    def read_copy(self, offset: int, nbytes: int) -> bytearray:
-        phys = offset % self.capacity
-        return bytearray(self._data[phys:phys + nbytes])
-
-    def read_into(self, offset: int, nbytes: int, out: bytearray) -> None:
-        phys = offset % self.capacity
-        out[:] = self._data[phys:phys + nbytes]
-
-    # -- either side ---------------------------------------------------------
-
-    def prefault(self, max_bytes: int | None = None) -> None:
-        """Touch pages so forked children only take minor faults.
-
-        The mapping is shared anonymous memory: pages first touched here
-        are the very pages every worker sees, so prefaulting in the parent
-        (before forking a pool) moves the zero-fill cost out of the first
-        exchange.  ``max_bytes`` bounds how much of the data region is
-        committed up-front; pages beyond it fault lazily the first time a
-        frame actually lands there, so small-message workloads never pay
-        resident memory for ring capacity they never use.
-        """
-        view = self._view if max_bytes is None else \
-            self._view[:min(len(self._view), _DATA_OFF + max_bytes)]
-        pages = len(view[::mmap.PAGESIZE])
-        view[::mmap.PAGESIZE] = bytes(pages)
-
-    def free_to(self, offset: int) -> None:
-        """Mark everything up to logical ``offset`` consumed."""
-        self._ctrl[0] = offset
-
-    def reset(self) -> None:
-        """Drop all in-ring data (head := tail).
-
-        Only safe when the fabric is quiescent — e.g. right after a
-        pool-heal fence, when any region still "allocated" belongs to a
-        frame whose header never made it into a pipe (its sender died
-        mid-push) and would otherwise leak ring space forever.
-        """
-        self._ctrl[0] = self._ctrl[1]
-
-    def close(self) -> None:
-        self._ctrl.release()
-        self._data.release()
-        self._view.release()
-        self._mm.close()
 
 
 @dataclass
@@ -332,20 +122,19 @@ class Frame:
         ]
 
 
-def encode_packets(packets: Sequence[Packet],
-                   inband: int = _INBAND_MAX) -> tuple[bytes, list[memoryview]]:
+def encode_packets(packets: Sequence[Packet]
+                   ) -> tuple[bytes, list[memoryview]]:
     """Combine one per-destination bucket into (meta, out-of-band buffers).
 
     ``meta`` is a protocol-5 pickle of ``(seqs, hs, payloads)``; large
     contiguous payload buffers are extracted out-of-band and returned as
-    raw memoryviews (no intermediate copy).  Buffers under ``inband``
-    bytes stay inside ``meta`` (a fabric lowers it to its zero-copy
-    threshold when that is smaller, so every leasable buffer surfaces).
+    raw memoryviews (no intermediate copy).  Buffers under
+    :data:`_INBAND_MAX` bytes stay inside ``meta``.
     """
     pbufs: list[pickle.PickleBuffer] = []
 
     def split(pb: pickle.PickleBuffer) -> bool:
-        if memoryview(pb).nbytes < inband:
+        if memoryview(pb).nbytes < _INBAND_MAX:
             return True  # in-band
         pbufs.append(pb)
         return False
@@ -371,27 +160,19 @@ def decode_packets(meta: bytes, buffers: list[bytearray] | None,
 
 
 class FrameTransport:
-    """All-to-all frame fabric: per-pid pipe + writer lock + shared slab.
+    """All-to-all frame fabric: per-pid pipe + writer lock, per-pid
+    segment pool.
 
     Created by the parent before forking; every worker inherits the whole
-    fabric and uses ``recv_conns[pid]``/``slabs[pid]`` as its inbound side
-    and ``send(dst, ...)`` (lock-protected) for outbound frames.
+    fabric, reads ``recv(pid)`` as its inbound side and pushes outbound
+    frames under the destination's lock.
     """
 
-    def __init__(self, nprocs: int, ctx, *,
-                 slab_bytes: int = DEFAULT_SLAB_BYTES,
-                 spin_timeout: float = 120.0):
+    def __init__(self, nprocs: int, ctx):
         self.nprocs = nprocs
         self._recv_conns = []
         self._send_conns = []
         self._locks = [ctx.Lock() for _ in range(nprocs)]
-        self._slabs = [
-            Slab(slab_bytes, spin_timeout=spin_timeout) if slab_bytes else None
-            for _ in range(nprocs)
-        ]
-        #: Per-destination receive-buffer recycler (used post-fork, so each
-        #: worker only ever touches its own pid's pool).
-        self._pools = [_RecvPool() for _ in range(nprocs)]
         #: Fork-shared heartbeat counters, one 8-byte slot per worker,
         #: bumped by its owner at every superstep boundary.  Single writer
         #: per slot; aligned 8-byte stores are atomic on every platform we
@@ -409,11 +190,9 @@ class FrameTransport:
             self._pollers.append(select.poll())
             self._pollers[-1].register(w.fileno(), select.POLLOUT)
         # -- zero-copy data plane (repro.backends.shm) ----------------------
-        # Env knobs are read here, in the parent, before forking, so every
-        # worker of one fabric agrees on them.
+        # The escape hatch is read here, in the parent, before forking,
+        # so every worker of one fabric agrees on it.
         self._zc_enabled = shm.zerocopy_enabled()
-        self._zc_threshold = shm.zerocopy_threshold()
-        self._inband = min(_INBAND_MAX, self._zc_threshold)
         self._zc_token = shm.fabric_token()
         #: Fork-shared per-src count of segments ever created: all the
         #: parent needs to sweep a (possibly SIGKILLed) worker's segments
@@ -423,9 +202,9 @@ class FrameTransport:
         self._segc_mm = mmap.mmap(-1, max(8 * (nprocs + 1), mmap.PAGESIZE))
         self._segc = memoryview(self._segc_mm).cast("Q")
         #: Fork-shared zerocopy telemetry: slot ``2*src`` counts buffers
-        #: that took a segment lease, ``2*src + 1`` buffers big enough
-        #: but routed through slab/pipe (REPRO_ZEROCOPY=off).  Surfaced
-        #: by ``BspPool.health()``.
+        #: delivered through a segment lease, ``2*src + 1`` out-of-band
+        #: buffers sent as pipe messages instead (REPRO_ZEROCOPY=off, or
+        #: no segment to be had).  Surfaced by ``BspPool.health()``.
         self._zc_mm = mmap.mmap(-1, max(16 * nprocs, mmap.PAGESIZE))
         self._zc = memoryview(self._zc_mm).cast("Q")
         #: Post-fork, lazily built, per-process state: each worker only
@@ -434,12 +213,11 @@ class FrameTransport:
         self._seg_pools: list[shm.SegmentPool | None] = [None] * (nprocs + 1)
         self._seg_maps: list[shm.SegmentMap | None] = [None] * nprocs
         self._lease_tables: list[shm.LeaseTable | None] = [None] * nprocs
-        #: Per-src broadcast dedup: ``((run_id, step), {data_ptr: (pin,
-        #: name, offset, nbytes, lease_id)})``.  A payload sent to p-1
-        #: peers is copied into its segment once; the other p-2 frames
-        #: carry aliased leases over the same bytes.  The pinned buffer
-        #: keeps the exporting array's memory alive, so a data pointer
-        #: cannot be recycled while its cache entry exists.
+        #: Per-src broadcast dedup: ``((run_id, step), {buffer-list key:
+        #: (pin, name, offset, lease_id)})``.  A frame whose buffers were
+        #: already placed this boundary — the same arrays sent to p-1
+        #: peers — is copied into its segment once; the other p-2 frames
+        #: carry aliased leases over the same region.
         self._dedup: list[Any] = [None] * nprocs
 
     # -- zero-copy data plane ------------------------------------------------
@@ -496,7 +274,7 @@ class FrameTransport:
             table.clear()
 
     def zerocopy_stats(self) -> tuple[int, int]:
-        """Fabric-wide (lease hits, threshold-crossing fallbacks)."""
+        """Fabric-wide (buffers leased, buffers sent as pipe messages)."""
         hits = sum(self._zc[2 * pid] for pid in range(self.nprocs))
         fallbacks = sum(self._zc[2 * pid + 1] for pid in range(self.nprocs))
         return int(hits), int(fallbacks)
@@ -524,7 +302,7 @@ class FrameTransport:
 
         Parent side.  Returns ``(head, refs)``: a protocol-5 pickle plus
         one ``(segment, offset, length)`` ref per out-of-band buffer.
-        Buffers at or above the zero-copy threshold are copied once into
+        Buffers of :data:`_INBAND_MAX` bytes or more are copied once into
         the parent's arena (src slot ``nprocs`` of the segment plane) and
         every worker rebuilds them in place; smaller ones stay in
         ``head``.  The arena is rewound here, so a dispatched buffer is
@@ -539,7 +317,7 @@ class FrameTransport:
 
         def place(pb: pickle.PickleBuffer) -> bool:
             mv = pb.raw()
-            if arena is None or mv.nbytes < self._zc_threshold:
+            if arena is None or mv.nbytes < _INBAND_MAX:
                 return True  # in-band: rides ``head``
             try:
                 _, name, offset, region = arena.lease(0, mv.nbytes)
@@ -574,10 +352,6 @@ class FrameTransport:
         """Current heartbeat count of ``pid`` (supervisor side)."""
         return self._hb[pid]
 
-    def heartbeats(self) -> list[int]:
-        """Snapshot of every worker's heartbeat counter."""
-        return [self._hb[pid] for pid in range(self.nprocs)]
-
     def locks_free(self, timeout: float = 0.25) -> bool:
         """True when every per-destination writer lock is acquirable.
 
@@ -591,28 +365,12 @@ class FrameTransport:
             lock.release()
         return True
 
-    def reset_slabs(self) -> None:
-        """Drop leaked slab regions (safe only on a quiescent fabric)."""
-        for slab in self._slabs:
-            if slab is not None:
-                slab.reset()
-
-    def prefault(self, max_bytes: int | None = None) -> None:
-        """Pre-touch slab pages (call in the parent, before forking).
-
-        ``max_bytes`` caps the committed prefix per slab; ``None`` faults
-        every page in.
-        """
-        for slab in self._slabs:
-            if slab is not None:
-                slab.prefault(max_bytes)
-
     # -- sending ------------------------------------------------------------
 
     def send_control(self, dst: int, tag: int, run_id: int, src: int,
-                     step: int = -1) -> None:
+                     step: int = -1, releases: Sequence[int] = ()) -> None:
         header = pickle.dumps(
-            (tag, run_id, step, src, _MODE_PIPE, (), 0, None, 0, None))
+            (tag, run_id, step, src, (), None, 0, None, tuple(releases)))
         with self._locks[dst]:
             self._send_conns[dst].send_bytes(header)
 
@@ -625,11 +383,7 @@ class FrameTransport:
         pattern), or outside this run's ``nprocs`` on a larger pool.
         Every other release piggybacks on the boundary frame for free.
         """
-        header = pickle.dumps(
-            (TAG_RELEASE, run_id, -1, src, _MODE_PIPE, (), 0, None, 0,
-             tuple(lease_ids)))
-        with self._locks[dst]:
-            self._send_conns[dst].send_bytes(header)
+        self.send_control(dst, TAG_RELEASE, run_id, src, releases=lease_ids)
 
     def send_packets(self, dst: int, run_id: int, step: int, src: int,
                      packets: Sequence[Packet], *, more: int = 0,
@@ -646,8 +400,8 @@ class FrameTransport:
 
         What must happen once per frame, however many pushes it then
         needs, happens here: the fault hooks (``None``: an injected
-        DROP_FRAME swallowed it), the pickle pass, and marking the
-        buffers that will lease zero-copy regions.
+        DROP_FRAME swallowed it), the pickle pass, and deciding whether
+        the out-of-band buffers ride a lease or the pipe.
         """
         # Fault-injection hook: one attribute load + None test per frame
         # (never per packet) when disabled.
@@ -656,40 +410,39 @@ class FrameTransport:
             if plan.drops_frame(src, step, dst):
                 return None
             plan.count_frame(src)
-        meta, buffers = encode_packets(packets, self._inband)
-        big: Sequence[int] = ()
-        if buffers:
-            big = [i for i, mv in enumerate(buffers)
-                   if mv.nbytes >= self._zc_threshold]
-            if big and not self._zc_enabled:
-                self._zc[2 * src + 1] += len(big)
-                big = ()
-        return (dst, run_id, step, src, meta, buffers, big, more,
+        meta, buffers = encode_packets(packets)
+        leased = bool(buffers) and self._zc_enabled
+        if buffers and not leased:
+            self._zc[2 * src + 1] += len(buffers)
+        return (dst, run_id, step, src, meta, buffers, leased, more,
                 tuple(releases))
 
-    def _place(self, frame: tuple, buffers: list, recycled: bool
-               ) -> tuple | None:
-        """Copy ``buffers`` into ONE leased region of ``src``'s pool.
+    def _place(self, frame: tuple, recycled: bool) -> tuple | None:
+        """Copy the frame's buffers into ONE leased region of ``src``'s
+        pool, at running aligned offsets.
 
         Returns the header's ``(generation, name, offset, lease id)``, or
         ``None`` when nothing recycled fits (``recycled``) or no segment
         could be created.  A frame whose buffer list was already placed
         this boundary — a broadcast — aliases that region instead.
         """
-        dst, run_id, step, src = frame[:4]
+        dst, run_id, step, src, _, buffers = frame[:6]
         pool = self._seg_pool(src)
         cache = self._dedup[src]
         if cache is None or cache[0] != (run_id, step):
             cache = self._dedup[src] = ((run_id, step), {})
+        # Keyed by exporter identity: the pinned buffers keep their
+        # exporters alive, so an ``id`` cannot be recycled while its
+        # cache entry exists.
         key = tuple((id(mv.obj), mv.nbytes) for mv in buffers)
         hit = cache[1].get(key)
         if hit is not None:
             alias = pool.alias(hit[3])
             if alias is not None:  # same bytes, another destination: no copy
                 return pool.generation, hit[1], hit[2], alias
-        total = sum(shm.aligned(mv.nbytes) for mv in buffers)
         try:
-            got = pool.lease(dst, total, recycled=recycled)
+            got = pool.lease(dst, sum(shm.aligned(mv.nbytes) for mv in buffers),
+                             recycled=recycled)
         except OSError:  # /dev/shm full
             return None
         if got is None:
@@ -699,8 +452,6 @@ class FrameTransport:
         for mv in buffers:
             region[at:at + mv.nbytes] = mv
             at += shm.aligned(mv.nbytes)
-        # The pinned buffers keep their exporters alive, so an ``id``
-        # cannot be recycled while its cache entry exists.
         cache[1][key] = (buffers, name, offset, lease_id)
         return pool.generation, name, offset, lease_id
 
@@ -709,39 +460,27 @@ class FrameTransport:
 
         With ``block`` false the push completes without waiting for
         anything or changes nothing and returns ``False``.  It goes
-        through only if the destination lock is free, the ring has room
-        now, the lease is served from recycled bytes, and the whole pipe
-        message fits ``PIPE_BUF`` on a pipe reporting ``POLLOUT`` —
-        every writer holds the lock, so the kernel takes that write
-        whole.
+        through only if the destination lock is free, the pipe reports
+        ``POLLOUT``, the frame's region is served from recycled bytes
+        (nothing mapped, no new page touched — so leasing ahead of this
+        boundary's inbound releases cannot grow the pool), and the whole
+        pipe message fits ``PIPE_BUF`` — every writer holds the lock, so
+        the kernel takes that write whole.  A blocking push is the only
+        place a boundary can create a segment.
         """
-        dst, run_id, step, src, meta, buffers, big, more, rel = frame
-        if not block and len(meta) > _PIPE_MSG_MAX:
-            return False
-        leased = [buffers[i] for i in big]
-        if big:
-            gone = set(big)
-            buffers = [mv for i, mv in enumerate(buffers) if i not in gone]
-        lens = tuple(mv.nbytes for mv in buffers)
-        total = sum(map(_aligned, lens))
-        slab = self._slabs[dst]
-        use_slab = slab is not None and 0 < total <= slab.max_frame
-        if buffers and not (use_slab or block):
+        dst, run_id, step, src, meta, buffers, leased, more, rel = frame
+        if not block and (len(meta) > _PIPE_MSG_MAX
+                          or (buffers and not leased)):
             return False  # buffers as pipe messages of their own
         lock = self._locks[dst]
         lease = None
         if block:
-            # Leasing (which may map a segment) and the copy happen
-            # before the destination lock: the pool is this sender's own.
+            # Leasing and the copy happen before the destination lock —
+            # the pool belongs to this sender alone.
             if leased:
-                lease = self._place(frame, leased, False)
-                if lease is None:  # they stay slab/pipe buffers
-                    self._zc[2 * src + 1] += len(leased)
-                    buffers = list(frame[5])
-                    lens = tuple(mv.nbytes for mv in buffers)
-                    total = sum(map(_aligned, lens))
-                    use_slab = slab is not None and 0 < total <= slab.max_frame
-                    big = ()
+                lease = self._place(frame, recycled=False)
+                if lease is None:  # /dev/shm full: pipe messages instead
+                    self._zc[2 * src + 1] += len(buffers)
             lock.acquire()
         elif not lock.acquire(False):
             return False
@@ -750,119 +489,69 @@ class FrameTransport:
                 ready = self._pollers[dst].poll(0)
                 if not ready or ready[0][1] != select.POLLOUT:
                     return False
-            start = end = 0
-            if use_slab:
-                spot = slab.reserve(total, block)
-                if spot is None:
-                    return False
-                start, end = spot
-            if leased and not block:
-                lease = self._place(frame, leased, True)
-                if lease is None:
-                    return False
-            extra = None
-            if lease is not None:
-                extra = (lease, tuple(big),
-                         tuple(mv.nbytes for mv in leased), rel)
-            elif rel:
-                extra = (None, (), (), rel)
+                if leased:
+                    lease = self._place(frame, recycled=True)
+                    if lease is None:
+                        return False
             # The header carries the meta blob too: one pipe message —
             # hence one reader wake-up — per frame without pipe buffers.
             header = pickle.dumps(
                 (TAG_PKT, run_id, step, src,
-                 _MODE_SLAB if use_slab else _MODE_PIPE, lens, start, meta,
-                 more, extra))
+                 tuple(mv.nbytes for mv in buffers), meta, more, lease, rel))
             if not block and len(header) > _PIPE_MSG_MAX:
                 if lease is not None:  # leave the pool as it was found
                     self._seg_pool(src).release((lease[3],))
                 return False
             conn = self._send_conns[dst]
-            if use_slab:
-                offset = start
-                for mv, n in zip(buffers, lens):
-                    slab.write(offset, mv)
-                    offset += _aligned(n)
-                slab.commit(end)
             conn.send_bytes(header)
-            if not use_slab:
+            if lease is None:
                 for mv in buffers:
                     conn.send_bytes(mv)
         finally:
             lock.release()
         if lease is not None:
-            self._zc[2 * src] += len(leased)
+            self._zc[2 * src] += len(buffers)
         return True
 
     # -- receiving ----------------------------------------------------------
 
     def recv(self, pid: int) -> Frame:
-        """Block for the next frame addressed to ``pid``.
-
-        Slab regions are copied out and freed *here*, unconditionally, so
-        discarding a stale frame (old ``run_id``) cannot leak ring space.
-        """
+        """Block for the next frame addressed to ``pid``."""
         conn = self._recv_conns[pid]
-        (tag, run_id, step, src, mode, lens, start, meta, more,
-         extra) = pickle.loads(conn.recv_bytes())
-        if tag == TAG_RELEASE:
+        (tag, run_id, step, src, lens, meta, more, lease,
+         rel) = pickle.loads(conn.recv_bytes())
+        if rel:
             # Lease ids coming home: applied at transport level, whatever
             # run they belong to — ids are monotonic and unknown ids are
             # ignored, so a stale release can never free a live region.
             seg_pool = self._seg_pools[pid]
-            if seg_pool is not None and extra:
-                seg_pool.release(extra)
-            return Frame(tag, run_id, step, src, None, None, more)
+            if seg_pool is not None:
+                seg_pool.release(rel)
         if tag != TAG_PKT:
             return Frame(tag, run_id, step, src, None, None, more)
         buffers: list[Any] = []
-        pool = self._pools[pid]
-        if mode == _MODE_SLAB:
-            slab = self._slabs[pid]
-            assert slab is not None
-            offset = start
-            for n in lens:
-                buf = pool.take(n)
-                slab.read_into(offset, n, buf)
-                buffers.append(buf)
-                offset += _aligned(n)
-            slab.free_to(offset)
-        else:
-            for n in lens:
-                buf = pool.take(n)
-                if n:
-                    conn.recv_bytes_into(buf)
-                else:
-                    conn.recv_bytes()  # zero-length message, nothing to copy
-                buffers.append(buf)
         stale = 0
-        if extra is not None:
-            lease, indices, sizes, rel = extra
-            if rel:
-                seg_pool = self._seg_pools[pid]
-                if seg_pool is not None:
-                    seg_pool.release(rel)
-            if lease is not None:
-                # Zero-copy delivery: map the frame's one leased region
-                # (attach is cached per segment), register it as one
-                # exporter, and splice views of it into the buffer list
-                # at the buffers' original indices — the reconstructed
-                # payloads are backed by the shared pages themselves.
-                generation, name, offset, lease_id = lease
-                region = self._seg_map(pid).region(
-                    name, offset, sum(map(shm.aligned, sizes)))
-                if self._lease_table(pid).register(src, lease_id,
-                                                   generation, region):
-                    stale = 1
-                full: list[Any] = [None] * (len(lens) + len(indices))
-                at = 0
-                for index, n in zip(indices, sizes):
-                    full[index] = region[at:at + n]
-                    at += shm.aligned(n)
-                small = iter(buffers)
-                for j, slot in enumerate(full):
-                    if slot is None:
-                        full[j] = next(small)
-                buffers = full
+        if lease is None:
+            for n in lens:
+                buf = bytearray(n)
+                conn.recv_bytes_into(buf)
+                buffers.append(buf)
+        else:
+            # Zero-copy delivery: map the frame's one leased region
+            # (attach is cached per segment), file it as one exporter,
+            # and hand out views of it — the reconstructed payloads are
+            # backed by the shared pages themselves, and every one of
+            # them keeps the region's refcount, the lease's liveness
+            # probe, above the table's own.
+            generation, name, offset, lease_id = lease
+            region = self._seg_map(pid).region(
+                name, offset, sum(map(shm.aligned, lens)))
+            stale = int(self._lease_table(pid).register(
+                src, lease_id, generation, region))
+            at = 0
+            for n in lens:
+                buffers.append(region[at:at + n])
+                at += shm.aligned(n)
         return Frame(tag, run_id, step, src, meta, buffers, more,
                      stale=stale)
 
@@ -894,12 +583,6 @@ class FrameTransport:
                 conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-        for slab in self._slabs:
-            if slab is not None:
-                try:
-                    slab.close()
-                except (BufferError, ValueError):  # pragma: no cover
-                    pass
         try:
             self._hb.release()
             self._hb_mm.close()

@@ -341,10 +341,9 @@ class PoolHealth:
         Payload buffers delivered through shared-memory segment leases
         (no receive-side copy) over the pool's lifetime.
     zerocopy_fallbacks:
-        Buffers large enough for the zero-copy path that took the
-        slab/pipe path instead (``REPRO_ZEROCOPY=off`` or segment
-        creation failure) — nonzero hits with zero fallbacks means the
-        data plane is fully engaged.
+        Out-of-band payload buffers sent as pipe messages instead
+        (``REPRO_ZEROCOPY=off`` or segment creation failure) — nonzero
+        hits with zero fallbacks means the data plane is fully engaged.
     quarantines:
         Times the service gateway quarantined the pool's fleet slot
         (failed health probes or a restart storm); filled in by the

@@ -13,21 +13,22 @@ declared pattern (:func:`~repro.backends.exchange.boundary_links`).
 
 Frames are the batched zero-copy representation of
 :mod:`~repro.backends.frames`: per-bucket ``seq``/``h`` metadata plus
-protocol-5 out-of-band payload buffers moved through a fork-shared slab
-ring, so a bucket of NumPy halos crosses the boundary with two memcpys
-instead of a pickle stream per packet.  Sends are issued in the
+protocol-5 out-of-band payload buffers placed in one leased
+shared-memory region per frame, so a bucket of NumPy halos crosses the
+boundary with one memcpy instead of a pickle stream per packet.  Sends are issued in the
 :func:`~repro.backends.exchange.peer_order` of the precomputed
 total-exchange pairing schedule, the TCP version's deadlock-avoidance
 discipline (B.3).
 
 Who writes a frame is decided per frame.  The thread that called
 ``sync()`` offers each one to a push that never waits (destination lock
-free, slab room now, one pipe message within ``PIPE_BUF`` on a writable
-pipe): ocean's ghost rows and every empty frame go out this way,
-one ``write`` each, and no second thread is ever started.  Whatever that
-push refuses — a frame that could fill a pipe or the ring, or one whose
-large buffers lease zero-copy regions — is handed, already encoded, to a
-per-run sender thread, while the calling thread turns receiver: B.3's
+free, a recycled region for its buffers, one pipe message within
+``PIPE_BUF`` on a writable pipe): ocean's ghost rows, every empty frame
+and a halo whose link has exchanged one before go out this way, one
+``write`` each, and no second thread is ever started.  Whatever that
+push refuses — a frame that could fill a pipe, or one whose region
+would have to be mapped or touch new pages — is handed, already
+encoded, to a per-run sender thread, while the calling thread turns receiver: B.3's
 "receivers must actively empty the pipe", kept for exactly the frames
 it is about.
 
@@ -42,10 +43,10 @@ the pipe fabric behind it: :class:`_FrameChannel` (the exchange above)
 and :class:`BspPool`, which supplies only
 
 * **build / teardown**: one :class:`~repro.backends.frames.FrameTransport`
-  (pipes, slab rings, segment pools, heartbeat words), a control queue
+  (pipes, segment pools, heartbeat words), a control queue
   per worker and one result queue;
 * **dispatch**: ``(program, args)`` encoded once for all workers, array
-  arguments above the zero-copy threshold arriving as read-only views of
+  arguments too big for the pickle stream arriving as read-only views of
   one shared-memory copy (valid for the run);
 * **failure policy**: pipes can be *fenced*.  After a
   :class:`VirtualProcessorError` the workers drain in-flight frames
@@ -79,7 +80,6 @@ from ..core.packets import Packet
 from .base import Program
 from .exchange import LinkChannel
 from .frames import (
-    DEFAULT_SLAB_BYTES,
     TAG_DEAD,
     TAG_FENCE,
     TAG_LEFT,
@@ -94,12 +94,6 @@ from .pool import (
     join_escalating,
     run_rank,
 )
-
-#: How much of each slab a persistent pool commits up-front (the rest of
-#: the ring faults in lazily as frames actually use it), bounding the
-#: pool's baseline resident footprint at nprocs x this, not
-#: nprocs x slab_bytes.
-_POOL_PREFAULT_BYTES = 4 << 20
 
 
 class _FrameChannel(LinkChannel):
@@ -146,8 +140,8 @@ class _FrameChannel(LinkChannel):
               targets: Sequence[int], releases: dict[int, list[int]]) -> None:
         """Put one frame per target on the wire, in schedule order.
 
-        Pipe writes and slab allocations block once full, so two peers
-        pushing large boundary frames at each other would deadlock — the
+        Pipe writes block once the pipe is full, so two peers pushing
+        large boundary frames at each other would deadlock — the
         exact hazard Appendix B.3 describes ("receivers [must] actively
         empty the pipe").  So the calling thread pushes only what cannot
         wait (for ocean's ghost rows: everything) and then plays the
@@ -241,7 +235,7 @@ class _FrameChannel(LinkChannel):
                out_links: Sequence[int], in_links: frozenset[int],
                release_round: bool) -> dict[int, list[Packet]]:
         # No release round on this fabric: a pushed frame is already in
-        # its destination's pipe and slab.
+        # its destination's pipe.
         transport, pid = self._transport, self._pid
         # Zero-copy lease upkeep: reap inbound leases whose payloads the
         # program dropped; their ids ride home piggybacked on this
@@ -305,7 +299,7 @@ def _do_fence(pid: int, nprocs: int, fence_id: int,
     """Drain every in-flight frame behind a one-shot fence barrier.
 
     Each participant keeps reading its inbound pipe — discarding stale
-    frames and freeing their slab regions — until it has seen the fence
+    frames — until it has seen the fence
     frame of every peer, while pushing its own fence frame to each of
     them.  Universal draining unblocks any sender thread left mid-frame
     by the failed run, so the transport is empty and lock-free when the
@@ -319,8 +313,7 @@ def _do_fence(pid: int, nprocs: int, fence_id: int,
             frame = transport.recv(pid)
             if frame.tag == TAG_FENCE and frame.step == fence_id:
                 pending.discard(frame.src)
-            # Anything else is debris from the failed run: recv() already
-            # freed its slab space; drop it.
+            # Anything else is debris from the failed run: drop it.
 
     drainer = threading.Thread(target=drain, name=f"bsp-fence-{pid}",
                                daemon=True)
@@ -434,7 +427,7 @@ def _broadcast_dead(transport: FrameTransport, nprocs: int,
 
 
 class BspPool(WorkerPool):
-    """A persistent set of ``p`` forked BSP workers on the pipe/slab fabric.
+    """A persistent set of ``p`` forked BSP workers on the pipe/shm fabric.
 
     Failure policy: pipes can be fenced.  A failed run is followed by a
     fence that drains the transport, so the pool survives
@@ -443,22 +436,19 @@ class BspPool(WorkerPool):
     unresponsive worker (deadlock timeout) or a wedged fabric triggers a
     full re-fork — all within a bounded restart budget.
 
-    Memory footprint: each worker owns a ``slab_bytes`` (default 64 MiB)
-    shared ring, so the worst case is ``nprocs x slab_bytes`` of shared
-    anonymous memory — but only :data:`_POOL_PREFAULT_BYTES` per slab is
-    committed up-front; the rest stays untouched (zero resident pages)
-    until frames of that size actually flow.  Tune ``slab_bytes`` down
-    for memory-constrained hosts or up for very large halos (frames over
-    ``slab_bytes // 2`` automatically take the slower pipe path).
+    Memory footprint: nothing is mapped or committed up-front.  A
+    worker creates a 16 MiB segment per destination the first time a
+    frame to it carries an out-of-band buffer, only the pages frames
+    actually fill become resident, and released regions are reused
+    before new ones are touched — a link in steady state keeps two
+    regions of its frame size.
     """
 
     _oneshot = "ProcessBackend()"
 
     def __init__(self, nprocs: int, *, join_timeout: float = 120.0,
-                 slab_bytes: int = DEFAULT_SLAB_BYTES,
                  max_restarts: int = 5, backoff_base: float = 0.05):
         super().__init__(nprocs, join_timeout)
-        self._slab_bytes = slab_bytes
         # A bounded budget of fault events (crash, deadlock, wedged
         # fence), with exponential backoff between them.
         self._max_restarts = max_restarts
@@ -470,18 +460,7 @@ class BspPool(WorkerPool):
 
     def _build(self) -> None:
         ctx = self._ctx
-        self._transport = FrameTransport(
-            self._capacity, ctx, slab_bytes=self._slab_bytes,
-            spin_timeout=self._join_timeout)
-        if self._first is None:
-            # Fault the first slab pages in once, here in the parent, so
-            # the pool's first small exchanges are as fast as its
-            # hundredth (a pool of one run has no hundredth to warm for).
-            # Only a prefix: committing every page would pin
-            # nprocs x slab_bytes of resident memory for the pool's
-            # lifetime whether or not any frame ever needs it; the
-            # remainder faults lazily on first use.
-            self._transport.prefault(_POOL_PREFAULT_BYTES)
+        self._transport = FrameTransport(self._capacity, ctx)
         self._ctrl = [ctx.SimpleQueue() for _ in range(self._capacity)]
         self._result = ctx.Queue()
         self._source = _QueueSource(self._result, self._transport)
@@ -542,8 +521,7 @@ class BspPool(WorkerPool):
         """Restore the pool after ``fault``, within the restart budget.
 
         A crash tries a *partial* heal (re-fork only the dead workers,
-        wake their blocked peers, fence, reset leaked slab space); a
-        deadlock — or a crash whose fabric is wedged — rebuilds the whole
+        wake their blocked peers, fence); a deadlock — or a crash whose fabric is wedged — rebuilds the whole
         pool.  Each fault event consumes one unit of budget and waits an
         exponentially growing backoff first; an exhausted budget shuts
         the pool down and raises :class:`PoolExhaustedError`.
@@ -574,9 +552,9 @@ class BspPool(WorkerPool):
         mid-``send_packets`` dies holding its destination's lock, wedging
         the pipe) and the TAG_DEAD wake-up deliverable.  The replacement
         workers become the new single consumers of the victims' inherited
-        pipes and slabs; the fence then drains all debris, after which
-        any slab region without a delivered header is a leak from a
-        mid-push death and is reclaimed by resetting the rings.
+        pipes; the fence then drains all debris and rewinds every
+        worker's segment pool, so a region leased by a mid-push death is
+        reclaimed with the rest.
         """
         dead = [pid for pid in range(self._capacity)
                 if not self._procs[pid].is_alive()]
@@ -588,8 +566,7 @@ class BspPool(WorkerPool):
             self._procs[pid].join(timeout=1.0)
             self._procs[pid] = self._fork(pid)
         self._restarts += len(dead)
-        if self._fence(self._capacity):
-            self._transport.reset_slabs()
+        self._fence(self._capacity)
         # The victims' segments have no owner left to reuse them; their
         # replacements continue the name numbering from the fork-shared
         # counter, so sweeping the dead generation now cannot collide.
@@ -634,8 +611,8 @@ class BspPool(WorkerPool):
 
     def _encode(self, program: Program, args: Sequence[Any],
                 kwargs: dict[str, Any]) -> tuple:
-        # Once for all workers; array arguments above the zero-copy
-        # threshold are placed in the dispatch arena, which the previous
+        # Once for all workers; array arguments too big for the pickle
+        # stream are placed in the dispatch arena, which the previous
         # run's workers were reading — hence under the run lock.
         return self._transport.encode_dispatch((program, args, kwargs))
 
@@ -653,14 +630,11 @@ class ProcessBackend(PoolBackend):
     _pool_type = BspPool
 
     def __init__(self, *, join_timeout: float = 120.0,
-                 pool: BspPool | None = None,
-                 slab_bytes: int = DEFAULT_SLAB_BYTES):
-        super().__init__(pool, join_timeout=join_timeout,
-                         slab_bytes=slab_bytes)
+                 pool: BspPool | None = None):
+        super().__init__(pool, join_timeout=join_timeout)
 
     @classmethod
     def pool(cls, nprocs: int, *, join_timeout: float = 120.0,
-             slab_bytes: int = DEFAULT_SLAB_BYTES,
              max_restarts: int = 5) -> "ProcessBackend":
         """A backend bound to its own persistent :class:`BspPool`.
 
@@ -673,19 +647,13 @@ class ProcessBackend(PoolBackend):
         The pool's workers are forked once and reused by every ``run()``;
         exiting the ``with`` block shuts them down.
 
-        Each worker owns a ``slab_bytes`` (default 64 MiB) shared ring,
-        so worst-case shared memory is ``nprocs x slab_bytes`` — resident
-        only as frames actually use it (a few MiB per slab is committed
-        up-front).  Pass a smaller ``slab_bytes`` on memory-constrained
-        hosts; frames over ``slab_bytes // 2`` fall back to the pipe path.
-
         ``max_restarts`` bounds the pool's fault-recovery budget (crashes
         and deadlocks each consume one unit); once spent, runs raise
         :class:`~repro.core.errors.PoolExhaustedError`.
         """
         backend = cls(
-            join_timeout=join_timeout, slab_bytes=slab_bytes,
+            join_timeout=join_timeout,
             pool=BspPool(nprocs, join_timeout=join_timeout,
-                         slab_bytes=slab_bytes, max_restarts=max_restarts))
+                         max_restarts=max_restarts))
         backend._owns_pool = True
         return backend

@@ -1,39 +1,40 @@
 """Pooled named shared-memory segments: the zero-copy data plane.
 
-The slab ring of :mod:`repro.backends.frames` moves every payload with
-two memcpys (sender into the ring, receiver out of it).  For large
-buffers — above :func:`zerocopy_threshold`, default 64 KiB — this module
-removes the receive-side copy entirely: the sender places the bytes
-directly into a named ``multiprocessing.shared_memory`` segment drawn
-from its :class:`SegmentPool`, the frame carries only ``(segment name,
-offset, length, lease id)``, and the receiver maps the segment once
-(:class:`SegmentMap`) and reconstructs the payload *over* the shared
-pages — the NumPy array a program gets from ``bsp.get_pkt()`` is backed
-by the very bytes the sender wrote.  One memcpy end to end.
+Every payload buffer too big to ride a frame's pickle stream
+(:data:`repro.backends.frames._INBAND_MAX`) crosses the process boundary
+here: the sender places the bytes directly into a named POSIX
+shared-memory segment drawn from its :class:`SegmentPool`, the frame
+carries only ``(segment name, offset, lease id)``, and the receiver maps
+the segment once (:class:`SegmentMap`) and reconstructs the payload
+*over* the shared pages — the NumPy array a program gets from
+``bsp.get_pkt()`` is backed by the very bytes the sender wrote.  One
+memcpy end to end.
 
 Lease lifecycle
 ---------------
 A *lease* is one sender-side region handed to one receiver:
 
-1. ``SegmentPool.lease(dst, nbytes)`` — bump-allocates a region in a
+1. ``SegmentPool.lease(dst, nbytes)`` — takes a released region of the
+   same size off the free list, else bump-allocates one in a
    per-destination segment (creating segments on demand, each with a
    deterministic fabric-unique name) and returns ``(lease id, name,
-   offset, writable view)``.  Lease ids are monotonic for the pool's
-   whole lifetime, so a release that arrives late — or twice — can never
-   free somebody else's region.
+   offset, writable view)``.  ``recycled=True`` — the push that may not
+   wait — is served only from bytes leased before, or not at all.  Lease
+   ids are monotonic for the pool's whole lifetime, so a release that
+   arrives late — or twice — can never free somebody else's region.
 2. The receiver's :class:`LeaseTable` keeps, per lease, a dedicated
    ``np.frombuffer`` exporter over exactly the leased region.  Payloads
-   reconstructed by ``pickle.loads(meta, buffers=[region])`` hold a
-   reference to that exporter for as long as the program holds the
-   payload, so ``sys.getrefcount(region)`` is the lease's liveness
+   reconstructed over views of it (``pickle.loads(meta,
+   buffers=[region[a:b], ...])``) hold a reference to that exporter for
+   as long as the program holds any of them, so ``sys.getrefcount(region)`` is the lease's liveness
    probe: 2 (table entry + probe argument) means every consumer dropped
    the payload.
 3. ``LeaseTable.collect_free()`` runs at each superstep boundary; the
    freed ids ride back to the segment owner piggybacked on the next
    boundary frame (or a dedicated release frame when no data frame is
-   owed), and ``SegmentPool.release`` drops the segment's outstanding
-   count — a segment rewinds to offset 0 only once *all* its leases are
-   back, so no live view is ever overwritten.
+   owed), and ``SegmentPool.release`` puts a region nobody holds any
+   more on the free list — a segment rewinds to offset 0 only once *all*
+   its leases are back, so no live view is ever overwritten.
 4. Pool ``reset()`` (a fence after a failed run) bumps the pool's
    *generation* and forgets all leases: frames of the dead run still in
    flight carry the old generation, which the receiver's table flags as
@@ -68,9 +69,6 @@ import numpy as np
 #: right-sized segment.
 DEFAULT_SEGMENT_BYTES = 16 << 20
 
-#: Default smallest payload buffer routed through a segment lease.
-DEFAULT_THRESHOLD = 64 << 10
-
 #: Region alignment inside a segment (one cache line).
 _ALIGN = 64
 
@@ -82,14 +80,6 @@ def zerocopy_enabled() -> bool:
     """The ``REPRO_ZEROCOPY`` escape hatch (default on)."""
     return os.environ.get("REPRO_ZEROCOPY", "on").strip().lower() not in (
         "off", "0", "no", "false")
-
-
-def zerocopy_threshold() -> int:
-    """Smallest buffer (bytes) that takes the segment-lease path."""
-    try:
-        return int(os.environ.get("REPRO_ZEROCOPY_THRESHOLD", ""))
-    except ValueError:
-        return DEFAULT_THRESHOLD
 
 
 def fabric_token() -> str:

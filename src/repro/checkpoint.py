@@ -22,8 +22,8 @@ shards for step *s* exist and validate.
 
 What is deliberately **not** in a snapshot: wall-clock ``work_seconds``
 of the in-progress superstep (it restarts from zero on resume — W is a
-measurement, not program state), backend transport state (sockets, slab
-rings — rebuilt by the pool/mesh heal), and the RNG of anything the
+measurement, not program state), backend transport state (sockets,
+segment pools — rebuilt by the pool/mesh heal), and the RNG of anything the
 program does not itself capture.  The identity contract after a resume
 is bit-identical *results* and bit-identical ``(S, H, h-series)``
 ledgers; W is wall-clock and differs run to run regardless.

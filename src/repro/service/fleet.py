@@ -36,8 +36,8 @@ class FleetSpec:
     backend: str = "processes"
     nprocs: int = 4
     pools: int = 1
-    #: Forwarded to the pool constructor (join_timeout, slab_bytes,
-    #: max_restarts, ...); must stay picklable/plain.
+    #: Forwarded to the pool constructor (join_timeout, max_restarts,
+    #: ...); must stay picklable/plain.
     options: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:

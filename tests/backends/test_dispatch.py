@@ -1,13 +1,13 @@
 """Run dispatch on the data plane (BspPool.run / TcpMesh.run).
 
 A pooled run ships ``(program, args, kwargs)`` to its workers *once*:
-one protocol-5 pickle, every out-of-band buffer at or above the
-zero-copy threshold copied once into the parent's arena on the
+one protocol-5 pickle, every buffer too big for the pickle stream (the
+in-band cut, 2 KiB) copied once into the parent's arena on the
 ``repro-zc-*`` segment plane, and each worker rebuilding the arrays as
 read-only views over the shared pages.  Exercised here:
 
 * value fidelity over arbitrary arg tuples (small objects, arrays on
-  both sides of the threshold, non-contiguous and non-float64 arrays,
+  both sides of the cut, non-contiguous and non-float64 arrays,
   one array passed twice), read-only-ness of what rode the arena, and
   that a twice-passed array is placed once;
 * the arena is rewound per run — repeated large dispatches do not grow
@@ -32,12 +32,12 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.apps.matmul.cannon import cannon_matmul
-from repro.backends import shm
+from repro.backends import frames, shm
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.backends.tcp import TcpBackend
 from repro.core.errors import BspUsageError, WorkerCrashError
 
-THRESHOLD = shm.DEFAULT_THRESHOLD
+THRESHOLD = frames._INBAND_MAX
 MIB = 1 << 20
 
 
@@ -143,11 +143,11 @@ _small_objects = st.one_of(
     st.integers(-10**9, 10**9), st.text(max_size=20), st.none(),
     st.lists(st.floats(allow_nan=False), max_size=5),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=3))
-# 8 bytes/element for most kinds: 64..4000 stays below 64 KiB,
-# 9000..20000 is above it (u1 and i4 stay below — also a case).
+# At most 16 bytes/element: 8..120 stays below the 2 KiB cut,
+# 2100..20000 is above it (u1 below 2048 stays below — also a case).
 _arrays = st.builds(
     _array, st.sampled_from(["f8", "i4", "u1", "c16", "strided", "fortran"]),
-    st.one_of(st.integers(64, 4000), st.integers(9000, 20000)))
+    st.one_of(st.integers(8, 120), st.integers(2100, 20000)))
 _arg_lists = st.lists(st.one_of(_small_objects, _arrays), max_size=5)
 
 

@@ -15,7 +15,7 @@ Three layers of guarantees:
 
 import hashlib
 import multiprocessing as mp
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -24,8 +24,6 @@ from hypothesis import strategies as st
 
 from repro.backends.frames import (
     FrameTransport,
-    Slab,
-    _RecvPool,
     decode_packets,
     encode_packets,
 )
@@ -96,94 +94,92 @@ class TestCombinerRoundTrip:
         np.testing.assert_array_equal(out.payload, strided)
 
 
+@pytest.fixture()
+def transport():
+    t = FrameTransport(2, mp.get_context("fork"))
+    yield t
+    t.close()
+
+
+def _exchange(transport, payload, *, block=True):
+    """Push one frame 0 -> 1 and receive it: (pushed, region, packets).
+
+    ``region`` is the ``(segment name, offset)`` the frame's buffers were
+    leased at, read off the receiver's lease table."""
+    frame = transport.encode_frame(1, 1, 0, 0, [_mk(0, 1, payload, 1, 0)])
+    if not transport.push_frame(frame, block=block):
+        return False, None, None
+    known = set(transport._lease_table(1)._entries)
+    packets = transport.recv(1).packets(1)
+    ((_src, lease_id),) = set(transport._lease_table(1)._entries) - known
+    region = transport._seg_pools[0]._leases[lease_id]
+    return True, (region.seg.name, region.offset), packets
+
+
+def _release(transport):
+    """What a boundary does: reap dropped inbound leases at pid 1 and
+    take their ids home to pid 0's pool."""
+    for owner, ids in transport.collect_releases(1).items():
+        transport._seg_pools[owner].release(ids)
+
+
 class TestRecvPool:
-    """Receive buffers recycle only once every consumer dropped them."""
+    """The receive buffer of a frame is its leased region: it is handed
+    out again only once every consumer dropped the payloads over it."""
 
-    def test_busy_buffer_not_recycled(self):
-        pool = _RecvPool()
-        first = pool.take(1024)
-        view = memoryview(first)  # a live consumer
-        second = pool.take(1024)
-        assert second is not first
-        view.release()
-        del first, second
-        third = pool.take(1024)
-        fourth = pool.take(1024)
-        assert {id(third), id(fourth)} <= {id(b) for b in pool._bufs}
+    def test_busy_buffer_not_recycled(self, transport):
+        halo = np.arange(1024, dtype=np.float64)
+        _, first, held = _exchange(transport, halo)
+        _release(transport)  # nothing to reap: ``held`` is a live consumer
+        _, second, got = _exchange(transport, halo + 1)
+        assert second != first
+        np.testing.assert_array_equal(held[0].payload, halo)  # not overwritten
+        del held, got
+        _release(transport)
+        _, third, got = _exchange(transport, halo)
+        assert third in (first, second)
 
-    def test_recycles_after_consumers_drop(self):
-        pool = _RecvPool()
-        buf = pool.take(2048)
-        ident = id(buf)
-        del buf
-        assert id(pool.take(2048)) == ident
+    def test_recycles_after_consumers_drop(self, transport):
+        halo = np.arange(1024, dtype=np.float64)
+        _, first, got = _exchange(transport, halo)
+        del got
+        _release(transport)
+        # ...and the recycled region is what lets the push go inline.
+        pushed, second, got = _exchange(transport, halo * 2, block=False)
+        assert pushed and second == first
+        np.testing.assert_array_equal(got[0].payload, halo * 2)
 
-    def test_distinct_sizes_do_not_alias(self):
-        pool = _RecvPool()
-        a = pool.take(100)
-        del a
-        b = pool.take(200)
-        assert len(b) == 200
+    def test_distinct_sizes_do_not_alias(self, transport):
+        _, small, got = _exchange(transport, np.zeros(512))
+        _, keep, held = _exchange(transport, np.ones(512))  # pins the segment
+        del got
+        _release(transport)
+        _, big, got = _exchange(transport, np.arange(1024.0))
+        assert big not in (small, keep)  # 4 KiB free, 8 KiB asked: a miss
+        assert got[0].payload.nbytes == 8192
+        np.testing.assert_array_equal(held[0].payload, np.ones(512))
 
 
 class TestSlabRing:
-    """The ring must never wedge on frames it cannot physically hold."""
+    """What the ring's suite keeps: the one fallback plane."""
 
-    def test_unsatisfiable_alloc_raises_immediately(self):
-        # Reviewer repro: on a 64 KiB slab, alloc(30016), drain fully,
-        # then alloc(40064).  The second alloc needs 40064 bytes plus
-        # 35520 bytes of wrap padding — more than the whole ring — so no
-        # amount of receiver draining can ever satisfy it.  It must fail
-        # fast, not spin out the timeout as "receiver not draining".
-        slab = Slab(64 << 10, spin_timeout=5.0)
+    def test_oversized_frame_takes_pipe_path(self, monkeypatch):
+        # With the shm plane off, a frame's buffers follow its header as
+        # pipe messages of their own and still round-trip — from a second
+        # thread, because 64 KiB + 512 bytes is more than a pipe holds.
+        monkeypatch.setenv("REPRO_ZEROCOPY", "off")
+        transport = FrameTransport(2, mp.get_context("fork"))
         try:
-            slab.alloc(30016)
-            slab.free_to(slab._ctrl[1])  # receiver consumed everything
-            start = time.monotonic()
-            with pytest.raises(ValueError, match="can never fit"):
-                slab.alloc(40064)
-            assert time.monotonic() - start < 1.0
-        finally:
-            slab.close()
-
-    def test_half_capacity_frames_always_satisfiable(self):
-        # Anything <= max_frame must succeed at every tail position once
-        # the ring is drained, wrap padding included.
-        slab = Slab(64 << 10, spin_timeout=5.0)
-        try:
-            for _ in range(17):  # drives the tail through several wraps
-                off = slab.alloc(slab.max_frame - 24)
-                slab.write(off, bytes(slab.max_frame - 24))
-                slab.free_to(slab._ctrl[1])
-        finally:
-            slab.close()
-
-    def test_partial_prefault_keeps_ring_usable(self):
-        slab = Slab(1 << 20, spin_timeout=5.0)
-        try:
-            slab.prefault(4096)  # commit only the first page of data
-            payload = bytes(range(256)) * 1024  # 256 KiB, beyond the prefix
-            for _ in range(6):
-                off = slab.alloc(len(payload))
-                slab.write(off, payload)
-                assert slab.read_copy(off, len(payload)) == payload
-                slab.free_to(slab._ctrl[1])
-        finally:
-            slab.close()
-
-    def test_oversized_frame_takes_pipe_path(self):
-        # A frame bigger than half the slab routes through the pipe
-        # fallback and still round-trips; the slab stays untouched.
-        ctx = mp.get_context("fork")
-        transport = FrameTransport(2, ctx, slab_bytes=64 << 10,
-                                   spin_timeout=5.0)
-        try:
-            slab = transport._slabs[1]
-            payload = np.arange(slab.max_frame // 8 + 64, dtype=np.float64)
+            payload = np.arange((64 << 10) // 8 + 64, dtype=np.float64)
             pkt = _mk(0, 1, payload, h=7, seq=3)
-            transport.send_packets(1, run_id=1, step=0, src=0, packets=[pkt])
-            assert slab._ctrl[1] == 0  # nothing was allocated from the ring
+            sender = threading.Thread(
+                target=transport.send_packets, args=(1, 1, 0, 0, [pkt]))
+            sender.start()
             frame = transport.recv(1)
+            sender.join(10.0)
+            assert not sender.is_alive()
+            assert transport.segment_counts() == {0: 0, 1: 0}
+            assert transport.zerocopy_stats() == (0, 1)
             (got,) = frame.packets(1)
             assert (got.h, got.seq) == (7, 3)
             np.testing.assert_array_equal(got.payload, payload)
@@ -239,17 +235,6 @@ def failing_program(bsp, bad_pid):
     return bsp.pid
 
 
-def sized_exchange_program(bsp, sizes):
-    """Exchange uint8 payloads of the given sizes, one per superstep."""
-    peer = (bsp.pid + 1) % bsp.nprocs
-    received = []
-    for size in sizes:
-        bsp.send(peer, np.full(size, bsp.pid, dtype=np.uint8))
-        bsp.sync()
-        received.append(sum(p.payload.nbytes for p in bsp.packets()))
-    return received
-
-
 def numpy_exchange_program(bsp, size, scale):
     for q in range(bsp.nprocs):
         if q != bsp.pid:
@@ -275,18 +260,6 @@ class TestBspPoolReuse:
                 for pid in range(3):
                     expected = sum(q * scale for q in range(3) if q != pid)
                     assert run.results[pid] == expected
-
-    def test_large_frames_on_small_slab_do_not_wedge(self):
-        # Regression: with a 64 KiB slab, a 30016-byte frame followed by
-        # a 40064-byte frame used to leave the second alloc needing more
-        # than the ring's capacity — every worker then spun out the full
-        # timeout and the run died.  Such frames must take the pipe path.
-        sizes = (30016, 40064, 40064)
-        with BspPool(2, join_timeout=20.0, slab_bytes=64 << 10) as pool:
-            start = time.monotonic()
-            run = pool.run(sized_exchange_program, args=(sizes,))
-            assert time.monotonic() - start < 15.0
-            assert run.results == [list(sizes), list(sizes)]
 
     def test_survives_failed_run(self):
         with BspPool(3) as pool:

@@ -5,15 +5,19 @@ to ``FrameTransport.push_frame(frame, block=False)``; only the frames it
 refuses reach the per-run sender thread.  Exercised here:
 
 * the non-blocking push cannot wait: against a full pipe with a parked
-  reader, a destination lock held by another process, a full slab ring,
-  an over-``PIPE_BUF`` message and a zero-copy placement it returns
-  ``False`` within 50 ms and writes, allocates and leases nothing;
+  reader, a destination lock held by another process, an
+  over-``PIPE_BUF`` message and a pool with no recycled region it
+  returns ``False`` within 50 ms, writes nothing, maps nothing and
+  leaves the sender's segment pool as it found it;
+* it never grows the pool: a link in steady state alternates two
+  regions, and frame sizes that differ every boundary stay within two
+  segments a link;
 * Appendix B.3 still holds: every rank pushing frames larger than a pipe
-  (and than ``slab.max_frame``) at its peers, mixed with 8-byte frames,
-  for 50 boundaries, strict and relaxed, equals the simulator;
+  at its peers, mixed with 8-byte frames, for 50 boundaries, strict and
+  relaxed, shm plane on and off, equals the simulator;
 * small buffers ride in-band without changing what a program receives:
-  hypothesis over sizes straddling the in-band cut and the zero-copy
-  threshold, 0-d / empty / non-contiguous / read-only arrays;
+  hypothesis over sizes straddling the in-band cut, 0-d / empty /
+  non-contiguous / read-only arrays;
 * faults met on the calling thread end as they did on the sender
   thread, and ``count_frame`` ticks once per frame on either path;
 * a pooled ocean run never starts a ``bsp-send-*`` thread, a pooled
@@ -84,26 +88,77 @@ def _fill_pipe(transport, pid):
         os.set_blocking(fd, True)
 
 
+def _pool_state(transport, src):
+    """Everything a lease could change in ``src``'s segment pool."""
+    pool = transport._seg_pools[src]
+    if pool is None:  # built (empty, nothing mapped) by the first lease
+        return 0, []
+    return (pool.outstanding, [
+        (seg.name, seg.used, seg.high, seg.outstanding,
+         sorted((size, len(spare)) for size, spare in seg.free.items()))
+        for segs in pool._pools.values() for seg in segs])
+
+
 def _refused(transport, frame):
     """A non-blocking push of ``frame`` must refuse, fast, and leave the
-    destination's pipe, ring and lock exactly as they were."""
-    dst = frame[0]
-    slab = transport._slabs[dst]
-    before = (_pipe_bytes(transport, dst), slab._ctrl[0], slab._ctrl[1])
+    destination's pipe and lock and the sender's pool exactly as they
+    were."""
+    dst, src = frame[0], frame[3]
+    before = (_pipe_bytes(transport, dst), transport.segment_counts(),
+              _pool_state(transport, src))
     t0 = time.monotonic()
     pushed = transport.push_frame(frame, block=False)
     elapsed = time.monotonic() - t0
     assert pushed is False
     assert elapsed < NO_WAIT_S
-    assert (_pipe_bytes(transport, dst), slab._ctrl[0],
-            slab._ctrl[1]) == before
+    assert (_pipe_bytes(transport, dst), transport.segment_counts(),
+            _pool_state(transport, src)) == before
 
 
 @pytest.fixture()
 def transport():
-    t = FrameTransport(2, CTX, slab_bytes=64 << 10, spin_timeout=5.0)
+    t = FrameTransport(2, CTX)
     yield t
     t.close()
+
+
+def _boundary(transport, step, payloads, inbox, *, block):
+    """One p=2 boundary as ``_FrameChannel._round`` runs it, both ranks
+    in this process: reap, push (releases piggybacked), receive into
+    ``inbox``.  Each rank consumed its previous inbox before it called
+    ``sync()``, as ``bsp.packets()`` does.  A frame the non-blocking
+    push refuses goes out the way the sender thread would send it;
+    returns which frames went inline."""
+    pushed = []
+    for pid in (0, 1):
+        peer = 1 - pid
+        inbox[pid] = None
+        rel = transport.collect_releases(pid).get(peer, ())
+        frame = transport.encode_frame(
+            peer, 1, step, pid, [_pkt(pid, peer, payloads[pid])],
+            releases=rel)
+        pushed.append(transport.push_frame(frame, block=block))
+        if not pushed[-1]:
+            transport.push_frame(frame)
+    for pid in (0, 1):
+        inbox[pid] = transport.recv(pid).packets(pid)
+    return pushed
+
+
+def _warm(transport, payload, step=0):
+    """One blocking frame 0 -> 1, received, dropped and released: pid
+    0's pool now has recycled bytes a non-blocking push could lease."""
+    transport.send_packets(1, 1, step, 0, [_pkt(0, 1, payload)])
+    transport.recv(1).packets(1)
+    for owner, ids in transport.collect_releases(1).items():
+        transport._seg_pools[owner].release(ids)
+
+
+def _touched(transport):
+    """Bytes under a high-water mark, and segments, over both pools."""
+    segs = [seg for pool in transport._seg_pools[:2]
+            for group in pool._pools.values() for seg in group]
+    return sum(seg.high for seg in segs), len(segs)
 
 
 def _hold_lock(lock, held, release):
@@ -120,23 +175,15 @@ class TestNeverBlocks:
         assert buffers == []  # in-band: no out-of-band buffer at all
         assert transport.push_frame(frame, block=False) is True
         assert 0 < _pipe_bytes(transport, 1) <= select.PIPE_BUF
-        assert transport._slabs[1]._ctrl[1] == 0  # no slab round trip
+        assert transport._seg_pools[0] is None  # no shm round trip
         (got,) = transport.recv(1).packets(1)
         np.testing.assert_array_equal(got.payload, ghost)
 
-    def test_slab_frame_goes_inline_when_ring_and_pipe_have_room(
-            self, transport):
-        halo = np.arange(1024, dtype=np.float64)  # 8 KiB: out-of-band
-        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, halo)])
-        assert transport.push_frame(frame, block=False) is True
-        assert transport._slabs[1]._ctrl[1] == halo.nbytes
-        (got,) = transport.recv(1).packets(1)
-        np.testing.assert_array_equal(got.payload, halo)
-
     @pytest.mark.parametrize("payload", [
         7, np.arange(66, dtype=np.float64), np.arange(1024, dtype=np.float64)],
-        ids=["int", "inband-array", "slab-array"])
+        ids=["int", "inband-array", "leased-array"])
     def test_full_pipe_parked_reader(self, transport, payload):
+        _warm(transport, payload)  # the pool could serve it: the pipe cannot
         _fill_pipe(transport, 1)
         frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, payload)])
         _refused(transport, frame)
@@ -160,28 +207,55 @@ class TestNeverBlocks:
         assert transport.push_frame(frame, block=False) is True
         assert transport.recv(1).packets(1)[0].payload == 7
 
-    def test_full_ring_is_refused_without_spinning(self, transport):
-        slab = transport._slabs[1]
-        slab.alloc(slab.max_frame)
-        slab.alloc(slab.max_frame)  # ring full, receiver not draining
-        halo = np.arange(1024, dtype=np.float64)
-        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, halo)])
-        _refused(transport, frame)
-        assert transport.locks_free(timeout=0.0)
-
     def test_message_over_pipe_buf_is_refused(self, transport):
         # bytes never go out-of-band: the whole blob rides the header.
         frame = transport.encode_frame(
             1, 1, 0, 0, [_pkt(0, 1, bytes(select.PIPE_BUF))])
         _refused(transport, frame)
-        # ...and so is a frame whose buffers would be pipe messages of
-        # their own (over max_frame: the ring cannot take it).
-        over = np.zeros(transport._slabs[1].max_frame // 8 + 8)
-        with_pipe_buffers = transport.encode_frame(
-            1, 1, 1, 0, [_pkt(0, 1, over)])
-        *_, buffers, big, _more, _rel = with_pipe_buffers
-        assert buffers and not big
-        _refused(transport, with_pipe_buffers)
+
+    def test_pipe_message_buffers_are_refused(self, monkeypatch):
+        # With the shm plane off a frame's buffers would be pipe
+        # messages of their own, which can fill the pipe.
+        monkeypatch.setenv("REPRO_ZEROCOPY", "off")
+        transport = FrameTransport(2, CTX)
+        try:
+            frame = transport.encode_frame(
+                1, 1, 0, 0, [_pkt(0, 1, np.zeros(1024))])
+            *_, buffers, leased, _more, _rel = frame
+            assert buffers and not leased
+            _refused(transport, frame)
+        finally:
+            transport.close()
+
+    def test_fresh_pool_is_refused_and_maps_nothing(self, transport):
+        halo = np.arange(1024, dtype=np.float64)  # 8 KiB: out-of-band
+        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, halo)])
+        _refused(transport, frame)
+        assert transport.segment_counts() == {0: 0, 1: 0}
+        assert transport.zerocopy_stats() == (0, 0)
+        # Once a segment exists, only bytes below its high-water mark.
+        assert transport.push_frame(frame) is True
+        (got,) = transport.recv(1).packets(1)
+        again = transport.encode_frame(1, 1, 1, 0, [_pkt(0, 1, halo + 1)])
+        _refused(transport, again)  # the one region is still held
+        np.testing.assert_array_equal(got.payload, halo)
+        assert transport.zerocopy_stats() == (1, 0)
+
+    def test_refusal_after_leasing_returns_the_region(self, transport):
+        halo = np.arange(1024, dtype=np.float64)
+        transport.send_packets(1, 1, 0, 0, [_pkt(0, 1, halo)])
+        pinned = transport.recv(1).packets(1)  # keeps the segment from rewinding
+        _warm(transport, halo, step=1)
+        (seg,) = transport._seg_pools[0]._pools[1]
+        assert [len(spare) for spare in seg.free.values()] == [1]
+        # Enough piggybacked releases to push the header past PIPE_BUF,
+        # which is known only once the lease is in it.
+        frame = transport.encode_frame(1, 1, 2, 0, [_pkt(0, 1, halo)],
+                                       releases=range(10**6, 10**6 + 1500))
+        assert len(frame[4]) < select.PIPE_BUF
+        _refused(transport, frame)
+        assert transport.zerocopy_stats() == (2, 0)  # the two that went out
+        np.testing.assert_array_equal(pinned[0].payload, halo)
 
     def test_fault_hooks_fire_once_however_many_pushes(self, transport):
         counter = faults.FrameCounter(2)
@@ -197,12 +271,47 @@ class TestNeverBlocks:
             counter.close()
 
 
+class TestNeverGrowsThePool:
+    """What the inline push may lease is what was leased before."""
+
+    def test_ping_pong_alternates_two_regions_per_link(self, transport):
+        halo = np.arange(1024, dtype=np.float64)  # 8 KiB each way
+        inbox = [None, None]
+        for step in range(2):  # warm-up: the sender thread's part
+            _boundary(transport, step, (halo, halo + step), inbox, block=True)
+        warm = _touched(transport)
+        assert warm == (2 * 2 * halo.nbytes, 2)  # B.1: two buffers a link
+        for step in range(2, 1002):
+            assert _boundary(transport, step, (halo + step, halo - step),
+                             inbox, block=False) == [True, True]
+            assert inbox[0][0].payload[0] == -step
+            assert inbox[1][0].payload[0] == step
+        assert _touched(transport) == warm
+        assert transport.zerocopy_stats() == (2 * 1002, 0)
+
+    def test_sizes_that_differ_every_boundary_stay_within_two_segments(
+            self, transport):
+        # The N-body shape: one essential tree of 11-49 KiB a link, never
+        # the same size twice in a row.  4000 boundaries lease ~120 MB a
+        # link — many times a segment — through whichever push takes it.
+        rng = np.random.default_rng(0)
+        inbox = [None, None]
+        inline = 0
+        for step in range(4000):
+            sizes = rng.integers(11 << 10, 49 << 10, size=2) // 8
+            trees = tuple(np.full(n, float(step)) for n in sizes)
+            inline += sum(_boundary(transport, step, trees, inbox,
+                                    block=False))
+            assert inbox[0][0].payload[-1] == step
+        assert max(transport.segment_counts().values()) <= 2
+        assert inline > 4000  # below a high-water mark most pushes go inline
+
+
 # -- B.3: frames that can fill a pipe still cannot deadlock --------------------
 
 #: Larger than a pipe (64 KiB) whichever way it travels: the bytes blob
-#: rides the header, the array is out-of-band and — on the 64 KiB slabs
-#: these tests build — over ``max_frame``, so with zero-copy off it goes
-#: down the pipe as a message of its own.
+#: rides the header, the array is out-of-band and with zero-copy off
+#: goes down the pipe as a message of its own.
 BLOB = 96 << 10
 ARRAY_N = 12_288  # float64: 96 KiB
 BOUNDARIES = 50
@@ -243,8 +352,7 @@ def _ledger_key(stats):
 def test_mutual_large_pushes_complete(monkeypatch, nprocs, sync, zerocopy):
     monkeypatch.setenv("REPRO_ZEROCOPY", zerocopy)
     golden = bsp_run(heavy_mixed, nprocs)
-    with ProcessBackend.pool(nprocs, slab_bytes=64 << 10,
-                             join_timeout=120.0) as backend:
+    with ProcessBackend.pool(nprocs, join_timeout=120.0) as backend:
         run = bsp_run(heavy_mixed, nprocs, backend=backend, sync=sync)
         health = backend.health()
     assert run.results == golden.results
@@ -280,55 +388,38 @@ def _variant(kind, n):
     return base
 
 
-def _sizes(threshold_elems):
-    edges = [0, 1, _CUT - 1, _CUT, _CUT + 1,
-             threshold_elems - 1, threshold_elems, threshold_elems + 1]
-    return st.one_of(st.sampled_from(edges),
-                     st.integers(0, threshold_elems + 64))
+_sizes = st.one_of(st.sampled_from([0, 1, _CUT - 1, _CUT, _CUT + 1]),
+                   st.integers(0, 4 * _CUT))
 
 
-@pytest.mark.parametrize("threshold", [None, 256],
-                         ids=["default-64KiB", "REPRO_ZEROCOPY_THRESHOLD=256"])
 @settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_roundtrip_straddling_the_cuts(threshold, data):
-    old = os.environ.get("REPRO_ZEROCOPY_THRESHOLD")
-    if threshold is not None:
-        os.environ["REPRO_ZEROCOPY_THRESHOLD"] = str(threshold)
+@given(specs=st.lists(st.tuples(
+    st.sampled_from(["plain", "readonly", "strided", "fortran", "int32",
+                     "0-d"]), _sizes), min_size=1, max_size=5))
+def test_roundtrip_straddling_the_cut(specs):
+    sent = [_variant(kind, n) for kind, n in specs]
+    transport = FrameTransport(2, CTX)
     try:
-        cut_bytes = shm.zerocopy_threshold()
-        specs = data.draw(st.lists(st.tuples(
-            st.sampled_from(["plain", "readonly", "strided", "fortran",
-                             "int32", "0-d"]),
-            _sizes(cut_bytes // 8)), min_size=1, max_size=5))
-        sent = [_variant(kind, n) for kind, n in specs]
-        transport = FrameTransport(2, CTX, slab_bytes=4 << 20)
-        try:
-            transport.send_packets(1, 1, 0, 0, [
-                _pkt(0, 1, arr, seq=i) for i, arr in enumerate(sent)])
-            got = [np.asarray(p.payload) for p in
-                   transport.recv(1).packets(1)]
-            for arr, back in zip(sent, got):
-                assert back.dtype == arr.dtype and back.shape == arr.shape
-                assert back.tobytes() == arr.tobytes()  # bit-equal
-                # NumPy pickles only contiguous arrays as buffers; the
-                # rest it copies (always writable), on every path.
-                if arr.flags.c_contiguous or arr.flags.f_contiguous:
-                    assert back.flags.writeable == arr.flags.writeable
-                    if back.flags.writeable and back.size:
-                        back.flat[0] = 1  # really writable
-            leased = sum(
-                1 for arr in sent if arr.nbytes >= cut_bytes
-                and (arr.flags.c_contiguous or arr.flags.f_contiguous))
-            assert transport.zerocopy_stats() == (leased, 0)
-            del got, back
-        finally:
-            transport.close()
+        transport.send_packets(1, 1, 0, 0, [
+            _pkt(0, 1, arr, seq=i) for i, arr in enumerate(sent)])
+        got = [np.asarray(p.payload) for p in transport.recv(1).packets(1)]
+        for arr, back in zip(sent, got):
+            assert back.dtype == arr.dtype and back.shape == arr.shape
+            assert back.tobytes() == arr.tobytes()  # bit-equal
+            # NumPy pickles only contiguous arrays as buffers; the
+            # rest it copies (always writable), on every path.
+            if arr.flags.c_contiguous or arr.flags.f_contiguous:
+                assert back.flags.writeable == arr.flags.writeable
+                if back.flags.writeable and back.size:
+                    back.flat[0] = 1  # really writable
+        leased = sum(
+            1 for arr in sent if arr.nbytes >= frames._INBAND_MAX
+            and (arr.flags.c_contiguous or arr.flags.f_contiguous))
+        assert transport.zerocopy_stats() == (leased, 0)
+        assert len(transport._lease_table(1)) == bool(leased)  # one a frame
+        del got, back
     finally:
-        if old is None:
-            os.environ.pop("REPRO_ZEROCOPY_THRESHOLD", None)
-        else:
-            os.environ["REPRO_ZEROCOPY_THRESHOLD"] = old
+        transport.close()
 
 
 # -- faults on the inline path -------------------------------------------------
@@ -343,7 +434,7 @@ def ring_program(bsp, rounds=2):
 
 def small_and_big(bsp, rounds=4):
     """Each boundary: an int to the next rank (inline), a leased array to
-    the one after (sender thread)."""
+    the one after (sender thread until its link has a region to reuse)."""
     big = np.ones(20_000)
     for _ in range(rounds):
         bsp.send((bsp.pid + 1) % bsp.nprocs, bsp.pid)
@@ -411,7 +502,7 @@ class TestFaultsOnTheInlinePath:
             plan = faults.FaultPlan([], frame_counter=counter)
             with _pool_under(plan) as pool:
                 run = pool.run(small_and_big, 3, args=(4,), sync=sync)
-                assert pool.health().zerocopy_hits == 12  # all deferred
+                assert pool.health().zerocopy_hits == 12  # inline or deferred
             assert run.results == [2, 2, 2]
             assert counter.total() == 4 * frames_per_round
         finally:

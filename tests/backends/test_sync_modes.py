@@ -241,6 +241,19 @@ class TestSixAppLedgerIdentity:
             stats = run_app(app, size, 4, backend=backend, sync=mode)
             assert _ledger_key(stats) == golden, mode
 
+    @pytest.mark.parametrize("app,size", [
+        ("ocean", "66"), ("mst", "2.5k"), ("sp", "2.5k"),
+        ("msp", "2.5k"), ("nbody", "1k"), ("matmult", "144"),
+    ])
+    def test_one_shot_processes_golden_ledgers(self, app, size):
+        """A pool of one run has no recycled region: every leased frame
+        takes the blocking push, in every mode."""
+        from repro.harness.runner import run_app
+        golden = _ledger_key(run_app(app, size, 4))
+        for mode in MODES:
+            stats = run_app(app, size, 4, backend="processes", sync=mode)
+            assert _ledger_key(stats) == golden, mode
+
 
 class TestRelaxedFaultContracts:
     @pytest.mark.parametrize("backend_kind", ["processes", "tcp"])

@@ -1,16 +1,17 @@
 """The zero-copy shared-memory data plane (repro.backends.shm).
 
-Payload buffers at or above the zero-copy threshold travel as *leases*
-into pooled named shared-memory segments: one sender-side memcpy, no
+The out-of-band payload buffers of a frame travel as one *lease* into
+pooled named shared-memory segments: one sender-side memcpy, no
 receive-side copy — the array a program reads out of ``bsp.get_pkt()``
 is backed by the shared pages themselves.  Exercised here:
 
-* the sender-side :class:`SegmentPool` (bump allocation, rewind on full
-  release, generation bumps) and receiver-side :class:`LeaseTable`
-  (refcount liveness probe, stale-generation detection) in isolation;
-* transport round-trips: big buffers lease (hit counter), small ones
-  stay on the slab path, releases flow back both piggybacked and on
-  dedicated frames;
+* the sender-side :class:`SegmentPool` (bump allocation, free-list
+  reuse, recycled-only leases, rewind on full release, generation bumps)
+  and receiver-side :class:`LeaseTable` (refcount liveness probe,
+  stale-generation detection) in isolation;
+* transport round-trips: out-of-band buffers lease (hit counter), one
+  region and one table entry a frame, small ones stay in-band, releases
+  flow back both piggybacked and on dedicated frames;
 * pooled end-to-end runs in both modes — ``REPRO_ZEROCOPY=off`` must
   give bit-identical results with the fallback counter ticking instead;
 * accounting invariance: the six paper apps produce bit-identical
@@ -20,7 +21,7 @@ is backed by the shared pages themselves.  Exercised here:
   while held);
 * leak-freedom under chaos: SIGKILL mid-superstep, an exhausted restart
   budget, and the LEAK_SEGMENT / TORN_LEASE fault hooks all end with
-  zero orphaned ``/dev/shm`` entries (autouse fixture below);
+  zero orphaned ``/dev/shm`` entries and no live worker (``no_leaks``);
 * the thread backend's by-reference guard: sent arrays freeze until the
   barrier (mutation raises), thaw on delivery, and ``off`` switches to
   copy-on-send value semantics.
@@ -28,7 +29,6 @@ is backed by the shared pages themselves.  Exercised here:
 
 import errno
 import multiprocessing as mp
-import os
 
 import numpy as np
 import pytest
@@ -43,19 +43,14 @@ from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import PoolExhaustedError, WorkerCrashError
 from repro.core.packets import Packet, h_units
 
-# Comfortably above the default 64 KiB threshold (float64 count).
+# Comfortably above the in-band cut (float64 count): out-of-band.
 BIG_N = 20_000
 # Comfortably below it.
 SMALL_N = 64
 
-
-@pytest.fixture(autouse=True)
-def no_segment_leaks():
-    """Every test in this module must leave /dev/shm as it found it."""
-    before = set(shm.scan_orphans())
-    yield
-    after = set(shm.scan_orphans())
-    assert after <= before, f"leaked segments: {sorted(after - before)}"
+#: Every test in this module leaves /dev/shm and the process table as it
+#: found them.
+pytestmark = pytest.mark.usefixtures("no_leaks")
 
 
 # Module-level programs: pooled runs ship them by pickle.
@@ -186,6 +181,77 @@ class TestSegmentPool:
             pool.close()
             shm.sweep_segments(pool._token, {0: pool._created})
 
+    def test_released_region_is_reused_before_the_bump_pointer(self):
+        pool = shm.SegmentPool(shm.fabric_token(), 0)
+        try:
+            a, name, off_a, _ = pool.lease(1, 8000)
+            b, _, off_b, _ = pool.lease(1, 8000)
+            pool.release([a])  # b keeps the segment from rewinding
+            c, name_c, off_c, view = pool.lease(1, 8000 - 50)  # same 64-B class
+            assert (name_c, off_c) == (name, off_a) and view.nbytes == 7950
+            d, _, off_d, _ = pool.lease(1, 4000)  # another size: a miss
+            assert off_d > off_b
+            del view
+        finally:
+            pool.close()
+            shm.sweep_segments(pool._token, {0: pool._created})
+
+    def test_recycled_lease_never_maps_or_passes_the_high_water_mark(self):
+        pool = shm.SegmentPool(shm.fabric_token(), 0)
+        try:
+            assert pool.lease(1, 4096, recycled=True) is None
+            assert pool.segments == 0  # nothing was mapped for the refusal
+            a, _, _, _ = pool.lease(1, 4096)
+            assert pool.lease(1, 4096, recycled=True) is None  # a is held
+            pool.release([a])  # last lease home: rewound, mark stays
+            (seg,) = pool._pools[1]
+            assert (seg.used, seg.high) == (0, 4096)
+            assert pool.lease(1, 8192, recycled=True) is None  # over the mark
+            b, _, off, view = pool.lease(1, 1024, recycled=True)
+            assert off == 0 and (seg.used, seg.high) == (1024, 4096)
+            assert pool.lease(2, 1024, recycled=True) is None  # per destination
+            assert pool.segments == 1
+            del view
+        finally:
+            pool.close()
+            shm.sweep_segments(pool._token, {0: pool._created})
+
+    def test_aliased_region_recycles_after_its_last_holder(self):
+        pool = shm.SegmentPool(shm.fabric_token(), 0)
+        try:
+            pin, _, _, _ = pool.lease(1, 64)  # keeps the segment from rewinding
+            a, name, off, _ = pool.lease(1, 4096)
+            alias = pool.alias(a)
+            pool.release([a])
+            assert pool.lease(1, 4096, recycled=True) is None  # alias holds it
+            assert pool.alias(a) is None  # a released id cannot be aliased
+            pool.release([alias])
+            _, name2, off2, view = pool.lease(1, 4096, recycled=True)
+            assert (name2, off2) == (name, off)
+            del view
+        finally:
+            pool.close()
+            shm.sweep_segments(pool._token, {0: pool._created})
+
+    def test_reset_clears_the_free_list(self):
+        pool = shm.SegmentPool(shm.fabric_token(), 0)
+        try:
+            pin, _, _, _ = pool.lease(1, 64)
+            a, _, off_a, _ = pool.lease(1, 4096)
+            pool.release([a])
+            (seg,) = pool._pools[1]
+            assert seg.free
+            pool.reset()
+            assert pool.generation == 1 and not seg.free
+            assert (seg.used, seg.outstanding) == (0, 0)
+            pool.release([pin])  # a dead generation's id: ignored
+            _, _, off, view = pool.lease(1, 4096, recycled=True)
+            assert off == 0  # the bump pointer, below the old mark
+            del view
+        finally:
+            pool.close()
+            shm.sweep_segments(pool._token, {0: pool._created})
+
     def test_deterministic_names_and_sweep(self):
         token = shm.fabric_token()
         pool = shm.SegmentPool(token, 3, segment_bytes=4096)
@@ -248,6 +314,23 @@ class TestLeaseTable:
             shm.sweep_segments(token, {0: pool._created})
 
 
+    def test_equal_ids_from_two_senders_are_two_leases(self):
+        """Lease ids count per sender pool: senders 0 and 2 both hand
+        pid 1 their lease 1, and both come home."""
+        transport = FrameTransport(3, mp.get_context("fork"))
+        try:
+            for src in (0, 2):
+                transport.send_packets(1, 1, 0, src, [
+                    _pkt(src, 1, np.full(BIG_N, float(src)))])
+            got = [transport.recv(1).packets(1) for _ in range(2)]
+            assert sorted(pkts[0].payload[0] for pkts in got) == [0.0, 2.0]
+            assert len(transport._lease_tables[1]) == 2
+            del got
+            assert transport.collect_releases(1) == {0: [1], 2: [1]}
+        finally:
+            transport.close()
+
+
 # -- transport round-trips ----------------------------------------------------
 
 
@@ -263,13 +346,13 @@ class TestTransportRoundTrip:
         yield t
         t.close()
 
-    def test_big_buffer_leases_small_stays_on_slab(self, transport):
+    def test_big_buffer_leases_small_stays_in_band(self, transport):
         big = np.arange(BIG_N, dtype=np.float64)
         small = np.arange(SMALL_N, dtype=np.float64)
         transport.send_packets(1, 1, 0, 0, [
             _pkt(0, 1, big, seq=0), _pkt(0, 1, small, seq=1)])
         frame = transport.recv(1)
-        assert frame.stale == 0
+        assert frame.stale == 0 and len(frame.buffers) == 1
         got = frame.packets(1)
         np.testing.assert_array_equal(np.asarray(got[0].payload), big)
         np.testing.assert_array_equal(np.asarray(got[1].payload), small)
@@ -283,6 +366,26 @@ class TestTransportRoundTrip:
         ((src, _lease_id), region), = transport._lease_tables[1]._entries.items()
         assert src == 0
         assert region[:8].view(np.float64)[0] == -123.0
+
+    def test_sixteen_arrays_are_one_lease_freed_with_the_last_payload(
+            self, transport):
+        arrays = [np.full(300 + i, float(i)) for i in range(16)]
+        transport.send_packets(1, 1, 0, 0, [
+            _pkt(0, 1, a, seq=i) for i, a in enumerate(arrays)])
+        got = transport.recv(1).packets(1)
+        assert transport.zerocopy_stats() == (16, 0)  # counted per buffer
+        assert transport._seg_pools[0].outstanding == 1  # leased per frame
+        assert len(transport._lease_tables[1]) == 1
+        for sent, pkt in zip(arrays, got):
+            np.testing.assert_array_equal(pkt.payload, sent)
+            assert pkt.payload.ctypes.data % 64 == 0  # aligned in the region
+        last = got[7].payload
+        del got, pkt
+        assert transport.collect_releases(1) == {}  # one payload pins it all
+        assert last[0] == 7.0
+        del last
+        freed = transport.collect_releases(1)
+        assert list(freed) == [0] and len(freed[0]) == 1
 
     def test_releases_piggyback_and_rewind(self, transport):
         big = np.ones(BIG_N)
@@ -355,27 +458,15 @@ class TestTransportRoundTrip:
         monkeypatch.setenv("REPRO_ZEROCOPY", "off")
         transport = FrameTransport(2, mp.get_context("fork"))
         try:
-            big = np.arange(BIG_N, dtype=np.float64)
-            transport.send_packets(1, 1, 0, 0, [_pkt(0, 1, big)])
-            got = transport.recv(1).packets(1)
-            np.testing.assert_array_equal(np.asarray(got[0].payload), big)
-            assert transport.zerocopy_stats() == (0, 1)
-            assert transport.segment_counts() == {0: 0, 1: 0}
-            del got
-        finally:
-            transport.close()
-
-    def test_threshold_env_tunes_the_cut(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ZEROCOPY_THRESHOLD", "256")
-        transport = FrameTransport(2, mp.get_context("fork"))
-        try:
+            arrays = [np.arange(1000.0) + i for i in range(3)]  # 8 KB each
             transport.send_packets(1, 1, 0, 0, [
-                _pkt(0, 1, np.arange(64, dtype=np.float64), seq=0),   # 512 B
-                _pkt(0, 1, np.arange(16, dtype=np.float64), seq=1)])  # 128 B
+                _pkt(0, 1, a, seq=i) for i, a in enumerate(arrays)])
             got = transport.recv(1).packets(1)
-            assert np.asarray(got[0].payload)[63] == 63
-            assert transport.zerocopy_stats() == (1, 0)
-            del got
+            for sent, pkt in zip(arrays, got):
+                np.testing.assert_array_equal(pkt.payload, sent)
+            assert transport.zerocopy_stats() == (0, 3)  # per buffer
+            assert transport.segment_counts() == {0: 0, 1: 0}
+            del got, pkt
         finally:
             transport.close()
 
@@ -398,9 +489,9 @@ class TestPooledEndToEnd:
         assert health.zerocopy_fallbacks > 0
         assert run_on.results == run_off.results  # bit-identical floats
 
-    def test_full_dev_shm_falls_back_to_the_slab(self, monkeypatch):
+    def test_full_dev_shm_falls_back_to_the_pipe(self, monkeypatch):
         """A segment that cannot be created is a fallback, not a failed
-        run: the buffer stays on the slab/pipe path it was already on."""
+        run: the frame's buffers follow its header down the pipe."""
         def no_space(name, size=0):
             raise OSError(errno.ENOSPC, f"/dev/shm cannot hold {name}")
 
@@ -443,43 +534,25 @@ class TestPooledEndToEnd:
 
 
 class TestHostileConsumerProperty:
-    @pytest.fixture(scope="class")
-    def low_threshold_pool(self):
-        """One warm pool whose fabric leases nearly everything (threshold
-        1 KiB), shared across hypothesis examples."""
-        old = os.environ.get("REPRO_ZEROCOPY_THRESHOLD")
-        os.environ["REPRO_ZEROCOPY_THRESHOLD"] = "1024"
-        pool = BspPool(3, join_timeout=60.0)
-        try:
-            # Warm-up: create every (src, dst) segment now, while the
-            # class fixture is being set up, so the per-test leak check
-            # (which snapshots /dev/shm around each *function*) sees a
-            # steady state rather than lazily appearing segments.  The
-            # hostile program itself sends distinct per-dst arrays, so it
-            # populates every per-destination sub-pool (a broadcast
-            # would dedup into one).
-            pool.run(hostile_consumer, 3, args=(1, 256))
+    @pytest.fixture()
+    def pool(self):
+        """One warm pool, shared across a test's hypothesis examples."""
+        with BspPool(3, join_timeout=60.0) as pool:
             yield pool
-        finally:
-            pool.close()
-            if old is None:
-                os.environ.pop("REPRO_ZEROCOPY_THRESHOLD", None)
-            else:
-                os.environ["REPRO_ZEROCOPY_THRESHOLD"] = old
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rounds=st.integers(1, 4), n=st.integers(16, 600))
-    def test_mutating_received_views_never_corrupts(
-            self, low_threshold_pool, rounds, n):
-        """n*8 bytes straddles the 1 KiB threshold both ways, so leased
-        and slab deliveries interleave; mutated + pinned views must
+    def test_mutating_received_views_never_corrupts(self, pool, rounds, n):
+        """n*8 bytes straddles the 2 KiB in-band cut both ways, so leased
+        and in-band deliveries interleave; mutated + pinned views must
         never bleed into later deliveries."""
-        run = low_threshold_pool.run(hostile_consumer, 3, args=(rounds, n))
+        run = pool.run(hostile_consumer, 3, args=(rounds, n))
         assert run.results == [0, 0, 0]
 
-    def test_property_runs_took_the_lease_path(self, low_threshold_pool):
-        hits, _ = low_threshold_pool._transport.zerocopy_stats()
+    def test_property_runs_took_the_lease_path(self, pool):
+        assert pool.run(hostile_consumer, 3, args=(2, 600)).results == [0] * 3
+        hits, _ = pool._transport.zerocopy_stats()
         assert hits > 0
 
 
@@ -526,7 +599,7 @@ class TestChaosLeaksNothing:
     def test_sigkill_mid_superstep_sweeps_clean(self):
         """The acceptance chaos test: SIGKILL a worker mid-superstep
         while big leases are in flight; heal; the clean rerun is
-        correct; close leaves zero orphaned segments (autouse fixture
+        correct; close leaves zero orphaned segments (``no_leaks``
         asserts the sweep)."""
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=1)])
         with _pool_under(plan) as pool:
@@ -541,14 +614,14 @@ class TestChaosLeaksNothing:
         """Satellite regression: PoolExhaustedError tears the fabric
         down, and the teardown must unlink every segment of the dead
         generation — immediately, not at close()."""
-        before = set(shm.scan_orphans())
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=1)])
         pool = _pool_under(plan, max_restarts=0, backoff_base=0.01)
+        token = pool._transport._zc_token
         try:
             with pytest.raises((PoolExhaustedError, WorkerCrashError)):
                 pool.run(big_allgather, 3)
                 pool.run(big_allgather, 3)  # pool is exhausted, terminal
-            assert set(shm.scan_orphans()) <= before
+            assert not [name for name in shm.scan_orphans() if token in name]
         finally:
             pool.close()
 
@@ -562,7 +635,7 @@ class TestChaosLeaksNothing:
             assert pool._transport.segment_counts()[1] >= 2
             with BspPool(2, join_timeout=30.0) as ref_pool:
                 assert run.results == ref_pool.run(big_allgather, 2).results
-        # ... and the autouse fixture proves close() swept it.
+        # ... and ``no_leaks`` proves close() swept it.
 
     def test_torn_lease_fault_grows_pool_never_corrupts(self):
         plan = faults.FaultPlan(
