@@ -440,9 +440,9 @@ class FrameTransport:
             alias = pool.alias(hit[3])
             if alias is not None:  # same bytes, another destination: no copy
                 return pool.generation, hit[1], hit[2], alias
+        total = sum(shm.aligned(mv.nbytes) for mv in buffers)
         try:
-            got = pool.lease(dst, sum(shm.aligned(mv.nbytes) for mv in buffers),
-                             recycled=recycled)
+            got = pool.lease(dst, total, recycled=recycled)
         except OSError:  # /dev/shm full
             return None
         if got is None:

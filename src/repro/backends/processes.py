@@ -521,10 +521,11 @@ class BspPool(WorkerPool):
         """Restore the pool after ``fault``, within the restart budget.
 
         A crash tries a *partial* heal (re-fork only the dead workers,
-        wake their blocked peers, fence); a deadlock — or a crash whose fabric is wedged — rebuilds the whole
-        pool.  Each fault event consumes one unit of budget and waits an
-        exponentially growing backoff first; an exhausted budget shuts
-        the pool down and raises :class:`PoolExhaustedError`.
+        wake their blocked peers, fence); a deadlock — or a crash whose
+        fabric is wedged — rebuilds the whole pool.  Each fault event
+        consumes one unit of budget and waits an exponentially growing
+        backoff first; an exhausted budget shuts the pool down and raises
+        :class:`PoolExhaustedError`.
         """
         self._generation += 1
         if self._restarts_left <= 0:
@@ -578,15 +579,11 @@ class BspPool(WorkerPool):
     def _after_failed_run(self, nprocs: int) -> None:
         self._fence(nprocs)
 
-    def _fence(self, nprocs: int) -> bool:
-        """Drain transport debris left by a failed run.
-
-        Returns ``True`` when every worker acknowledged the fence (the
-        fabric is clean), ``False`` when a worker wedged and the pool had
-        to be rebuilt instead.
-        """
+    def _fence(self, nprocs: int) -> None:
+        """Drain transport debris left by a failed run; a worker wedged
+        beyond fencing has the pool rebuilt instead."""
         if nprocs <= 1:
-            return True
+            return
         self._run_id += 1
         fence_id = self._run_id
         for pid in range(nprocs):
@@ -597,15 +594,14 @@ class BspPool(WorkerPool):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 self._restarts += self._capacity
-                self._rebuild()  # a worker is wedged beyond fencing
-                return False
+                self._rebuild()
+                return
             try:
                 tag, fid, pid, _, _ = self._result.get(timeout=remaining)
             except queue_mod.Empty:
                 continue
             if tag == "fenced" and fid == fence_id:
                 pending.discard(pid)
-        return True
 
     # -- dispatch -----------------------------------------------------------
 

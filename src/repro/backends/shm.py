@@ -26,9 +26,9 @@ A *lease* is one sender-side region handed to one receiver:
    ``np.frombuffer`` exporter over exactly the leased region.  Payloads
    reconstructed over views of it (``pickle.loads(meta,
    buffers=[region[a:b], ...])``) hold a reference to that exporter for
-   as long as the program holds any of them, so ``sys.getrefcount(region)`` is the lease's liveness
-   probe: 2 (table entry + probe argument) means every consumer dropped
-   the payload.
+   as long as the program holds any of them, so
+   ``sys.getrefcount(region)`` is the lease's liveness probe: 2 (table
+   entry + probe argument) means every consumer dropped its payload.
 3. ``LeaseTable.collect_free()`` runs at each superstep boundary; the
    freed ids ride back to the segment owner piggybacked on the next
    boundary frame (or a dedicated release frame when no data frame is
@@ -197,13 +197,14 @@ class _Region:
 
 
 class SegmentPool:
-    """Sender-side pool of named segments, one sub-pool per destination.
+    """Sender-side pool of named segments, bump-allocated per destination.
 
     A released region goes on its segment's free list and is handed out
-    again to the next lease of the same aligned size, so a link in
-    steady state alternates two regions — the paper's two input buffers
-    per processor (Appendix B.1).  A segment whose leases are all back
-    rewinds its bump pointer and forgets its free regions.
+    again to the next lease of the same aligned size — whatever its
+    destination — so a link in steady state alternates two regions, the
+    paper's two input buffers per processor (Appendix B.1).  A segment
+    whose leases are all back rewinds its bump pointer and forgets its
+    free regions.
 
     Thread-safe: the thread that called ``sync()`` leases recycled
     regions and applies the releases of inbound frames, the channel's

@@ -244,7 +244,7 @@ class TestNeverBlocks:
     def test_refusal_after_leasing_returns_the_region(self, transport):
         halo = np.arange(1024, dtype=np.float64)
         transport.send_packets(1, 1, 0, 0, [_pkt(0, 1, halo)])
-        pinned = transport.recv(1).packets(1)  # keeps the segment from rewinding
+        pinned = transport.recv(1).packets(1)  # no rewind while it is held
         _warm(transport, halo, step=1)
         (seg,) = transport._seg_pools[0]._pools[1]
         assert [len(spare) for spare in seg.free.values()] == [1]

@@ -187,7 +187,8 @@ class TestSegmentPool:
             a, name, off_a, _ = pool.lease(1, 8000)
             b, _, off_b, _ = pool.lease(1, 8000)
             pool.release([a])  # b keeps the segment from rewinding
-            c, name_c, off_c, view = pool.lease(1, 8000 - 50)  # same 64-B class
+            # 7950 bytes: the same 64-byte class as 8000.
+            c, name_c, off_c, view = pool.lease(1, 8000 - 50)
             assert (name_c, off_c) == (name, off_a) and view.nbytes == 7950
             d, _, off_d, _ = pool.lease(1, 4000)  # another size: a miss
             assert off_d > off_b
@@ -209,7 +210,8 @@ class TestSegmentPool:
             assert pool.lease(1, 8192, recycled=True) is None  # over the mark
             b, _, off, view = pool.lease(1, 1024, recycled=True)
             assert off == 0 and (seg.used, seg.high) == (1024, 4096)
-            assert pool.lease(2, 1024, recycled=True) is None  # per destination
+            # The bump pointer is per destination: no room for pid 2.
+            assert pool.lease(2, 1024, recycled=True) is None
             assert pool.segments == 1
             del view
         finally:
@@ -219,7 +221,7 @@ class TestSegmentPool:
     def test_aliased_region_recycles_after_its_last_holder(self):
         pool = shm.SegmentPool(shm.fabric_token(), 0)
         try:
-            pin, _, _, _ = pool.lease(1, 64)  # keeps the segment from rewinding
+            pin, _, _, _ = pool.lease(1, 64)  # no rewind while it is held
             a, name, off, _ = pool.lease(1, 4096)
             alias = pool.alias(a)
             pool.release([a])
@@ -363,7 +365,8 @@ class TestTransportRoundTrip:
         # a fresh mapping of the same region.
         arr = np.asarray(got[0].payload)
         arr[0] = -123.0
-        ((src, _lease_id), region), = transport._lease_tables[1]._entries.items()
+        entries = transport._lease_tables[1]._entries
+        ((src, _lease_id), region), = entries.items()
         assert src == 0
         assert region[:8].view(np.float64)[0] == -123.0
 
