@@ -95,7 +95,8 @@ class TestCombinerRoundTrip:
 
 
 @pytest.fixture()
-def transport():
+def transport(monkeypatch):
+    monkeypatch.setenv("REPRO_ZEROCOPY", "on")  # whatever the CI row says
     t = FrameTransport(2, mp.get_context("fork"))
     yield t
     t.close()
