@@ -2,17 +2,18 @@
 
 The seed revision noticed a dead worker only when the full ``join_timeout``
 (default 120 s) expired; the supervised collection loop multiplexes every
-worker's ``Process.sentinel`` with the result queue, so detection should
-cost one grace window (~0.25 s), three orders of magnitude less.  This
-benchmark puts a number on that claim and on how long a pool takes to
-heal (re-fork the victims, fence, reset slabs) after a crash:
+worker's ``Process.sentinel`` with the fabric's result source (on pipes
+the parent's own pipe of result frames), so detection should cost one
+grace window (~0.25 s), three orders of magnitude less.  This benchmark
+puts a number on that claim and on how long a pool takes to heal
+(re-fork the victims, fence, rewind the segment pools) after a crash:
 
 * ``detect-pooled``  — SIGKILL a warm pool worker mid-run; time from
   dispatch to :class:`WorkerCrashError`, minus a clean run's wall time.
 * ``detect-oneshot`` — same fault on a fresh ``ProcessBackend.run``
   (includes fork cost, so the bound is looser).
 * ``heal``           — time for the crashed pool's next clean ``run()``
-  (covers backoff, re-fork, fence, slab reset).
+  (covers backoff, re-fork, fence, segment-pool rewind).
 * ``seed_detection_s`` — what the same fault would have cost at the seed
   revision: the configured ``join_timeout``, recorded for the ratio.
 

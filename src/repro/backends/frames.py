@@ -30,11 +30,14 @@ boundary as **one frame**:
   pickle stream ever contains the bytes of a buffer of ``_INBAND_MAX``
   or more.
 
-That is the whole data plane: one cut, two planes, no knob.  The one
-fallback is for a region that cannot be had — ``REPRO_ZEROCOPY=off``, or
-``/dev/shm`` refusing a segment: the frame's buffers then follow the
-header as pipe messages of their own (``Connection.send_bytes`` straight
-from the source memoryview), copy-minimal but slower than shared memory.
+That is the whole data plane: one cut, two planes, no knob — for a run's
+arguments and for what a worker reports back (its outcome, a fence ack:
+a frame to the parent, endpoint ``nprocs`` of the transport) as for
+packets, all through :func:`encode_object`.  The one fallback is for a
+region that cannot be had — ``REPRO_ZEROCOPY=off``, or ``/dev/shm``
+refusing a segment: the frame's buffers then follow the header as pipe
+messages of their own (``Connection.send_bytes`` straight from the
+source memoryview), copy-minimal but slower than shared memory.
 
 Sending is two steps, :meth:`FrameTransport.encode_frame` then
 :meth:`FrameTransport.push_frame`, so that a boundary can first offer
@@ -65,6 +68,8 @@ from . import shm
 #: Frame tags.  TAG_RELEASE carries zero-copy lease ids back to the
 #: segment owner when no boundary frame is owed to piggyback them on.
 TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_FENCE, TAG_RELEASE = 0, 1, 2, 3, 4
+#: A worker -> supervisor outcome or ack, on either fabric.
+TAG_RESULT = 8
 
 #: Largest ``Connection.send_bytes`` payload that is still one atomic
 #: ``write``: ``PIPE_BUF`` less the 4-byte length prefix it is sent with.
@@ -122,14 +127,14 @@ class Frame:
         ]
 
 
-def encode_packets(packets: Sequence[Packet]
-                   ) -> tuple[bytes, list[memoryview]]:
-    """Combine one per-destination bucket into (meta, out-of-band buffers).
+def encode_object(obj: Any) -> tuple[bytes, list[memoryview]]:
+    """The one way an object crosses a process boundary — packets, run
+    dispatch and results, on both fabrics: ``(meta, buffers)``.
 
-    ``meta`` is a protocol-5 pickle of ``(seqs, hs, payloads)``; large
-    contiguous payload buffers are extracted out-of-band and returned as
-    raw memoryviews (no intermediate copy).  Buffers under
-    :data:`_INBAND_MAX` bytes stay inside ``meta``.
+    ``meta`` is a protocol-5 pickle of ``obj``; contiguous buffers of
+    :data:`_INBAND_MAX` bytes or more stay out of it and come back as
+    raw memoryviews over their exporters (no intermediate copy).
+    ``pickle.loads(meta, buffers=...)`` is the inverse.
     """
     pbufs: list[pickle.PickleBuffer] = []
 
@@ -139,11 +144,7 @@ def encode_packets(packets: Sequence[Packet]
         pbufs.append(pb)
         return False
 
-    meta = pickle.dumps(
-        ([p.seq for p in packets], [p.h for p in packets],
-         [p.payload for p in packets]),
-        protocol=5, buffer_callback=split,
-    )
+    meta = pickle.dumps(obj, protocol=5, buffer_callback=split)
     buffers = []
     for pb in pbufs:
         try:
@@ -153,6 +154,14 @@ def encode_packets(packets: Sequence[Packet]
     return meta, buffers
 
 
+def encode_packets(packets: Sequence[Packet]
+                   ) -> tuple[bytes, list[memoryview]]:
+    """Combine one per-destination bucket into (meta, out-of-band
+    buffers): :func:`encode_object` of ``(seqs, hs, payloads)``."""
+    return encode_object(([p.seq for p in packets], [p.h for p in packets],
+                          [p.payload for p in packets]))
+
+
 def decode_packets(meta: bytes, buffers: list[bytearray] | None,
                    src: int, dst: int) -> list[Packet]:
     """Inverse of :func:`encode_packets` (writable buffers => writable arrays)."""
@@ -160,19 +169,21 @@ def decode_packets(meta: bytes, buffers: list[bytearray] | None,
 
 
 class FrameTransport:
-    """All-to-all frame fabric: per-pid pipe + writer lock, per-pid
+    """All-to-all frame fabric: per-endpoint pipe + writer lock and
     segment pool.
 
     Created by the parent before forking; every worker inherits the whole
     fabric, reads ``recv(pid)`` as its inbound side and pushes outbound
-    frames under the destination's lock.
+    frames under the destination's lock.  The parent is endpoint
+    ``nprocs``: workers :meth:`push_result` to it, and it is the pool
+    core's result source (``waitables``, ``poll``, ``heartbeat``).
     """
 
     def __init__(self, nprocs: int, ctx):
         self.nprocs = nprocs
         self._recv_conns = []
         self._send_conns = []
-        self._locks = [ctx.Lock() for _ in range(nprocs)]
+        self._locks = [ctx.Lock() for _ in range(nprocs + 1)]
         #: Fork-shared heartbeat counters, one 8-byte slot per worker,
         #: bumped by its owner at every superstep boundary.  Single writer
         #: per slot; aligned 8-byte stores are atomic on every platform we
@@ -183,7 +194,7 @@ class FrameTransport:
         #: One ``POLLOUT`` poller per pipe write end, for the
         #: non-blocking push (pollers hold fd numbers only: fork-safe).
         self._pollers = []
-        for _ in range(nprocs):
+        for _ in range(nprocs + 1):
             r, w = ctx.Pipe(duplex=False)
             self._recv_conns.append(r)
             self._send_conns.append(w)
@@ -207,12 +218,13 @@ class FrameTransport:
         #: no segment to be had).  Surfaced by ``BspPool.health()``.
         self._zc_mm = mmap.mmap(-1, max(16 * nprocs, mmap.PAGESIZE))
         self._zc = memoryview(self._zc_mm).cast("Q")
-        #: Post-fork, lazily built, per-process state: each worker only
-        #: ever touches its own pid's slot.  Slot ``nprocs`` is the
-        #: parent's dispatch arena.
+        #: Per-process state (a pool is built post-fork, by its first
+        #: lease): each worker only ever touches its own pid's slot.  The
+        #: parent's pool is the dispatch arena; its map and table hold the
+        #: regions of inbound result frames.
         self._seg_pools: list[shm.SegmentPool | None] = [None] * (nprocs + 1)
-        self._seg_maps: list[shm.SegmentMap | None] = [None] * nprocs
-        self._lease_tables: list[shm.LeaseTable | None] = [None] * nprocs
+        self._seg_maps = [shm.SegmentMap() for _ in range(nprocs + 1)]
+        self._lease_tables = [shm.LeaseTable() for _ in range(nprocs + 1)]
         #: Per-src broadcast dedup: ``((run_id, step), {buffer-list key:
         #: (pin, name, offset, lease_id)})``.  A frame whose buffers were
         #: already placed this boundary — the same arrays sent to p-1
@@ -231,16 +243,7 @@ class FrameTransport:
         return pool
 
     def _lease_table(self, pid: int) -> shm.LeaseTable:
-        table = self._lease_tables[pid]
-        if table is None:
-            table = self._lease_tables[pid] = shm.LeaseTable()
-        return table
-
-    def _seg_map(self, pid: int) -> shm.SegmentMap:
-        seg_map = self._seg_maps[pid]
-        if seg_map is None:
-            seg_map = self._seg_maps[pid] = shm.SegmentMap()
-        return seg_map
+        return self._lease_tables[pid]
 
     def collect_releases(self, pid: int, *,
                          discard: bool = False) -> dict[int, list[int]]:
@@ -252,11 +255,16 @@ class FrameTransport:
         then grow, never corrupt, and teardown's sweep still reclaims
         the segments.
         """
-        table = self._lease_tables[pid]
-        if table is None:
-            return {}
-        freed = table.collect_free()
+        freed = self._lease_tables[pid].collect_free()
         return {} if discard else freed
+
+    def release(self, pid: int, lease_ids: Sequence[int]) -> None:
+        """Lease ids coming home to ``pid``'s pool, whatever run they
+        belong to: ids are monotonic and unknown ones ignored, so a stale
+        release can never free a live region."""
+        pool = self._seg_pools[pid]
+        if lease_ids and pool is not None:
+            pool.release(lease_ids)
 
     def leak_segment(self, pid: int) -> None:
         """LEAK_SEGMENT fault hook: create a segment only the sweep can
@@ -269,9 +277,7 @@ class FrameTransport:
         pool = self._seg_pools[pid]
         if pool is not None:
             pool.reset()
-        table = self._lease_tables[pid]
-        if table is not None:
-            table.clear()
+        self._lease_tables[pid].clear()
 
     def zerocopy_stats(self) -> tuple[int, int]:
         """Fabric-wide (buffers leased, buffers sent as pipe messages)."""
@@ -298,49 +304,78 @@ class FrameTransport:
     # -- run dispatch --------------------------------------------------------
 
     def encode_dispatch(self, obj: Any) -> tuple[bytes, tuple]:
-        """Encode one run's ``(program, args, kwargs)`` once, for all ranks.
-
-        Parent side.  Returns ``(head, refs)``: a protocol-5 pickle plus
-        one ``(segment, offset, length)`` ref per out-of-band buffer.
-        Buffers of :data:`_INBAND_MAX` bytes or more are copied once into
-        the parent's arena (src slot ``nprocs`` of the segment plane) and
-        every worker rebuilds them in place; smaller ones stay in
-        ``head``.  The arena is rewound here, so a dispatched buffer is
-        valid until the next dispatch on this fabric — runs are
-        serialized and results are pickled before a run completes, so
+        """Encode one run's ``(program, args, kwargs, sync)`` once, for
+        all ranks: :func:`encode_object`'s pickle and, per out-of-band
+        buffer, the ``(segment, offset, length)`` of its one copy in the
+        parent's arena (src slot ``nprocs`` of the segment plane) — or
+        the bytes themselves when no arena is to be had.  The arena is
+        rewound here — under the run lock: the previous run's workers
+        were reading it — so a dispatched buffer is valid until the next
+        dispatch, and results are encoded before a run completes, so
         nothing that leaves a worker aliases it.
         """
+        head, buffers = encode_object(obj)
         arena = self._seg_pool(self.nprocs) if self._zc_enabled else None
         if arena is not None:
             arena.reset()
-        refs = []
-
-        def place(pb: pickle.PickleBuffer) -> bool:
-            mv = pb.raw()
-            if arena is None or mv.nbytes < _INBAND_MAX:
-                return True  # in-band: rides ``head``
-            try:
-                _, name, offset, region = arena.lease(0, mv.nbytes)
-            except OSError:  # /dev/shm full: this buffer rides ``head`` too
-                return True
+        refs: list[Any] = []
+        for mv in buffers:
+            if arena is not None:
+                try:
+                    _, name, offset, region = arena.lease(0, mv.nbytes)
+                except OSError:  # /dev/shm full: as if the plane were off
+                    arena = None
+            if arena is None:
+                refs.append(bytearray(mv))  # rides the control message
+                continue
             region[:] = mv
             refs.append((name, offset, mv.nbytes))
-            return False
-
-        head = pickle.dumps(obj, protocol=5, buffer_callback=place)
         return head, tuple(refs)
 
     def decode_dispatch(self, pid: int, head: bytes, refs: tuple) -> Any:
         """Worker-side inverse of :meth:`encode_dispatch`: arena buffers
         come back as read-only views over the shared pages (every rank
         sees one object, as on the threads backend and the simulator)."""
-        seg_map = self._seg_map(pid)
         buffers = []
-        for name, offset, nbytes in refs:
-            region = seg_map.region(name, offset, nbytes)
-            region.flags.writeable = False
-            buffers.append(region)
+        for ref in refs:
+            if isinstance(ref, tuple):
+                ref = self._seg_maps[pid].region(*ref)
+                ref.flags.writeable = False
+            buffers.append(ref)
         return pickle.loads(head, buffers=buffers)
+
+    # -- the parent's end: the pool core's result source ---------------------
+
+    def push_result(self, src: int, meta: bytes,
+                    buffers: list[memoryview]) -> None:
+        """Worker ``src`` -> parent: :func:`encode_object` of one
+        5-tuple for :meth:`poll`, as one frame, written before this
+        returns.  It takes a boundary frame's data path but not its
+        fault hooks: injected frame faults and counts are about the
+        exchange."""
+        self.push_frame(self._frame(self.nprocs, -1, -1, src, meta, buffers))
+        # Not a broadcast: do not pin the result in the dedup cache.
+        self._dedup[src] = None
+
+    def waitables(self) -> list:
+        return [self._recv_conns[self.nprocs]]
+
+    def poll(self, timeout: float = 0.0) -> list[tuple]:
+        """Every result frame that has arrived, decoded; waits at most
+        ``timeout`` seconds for the first.  Each leased buffer is copied
+        out, once: a result the caller still holds must never alias a
+        region the next fence rewinds or the next run leases again.  The
+        lease is then free, and its id goes home with the next dispatch.
+        """
+        conn = self._recv_conns[self.nprocs]
+        got = []
+        while conn.poll(timeout):
+            frame = self.recv(self.nprocs)
+            got.append(pickle.loads(frame.meta, buffers=[
+                buf if isinstance(buf, bytearray) else bytearray(buf)
+                for buf in frame.buffers]))
+            timeout = 0.0
+        return got
 
     # -- supervision ---------------------------------------------------------
 
@@ -410,7 +445,12 @@ class FrameTransport:
             if plan.drops_frame(src, step, dst):
                 return None
             plan.count_frame(src)
-        meta, buffers = encode_packets(packets)
+        return self._frame(dst, run_id, step, src, *encode_packets(packets),
+                           more, releases)
+
+    def _frame(self, dst: int, run_id: int, step: int, src: int,
+               meta: bytes, buffers: list[memoryview], more: int = 0,
+               releases: Sequence[int] = ()) -> tuple:
         leased = bool(buffers) and self._zc_enabled
         if buffers and not leased:
             self._zc[2 * src + 1] += len(buffers)
@@ -496,8 +536,9 @@ class FrameTransport:
             # The header carries the meta blob too: one pipe message —
             # hence one reader wake-up — per frame without pipe buffers.
             header = pickle.dumps(
-                (TAG_PKT, run_id, step, src,
-                 tuple(mv.nbytes for mv in buffers), meta, more, lease, rel))
+                (TAG_RESULT if dst == self.nprocs else TAG_PKT, run_id, step,
+                 src, tuple(mv.nbytes for mv in buffers), meta, more, lease,
+                 rel))
             if not block and len(header) > _PIPE_MSG_MAX:
                 if lease is not None:  # leave the pool as it was found
                     self._seg_pool(src).release((lease[3],))
@@ -520,14 +561,8 @@ class FrameTransport:
         conn = self._recv_conns[pid]
         (tag, run_id, step, src, lens, meta, more, lease,
          rel) = pickle.loads(conn.recv_bytes())
-        if rel:
-            # Lease ids coming home: applied at transport level, whatever
-            # run they belong to — ids are monotonic and unknown ids are
-            # ignored, so a stale release can never free a live region.
-            seg_pool = self._seg_pools[pid]
-            if seg_pool is not None:
-                seg_pool.release(rel)
-        if tag != TAG_PKT:
+        self.release(pid, rel)
+        if meta is None:  # a control frame
             return Frame(tag, run_id, step, src, None, None, more)
         buffers: list[Any] = []
         stale = 0
@@ -544,7 +579,7 @@ class FrameTransport:
             # them keeps the region's refcount, the lease's liveness
             # probe, above the table's own.
             generation, name, offset, lease_id = lease
-            region = self._seg_map(pid).region(
+            region = self._seg_maps[pid].region(
                 name, offset, sum(map(shm.aligned, lens)))
             stale = int(self._lease_table(pid).register(
                 src, lease_id, generation, region))
@@ -573,11 +608,9 @@ class FrameTransport:
         # releases their buffer exports, so the map's segments close
         # cleanly instead of lingering until garbage collection.
         for table in self._lease_tables:
-            if table is not None:
-                table.clear()
+            table.clear()
         for seg_map in self._seg_maps:
-            if seg_map is not None:
-                seg_map.close()
+            seg_map.close()
         for conn in (*self._recv_conns, *self._send_conns):
             try:
                 conn.close()

@@ -7,7 +7,8 @@ gather one outcome per rank under supervision, turn the outcomes into a
 
 * :func:`run_rank` — the rank main: run the program on a channel and
   report ``(tag, run_id, pid, result-or-traceback, ledger)`` with tag
-  ``ok`` / ``error`` / ``aborted``.
+  ``ok`` / ``error`` / ``aborted``; :func:`encode_outcome` readies it
+  for either fabric (a result that cannot be pickled is an ``error``).
 * :func:`gather` — the supervised gather.  The parent multiplexes a
   *result source* with every outstanding worker's ``Process.sentinel``,
   so a worker that dies without reporting — OOM kill, segfaulting
@@ -18,9 +19,10 @@ gather one outcome per rank under supervision, turn the outcomes into a
   deadline tell a deadlocked program (:class:`DeadlockError`) from a
   slow one, and every timeout message carries the per-pid status table.
   A result source is three methods — ``waitables()``, ``poll()`` and
-  ``heartbeat(pid)``; the pipe fabric's is an ``mp.Queue`` plus
-  fork-shared heartbeat words, the socket fabric's is the control
-  connections' ``TAG_HB``/``TAG_RESULT`` frames, and a test's is a fake.
+  ``heartbeat(pid)``; the pipe fabric's is its frame transport (result
+  frames on the parent's pipe, fork-shared heartbeat words), the socket
+  fabric's is the control connections' ``TAG_HB``/``TAG_RESULT`` frames,
+  and a test's is a fake.
 * :func:`finish_run` — outcomes to ``BackendRun`` or the typed error.
 * :class:`WorkerPool` — lifecycle and supervision of ``p`` persistent
   workers: ``run()`` validation, the one-run-at-a-time guard, run ids,
@@ -65,6 +67,7 @@ from .base import (
     check_sync,
     describe_workers,
 )
+from .frames import encode_object
 
 
 class Abort(BaseException):
@@ -102,6 +105,17 @@ def run_rank(channel: Any, pid: int, nprocs: int, run_id: int,
         except BaseException:  # pragma: no cover - fabric already gone
             pass
         return ("error", run_id, pid, traceback.format_exc(), None)
+
+
+def encode_outcome(outcome: tuple) -> tuple[bytes, list]:
+    """One worker -> supervisor 5-tuple through the object codec.  A
+    result that cannot be pickled is an error of the rank that returned
+    it, reported like any other, on either fabric."""
+    try:
+        return encode_object(outcome)
+    except Exception:  # noqa: BLE001 - reported to the supervisor
+        return encode_object(("error", outcome[1], outcome[2],
+                              traceback.format_exc(), None))
 
 
 def finish_run(outcomes: Sequence[tuple | None], wall: float) -> BackendRun:
@@ -400,7 +414,8 @@ class WorkerPool(AbstractContextManager):
 
     A fabric subclass provides ``_build`` (fork ``self._procs`` and set
     ``self._source``; honours ``self._first``), ``_teardown``,
-    ``_encode`` and ``_dispatch`` (ship one run), ``_fabric_health``,
+    ``_encode`` and ``_dispatch`` (ship one run, as ``_first`` is
+    shaped), ``_fabric_health``,
     and its failure policy: ``_recover`` (a gather that raised) and
     ``_after_failed_run`` (a gather that returned a failed outcome).
     """
@@ -512,7 +527,7 @@ class WorkerPool(AbstractContextManager):
             # Encoded under the lock: a fabric may place large args where
             # the in-flight run's workers are still reading.
             try:
-                payload = self._encode(program, args, kwargs or {})
+                payload = self._encode((program, args, kwargs or {}, sync))
             except Exception as exc:
                 raise BspUsageError(
                     f"a persistent {self._noun} ships the program by "
@@ -522,7 +537,7 @@ class WorkerPool(AbstractContextManager):
             self._ready()
             self._run_id += 1
             t0 = time.perf_counter()
-            self._dispatch(self._run_id, nprocs, payload, sync)
+            self._dispatch(self._run_id, nprocs, payload)
             return self._supervise(self._run_id, nprocs, t0)
         finally:
             self._run_lock.release()

@@ -43,8 +43,9 @@ the pipe fabric behind it: :class:`_FrameChannel` (the exchange above)
 and :class:`BspPool`, which supplies only
 
 * **build / teardown**: one :class:`~repro.backends.frames.FrameTransport`
-  (pipes, segment pools, heartbeat words), a control queue
-  per worker and one result queue;
+  (pipes, segment pools, heartbeat words) and a control queue per
+  worker; the parent is the transport's last endpoint, where a worker's
+  outcome or fence ack arrives as a frame like any other;
 * **dispatch**: ``(program, args)`` encoded once for all workers, array
   arguments too big for the pickle stream arriving as read-only views of
   one shared-memory copy (valid for the run);
@@ -63,7 +64,6 @@ Deterministic fault injection for all of these paths lives in
 
 from __future__ import annotations
 
-import queue as queue_mod
 import threading
 import time
 import traceback
@@ -91,6 +91,7 @@ from .pool import (
     PoolBackend,
     PoolHealth,  # noqa: F401 - re-exported: the snapshot's public home
     WorkerPool,
+    encode_outcome,
     join_escalating,
     run_rank,
 )
@@ -331,27 +332,25 @@ def _do_fence(pid: int, nprocs: int, fence_id: int,
 
 
 def _pool_worker(pid: int, capacity: int, transport: FrameTransport,
-                 ctrl_q: Any, result_q: Any, first: tuple | None) -> None:
+                 ctrl_q: Any, first: tuple | None) -> None:
     """Worker main: execute the runs shipped over the control queue — or,
     in a pool of one run, the run inherited through fork, then exit."""
 
+    def report(outcome: tuple) -> None:
+        transport.push_result(pid, *encode_outcome(outcome))
+
     def execute(run_id: int, nprocs: int, program: Program,
                 args: Sequence[Any], kwargs: dict[str, Any],
-                sync: str) -> tuple:
+                sync: str) -> None:
         transport.beat(pid)  # marks "the run actually started here"
         channel = _FrameChannel(pid, nprocs, transport, run_id, sync=sync)
         outcome = run_rank(channel, pid, nprocs, run_id, program, args,
                            kwargs, (Abort,))
         channel.close()
-        return outcome
+        report(outcome)
 
     if first is not None:
-        result_q.put(execute(0, capacity, *first))
-        # mp.Queue.put is asynchronous (feeder thread); exiting before it
-        # flushes can silently drop the result and leave the parent to
-        # its timeout.  close() + join_thread() forces the flush.
-        result_q.close()
-        result_q.join_thread()
+        execute(0, capacity, *first)
         return
     while True:
         msg = ctrl_q.get()
@@ -361,40 +360,18 @@ def _pool_worker(pid: int, capacity: int, transport: FrameTransport,
         if kind == "fence":
             _, fence_id, nprocs = msg
             _do_fence(pid, nprocs, fence_id, transport)
-            result_q.put(("fenced", fence_id, pid, None, None))
+            report(("fenced", fence_id, pid, None, None))
+        elif kind == "release":
+            transport.release(pid, msg[1])
         elif kind == "run":
-            _, run_id, nprocs, head, refs, sync = msg
+            _, run_id, nprocs, head, refs, releases = msg
+            transport.release(pid, releases)
             try:
-                program, args, kwargs = transport.decode_dispatch(
-                    pid, head, refs)
+                spec = transport.decode_dispatch(pid, head, refs)
             except BaseException:  # noqa: BLE001 - reported to the parent
-                result_q.put(("error", run_id, pid, traceback.format_exc(),
-                              None))
+                report(("error", run_id, pid, traceback.format_exc(), None))
                 continue
-            result_q.put(execute(run_id, nprocs, program, args, kwargs, sync))
-
-
-class _QueueSource:
-    """The pipe fabric's result source: outcomes on the result queue,
-    heartbeats in the fork-shared transport words."""
-
-    def __init__(self, result_q: Any, transport: FrameTransport):
-        self._queue = result_q
-        self._transport = transport
-
-    def waitables(self) -> list:
-        return [self._queue._reader]
-
-    def poll(self) -> list[tuple]:
-        got = []
-        while True:
-            try:
-                got.append(self._queue.get_nowait())
-            except queue_mod.Empty:
-                return got
-
-    def heartbeat(self, pid: int) -> int:
-        return self._transport.heartbeat(pid)
+            execute(run_id, nprocs, *spec)
 
 
 def _broadcast_dead(transport: FrameTransport, nprocs: int,
@@ -460,17 +437,15 @@ class BspPool(WorkerPool):
 
     def _build(self) -> None:
         ctx = self._ctx
-        self._transport = FrameTransport(self._capacity, ctx)
+        self._transport = self._source = FrameTransport(self._capacity, ctx)
         self._ctrl = [ctx.SimpleQueue() for _ in range(self._capacity)]
-        self._result = ctx.Queue()
-        self._source = _QueueSource(self._result, self._transport)
         self._procs = [self._fork(pid) for pid in range(self._capacity)]
 
     def _fork(self, pid: int) -> Any:
         proc = self._ctx.Process(
             target=_pool_worker,
             args=(pid, self._capacity, self._transport, self._ctrl[pid],
-                  self._result, self._first),
+                  self._first),
             name=f"bsp-pool-{pid}",
             daemon=True,
         )
@@ -497,7 +472,6 @@ class BspPool(WorkerPool):
         # in-flight (or failed) run must never leave zombie children.
         join_escalating(self._procs, grace=5.0 if graceful else 0.5)
         self._transport.close()
-        self._result.close()
         for ctrl in self._ctrl:
             ctrl.close()
 
@@ -568,6 +542,8 @@ class BspPool(WorkerPool):
             self._procs[pid] = self._fork(pid)
         self._restarts += len(dead)
         self._fence(self._capacity)
+        # Every pool was rewound or is new: the parent's side of them too.
+        self._transport.reset_segments(self._capacity)
         # The victims' segments have no owner left to reuse them; their
         # replacements continue the name numbering from the fork-shared
         # counter, so sweeping the dead generation now cannot collide.
@@ -596,27 +572,23 @@ class BspPool(WorkerPool):
                 self._restarts += self._capacity
                 self._rebuild()
                 return
-            try:
-                tag, fid, pid, _, _ = self._result.get(timeout=remaining)
-            except queue_mod.Empty:
-                continue
-            if tag == "fenced" and fid == fence_id:
-                pending.discard(pid)
+            for tag, fid, pid, _, _ in self._transport.poll(remaining):
+                if tag == "fenced" and fid == fence_id:
+                    pending.discard(pid)
 
     # -- dispatch -----------------------------------------------------------
 
-    def _encode(self, program: Program, args: Sequence[Any],
-                kwargs: dict[str, Any]) -> tuple:
-        # Once for all workers; array arguments too big for the pickle
-        # stream are placed in the dispatch arena, which the previous
-        # run's workers were reading — hence under the run lock.
-        return self._transport.encode_dispatch((program, args, kwargs))
+    def _encode(self, spec: tuple) -> tuple:
+        return self._transport.encode_dispatch(spec)
 
-    def _dispatch(self, run_id: int, nprocs: int, payload: tuple,
-                  sync: str) -> None:
-        head, refs = payload
+    def _dispatch(self, run_id: int, nprocs: int, payload: tuple) -> None:
+        # The leases of the results the parent copied out go home here.
+        owed = self._transport.collect_releases(self._capacity)
         for pid in range(nprocs):
-            self._ctrl[pid].put(("run", run_id, nprocs, head, refs, sync))
+            self._ctrl[pid].put(("run", run_id, nprocs, *payload,
+                                 owed.pop(pid, ())))
+        for pid, lease_ids in owed.items():  # ranks sitting this run out
+            self._ctrl[pid].put(("release", lease_ids))
 
 
 class ProcessBackend(PoolBackend):

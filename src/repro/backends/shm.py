@@ -450,5 +450,7 @@ class LeaseTable:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (fence: the runs that leased them are dead)."""
+        """Drop every entry (fence: the runs that leased them are dead)
+        and generation seen (a re-forked sender counts from zero)."""
         self._entries.clear()
+        self._gen.clear()

@@ -70,8 +70,9 @@ Behind the pool core, :class:`TcpMesh` supplies only
   supervisor's control listener and rendezvous into a full mesh.  The
   parent pre-binds the rendezvous listener so rank 0 inherits it — no
   port race.
-* **dispatch**: one ``TAG_RUN`` control frame per rank carrying the
-  pickled ``(program, args)``.
+* **dispatch**: one ``TAG_RUN`` control frame per rank carrying
+  ``(program, args, kwargs, sync)``, encoded once: array arguments
+  follow the header as chunks and appear in no pickle stream.
 * **failure policy**: a byte stream cannot be fenced — an aborted
   boundary can leave a half-flushed frame in a socket stream — so a
   failed run marks the mesh dirty and the next run rebuilds it; except a
@@ -110,12 +111,13 @@ from ..core.errors import (
 from ..core.packets import Packet
 from .base import Backend, BackendRun, Program, check_sync
 from .exchange import LinkChannel
-from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, Frame
+from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, Frame, encode_object
 from .pool import (
     Abort,
     PoolBackend,
     PoolHealth,
     WorkerPool,
+    encode_outcome,
     finish_run,
     join_escalating,
     run_rank,
@@ -867,8 +869,11 @@ class _MeshChannel(LinkChannel):
     # -- SPMD result all-gather ---------------------------------------------
 
     def broadcast_result(self, outcome: tuple) -> None:
-        chunks = wire.encode_object_frame(
-            wire.TAG_RESULT, self._run_id, 0, self._pid, outcome,
+        meta, buffers = encode_outcome(outcome)
+        # This rank's own entry is what its peers will decode.
+        self._results[self._pid] = pickle.loads(meta, buffers=buffers)
+        chunks = wire.encode_frame(
+            wire.TAG_RESULT, self._run_id, 0, self._pid, meta, buffers,
             crc=self._integrity)
         for peer in self._peers:
             if peer not in self._eof:
@@ -969,8 +974,7 @@ class _CtrlLink:
             wire.send_chunks(self._sock, chunks)
 
     def hello(self) -> None:
-        self._send(wire.encode_object_frame(
-            wire.TAG_HELLO, 0, 0, self._rank, self._rank))
+        self._send(wire.encode_frame(wire.TAG_HELLO, 0, 0, self._rank))
 
     def beat(self, step: int, meta: bytes | None = None) -> None:
         try:
@@ -982,8 +986,8 @@ class _CtrlLink:
     def result(self, outcome: tuple) -> None:
         # The stream guarantees this frame precedes our EOF, so the
         # supervisor's "EOF before result" test is exactly "crashed".
-        self._send(wire.encode_object_frame(
-            wire.TAG_RESULT, outcome[1], 0, self._rank, outcome))
+        self._send(wire.encode_frame(wire.TAG_RESULT, outcome[1], 0,
+                                     self._rank, *encode_outcome(outcome)))
 
     def recv(self) -> Frame | None:
         return wire.recv_frame(self._sock, self._dec)
@@ -1019,20 +1023,25 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
     fabric = rendezvous_fabric(
         rank, capacity, coord_addr, token=token, generation=generation,
         coordinator_listener=coord_listener if rank == 0 else None)
+
+    def execute(run_id: int, nprocs: int, socks: dict, spec: tuple, *,
+                close: bool, **options: Any) -> None:
+        program, args, kwargs, sync = spec
+        channel = _MeshChannel(rank, nprocs, socks, run_id, ctrl, sync=sync,
+                               integrity=integrity,
+                               heartbeat_interval=heartbeat_interval,
+                               reconnect_timeout=reconnect_timeout, **options)
+        outcome = run_rank(channel, rank, nprocs, run_id, program, args,
+                           kwargs, (Abort, _PeerLost))
+        channel.shutdown(close=close)
+        ctrl.result(outcome)
+
     if first is not None:
-        program, args, kwargs, sync = first
         # No fabric is handed to the channel: a pool of one run has no
         # supervisor abort path, so waiting out a reconnect window on a
         # *dead* peer would only delay the teardown — frame integrity
         # (CRC + NACK retransmit) stays on, link loss aborts.
-        channel = _MeshChannel(rank, capacity, fabric.socks, 0, ctrl,
-                               sync=sync, integrity=integrity,
-                               heartbeat_interval=heartbeat_interval,
-                               reconnect_timeout=reconnect_timeout)
-        outcome = run_rank(channel, rank, capacity, 0, program, args,
-                           kwargs, (Abort, _PeerLost))
-        channel.shutdown()
-        ctrl.result(outcome)
+        execute(0, capacity, fabric.socks, first, close=True)
         fabric.close()
         ctrl.close()
         return
@@ -1073,26 +1082,17 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
             continue
         if frame.tag != wire.TAG_RUN:
             continue  # e.g. a stale TAG_ABORT that raced our outcome
-        run_id, nprocs, blob, sync = wire.frame_object(frame)
+        run_id, nprocs = frame.run_id, frame.step
         try:
-            program, args, kwargs = pickle.loads(blob)
+            spec = wire.frame_object(frame)
         except BaseException:  # noqa: BLE001 - reported to the supervisor
             ctrl.result(("error", run_id, rank, traceback.format_exc(),
                          None))
             continue
         sub = {q: fabric.socks[q] for q in range(nprocs)
                if q != rank and q in fabric.socks}
-        channel = _MeshChannel(rank, nprocs, sub, run_id, ctrl,
-                               links=links, sync=sync,
-                               fabric=fabric if integrity else None,
-                               integrity=integrity,
-                               heartbeat_interval=heartbeat_interval,
-                               reconnect_timeout=reconnect_timeout,
-                               watch_ctrl=True)
-        outcome = run_rank(channel, rank, nprocs, run_id, program, args,
-                           kwargs, (Abort, _PeerLost))
-        channel.shutdown(close=False)
-        ctrl.result(outcome)
+        execute(run_id, nprocs, sub, spec, close=False, links=links,
+                fabric=fabric if integrity else None, watch_ctrl=True)
     fabric.close()
     ctrl.close()
 
@@ -1189,7 +1189,7 @@ class _CtrlPlane:
 
     def _handle(self, link: _Link, frame: Frame) -> None:
         if frame.tag == wire.TAG_HELLO:
-            rank = wire.frame_object(frame)
+            rank = frame.src
             if isinstance(rank, int) and 0 <= rank < self._capacity:
                 link.rank = rank
                 self.links[rank] = link
@@ -1374,9 +1374,7 @@ class TcpMesh(WorkerPool):
 
     # -- dispatch -----------------------------------------------------------
 
-    def _encode(self, program: Program, args: Sequence[Any],
-                kwargs: dict[str, Any]) -> bytes:
-        return pickle.dumps((program, args, kwargs))
+    _encode = staticmethod(encode_object)
 
     def _ready(self) -> None:
         if self._dirty:
@@ -1387,11 +1385,9 @@ class TcpMesh(WorkerPool):
             self._restarts += self._capacity
             self._heal_kinds.append("rebuild")
 
-    def _dispatch(self, run_id: int, nprocs: int, payload: bytes,
-                  sync: str) -> None:
-        # Encoded once: the chunks are read-only, every rank gets the same.
-        chunks = wire.encode_object_frame(
-            wire.TAG_RUN, run_id, 0, -1, (run_id, nprocs, payload, sync))
+    def _dispatch(self, run_id: int, nprocs: int, payload: tuple) -> None:
+        # Framed once: the chunks are read-only, every rank gets the same.
+        chunks = wire.encode_frame(wire.TAG_RUN, run_id, nprocs, -1, *payload)
         for rank in range(nprocs):
             self._send_ctrl(self._source.links[rank], chunks)
 
@@ -1457,8 +1453,9 @@ class TcpMesh(WorkerPool):
         finally:
             if coord_listener is not None:
                 coord_listener.close()  # the replacement inherited it
-        remesh = wire.encode_object_frame(
-            wire.TAG_REMESH, gen, 0, -1, (gen, tuple(self._coord_addr)))
+        remesh = wire.encode_frame(
+            wire.TAG_REMESH, gen, 0, -1,
+            *encode_object((gen, tuple(self._coord_addr))))
         for link in links.values():
             try:
                 self._send_ctrl(link, remesh)
@@ -1683,9 +1680,9 @@ class TcpSpmdBackend(Backend):
             reconnect_timeout=self._reconnect_timeout)
         t0 = time.perf_counter()
         try:
-            outcome = run_rank(channel, self._rank, nprocs, run_id, program,
-                               args, kwargs or {}, (Abort, _PeerLost))
-            channel.broadcast_result(outcome)
+            channel.broadcast_result(run_rank(
+                channel, self._rank, nprocs, run_id, program, args,
+                kwargs or {}, (Abort, _PeerLost)))
             try:
                 gathered = channel.gather_results(nprocs, self._timeout)
             except (Abort, _PeerLost) as exc:
@@ -1697,7 +1694,6 @@ class TcpSpmdBackend(Backend):
         finally:
             channel.shutdown(close=False)
         wall = time.perf_counter() - t0
-        gathered[self._rank] = outcome
         outcomes: list[tuple | None] = [None] * nprocs
         for r, oc in gathered.items():
             if 0 <= r < nprocs:

@@ -76,15 +76,16 @@ from typing import Any, Iterable, Sequence
 
 from ..core.errors import PacketError
 from ..core.packets import Packet
-from .frames import Frame, encode_packets
+from .frames import TAG_PKT, TAG_RESULT, Frame, encode_packets  # noqa: F401
 
-#: TCP-only frame tags, disjoint from the pipe fabric's 0..3 range
-#: (TAG_PKT/TAG_LEFT/TAG_DEAD/TAG_FENCE in :mod:`repro.backends.frames`).
+#: TCP-only frame tags, disjoint from :mod:`repro.backends.frames`'s 0..3 and
+#: TAG_RESULT = 8 (an outcome, rank -> supervisor / every rank; re-exported).
 TAG_RELEASE = 5     #: strict's release round — "I hold every frame of step s"
 TAG_HB = 6          #: heartbeat, rank -> supervisor
 TAG_HELLO = 7       #: control-channel registration, rank -> supervisor
-TAG_RESULT = 8      #: final outcome tuple, rank -> supervisor / rank 0
-TAG_RUN = 9         #: persistent mode — supervisor ships one run to a rank
+#: Persistent mode — supervisor ships one run to a rank: the object is
+#: ``(program, args, kwargs, sync)``, ``step`` the run's ``nprocs``.
+TAG_RUN = 9
 TAG_CLOSE = 10      #: persistent mode — supervisor shuts a rank down
 TAG_NACK = 11       #: link-level "resend sequence number N" (``step`` = N)
 TAG_ABORT = 12      #: supervisor -> rank: abandon the named run mid-flight
@@ -207,38 +208,15 @@ def encode_packet_frame(run_id: int, step: int, src: int,
 
     Reuses :func:`repro.backends.frames.encode_packets`, so the combined
     layout (and therefore the ``seq``/``h`` accounting) is identical to
-    the process backend's slab/pipe frames.
+    the process backend's frames.
     """
-    from .frames import TAG_PKT
-
     meta, buffers = encode_packets(packets)
     return encode_frame(TAG_PKT, run_id, step, src, meta, buffers, more,
                         seq=seq, ack=ack, crc=crc)
 
 
-def encode_object_frame(tag: int, run_id: int, step: int, src: int,
-                        obj: Any, *, seq: int = -1, ack: int = -1,
-                        crc: bool = True) -> list[Any]:
-    """A control frame carrying an arbitrary picklable object.
-
-    Uses protocol 5 with out-of-band buffers so a large result (a NumPy
-    array returned by a program, a ledger) crosses the socket without an
-    extra copy into the pickle stream.
-    """
-    pbufs: list[pickle.PickleBuffer] = []
-    meta = pickle.dumps(obj, protocol=5, buffer_callback=pbufs.append)
-    buffers = []
-    for pb in pbufs:
-        try:
-            buffers.append(pb.raw())
-        except BufferError:  # non-contiguous exporter: fall back to a copy
-            buffers.append(memoryview(memoryview(pb).tobytes()))
-    return encode_frame(tag, run_id, step, src, meta, buffers,
-                        seq=seq, ack=ack, crc=crc)
-
-
 def frame_object(frame: Frame) -> Any:
-    """Decode the object of a frame built by :func:`encode_object_frame`."""
+    """The object :func:`~repro.backends.frames.encode_object` framed."""
     assert frame.meta is not None
     return pickle.loads(frame.meta, buffers=frame.buffers)
 

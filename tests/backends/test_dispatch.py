@@ -1,27 +1,36 @@
-"""Run dispatch on the data plane (BspPool.run / TcpMesh.run).
+"""Run dispatch and results on the data plane (BspPool.run / TcpMesh.run).
 
 A pooled run ships ``(program, args, kwargs)`` to its workers *once*:
 one protocol-5 pickle, every buffer too big for the pickle stream (the
 in-band cut, 2 KiB) copied once into the parent's arena on the
 ``repro-zc-*`` segment plane, and each worker rebuilding the arrays as
-read-only views over the shared pages.  Exercised here:
+read-only views over the shared pages.  What a worker returns comes
+back the same way — one result frame, its buffers in one region leased
+from the worker's pool, copied out once by the parent.  Exercised here:
 
-* value fidelity over arbitrary arg tuples (small objects, arrays on
-  both sides of the cut, non-contiguous and non-float64 arrays,
-  one array passed twice), read-only-ness of what rode the arena, and
-  that a twice-passed array is placed once;
-* the arena is rewound per run — repeated large dispatches do not grow
-  ``/dev/shm``;
-* ``REPRO_ZEROCOPY=off`` is the same path with an empty buffer list:
-  identical results and ledgers;
+* value fidelity, both ways, over arbitrary arg tuples (small objects,
+  arrays on both sides of the cut, non-contiguous and non-float64
+  arrays, one array passed twice), read-only-ness of what rode the
+  arena, writability of what came back, and that a twice-passed array
+  is placed once;
+* the arena is rewound per run and result regions are recycled —
+  repeated large dispatches and large results do not grow ``/dev/shm``;
+* a result the caller holds owns its memory: bit-intact after the next
+  run, after a failed run's fence and after ``close()``;
+* ``REPRO_ZEROCOPY=off`` and a full ``/dev/shm`` are the same path with
+  the buffers on the pipe: identical results and ledgers;
 * unpicklable programs still raise the usage error;
-* SIGKILL mid-run with large args heals, and close() sweeps the arena;
+* SIGKILL mid-run with large args, and a rank that dies while encoding
+  its result, heal — also after earlier fences — and close() sweeps
+  every segment;
 * the parent never grows a ``resource_tracker`` child;
 * TCP: control links are NODELAY (a pooled noop run is sub-20 ms, not a
-  delayed-ACK 44 ms) and the run payload is pickled once for all ranks.
+  delayed-ACK 44 ms) and the run payload is pickled once, in one pass,
+  for all ranks.
 """
 
 import os
+import pickle
 import statistics
 import time
 
@@ -35,19 +44,19 @@ from repro.apps.matmul.cannon import cannon_matmul
 from repro.backends import frames, shm
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.backends.tcp import TcpBackend
-from repro.core.errors import BspUsageError, WorkerCrashError
+from repro.core.errors import (
+    BspUsageError,
+    VirtualProcessorError,
+    WorkerCrashError,
+)
 
 THRESHOLD = frames._INBAND_MAX
 MIB = 1 << 20
 
 
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    """Every test in this module must leave /dev/shm as it found it."""
-    before = set(shm.scan_orphans())
-    yield
-    after = set(shm.scan_orphans())
-    assert after <= before, f"leaked segments: {sorted(after - before)}"
+def _leak_free(no_leaks):
+    """Every test in this module leaves no child, segment or socket."""
 
 
 def _children() -> set[int]:
@@ -78,20 +87,30 @@ def _arena_leases(pool: BspPool) -> int:
 
 
 def describe_args(bsp, *args, **kwargs):
-    """What this rank received, in a form that survives the trip back."""
+    """What this rank received — described, in a form that survives the
+    trip back whatever the result plane does — and the thing itself."""
+    received = [*args, *kwargs.values()]
     out = []
-    for arg in (*args, *kwargs.values()):
+    for arg in received:
         if isinstance(arg, np.ndarray):
             out.append((arg.tobytes(), str(arg.dtype), arg.shape,
                         bool(arg.flags.writeable), id(arg)))
         else:
             out.append(arg)
-    return out
+    return out, received
 
 
 def checksum_args(bsp, a, b):
     bsp.sync()
     return float(a[0, 0] + b[-1, -1]), a.flags.writeable
+
+
+def scaled_block(bsp, block, fail=False):
+    """A large result that differs per rank and per run."""
+    bsp.sync()
+    if fail and bsp.pid == 0:
+        raise ValueError("boom")
+    return block * (bsp.pid + 1)
 
 
 def exchange_with_big_args(bsp, a):
@@ -117,6 +136,24 @@ class CountedReduce:
     def __reduce__(self):
         type(self).pickles += 1
         return (CountedReduce, ())
+
+
+class DiesWhenPickled:
+    def __reduce__(self):
+        os._exit(9)
+
+
+def big_then_fatal_result(bsp, block, mode):
+    """Exchange a large block, then return one — or fail, or die while
+    the result is being encoded."""
+    bsp.send((bsp.pid + 1) % bsp.nprocs, block)
+    bsp.sync()
+    got = sum(float(pkt.payload[0]) for pkt in bsp.packets())
+    if mode == "raise" and bsp.pid == 0:
+        raise ValueError("boom")
+    if mode == "die" and bsp.pid == 1:
+        return DiesWhenPickled()
+    return block + got
 
 
 # -- value fidelity -----------------------------------------------------------
@@ -157,38 +194,43 @@ def _rides_arena(arg) -> bool:
 
 
 class TestArgFidelity:
-    @pytest.fixture(scope="class")
+    @pytest.fixture()
     def pool(self):
         with BspPool(2, join_timeout=60.0) as pool:
-            # Create the arena now, so the per-function leak check sees
-            # a steady state rather than a lazily appearing segment.
-            pool.run(noop, 2, args=(np.zeros(2 * THRESHOLD),))
             yield pool
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(items=_arg_lists, twice=st.data())
     def test_every_rank_receives_the_originals(self, pool, items, twice):
-        """Values equal the originals on every rank; what rode the arena
-        is read-only; an array passed twice is one object, placed once."""
+        """Values equal the originals on every rank, and again when
+        they come back as the result; what rode the arena is read-only
+        (and says so when returned as it is), everything else comes back
+        writable; an array passed twice is one object, placed once."""
         args = list(items)
         if args:
             # Pass one of the items a second time, by identity.
             args.append(args[twice.draw(st.integers(0, len(args) - 1))])
         run = pool.run(describe_args, 2, args=tuple(args[:-1]),
                        kwargs={"last": args[-1]} if args else {})
-        for got in run.results:
-            assert len(got) == len(args)
-            for sent, back in zip(args, got):
+        for got, returned in run.results:
+            assert len(got) == len(returned) == len(args)
+            for sent, back, result in zip(args, got, returned):
                 if not isinstance(sent, np.ndarray):
-                    assert back == sent
+                    assert back == result == sent
                     continue
+                assert (result.dtype, result.shape) == (sent.dtype,
+                                                        sent.shape)
+                assert result.tobytes() == sent.tobytes()  # bit-equal
+                assert result.flags.writeable == back[3]
                 raw, dtype, shape, writeable, _ = back
                 assert (dtype, shape) == (str(sent.dtype), sent.shape)
                 assert np.array_equal(
                     np.frombuffer(raw, dtype=dtype).reshape(shape), sent)
-                if _rides_arena(sent):
-                    assert writeable is False
+                assert writeable is not _rides_arena(sent)
+            for result in returned:  # the parent's own memory
+                if isinstance(result, np.ndarray) and result.flags.writeable:
+                    result.flat[0] = 1
             if args:
                 same = [back[4] if isinstance(back, tuple) else None
                         for sent, back in zip(args, got)
@@ -217,21 +259,67 @@ class TestArena:
             assert pool._transport.segment_counts() == counts
             assert shm.scan_orphans() == names
 
+    def test_repeated_large_results_do_not_grow_shm(self):
+        block = np.ones((576, 576))  # 2.65 MB: Cannon's block at n=1152
+        with BspPool(4, join_timeout=60.0) as pool:
+            for i in range(8):
+                run = pool.run(scaled_block, 4, args=(block + i,))
+                for pid, result in enumerate(run.results):
+                    assert result[0, 0] == result[-1, -1] == (1 + i) * (pid + 1)
+                if i == 1:  # every region a run needs has been leased once
+                    counts = pool._transport.segment_counts()
+                    names = shm.scan_orphans()
+            assert pool._transport.segment_counts() == counts
+            assert shm.scan_orphans() == names
+            assert pool.health().zerocopy_hits >= 8 * 4
+
+    def test_a_held_result_owns_its_memory(self):
+        """Nothing the pool does later — the next run leasing the same
+        regions again, a failed run's fence rewinding every pool, close()
+        unmapping them — reaches a result the caller still holds."""
+        block = np.arange(576.0 * 576).reshape(576, 576)
+        golden = [(block * (pid + 1)).tobytes() for pid in range(2)]
+
+        def intact():
+            return [result.tobytes() for result in held] == golden
+
+        with BspPool(2, join_timeout=60.0) as pool:
+            held = pool.run(scaled_block, 2, args=(block,)).results
+            assert intact() and all(r.flags.writeable for r in held)
+            pool.run(scaled_block, 2, args=(block + 7,))
+            assert intact()
+            with pytest.raises(VirtualProcessorError):
+                pool.run(scaled_block, 2, args=(block + 9, True))
+            pool.run(scaled_block, 2, args=(block + 11,))
+            assert intact()
+        assert intact()
+
     @pytest.mark.parametrize("sync", ["strict", "relaxed"])
     def test_zerocopy_off_is_golden_identical(self, monkeypatch, sync):
+        """``REPRO_ZEROCOPY=off``, and a ``/dev/shm`` with no room: the
+        arguments, the blocks and the result blocks all take the pipe."""
+        def refuse(name, size=0):
+            raise OSError(28, "No space left on device")
         rng = np.random.default_rng(7)
         a = rng.standard_normal((192, 192))  # 288 KiB args, 72 KiB blocks
         b = rng.standard_normal((192, 192))
         runs = {}
-        for mode in ("on", "off"):
-            monkeypatch.setenv("REPRO_ZEROCOPY", mode)
-            with ProcessBackend.pool(4, join_timeout=60.0) as backend:
-                run = cannon_matmul(a, b, 4, backend=backend, sync=sync)
-                placed = _arena_leases(backend._pool)
+        for mode in ("on", "off", "full"):
+            with monkeypatch.context() as patch:
+                if mode == "full":
+                    patch.setattr(shm, "open_segment", refuse)
+                else:
+                    patch.setenv("REPRO_ZEROCOPY", mode)
+                with ProcessBackend.pool(4, join_timeout=60.0) as backend:
+                    run = cannon_matmul(a, b, 4, backend=backend, sync=sync)
+                    placed = _arena_leases(backend._pool)
+                    health = backend.health()
             runs[mode] = (run.c.tobytes(), run.stats.S, run.stats.H,
                           list(run.stats.h_series), list(run.stats.m_series))
             assert placed == (2 if mode == "on" else 0)
-        assert runs["on"] == runs["off"]
+            assert (health.zerocopy_hits == 0) == (mode != "on")
+            assert (health.zerocopy_fallbacks == 0) == (mode == "on")
+        assert runs["on"] == runs["off"] == runs["full"]
         assert np.allclose(np.frombuffer(runs["on"][0]).reshape(192, 192),
                            a @ b)
 
@@ -280,6 +368,35 @@ class TestCrashSafety:
                        for name in shm.scan_orphans())
         assert shm.scan_orphans() == []
 
+    def test_death_while_encoding_the_result_heals_and_sweeps(self):
+        """``os._exit`` from inside the result's pickle pass: nothing
+        was written, no lock is held, the peers have all reported.  Two
+        fenced runs come first: the replacement's segment pool counts
+        its generations from zero again, which must not make its frames
+        or its results look stale to those who saw the old one's."""
+        block = np.full(50_000, 3.0)  # 400 KB: frames and results leased
+        with BspPool(3, join_timeout=30.0) as pool:
+            for _ in range(2):
+                with pytest.raises(VirtualProcessorError):
+                    pool.run(big_then_fatal_result, 3, args=(block, "raise"))
+            t0 = time.monotonic()
+            with pytest.raises(WorkerCrashError) as err:
+                pool.run(big_then_fatal_result, 3, args=(block, "die"))
+            assert time.monotonic() - t0 < 10.0
+            assert (err.value.pid, err.value.exitcode) == (1, 9)
+            health = pool.health()
+            assert health.alive == 3
+            assert health.heal_kinds[-1] in ("re-fork", "rebuild")
+            for i in range(4):
+                run = pool.run(big_then_fatal_result, 3,
+                               args=(block + i, "ok"))
+                for result in run.results:
+                    assert result.tobytes() == (block + 2 * i + 3).tobytes()
+                if i == 1:
+                    counts = pool._transport.segment_counts()
+            assert pool._transport.segment_counts() == counts
+        assert shm.scan_orphans() == []
+
     def test_no_child_besides_the_workers(self):
         """``shared_memory.SharedMemory`` in the parent would spawn a
         resource_tracker child that outlives the pool."""
@@ -308,10 +425,22 @@ class TestTcpDispatch:
                 walls.append(time.perf_counter() - t0)
         assert statistics.median(walls) < 0.020
 
-    def test_payload_is_pickled_once_for_all_ranks(self):
+    def test_payload_is_pickled_once_for_all_ranks(self, monkeypatch):
+        """One pass of one pickler, and the array is in no stream: it
+        follows the ``TAG_RUN`` header as a chunk of its own."""
+        streams = []
+        real_dumps = pickle.dumps
+
+        def dumps(*args, **kwargs):
+            stream = real_dumps(*args, **kwargs)
+            streams.append(len(stream))
+            return stream
+
         CountedReduce.pickles = 0
         big = np.arange(MIB, dtype=np.float64)
         with TcpBackend.pool(3) as backend:
+            monkeypatch.setattr(pickle, "dumps", dumps)  # the parent's only
             run = backend.run(noop, 3, args=(CountedReduce(), big))
         assert run.results == [0, 1, 2]
         assert CountedReduce.pickles == 1
+        assert streams and max(streams) < big.nbytes

@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 from repro import bsp_run
 from repro import faults
-from repro.backends import frames, processes, shm
+from repro.backends import frames, processes
 from repro.backends.frames import FrameTransport
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import DeadlockError, VirtualProcessorError
@@ -55,10 +55,8 @@ NO_WAIT_S = 0.05
 
 
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    before = set(shm.scan_orphans())
-    yield
-    assert set(shm.scan_orphans()) <= before
+def _leak_free(no_leaks):
+    """Every test in this module leaves no child, segment or socket."""
 
 
 def _pkt(src, dst, payload, seq=0):

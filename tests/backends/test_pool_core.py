@@ -5,8 +5,8 @@ fabrics.
   handles — no fork: the crash-grace windows, late results, stray
   replies, and the deadline's deadlock-vs-slow triage.
 * One matrix, {processes, tcp} x {one-shot, pooled} x {ok, program
-  raises, SIGKILL at step 0, stuck program}: the same typed error on
-  either fabric in either mode, the simulator's results and ledgers in
+  raises, unpicklable result, SIGKILL at step 0, stuck program}: the
+  same typed error on either fabric in either mode, the simulator's results and ledgers in
   the ok cell (a closure in the one-shot column — fork inherits it),
   nothing left behind (``no_leaks``), and in the pooled column a golden
   *next* run on the same pool.
@@ -207,6 +207,14 @@ def raising_program(bsp):
     bsp.sync()
 
 
+def unpicklable_result(bsp):
+    bsp.sync()
+    return UNPICKLABLE if bsp.pid == 1 else bsp.pid
+
+
+UNPICKLABLE = lambda: None  # noqa: E731 - no importable name to pickle by
+
+
 def stuck_program(bsp):
     if bsp.pid == 0:
         time.sleep(3600)
@@ -267,6 +275,23 @@ class TestOneCoreTwoFabricsTwoModes:
                 bsp_run(raising_program, NPROCS, backend=backend)
             assert err.value.pid == 1
             assert "ValueError: boom" in str(err.value)
+            self._next_run_is_golden(backend, mode)
+
+    def test_unpicklable_result(self, fabric, mode):
+        """The threads backend and the simulator hand such a result
+        back; a process fabric cannot, and says so at once: no deadline
+        sat out, no worker lost, no restart spent."""
+        with _backend(fabric, mode) as backend:
+            t0 = time.monotonic()
+            with pytest.raises(VirtualProcessorError) as err:
+                bsp_run(unpicklable_result, NPROCS, backend=backend)
+            assert time.monotonic() - t0 < 2.0
+            assert err.value.pid == 1
+            assert "PicklingError" in err.value.traceback_text
+            if mode == "pooled":
+                health = backend.health()
+                assert health.restarts == 0 and health.alive == NPROCS
+                assert health.restarts_left in (5, -1)  # the budget, whole
             self._next_run_is_golden(backend, mode)
 
     def test_kill_at_step_0(self, fabric, mode):

@@ -30,7 +30,7 @@ from repro import (
 from repro import faults
 from repro.backends import tcp_wire as wire
 from repro.backends.base import get_backend
-from repro.backends.frames import TAG_PKT
+from repro.backends.frames import TAG_PKT, encode_object
 from repro.backends.tcp import TcpBackend, TcpMesh, TcpSpmdBackend
 from repro.backends.tcp_launch import parse_hostport
 from repro.core.packets import Packet
@@ -173,8 +173,8 @@ class TestFrameDecoder:
 
     def test_object_frame_roundtrip(self):
         obj = ("ok", 3, 1, [b"payload" * 100], None)
-        blob = _flatten(wire.encode_object_frame(
-            wire.TAG_RESULT, 3, 0, 1, obj))
+        blob = _flatten(wire.encode_frame(
+            wire.TAG_RESULT, 3, 0, 1, *encode_object(obj)))
         (frame,) = wire.FrameDecoder().feed(blob)
         assert wire.frame_object(frame) == obj
 
