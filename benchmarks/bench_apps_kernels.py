@@ -16,7 +16,11 @@ The full run sizes the Barnes–Hut walk, octree build and count-only walk
 at n=4096 bodies (the paper-scale force phase; build expected ≥5x, the
 walk ≥ ``BH_WALK_FLOOR``, the count ≥3x faster than the walk) and the graph
 phases at paper-like sizes (expected ≥2x).  ``bh_walk_rank`` is the walk at
-the shape the e2e ``nbody-compute`` workload runs on each rank.  ``--smoke``
+the shape the e2e ``nbody-compute`` workload runs on each rank;
+``mg_coarse`` is the ocean V-cycle's bottom solve (sweeps vs the cached
+operator, ≥ ``MG_COARSE_FLOOR``, cold build ≤ ``MG_BUILD_CEILING_S``) and
+``mg_vcycle_rank`` rank 0's compute of one V-cycle at the shape the e2e
+``ocean-sync`` workload runs (same grids in both sweeps).  ``--smoke``
 shrinks every input so the whole sweep fits in CI's five-minute cap while
 still exercising every kernel pair; smoke results are written under a
 separate label and never overwrite full measurements.
@@ -34,6 +38,10 @@ import numpy as np
 
 from repro import kernels
 from repro.apps.nbody import DEFAULT_THETA, BHTree, orb_partition, plummer
+from repro.apps.ocean import LocalBlock, build_partitions, wind_forcing
+from repro.apps.ocean.multigrid import COARSE_SWEEPS, COARSEST
+from repro.apps.ocean.parallel import v_cycle_distributed
+from repro.core.runtime import bsp_run
 from repro.graphs.distributed import LocalGraph
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.unionfind import UnionFind
@@ -165,6 +173,110 @@ def scenario_bh_direct(n: int, repeats: int) -> dict:
     return rec
 
 
+#: ``mg_coarse`` speedup floors: 0.6 x the speedups BENCH_kernels.json
+#: records (full 325.7x, smoke 315.4x), the recipe of ``BH_WALK_FLOOR``.
+MG_COARSE_FLOOR = {"full": 195.0, "smoke": 189.0}
+
+#: Ceiling on building the bottom-solve operator from cold, per process.
+MG_BUILD_CEILING_S = 0.010
+
+
+def scenario_mg_coarse(n: int, repeats: int) -> dict:
+    """The V-cycle's bottom solve on the coarsest grid: ``COARSE_SWEEPS``
+    red-black sweeps vs two mat-vecs, plus the operator's cold build."""
+    from repro.kernels.mg import _operator
+
+    rng = np.random.default_rng(8)
+    u0, f = rng.standard_normal((2, n + 2, n + 2))
+
+    def make_call(mode):
+        coarse = kernels.get("mg_coarse", mode)
+        return lambda: coarse(u0.copy(), f, 1.0 / n, COARSE_SWEEPS)
+
+    def build():
+        _operator.cache_clear()
+        _operator(n, COARSE_SWEEPS)
+
+    rec = compare(make_call, 10 * repeats)
+    rec["n"] = n
+    rec["build_s"] = round(best_of(build, repeats), 6)
+    return rec
+
+
+class _RecordingBsp:
+    """A rank's ``Bsp`` that keeps every inbox its syncs deliver."""
+
+    def __init__(self, bsp):
+        self._bsp = bsp
+        self.inboxes = []
+
+    def __getattr__(self, name):
+        return getattr(self._bsp, name)
+
+    def sync(self):
+        self._bsp.sync()
+        self.inboxes.append(list(self._bsp.packets()))
+
+    def packets(self):
+        return iter(self.inboxes[-1])
+
+
+class _ReplayBsp:
+    """One rank of a recorded run with the machine taken away: sends and
+    charges are no-ops, each sync delivers the inbox the real one did."""
+
+    def __init__(self, pid, nprocs, inboxes):
+        self.pid, self.nprocs = pid, nprocs
+        self._inboxes = iter(inboxes)
+
+    def send(self, dst, payload):
+        pass
+
+    def charge(self, units):
+        pass
+
+    def sync(self):
+        self._inbox = next(self._inboxes)
+
+    def packets(self):
+        return iter(self._inbox)
+
+
+def _vcycle_fixture(bsp, m):
+    """Record this rank's first V-cycle of the ocean's ψ solve (from
+    rest, against the wind forcing): ``(inboxes, forcing rows)``."""
+    parts = build_partitions(m, bsp.nprocs)
+    f = LocalBlock(parts[0], bsp.pid)
+    f.data[:] = wind_forcing(m, 1.0)[f.lo - 1 : f.hi + 1]
+    rec = _RecordingBsp(bsp)
+    v_cycle_distributed(rec, parts, 0, LocalBlock(parts[0], bsp.pid), f,
+                        1.0 / m)
+    return rec.inboxes, f.data
+
+
+def scenario_mg_vcycle_rank(m: int, repeats: int) -> dict:
+    """Rank 0's local compute of one ocean V-cycle at p=2, as e2e
+    ``ocean-sync`` runs it (size m+2), behind a ``Bsp`` that costs
+    nothing: what the rank computes between barriers, bottom solve
+    included."""
+    nprocs = 2
+    inboxes, f_rows = bsp_run(_vcycle_fixture, nprocs, args=(m,)).results[0]
+    parts = build_partitions(m, nprocs)
+    f = LocalBlock(parts[0], 0, f_rows)
+
+    def make_call(mode):
+        def run():
+            v_cycle_distributed(_ReplayBsp(0, nprocs, inboxes), parts, 0,
+                                LocalBlock(parts[0], 0), f, 1.0 / m)
+
+        return run
+
+    rec = compare(make_call, 5 * repeats)
+    rec["m"] = m
+    rec["supersteps"] = len(inboxes)
+    return rec
+
+
 def _mst_edge_fixture(n: int, m: int, nlabels: int, rng):
     """Key-sorted crossing-edge arrays, as one Borůvka round sees them."""
     eu = rng.integers(0, n, size=m)
@@ -290,14 +402,16 @@ def run_suite(smoke: bool) -> dict:
                  "bh_count": 512,
                  "bh_direct": 256, "mst_labels": 2000,
                  "mst_minima": 2000, "sssp_updates": 800,
-                 "sort_partition": 20000}
+                 "sort_partition": 20000,
+                 "mg_coarse": COARSEST, "mg_vcycle_rank": 64}
         repeats = 2
     else:
         sizes = {"bh_build": 4096, "bh_walk": 4096, "bh_walk_rank": 4096,
                  "bh_count": 4096,
                  "bh_direct": 2048, "mst_labels": 20000,
                  "mst_minima": 20000, "sssp_updates": 8000,
-                 "sort_partition": 500000}
+                 "sort_partition": 500000,
+                 "mg_coarse": COARSEST, "mg_vcycle_rank": 64}
         repeats = 3
     scenarios = {
         "bh_build": scenario_bh_build,
@@ -309,6 +423,8 @@ def run_suite(smoke: bool) -> dict:
         "mst_minima": scenario_mst_minima,
         "sssp_updates": scenario_sssp_updates,
         "sort_partition": scenario_sort_partition,
+        "mg_coarse": scenario_mg_coarse,
+        "mg_vcycle_rank": scenario_mg_vcycle_rank,
     }
     out = {}
     for name, fn in scenarios.items():
@@ -359,19 +475,28 @@ def main(argv: list[str] | None = None) -> int:
 
     # Sanity floor: the vectorized mode must never be meaningfully slower
     # than the reference (0.8 allows for timer noise on near-parity
-    # phases).  The BH force phase has a real floor in both sweeps — a
-    # fraction of the speedup BENCH_kernels.json records, so the walk
-    # cannot drift back unnoticed.  The full run additionally enforces
+    # phases).  The BH force phase and the multigrid bottom solve have
+    # real floors in both sweeps — a fraction of the speedups
+    # BENCH_kernels.json records, so neither can drift back unnoticed —
+    # and the operator's cold build a ceiling: it is paid once per
+    # process, inside a run.  The full run additionally enforces
     # ≥5x on the octree build, the count-only walk ≥3x faster than the
     # force walk, ≥2x on a graph local phase.
     failures = []
     for name, rec in scenarios.items():
         if rec["speedup"] < 0.8:
             failures.append(f"{name}: {rec['speedup']}x (regressed)")
-    walk_floor = BH_WALK_FLOOR["smoke" if args.smoke else "full"]
-    if scenarios["bh_walk"]["speedup"] < walk_floor:
+    for name, floors in (("bh_walk", BH_WALK_FLOOR),
+                         ("mg_coarse", MG_COARSE_FLOOR)):
+        floor = floors["smoke" if args.smoke else "full"]
+        if scenarios[name]["speedup"] < floor:
+            failures.append(
+                f"{name}: {scenarios[name]['speedup']}x < {floor}x floor"
+            )
+    if scenarios["mg_coarse"]["build_s"] > MG_BUILD_CEILING_S:
         failures.append(
-            f"bh_walk: {scenarios['bh_walk']['speedup']}x < {walk_floor}x floor"
+            f"mg_coarse: operator build {scenarios['mg_coarse']['build_s']}s"
+            f" > {MG_BUILD_CEILING_S}s"
         )
     if not args.smoke:
         if scenarios["bh_build"]["speedup"] < 5.0:

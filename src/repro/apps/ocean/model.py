@@ -41,7 +41,8 @@ class OceanParams:
 
 @dataclass
 class OceanState:
-    """Fields plus per-step multigrid cycle counts."""
+    """Fields (ghost ring = Dirichlet reflection of the interior, from
+    either driver) plus per-step multigrid cycle counts."""
 
     psi: np.ndarray
     zeta: np.ndarray
@@ -143,4 +144,6 @@ def ocean_sequential(
             u0=state.psi,
         )
         state.cycles.append(info.cycles)
+    apply_reflection(state.psi)
+    apply_reflection(state.zeta)
     return state

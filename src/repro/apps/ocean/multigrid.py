@@ -13,19 +13,24 @@ convergence rate (a vertex-centred hierarchy on 2^k interiors would place
 coarse walls *outside* the domain and stall the coarse correction).
 
 Components: red-black Gauss–Seidel relaxation, 2×2-average restriction,
-piecewise-constant prolongation, V(2,2) cycles, and an agglomerated dense
-sweep on the coarsest level — the exact code path the distributed solver
-(:mod:`repro.apps.ocean.parallel`) runs per row block, so sequential and
+piecewise-constant prolongation, V(2,2) cycles, and on the coarsest level
+the ``mg_coarse`` kernel (:mod:`repro.kernels.mg`): ``COARSE_SWEEPS``
+red-black sweeps, applied as one cached linear operator — the exact code
+path the distributed solver (:mod:`repro.apps.ocean.parallel`) runs, per
+row block above the bottom and on processor 0 at it, so sequential and
 distributed iterates agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-#: Interior size at which coarsening stops and dense sweeping takes over.
+from ... import kernels
+
+#: Interior size at which coarsening stops and ``mg_coarse`` takes over.
 COARSEST = 4
 #: Relaxation sweeps on the coarsest grid (effectively an exact solve).
 COARSE_SWEEPS = 60
@@ -57,12 +62,6 @@ def apply_reflection(u: np.ndarray) -> None:
     u[:, -1] = -u[:, -2]
 
 
-def reflect_columns(u: np.ndarray) -> None:
-    """Left/right ghost columns only (every row block owns full rows)."""
-    u[:, 0] = -u[:, 1]
-    u[:, -1] = -u[:, -2]
-
-
 def relax_red_black(u: np.ndarray, f: np.ndarray, h: float,
                     sweeps: int = 1) -> None:
     """In-place red-black Gauss–Seidel sweeps for ``∇²u = f``.
@@ -71,47 +70,50 @@ def relax_red_black(u: np.ndarray, f: np.ndarray, h: float,
     within a colour is data-independent, so any row decomposition that
     refreshes ghosts between colours reproduces these exact iterates.
     """
-    h2 = h * h
+    h2f = (h * h) * f
     for _ in range(sweeps):
         for parity in (0, 1):
             apply_reflection(u)
-            relax_color_block(u, f, h2, parity, first_global_row=1)
+            relax_color_block(u, h2f, parity, 1)
 
 
-def relax_color_block(
-    u: np.ndarray,
-    f: np.ndarray,
-    h2: float,
-    parity: int,
-    first_global_row: int,
-) -> None:
-    """Relax all interior cells of one checkerboard colour, in place.
-
-    Works on any row block: ``u``/``f`` hold local rows 1..R (0 and R+1
-    are ghosts) whose *global* row indices start at ``first_global_row``.
-    Colour of global cell (i, j) is ``(i+j) % 2``.  The sequential solver
-    and every processor of the distributed solver call this same kernel,
-    so their iterates agree bit for bit.
-    """
-    rows = u.shape[0] - 2
-    cols = u.shape[1] - 2
+@lru_cache(maxsize=256)
+def _color_slices(rows: int, cols: int, parity: int, row_parity: int):
+    """Index plan of one colour on a ``rows × cols`` block whose first
+    row has global parity ``row_parity``: for the odd and the even local
+    rows, ``(rows, cols, up, down, left, right)`` slices."""
+    plan = []
     for phase in (0, 1):
         i0 = 1 + phase
-        if i0 > rows:
+        j0 = 1 if (parity - row_parity - phase) % 2 == 1 else 2
+        if i0 > rows or j0 > cols:
             continue
-        row_parity = (first_global_row + phase) % 2
-        col_parity = (parity - row_parity) % 2
-        j0 = 1 if col_parity == 1 else 2
-        if j0 > cols:
-            continue
-        rs = slice(i0, rows + 1, 2)
-        cs = slice(j0, cols + 1, 2)
+        plan.append((
+            slice(i0, rows + 1, 2), slice(j0, cols + 1, 2),
+            slice(i0 - 1, rows, 2), slice(i0 + 1, rows + 2, 2),
+            slice(j0 - 1, cols, 2), slice(j0 + 1, cols + 2, 2),
+        ))
+    return tuple(plan)
+
+
+def relax_color_block(u: np.ndarray, h2f: np.ndarray, parity: int,
+                      first_global_row: int) -> None:
+    """Relax all interior cells of one checkerboard colour, in place.
+
+    Works on any row block: ``u`` and ``h2f`` (the right-hand side times
+    ``h²``, which a caller computes once for all its colour passes) hold
+    local rows 1..R (0 and R+1 are ghosts) whose *global* row indices
+    start at ``first_global_row``.  Colour of global cell (i, j) is
+    ``(i+j) % 2``.  The sequential solver and every processor of the
+    distributed solver call this same kernel, so their iterates agree
+    bit for bit.
+    """
+    for rs, cs, up, down, left, right in _color_slices(
+        u.shape[0] - 2, u.shape[1] - 2, parity, first_global_row % 2
+    ):
         u[rs, cs] = 0.25 * (
-            u[i0 - 1 : rows : 2, cs]
-            + u[i0 + 1 : rows + 2 : 2, cs]
-            + u[rs, j0 - 1 : cols : 2]
-            + u[rs, j0 + 1 : cols + 2 : 2]
-            - h2 * f[rs, cs]
+            u[up, cs] + u[down, cs] + u[rs, left] + u[rs, right]
+            - h2f[rs, cs]
         )
 
 
@@ -160,7 +162,7 @@ def v_cycle(u: np.ndarray, f: np.ndarray, h: float) -> None:
     """One V(NU1, NU2) cycle in place."""
     n = interior_size(u)
     if n <= COARSEST:
-        relax_red_black(u, f, h, sweeps=COARSE_SWEEPS)
+        kernels.get("mg_coarse")(u, f, h, COARSE_SWEEPS)
         return
     relax_red_black(u, f, h, sweeps=NU1)
     r = residual(u, f, h)

@@ -8,8 +8,8 @@ rows becomes one ghost-row exchange superstep:
 * red-black relaxation — one exchange per colour per sweep;
 * residual restriction — one exchange of the residual's ghost rows;
 * prolongation — one exchange of the coarse correction's ghost rows;
-* the coarsest grid — gathered to processor 0, swept densely, scattered
-  back (two supersteps);
+* the coarsest grid — gathered to processor 0, solved there by the
+  ``mg_coarse`` kernel, scattered back (two supersteps);
 * convergence tests — one all-reduce superstep per V-cycle;
 * the explicit vorticity step — one exchange of ψ and ζ ghosts.
 
@@ -31,10 +31,12 @@ matching the scale of Figure C.1's H column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
+from ... import kernels
 from ...collectives import allreduce, gather, scatter
 from ...core.api import Bsp
 from ...core.runtime import bsp_run
@@ -45,9 +47,9 @@ from .multigrid import (
     COARSEST,
     NU1,
     NU2,
+    apply_reflection,
     check_power_of_two,
     relax_color_block,
-    relax_red_black,
 )
 
 
@@ -93,6 +95,26 @@ class RowPartition:
         )
 
 
+@lru_cache(maxsize=256)
+def _ghost_sends(part: RowPartition, pid: int) -> tuple:
+    """``(dest, tag, local row)`` of every ghost row ``pid`` serves, in
+    send order — derived once per partition, not once per exchange.
+    Need-driven: every processor whose ghost row lies in ``pid``'s owned
+    range gets it, including processors that own zero rows at this level
+    (their prolongation still reads a "ghost" row)."""
+    lo, hi = part.range_of(pid)
+    sends = []
+    for q in range(part.nprocs):
+        if q == pid:
+            continue
+        qlo, qhi = part.range_of(q)
+        if lo <= qlo - 1 < hi:  # q's top ghost
+            sends.append((q, "gt", qlo - lo))
+        if lo <= qhi < hi:      # q's bottom ghost
+            sends.append((q, "gb", qhi - lo + 1))
+    return tuple(sends)
+
+
 class LocalBlock:
     """One processor's row block of an (m+2)×(m+2) field, with ghosts.
 
@@ -100,14 +122,15 @@ class LocalBlock:
     ``data[k+1]`` are the ghost/boundary rows lo−1 and hi.
     """
 
-    __slots__ = ("part", "pid", "lo", "hi", "data")
+    __slots__ = ("part", "pid", "lo", "hi", "k", "data", "sends")
 
     def __init__(self, part: RowPartition, pid: int,
                  data: np.ndarray | None = None):
         self.part = part
         self.pid = pid
         self.lo, self.hi = part.range_of(pid)
-        k = self.hi - self.lo
+        self.k = k = self.hi - self.lo
+        self.sends = _ghost_sends(part, pid)
         if data is None:
             data = np.zeros((k + 2, part.m + 2))
         if data.shape != (k + 2, part.m + 2):
@@ -115,10 +138,6 @@ class LocalBlock:
                 f"block shape {data.shape} != {(k + 2, part.m + 2)}"
             )
         self.data = data
-
-    @property
-    def k(self) -> int:
-        return self.hi - self.lo
 
     def owned(self) -> np.ndarray:
         """View of the owned rows (no ghosts)."""
@@ -138,26 +157,8 @@ def exchange_ghosts(bsp: Bsp, blocks: list[LocalBlock],
     application's electric-field rows, whose ghost ring stays zero).
     """
     for idx, blk in enumerate(blocks):
-        if blk.k == 0:
-            continue
-        part = blk.part
-        # Need-driven: every processor whose ghost row lies in my owned
-        # range gets it — including processors that own zero rows at this
-        # level (their prolongation still reads a "ghost" row).
-        for q in range(part.nprocs):
-            if q == bsp.pid:
-                continue
-            qlo, qhi = part.range_of(q)
-            top_ghost = qlo - 1
-            if top_ghost >= 1 and blk.lo <= top_ghost < blk.hi:
-                bsp.send(
-                    q, ("gt", idx, blk.data[top_ghost - blk.lo + 1].copy())
-                )
-            bottom_ghost = qhi
-            if bottom_ghost <= part.m and blk.lo <= bottom_ghost < blk.hi:
-                bsp.send(
-                    q, ("gb", idx, blk.data[bottom_ghost - blk.lo + 1].copy())
-                )
+        for dest, tag, row in blk.sends:
+            bsp.send(dest, (tag, idx, blk.data[row].copy()))
     bsp.sync()
     for pkt in bsp.packets():
         tag, idx, row = pkt.payload
@@ -192,13 +193,12 @@ def relax_distributed(
     a trailing exchange leaves ghosts current for the next consumer.
     2 supersteps per sweep plus one.
     """
-    h2 = h * h
+    h2f = (h * h) * f.data
     for _ in range(sweeps):
         for parity in (0, 1):
             exchange_ghosts(bsp, [u])
             if u.k > 0:
-                relax_color_block(u.data, f.data, h2, parity,
-                                  first_global_row=u.lo)
+                relax_color_block(u.data, h2f, parity, u.lo)
                 # Abstract work: half the owned cells, ~6 ops each.  The
                 # charged ledger models load on 1996-scale hardware, where
                 # the stencil math (not Python call overhead) dominates.
@@ -229,11 +229,12 @@ def restrict_block(r: LocalBlock, coarse_part: RowPartition,
     term order exactly.
     """
     rc = LocalBlock(coarse_part, pid)
-    for ci, gi_c in enumerate(range(rc.lo, rc.hi), start=1):
-        row_a = r.data[2 * gi_c - 1 - r.lo + 1][1:-1]  # fine row 2I−1
-        row_b = r.data[2 * gi_c - r.lo + 1][1:-1]      # fine row 2I
-        rc.data[ci, 1:-1] = 0.25 * (
-            row_a[0::2] + row_a[1::2] + row_b[0::2] + row_b[1::2]
+    if rc.k:
+        first = 2 * rc.lo - r.lo  # local index of fine row 2·lo−1
+        fine = r.data[first : first + 2 * rc.k, 1:-1]
+        rc.data[1:-1, 1:-1] = 0.25 * (
+            fine[0::2, 0::2] + fine[0::2, 1::2]
+            + fine[1::2, 0::2] + fine[1::2, 1::2]
         )
     return rc
 
@@ -245,37 +246,29 @@ def prolong_block(ec: LocalBlock, fine_part: RowPartition,
     Fine row ``gi`` copies coarse row ``⌈gi/2⌉`` (a ghost row at the
     lower partition seam, hence the prior coarse ghost exchange); each
     coarse cell fills two fine columns.  Returns an array of shape
-    ``(k_fine, m_fine + 2)`` to add to the fine block's owned rows.
+    ``(k_fine, m_fine)`` to add to the fine block's owned interior.
     """
     lo, hi = fine_part.range_of(pid)
-    m_fine = fine_part.m
-    out = np.zeros((hi - lo, m_fine + 2))
-    for oi, gi in enumerate(range(lo, hi)):
-        crow = ec.data[(gi + 1) // 2 - ec.lo + 1]
-        out[oi, 1:-1] = np.repeat(crow[1:-1], 2)
-    return out
+    parents = (np.arange(lo, hi) + 1) // 2 - ec.lo + 1
+    return np.repeat(ec.data[parents, 1:-1], 2, axis=1)
 
 
 def _coarse_solve(bsp: Bsp, u: LocalBlock, f: LocalBlock, h: float) -> None:
-    """Bottom of the V-cycle: agglomerate on processor 0, sweep, scatter."""
+    """Bottom of the V-cycle: agglomerate on processor 0, solve, scatter."""
     part = u.part
-    p = bsp.nprocs
     rows = gather(bsp, (u.owned().copy(), f.owned().copy()), root=0)
+    pieces = None
     if bsp.pid == 0:
         assert rows is not None
-        mu = np.zeros((part.m + 2, part.m + 2))
-        mf = np.zeros((part.m + 2, part.m + 2))
-        for q in range(p):
-            qlo, qhi = part.range_of(q)
-            mu[qlo:qhi] = rows[q][0]
-            mf[qlo:qhi] = rows[q][1]
-        relax_red_black(mu, mf, h, sweeps=COARSE_SWEEPS)
-        # The agglomerated bottom solve is serial work on processor 0.
+        mu, mf = np.zeros((2, part.m + 2, part.m + 2))
+        mu[1:-1] = np.concatenate([ru for ru, _ in rows])
+        mf[1:-1] = np.concatenate([rf for _, rf in rows])
+        kernels.get("mg_coarse")(mu, mf, h, COARSE_SWEEPS)
+        # The agglomerated bottom solve is serial work on processor 0,
+        # charged as the COARSE_SWEEPS sweeps it stands for.
         bsp.charge(6.0 * COARSE_SWEEPS * part.m * part.m)
-        pieces = [mu[part.range_of(q)[0] : part.range_of(q)[1]].copy()
-                  for q in range(p)]
-    else:
-        pieces = None
+        pieces = [mu[lo:hi].copy()
+                  for lo, hi in zip(part.bounds, part.bounds[1:])]
     mine = scatter(bsp, pieces, root=0)
     if u.k:
         u.data[1 : u.k + 1] = mine
@@ -306,7 +299,7 @@ def v_cycle_distributed(
     v_cycle_distributed(bsp, parts, level + 1, ec, rc, 2.0 * h)
     # ec ghosts are current (post-smoothing exchanged them); prolong+add.
     if u.k:
-        u.owned()[:, :] += prolong_block(ec, part, bsp.pid)
+        u.owned()[:, 1:-1] += prolong_block(ec, part, bsp.pid)
         bsp.charge(2.0 * u.k * part.m)
     relax_distributed(bsp, u, f, h, NU2)
 
@@ -450,6 +443,8 @@ def bsp_ocean(
     for lo, hi, psi_rows, zeta_rows, _ in run.results:
         psi[lo:hi] = psi_rows
         zeta[lo:hi] = zeta_rows
+    apply_reflection(psi)
+    apply_reflection(zeta)
     return OceanRun(
         state=OceanState(psi=psi, zeta=zeta, cycles=cycles),
         stats=run.stats,

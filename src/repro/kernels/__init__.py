@@ -121,4 +121,5 @@ def using(mode: str) -> Iterator[None]:
 # module scope (apps import this package).
 from . import bh as _bh  # noqa: E402,F401
 from . import graph as _graph  # noqa: E402,F401
+from . import mg as _mg  # noqa: E402,F401
 from . import sort as _sort  # noqa: E402,F401

@@ -1,9 +1,15 @@
 """Tests for the Ocean application (multigrid + model + BSP version)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.ocean import (
+    LocalBlock,
     OceanParams,
     RowPartition,
     bsp_ocean,
@@ -17,6 +23,8 @@ from repro.apps.ocean import (
     wind_forcing,
 )
 from repro.apps.ocean.multigrid import COARSEST, apply_reflection
+from repro.apps.ocean.parallel import prolong_block, restrict_block
+from repro.service.jobs import stats_payload
 
 
 def manufactured_problem(n, k1=2, k2=3):
@@ -176,15 +184,22 @@ class TestOceanModel:
 class TestBspOcean:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 8, 16])
     def test_bitwise_match_with_sequential(self, p):
-        """Distributed iterates replicate the sequential ones exactly."""
+        """Distributed iterates replicate the sequential ones exactly —
+        whole arrays: both drivers return reflected ghost rings."""
         seq = ocean_sequential(34, 2)
         run = bsp_ocean(34, 2, p)
-        assert np.array_equal(
-            run.state.psi[1:-1, 1:-1], seq.psi[1:-1, 1:-1]
-        )
-        assert np.array_equal(
-            run.state.zeta[1:-1, 1:-1], seq.zeta[1:-1, 1:-1]
-        )
+        assert np.array_equal(run.state.psi, seq.psi)
+        assert np.array_equal(run.state.zeta, seq.zeta)
+        assert run.state.cycles == seq.cycles
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_top_grid_is_the_coarsest(self, p):
+        """Size 6: every V-cycle is the bottom solve and nothing else."""
+        seq = ocean_sequential(6, 2)
+        run = bsp_ocean(6, 2, p)
+        assert np.abs(seq.psi).max() > 0
+        assert np.array_equal(run.state.psi, seq.psi)
+        assert np.array_equal(run.state.zeta, seq.zeta)
         assert run.state.cycles == seq.cycles
 
     def test_supersteps_independent_of_p(self):
@@ -203,9 +218,7 @@ class TestBspOcean:
     def test_concurrent_backends(self, backend):
         seq = ocean_sequential(18, 1)
         run = bsp_ocean(18, 1, 2, backend=backend)
-        assert np.array_equal(
-            run.state.psi[1:-1, 1:-1], seq.psi[1:-1, 1:-1]
-        )
+        assert np.array_equal(run.state.psi, seq.psi)
 
     def test_custom_params_propagate(self):
         params = OceanParams(tol=1e-3, max_cycles=2)
@@ -225,13 +238,100 @@ class TestDegenerateDecompositions:
         deep levels) must not change results."""
         seq = ocean_sequential(18, 1)   # interior 16: coarse levels 8, 4
         run = bsp_ocean(18, 1, 12)      # 12 procs > 8 coarse rows
-        assert np.array_equal(
-            run.state.psi[1:-1, 1:-1], seq.psi[1:-1, 1:-1]
-        )
+        assert np.array_equal(run.state.psi, seq.psi)
 
     def test_processor_count_equals_rows(self):
         seq = ocean_sequential(18, 1)
         run = bsp_ocean(18, 1, 16)
-        assert np.array_equal(
-            run.state.psi[1:-1, 1:-1], seq.psi[1:-1, 1:-1]
-        )
+        assert np.array_equal(run.state.psi, seq.psi)
+
+
+def random_partition(m, cuts):
+    return RowPartition(m=m, bounds=(1, *sorted(cuts), m + 1))
+
+
+def random_field(m, seed):
+    """(m+2)² array, random interior, zero ghost ring."""
+    g = np.zeros((m + 2, m + 2))
+    g[1:-1, 1:-1] = np.random.default_rng(seed).standard_normal((m, m))
+    return g
+
+
+#: Partitions of 16 rows over up to 16 processors: repeated cuts make
+#: zero-row ranks, odd and even cuts make both kinds of seam.
+PARTITION_CUTS = st.lists(st.integers(1, 17), min_size=0, max_size=15)
+
+
+class TestInterGridTransfers:
+    """Each rank's ``restrict_block``/``prolong_block`` rows are the
+    sequential ``restrict``/``prolong`` rows, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=PARTITION_CUTS, seed=st.integers(0, 1000))
+    def test_property_restrict_rows_match_sequential(self, cuts, seed):
+        part = random_partition(16, cuts)
+        coarse = part.coarsen()
+        r = random_field(16, seed)
+        want = restrict(r)
+        for pid in range(part.nprocs):
+            lo, hi = part.range_of(pid)
+            # Ghost rows as the residual's exchange leaves them.
+            blk = LocalBlock(part, pid, r[lo - 1 : hi + 1].copy())
+            rc = restrict_block(blk, coarse, pid)
+            assert np.array_equal(rc.owned(), want[rc.lo : rc.hi])
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=PARTITION_CUTS, seed=st.integers(0, 1000))
+    def test_property_prolong_rows_match_sequential(self, cuts, seed):
+        part = random_partition(16, cuts)
+        coarse = part.coarsen()
+        e = random_field(8, seed)
+        want = prolong(e, 16)
+        for pid in range(part.nprocs):
+            lo, hi = part.range_of(pid)
+            clo, chi = coarse.range_of(pid)
+            ec = LocalBlock(coarse, pid, e[clo - 1 : chi + 1].copy())
+            got = prolong_block(ec, part, pid)
+            assert np.array_equal(got, want[lo:hi, 1:-1])
+
+
+#: (size, p) -> S, H, ledger digest (S, H, h-series, m-series), charged
+#: depth, total charged, digest of the per-superstep (max, total) charged
+#: series, V-cycle counts — of ``bsp_ocean(size, 2, p)``.  Recorded at
+#: the commit before the bottom solve became an operator (60 sweeps on
+#: processor 0, per-row restrict/prolong loops): a compute-side change
+#: may not move any of them.
+OCEAN_GOLDEN = {
+    (18, 1): (217, 296, "4ce58d4944ef1a6f", 143872.0, 143872.0,
+              "ba5ac73556765782", [4, 4]),
+    (18, 2): (217, 1816, "e3e72f32c013b974", 94976.0, 143872.0,
+              "e4622d1dd499aca9", [4, 4]),
+    (18, 4): (217, 3356, "7b23deb7953e145c", 70528.0, 143872.0,
+              "831a8a8ac6d2868f", [4, 4]),
+    (34, 1): (379, 370, "f07109c6e4514af9", 558464.0, 558464.0,
+              "603afdaf6e402295", [5, 5]),
+    (34, 2): (379, 4282, "a3e8e9a6f7fd2329", 308032.0, 558464.0,
+              "caec9527759bc510", [5, 5]),
+    (34, 4): (379, 8218, "fed555e0a525af84", 182816.0, 558464.0,
+              "99873c265a2782e3", [5, 5]),
+    (66, 1): (489, 370, "5f3da2aef9fce465", 2082176.0, 2082176.0,
+              "7d71677e2c76d0ca", [5, 5]),
+    (66, 2): (489, 8118, "d04bfaec19f70fd6", 1069888.0, 2082176.0,
+              "7b275a43a0ae69ef", [5, 5]),
+    (66, 4): (489, 15890, "5cc47804a83d50bd", 563744.0, 2082176.0,
+              "8ecf6bfb3aea9068", [5, 5]),
+}
+
+
+class TestLedgerGolden:
+    @pytest.mark.parametrize("size,p", sorted(OCEAN_GOLDEN))
+    def test_ledger_charges_and_cycles_unchanged(self, size, p):
+        run = bsp_ocean(size, 2, p)
+        stats = run.stats
+        charged = [[s.charged, s.total_charged] for s in stats.supersteps]
+        assert (
+            stats.S, stats.H, stats_payload(stats, 0.0)["digest"][:16],
+            stats.charged_depth, stats.total_charged,
+            hashlib.sha256(json.dumps(charged).encode()).hexdigest()[:16],
+            run.state.cycles,
+        ) == OCEAN_GOLDEN[size, p]

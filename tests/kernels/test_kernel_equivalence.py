@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.apps.mst.parallel import bsp_mst
 from repro.apps.nbody import BHTree, plummer, uniform_cube
+from repro.apps.ocean import bsp_ocean, v_cycle
+from repro.apps.ocean.multigrid import residual
 from repro.apps.sort.samplesort import bsp_sample_sort
 from repro.apps.sssp.parallel import bsp_msp, bsp_sssp
 from repro.graphs.distributed import LocalGraph
@@ -40,7 +42,7 @@ def ledger(stats):
 
 class TestRegistry:
     def test_all_kernels_have_both_modes(self):
-        assert kernels.names()  # non-empty registry
+        assert "mg_coarse" in kernels.names()
         for name in kernels.names():
             for mode in MODES:
                 assert callable(kernels.get(name, mode))
@@ -576,6 +578,47 @@ class TestSortKernel:
 
 
 # ---------------------------------------------------------------------------
+# Multigrid: the bottom solve as an operator vs the sweeps it stands for
+# ---------------------------------------------------------------------------
+
+
+class TestMgCoarseEquivalence:
+    """The one pair whose modes differ in rounding: ``sweeps`` red-black
+    sweeps vs the cached affine map, to 1e-13 of the data's scale."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 4]),
+        sweeps=st.sampled_from([1, 7, 60]),
+        h=st.floats(0.01, 1.0),
+        zero_u=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_property_operator_matches_sweeps(self, n, sweeps, h, zero_u,
+                                              seed):
+        # Ghost rings are random too: neither kernel may read them.
+        u, f = np.random.default_rng(seed).standard_normal((2, n + 2, n + 2))
+        if zero_u:
+            u[:] = 0.0
+        ref, vec = u.copy(), u.copy()
+        kernels.get("mg_coarse", "reference")(ref, f, h, sweeps)
+        kernels.get("mg_coarse", "vectorized")(vec, f, h, sweeps)
+        # Relative to the data's scale: on n=1 an even number of sweeps
+        # of u = 0 is exactly 0 in both.
+        inner = (slice(1, -1),) * 2
+        scale = max(np.abs(ref[inner]).max(), np.abs(u[inner]).max(),
+                    h * h * np.abs(f[inner]).max())
+        assert np.abs(vec[inner] - ref[inner]).max() <= 1e-13 * scale
+
+    def test_operator_is_built_once_and_read_only(self):
+        from repro.kernels.mg import _operator
+
+        A, B = _operator(4, 60)
+        assert _operator(4, 60)[0] is A
+        assert not A.flags.writeable and not B.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # End-to-end: every application, both modes, identical answers + ledgers
 # ---------------------------------------------------------------------------
 
@@ -604,6 +647,35 @@ class TestEndToEndModes:
         (acc_r, int_r), (acc_v, int_v) = self._both(run)
         assert np.array_equal(int_r, int_v)
         assert np.allclose(acc_r, acc_v, rtol=0, atol=1e-10)
+
+    def test_ocean_identical_ledger_and_fields(self):
+        """Same ledger digest in both modes; fields and the V-cycle
+        residual history agree to 1e-12 (the bottom solve rounds
+        differently, nothing else does)."""
+        def run():
+            r = bsp_ocean(34, 2, 3)
+            return (r.state, ledger(r.stats), r.stats.h_series,
+                    r.stats.m_series)
+
+        (st_r, *ledger_r), (st_v, *ledger_v) = self._both(run)
+        assert ledger_r == ledger_v
+        assert st_r.cycles == st_v.cycles
+        assert np.abs(st_v.psi - st_r.psi).max() <= 1e-12
+        assert np.abs(st_v.zeta - st_r.zeta).max() <= 1e-12
+
+        def history():
+            f = np.zeros((34, 34))
+            f[1:-1, 1:-1] = np.random.default_rng(36).standard_normal(
+                (32, 32))
+            u, norms = np.zeros_like(f), []
+            for _ in range(8):
+                v_cycle(u, f, 1.0 / 32)
+                norms.append(np.linalg.norm(residual(u, f, 1.0 / 32)))
+            return np.array(norms)
+
+        norms_r, norms_v = self._both(history)
+        assert norms_r[-1] < 1e-6 * norms_r[0]
+        assert np.allclose(norms_v, norms_r, rtol=1e-12, atol=1e-12)
 
     def test_mst_identical_edges_and_ledger(self):
         g = random_connected_graph(250, 1000, seed=32)
