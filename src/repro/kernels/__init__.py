@@ -5,15 +5,18 @@ PRs 1–3 attacked the ``gH`` and ``LS`` terms of the paper's cost model
 local-compute core of one application superstep — the Barnes–Hut octree
 build (``bh_build``), force walk (``bh_walk``) and the count-only walk
 behind the ORB load estimate (``bh_count``), MST fragment labeling, SSSP
-border-update application, samplesort splitter partitioning — available
+border-update application, samplesort splitter partitioning, the bottom
+solve of the ocean/plasma multigrid V-cycle (``mg_coarse``) — available
 in two implementations:
 
-* ``reference`` — the original pure-Python per-element code, kept verbatim
-  as the semantic oracle;
+* ``reference`` — the original code (pure-Python per-element loops; for
+  ``mg_coarse`` the sixty red-black sweeps), kept verbatim as the
+  semantic oracle;
 * ``vectorized`` — an array-at-a-time NumPy formulation that is *exactly*
   equivalent: identical interaction/work counts, identical message
   contents, identical integer results, and floating-point results equal to
-  tight tolerance (summation order may differ).
+  tight tolerance (summation order may differ; ``mg_coarse`` applies the
+  sweeps as one precomposed operator and differs in the last bits).
 
 The W/H/S ledgers must be bit-identical across modes — the golden
 accounting tests enforce it — so a kernel is only allowed to change *how*
