@@ -8,7 +8,7 @@ payload copy per packet — each per-destination bucket crosses the process
 boundary as **one frame**:
 
 * a small pickled *header* ``(tag, run_id, step, src, buffer lengths,
-  meta, more, lease, releases)`` — one pipe message per frame;
+  meta, lease, releases)`` — one pipe message per frame;
   ``releases`` are the lease ids piggybacked home to the destination's
   own segment pool;
 * the *meta* blob riding the header: the packets' ``seq``/``h`` arrays
@@ -65,9 +65,10 @@ from .. import faults
 from ..core.packets import Packet
 from . import shm
 
-#: Frame tags.  TAG_RELEASE carries zero-copy lease ids back to the
-#: segment owner when no boundary frame is owed to piggyback them on.
-TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_FENCE, TAG_RELEASE = 0, 1, 2, 3, 4
+#: Frame tags.  TAG_LEASES carries zero-copy lease ids back to the
+#: segment owner when no boundary frame is owed to piggyback them on
+#: (pipe fabric only; not the socket fabric's ``TAG_RELEASE`` round).
+TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_FENCE, TAG_LEASES = 0, 1, 2, 3, 4
 #: A worker -> supervisor outcome or ack, on either fabric.
 TAG_RESULT = 8
 
@@ -88,10 +89,9 @@ _INBAND_MAX = select.PIPE_BUF // 2
 class Frame:
     """One received boundary frame, payload still undecoded.
 
-    ``more`` is the completion bit: 0 marks the *final* frame from
-    ``src`` for this superstep (nothing more is coming on this link), 1
-    means further frames follow.  Boundary frames all carry 0 — there is
-    exactly one per link per boundary in every sync mode.
+    There is exactly one boundary frame per link per boundary in every
+    sync mode, so a frame from ``src`` for ``step`` *is* that link's
+    arrival.
 
     ``seq``/``ack`` are the TCP wire envelope's link-sequencing fields
     (see :mod:`repro.backends.tcp_wire`): ``seq`` is this frame's
@@ -111,7 +111,6 @@ class Frame:
     src: int
     meta: bytes | None
     buffers: list[bytearray] | None
-    more: int = 0
     seq: int = -1
     ack: int = -1
     stale: int = 0
@@ -405,7 +404,7 @@ class FrameTransport:
     def send_control(self, dst: int, tag: int, run_id: int, src: int,
                      step: int = -1, releases: Sequence[int] = ()) -> None:
         header = pickle.dumps(
-            (tag, run_id, step, src, (), None, 0, None, tuple(releases)))
+            (tag, run_id, step, src, (), None, None, tuple(releases)))
         with self._locks[dst]:
             self._send_conns[dst].send_bytes(header)
 
@@ -418,18 +417,18 @@ class FrameTransport:
         pattern), or outside this run's ``nprocs`` on a larger pool.
         Every other release piggybacks on the boundary frame for free.
         """
-        self.send_control(dst, TAG_RELEASE, run_id, src, releases=lease_ids)
+        self.send_control(dst, TAG_LEASES, run_id, src, releases=lease_ids)
 
     def send_packets(self, dst: int, run_id: int, step: int, src: int,
-                     packets: Sequence[Packet], *, more: int = 0,
+                     packets: Sequence[Packet], *,
                      releases: Sequence[int] = ()) -> None:
         frame = self.encode_frame(dst, run_id, step, src, packets,
-                                  more=more, releases=releases)
+                                  releases=releases)
         if frame is not None:
             self.push_frame(frame)
 
     def encode_frame(self, dst: int, run_id: int, step: int, src: int,
-                     packets: Sequence[Packet], *, more: int = 0,
+                     packets: Sequence[Packet], *,
                      releases: Sequence[int] = ()) -> tuple | None:
         """Serialize one bucket into the frame :meth:`push_frame` takes.
 
@@ -446,15 +445,15 @@ class FrameTransport:
                 return None
             plan.count_frame(src)
         return self._frame(dst, run_id, step, src, *encode_packets(packets),
-                           more, releases)
+                           releases)
 
     def _frame(self, dst: int, run_id: int, step: int, src: int,
-               meta: bytes, buffers: list[memoryview], more: int = 0,
+               meta: bytes, buffers: list[memoryview],
                releases: Sequence[int] = ()) -> tuple:
         leased = bool(buffers) and self._zc_enabled
         if buffers and not leased:
             self._zc[2 * src + 1] += len(buffers)
-        return (dst, run_id, step, src, meta, buffers, leased, more,
+        return (dst, run_id, step, src, meta, buffers, leased,
                 tuple(releases))
 
     def _place(self, frame: tuple, recycled: bool) -> tuple | None:
@@ -508,7 +507,7 @@ class FrameTransport:
         the kernel takes that write whole.  A blocking push is the only
         place a boundary can create a segment.
         """
-        dst, run_id, step, src, meta, buffers, leased, more, rel = frame
+        dst, run_id, step, src, meta, buffers, leased, rel = frame
         if not block and (len(meta) > _PIPE_MSG_MAX
                           or (buffers and not leased)):
             return False  # buffers as pipe messages of their own
@@ -537,8 +536,7 @@ class FrameTransport:
             # hence one reader wake-up — per frame without pipe buffers.
             header = pickle.dumps(
                 (TAG_RESULT if dst == self.nprocs else TAG_PKT, run_id, step,
-                 src, tuple(mv.nbytes for mv in buffers), meta, more, lease,
-                 rel))
+                 src, tuple(mv.nbytes for mv in buffers), meta, lease, rel))
             if not block and len(header) > _PIPE_MSG_MAX:
                 if lease is not None:  # leave the pool as it was found
                     self._seg_pool(src).release((lease[3],))
@@ -559,11 +557,11 @@ class FrameTransport:
     def recv(self, pid: int) -> Frame:
         """Block for the next frame addressed to ``pid``."""
         conn = self._recv_conns[pid]
-        (tag, run_id, step, src, lens, meta, more, lease,
+        (tag, run_id, step, src, lens, meta, lease,
          rel) = pickle.loads(conn.recv_bytes())
         self.release(pid, rel)
         if meta is None:  # a control frame
-            return Frame(tag, run_id, step, src, None, None, more)
+            return Frame(tag, run_id, step, src, None, None)
         buffers: list[Any] = []
         stale = 0
         if lease is None:
@@ -587,8 +585,7 @@ class FrameTransport:
             for n in lens:
                 buffers.append(region[at:at + n])
                 at += shm.aligned(n)
-        return Frame(tag, run_id, step, src, meta, buffers, more,
-                     stale=stale)
+        return Frame(tag, run_id, step, src, meta, buffers, stale=stale)
 
     def close(self) -> None:
         # Orphan sweep first: whoever closes the fabric (the parent, on

@@ -61,8 +61,7 @@ through all of it.  A *dead rank* is healed one level up: the mesh
 supervisor aborts the run on the survivors, forks a replacement, and
 re-rendezvouses everyone at the next generation (``TAG_REMESH``), so a
 checkpointed run resumes on the healed mesh without tearing down the
-surviving processes.  ``integrity=False`` switches all of it off for
-overhead measurement.
+surviving processes.  None of it has an off-switch.
 
 Behind the pool core, :class:`TcpMesh` supplies only
 
@@ -98,7 +97,7 @@ import struct
 import time
 import traceback
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, Container, Sequence
 
 from .. import faults
 from ..core.errors import (
@@ -130,6 +129,7 @@ from .tcp_launch import (
     connect_retry,
     relink_accept,
     relink_dial,
+    remesh_fabric,
     rendezvous_fabric,
     tune_mesh_socket,
 )
@@ -139,6 +139,18 @@ _TOKEN_COUNTER = itertools.count(1)
 #: NACK-driven resends of one sequence number before the channel gives
 #: up on surgical repair and resets the whole link (journal replay).
 _MAX_RETRANSMITS = 4
+
+#: Longest a relaxed/elide rank whose data traffic proves liveness goes
+#: without a control-socket heartbeat.  Well under the supervisor's
+#: flat-heartbeat stall window (>= 1 s), which keeps deadlock triage valid.
+_HEARTBEAT_S = 0.25
+
+#: How long a dropped link may take to come back — the dialer's re-dial
+#: budget, the acceptor's wait for that dial — before the peer is lost.
+_RECONNECT_S = 5.0
+
+#: How long a closing channel waits for its peers' EOF after its own.
+_LINGER_S = 2.0
 
 #: Selector data sentinels for the two non-peer waitables a channel may
 #: multiplex: the fabric's own listener (inbound relink dials) and the
@@ -206,13 +218,19 @@ class _MeshChannel(LinkChannel):
 
     One round for every ``sync`` mode, that of
     :func:`~repro.backends.exchange.boundary_links`: one ``TAG_PKT``
-    frame per out-link with the header's ``more`` bit cleared (an empty
-    bucket becomes an empty final — it *is* the "no data" announcement),
-    pass once every live in-link's final is in and the outbound queues
-    are drained.  Per-link TCP FIFO bounds run-ahead to one superstep (a
-    peer cannot start step ``s+1`` before our step-``s`` final reached
-    it).  ``strict`` and checkpoint fences add the release round
-    described in the module docstring.
+    frame per out-link (an empty bucket becomes an empty final — it *is*
+    the "no data" announcement), pass once every live in-link's frame is
+    in and the outbound queues are drained.  Per-link TCP FIFO bounds
+    run-ahead to one superstep (a peer cannot start step ``s+1`` before
+    our step-``s`` final reached it).  ``strict`` and checkpoint fences
+    add the release round described in the module docstring.
+
+    ``links`` and ``fabric`` are what a mesh that outlives the run hands
+    in: link state that continues across runs, and the means to re-dial
+    a dropped link.  With a ``fabric`` the channel heals links, watches
+    ``ctrl`` for supervisor aborts, and leaves the sockets open at
+    :meth:`shutdown`; without one (a pool of one run) a lost link aborts
+    the run and :meth:`shutdown` closes the sockets.
     """
 
     def __init__(self, rank: int, nprocs: int,
@@ -220,23 +238,16 @@ class _MeshChannel(LinkChannel):
                  ctrl: "_CtrlLink | None", *,
                  links: dict[int, _LinkState] | None = None,
                  sync: str = "strict",
-                 fabric: MeshFabric | None = None,
-                 integrity: bool = True,
-                 heartbeat_interval: float = 0.25,
-                 reconnect_timeout: float = 5.0,
-                 watch_ctrl: bool = False):
+                 fabric: MeshFabric | None = None):
         super().__init__(rank, nprocs, sync)
         self._socks = dict(socks)
         self._run_id = run_id
         self._ctrl = ctrl
         self._fabric = fabric
-        self._integrity = integrity
-        self._reconnect_timeout = reconnect_timeout
         #: Heartbeat piggybacking state (relaxed/elide): inbound data
         #: frames since the last control beat, and when that beat was.
         self._data_beats = 0
         self._last_beat = time.monotonic()
-        self._hb_interval = heartbeat_interval
         self._hb_sent = (0, 0)
         self._sel = selectors.DefaultSelector()
         self._link = links if links is not None else {
@@ -249,121 +260,84 @@ class _MeshChannel(LinkChannel):
         self._waiting: dict[int, float] = {}
         self._gathering = False
         #: Per-step stashes; TCP per-link ordering bounds them to one
-        #: step of run-ahead, but the dicts handle the general case.
+        #: step of run-ahead, but the dicts handle the general case.  A
+        #: step's ``_data`` keys are the in-links that have arrived.
         self._data: dict[int, dict[int, list[Packet]]] = {}
         self._release: dict[int, set[int]] = {}
-        #: Peers whose final (``more == 0``) frame for a step has arrived.
-        self._final: dict[int, set[int]] = {}
         self._results: dict[int, Any] = {}
         for peer, sock in self._socks.items():
             sock.setblocking(False)
             self._sel.register(sock, selectors.EVENT_READ, peer)
             self._mask[peer] = selectors.EVENT_READ
-        self._listening = False
-        if fabric is not None and integrity and fabric.listener is not None:
+        self._ctrl_watched = False
+        if fabric is not None:
+            # Inbound relink dials arrive on the fabric's own listener.
             fabric.listener.setblocking(False)
             self._sel.register(fabric.listener, selectors.EVENT_READ,
                                _LISTENER)
-            self._listening = True
-        self._ctrl_watched = False
-        if watch_ctrl and ctrl is not None:
-            # Watch the control socket inside the mesh event loop so a
-            # supervisor TAG_ABORT interrupts a rank stalled mid-barrier
-            # (its peers are dead; no in-band frame is coming).
-            ctrl._sock.setblocking(False)
-            ctrl.watched = True
-            self._sel.register(ctrl._sock, selectors.EVENT_READ, _CTRL)
-            self._ctrl_watched = True
+            if ctrl is not None:
+                # Watch the control socket inside the mesh event loop so
+                # a supervisor TAG_ABORT interrupts a rank stalled
+                # mid-barrier (its peers are dead; no in-band frame is
+                # coming).
+                self._sel.register(ctrl, selectors.EVENT_READ, _CTRL)
+                self._ctrl_watched = True
         if ctrl is not None:
             ctrl.beat(-1)  # marks "the run actually started here"
 
     # -- plumbing ------------------------------------------------------------
 
     def _enqueue(self, peer: int, chunks: Sequence[Any]) -> None:
+        """The one send path: write what the socket takes now, queue the
+        rest behind whatever is already queued (link FIFO) for ``_pump``
+        to flush."""
         q = self._out.get(peer)
         if q is None:  # peer connection already closed
             return
+        idle = not q
         for chunk in chunks:
             mv = memoryview(chunk)
             if mv.format != "B" or mv.ndim != 1:
                 mv = mv.cast("B")
             if mv.nbytes:
                 q.append(mv)
-        self._update_mask(peer)
+        if idle:
+            self._flush(peer)
+        else:
+            self._update_mask(peer)
 
     def _post(self, peer: int, chunks: Sequence[Any], *,
-              volatile: bool = False, copy: bool = False,
-              eager: bool = False, corrupt: bool = False,
+              volatile: bool = False, corrupt: bool = False,
               dup: bool = False) -> None:
         """Sequence, journal, and transmit one encoded frame to ``peer``.
 
-        With integrity on, the frame gets the link's next sequence number
-        (plus a piggybacked cumulative ack) via :func:`wire.reenvelope`
-        and a journal entry retained until the peer acks past it.
-        ``copy=True`` snapshots the payload bytes into the journal —
-        required whenever the chunks alias live program arrays *and* the
-        barrier does not prove delivery before they may mutate (relaxed
-        run-ahead); strict-mode boundary frames use ``volatile=True``
-        instead, which marks the entry for force-trim at barrier exit.
+        The frame gets the link's next sequence number (plus a
+        piggybacked cumulative ack) via :func:`wire.reenvelope` and a
+        journal entry retained until the peer acks past it.  The journal
+        snapshots the payload bytes — the chunks may alias live program
+        arrays that mutate before any ack arrives — unless the entry is
+        ``volatile``: a strict-mode boundary frame, whose release round
+        proves receipt before the program runs again, is journaled
+        uncopied and force-trimmed at barrier exit.
         ``corrupt``/``dup`` are fault-injection knobs: the journal always
         keeps the clean single copy, so recovery repairs the damage.
         """
-        link = self._link.get(peer)
-        if self._integrity and link is not None:
-            seq = link.tx_seq
-            link.tx_seq += 1
-            out = wire.reenvelope(chunks, seq, link.rx_next)
+        link = self._link[peer]
+        seq = link.tx_seq
+        link.tx_seq += 1
+        out = wire.reenvelope(chunks, seq, link.rx_next)
+        if volatile:
+            link.journal[seq] = out
+            link.volatile.add(seq)
+        else:
             link.journal[seq] = [
-                c if isinstance(c, bytes) else bytes(c) for c in out
-            ] if copy else list(out)
-            if volatile:
-                link.volatile.add(seq)
-            if corrupt:
-                trailer = bytes(out[-1])
-                out = list(out)
-                out[-1] = bytes((trailer[0] ^ 0xFF,)) + trailer[1:]
-        else:
-            out = list(chunks)
-        if eager and not dup:
-            self._send_now(peer, out)
-        else:
+                c if isinstance(c, bytes) else bytes(c) for c in out]
+        if corrupt:
+            trailer = bytes(out[-1])
+            out = out[:-1] + [bytes((trailer[0] ^ 0xFF,)) + trailer[1:]]
+        self._enqueue(peer, out)
+        if dup:
             self._enqueue(peer, out)
-            if dup:
-                self._enqueue(peer, out)
-
-    def _send_now(self, peer: int, chunks: Sequence[Any]) -> None:
-        """Send eagerly on the (almost always writable) socket.
-
-        The relaxed boundary sends one small frame per link; pushing it
-        straight into the kernel skips the queue's two selector
-        re-registrations and one write-ready select round per link per
-        step.  On backpressure the unsent tail falls back to the queued
-        path, so ordering and the drain invariant are untouched.
-        """
-        q = self._out.get(peer)
-        sock = self._socks.get(peer)
-        if q is None or sock is None:
-            return
-        if q:  # earlier bytes still queued: keep the link FIFO
-            self._enqueue(peer, chunks)
-            return
-        try:
-            for i, chunk in enumerate(chunks):
-                mv = memoryview(chunk)
-                if mv.format != "B" or mv.ndim != 1:
-                    mv = mv.cast("B")
-                off = 0
-                while off < mv.nbytes:
-                    try:
-                        off += sock.send(mv[off:] if off else mv)
-                    except (BlockingIOError, InterruptedError):
-                        self._enqueue(
-                            peer, [mv[off:]] + list(chunks[i + 1:]))
-                        return
-        except OSError:
-            # The frame (if sequenced) is journaled: abandon this send
-            # and let reconnect-replay deliver it.
-            self._link_down(peer)
 
     def _update_mask(self, peer: int) -> None:
         sock = self._socks.get(peer)
@@ -404,26 +378,23 @@ class _MeshChannel(LinkChannel):
         self._waiting.pop(peer, None)
         self._drop_sock(peer)
 
-    def _can_heal(self, peer: int) -> bool:
-        return self._fabric is not None and self._integrity
-
     def _link_down(self, peer: int) -> None:
         """A peer's connection died: heal it or abort the run.
 
-        With a fabric (and integrity on), the link is re-established
-        under the rendezvous pair rule — the higher rank of the pair
-        re-dials the lower's still-bound listener; the lower waits for
-        the dial (serviced by ``_pump`` via the listener registration),
-        with a deadline.  Everything unacked replays from the journal.
+        With a fabric, the link is re-established under the rendezvous
+        pair rule — the higher rank of the pair re-dials the lower's
+        still-bound listener; the lower waits for the dial (serviced by
+        ``_pump`` via the listener registration), with a deadline.
+        Everything unacked replays from the journal.
         """
         if peer in self._departed or peer in self._eof:
             self._close_peer(peer)
             return
-        if not self._can_heal(peer):
+        fabric = self._fabric
+        if fabric is None:
             self._close_peer(peer)
             raise _PeerLost(peer)
         self._drop_sock(peer)
-        fabric = self._fabric
         link = self._link[peer]
         if fabric.dials(peer):
             # Dial in short slices, draining the watched control socket
@@ -431,7 +402,7 @@ class _MeshChannel(LinkChannel):
             # the supervisor's abort must be able to interrupt this
             # wait, or every surviving dialer stalls out the full
             # reconnect window before the heal can begin.
-            deadline = time.monotonic() + self._reconnect_timeout
+            deadline = time.monotonic() + _RECONNECT_S
             while True:
                 if self._ctrl_watched:
                     self._read_ctrl()  # raises Abort on supervisor abort
@@ -448,7 +419,7 @@ class _MeshChannel(LinkChannel):
                     continue
             self._resume_link(peer, sock, peer_rx)
         else:
-            self._waiting[peer] = time.monotonic() + self._reconnect_timeout
+            self._waiting[peer] = time.monotonic() + _RECONNECT_S
 
     def _resume_link(self, peer: int, sock: socket.socket,
                      peer_rx: int) -> None:
@@ -468,8 +439,7 @@ class _MeshChannel(LinkChannel):
         self._waiting.pop(peer, None)
         self._eof.discard(peer)
         self._socks[peer] = sock
-        if self._fabric is not None:
-            self._fabric.socks[peer] = sock
+        self._fabric.socks[peer] = sock
         self._out[peer] = deque()
         link.dec = wire.FrameDecoder()  # mid-frame debris died with the sock
         link.attempts.clear()
@@ -506,30 +476,11 @@ class _MeshChannel(LinkChannel):
 
     def _read_ctrl(self) -> None:
         """Drain the watched control socket; supervisor aborts raise."""
-        ctrl = self._ctrl
-        try:
-            data = ctrl._sock.recv(1 << 16)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            try:
-                self._sel.unregister(ctrl._sock)
-            except (KeyError, ValueError):
-                pass
+        aborts = self._ctrl.read_aborts()
+        if aborts is None:  # supervisor hung up
+            self._sel.unregister(self._ctrl)
             self._ctrl_watched = False
-            return
-        abort = False
-        for frame in ctrl._dec.feed(data):
-            if frame.tag == wire.TAG_ABORT:
-                if frame.run_id == self._run_id and not self._gathering:
-                    abort = True
-                continue  # stale abort of an earlier run: drop
-            # Not ours (TAG_REMESH, TAG_RUN...): leave it for the rank
-            # loop's blocking recv, which drains _ready first.
-            ctrl._dec._ready.append(frame)
-        if abort:
+        elif self._run_id in aborts:  # others: stale, of an earlier run
             raise Abort()
 
     def _inject_reset(self, peer: int) -> None:
@@ -550,9 +501,8 @@ class _MeshChannel(LinkChannel):
                 if now > deadline:
                     self._close_peer(peer)
                     raise _PeerLost(peer)
-        if not any(self._mask.values()) and not self._listening \
-                and not self._ctrl_watched:
-            return
+        if self._fabric is None and not any(self._mask.values()):
+            return  # nothing registered: select would only sleep
         for key, events in self._sel.select(timeout):
             peer = key.data
             if peer == _LISTENER:
@@ -598,9 +548,7 @@ class _MeshChannel(LinkChannel):
         if not data:
             self._link_down(peer)
             return
-        link = self._link.get(peer)
-        if link is None:
-            return
+        link = self._link[peer]
         try:
             frames = link.dec.feed(data)
         except PacketError:
@@ -608,7 +556,7 @@ class _MeshChannel(LinkChannel):
             # trusted, so surgical NACK repair is impossible — reset the
             # connection and replay the journal.
             link.corrupts += 1
-            if self._can_heal(peer) and peer not in self._departed:
+            if self._fabric is not None and peer not in self._departed:
                 self._link_down(peer)
                 return
             raise
@@ -617,22 +565,20 @@ class _MeshChannel(LinkChannel):
 
     def _ingest(self, peer: int, frame: Frame) -> None:
         """Link-level filter: NACK/dup/reorder handling before dispatch."""
-        link = self._link.get(peer)
+        link = self._link[peer]
         if frame.tag == wire.TAG_CORRUPT:
             # CRC mismatch, framing intact: ask for exactly that frame.
-            if link is not None:
-                link.corrupts += 1
-            if frame.seq < 0 or not self._integrity:
+            link.corrupts += 1
+            if frame.seq < 0:
                 self._link_down(peer)  # unsequenced: cannot NACK
                 return
             self._enqueue(peer, wire.encode_frame(
-                wire.TAG_NACK, self._run_id, frame.seq, self._pid,
-                crc=self._integrity))
+                wire.TAG_NACK, self._run_id, frame.seq, self._pid))
             return
         if frame.tag == wire.TAG_NACK:
             self._retransmit(peer, frame.step)
             return
-        if link is not None and frame.seq >= 0:
+        if frame.seq >= 0:
             if frame.ack > link.peer_ack:
                 for s in range(link.peer_ack, frame.ack):
                     link.journal.pop(s, None)
@@ -656,9 +602,7 @@ class _MeshChannel(LinkChannel):
 
     def _retransmit(self, peer: int, seq: int) -> None:
         """Resend journal entry ``seq`` in answer to a peer NACK."""
-        link = self._link.get(peer)
-        if link is None:
-            return
+        link = self._link[peer]
         n = link.attempts.get(seq, 0) + 1
         link.attempts[seq] = n
         entry = link.journal.get(seq)
@@ -686,8 +630,6 @@ class _MeshChannel(LinkChannel):
             self._data_beats += 1
             self._data.setdefault(frame.step, {})[frame.src] = \
                 frame.packets(self._pid)
-            if frame.more == 0:
-                self._final.setdefault(frame.step, set()).add(frame.src)
         elif tag == wire.TAG_RELEASE:
             self._release.setdefault(frame.step, set()).add(frame.src)
         elif tag == wire.TAG_RESULT:
@@ -699,12 +641,9 @@ class _MeshChannel(LinkChannel):
         """Heartbeat, piggybacked on data traffic in relaxed/elide.
 
         Inbound data frames prove the fabric is moving, so a busy rank
-        may skip the control-socket beat — but never for longer than the
-        configured ``heartbeat_interval`` (default 0.25s), which keeps
-        the supervisor's flat-heartbeat deadlock triage valid (its stall
-        window is >= 1s, so keep the interval well under that).  A
-        deadlocked rank stops reaching boundaries, stops beating either
-        way, and still goes flat.
+        may skip the control-socket beat — but never for longer than
+        :data:`_HEARTBEAT_S`.  A deadlocked rank stops reaching
+        boundaries, stops beating either way, and still goes flat.
 
         Beats also piggyback this rank's cumulative (retransmits,
         reconnects) counters whenever they changed, so the supervisor's
@@ -716,7 +655,7 @@ class _MeshChannel(LinkChannel):
             now = time.monotonic()
             busy = self._data_beats > 0
             self._data_beats = 0
-            if busy and now - self._last_beat < self._hb_interval:
+            if busy and now - self._last_beat < _HEARTBEAT_S:
                 return
             self._last_beat = now
         totals = (sum(l.retransmits for l in self._link.values()),
@@ -742,12 +681,12 @@ class _MeshChannel(LinkChannel):
     def _round(self, step: int, buckets: dict[int, list[Packet]],
                out_links: Sequence[int], in_links: frozenset[int],
                release_round: bool) -> dict[int, list[Packet]]:
-        """One boundary: a final per out-link, one from each live in-link.
+        """One boundary: a frame per out-link, one from each live in-link.
 
         The round passes only once our outbound queues are drained too:
         payload memoryviews reference live program arrays, so returning
         earlier would let the program mutate bytes still queued on a
-        socket.  With ``release_round``, once every in-link's final is
+        socket.  With ``release_round``, once every in-link's frame is
         in hand we post ``TAG_RELEASE`` to those peers, and pass after
         the release of every peer we sent to — proof it holds our frame.
         """
@@ -769,35 +708,29 @@ class _MeshChannel(LinkChannel):
             bucket = buckets.get(peer)
             if bucket:
                 chunks = wire.encode_packet_frame(run_id, step, rank,
-                                                  bucket,
-                                                  crc=self._integrity)
+                                                  bucket)
             else:
                 if empty_final is None:
                     empty_final = wire.encode_packet_frame(
-                        run_id, step, rank, (), crc=self._integrity)
+                        run_id, step, rank, ())
                 chunks = empty_final
             # The chunks alias live program arrays.  A release round
             # proves receipt before the program runs again, so the
-            # journal entry is volatile (trimmed below); without one the
-            # program may mutate them before any ack arrives, so the
-            # journal snapshots the bytes, and the frame goes straight
-            # into the kernel.  (reenvelope inside _post re-addresses
-            # the shared empty final per peer.)
+            # journal entry is volatile (trimmed below).  (reenvelope
+            # inside _post re-addresses the shared empty final per peer.)
             self._post(peer, chunks, volatile=release_round,
-                       copy=not release_round, eager=not release_round,
                        corrupt=corrupt, dup=dup)
             if plan is not None:
                 plan.count_frame(rank)
-        final = self._final.setdefault(step, set())
-        while self._awaiting(final, in_links):
+        arrived = self._data.setdefault(step, {})
+        while self._awaiting(arrived, in_links):
             self._pump()
         if release_round:
             for peer in self._peers:
                 if peer not in in_links or peer in self._departed:
                     continue
                 self._post(peer, wire.encode_frame(
-                    wire.TAG_RELEASE, run_id, step, rank,
-                    crc=self._integrity))
+                    wire.TAG_RELEASE, run_id, step, rank))
                 if plan is not None:
                     plan.count_frame(rank)
             released = self._release.setdefault(step, set())
@@ -805,23 +738,20 @@ class _MeshChannel(LinkChannel):
                 self._pump()
         while any(self._out.values()):
             self._pump()
-        if release_round and self._integrity:
+        if release_round:
             # A peer's release proves it received the frame we sent it,
             # so the volatile journal entries can never be NACKed or
             # replayed — trim them before the arrays they alias mutate.
             for q in self._release.get(step, ()):
-                link = self._link.get(q)
-                if link is None:
-                    continue
+                link = self._link[q]
                 for s in link.volatile:
                     link.journal.pop(s, None)
                     link.attempts.pop(s, None)
                 link.volatile.clear()
         self._release.pop(step, None)
-        self._final.pop(step, None)
-        return self._data.pop(step, {})
+        return self._data.pop(step)
 
-    def _awaiting(self, got: set[int], links) -> bool:
+    def _awaiting(self, got: Container[int], links) -> bool:
         """Some live link of ``links`` has not delivered into ``got``."""
         departed = self._departed
         return any(q not in got and q not in departed for q in links)
@@ -832,24 +762,25 @@ class _MeshChannel(LinkChannel):
         # result all-gather, and must see our LEFT before our EOF.  Only
         # an already-dead link is skipped.
         plan = faults._ACTIVE
-        for peer in self._peers:
-            if peer in self._eof:
-                continue
-            if plan is not None and plan.drops_depart(self._pid, peer):
-                continue
-            self._post(peer, wire.encode_frame(
-                TAG_LEFT, self._run_id, 0, self._pid,
-                crc=self._integrity))
-        self._drain(timeout=30.0)
+        self._announce(TAG_LEFT, 30.0, [
+            peer for peer in self._peers
+            if plan is None or not plan.drops_depart(self._pid, peer)])
 
     def die(self) -> None:
-        for peer in self._peers:
+        self._announce(TAG_DEAD, 5.0, self._peers)
+
+    def _announce(self, tag: int, timeout: float,
+                  peers: Sequence[int]) -> None:
+        """Post one ``tag`` sentinel to every live link of ``peers``."""
+        for peer in peers:
             if peer in self._eof:
                 continue
-            self._post(peer, wire.encode_frame(
-                TAG_DEAD, self._run_id, 0, self._pid,
-                crc=self._integrity))
-        self._drain(timeout=5.0)
+            try:
+                self._post(peer, wire.encode_frame(
+                    tag, self._run_id, 0, self._pid))
+            except _PeerLost:
+                continue  # as in _drain: the other peers still need theirs
+        self._drain(timeout)
 
     def _drain(self, timeout: float) -> None:
         """Best-effort flush of every outbound queue."""
@@ -873,13 +804,10 @@ class _MeshChannel(LinkChannel):
         # This rank's own entry is what its peers will decode.
         self._results[self._pid] = pickle.loads(meta, buffers=buffers)
         chunks = wire.encode_frame(
-            wire.TAG_RESULT, self._run_id, 0, self._pid, meta, buffers,
-            crc=self._integrity)
+            wire.TAG_RESULT, self._run_id, 0, self._pid, meta, buffers)
         for peer in self._peers:
             if peer not in self._eof:
-                # copy: the shared encode is re-sequenced per peer and
-                # may be replayed after the gather already began.
-                self._post(peer, chunks, copy=True)
+                self._post(peer, chunks)
         self._drain(timeout=30.0)
 
     def gather_results(self, nprocs: int, timeout: float) -> dict[int, Any]:
@@ -894,7 +822,9 @@ class _MeshChannel(LinkChannel):
             self._pump(0.1)
         return dict(self._results)
 
-    def shutdown(self, *, close: bool = True) -> None:
+    def shutdown(self) -> None:
+        """End the run on this channel; without a fabric (a pool of one
+        run) that also closes the sockets."""
         # Final counter flush: relaxed-mode beats are throttled while data
         # traffic proves liveness, so a short run can finish with repair
         # counters the supervisor never saw.  One unconditional beat here
@@ -905,45 +835,37 @@ class _MeshChannel(LinkChannel):
             if totals != self._hb_sent:
                 self._hb_sent = totals
                 self._ctrl.beat(-1, pickle.dumps(totals))
-        for peer, mask in list(self._mask.items()):
-            if mask and peer in self._socks:
-                try:
-                    self._sel.unregister(self._socks[peer])
-                except (KeyError, ValueError):
-                    pass
-        self._mask.clear()
-        if self._listening and self._fabric is not None \
-                and self._fabric.listener is not None:
-            try:
-                self._sel.unregister(self._fabric.listener)
-            except (KeyError, ValueError):
-                pass
-            self._listening = False
-        if self._ctrl_watched and self._ctrl is not None:
-            try:
-                self._sel.unregister(self._ctrl._sock)
-            except (KeyError, ValueError):
-                pass
-            self._ctrl._sock.setblocking(True)
-            self._ctrl.watched = False
-            self._ctrl_watched = False
-        self._sel.close()
-        if close:
+        if self._fabric is None:
+            self._linger()
+        self._sel.close()  # forgets every registration with it
+        if self._fabric is None:
             for sock in self._socks.values():
-                # Consume anything still unread (a peer's crossing LEFT,
-                # typically): closing with pending inbound makes the
-                # kernel send RST instead of FIN, and the RST discards
-                # our own final frames still buffered at the peer.
-                try:
-                    sock.setblocking(False)
-                    while sock.recv(1 << 16):
-                        pass
-                except OSError:
-                    pass
                 try:
                     sock.close()
                 except OSError:
                     pass
+
+    def _linger(self) -> None:
+        """Say EOF on every link, then read each one to its peer's EOF.
+
+        ``close()`` on a socket with unread inbound — a slower peer's
+        LEFT, crossing ours — makes the kernel answer RST instead of
+        FIN, and the RST can reach that peer before it has read our
+        LEFT: it then reports a finished run as aborted.  So half-close,
+        keep pumping (which files the late LEFTs) until every peer has
+        said EOF too, and give up on those that take :data:`_LINGER_S`.
+        """
+        for sock in self._socks.values():
+            try:
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+        deadline = time.monotonic() + _LINGER_S
+        while any(self._mask.values()) and time.monotonic() < deadline:
+            try:
+                self._pump()
+            except (Abort, _PeerLost, PacketError):
+                continue  # the run is over; keep reading the links out
 
 
 # ---------------------------------------------------------------------------
@@ -958,27 +880,40 @@ class _CtrlLink:
         self._sock = sock
         self._rank = rank
         self._dec = wire.FrameDecoder()
-        #: True while a mesh channel has this socket registered
-        #: non-blocking in its selector (abort watching); sends then
-        #: toggle blocking mode around the write.
-        self.watched = False
 
-    def _send(self, chunks: Sequence[Any]) -> None:
-        if self.watched:
-            self._sock.setblocking(True)
-            try:
-                wire.send_chunks(self._sock, chunks)
-            finally:
-                self._sock.setblocking(False)
-        else:
-            wire.send_chunks(self._sock, chunks)
+    def fileno(self) -> int:
+        """What lets a mesh channel's selector wait on the link itself
+        (abort watching, see :meth:`read_aborts`)."""
+        return self._sock.fileno()
+
+    def read_aborts(self) -> list[int] | None:
+        """What the link holds right now, without blocking: the run ids
+        the supervisor sent ``TAG_ABORT`` for, or ``None`` once it hung
+        up.  Any other frame (``TAG_REMESH``, ``TAG_RUN``...) is kept
+        for the rank loop's :meth:`recv`."""
+        try:
+            data = self._sock.recv(1 << 16, socket.MSG_DONTWAIT)
+        except (BlockingIOError, InterruptedError):
+            return []
+        except OSError:
+            data = b""
+        if not data:
+            return None
+        aborts = []
+        for frame in self._dec.feed(data):
+            if frame.tag == wire.TAG_ABORT:
+                aborts.append(frame.run_id)
+            else:
+                self._dec._ready.append(frame)
+        return aborts
 
     def hello(self) -> None:
-        self._send(wire.encode_frame(wire.TAG_HELLO, 0, 0, self._rank))
+        wire.send_chunks(self._sock, wire.encode_frame(
+            wire.TAG_HELLO, 0, 0, self._rank))
 
     def beat(self, step: int, meta: bytes | None = None) -> None:
         try:
-            self._send(wire.encode_frame(
+            wire.send_chunks(self._sock, wire.encode_frame(
                 wire.TAG_HB, 0, step, self._rank, meta))
         except OSError:  # supervisor gone; the run is ending anyway
             pass
@@ -986,8 +921,9 @@ class _CtrlLink:
     def result(self, outcome: tuple) -> None:
         # The stream guarantees this frame precedes our EOF, so the
         # supervisor's "EOF before result" test is exactly "crashed".
-        self._send(wire.encode_frame(wire.TAG_RESULT, outcome[1], 0,
-                                     self._rank, *encode_outcome(outcome)))
+        wire.send_chunks(self._sock, wire.encode_frame(
+            wire.TAG_RESULT, outcome[1], 0, self._rank,
+            *encode_outcome(outcome)))
 
     def recv(self) -> Frame | None:
         return wire.recv_frame(self._sock, self._dec)
@@ -1004,6 +940,9 @@ def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
     # the supervisor's accept loop is servicing the listener backlog.
     sock = connect_retry(parent_addr, time.monotonic() + 30.0,
                          what="supervisor control listener")
+    # The deadline was the dial's: left on the socket it would time out
+    # the rank loop's recv on a mesh idle for 30 s.
+    sock.settimeout(None)
     ctrl = _CtrlLink(sock, rank)
     ctrl.hello()
     return ctrl
@@ -1012,9 +951,7 @@ def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
 def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
                parent_addr: tuple[str, int],
                coord_listener: socket.socket | None, token: int,
-               heartbeat_interval: float, integrity: bool,
-               reconnect_timeout: float, generation: int,
-               first: tuple | None) -> None:
+               generation: int, first: tuple | None) -> None:
     """Rank main: execute the runs shipped over the control link — or, in
     a pool of one run, the run inherited through fork, then exit."""
     if rank != 0 and coord_listener is not None:
@@ -1024,24 +961,24 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
         rank, capacity, coord_addr, token=token, generation=generation,
         coordinator_listener=coord_listener if rank == 0 else None)
 
-    def execute(run_id: int, nprocs: int, socks: dict, spec: tuple, *,
-                close: bool, **options: Any) -> None:
+    def execute(run_id: int, nprocs: int, spec: tuple,
+                links: dict[int, _LinkState] | None = None,
+                heal: MeshFabric | None = None) -> None:
         program, args, kwargs, sync = spec
-        channel = _MeshChannel(rank, nprocs, socks, run_id, ctrl, sync=sync,
-                               integrity=integrity,
-                               heartbeat_interval=heartbeat_interval,
-                               reconnect_timeout=reconnect_timeout, **options)
+        socks = {q: fabric.socks[q] for q in range(nprocs)
+                 if q in fabric.socks}
+        channel = _MeshChannel(rank, nprocs, socks, run_id, ctrl,
+                               links=links, sync=sync, fabric=heal)
         outcome = run_rank(channel, rank, nprocs, run_id, program, args,
                            kwargs, (Abort, _PeerLost))
-        channel.shutdown(close=close)
+        channel.shutdown()
         ctrl.result(outcome)
 
     if first is not None:
         # No fabric is handed to the channel: a pool of one run has no
         # supervisor abort path, so waiting out a reconnect window on a
-        # *dead* peer would only delay the teardown — frame integrity
-        # (CRC + NACK retransmit) stays on, link loss aborts.
-        execute(0, capacity, fabric.socks, first, close=True)
+        # *dead* peer would only delay the teardown.
+        execute(0, capacity, first)
         fabric.close()
         ctrl.close()
         return
@@ -1059,21 +996,9 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
             break
         if frame.tag == wire.TAG_REMESH:
             gen, coord = wire.frame_object(frame)
-            keep = None
             try:
-                if rank == 0:
-                    # Keep our well-known listener: survivors re-dial it.
-                    keep, fabric.listener = fabric.listener, None
-                fabric.close()
-                fabric = rendezvous_fabric(
-                    rank, capacity, tuple(coord), token=token,
-                    generation=gen, coordinator_listener=keep)
+                fabric = remesh_fabric(fabric, gen, tuple(coord))
             except BaseException:  # noqa: BLE001 - reported upward
-                if keep is not None:
-                    try:
-                        keep.close()
-                    except OSError:
-                        pass
                 ctrl.result(("error", gen, rank, traceback.format_exc(),
                              None))
                 break
@@ -1089,10 +1014,7 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
             ctrl.result(("error", run_id, rank, traceback.format_exc(),
                          None))
             continue
-        sub = {q: fabric.socks[q] for q in range(nprocs)
-               if q != rank and q in fabric.socks}
-        execute(run_id, nprocs, sub, spec, close=False, links=links,
-                fabric=fabric if integrity else None, watch_ctrl=True)
+        execute(run_id, nprocs, spec, links, fabric)
     fabric.close()
     ctrl.close()
 
@@ -1111,7 +1033,6 @@ class _Link:
         # NODELAY above all: a TAG_RUN written under Nagle waits out the
         # rank's delayed ACK (~40 ms per pooled run).
         tune_mesh_socket(sock)
-        sock.setblocking(False)
         self.sock = sock
         self.dec = wire.FrameDecoder()
         self.eof = False
@@ -1175,7 +1096,7 @@ class _CtrlPlane:
         for link in self.anon + list(self.links.values()):
             while not link.eof:
                 try:
-                    data = link.sock.recv(1 << 16)
+                    data = link.sock.recv(1 << 16, socket.MSG_DONTWAIT)
                 except (BlockingIOError, InterruptedError):
                     break
                 except OSError:
@@ -1246,27 +1167,22 @@ class TcpMesh(WorkerPool):
     may leave a half-flushed frame that desynchronizes the receiver's
     decoder forever — so a failed run (error, deadlock) marks the mesh
     dirty and the next ``run()`` rebuilds ranks and sockets from
-    scratch.  A worker *crash* is instead healed in place when
-    ``heal_in_place`` is on: only the dead ranks are re-forked and every
-    rank re-rendezvouses at the next mesh generation, which is what lets
-    a checkpointed ``bsp_run(..., retries=...)`` resume on the same mesh
-    within milliseconds instead of rebuilding the world.
+    scratch.  A worker *crash* is instead healed in place, up to
+    ``max_heals`` times (0: always rebuild): only the dead ranks are
+    re-forked and every rank re-rendezvouses at the next mesh
+    generation, which is what lets a checkpointed
+    ``bsp_run(..., retries=...)`` resume on the same mesh within
+    milliseconds instead of rebuilding the world.
     """
 
     _noun = "mesh"
     _oneshot = "TcpBackend()"
 
     def __init__(self, nprocs: int, *, host: str = "127.0.0.1",
-                 join_timeout: float = 120.0, heal_in_place: bool = True,
-                 max_heals: int = 8, heartbeat_interval: float = 0.25,
-                 integrity: bool = True, reconnect_timeout: float = 5.0):
+                 join_timeout: float = 120.0, max_heals: int = 8):
         super().__init__(nprocs, join_timeout)
         self._host = host
-        self._heal_in_place = heal_in_place
         self._max_heals = max_heals
-        self._heartbeat_interval = heartbeat_interval
-        self._integrity = integrity
-        self._reconnect_timeout = reconnect_timeout
         self._dirty = False
         self._heals = 0
         #: Folded link-repair totals of ranks that no longer exist (the
@@ -1284,9 +1200,7 @@ class TcpMesh(WorkerPool):
         proc = self._ctx.Process(
             target=_pool_rank,
             args=(rank, self._capacity, self._coord_addr, self._parent_addr,
-                  coord_listener, self._token, self._heartbeat_interval,
-                  self._integrity, self._reconnect_timeout, generation,
-                  self._first),
+                  coord_listener, self._token, generation, self._first),
             name=f"bsp-tcp-pool-{rank}",
             daemon=True,
         )
@@ -1389,7 +1303,7 @@ class TcpMesh(WorkerPool):
         # Framed once: the chunks are read-only, every rank gets the same.
         chunks = wire.encode_frame(wire.TAG_RUN, run_id, nprocs, -1, *payload)
         for rank in range(nprocs):
-            self._send_ctrl(self._source.links[rank], chunks)
+            wire.send_chunks(self._source.links[rank].sock, chunks)
 
     # -- failure policy -----------------------------------------------------
 
@@ -1398,7 +1312,7 @@ class TcpMesh(WorkerPool):
         fault, or a failed heal, leaves the mesh dirty for a full rebuild
         at the next run ("rebuild")."""
         healed = False
-        if isinstance(fault, WorkerCrashError) and self._heal_in_place \
+        if isinstance(fault, WorkerCrashError) \
                 and self._heals < self._max_heals:
             try:
                 healed = self._heal(run_id)
@@ -1436,7 +1350,7 @@ class TcpMesh(WorkerPool):
                 links.pop(rank).close()
                 continue
             try:
-                self._send_ctrl(links[rank], abort)
+                wire.send_chunks(links[rank].sock, abort)
             except OSError:
                 return False
         for rank in dead:
@@ -1458,7 +1372,7 @@ class TcpMesh(WorkerPool):
             *encode_object((gen, tuple(self._coord_addr))))
         for link in links.values():
             try:
-                self._send_ctrl(link, remesh)
+                wire.send_chunks(link.sock, remesh)
             except OSError:
                 return False
         if not self._await_remesh(gen):
@@ -1492,17 +1406,6 @@ class TcpMesh(WorkerPool):
                 return False
         return True
 
-    @staticmethod
-    def _send_ctrl(link: _Link, chunks: Sequence[Any]) -> None:
-        # The supervisor side keeps sockets non-blocking for collection;
-        # control sends (a pickled program can be large) need blocking
-        # semantics for the moment of the write.
-        link.sock.setblocking(True)
-        try:
-            wire.send_chunks(link.sock, chunks)
-        finally:
-            link.sock.setblocking(False)
-
 
 class TcpBackend(PoolBackend):
     """One process per virtual processor over a real TCP mesh (B.3)."""
@@ -1511,13 +1414,8 @@ class TcpBackend(PoolBackend):
     _pool_type = TcpMesh
 
     def __init__(self, *, join_timeout: float = 120.0,
-                 host: str = "127.0.0.1", mesh: TcpMesh | None = None,
-                 heartbeat_interval: float = 0.25, integrity: bool = True,
-                 reconnect_timeout: float = 5.0):
-        super().__init__(mesh, join_timeout=join_timeout, host=host,
-                         heartbeat_interval=heartbeat_interval,
-                         integrity=integrity,
-                         reconnect_timeout=reconnect_timeout)
+                 host: str = "127.0.0.1", mesh: TcpMesh | None = None):
+        super().__init__(mesh, join_timeout=join_timeout, host=host)
 
     @property
     def _mesh(self) -> TcpMesh | None:
@@ -1525,10 +1423,8 @@ class TcpBackend(PoolBackend):
 
     @classmethod
     def pool(cls, nprocs: int, *, host: str = "127.0.0.1",
-             join_timeout: float = 120.0, heal_in_place: bool = True,
-             max_heals: int = 8, heartbeat_interval: float = 0.25,
-             integrity: bool = True,
-             reconnect_timeout: float = 5.0) -> "TcpBackend":
+             join_timeout: float = 120.0,
+             max_heals: int = 8) -> "TcpBackend":
         """A backend bound to its own persistent :class:`TcpMesh`.
 
         Usable as a context manager::
@@ -1540,12 +1436,9 @@ class TcpBackend(PoolBackend):
         Ranks rendezvous and mesh once; every ``run()`` reuses them.
         Programs are shipped by pickle (module-level callables only).
         """
-        shared = dict(host=host, join_timeout=join_timeout,
-                      heartbeat_interval=heartbeat_interval,
-                      integrity=integrity,
-                      reconnect_timeout=reconnect_timeout)
-        backend = cls(mesh=TcpMesh(nprocs, heal_in_place=heal_in_place,
-                                   max_heals=max_heals, **shared), **shared)
+        backend = cls(mesh=TcpMesh(nprocs, host=host,
+                                   join_timeout=join_timeout,
+                                   max_heals=max_heals))
         backend._owns_pool = True
         return backend
 
@@ -1572,16 +1465,13 @@ class TcpSpmdBackend(Backend):
     def __init__(self, rank: int, nprocs: int,
                  coordinator: tuple[str, int], *, token: int = 0,
                  bind_host: str | None = None, timeout: float = 60.0,
-                 generation: int = 0, integrity: bool = True,
-                 reconnect_timeout: float = 5.0):
+                 generation: int = 0):
         Backend.check_nprocs(nprocs)
         if not 0 <= rank < nprocs:
             raise BspConfigError(f"rank {rank} out of range({nprocs})")
         self._rank = rank
         self._nprocs = nprocs
         self._timeout = timeout
-        self._integrity = integrity
-        self._reconnect_timeout = reconnect_timeout
         self._fabric = rendezvous_fabric(
             rank, nprocs, coordinator, token=token,
             generation=generation, bind_host=bind_host, timeout=timeout)
@@ -1613,23 +1503,10 @@ class TcpSpmdBackend(Backend):
         """
         fabric = self._fabric
         gen = fabric.generation + 1
-        keep = None
-        if self._rank == 0:
-            # The well-known coordinator listener must survive the epoch.
-            keep, fabric.listener = fabric.listener, None
-        fabric.close()
         try:
-            self._fabric = rendezvous_fabric(
-                self._rank, self._nprocs, fabric.coordinator,
-                token=fabric.token, generation=gen,
-                bind_host=fabric.bind_host, coordinator_listener=keep,
-                timeout=self._timeout)
+            self._fabric = remesh_fabric(fabric, gen, fabric.coordinator,
+                                         timeout=self._timeout)
         except BaseException as exc:
-            if keep is not None:
-                try:
-                    keep.close()
-                except OSError:
-                    pass
             raise RemeshError(
                 f"rank {self._rank}: remesh to generation {gen} failed: "
                 f"{exc}") from exc
@@ -1673,11 +1550,8 @@ class TcpSpmdBackend(Backend):
         self._run_id += 1
         run_id = self._run_id
         channel = _MeshChannel(
-            self._rank, nprocs, dict(self._fabric.socks), run_id, None,
-            links=self._links, sync=sync,
-            fabric=self._fabric if self._integrity else None,
-            integrity=self._integrity,
-            reconnect_timeout=self._reconnect_timeout)
+            self._rank, nprocs, self._fabric.socks, run_id, None,
+            links=self._links, sync=sync, fabric=self._fabric)
         t0 = time.perf_counter()
         try:
             channel.broadcast_result(run_rank(
@@ -1692,7 +1566,7 @@ class TcpSpmdBackend(Backend):
                     f"a peer vanished while gathering outcomes: {exc!r}"
                 ) from None
         finally:
-            channel.shutdown(close=False)
+            channel.shutdown()
         wall = time.perf_counter() - t0
         outcomes: list[tuple | None] = [None] * nprocs
         for r, oc in gathered.items():

@@ -155,12 +155,11 @@ def _accept_handshake(listener: socket.socket, kind: str, token: int,
 class MeshFabric:
     """One rank's view of a live mesh, with everything needed to heal it.
 
-    Beyond the ``peer -> socket`` map that :func:`rendezvous_mesh`
-    returns, the fabric keeps the rank's listener *bound* (so dropped
-    links can be re-accepted at the same address), the peer address
-    table (so dropped links can be re-dialed under the pair rule), and
-    the ``(token, generation)`` pair that scopes every handshake to the
-    current mesh epoch.
+    Beyond the ``peer -> socket`` map, the fabric keeps the rank's
+    listener *bound* (so dropped links can be re-accepted at the same
+    address), the peer address table (so dropped links can be re-dialed
+    under the pair rule), and the ``(token, generation)`` pair that
+    scopes every handshake to the current mesh epoch.
     """
 
     rank: int
@@ -284,10 +283,10 @@ def rendezvous_fabric(
     rank's own reachable interface on multi-host runs, defaulting to the
     coordinator's host (right whenever everything is one machine).
 
-    Unlike the plain :func:`rendezvous_mesh`, the returned
-    :class:`MeshFabric` keeps every listener open so links can be
-    re-established mid-run, and stamps the mesh with ``generation``
-    (handshakes carry :func:`fold_token`\\ ``(token, generation)``).
+    The returned :class:`MeshFabric` keeps every listener open so links
+    can be re-established mid-run, and stamps the mesh with
+    ``generation`` (handshakes carry
+    :func:`fold_token`\\ ``(token, generation)``).
     """
     if not 0 <= rank < nprocs:
         raise BspConfigError(f"rank {rank} out of range({nprocs})")
@@ -391,32 +390,32 @@ def rendezvous_fabric(
                       coordinator, token, generation, bind_host)
 
 
-def rendezvous_mesh(
-    rank: int,
-    nprocs: int,
-    coordinator: tuple[str, int],
-    *,
-    token: int = 0,
-    bind_host: str | None = None,
-    coordinator_listener: socket.socket | None = None,
-    timeout: float = 30.0,
-) -> dict[int, socket.socket]:
-    """Build this rank's side of the full mesh; returns ``peer -> socket``.
+def remesh_fabric(fabric: MeshFabric, generation: int,
+                  coordinator: tuple[str, int], *,
+                  timeout: float = 30.0) -> MeshFabric:
+    """Close ``fabric`` and rendezvous its rank again at ``generation``.
 
-    Compatibility wrapper over :func:`rendezvous_fabric` for callers that
-    only want the sockets: the listener is closed, the address table
-    dropped, and the mesh cannot heal (generation 0 semantics).
+    What every rank of a mesh does when a dead rank is replaced: the old
+    epoch's sockets go, and survivors and replacement meet under
+    :func:`fold_token`\\ ``(token, generation)``.  Rank 0 keeps its
+    well-known listener across the epoch — the others re-dial it —
+    unless the rendezvous fails, which closes it.  ``coordinator`` is
+    rank 0's address in the new epoch (a replaced rank 0 has a new one).
     """
-    fabric = rendezvous_fabric(
-        rank, nprocs, coordinator, token=token, generation=0,
-        bind_host=bind_host, coordinator_listener=coordinator_listener,
-        timeout=timeout)
-    socks = dict(fabric.socks)
-    fabric.socks.clear()         # keep the sockets out of fabric.close()
-    if coordinator_listener is not None and rank == 0:
-        fabric.listener = None   # caller owns the pre-bound listener
+    keep = None
+    if fabric.rank == 0:
+        keep, fabric.listener = fabric.listener, None
     fabric.close()
-    return socks
+    try:
+        return rendezvous_fabric(
+            fabric.rank, fabric.nprocs, coordinator, token=fabric.token,
+            generation=generation,
+            bind_host=fabric.bind_host, coordinator_listener=keep,
+            timeout=timeout)
+    except BaseException:
+        if keep is not None:
+            keep.close()
+        raise
 
 
 def parse_hostport(spec: str, default_port: int) -> tuple[str, int]:

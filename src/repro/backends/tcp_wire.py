@@ -7,7 +7,7 @@ This module defines that stream format and nothing else — no sockets, no
 event loop — so it is unit-testable against partial reads, frames split
 at arbitrary byte boundaries, and corrupt or oversized headers.
 
-One wire frame (protocol version 2) is::
+One wire frame (protocol version 3) is::
 
     envelope | header (pickle) | buffer bytes ... | u32 crc32
 
@@ -16,7 +16,7 @@ where ``envelope`` is the fixed 23-byte struct
 (``echk`` is the XOR of the preceding 22 envelope bytes, so any
 single-bit flip inside the envelope is caught before its fields are
 trusted), and ``header`` is the pickled tuple ``(tag, run_id, step, src,
-lens, meta, more)``:
+lens, meta)``:
 
 * ``tag`` — frame kind (:data:`~repro.backends.frames.TAG_PKT` and its
   control siblings, plus the TCP-only tags below);
@@ -27,15 +27,14 @@ lens, meta, more)``:
   in order; the payload bytes are **not** inside the pickle stream;
 * ``meta`` — the pickle-5 metadata blob produced by
   :func:`repro.backends.frames.encode_packets` (for packet frames) or a
-  small pickled object (for control frames);
-* ``more`` — the relaxed-sync piggyback bit: 0 on the final frame of a
-  (src, step) link, 1 when further frames follow.
+  small pickled object (for control frames).
 
 ``seq`` is the per-link sequence number a mesh channel assigns at send
 time (``-1``: unsequenced control-plane frame); ``ack`` piggybacks the
 sender's cumulative receive position on the reverse direction, which is
 what lets the peer trim its retransmit journal.  The trailing CRC32
-(:data:`FLAG_CRC` set) covers the header bytes plus the first
+(every frame carries one; :data:`FLAG_CRC` says so) covers the header
+bytes plus the first
 :data:`CRC_PAYLOAD_CAP` payload bytes — full coverage for every control
 and boundary frame the protocol itself produces, bounded cost for
 multi-megabyte application payloads whose tails remain under the
@@ -44,8 +43,9 @@ always agree on the covered span).
 
 Corruption surfaces on two disjoint paths:
 
-* **structural** — a bad version byte, an envelope checksum mismatch, an
-  insane length, an unpicklable header: the stream framing itself can no
+* **structural** — a bad version byte, an envelope checksum mismatch, a
+  cleared :data:`FLAG_CRC`, an insane length, an unpicklable header: the
+  stream framing itself can no
   longer be trusted, so the decoder raises
   :class:`~repro.core.errors.PacketError` and the owning link must be
   reset and replayed from the journal;
@@ -78,8 +78,10 @@ from ..core.errors import PacketError
 from ..core.packets import Packet
 from .frames import TAG_PKT, TAG_RESULT, Frame, encode_packets  # noqa: F401
 
-#: TCP-only frame tags, disjoint from :mod:`repro.backends.frames`'s 0..3 and
-#: TAG_RESULT = 8 (an outcome, rank -> supervisor / every rank; re-exported).
+#: TCP-only frame tags, disjoint from :mod:`repro.backends.frames`'s 0..3,
+#: TAG_LEASES = 4 (pipe fabric only: lease ids going home — taken, never on
+#: a socket) and TAG_RESULT = 8 (an outcome, rank -> supervisor / every
+#: rank; re-exported).
 TAG_RELEASE = 5     #: strict's release round — "I hold every frame of step s"
 TAG_HB = 6          #: heartbeat, rank -> supervisor
 TAG_HELLO = 7       #: control-channel registration, rank -> supervisor
@@ -97,11 +99,10 @@ TAG_CORRUPT = -1
 
 #: Protocol version carried in every envelope; a mismatch is structural
 #: corruption (or an old peer) and resets the link.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
-#: Envelope flag: the trailing CRC32 was actually computed (cleared when
-#: integrity is disabled for measurement, in which case the trailer is 0
-#: and the receiver skips verification).
+#: Envelope flag: the trailer is the frame's CRC32.  Every frame sets it;
+#: one without is structural corruption.
 FLAG_CRC = 0x01
 
 #: Payload bytes covered by the CRC (header bytes are always covered in
@@ -125,9 +126,9 @@ MAX_HEADER_BYTES = 64 << 20
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
 
-def pack_envelope(flags: int, seq: int, ack: int, hlen: int) -> bytes:
+def pack_envelope(seq: int, ack: int, hlen: int) -> bytes:
     """The 23-byte frame envelope, XOR check byte included."""
-    body = _ENV_BODY.pack(WIRE_VERSION, flags, seq, ack, hlen)
+    body = _ENV_BODY.pack(WIRE_VERSION, FLAG_CRC, seq, ack, hlen)
     echk = 0
     for byte in body:
         echk ^= byte
@@ -152,10 +153,8 @@ def _crc_frame(header: bytes, buffers: Sequence[Any]) -> int:
 
 def encode_frame(tag: int, run_id: int, step: int, src: int,
                  meta: bytes | None = None,
-                 buffers: Sequence[Any] = (),
-                 more: int = 0, *,
-                 seq: int = -1, ack: int = -1,
-                 crc: bool = True) -> list[Any]:
+                 buffers: Sequence[Any] = (), *,
+                 seq: int = -1, ack: int = -1) -> list[Any]:
     """Encode one frame as a list of wire chunks (no payload copies).
 
     The first chunk is ``envelope + header``; each out-of-band buffer
@@ -164,21 +163,15 @@ def encode_frame(tag: int, run_id: int, step: int, src: int,
     the list to a vectored/queued send without ever concatenating
     payload bytes.
 
-    ``more`` is the relaxed-sync piggyback bit: 0 marks the final frame
-    from ``src`` on this link for this superstep, 1 means more follow.
     ``seq``/``ack`` are the link-sequencing envelope fields (see module
-    docstring); ``crc=False`` skips checksum computation entirely (the
-    trailer is written as 0 with :data:`FLAG_CRC` cleared) for
-    integrity-overhead measurement.
+    docstring).
     """
     lens = tuple(memoryview(b).nbytes for b in buffers)
-    header = pickle.dumps((tag, run_id, step, src, lens, meta, more),
+    header = pickle.dumps((tag, run_id, step, src, lens, meta),
                           protocol=pickle.HIGHEST_PROTOCOL)
-    flags = FLAG_CRC if crc else 0
-    trailer = _PREFIX.pack(_crc_frame(header, buffers) if crc else 0)
-    chunks: list[Any] = [pack_envelope(flags, seq, ack, len(header)) + header]
+    chunks: list[Any] = [pack_envelope(seq, ack, len(header)) + header]
     chunks.extend(buffers)
-    chunks.append(trailer)
+    chunks.append(_PREFIX.pack(_crc_frame(header, buffers)))
     return chunks
 
 
@@ -186,24 +179,21 @@ def reenvelope(chunks: Sequence[Any], seq: int, ack: int) -> list[Any]:
     """Re-address an encoded frame with fresh ``seq``/``ack`` fields.
 
     The CRC trailer intentionally excludes the envelope, so one encoded
-    payload (an empty relaxed-mode final, a broadcast result) can be
-    re-sequenced per peer by rebuilding only the small first chunk —
-    header and payload bytes are shared untouched.
+    payload (an empty final, a broadcast result) can be re-sequenced per
+    peer by rebuilding only the small first chunk — header and payload
+    bytes are shared untouched.
     """
     first = memoryview(chunks[0])
     if first.format != "B" or first.ndim != 1:
         first = first.cast("B")
-    _, flags, _, _, hlen = _ENV_BODY.unpack_from(first)
-    head = pack_envelope(flags, seq, ack, hlen) + bytes(
-        first[ENVELOPE_BYTES:])
+    hlen = _ENV_BODY.unpack_from(first)[4]
+    head = pack_envelope(seq, ack, hlen) + bytes(first[ENVELOPE_BYTES:])
     return [head, *chunks[1:]]
 
 
 def encode_packet_frame(run_id: int, step: int, src: int,
-                        packets: Sequence[Packet],
-                        more: int = 0, *,
-                        seq: int = -1, ack: int = -1,
-                        crc: bool = True) -> list[Any]:
+                        packets: Sequence[Packet], *,
+                        seq: int = -1, ack: int = -1) -> list[Any]:
     """One combined boundary frame for a per-destination packet bucket.
 
     Reuses :func:`repro.backends.frames.encode_packets`, so the combined
@@ -211,8 +201,8 @@ def encode_packet_frame(run_id: int, step: int, src: int,
     the process backend's frames.
     """
     meta, buffers = encode_packets(packets)
-    return encode_frame(TAG_PKT, run_id, step, src, meta, buffers, more,
-                        seq=seq, ack=ack, crc=crc)
+    return encode_frame(TAG_PKT, run_id, step, src, meta, buffers,
+                        seq=seq, ack=ack)
 
 
 def frame_object(frame: Frame) -> Any:
@@ -241,7 +231,7 @@ class FrameDecoder:
 
     def __init__(self, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
         self._buf = bytearray()
-        #: Parsed envelope awaiting header/payload: (flags, seq, ack, hlen).
+        #: Parsed envelope awaiting header/payload: (seq, ack, hlen).
         self._env: tuple | None = None
         #: Parsed header awaiting its buffer bytes, or None.
         self._header: tuple | None = None
@@ -277,19 +267,23 @@ class FrameDecoder:
                 raise PacketError(
                     f"wire protocol version {version} != {WIRE_VERSION} "
                     "(corrupt stream or incompatible peer)")
+            if not flags & FLAG_CRC:
+                raise PacketError(
+                    "wire frame without a CRC trailer (corrupt stream or "
+                    "incompatible peer)")
             if not 0 < hlen <= MAX_HEADER_BYTES:
                 raise PacketError(
                     f"wire frame header of {hlen} bytes exceeds the "
                     f"{MAX_HEADER_BYTES}-byte bound (corrupt stream?)")
-            self._env = (flags, seq, ack, hlen)
-        flags, seq, ack, hlen = self._env
+            self._env = (seq, ack, hlen)
+        seq, ack, hlen = self._env
         if self._header is None:
             if len(buf) < ENVELOPE_BYTES + hlen:
                 return None
             hbytes = bytes(buf[ENVELOPE_BYTES:ENVELOPE_BYTES + hlen])
             try:
                 header = pickle.loads(hbytes)
-                tag, run_id, step, src, lens, meta, more = header
+                tag, run_id, step, src, lens, meta = header
             except Exception as exc:
                 raise PacketError(
                     f"undecodable wire frame header: {exc}") from exc
@@ -303,7 +297,7 @@ class FrameDecoder:
             self._header, self._hbytes, self._total = header, hbytes, total
         if len(buf) < self._total + _PREFIX.size:
             return None
-        tag, run_id, step, src, lens, meta, more = self._header
+        tag, run_id, step, src, lens, meta = self._header
         buffers: list[bytearray] = []
         off = 0
         for n in lens:
@@ -314,18 +308,13 @@ class FrameDecoder:
         hbytes = self._hbytes
         self._env, self._header, self._hbytes, self._total = (
             None, None, b"", 0)
-        if flags & FLAG_CRC and _crc_frame(hbytes, buffers) != wire_crc:
+        if _crc_frame(hbytes, buffers) != wire_crc:
             # Framing held (the envelope and header parsed, the byte
             # count matched) but the content did not: a recoverable,
             # single-frame loss.  Stay synchronized and let the channel
             # NACK the sequence number.
-            return Frame(TAG_CORRUPT, -1, -1, -1, None, None, 0, seq, ack)
-        return Frame(tag, run_id, step, src, meta, buffers, more, seq, ack)
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet part of a completed frame."""
-        return len(self._buf)
+            return Frame(TAG_CORRUPT, -1, -1, -1, None, None, seq, ack)
+        return Frame(tag, run_id, step, src, meta, buffers, seq, ack)
 
     @property
     def mid_frame(self) -> bool:

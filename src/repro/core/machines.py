@@ -44,19 +44,12 @@ class MachineProfile:
         speed).  Applications refine this per workload — the paper's
         estimated Cenju/PC work depths are application-dependent because
         different codes stress FP and memory differently.
-    heartbeat_interval:
-        Supervision heartbeat period in seconds for backends run against
-        this machine (TCP pool/mesh).  Slower fabrics (a congested LAN
-        vs. loopback) want a longer interval so liveness beats do not
-        compete with data traffic; it must stay well under the
-        supervisor's stall window (>= 1s) for deadlock triage to work.
     """
 
     name: str
     g_us: Mapping[int, float]
     L_us: Mapping[int, float]
     work_scale: float = 1.0
-    heartbeat_interval: float = 0.25
 
     def __post_init__(self) -> None:
         if set(self.g_us) != set(self.L_us):
@@ -362,7 +355,6 @@ def tcp_localhost_profile(
     bandwidth_rounds: int = 5,
     packets_each: int = 400,
     sync: str = "strict",
-    heartbeat_interval: float = 0.25,
 ) -> MachineProfile:
     """Calibrate the TCP backend over loopback into a machine profile.
 
@@ -385,8 +377,7 @@ def tcp_localhost_profile(
         raise CostModelError(f"bad nprocs list {nprocs!r}")
     g_table: dict[int, float] = {}
     l_table: dict[int, float] = {}
-    with TcpBackend.pool(counts[-1],
-                         heartbeat_interval=heartbeat_interval) as backend:
+    with TcpBackend.pool(counts[-1]) as backend:
         for p in counts:
             cal = calibrate_backend(
                 backend, p,
@@ -398,8 +389,7 @@ def tcp_localhost_profile(
             g_table[p] = cal.g_us
             l_table[p] = cal.L_us
     name = "tcp-localhost" if sync == "strict" else f"tcp-localhost-{sync}"
-    profile = MachineProfile(name=name, g_us=g_table, L_us=l_table,
-                             heartbeat_interval=heartbeat_interval)
+    profile = MachineProfile(name=name, g_us=g_table, L_us=l_table)
     if register:
         register_machine(profile)
     return profile

@@ -182,22 +182,11 @@ def _run(argv: list[str]) -> int:
                         help="log supervision state (pool generation, "
                              "restarts, heal kinds, link repair "
                              "counters, last fault) after the run")
-    parser.add_argument("--heal-in-place", dest="heal_in_place",
-                        action="store_true", default=True,
-                        help="heal a crashed TCP mesh in place: re-fork "
-                             "only the dead ranks and re-rendezvous the "
-                             "survivors (default)")
-    parser.add_argument("--no-heal-in-place", dest="heal_in_place",
-                        action="store_false",
-                        help="tear down and rebuild the whole mesh on "
-                             "every crash instead of healing in place")
     parser.add_argument("--max-heals", type=int, default=8,
-                        help="in-place heals before falling back to "
-                             "full rebuilds (tcp backend)")
-    parser.add_argument("--heartbeat-interval", type=float, default=0.25,
-                        metavar="SECONDS",
-                        help="supervision heartbeat period (tcp backend; "
-                             "keep well under the 1s stall window)")
+                        help="in-place heals of a crashed TCP mesh "
+                             "(re-fork only the dead ranks, re-rendezvous "
+                             "the survivors) before falling back to full "
+                             "rebuilds; 0 rebuilds on every crash")
     args = parser.parse_args(argv)
 
     if args.size not in APP_SIZES[args.app]:
@@ -228,12 +217,7 @@ def _run(argv: list[str]) -> int:
         backend = ProcessBackend.pool(args.nprocs)
     elif args.backend == "tcp":
         from ..backends.tcp import TcpBackend
-        backend = TcpBackend.pool(
-            args.nprocs,
-            heal_in_place=args.heal_in_place,
-            max_heals=args.max_heals,
-            heartbeat_interval=args.heartbeat_interval,
-        )
+        backend = TcpBackend.pool(args.nprocs, max_heals=args.max_heals)
     else:
         backend = "simulator"
     import time as _time

@@ -169,7 +169,7 @@ class TestNeverBlocks:
     def test_small_frame_goes_inline_as_one_atomic_message(self, transport):
         ghost = np.arange(66, dtype=np.float64)  # ocean's 528-byte row
         frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, ghost)])
-        *_, buffers, _big, _more, _rel = frame
+        *_, buffers, _big, _rel = frame
         assert buffers == []  # in-band: no out-of-band buffer at all
         assert transport.push_frame(frame, block=False) is True
         assert 0 < _pipe_bytes(transport, 1) <= select.PIPE_BUF
@@ -219,7 +219,7 @@ class TestNeverBlocks:
         try:
             frame = transport.encode_frame(
                 1, 1, 0, 0, [_pkt(0, 1, np.zeros(1024))])
-            *_, buffers, leased, _more, _rel = frame
+            *_, buffers, leased, _rel = frame
             assert buffers and not leased
             _refused(transport, frame)
         finally:

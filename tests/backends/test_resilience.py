@@ -16,10 +16,11 @@ Three layers of the robustness contract (DESIGN "Failure-mode matrix"):
   in place (generation advances, no full rebuild), and the repair shows
   up in the ``health()`` counters.
 * **Plumbing satellites** — rendezvous timeouts name the missing ranks,
-  ``heartbeat_interval`` flows from :class:`MachineProfile` to the pool,
-  ``integrity=False`` switches the whole protection layer off.
+  mesh generations fold into distinct wire tokens, ``health()`` exposes
+  the link-repair counters, and the mesh's option count is pinned.
 """
 
+import inspect
 import socket
 import time
 
@@ -32,10 +33,9 @@ from repro import CheckpointConfig, DiskCheckpointStore, PacketError
 from repro import faults
 from repro.backends import tcp_wire as wire
 from repro.backends.frames import TAG_PKT
-from repro.backends.tcp import TcpBackend
+from repro.backends.tcp import TcpBackend, TcpMesh
 from repro.backends.tcp_launch import bind_listener, fold_token, rendezvous_fabric
 from repro.core.errors import SynchronizationError, WorkerCrashError
-from repro.core.machines import MachineProfile
 from repro.core.packets import Packet
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ class TestHealInPlace:
     def test_heal_in_place_disabled_rebuilds(self):
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=1)])
         with faults.injected(plan):
-            backend = TcpBackend.pool(2, heal_in_place=False)
+            backend = TcpBackend.pool(2, max_heals=0)
         with backend:
             with pytest.raises(WorkerCrashError):
                 backend.run(ring_program, 2)
@@ -287,7 +287,7 @@ class TestHealInPlace:
 
 
 # ---------------------------------------------------------------------------
-# Satellites: rendezvous diagnostics, heartbeat plumbing, off-switch
+# Satellites: rendezvous diagnostics, repair counters, option count
 # ---------------------------------------------------------------------------
 
 
@@ -304,28 +304,17 @@ class TestSatellites:
         assert len(gens) == 16
         assert all(0 <= t <= 0x7FFFFFFF for t in gens)
 
-    def test_machine_profile_carries_heartbeat_interval(self):
-        profile = MachineProfile(name="lan", g_us={2: 10.0}, L_us={2: 400.0},
-                                 heartbeat_interval=0.5)
-        assert profile.heartbeat_interval == 0.5
-        # Default mirrors the backend default.
-        assert MachineProfile(name="x", g_us={1: 1.0},
-                              L_us={1: 1.0}).heartbeat_interval == 0.25
-
-    def test_pool_accepts_heartbeat_interval(self):
-        with TcpBackend.pool(2, heartbeat_interval=0.1) as backend:
-            run = backend.run(ring_program, 2)
-        assert run.results == [[(1, 0), (1, 1)], [(0, 0), (0, 1)]]
-
-    def test_integrity_off_switch(self):
-        # integrity=False strips CRC/journaling/reconnect — the raw
-        # fast path benchmarked as the overhead baseline.
-        with TcpBackend.pool(2, integrity=False) as backend:
-            run = backend.run(ring_program, 2)
-            health = backend.health()
-        assert run.results == [[(1, 0), (1, 1)], [(0, 0), (0, 1)]]
-        assert health.retransmits == 0
-        assert health.reconnects == 0
+    def test_option_count_is_pinned(self):
+        # Every knob doubles what the fault suites must cover: one that
+        # comes (back) has to change this test, and so argue its case.
+        def options(fn):
+            return sorted(p.name for p in
+                          inspect.signature(fn).parameters.values()
+                          if p.kind is p.KEYWORD_ONLY)
+        assert options(TcpMesh) == ["host", "join_timeout", "max_heals"]
+        assert options(TcpBackend) == ["host", "join_timeout", "mesh"]
+        assert options(TcpBackend.pool) == ["host", "join_timeout",
+                                            "max_heals"]
 
     def test_health_exposes_repair_counters(self):
         plan = faults.FaultPlan([

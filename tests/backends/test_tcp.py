@@ -12,6 +12,7 @@ import hashlib
 import multiprocessing as mp
 import pickle
 import socket
+import threading
 import time
 
 import pytest
@@ -31,8 +32,14 @@ from repro import faults
 from repro.backends import tcp_wire as wire
 from repro.backends.base import get_backend
 from repro.backends.frames import TAG_PKT, encode_object
-from repro.backends.tcp import TcpBackend, TcpMesh, TcpSpmdBackend
-from repro.backends.tcp_launch import parse_hostport
+from repro.backends.tcp import (
+    TcpBackend,
+    TcpMesh,
+    TcpSpmdBackend,
+    _connect_ctrl,
+    _MeshChannel,
+)
+from repro.backends.tcp_launch import bind_listener, parse_hostport
 from repro.core.packets import Packet
 
 
@@ -132,7 +139,7 @@ class TestFrameDecoder:
 
     def test_oversized_header_rejected(self):
         dec = wire.FrameDecoder()
-        env = wire.pack_envelope(0, -1, -1, wire.MAX_HEADER_BYTES + 1)
+        env = wire.pack_envelope(-1, -1, wire.MAX_HEADER_BYTES + 1)
         with pytest.raises(PacketError, match="header"):
             dec.feed(env)
 
@@ -143,18 +150,29 @@ class TestFrameDecoder:
             dec.feed(_flatten(chunks))
 
     def test_garbage_header_rejected(self):
-        blob = wire.pack_envelope(0, -1, -1, 8) + b"notapkl!"
+        blob = wire.pack_envelope(-1, -1, 8) + b"notapkl!"
         with pytest.raises(PacketError, match="undecodable"):
             wire.FrameDecoder().feed(blob)
 
-    def test_wrong_version_rejected(self):
-        # A consistent envelope (valid check byte) from a future protocol.
-        body = wire._ENV_BODY.pack(wire.WIRE_VERSION + 1, 0, -1, -1, 8)
+    @staticmethod
+    def _envelope(version, flags):
+        """A consistent envelope (valid check byte) with these fields."""
+        body = wire._ENV_BODY.pack(version, flags, -1, -1, 8)
         echk = 0
         for byte in body:
             echk ^= byte
+        return body + bytes((echk,))
+
+    def test_wrong_version_rejected(self):
+        future = self._envelope(wire.WIRE_VERSION + 1, wire.FLAG_CRC)
         with pytest.raises(PacketError, match="version"):
-            wire.FrameDecoder().feed(body + bytes((echk,)))
+            wire.FrameDecoder().feed(future)
+
+    def test_cleared_crc_flag_rejected(self):
+        # There is no unchecked frame to fall back to: structural damage.
+        unchecked = self._envelope(wire.WIRE_VERSION, 0)
+        with pytest.raises(PacketError, match="CRC"):
+            wire.FrameDecoder().feed(unchecked)
 
     def test_flipped_envelope_bit_rejected(self):
         good = _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0))
@@ -185,6 +203,101 @@ class TestLaunchHelpers:
         assert parse_hostport("pc1", 47710) == ("pc1", 47710)
         with pytest.raises(BspConfigError):
             parse_hostport("pc1:fast", 47710)
+
+
+# ---------------------------------------------------------------------------
+# The mesh channel's send path and teardown, fork-free over a socketpair
+# ---------------------------------------------------------------------------
+
+
+def _in_threads(*bodies):
+    """Run every body in its own thread; re-raise whatever one raised
+    (``_PeerLost`` and ``Abort`` are BaseExceptions) or a hang."""
+    raised = []
+
+    def guarded(body):
+        try:
+            body()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            raised.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(body,), daemon=True)
+               for body in bodies]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(20.0)
+    assert not any(thread.is_alive() for thread in threads), "wedged"
+    if raised:
+        raise raised[0]
+
+
+class TestMeshChannelPair:
+    """Two ranks of a pool of one run (no fabric: a lost link aborts)."""
+
+    @pytest.fixture
+    def pair(self):
+        socks = socket.socketpair()
+        yield socks
+        for sock in socks:
+            sock.close()
+
+    #: Far more than a socketpair buffers (~200 KiB): a send must queue.
+    BIG = bytes(range(256)) * (16 << 10)
+
+    def test_late_left_survives_the_early_close(self, pair):
+        # Rank 0 is done and closing while rank 1 still computes: rank
+        # 1's LEFT crosses the close.  Neither side may lose the other's.
+        a = _MeshChannel(0, 2, {1: pair[0]}, 1, None)
+        b = _MeshChannel(1, 2, {0: pair[1]}, 1, None)
+
+        def early():
+            a.depart()
+            a.shutdown()
+
+        def late():
+            time.sleep(0.3)
+            b.depart()
+            b.shutdown()
+
+        _in_threads(early, late)
+        assert a._departed == {1} and b._departed == {0}
+
+    @pytest.mark.parametrize("sync", ["strict", "relaxed"])
+    def test_both_sides_post_more_than_the_socket_holds(self, pair, sync):
+        channels = [_MeshChannel(0, 2, {1: pair[0]}, 1, None, sync=sync),
+                    _MeshChannel(1, 2, {0: pair[1]}, 1, None, sync=sync)]
+        got = [None, None]
+
+        def boundary(rank):
+            outbox = [Packet(src=rank, dst=1 - rank, seq=0, h=1,
+                             payload=self.BIG + bytes((rank,)))]
+            got[rank] = channels[rank].exchange(rank, 0, outbox).merged()
+            channels[rank].depart()
+            channels[rank].shutdown()
+
+        _in_threads(lambda: boundary(0), lambda: boundary(1))
+        for rank in (0, 1):
+            (pkt,) = got[rank]
+            assert bytes(pkt.payload) == self.BIG + bytes((1 - rank,))
+
+    def test_post_behind_a_queued_frame_keeps_link_fifo(self, pair):
+        chan = _MeshChannel(0, 2, {1: pair[0]}, 1, None)
+        chan._post(1, wire.encode_frame(TAG_PKT, 1, 0, 0, b"", [self.BIG]))
+        assert chan._out[1], "the socket took it all: nothing was queued"
+        chan._post(1, wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0))
+        pair[1].setblocking(False)
+        dec, frames = wire.FrameDecoder(), []
+        deadline = time.monotonic() + 20.0
+        while len(frames) < 2 and time.monotonic() < deadline:
+            chan._pump(0.01)
+            try:
+                frames.extend(dec.feed(pair[1].recv(1 << 20)))
+            except BlockingIOError:
+                pass
+        assert [(f.seq, f.tag) for f in frames] == [
+            (0, TAG_PKT), (1, wire.TAG_RELEASE)]
+        assert bytes(frames[0].buffers[0]) == self.BIG
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +405,20 @@ class TestTcpMesh:
         with TcpMesh(2) as mesh:
             with pytest.raises(BspConfigError):
                 mesh.run(ring_program, nprocs=3)
+
+    def test_idle_rank_waits_for_its_supervisor_without_a_deadline(self):
+        # The control dial has a 30 s budget; left on the socket as a
+        # timeout it killed every rank of a mesh idle that long before
+        # its first run (TimeoutError in the rank loop's recv).
+        listener = bind_listener("127.0.0.1")
+        try:
+            ctrl = _connect_ctrl(listener.getsockname(), 0)
+            try:
+                assert ctrl._sock.gettimeout() is None
+            finally:
+                ctrl.close()
+        finally:
+            listener.close()
 
 
 class TestTcpSpmd:

@@ -412,8 +412,8 @@ class TestTransportRoundTrip:
         freed = transport.collect_releases(1)
         transport.send_release(0, 1, 1, freed[0])
         frame = transport.recv(0)
-        from repro.backends.frames import TAG_RELEASE
-        assert frame.tag == TAG_RELEASE
+        from repro.backends.frames import TAG_LEASES
+        assert frame.tag == TAG_LEASES
         assert transport._seg_pools[0].outstanding == 0
 
     def test_torn_lease_discard_grows_pool_never_corrupts(self, transport):
