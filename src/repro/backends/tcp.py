@@ -707,8 +707,7 @@ class _MeshChannel(LinkChannel):
                 dup = plan.duplicates_frame(rank, step, peer)
             bucket = buckets.get(peer)
             if bucket:
-                chunks = wire.encode_packet_frame(run_id, step, rank,
-                                                  bucket)
+                chunks = wire.encode_packet_frame(run_id, step, rank, bucket)
             else:
                 if empty_final is None:
                     empty_final = wire.encode_packet_frame(
@@ -837,13 +836,12 @@ class _MeshChannel(LinkChannel):
                 self._ctrl.beat(-1, pickle.dumps(totals))
         if self._fabric is None:
             self._linger()
-        self._sel.close()  # forgets every registration with it
-        if self._fabric is None:
             for sock in self._socks.values():
                 try:
                     sock.close()
                 except OSError:
                     pass
+        self._sel.close()  # forgets every registration with it
 
     def _linger(self) -> None:
         """Say EOF on every link, then read each one to its peer's EOF.
@@ -940,9 +938,6 @@ def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
     # the supervisor's accept loop is servicing the listener backlog.
     sock = connect_retry(parent_addr, time.monotonic() + 30.0,
                          what="supervisor control listener")
-    # The deadline was the dial's: left on the socket it would time out
-    # the rank loop's recv on a mesh idle for 30 s.
-    sock.settimeout(None)
     ctrl = _CtrlLink(sock, rank)
     ctrl.hello()
     return ctrl

@@ -99,6 +99,9 @@ def connect_retry(addr: tuple[str, int], deadline: float, *,
     lockstep and hammer the backlog in bursts.  Past the deadline the
     failure is a :class:`SynchronizationError` naming the unreachable
     endpoint (``what``) and the budget that was spent waiting for it.
+    The socket comes back blocking: the deadline was the dial's, and left
+    on the socket it would time out whatever read comes next (a pooled
+    rank waiting 30 s for its first run, say).
     """
     delay = 0.01
     start = time.monotonic()
@@ -106,6 +109,7 @@ def connect_retry(addr: tuple[str, int], deadline: float, *,
         try:
             sock = socket.create_connection(addr, timeout=max(
                 0.1, deadline - time.monotonic()))
+            sock.settimeout(None)
             tune_mesh_socket(sock)
             return sock
         except OSError as exc:
@@ -347,6 +351,7 @@ def rendezvous_fabric(
                 try:
                     send_msg(coord, (_HELLO, wire, rank,
                                      listener.getsockname()))
+                    coord.settimeout(max(0.1, deadline - time.monotonic()))
                     reply = recv_msg(coord)
                     break
                 except (PacketError, OSError) as exc:
@@ -358,6 +363,7 @@ def rendezvous_fabric(
                             f"refusing the rendezvous hello (last error: "
                             f"{exc})") from exc
                     time.sleep(0.02 + random.random() * 0.03)
+            coord.settimeout(None)
             mesh[0] = coord
             if not (isinstance(reply, tuple) and reply[0] == _PEERS
                     and reply[1] == wire):
@@ -409,9 +415,8 @@ def remesh_fabric(fabric: MeshFabric, generation: int,
     try:
         return rendezvous_fabric(
             fabric.rank, fabric.nprocs, coordinator, token=fabric.token,
-            generation=generation,
-            bind_host=fabric.bind_host, coordinator_listener=keep,
-            timeout=timeout)
+            generation=generation, bind_host=fabric.bind_host,
+            coordinator_listener=keep, timeout=timeout)
     except BaseException:
         if keep is not None:
             keep.close()
