@@ -16,18 +16,21 @@ union over stages must cover every unordered pair exactly once.
 
 The module also defines, once for both frame fabrics, what a superstep
 boundary *is*: :func:`boundary_links` maps a synchronization mode to the
-links a boundary uses, and :class:`LinkChannel` is the part of
-``exchange()`` that does not depend on what a link is made of.
+links a boundary uses, and :class:`LinkChannel` runs the boundary round
+over them — a fabric supplies only how a frame crosses a link.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
+from .. import faults
 from ..core.errors import BspConfigError
 from ..core.packets import Packet, PacketRuns
 from .base import check_pattern_sends
+from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, TAG_RELEASE, Frame
+from .pool import Abort
 
 #: Partner value for a processor idle in a stage (odd ``p`` only).
 IDLE = -1
@@ -119,23 +122,52 @@ def boundary_links(sync: str, fence: bool, pattern: Any,
 
 
 class LinkChannel:
-    """What ``exchange()`` does on every frame fabric.
+    """The boundary round, on every frame fabric.
 
-    A fabric subclass supplies ``_enter`` (heartbeat and boundary fault
-    hooks) and ``_round`` (put one frame on each out-link, collect one
-    per live in-link, by source); everything about *which* links a
-    boundary uses is :func:`boundary_links`.
+    Which links a boundary uses is :func:`boundary_links`; what happens
+    on them is :meth:`_round`, written once: a frame per live out-link,
+    then one from each live in-link, then — where a link cannot prove
+    receipt — the release round.  Inbound frames are filed by
+    :meth:`_file` (data by step and source, releases, departures,
+    aborts), and :meth:`depart` / :meth:`die` announce a rank's end.
+
+    A fabric subclass supplies only its transport:
+
+    * ``_enter(step, outbox, out_links)`` — heartbeat, boundary fault
+      hooks and whatever upkeep the fabric does before a frame goes out;
+    * ``_send(peer, step, bucket, volatile)`` — put one boundary frame on
+      a link without waiting for the peer to read it (``volatile``: a
+      release round will prove receipt, so the payload need not be
+      copied);
+    * ``_signal(peer, tag, step)`` — put one control frame on a link;
+    * ``_pump()`` — wait for inbound traffic and :meth:`_file` it;
+    * ``_settle(released)`` — pass only once nothing this boundary sent
+      can still fail or alias program memory (``released``: the peers
+      whose release proves they hold our frame);
+    * :attr:`receipted` — true when a link write is its own receipt.
     """
 
-    def __init__(self, pid: int, nprocs: int, sync: str):
+    #: A link write that is its own receipt (a pipe: the frame sits in
+    #: the destination's pipe once the call returns) needs no release
+    #: round in any mode.
+    receipted = False
+
+    def __init__(self, pid: int, nprocs: int, sync: str, run_id: int):
         self._pid = pid
         self._nprocs = nprocs
         self._sync = sync
+        self._run_id = run_id
         self._pattern = None
         #: One-shot: the next boundary is a checkpoint cut.
         self._fence = False
         self._peers = peer_order(nprocs, pid)
         self._departed: set[int] = set()
+        #: Boundary frames by step, then source: a step's keys are the
+        #: in-links that have arrived.  Link FIFO bounds a peer's
+        #: run-ahead to one step.
+        self._data: dict[int, dict[int, list[Packet]]] = {}
+        #: Release-round receipts by step: the peers that hold our frame.
+        self._released: dict[int, set[int]] = {}
 
     def declare_pattern(self, pattern) -> None:
         """Bind this processor's :class:`~repro.bsplib.CommPattern`.
@@ -153,16 +185,20 @@ class LinkChannel:
 
     def exchange(self, pid: int, step: int,
                  outbox: list[Packet]) -> PacketRuns:
-        self._enter(step, outbox)
+        out_links, in_links, release_round = boundary_links(
+            self._sync, self._fence, self._pattern, self._peers)
+        self._fence = False
+        # A departed peer reads nothing more of this run: no frame is
+        # owed to it (on a pipe one would sit there, or fill it).
+        out_links = [q for q in out_links if q not in self._departed]
+        self._enter(step, outbox, out_links)
         buckets: dict[int, list[Packet]] = {}
         for pkt in outbox:
             buckets.setdefault(pkt.dst, []).append(pkt)
         if self._pattern is not None:
             check_pattern_sends(pid, step, buckets, self._pattern)
-        links = boundary_links(self._sync, self._fence, self._pattern,
-                               self._peers)
-        self._fence = False
-        got = self._round(step, buckets, *links)
+        got = self._round(step, buckets, out_links, in_links,
+                          release_round and not self.receipted)
         own = buckets.get(pid)
         if own is not None:
             got[pid] = own
@@ -170,6 +206,75 @@ class LinkChannel:
         # concatenated by src (empty finals decode to empty runs, which
         # PacketRuns drops).
         return PacketRuns(got.items())
+
+    def _round(self, step: int, buckets: dict[int, list[Packet]],
+               out_links: Sequence[int], in_links: Collection[int],
+               release_round: bool) -> dict[int, list[Packet]]:
+        """One boundary: a frame per out-link, one from each live in-link.
+
+        With ``release_round``, once every in-link's frame is in hand a
+        ``TAG_RELEASE`` goes to each of those peers, and the round passes
+        after the release of every peer it sent to — proof that peer
+        holds our frame.
+        """
+        pid = self._pid
+        plan = faults._ACTIVE
+        for peer in out_links:
+            if plan is not None:
+                if plan.drops_frame(pid, step, peer):
+                    continue  # lost message: the peer stalls on our frame
+                plan.count_frame(pid)
+            self._send(peer, step, buckets.get(peer, ()), release_round)
+        self._await(self._data.setdefault(step, {}), in_links)
+        if release_round:
+            for peer in self._peers:
+                if peer in in_links and peer not in self._departed:
+                    self._signal(peer, TAG_RELEASE, step)
+                    if plan is not None:
+                        plan.count_frame(pid)
+            self._await(self._released.setdefault(step, set()), out_links)
+        self._settle(self._released.pop(step, ()))
+        return self._data.pop(step)
+
+    def _await(self, got: Collection[int], links: Collection[int]) -> None:
+        """Pump until every live link of ``links`` has delivered into
+        ``got``."""
+        departed = self._departed
+        while any(q not in got and q not in departed for q in links):
+            self._pump()
+
+    def _file(self, frame: Frame) -> None:
+        """File one inbound frame; another run's is debris."""
+        if frame.run_id != self._run_id:
+            return
+        tag = frame.tag
+        if tag == TAG_PKT:
+            self._data.setdefault(frame.step, {})[frame.src] = \
+                frame.packets(self._pid)
+        elif tag == TAG_RELEASE:
+            self._released.setdefault(frame.step, set()).add(frame.src)
+        elif tag == TAG_LEFT:
+            self._departed.add(frame.src)
+        elif tag == TAG_DEAD:
+            raise Abort()
+
+    # -- a rank's end -------------------------------------------------------
+
+    def depart(self) -> None:
+        """Tell every peer this rank's program returned."""
+        plan = faults._ACTIVE
+        self._announce(TAG_LEFT, [
+            peer for peer in self._peers
+            if plan is None or not plan.drops_depart(self._pid, peer)])
+
+    def die(self) -> None:
+        """Tell every peer this rank failed: their exchange aborts."""
+        self._announce(TAG_DEAD, self._peers)
+
+    def _announce(self, tag: int, peers: Sequence[int]) -> None:
+        """Signal ``tag`` to each of ``peers`` (a fabric may add a flush)."""
+        for peer in peers:
+            self._signal(peer, tag, 0)
 
 
 def validate_schedule(nprocs: int) -> None:

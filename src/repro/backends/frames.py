@@ -61,14 +61,16 @@ import select
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .. import faults
 from ..core.packets import Packet
 from . import shm
 
 #: Frame tags.  TAG_LEASES carries zero-copy lease ids back to the
 #: segment owner when no boundary frame is owed to piggyback them on
-#: (pipe fabric only; not the socket fabric's ``TAG_RELEASE`` round).
+#: (pipe fabric only; not the release round's ``TAG_RELEASE``).
 TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_FENCE, TAG_LEASES = 0, 1, 2, 3, 4
+#: The release round — "I hold every frame of step s" (only a fabric
+#: whose links cannot prove receipt runs it).
+TAG_RELEASE = 5
 #: A worker -> supervisor outcome or ack, on either fabric.
 TAG_RESULT = 8
 
@@ -349,9 +351,7 @@ class FrameTransport:
                     buffers: list[memoryview]) -> None:
         """Worker ``src`` -> parent: :func:`encode_object` of one
         5-tuple for :meth:`poll`, as one frame, written before this
-        returns.  It takes a boundary frame's data path but not its
-        fault hooks: injected frame faults and counts are about the
-        exchange."""
+        returns: a boundary frame's data path."""
         self.push_frame(self._frame(self.nprocs, -1, -1, src, meta, buffers))
         # Not a broadcast: do not pin the result in the dedup cache.
         self._dedup[src] = None
@@ -422,28 +422,18 @@ class FrameTransport:
     def send_packets(self, dst: int, run_id: int, step: int, src: int,
                      packets: Sequence[Packet], *,
                      releases: Sequence[int] = ()) -> None:
-        frame = self.encode_frame(dst, run_id, step, src, packets,
-                                  releases=releases)
-        if frame is not None:
-            self.push_frame(frame)
+        self.push_frame(self.encode_frame(dst, run_id, step, src, packets,
+                                          releases=releases))
 
     def encode_frame(self, dst: int, run_id: int, step: int, src: int,
                      packets: Sequence[Packet], *,
-                     releases: Sequence[int] = ()) -> tuple | None:
+                     releases: Sequence[int] = ()) -> tuple:
         """Serialize one bucket into the frame :meth:`push_frame` takes.
 
         What must happen once per frame, however many pushes it then
-        needs, happens here: the fault hooks (``None``: an injected
-        DROP_FRAME swallowed it), the pickle pass, and deciding whether
-        the out-of-band buffers ride a lease or the pipe.
+        needs, happens here: the pickle pass, and deciding whether the
+        out-of-band buffers ride a lease or the pipe.
         """
-        # Fault-injection hook: one attribute load + None test per frame
-        # (never per packet) when disabled.
-        plan = faults._ACTIVE
-        if plan is not None:
-            if plan.drops_frame(src, step, dst):
-                return None
-            plan.count_frame(src)
         return self._frame(dst, run_id, step, src, *encode_packets(packets),
                            releases)
 

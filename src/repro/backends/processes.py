@@ -36,11 +36,13 @@ Like the thread backend's vanishing barrier, a processor that finishes
 sends a departure sentinel so peers stop waiting for it; mismatched
 superstep counts then surface as a stats-merge error rather than a hang.
 
-Everything around the exchange — worker lifecycle, the supervised gather
-of one outcome per rank, crash/deadlock triage, one-shot vs pooled — is
-the fabric-independent :mod:`~repro.backends.pool` core.  This module is
-the pipe fabric behind it: :class:`_FrameChannel` (the exchange above)
-and :class:`BspPool`, which supplies only
+The round itself — which frames, which waits — is
+:class:`~repro.backends.exchange.LinkChannel`'s, and everything around
+the exchange — worker lifecycle, the supervised gather of one outcome
+per rank, crash/deadlock triage, one-shot vs pooled — is the
+fabric-independent :mod:`~repro.backends.pool` core.  This module is
+the pipe fabric behind them: :class:`_FrameChannel` (the pipe transport
+of the round) and :class:`BspPool`, which supplies only
 
 * **build / teardown**: one :class:`~repro.backends.frames.FrameTransport`
   (pipes, segment pools, heartbeat words) and a control queue per
@@ -67,7 +69,8 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Any, Sequence
+from collections import deque
+from typing import Any, Collection, Sequence
 
 from .. import faults
 from ..core.errors import (
@@ -79,13 +82,7 @@ from ..core.errors import (
 from ..core.packets import Packet
 from .base import Program
 from .exchange import LinkChannel
-from .frames import (
-    TAG_DEAD,
-    TAG_FENCE,
-    TAG_LEFT,
-    TAG_PKT,
-    FrameTransport,
-)
+from .frames import TAG_DEAD, TAG_FENCE, FrameTransport
 from .pool import (
     Abort,
     PoolBackend,
@@ -98,201 +95,161 @@ from .pool import (
 
 
 class _FrameChannel(LinkChannel):
-    """Superstep-boundary exchange over the shared frame transport.
+    """The boundary round over the shared frame transport: the pipe
+    fabric's half of :class:`~repro.backends.exchange.LinkChannel`.
 
-    One protocol for every ``sync`` mode, that of
-    :func:`~repro.backends.exchange.boundary_links`: push one frame per
-    out-link (empty buckets included), block until every live in-link's
-    frame arrived.  The modes differ only in the link sets, and a pipe
-    needs no release round.  ``_stash`` absorbs the frames of peers
-    already a superstep ahead.
-
-    Frames go out through :meth:`_push`: from the calling thread when
-    that cannot wait, else from a sender thread that exists only once a
-    frame needed it.  A failed send (an unpicklable payload) ends the
-    same on either thread: recorded, ``TAG_DEAD`` to every peer, the
-    original exception raised out of ``exchange``.
+    A pipe write is its own receipt, so every ``sync`` mode is the one
+    round with no release round; the modes differ only in their link
+    sets.  Frames go out through :meth:`_send`: from the calling thread
+    when that cannot wait, else from a sender thread that exists only
+    once a frame needed it.  A send that fails on that thread (an
+    unpicklable payload) ends as it would on the calling one: recorded,
+    ``TAG_DEAD`` to every peer, the original exception raised out of
+    ``exchange``.
     """
+
+    receipted = True
 
     def __init__(self, pid: int, nprocs: int, transport: FrameTransport,
                  run_id: int, *, sync: str = "strict"):
-        super().__init__(pid, nprocs, sync)
+        super().__init__(pid, nprocs, sync, run_id)
         self._transport = transport
-        self._run_id = run_id
-        #: Early arrivals from peers already one superstep ahead.
-        self._stash: dict[int, dict[int, list[Packet]]] = {}
+        #: This boundary's reaped lease ids, by owner, until a frame to
+        #: the owner carries them home.
+        self._owed: dict[int, list[int]] = {}
         # Sender thread for the frames the calling thread could not push
-        # without waiting; started by the first such frame and then fed
-        # one request per boundary (thread start-up per sync is
-        # measurable on small machines).  Daemonic: if we abort because a
-        # peer died, an in-flight send may be stuck on a frame nobody
-        # will ever drain; the thread must not keep the process alive
-        # then.
+        # without waiting; started by the first such frame, then kept
+        # (thread start-up per sync is measurable on small machines).
+        # Daemonic: if we abort because a peer died, an in-flight send
+        # may be stuck on a frame nobody will ever drain; the thread must
+        # not keep the process alive then.
         self._cv = threading.Condition()
-        #: The encoded frames the sender thread is to push, if any.
-        self._req: list[tuple] | None = None
+        #: Encoded frames the sender thread is to push, oldest first; the
+        #: head leaves only once it is written.
+        self._queue: deque[tuple] = deque()
         self._stop = False
         self._push_error: list[BaseException] = []
         self._sender: threading.Thread | None = None
 
-    # -- sending -------------------------------------------------------------
+    # -- the transport LinkChannel calls ------------------------------------
 
-    def _push(self, step: int, buckets: dict[int, list[Packet]],
-              targets: Sequence[int], releases: dict[int, list[int]]) -> None:
-        """Put one frame per target on the wire, in schedule order.
-
-        Pipe writes block once the pipe is full, so two peers pushing
-        large boundary frames at each other would deadlock — the
-        exact hazard Appendix B.3 describes ("receivers [must] actively
-        empty the pipe").  So the calling thread pushes only what cannot
-        wait (for ocean's ghost rows: everything) and then plays the
-        receiver; frames that could block go, already encoded, to the
-        sender thread.
-        """
-        transport, run_id, pid = self._transport, self._run_id, self._pid
-        deferred = []
-        try:
-            for peer in targets:
-                frame = transport.encode_frame(
-                    peer, run_id, step, pid, buckets.get(peer, ()),
-                    releases=releases.get(peer, ()))
-                if frame is not None and not transport.push_frame(
-                        frame, block=False):
-                    deferred.append(frame)
-        except BaseException as exc:  # e.g. an unpicklable payload
-            self._send_failed(exc)
-            raise
-        if deferred:
-            if self._sender is None:
-                self._sender = threading.Thread(
-                    target=self._sender_loop, name=f"bsp-send-{pid}",
-                    daemon=True)
-                self._sender.start()
-            with self._cv:
-                self._req = deferred
-                self._cv.notify_all()
-
-    def _send_failed(self, exc: BaseException) -> None:
-        """Record a failed send and wake every peer (fail fast: nobody
-        may block on a frame that will never arrive)."""
-        self._push_error.append(exc)
-        try:
-            self.die()
-        except BaseException:  # pragma: no cover - transport gone
-            pass
-
-    def _sender_loop(self) -> None:
-        transport = self._transport
-        while True:
-            with self._cv:
-                while self._req is None and not self._stop:
-                    self._cv.wait()
-                if self._req is None:
-                    return
-                frames = self._req
-            try:
-                for frame in frames:
-                    transport.push_frame(frame)
-            except BaseException as exc:
-                self._send_failed(exc)
-                try:  # ...and this worker's own receive loop
-                    transport.send_control(self._pid, TAG_DEAD,
-                                           self._run_id, self._pid)
-                except BaseException:  # pragma: no cover - transport gone
-                    pass
-            with self._cv:
-                self._req = None
-                self._cv.notify_all()
-
-    def _send_wait(self) -> None:
-        """Wait out the sender thread's current request, then surface a
-        failed send — this boundary's or an earlier one's."""
-        if self._req is not None:
-            with self._cv:
-                while self._req is not None:
-                    self._cv.wait()
-        if self._push_error:
-            raise self._push_error[0]
-
-    def close(self) -> None:
-        """Ask the sender thread to exit once its current send completes."""
-        with self._cv:
-            self._stop = True
-            self._cv.notify_all()
-
-    # -- exchange ------------------------------------------------------------
-
-    def _enter(self, step: int, outbox: list[Packet]) -> None:
+    def _enter(self, step: int, outbox: list[Packet],
+               out_links: Sequence[int]) -> None:
+        transport, pid = self._transport, self._pid
         # Heartbeat: one bump per superstep boundary makes "slow but
         # alive" visible to the supervisor; a flat counter past the stall
         # window is what distinguishes a deadlock from a long superstep.
-        self._transport.beat(self._pid)
+        transport.beat(pid)
         # Fault-injection hook — one attribute load + None test when off.
         plan = faults._ACTIVE
         if plan is not None:
-            plan.at_boundary(self._pid, step, self._nprocs, outbox)
-
-    def _round(self, step: int, buckets: dict[int, list[Packet]],
-               out_links: Sequence[int], in_links: frozenset[int],
-               release_round: bool) -> dict[int, list[Packet]]:
-        # No release round on this fabric: a pushed frame is already in
-        # its destination's pipe.
-        transport, pid = self._transport, self._pid
+            plan.at_boundary(pid, step, self._nprocs, outbox)
         # Zero-copy lease upkeep: reap inbound leases whose payloads the
         # program dropped; their ids ride home piggybacked on this
         # boundary's frames.  TORN_LEASE discards them — the owner's
         # pool must grow, never alias.
-        plan = faults._ACTIVE
-        releases = transport.collect_releases(
+        self._owed = transport.collect_releases(
             pid, discard=plan is not None and plan.tears_lease(pid, step))
         if plan is not None and plan.leaks_segment(pid, step):
             transport.leak_segment(pid)
         # An owner we owe no frame this boundary — outside the declared
-        # out-links under elide, or outside this run's nprocs on a larger
-        # pool — gets its ids on a dedicated control frame.
-        for owner, ids in releases.items():
-            if owner not in out_links:
-                transport.send_release(owner, self._run_id, pid, ids)
-        self._push(step, buckets, out_links, releases)
-        got = self._stash.pop(step, {})
-        while in_links - self._departed - got.keys():
-            self._consume(transport.recv(pid), step, got)
-        self._send_wait()
-        return got
+        # out-links under elide, departed, or outside this run's nprocs
+        # on a larger pool — gets its ids on a dedicated control frame.
+        for owner in [q for q in self._owed if q not in out_links]:
+            transport.send_release(owner, self._run_id, pid,
+                                   self._owed.pop(owner))
 
-    def _consume(self, frame, step: int,
-                 got: dict[int, list[Packet]]) -> None:
-        """File one drained frame: deliver, stash, or react to control."""
-        if frame.run_id != self._run_id:
-            return  # stale frame from an earlier run on this pool
-        if frame.tag == TAG_PKT:
+    def _send(self, peer: int, step: int, bucket: Sequence[Packet],
+              volatile: bool) -> None:
+        """Push one frame from the calling thread if that cannot wait,
+        else hand it, encoded, to the sender thread.
+
+        Pipe writes block once the pipe is full, so two peers pushing
+        large boundary frames at each other would deadlock — the exact
+        hazard Appendix B.3 describes ("receivers [must] actively empty
+        the pipe").  So the calling thread pushes only what cannot wait
+        (for ocean's ghost rows: everything) and then plays the receiver.
+        """
+        transport = self._transport
+        frame = transport.encode_frame(peer, self._run_id, step, self._pid,
+                                       bucket,
+                                       releases=self._owed.pop(peer, ()))
+        if transport.push_frame(frame, block=False):
+            return
+        if self._sender is None:
+            self._sender = threading.Thread(
+                target=self._sender_loop, name=f"bsp-send-{self._pid}",
+                daemon=True)
+            self._sender.start()
+        with self._cv:
+            self._queue.append(frame)
+            self._cv.notify_all()
+
+    def _signal(self, peer: int, tag: int, step: int) -> None:
+        self._transport.send_control(peer, tag, self._run_id, self._pid,
+                                     step=step)
+
+    def _pump(self) -> None:
+        frame = self._transport.recv(self._pid)
+        if frame.run_id == self._run_id:
             if frame.stale:
                 raise PacketError(
                     f"pid {self._pid}: frame from pid {frame.src} at "
                     f"superstep {frame.step} carries a zero-copy lease "
                     "from a reset segment pool (stale generation)")
-            pkts = frame.packets(self._pid)
-            if frame.step == step:
-                got[frame.src] = pkts
-            else:
-                self._stash.setdefault(frame.step, {})[frame.src] = pkts
-        elif frame.tag == TAG_LEFT:
-            self._departed.add(frame.src)
-        elif frame.tag == TAG_DEAD:
-            if frame.src == self._pid:
+            if frame.tag == TAG_DEAD and frame.src == self._pid:
                 self._send_wait()  # raises: our own send failed
-            raise Abort()
+        self._file(frame)
 
-    def depart(self) -> None:
-        plan = faults._ACTIVE
-        for peer in self._peers:
-            if plan is not None and plan.drops_depart(self._pid, peer):
-                continue
-            self._transport.send_control(peer, TAG_LEFT, self._run_id, self._pid)
+    def _settle(self, released: Collection[int]) -> None:
+        self._send_wait()
 
-    def die(self) -> None:
-        for peer in self._peers:
-            self._transport.send_control(peer, TAG_DEAD, self._run_id, self._pid)
+    # -- the sender thread --------------------------------------------------
+
+    def _sender_loop(self) -> None:
+        transport, queue = self._transport, self._queue
+        while True:
+            with self._cv:
+                while not queue and not self._stop:
+                    self._cv.wait()
+                if not queue:
+                    return
+                frame = queue[0]
+            try:
+                transport.push_frame(frame)
+            except BaseException as exc:
+                # Fail fast: nobody may block on a frame that will never
+                # arrive — every peer, and this worker's own receive loop.
+                self._push_error.append(exc)
+                try:
+                    self.die()
+                    transport.send_control(self._pid, TAG_DEAD,
+                                           self._run_id, self._pid)
+                except BaseException:  # pragma: no cover - transport gone
+                    pass
+            with self._cv:
+                if self._push_error:
+                    queue.clear()
+                else:
+                    queue.popleft()
+                self._cv.notify_all()
+
+    def _send_wait(self) -> None:
+        """Wait until the sender thread has written every frame handed to
+        it, then surface a failed send — this boundary's or an earlier
+        one's."""
+        if self._queue:
+            with self._cv:
+                while self._queue:
+                    self._cv.wait()
+        if self._push_error:
+            raise self._push_error[0]
+
+    def close(self) -> None:
+        """Ask the sender thread to exit once its queue is written."""
+        with self._cv:
+            self._stop = True
+            self._cv.notify_all()
 
 
 def _do_fence(pid: int, nprocs: int, fence_id: int,

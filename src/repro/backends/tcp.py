@@ -10,7 +10,8 @@ combined frame per peer** using the exact pickle-5 out-of-band layout of
 every ledger) is bit-identical to the other backends.
 
 ``bspSynch`` is the one boundary round of
-:func:`~repro.backends.exchange.boundary_links`: in
+:class:`~repro.backends.exchange.LinkChannel`, which this module only
+supplies a transport for: in
 :func:`~repro.backends.exchange.peer_order` (B.3's pairing discipline)
 every rank sends each out-link exactly one frame — its combined bucket,
 or an empty final — and has "arrived" once every live in-link's frame is
@@ -97,7 +98,7 @@ import struct
 import time
 import traceback
 from collections import deque
-from typing import Any, Container, Sequence
+from typing import Any, Collection, Sequence
 
 from .. import faults
 from ..core.errors import (
@@ -124,6 +125,7 @@ from .pool import (
 )
 from . import tcp_wire as wire
 from .tcp_launch import (
+    LinkState,
     MeshFabric,
     bind_listener,
     connect_retry,
@@ -172,62 +174,25 @@ class _PeerLost(BaseException):
         self.peer = peer
 
 
-class _LinkState:
-    """Durable per-link transport state, outliving any one connection.
-
-    Sequence numbers, the retransmit journal, and the receive cursor are
-    properties of the *link* (the rank pair), not of the socket: a
-    reconnected socket resumes exactly where the dead one stopped, and
-    in pool mode the numbering continues across runs on the same mesh.
-
-    ``journal`` maps ``seq -> encoded chunks`` for every sent frame the
-    peer has not yet cumulatively acked; ``volatile`` marks journal
-    entries whose payload memoryviews alias live program arrays (strict
-    mode sends) — those are force-trimmed at barrier exit, where the
-    peer's release proves receipt, so they are never replayed with
-    mutated bytes.  ``stash`` is the receive-side reorder buffer that
-    makes a NACK resend of one frame sufficient.
-    """
-
-    __slots__ = ("dec", "tx_seq", "rx_next", "peer_ack", "journal",
-                 "volatile", "attempts", "stash", "retransmits",
-                 "reconnects", "dups", "corrupts")
-
-    def __init__(self) -> None:
-        self.dec = wire.FrameDecoder()
-        self.tx_seq = 0          # next sequence number to assign
-        self.rx_next = 0         # next sequence number expected inbound
-        self.peer_ack = 0        # highest cumulative ack seen from peer
-        self.journal: dict[int, list] = {}
-        self.volatile: set[int] = set()
-        self.attempts: dict[int, int] = {}
-        self.stash: dict[int, Frame] = {}
-        self.retransmits = 0
-        self.reconnects = 0
-        self.dups = 0
-        self.corrupts = 0
-
-
 # ---------------------------------------------------------------------------
-# Rank side: the mesh channel (event loop + two-phase barrier)
+# Rank side: the mesh channel (event loop + link repair)
 # ---------------------------------------------------------------------------
 
 
 class _MeshChannel(LinkChannel):
-    """Superstep-boundary exchange over a socket mesh (one rank's view).
+    """The boundary round over a socket mesh (one rank's view): the socket
+    fabric's half of :class:`~repro.backends.exchange.LinkChannel`.
 
-    One round for every ``sync`` mode, that of
-    :func:`~repro.backends.exchange.boundary_links`: one ``TAG_PKT``
-    frame per out-link (an empty bucket becomes an empty final — it *is*
-    the "no data" announcement), pass once every live in-link's frame is
-    in and the outbound queues are drained.  Per-link TCP FIFO bounds
-    run-ahead to one superstep (a peer cannot start step ``s+1`` before
-    our step-``s`` final reached it).  ``strict`` and checkpoint fences
-    add the release round described in the module docstring.
+    An empty bucket goes out as an empty final — it *is* the "no data"
+    announcement; per-link TCP FIFO bounds run-ahead to one superstep;
+    a socket cannot prove receipt, so ``strict`` and checkpoint fences
+    run the release round.  What this class adds is the transport: one
+    selector loop over the links, a sequenced and journaled send path,
+    and link repair.
 
-    ``links`` and ``fabric`` are what a mesh that outlives the run hands
-    in: link state that continues across runs, and the means to re-dial
-    a dropped link.  With a ``fabric`` the channel heals links, watches
+    ``fabric`` is what a mesh that outlives the run hands in: the link
+    state that continues across runs, and the means to re-dial a
+    dropped link.  With a ``fabric`` the channel heals links, watches
     ``ctrl`` for supervisor aborts, and leaves the sockets open at
     :meth:`shutdown`; without one (a pool of one run) a lost link aborts
     the run and :meth:`shutdown` closes the sockets.
@@ -235,13 +200,10 @@ class _MeshChannel(LinkChannel):
 
     def __init__(self, rank: int, nprocs: int,
                  socks: dict[int, socket.socket], run_id: int,
-                 ctrl: "_CtrlLink | None", *,
-                 links: dict[int, _LinkState] | None = None,
-                 sync: str = "strict",
+                 ctrl: "_CtrlLink | None", *, sync: str = "strict",
                  fabric: MeshFabric | None = None):
-        super().__init__(rank, nprocs, sync)
+        super().__init__(rank, nprocs, sync, run_id)
         self._socks = dict(socks)
-        self._run_id = run_id
         self._ctrl = ctrl
         self._fabric = fabric
         #: Heartbeat piggybacking state (relaxed/elide): inbound data
@@ -250,8 +212,8 @@ class _MeshChannel(LinkChannel):
         self._last_beat = time.monotonic()
         self._hb_sent = (0, 0)
         self._sel = selectors.DefaultSelector()
-        self._link = links if links is not None else {
-            peer: _LinkState() for peer in self._socks}
+        self._link = fabric.links if fabric is not None else {
+            peer: LinkState() for peer in self._socks}
         self._out: dict[int, deque] = {p: deque() for p in self._socks}
         self._mask: dict[int, int] = {}
         self._eof: set[int] = set()
@@ -259,12 +221,9 @@ class _MeshChannel(LinkChannel):
         #: us, per the pair rule) -> monotonic deadline.
         self._waiting: dict[int, float] = {}
         self._gathering = False
-        #: Per-step stashes; TCP per-link ordering bounds them to one
-        #: step of run-ahead, but the dicts handle the general case.  A
-        #: step's ``_data`` keys are the in-links that have arrived.
-        self._data: dict[int, dict[int, list[Packet]]] = {}
-        self._release: dict[int, set[int]] = {}
         self._results: dict[int, Any] = {}
+        #: ``(step, chunks)`` of the boundary's empty final.
+        self._empty: tuple[int, list] = (-1, [])
         for peer, sock in self._socks.items():
             sock.setblocking(False)
             self._sel.register(sock, selectors.EVENT_READ, peer)
@@ -548,14 +507,12 @@ class _MeshChannel(LinkChannel):
         if not data:
             self._link_down(peer)
             return
-        link = self._link[peer]
         try:
-            frames = link.dec.feed(data)
+            frames = self._link[peer].dec.feed(data)
         except PacketError:
             # Structural stream damage: the framing itself cannot be
             # trusted, so surgical NACK repair is impossible — reset the
             # connection and replay the journal.
-            link.corrupts += 1
             if self._fabric is not None and peer not in self._departed:
                 self._link_down(peer)
                 return
@@ -568,7 +525,6 @@ class _MeshChannel(LinkChannel):
         link = self._link[peer]
         if frame.tag == wire.TAG_CORRUPT:
             # CRC mismatch, framing intact: ask for exactly that frame.
-            link.corrupts += 1
             if frame.seq < 0:
                 self._link_down(peer)  # unsequenced: cannot NACK
                 return
@@ -586,19 +542,18 @@ class _MeshChannel(LinkChannel):
                     link.volatile.discard(s)
                 link.peer_ack = frame.ack
             if frame.seq < link.rx_next:
-                link.dups += 1  # retransmit overlap or injected duplicate
-                return
+                return  # retransmit overlap or injected duplicate
             if frame.seq > link.rx_next:
                 link.stash[frame.seq] = frame  # reorder (post-NACK) gap
                 return
             link.rx_next += 1
-            self._handle(frame)
+            self._file(frame)
             while link.rx_next in link.stash:
                 nxt = link.stash.pop(link.rx_next)
                 link.rx_next += 1
-                self._handle(nxt)
+                self._file(nxt)
             return
-        self._handle(frame)
+        self._file(frame)
 
     def _retransmit(self, peer: int, seq: int) -> None:
         """Resend journal entry ``seq`` in answer to a peer NACK."""
@@ -614,28 +569,20 @@ class _MeshChannel(LinkChannel):
         link.retransmits += 1
         self._enqueue(peer, wire.reenvelope(entry, seq, link.rx_next))
 
-    def _handle(self, frame: Frame) -> None:
+    def _file(self, frame: Frame) -> None:
+        """The round's filing, plus what only sockets carry: the SPMD
+        outcomes (a peer's ``TAG_DEAD`` precedes its outcome there), and
+        the data frames that prove liveness to :meth:`_beat`."""
         tag = frame.tag
-        if tag == TAG_LEFT:
+        if tag == wire.TAG_RESULT:
             if frame.run_id == self._run_id:
-                self._departed.add(frame.src)
-            return
-        if tag == TAG_DEAD:
-            if frame.run_id == self._run_id and not self._gathering:
-                raise Abort()
-            return
-        if frame.run_id != self._run_id:
-            return  # debris from an earlier, failed run on this mesh
-        if tag == TAG_PKT:
-            self._data_beats += 1
-            self._data.setdefault(frame.step, {})[frame.src] = \
-                frame.packets(self._pid)
-        elif tag == wire.TAG_RELEASE:
-            self._release.setdefault(frame.step, set()).add(frame.src)
-        elif tag == wire.TAG_RESULT:
-            self._results[frame.src] = wire.frame_object(frame)
+                self._results[frame.src] = wire.frame_object(frame)
+        elif tag != TAG_DEAD or not self._gathering:
+            if tag == TAG_PKT:
+                self._data_beats += 1
+            super()._file(frame)
 
-    # -- the ExchangeChannel contract ---------------------------------------
+    # -- the transport LinkChannel calls ------------------------------------
 
     def _beat(self, step: int) -> None:
         """Heartbeat, piggybacked on data traffic in relaxed/elide.
@@ -658,15 +605,21 @@ class _MeshChannel(LinkChannel):
             if busy and now - self._last_beat < _HEARTBEAT_S:
                 return
             self._last_beat = now
-        totals = (sum(l.retransmits for l in self._link.values()),
-                  sum(l.reconnects for l in self._link.values()))
-        meta = None
-        if totals != self._hb_sent:
-            self._hb_sent = totals
-            meta = pickle.dumps(totals)
-        self._ctrl.beat(step, meta)
+        self._ctrl.beat(step, self._counters())
 
-    def _enter(self, step: int, outbox: list[Packet]) -> None:
+    def _counters(self) -> bytes | None:
+        """This rank's (retransmits, reconnects), pickled for a beat, if
+        they changed since a beat last carried them."""
+        links = self._link.values()
+        totals = (sum(link.retransmits for link in links),
+                  sum(link.reconnects for link in links))
+        if totals == self._hb_sent:
+            return None
+        self._hb_sent = totals
+        return pickle.dumps(totals)
+
+    def _enter(self, step: int, outbox: list[Packet],
+               out_links: Sequence[int]) -> None:
         self._beat(step)
         # Fault-injection hook — one attribute load + None test when off.
         plan = faults._ACTIVE
@@ -678,108 +631,64 @@ class _MeshChannel(LinkChannel):
                         [q for q in self._peers if q in self._socks]):
                     self._inject_reset(peer)
 
-    def _round(self, step: int, buckets: dict[int, list[Packet]],
-               out_links: Sequence[int], in_links: frozenset[int],
-               release_round: bool) -> dict[int, list[Packet]]:
-        """One boundary: a frame per out-link, one from each live in-link.
-
-        The round passes only once our outbound queues are drained too:
-        payload memoryviews reference live program arrays, so returning
-        earlier would let the program mutate bytes still queued on a
-        socket.  With ``release_round``, once every in-link's frame is
-        in hand we post ``TAG_RELEASE`` to those peers, and pass after
-        the release of every peer we sent to — proof it holds our frame.
-        """
-        run_id, rank = self._run_id, self._pid
+    def _send(self, peer: int, step: int, bucket: Sequence[Packet],
+              volatile: bool) -> None:
+        """Post one boundary frame; the chunks alias live program arrays,
+        journaled uncopied only when a release round will prove receipt
+        (``volatile``: trimmed in :meth:`_settle`)."""
         plan = faults._ACTIVE
-        empty_final = None  # identical for every empty link: encode once
-        for peer in out_links:
-            if peer in self._departed:
-                continue
-            corrupt = dup = False
-            if plan is not None:
-                if plan.drops_frame(rank, step, peer):
-                    continue  # lost message: the peer stalls on our final
-                delay = plan.slow_link(rank, step, peer)
-                if delay:
-                    time.sleep(delay)
-                corrupt = plan.corrupts_frame(rank, step, peer)
-                dup = plan.duplicates_frame(rank, step, peer)
-            bucket = buckets.get(peer)
-            if bucket:
-                chunks = wire.encode_packet_frame(run_id, step, rank, bucket)
-            else:
-                if empty_final is None:
-                    empty_final = wire.encode_packet_frame(
-                        run_id, step, rank, ())
-                chunks = empty_final
-            # The chunks alias live program arrays.  A release round
-            # proves receipt before the program runs again, so the
-            # journal entry is volatile (trimmed below).  (reenvelope
-            # inside _post re-addresses the shared empty final per peer.)
-            self._post(peer, chunks, volatile=release_round,
-                       corrupt=corrupt, dup=dup)
-            if plan is not None:
-                plan.count_frame(rank)
-        arrived = self._data.setdefault(step, {})
-        while self._awaiting(arrived, in_links):
-            self._pump()
-        if release_round:
-            for peer in self._peers:
-                if peer not in in_links or peer in self._departed:
-                    continue
-                self._post(peer, wire.encode_frame(
-                    wire.TAG_RELEASE, run_id, step, rank))
-                if plan is not None:
-                    plan.count_frame(rank)
-            released = self._release.setdefault(step, set())
-            while self._awaiting(released, out_links):
-                self._pump()
+        corrupt = dup = False
+        if plan is not None:
+            delay = plan.slow_link(self._pid, step, peer)
+            if delay:
+                time.sleep(delay)
+            corrupt = plan.corrupts_frame(self._pid, step, peer)
+            dup = plan.duplicates_frame(self._pid, step, peer)
+        if bucket:
+            chunks = wire.encode_packet_frame(self._run_id, step, self._pid,
+                                              bucket)
+        else:
+            # Identical for every empty link of a boundary: encoded once
+            # (_post's reenvelope re-addresses it per peer).
+            if self._empty[0] != step:
+                self._empty = (step, wire.encode_packet_frame(
+                    self._run_id, step, self._pid, ()))
+            chunks = self._empty[1]
+        self._post(peer, chunks, volatile=volatile, corrupt=corrupt, dup=dup)
+
+    def _signal(self, peer: int, tag: int, step: int) -> None:
+        self._post(peer, wire.encode_frame(tag, self._run_id, step,
+                                           self._pid))
+
+    def _settle(self, released: Collection[int]) -> None:
+        """Pass only once the outbound queues are drained — payload
+        memoryviews reference live program arrays, so returning earlier
+        would let the program mutate bytes still queued on a socket."""
         while any(self._out.values()):
             self._pump()
-        if release_round:
-            # A peer's release proves it received the frame we sent it,
-            # so the volatile journal entries can never be NACKed or
-            # replayed — trim them before the arrays they alias mutate.
-            for q in self._release.get(step, ()):
-                link = self._link[q]
-                for s in link.volatile:
-                    link.journal.pop(s, None)
-                    link.attempts.pop(s, None)
-                link.volatile.clear()
-        self._release.pop(step, None)
-        return self._data.pop(step)
+        # A peer's release proves it received the frame we sent it, so
+        # the volatile journal entries can never be NACKed or replayed —
+        # trim them before the arrays they alias mutate.
+        for q in released:
+            link = self._link[q]
+            for s in link.volatile:
+                link.journal.pop(s, None)
+                link.attempts.pop(s, None)
+            link.volatile.clear()
 
-    def _awaiting(self, got: Container[int], links) -> bool:
-        """Some live link of ``links`` has not delivered into ``got``."""
-        departed = self._departed
-        return any(q not in got and q not in departed for q in links)
-
-    def depart(self) -> None:
-        # Note: a peer being in ``_departed`` does NOT mean it stopped
-        # reading — in SPMD mode it still pumps this link through the
-        # result all-gather, and must see our LEFT before our EOF.  Only
-        # an already-dead link is skipped.
-        plan = faults._ACTIVE
-        self._announce(TAG_LEFT, 30.0, [
-            peer for peer in self._peers
-            if plan is None or not plan.drops_depart(self._pid, peer)])
-
-    def die(self) -> None:
-        self._announce(TAG_DEAD, 5.0, self._peers)
-
-    def _announce(self, tag: int, timeout: float,
-                  peers: Sequence[int]) -> None:
-        """Post one ``tag`` sentinel to every live link of ``peers``."""
+    def _announce(self, tag: int, peers: Sequence[int]) -> None:
+        """Post one ``tag`` sentinel to every live link of ``peers``, then
+        flush.  A departed peer is not skipped: in SPMD mode it still
+        pumps this link through the result all-gather, and must see our
+        LEFT before our EOF; only an already-dead link is."""
         for peer in peers:
             if peer in self._eof:
                 continue
             try:
-                self._post(peer, wire.encode_frame(
-                    tag, self._run_id, 0, self._pid))
+                self._signal(peer, tag, 0)
             except _PeerLost:
                 continue  # as in _drain: the other peers still need theirs
-        self._drain(timeout)
+        self._drain(30.0 if tag == TAG_LEFT else 5.0)
 
     def _drain(self, timeout: float) -> None:
         """Best-effort flush of every outbound queue."""
@@ -828,12 +737,9 @@ class _MeshChannel(LinkChannel):
         # traffic proves liveness, so a short run can finish with repair
         # counters the supervisor never saw.  One unconditional beat here
         # closes that gap (strict mode already beat at every boundary).
-        if self._ctrl is not None:
-            totals = (sum(l.retransmits for l in self._link.values()),
-                      sum(l.reconnects for l in self._link.values()))
-            if totals != self._hb_sent:
-                self._hb_sent = totals
-                self._ctrl.beat(-1, pickle.dumps(totals))
+        meta = None if self._ctrl is None else self._counters()
+        if meta is not None:
+            self._ctrl.beat(-1, meta)
         if self._fabric is None:
             self._linger()
             for sock in self._socks.values():
@@ -957,13 +863,12 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
         coordinator_listener=coord_listener if rank == 0 else None)
 
     def execute(run_id: int, nprocs: int, spec: tuple,
-                links: dict[int, _LinkState] | None = None,
                 heal: MeshFabric | None = None) -> None:
         program, args, kwargs, sync = spec
         socks = {q: fabric.socks[q] for q in range(nprocs)
                  if q in fabric.socks}
         channel = _MeshChannel(rank, nprocs, socks, run_id, ctrl,
-                               links=links, sync=sync, fabric=heal)
+                               sync=sync, fabric=heal)
         outcome = run_rank(channel, rank, nprocs, run_id, program, args,
                            kwargs, (Abort, _PeerLost))
         channel.shutdown()
@@ -977,10 +882,10 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
         fabric.close()
         ctrl.close()
         return
-    # Link state (decoder, sequence numbers, journal) persists across
-    # runs: numbering is a property of the connection, and leftover
-    # frames of a failed run are dropped by run_id.
-    links = {peer: _LinkState() for peer in fabric.socks}
+    # Link state (decoder, sequence numbers, journal) lives in the fabric
+    # and persists across runs: numbering is a property of the
+    # connection, and leftover frames of a failed run are dropped by
+    # run_id.
     if generation > 0:
         # A replacement rank forked mid-heal: report that the remesh
         # epoch reached us so the supervisor can finish the heal.
@@ -997,7 +902,6 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
                 ctrl.result(("error", gen, rank, traceback.format_exc(),
                              None))
                 break
-            links = {peer: _LinkState() for peer in fabric.socks}
             ctrl.result(("remeshed", gen, rank, None, None))
             continue
         if frame.tag != wire.TAG_RUN:
@@ -1009,7 +913,7 @@ def _pool_rank(rank: int, capacity: int, coord_addr: tuple[str, int],
             ctrl.result(("error", run_id, rank, traceback.format_exc(),
                          None))
             continue
-        execute(run_id, nprocs, spec, links, fabric)
+        execute(run_id, nprocs, spec, fabric)
     fabric.close()
     ctrl.close()
 
@@ -1470,7 +1374,6 @@ class TcpSpmdBackend(Backend):
         self._fabric = rendezvous_fabric(
             rank, nprocs, coordinator, token=token,
             generation=generation, bind_host=bind_host, timeout=timeout)
-        self._links = {p: _LinkState() for p in self._fabric.socks}
         self._run_id = 0
         self._dirty = False
         self._last_fault: str | None = None
@@ -1505,13 +1408,13 @@ class TcpSpmdBackend(Backend):
             raise RemeshError(
                 f"rank {self._rank}: remesh to generation {gen} failed: "
                 f"{exc}") from exc
-        self._links = {p: _LinkState() for p in self._fabric.socks}
         self._dirty = False
         self._heal_kinds.append("re-admit")
         return gen
 
     def health(self) -> PoolHealth:
         """In-band supervision snapshot (no parent: alive == nprocs)."""
+        links = self._fabric.links.values()
         return PoolHealth(
             generation=self._fabric.generation,
             restarts=0,
@@ -1520,8 +1423,8 @@ class TcpSpmdBackend(Backend):
             alive=self._nprocs,
             capacity=self._nprocs,
             heal_kinds=tuple(self._heal_kinds),
-            retransmits=sum(l.retransmits for l in self._links.values()),
-            reconnects=sum(l.reconnects for l in self._links.values()),
+            retransmits=sum(link.retransmits for link in links),
+            reconnects=sum(link.reconnects for link in links),
         )
 
     def run(
@@ -1546,7 +1449,7 @@ class TcpSpmdBackend(Backend):
         run_id = self._run_id
         channel = _MeshChannel(
             self._rank, nprocs, self._fabric.socks, run_id, None,
-            links=self._links, sync=sync, fabric=self._fabric)
+            sync=sync, fabric=self._fabric)
         t0 = time.perf_counter()
         try:
             channel.broadcast_result(run_rank(

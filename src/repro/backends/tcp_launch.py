@@ -41,7 +41,8 @@ import socket
 import time
 
 from ..core.errors import BspConfigError, PacketError, SynchronizationError
-from .tcp_wire import recv_msg, send_msg
+from .frames import Frame
+from .tcp_wire import FrameDecoder, recv_msg, send_msg
 
 #: listen() backlog; must cover every peer dialing at once.
 _BACKLOG = 64
@@ -155,6 +156,41 @@ def _accept_handshake(listener: socket.socket, kind: str, token: int,
         return sock, msg
 
 
+class LinkState:
+    """Durable per-link transport state, outliving any one connection.
+
+    Sequence numbers, the retransmit journal, and the receive cursor are
+    properties of the *link* (the rank pair), not of the socket: a
+    reconnected socket resumes exactly where the dead one stopped, and
+    on a mesh that outlives its runs the numbering continues across
+    them — until a new generation, whose fabric starts every link afresh.
+
+    ``journal`` maps ``seq -> encoded chunks`` for every sent frame the
+    peer has not yet cumulatively acked; ``volatile`` marks journal
+    entries whose payload memoryviews alias live program arrays (strict
+    mode sends) — those are force-trimmed at barrier exit, where the
+    peer's release proves receipt, so they are never replayed with
+    mutated bytes.  ``stash`` is the receive-side reorder buffer that
+    makes a NACK resend of one frame sufficient.
+    """
+
+    __slots__ = ("dec", "tx_seq", "rx_next", "peer_ack", "journal",
+                 "volatile", "attempts", "stash", "retransmits",
+                 "reconnects")
+
+    def __init__(self) -> None:
+        self.dec = FrameDecoder()
+        self.tx_seq = 0          # next sequence number to assign
+        self.rx_next = 0         # next sequence number expected inbound
+        self.peer_ack = 0        # highest cumulative ack seen from peer
+        self.journal: dict[int, list] = {}
+        self.volatile: set[int] = set()
+        self.attempts: dict[int, int] = {}
+        self.stash: dict[int, Frame] = {}
+        self.retransmits = 0
+        self.reconnects = 0
+
+
 @dataclasses.dataclass
 class MeshFabric:
     """One rank's view of a live mesh, with everything needed to heal it.
@@ -162,8 +198,10 @@ class MeshFabric:
     Beyond the ``peer -> socket`` map, the fabric keeps the rank's
     listener *bound* (so dropped links can be re-accepted at the same
     address), the peer address table (so dropped links can be re-dialed
-    under the pair rule), and the ``(token, generation)`` pair that
-    scopes every handshake to the current mesh epoch.
+    under the pair rule), the ``(token, generation)`` pair that scopes
+    every handshake to the current mesh epoch, and each link's
+    :class:`LinkState` — born with the fabric, so a new generation
+    cannot inherit the old one's sequence numbers.
     """
 
     rank: int
@@ -175,6 +213,10 @@ class MeshFabric:
     token: int
     generation: int = 0
     bind_host: str | None = None
+    links: dict[int, LinkState] = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.links = {peer: LinkState() for peer in self.socks}
 
     def wire_token(self) -> int:
         return fold_token(self.token, self.generation)

@@ -76,13 +76,18 @@ from typing import Any, Iterable, Sequence
 
 from ..core.errors import PacketError
 from ..core.packets import Packet
-from .frames import TAG_PKT, TAG_RESULT, Frame, encode_packets  # noqa: F401
+from .frames import (  # noqa: F401 - TAG_RELEASE/TAG_RESULT re-exported
+    TAG_PKT,
+    TAG_RELEASE,
+    TAG_RESULT,
+    Frame,
+    encode_packets,
+)
 
 #: TCP-only frame tags, disjoint from :mod:`repro.backends.frames`'s 0..3,
 #: TAG_LEASES = 4 (pipe fabric only: lease ids going home — taken, never on
-#: a socket) and TAG_RESULT = 8 (an outcome, rank -> supervisor / every
-#: rank; re-exported).
-TAG_RELEASE = 5     #: strict's release round — "I hold every frame of step s"
+#: a socket), TAG_RELEASE = 5 (the release round, which only this fabric
+#: runs) and TAG_RESULT = 8 (an outcome, rank -> supervisor / every rank).
 TAG_HB = 6          #: heartbeat, rank -> supervisor
 TAG_HELLO = 7       #: control-channel registration, rank -> supervisor
 #: Persistent mode — supervisor ships one run to a rank: the object is
@@ -153,23 +158,21 @@ def _crc_frame(header: bytes, buffers: Sequence[Any]) -> int:
 
 def encode_frame(tag: int, run_id: int, step: int, src: int,
                  meta: bytes | None = None,
-                 buffers: Sequence[Any] = (), *,
-                 seq: int = -1, ack: int = -1) -> list[Any]:
-    """Encode one frame as a list of wire chunks (no payload copies).
+                 buffers: Sequence[Any] = ()) -> list[Any]:
+    """Encode one unsequenced frame as a list of wire chunks (no payload
+    copies).
 
     The first chunk is ``envelope + header``; each out-of-band buffer
     follows as its own chunk (a memoryview straight over the source
     object), and the CRC trailer closes the frame — so callers can hand
     the list to a vectored/queued send without ever concatenating
-    payload bytes.
-
-    ``seq``/``ack`` are the link-sequencing envelope fields (see module
-    docstring).
+    payload bytes.  A mesh link sequences the frame with
+    :func:`reenvelope` when it sends it.
     """
     lens = tuple(memoryview(b).nbytes for b in buffers)
     header = pickle.dumps((tag, run_id, step, src, lens, meta),
                           protocol=pickle.HIGHEST_PROTOCOL)
-    chunks: list[Any] = [pack_envelope(seq, ack, len(header)) + header]
+    chunks: list[Any] = [pack_envelope(-1, -1, len(header)) + header]
     chunks.extend(buffers)
     chunks.append(_PREFIX.pack(_crc_frame(header, buffers)))
     return chunks
@@ -192,17 +195,14 @@ def reenvelope(chunks: Sequence[Any], seq: int, ack: int) -> list[Any]:
 
 
 def encode_packet_frame(run_id: int, step: int, src: int,
-                        packets: Sequence[Packet], *,
-                        seq: int = -1, ack: int = -1) -> list[Any]:
+                        packets: Sequence[Packet]) -> list[Any]:
     """One combined boundary frame for a per-destination packet bucket.
 
     Reuses :func:`repro.backends.frames.encode_packets`, so the combined
     layout (and therefore the ``seq``/``h`` accounting) is identical to
     the process backend's frames.
     """
-    meta, buffers = encode_packets(packets)
-    return encode_frame(TAG_PKT, run_id, step, src, meta, buffers,
-                        seq=seq, ack=ack)
+    return encode_frame(TAG_PKT, run_id, step, src, *encode_packets(packets))
 
 
 def frame_object(frame: Frame) -> Any:

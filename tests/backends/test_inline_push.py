@@ -30,6 +30,7 @@ import os
 import select
 import struct
 import termios
+import threading
 import time
 
 import numpy as np
@@ -256,15 +257,32 @@ class TestNeverBlocks:
         np.testing.assert_array_equal(pinned[0].payload, halo)
 
     def test_fault_hooks_fire_once_however_many_pushes(self, transport):
+        # The frame hooks belong to the boundary round, once per frame:
+        # pid 0's frame is refused inline (over PIPE_BUF) and written by
+        # the sender thread — two pushes, one count.
         counter = faults.FrameCounter(2)
+        channels = [processes._FrameChannel(pid, 2, transport, 1)
+                    for pid in (0, 1)]
+        payload = bytes(range(256)) * 32
+        got = [None, None]
+
+        def boundary(pid):
+            outbox = [_pkt(0, 1, payload)] if pid == 0 else []
+            got[pid] = channels[pid].exchange(pid, 0, outbox).merged()
+            channels[pid].close()
+
         try:
             with faults.injected(faults.FaultPlan([], frame_counter=counter)):
-                _fill_pipe(transport, 1)
-                frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, 7)])
-                _refused(transport, frame)
-                _refused(transport, frame)
-                transport.send_packets(0, 1, 0, 0, [_pkt(0, 0, 8)])
-            assert counter.per_sender() == [2, 0]
+                threads = [threading.Thread(target=boundary, args=(pid,))
+                           for pid in (0, 1)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(20.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert counter.per_sender() == [1, 1]
+            assert channels[0]._sender is not None  # the deferred path
+            assert got[0] == [] and got[1][0].payload == payload
         finally:
             counter.close()
 
@@ -469,7 +487,7 @@ class TestFaultsOnTheInlinePath:
             assert time.monotonic() - t0 < 10.0  # peers aborted, no timeout
             assert err.value.pid == 1
             assert "injected pickle failure" in err.value.traceback_text
-            assert "in _push" in err.value.traceback_text
+            assert "in _send\n" in err.value.traceback_text
             assert "_sender_loop" not in err.value.traceback_text
             health = pool.health()
             assert health.restarts == 0 and health.generation == 0

@@ -1,0 +1,235 @@
+"""The one boundary round, over an in-memory fabric and the two real ones.
+
+Which frames a boundary sends and which it waits for — the data round,
+the release round, departures — is written once, in
+:class:`~repro.backends.exchange.LinkChannel`; a fabric supplies only
+its transport.  The transport below is a queue per rank and fits in a
+dozen lines, which is the claim that the seam is that narrow.  Over it,
+without forks or sockets:
+
+* results and (S, H, h-series, m-series) ledgers equal the simulator's
+  in every sync mode, with and without a release round;
+* the frame budget of each mode: one frame per link of the boundary's
+  link set, plus one release per link when links cannot prove receipt;
+* nothing is sent to a peer that has departed.
+
+Then the pipe transport's own hand-off — the calling thread pushing
+what cannot wait, a sender thread the rest — under forced preemption,
+and the departure rule on both real fabrics: a rank that returns early
+no longer wedges a peer that keeps sending it pipe-sized frames.
+"""
+
+import multiprocessing as mp
+import queue
+import sys
+import threading
+
+import pytest
+
+from repro import bsp_run
+from repro.backends.exchange import LinkChannel
+from repro.backends.frames import (
+    TAG_PKT,
+    TAG_RELEASE,
+    Frame,
+    FrameTransport,
+    encode_packets,
+)
+from repro.backends.pool import Abort, finish_run, run_rank
+from repro.backends.processes import ProcessBackend, _FrameChannel
+from repro.backends.tcp import TcpBackend
+from repro.core.packets import Packet
+from repro.core.stats import ProgramStats
+
+MODES = ("strict", "relaxed", "elide")
+
+
+class _QueueChannel(LinkChannel):
+    """The whole transport of an in-memory fabric: a queue per rank."""
+
+    def __init__(self, pid, nprocs, sync, inboxes, sent, receipted):
+        super().__init__(pid, nprocs, sync, 1)
+        self.receipted = receipted
+        self._inboxes = inboxes
+        self._sent = sent
+
+    def _enter(self, step, outbox, out_links):
+        pass
+
+    def _send(self, peer, step, bucket, volatile):
+        self._put(peer, Frame(TAG_PKT, 1, step, self._pid,
+                              *encode_packets(bucket)))
+
+    def _signal(self, peer, tag, step):
+        self._put(peer, Frame(tag, 1, step, self._pid, None, None))
+
+    def _put(self, peer, frame):
+        self._sent.append((frame.tag, self._pid, peer))
+        self._inboxes[peer].put(frame)
+
+    def _pump(self):
+        self._file(self._inboxes[self._pid].get(timeout=10.0))
+
+    def _settle(self, released):
+        pass
+
+
+def _run(program, nprocs, sync, *, receipted=False, args=()):
+    """One run on ``nprocs`` threads over the queue fabric: the
+    ``BackendRun`` and every frame sent, as ``(tag, src, dst)``."""
+    inboxes = [queue.Queue() for _ in range(nprocs)]
+    sent, outcomes = [], [None] * nprocs
+
+    def rank(pid):
+        channel = _QueueChannel(pid, nprocs, sync, inboxes, sent, receipted)
+        tag, _, _, a, b = run_rank(channel, pid, nprocs, 1, program, args,
+                                   {}, (Abort,))
+        outcomes[pid] = (tag, a, b)
+
+    threads = [threading.Thread(target=rank, args=(pid,), daemon=True)
+               for pid in range(nprocs)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(20.0)
+    assert not any(thread.is_alive() for thread in threads), "wedged"
+    return finish_run(outcomes, 0.0), sent
+
+
+def _snapshot(results, stats):
+    return results, (stats.S, stats.H, stats.h_series, stats.m_series)
+
+
+def ring(bsp, rounds=3):
+    """A ring exchange alternating with empty supersteps, pattern
+    declared (elide prunes to it; the other modes only validate)."""
+    p = bsp.nprocs
+    bsp.pattern({(bsp.pid + 1) % p}, {(bsp.pid - 1) % p})
+    total = 0
+    for r in range(rounds):
+        bsp.send((bsp.pid + 1) % p, (bsp.pid + 1) * (r + 1))
+        bsp.sync()
+        total += sum(pkt.payload for pkt in bsp.packets())
+        bsp.sync()
+    return total
+
+
+def all_to_all(bsp, rounds=2):
+    seen = []
+    for r in range(rounds):
+        for q in range(bsp.nprocs):
+            bsp.send(q, (bsp.pid, r))
+        bsp.sync()
+        seen.append(sorted(pkt.payload for pkt in bsp.packets()))
+    return seen
+
+
+def empty_steps(bsp, rounds=4):
+    for _ in range(rounds):
+        bsp.sync()
+    return bsp.pid
+
+
+def leaves_early(bsp, rounds, size=8):
+    """pid 1 returns after one superstep; the others keep sending to it."""
+    if bsp.pid == 1:
+        bsp.sync()
+        return "left"
+    for _ in range(rounds):
+        bsp.send(1, bytes(size))
+        bsp.sync()
+    return "stayed"
+
+
+class TestQueueFabric:
+    @pytest.mark.parametrize("receipted", [False, True])
+    @pytest.mark.parametrize("sync", MODES)
+    @pytest.mark.parametrize("program,nprocs", [(ring, 3), (all_to_all, 4)])
+    def test_matches_the_simulator(self, program, nprocs, sync, receipted):
+        golden = bsp_run(program, nprocs, backend="simulator")
+        run, _ = _run(program, nprocs, sync, receipted=receipted)
+        stats = ProgramStats.from_ledgers(run.ledgers)
+        assert _snapshot(run.results, stats) == \
+            _snapshot(golden.results, golden.stats)
+
+    @pytest.mark.parametrize("sync,receipted,data,releases", [
+        ("strict", False, 24, 24),   # a frame and a release per link
+        ("strict", True, 24, 0),     # a write that is its own receipt
+        ("relaxed", False, 24, 0),
+        ("elide", False, 24, 0),     # no declared pattern: every link
+    ])
+    def test_frame_budget_per_mode(self, sync, receipted, data, releases):
+        # p=3, 4 empty boundaries: 3 * 2 links * 4 = 24.
+        _, sent = _run(empty_steps, 3, sync, receipted=receipted)
+        tags = [tag for tag, _, _ in sent]
+        assert tags.count(TAG_PKT) == data
+        assert tags.count(TAG_RELEASE) == releases
+
+    @pytest.mark.parametrize("sync", MODES)
+    def test_nothing_is_sent_to_a_departed_peer(self, sync):
+        run, sent = _run(leaves_early, 2, sync, args=(6,))
+        assert run.results == ["stayed", "left"]
+        # pid 0 owes pid 1 its step-0 frame, and at most one more sent
+        # before pid 1's LEFT was read; none after that.
+        to_leaver = [s for s in sent if s[:3] == (TAG_PKT, 0, 1)]
+        assert 1 <= len(to_leaver) <= 2
+
+
+class TestPipeSenderQueue:
+    def test_deferred_and_inline_frames_under_preemption(self):
+        # Four ranks and their sender threads in one process, every
+        # boundary a frame the inline push refuses (8 KiB of bytes ride
+        # the pipe message) to one peer and an inline one to the others,
+        # rotating; a 1 µs switch interval preempts the calling thread
+        # and the sender thread mid-handoff.  A lost or reordered frame
+        # either hangs a rank or changes what it received.
+        nprocs, rounds = 4, 200
+        transport = FrameTransport(nprocs, mp.get_context("fork"))
+        channels = [_FrameChannel(pid, nprocs, transport, 1)
+                    for pid in range(nprocs)]
+        got = [[] for _ in range(nprocs)]
+
+        def rank(pid):
+            for step in range(rounds):
+                big = (pid + step) % nprocs
+                outbox = [Packet(src=pid, dst=q, seq=0, h=1,
+                                 payload=bytes([pid, step]) * (
+                                     4096 if q == big else 1))
+                          for q in range(nprocs) if q != pid]
+                runs = channels[pid].exchange(pid, step, outbox)
+                got[pid].append(sorted(bytes(p.payload)
+                                       for p in runs.merged()))
+            channels[pid].close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=rank, args=(pid,),
+                                        daemon=True)
+                       for pid in range(nprocs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+            transport.close()
+        assert not any(thread.is_alive() for thread in threads), "wedged"
+        for pid in range(nprocs):
+            assert got[pid] == [sorted(
+                bytes([q, step]) * (4096 if (q + step) % nprocs == pid
+                                    else 1)
+                for q in range(nprocs) if q != pid)
+                for step in range(rounds)]
+        assert all(channel._sender is not None for channel in channels)
+
+
+class TestEarlyDepartureOnRealFabrics:
+    @pytest.mark.parametrize("cls", [ProcessBackend, TcpBackend])
+    def test_a_rank_that_returns_early_wedges_nobody(self, cls):
+        # 40 supersteps of 8 KiB at pid 1 would fill a pipe nobody reads
+        # (8 KiB bytes ride the pipe message, off the inline path).
+        with cls.pool(2, join_timeout=10.0) as backend:
+            run = backend.run(leaves_early, 2, args=(40, 8192))
+            assert run.results == ["stayed", "left"]
+            assert backend.run(empty_steps, 2).results == [0, 1]

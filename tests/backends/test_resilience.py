@@ -63,8 +63,8 @@ def _sample_frame(seed: int) -> bytes:
     payload = bytes((seed * 37 + i) % 251 for i in range(48))
     pkts = [Packet(src=0, dst=1, seq=0, payload=payload, h=2),
             Packet(src=0, dst=1, seq=1, payload={"round": seed}, h=1)]
-    return _flatten(wire.encode_packet_frame(seed % 7, seed % 5, 0, pkts,
-                                             seq=seed % 11))
+    return _flatten(wire.reenvelope(
+        wire.encode_packet_frame(seed % 7, seed % 5, 0, pkts), seed % 11, -1))
 
 
 _FUZZ = settings(max_examples=60, deadline=None,

@@ -181,9 +181,8 @@ class TestFrameDecoder:
             wire.FrameDecoder().feed(bad)
 
     def test_corrupt_payload_yields_marker_not_frame(self):
-        blob = bytearray(
-            _flatten(wire.encode_packet_frame(1, 0, 2, _sample_packets(),
-                                              seq=7)))
+        blob = bytearray(_flatten(wire.reenvelope(
+            wire.encode_packet_frame(1, 0, 2, _sample_packets()), 7, -1)))
         blob[-1] ^= 0xFF  # smash the crc trailer
         (frame,) = wire.FrameDecoder().feed(bytes(blob))
         assert frame.tag == wire.TAG_CORRUPT
