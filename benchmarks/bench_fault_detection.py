@@ -13,7 +13,8 @@ puts a number on that claim and on how long a pool takes to heal
 * ``detect-oneshot`` — same fault on a fresh ``ProcessBackend.run``
   (includes fork cost, so the bound is looser).
 * ``heal``           — time for the crashed pool's next clean ``run()``
-  (covers backoff, re-fork, fence, segment-pool rewind).
+  (covers re-fork, fence, segment-pool rewind; a single fault waits no
+  backoff).
 * ``seed_detection_s`` — what the same fault would have cost at the seed
   revision: the configured ``join_timeout``, recorded for the ratio.
 
@@ -55,8 +56,7 @@ def bench_pooled(nprocs: int, repeats: int) -> dict:
     detect, heal, clean = [], [], []
     for _ in range(repeats):
         with faults.injected(_crash_plan()):
-            pool = BspPool(nprocs, join_timeout=JOIN_TIMEOUT,
-                           backoff_base=0.0)
+            pool = BspPool(nprocs, join_timeout=JOIN_TIMEOUT)
         try:
             t0 = time.perf_counter()
             pool.run(ring_program, nprocs)  # workers carry the kill plan

@@ -359,21 +359,20 @@ class FrameTransport:
     def waitables(self) -> list:
         return [self._recv_conns[self.nprocs]]
 
-    def poll(self, timeout: float = 0.0) -> list[tuple]:
-        """Every result frame that has arrived, decoded; waits at most
-        ``timeout`` seconds for the first.  Each leased buffer is copied
-        out, once: a result the caller still holds must never alias a
-        region the next fence rewinds or the next run leases again.  The
-        lease is then free, and its id goes home with the next dispatch.
+    def poll(self) -> list[tuple]:
+        """Every result frame that has arrived, decoded.  Each leased
+        buffer is copied out, once: a result the caller still holds must
+        never alias a region the next fence rewinds or the next run
+        leases again.  The lease is then free, and its id goes home with
+        the next dispatch.
         """
         conn = self._recv_conns[self.nprocs]
         got = []
-        while conn.poll(timeout):
+        while conn.poll():
             frame = self.recv(self.nprocs)
             got.append(pickle.loads(frame.meta, buffers=[
                 buf if isinstance(buf, bytearray) else bytearray(buf)
                 for buf in frame.buffers]))
-            timeout = 0.0
         return got
 
     # -- supervision ---------------------------------------------------------

@@ -182,11 +182,6 @@ def _run(argv: list[str]) -> int:
                         help="log supervision state (pool generation, "
                              "restarts, heal kinds, link repair "
                              "counters, last fault) after the run")
-    parser.add_argument("--max-heals", type=int, default=8,
-                        help="in-place heals of a crashed TCP mesh "
-                             "(re-fork only the dead ranks, re-rendezvous "
-                             "the survivors) before falling back to full "
-                             "rebuilds; 0 rebuilds on every crash")
     args = parser.parse_args(argv)
 
     if args.size not in APP_SIZES[args.app]:
@@ -217,7 +212,7 @@ def _run(argv: list[str]) -> int:
         backend = ProcessBackend.pool(args.nprocs)
     elif args.backend == "tcp":
         from ..backends.tcp import TcpBackend
-        backend = TcpBackend.pool(args.nprocs, max_heals=args.max_heals)
+        backend = TcpBackend.pool(args.nprocs)
     else:
         backend = "simulator"
     import time as _time
@@ -247,11 +242,9 @@ def _run(argv: list[str]) -> int:
         if args.verbose and not isinstance(backend, str):
             health = backend.health()
             if health is not None:
-                budget = ("unbounded" if health.restarts_left < 0
-                          else health.restarts_left)
                 print(f"[supervision] generation={health.generation} "
                       f"restarts={health.restarts} "
-                      f"restarts_left={budget} "
+                      f"restarts_left={health.restarts_left} "
                       f"alive={health.alive}/{health.capacity}",
                       file=sys.stderr)
                 if health.heal_kinds:

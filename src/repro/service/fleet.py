@@ -10,12 +10,12 @@ A fleet is a set of *slots* keyed by ``(backend, nprocs)``.  Each slot
 owns one pooled backend instance and runs **one job at a time** (the
 pools themselves enforce this: a concurrent ``run()`` raises
 ``BspUsageError``).  Slot failure handling leans entirely on the layers
-below: a worker crash mid-job is healed by the pool itself (re-fork /
-rebuild within its ``max_restarts`` budget), and only a pool that
-declares itself terminal (:class:`~repro.core.errors.PoolExhaustedError`)
-or whose backend object broke is **recycled** — torn down and replaced
-by a freshly forked pool, so the fleet returns to full capacity while
-the failed job's error surfaces to its client.
+below: a worker crash mid-job is healed by the pool or mesh itself
+(re-fork / rebuild within one ``max_restarts`` budget on both fabrics),
+and only one that declares itself terminal (``PoolExhaustedError``) or
+whose backend object broke is **recycled** — torn down and replaced by
+a freshly forked one, so the fleet returns to full capacity while the
+failed job's error surfaces to its client: TCP slots as process ones.
 """
 
 from __future__ import annotations

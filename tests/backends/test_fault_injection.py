@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro import bsp_run
 from repro import faults
+from repro.backends.pool import _BACKOFF_S
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import (
     DeadlockError,
@@ -118,7 +119,7 @@ class TestCrashDetection:
             # The sentinel fires on death; only the _CRASH_GRACE drain and
             # the victim's join stand between death and attribution.  The
             # seed revision sat out the full join_timeout (120s default).
-            assert elapsed < 1.0 + pool._backoff_base
+            assert elapsed < 1.0 + _BACKOFF_S
             assert err.value.pid == 1
             assert err.value.signal_name == "SIGKILL"
             assert err.value.os_pid is not None
@@ -226,7 +227,7 @@ class TestSelfHealing:
 
     def test_repeated_crashes_consume_budget_then_exhaust(self):
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=0, step=0)])
-        with _pool_under(plan, max_restarts=0, backoff_base=0.01) as pool:
+        with _pool_under(plan, max_restarts=0) as pool:
             with pytest.raises(PoolExhaustedError) as err:
                 pool.run(ring_program, 3)
             assert "restart budget" in str(err.value)
@@ -257,7 +258,7 @@ class TestSelfHealing:
         plan = faults.FaultPlan.random(
             seed, nprocs=3, nsteps=2, kinds=(faults.KILL, faults.EXIT))
         assert plan.faults  # the seeded schedule always fires
-        with _pool_under(plan, max_restarts=4, backoff_base=0.01) as pool:
+        with _pool_under(plan, max_restarts=4) as pool:
             with pytest.raises(WorkerCrashError) as err:
                 pool.run(ring_program, 3)
             assert err.value.pid == plan.faults[0].pid

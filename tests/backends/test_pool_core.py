@@ -9,7 +9,9 @@ fabrics.
   same typed error on either fabric in either mode, the simulator's results and ledgers in
   the ok cell (a closure in the one-shot column — fork inherits it),
   nothing left behind (``no_leaks``), and in the pooled column a golden
-  *next* run on the same pool.
+  *next* run on the same pool.  Plus the pooled cell that spends the
+  one restart budget both fabrics share: repeated deadlocks end in
+  :class:`PoolExhaustedError` on either.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
 from repro.core.errors import (
     DeadlockError,
+    PoolExhaustedError,
     SynchronizationError,
     VirtualProcessorError,
     WorkerCrashError,
@@ -228,7 +231,7 @@ def _snapshot(run):
 
 
 @contextlib.contextmanager
-def _backend(fabric, mode, *, plan=None, join_timeout=30.0):
+def _backend(fabric, mode, *, plan=None, join_timeout=30.0, **options):
     cls = {"processes": ProcessBackend, "tcp": TcpBackend}[fabric]
     inject = contextlib.nullcontext() if plan is None \
         else faults.injected(plan)
@@ -237,7 +240,7 @@ def _backend(fabric, mode, *, plan=None, join_timeout=30.0):
             yield cls(join_timeout=join_timeout)
     else:
         with inject:  # forks here; healed or rebuilt workers come up clean
-            backend = cls.pool(NPROCS, join_timeout=join_timeout)
+            backend = cls.pool(NPROCS, join_timeout=join_timeout, **options)
         with backend:
             yield backend
 
@@ -291,7 +294,7 @@ class TestOneCoreTwoFabricsTwoModes:
             if mode == "pooled":
                 health = backend.health()
                 assert health.restarts == 0 and health.alive == NPROCS
-                assert health.restarts_left in (5, -1)  # the budget, whole
+                assert health.restarts_left == 5  # the budget, whole
             self._next_run_is_golden(backend, mode)
 
     def test_kill_at_step_0(self, fabric, mode):
@@ -314,3 +317,20 @@ class TestOneCoreTwoFabricsTwoModes:
             assert time.monotonic() - t0 < 15.0
             assert 0 in err.value.stalled
             self._next_run_is_golden(backend, mode)
+
+
+@pytest.mark.parametrize("fabric", ["processes", "tcp"])
+def test_repeated_deadlocks_exhaust_the_restart_budget(fabric, no_leaks):
+    """One budget on both fabrics: the first deadlock spends the only
+    restart on a rebuild, the second finds the budget spent and gives
+    the pool up — a mesh that deadlocks on every run does not rebuild
+    forever."""
+    with _backend(fabric, "pooled", join_timeout=3.0,
+                  max_restarts=1) as backend:
+        with pytest.raises(DeadlockError):
+            bsp_run(stuck_program, NPROCS, backend=backend)
+        with pytest.raises(PoolExhaustedError, match="restart budget"):
+            bsp_run(stuck_program, NPROCS, backend=backend)
+        health = backend.health()
+        assert health.restarts_left == 0
+        assert health.alive == 0

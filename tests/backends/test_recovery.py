@@ -112,7 +112,7 @@ class TestCrashAtEverySuperstep:
         assert run.results == golden_results
         assert _ledger_key(run.stats) == golden_ledger
         assert health.generation >= 1
-        assert health.restarts_left == -1  # a mesh has no budget to spend
+        assert health.restarts_left == 4  # one heal spent of the default 5
         assert "WorkerCrashError" in health.last_fault
 
     def test_exhausted_retries_reraise_with_worker_table(self, tmp_path):

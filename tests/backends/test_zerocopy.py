@@ -618,7 +618,7 @@ class TestChaosLeaksNothing:
         down, and the teardown must unlink every segment of the dead
         generation — immediately, not at close()."""
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=1)])
-        pool = _pool_under(plan, max_restarts=0, backoff_base=0.01)
+        pool = _pool_under(plan, max_restarts=0)
         token = pool._transport._zc_token
         try:
             with pytest.raises((PoolExhaustedError, WorkerCrashError)):

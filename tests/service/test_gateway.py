@@ -402,3 +402,31 @@ class TestChaos:
             # (restarts > 0) or the slot was recycled.
             assert (pool_health["restarts"] > 0
                     or health["fleet"][0]["recycles"] > 0)
+
+    def test_tcp_slot_with_spent_budget_recycles(self):
+        """A TCP mesh spends the same restart budget a process pool does:
+        with none to spend, a rank lost mid-job gives the mesh up, the
+        job FAILS with PoolExhaustedError, and the slot recycles to a
+        fresh mesh that runs the next job."""
+        config = GatewayConfig(fleet=(FleetSpec(
+            backend="tcp", nprocs=2, pools=1,
+            options=(("max_restarts", 0),)),))
+        with serve_in_background(config) as svc:
+            client = ServiceClient(svc.host, svc.port, timeout=120)
+            handle = client.submit(
+                app="spin", size="40", nprocs=2, backend="tcp",
+                params={"spin_seconds": 0.05}, wait=False)
+            slot = svc.gateway.fleet.slots[0]
+            deadline = time.time() + 60
+            while client.status(handle.job_id)["state"] != "RUNNING":
+                assert time.time() < deadline, "job never started"
+                time.sleep(0.01)
+            time.sleep(0.1)
+            faults.kill_pool_worker(slot.pool(), rank=1)
+            final = handle.wait()
+            assert final["state"] == "FAILED"
+            assert final["error"]["error"] == "PoolExhaustedError"
+            after = client.submit(app="noop", size="1", nprocs=2,
+                                  backend="tcp")
+            assert after["state"] == "DONE"
+            assert client.health()["fleet"][0]["recycles"] == 1
