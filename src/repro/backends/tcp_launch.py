@@ -15,19 +15,18 @@ mesh; a mismatch means a stray client (or a stale mesh from an earlier
 launch) dialed the port, and the connection is refused rather than
 silently woven into the wrong machine.
 
-Used two ways:
+``python -m repro.harness launch-tcp --rank r --coordinator host:port``
+starts one rank per invocation on real, separate machines; only the
+coordinator address must be known in advance.  A mesh forked by
+:class:`~repro.backends.tcp.TcpBackend` needs no rendezvous: its parent
+binds every rank's listener before forking it, so each rank is handed
+the lower ranks' addresses and dials them (:func:`link_fabric`, the
+same pair rule).
 
-* :class:`~repro.backends.tcp.TcpBackend` forks ``p`` local ranks; the
-  parent pre-binds the coordinator listener and rank 0 inherits it, so
-  there is no window in which rank 1 can dial a port nobody owns.
-* ``python -m repro.harness launch-tcp --rank r --coordinator host:port``
-  starts one rank per invocation on real, separate machines; only the
-  coordinator address must be known in advance.
-
-Survivable meshes (:func:`rendezvous_fabric`) additionally keep every
-listener bound for the life of the mesh and remember the peer address
-table, so a link that dies mid-run can be *re-dialed* (``_RELINK``
-handshake, same pair rule) instead of tearing the run down.  Each mesh
+Either fabric keeps every listener bound for the life of the mesh and
+remembers the peer address table, so a link that dies mid-run can be
+*re-dialed* (``_RELINK`` handshake, same pair rule) instead of tearing
+the run down.  Each mesh
 *generation* — bumped when a dead rank is replaced — folds into the
 wire token (:func:`fold_token`), so sockets and handshakes from a
 previous generation are refused rather than silently woven back in.
@@ -39,6 +38,8 @@ import dataclasses
 import random
 import socket
 import time
+from collections import deque
+from typing import Collection
 
 from ..core.errors import BspConfigError, PacketError, SynchronizationError
 from .frames import Frame
@@ -90,30 +91,38 @@ def tune_mesh_socket(sock: socket.socket) -> None:
 
 
 def connect_retry(addr: tuple[str, int], deadline: float, *,
-                  what: str = "rank listener") -> socket.socket:
+                  what: str = "rank listener",
+                  pause=time.sleep) -> socket.socket:
     """Dial ``addr``, retrying refusals until ``deadline`` (monotonic).
 
     Ranks come up in arbitrary order, so the first dial frequently races
     the target's ``bind``; refusals inside the window are expected, not
     errors.  Backoff is exponential with full jitter — many ranks dial
     one listener at startup, and without jitter their retries stay in
-    lockstep and hammer the backlog in bursts.  Past the deadline the
-    failure is a :class:`SynchronizationError` naming the unreachable
+    lockstep and hammer the backlog in bursts.  ``pause(seconds)`` waits
+    out one backoff step; a caller that must stay interruptible while it
+    re-dials supplies its own (and may raise from it).  Past the deadline
+    the failure is a :class:`SynchronizationError` naming the unreachable
     endpoint (``what``) and the budget that was spent waiting for it.
     The socket comes back blocking: the deadline was the dial's, and left
     on the socket it would time out whatever read comes next (a pooled
     rank waiting 30 s for its first run, say).
+
+    A plain IPv4 connect, as every listener is (:func:`bind_listener`):
+    ``create_connection``'s ``getaddrinfo`` costs a fresh fork ~5 ms.
     """
     delay = 0.01
     start = time.monotonic()
     while True:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            sock = socket.create_connection(addr, timeout=max(
-                0.1, deadline - time.monotonic()))
+            sock.settimeout(max(0.1, deadline - time.monotonic()))
+            sock.connect(addr)
             sock.settimeout(None)
             tune_mesh_socket(sock)
             return sock
         except OSError as exc:
+            sock.close()
             if time.monotonic() + delay >= deadline:
                 waited = time.monotonic() - start
                 raise SynchronizationError(
@@ -121,7 +130,7 @@ def connect_retry(addr: tuple[str, int], deadline: float, *,
                     f"{waited:.1f}s of retries (rendezvous budget spent; "
                     f"last error: {exc})"
                 ) from exc
-            time.sleep(delay * (0.5 + random.random() * 0.5))
+            pause(delay * (0.5 + random.random() * 0.5))
             delay = min(delay * 2, 0.25)
 
 
@@ -171,15 +180,19 @@ class LinkState:
     mode sends) — those are force-trimmed at barrier exit, where the
     peer's release proves receipt, so they are never replayed with
     mutated bytes.  ``stash`` is the receive-side reorder buffer that
-    makes a NACK resend of one frame sufficient.
+    makes a NACK resend of one frame sufficient.  ``out`` holds the bytes
+    handed to the link but not yet to its socket: a run that ends mid-frame
+    leaves the tail here for the next run to flush, so the stream stays
+    framed and the peer drops the frame by its run id.
     """
 
-    __slots__ = ("dec", "tx_seq", "rx_next", "peer_ack", "journal",
+    __slots__ = ("dec", "out", "tx_seq", "rx_next", "peer_ack", "journal",
                  "volatile", "attempts", "stash", "retransmits",
                  "reconnects")
 
     def __init__(self) -> None:
         self.dec = FrameDecoder()
+        self.out: deque = deque()
         self.tx_seq = 0          # next sequence number to assign
         self.rx_next = 0         # next sequence number expected inbound
         self.peer_ack = 0        # highest cumulative ack seen from peer
@@ -246,15 +259,16 @@ class MeshFabric:
 
 
 def relink_dial(fabric: MeshFabric, peer: int, rx_next: int,
-                deadline: float) -> tuple[socket.socket, int]:
+                deadline: float, pause=time.sleep) -> tuple[socket.socket, int]:
     """Re-dial ``peer``'s listener to resume a dropped mesh link.
 
     Sends ``(_RELINK, wire_token, rank, rx_next)`` and waits for the
     mirror reply; returns ``(socket, peer_rx_next)`` so the caller can
     replay its journal from the first frame the peer has not seen.
+    ``pause`` is :func:`connect_retry`'s.
     """
     sock = connect_retry(fabric.dial_addr(peer), deadline,
-                         what=f"rank {peer} listener (relink)")
+                         what=f"rank {peer} listener (relink)", pause=pause)
     try:
         send_msg(sock, (_RELINK, fabric.wire_token(), fabric.rank, rx_next))
         sock.settimeout(max(0.1, deadline - time.monotonic()))
@@ -323,8 +337,8 @@ def rendezvous_fabric(
     """Build this rank's side of the full mesh, keeping the listener.
 
     ``coordinator`` is rank 0's well-known listener address.  Rank 0 may
-    pass an already-bound ``coordinator_listener`` (the fork launcher
-    pre-binds it in the parent); otherwise rank 0 binds it here.
+    pass an already-bound ``coordinator_listener`` (a remesh keeps its
+    own); otherwise rank 0 binds it here.
     ``bind_host`` is the address non-coordinator listeners bind — this
     rank's own reachable interface on multi-host runs, defaulting to the
     coordinator's host (right whenever everything is one machine).
@@ -380,89 +394,97 @@ def rendezvous_fabric(
     listener = bind_listener(bind_host if bind_host is not None
                              else coordinator[0])
     try:
-        if nprocs > 1:
-            # The hello itself is retried, not just the dial: during an
-            # in-run heal the coordinator's listener stays bound across
-            # generations, so an early dialer reaches a rank 0 that is
-            # still finishing the previous epoch — its mid-run vetting
-            # accepts and immediately closes the connection.  Keep
-            # re-dialing until rank 0 is in the new rendezvous.
-            while True:
-                coord = connect_retry(coordinator, deadline,
-                                      what="coordinator (rank 0)")
-                try:
-                    send_msg(coord, (_HELLO, wire, rank,
-                                     listener.getsockname()))
-                    coord.settimeout(max(0.1, deadline - time.monotonic()))
-                    reply = recv_msg(coord)
-                    break
-                except (PacketError, OSError) as exc:
-                    coord.close()
-                    if time.monotonic() + 0.05 >= deadline:
-                        raise SynchronizationError(
-                            f"rank {rank}: coordinator at "
-                            f"{coordinator[0]}:{coordinator[1]} kept "
-                            f"refusing the rendezvous hello (last error: "
-                            f"{exc})") from exc
-                    time.sleep(0.02 + random.random() * 0.03)
-            coord.settimeout(None)
-            mesh[0] = coord
-            if not (isinstance(reply, tuple) and reply[0] == _PEERS
-                    and reply[1] == wire):
-                raise SynchronizationError(
-                    f"rank {rank}: malformed peer table from coordinator")
-            table = {peer: tuple(addr) for peer, addr in reply[2].items()}
-            # Pair rule: for i < j, j dials i.  Dial the lower ranks...
-            for peer in range(1, rank):
-                sock = connect_retry(table[peer], deadline,
-                                     what=f"rank {peer} listener")
-                send_msg(sock, (_LINK, wire, rank))
-                mesh[peer] = sock
-            # ...and accept the higher ones.
-            while len(mesh) < nprocs - 1:
-                sock, msg = _accept_handshake(listener, _LINK, wire,
-                                              deadline)
-                peer = msg[2]
-                if peer in mesh or not rank < peer < nprocs:
-                    sock.close()
-                    continue
-                mesh[peer] = sock
-        else:
-            table = {}
+        # The hello itself is retried, not just the dial: a remesh keeps
+        # the coordinator's listener bound across generations, so an
+        # early dialer reaches a rank 0 that is still finishing the
+        # failed run — its mid-run vetting accepts and immediately
+        # closes the connection.  Keep re-dialing until rank 0 is in the
+        # new rendezvous.
+        while True:
+            coord = connect_retry(coordinator, deadline,
+                                  what="coordinator (rank 0)")
+            try:
+                send_msg(coord, (_HELLO, wire, rank, listener.getsockname()))
+                coord.settimeout(max(0.1, deadline - time.monotonic()))
+                reply = recv_msg(coord)
+                break
+            except (PacketError, OSError) as exc:
+                coord.close()
+                if time.monotonic() + 0.05 >= deadline:
+                    raise SynchronizationError(
+                        f"rank {rank}: coordinator at "
+                        f"{coordinator[0]}:{coordinator[1]} kept refusing "
+                        f"the rendezvous hello (last error: {exc})") from exc
+                time.sleep(0.02 + random.random() * 0.03)
+        coord.settimeout(None)
+        mesh[0] = coord
+        if not (isinstance(reply, tuple) and reply[0] == _PEERS
+                and reply[1] == wire):
+            raise SynchronizationError(
+                f"rank {rank}: malformed peer table from coordinator")
+        table = {peer: tuple(addr) for peer, addr in reply[2].items()}
+        table[0] = tuple(coordinator)
+        # The other links by the pair rule, as a forked mesh makes them.
+        return link_fabric(
+            MeshFabric(rank, nprocs, mesh, listener, table, coordinator,
+                       token, generation, bind_host),
+            generation, table, range(1, nprocs),
+            timeout=deadline - time.monotonic())
     except BaseException:
         for sock in mesh.values():
             sock.close()
         listener.close()
         raise
-    return MeshFabric(rank, nprocs, mesh, listener, table,
-                      coordinator, token, generation, bind_host)
 
 
-def remesh_fabric(fabric: MeshFabric, generation: int,
-                  coordinator: tuple[str, int], *,
-                  timeout: float = 30.0) -> MeshFabric:
-    """Close ``fabric`` and rendezvous its rank again at ``generation``.
 
-    What every rank of a mesh does when a dead rank is replaced: the old
-    epoch's sockets go, and survivors and replacement meet under
-    :func:`fold_token`\\ ``(token, generation)``.  Rank 0 keeps its
-    well-known listener across the epoch — the others re-dial it —
-    unless the rendezvous fails, which closes it.  ``coordinator`` is
-    rank 0's address in the new epoch (a replaced rank 0 has a new one).
+def link_fabric(fabric: MeshFabric, generation: int,
+                table: dict[int, tuple[str, int]], forked: Collection[int],
+                *, timeout: float = 30.0) -> MeshFabric:
+    """Link ``fabric`` to the newly ``forked`` ranks at ``generation``,
+    once every listener address is known (``table``: a forked mesh's
+    parent binds them all, a rendezvous learns them from rank 0).
+
+    A new rank (in ``forked``) dials the lower forked ranks and accepts
+    every other link it does not hold yet.  A heal's survivor keeps its
+    other links as they are (sequence numbers, journal, unsent bytes) and
+    dials each replacement — only after leaving the failed run, so the
+    dial never meets a listener still vetting mid-run relinks.
     """
-    keep = None
-    if fabric.rank == 0:
-        keep, fabric.listener = fabric.listener, None
-    fabric.close()
-    try:
-        return rendezvous_fabric(
-            fabric.rank, fabric.nprocs, coordinator, token=fabric.token,
-            generation=generation, bind_host=fabric.bind_host,
-            coordinator_listener=keep, timeout=timeout)
-    except BaseException:
-        if keep is not None:
-            keep.close()
-        raise
+    rank = fabric.rank
+    broken = [q for q, sock in fabric.socks.items()
+              if q not in forked and sock.fileno() < 0]
+    if broken:  # down mid-repair when the run failed: rebuild instead
+        raise SynchronizationError(
+            f"rank {rank}: links to ranks {broken} are down")
+    fabric.generation = generation
+    fabric.table = dict(table)
+    fabric.coordinator = table[0]
+    token = fabric.wire_token()
+    deadline = time.monotonic() + timeout
+    if rank in forked:
+        dial = [q for q in forked if q < rank]
+        accept = set(range(fabric.nprocs)) - {rank, *dial, *fabric.socks}
+    else:
+        dial, accept = list(forked), set()
+    for peer in (*dial, *accept):
+        old = fabric.socks.pop(peer, None)
+        if old is not None:
+            old.close()
+        fabric.links[peer] = LinkState()
+    for peer in dial:
+        sock = connect_retry(table[peer], deadline,
+                             what=f"rank {peer} listener")
+        send_msg(sock, (_LINK, token, rank))
+        fabric.socks[peer] = sock
+    while accept:
+        sock, msg = _accept_handshake(fabric.listener, _LINK, token, deadline)
+        if msg[2] not in accept:
+            sock.close()
+            continue
+        accept.discard(msg[2])
+        fabric.socks[msg[2]] = sock
+    return fabric
 
 
 def parse_hostport(spec: str, default_port: int) -> tuple[str, int]:
