@@ -17,20 +17,28 @@ union over stages must cover every unordered pair exactly once.
 The module also defines, once for both frame fabrics, what a superstep
 boundary *is*: :func:`boundary_links` maps a synchronization mode to the
 links a boundary uses, and :class:`LinkChannel` runs the boundary round
-over them — a fabric supplies only how a frame crosses a link.
+over them — a fabric supplies only how a frame crosses a link.  Both
+fabrics are streams, one per link, and :class:`StreamLinks` is how a
+rank drives them: B.3's "receivers actively empty the pipe", written
+once for sockets and pipes alike.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import selectors
+from collections import deque
 from functools import lru_cache
-from typing import Any, Collection, Sequence
+from typing import Any, Collection, Iterable, Sequence
 
 from .. import faults
-from ..core.errors import BspConfigError
+from ..core.errors import BspConfigError, PacketError
 from ..core.packets import Packet, PacketRuns
 from .base import check_pattern_sends
 from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, TAG_RELEASE, Frame
 from .pool import Abort
+from .tcp_wire import FrameDecoder
 
 #: Partner value for a processor idle in a stage (odd ``p`` only).
 IDLE = -1
@@ -111,9 +119,9 @@ def boundary_links(sync: str, fence: bool, pattern: Any,
     ``release_round`` is what ``strict`` (and a fence) adds on a fabric
     whose links cannot prove receipt: a frame handed to a socket may be
     lost and replayed, so passing additionally waits for a release from
-    every peer it sent to.  A pipe write is its own receipt — the frame
-    sits in the destination's pipe when the call returns — so
-    the pipe fabric runs the same round in every mode.
+    every peer it sent to.  A pipe loses nothing: a frame is delivered
+    once the boundary has flushed it into the pipe, so the pipe fabric
+    runs the same round in every mode.
     """
     if sync == "elide" and pattern is not None and not fence:
         out_links = [q for q in peers if q in pattern.sends_to]
@@ -144,12 +152,13 @@ class LinkChannel:
     * ``_settle(released)`` — pass only once nothing this boundary sent
       can still fail or alias program memory (``released``: the peers
       whose release proves they hold our frame);
-    * :attr:`receipted` — true when a link write is its own receipt.
+    * :attr:`receipted` — true when a flushed frame is as good as
+      received.
     """
 
-    #: A link write that is its own receipt (a pipe: the frame sits in
-    #: the destination's pipe once the call returns) needs no release
-    #: round in any mode.
+    #: A link that cannot lose a frame (a pipe: once flushed, the frame
+    #: sits in the destination's pipe) needs no release round in any
+    #: mode.
     receipted = False
 
     def __init__(self, pid: int, nprocs: int, sync: str, run_id: int):
@@ -275,6 +284,198 @@ class LinkChannel:
         """Signal ``tag`` to each of ``peers`` (a fabric may add a flush)."""
         for peer in peers:
             self._signal(peer, tag, 0)
+
+
+#: Chunks per gathered write: a frame is a header plus its buffers, and
+#: one syscall per chunk is most of a small boundary's cost.
+_IOV_MAX = 64
+
+
+class StreamLink:
+    """One link's stream state, which outlives any one run.
+
+    ``out`` holds the bytes handed to the link but not yet to its fd: a
+    run that ends mid-frame leaves the tail here for the next run to
+    flush, so the stream stays framed and the peer drops the frame by
+    its run id.  ``dec`` decodes what the link delivers.
+    """
+
+    __slots__ = ("out", "dec")
+
+    def __init__(self) -> None:
+        self.out: deque = deque()
+        self.dec = FrameDecoder()
+
+
+class StreamLinks:
+    """Appendix B.3's send discipline, once for both stream fabrics.
+
+    A frame goes out as far as its fd takes it and the rest queues
+    behind whatever is queued already (link FIFO); whoever waits for
+    inbound traffic flushes the queues while it reads.  So a boundary
+    never waits on a peer's read, and two ranks pushing frames larger
+    than a pipe or socket buffer at each other cannot deadlock.
+
+    A fabric hands :meth:`_open_links` each peer's :class:`StreamLink`
+    and ``(read fd, write fd)`` — one socket for both on the mesh, two
+    pipes on the process fabric — and supplies ``_ingest(peer, frame)``
+    (one decoded frame) and ``_link_down(peer)`` (end of stream, or a
+    failed write).  Any other fd is watched with a callable as its data
+    (:meth:`_watch`), which :meth:`_select` calls when it is readable.
+    """
+
+    def _open_links(self, links: dict[int, StreamLink],
+                    fds: dict[int, tuple[int, int]]) -> None:
+        self._sel = selectors.DefaultSelector()
+        self._link = links
+        self._fds = dict(fds)
+        self._mask: dict[int, int] = {}
+        #: Peers whose stream has ended: no longer read.
+        self._eof: set[int] = set()
+        for peer in self._fds:
+            self._update_mask(peer)  # an earlier run's unsent tail too
+
+    def _ingest(self, peer: int, frame: Frame) -> None:
+        raise NotImplementedError
+
+    def _link_down(self, peer: int) -> None:
+        raise PacketError(f"link to {peer} ended mid-run")
+
+    def _link_damaged(self, peer: int, exc: PacketError) -> None:
+        """The stream from ``peer`` failed to decode."""
+        raise exc
+
+    def _enqueue(self, peer: int, chunks: Sequence[Any]) -> None:
+        """The one send path: write what the fd takes now, queue the
+        rest behind whatever is already queued (link FIFO) for
+        :meth:`_select` to flush."""
+        fds = self._fds.get(peer)
+        if fds is None:  # link already closed
+            return
+        q = self._link[peer].out
+        sent = 0
+        if not q:
+            try:
+                sent = os.writev(fds[1], chunks[:_IOV_MAX])
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError:
+                self._link_down(peer)
+                return
+        for chunk in chunks:
+            mv = memoryview(chunk)
+            if mv.format != "B" or mv.ndim != 1:
+                mv = mv.cast("B")
+            if sent >= mv.nbytes:
+                sent -= mv.nbytes
+            else:
+                q.append(mv[sent:])
+                sent = 0
+        if q:
+            self._update_mask(peer)
+
+    def _unsent(self, peers: Iterable[int] | None = None) -> bool:
+        return any(self._link[peer].out
+                   for peer in (self._fds if peers is None else peers)
+                   if peer in self._fds)
+
+    def _watch(self, fd: int, want: int, data: Any) -> None:
+        cur = self._mask.get(fd, 0)
+        if want == cur:
+            return
+        if cur and want:
+            self._sel.modify(fd, want, data)
+        elif want:
+            self._sel.register(fd, want, data)
+        else:
+            self._sel.unregister(fd)
+        self._mask[fd] = want
+
+    def _update_mask(self, peer: int) -> None:
+        fds = self._fds.get(peer)
+        if fds is None:
+            return
+        rfd, wfd = fds
+        read = 0 if peer in self._eof else selectors.EVENT_READ
+        write = selectors.EVENT_WRITE if self._link[peer].out else 0
+        if rfd == wfd:
+            self._watch(rfd, read | write, peer)
+        else:
+            self._watch(rfd, read, peer)
+            self._watch(wfd, write, peer)
+
+    def _forget(self, peer: int) -> None:
+        """Stop watching ``peer``'s fds and drop its unsent bytes."""
+        for fd in set(self._fds.pop(peer, ())):
+            self._watch(fd, 0, peer)
+        self._link[peer].out.clear()
+
+    def _select(self, timeout: float | None) -> None:
+        """Wait up to ``timeout`` for traffic; flush what the links take,
+        and ingest what they deliver."""
+        for key, events in self._sel.select(timeout):
+            peer = key.data
+            if callable(peer):
+                peer()
+                continue
+            if events & selectors.EVENT_WRITE:
+                self._flush(peer)
+            if events & selectors.EVENT_READ:
+                self._read(peer)
+
+    def _flush(self, peer: int) -> None:
+        fds = self._fds.get(peer)
+        if fds is None:
+            return
+        q = self._link[peer].out
+        try:
+            while q:
+                batch = list(itertools.islice(q, _IOV_MAX))
+                sent = os.writev(fds[1], batch)
+                for chunk in batch:
+                    if sent < len(chunk):
+                        q[0] = chunk[sent:]
+                        break  # the fd is full
+                    sent -= len(chunk)
+                    q.popleft()
+                else:
+                    continue
+                break
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError:
+            self._link_down(peer)
+            return
+        self._update_mask(peer)
+
+    def _read(self, peer: int) -> None:
+        fds = self._fds.get(peer)
+        if fds is None:
+            return
+        try:
+            data = os.read(fds[0], 1 << 16)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._link_down(peer)
+            return
+        try:
+            frames = self._link[peer].dec.feed(data)
+        except PacketError as exc:
+            self._link_damaged(peer, exc)
+            return
+        # Every frame read is ingested, even past one that ends the run:
+        # the others are out of the stream, and may carry lease ids home.
+        failed = None
+        for frame in frames:
+            try:
+                self._ingest(peer, frame)
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failed = failed or exc
+        if failed is not None:
+            raise failed
 
 
 def validate_schedule(nprocs: int) -> None:

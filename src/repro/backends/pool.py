@@ -6,11 +6,11 @@ gather one outcome per rank under supervision, turn the outcomes into a
 :class:`~repro.backends.base.BackendRun`" is written here once:
 
 * :func:`serve_rank` — the rank main of both fabrics: take a run off
-  the control link, run it (:func:`run_rank`) on a fresh channel and
-  report ``(tag, run_id, pid, result-or-traceback, ledger)`` with tag
-  ``ok`` / ``error`` / ``aborted``, until the link says close;
-  :func:`encode_outcome` readies an outcome for either fabric (a result
-  that cannot be pickled is an ``error``).
+  the control link (:class:`RankLink`), run it (:func:`run_rank`) on a
+  fresh channel and report ``(tag, run_id, pid, result-or-traceback,
+  ledger)`` with tag ``ok`` / ``error`` / ``aborted``, until the link
+  says close; :func:`encode_outcome` readies an outcome for either
+  fabric (a result that cannot be pickled is an ``error``).
 * :func:`gather` — the supervised gather.  The parent multiplexes a
   *result source* with every outstanding worker's ``Process.sentinel``,
   so a worker that dies without reporting — OOM kill, segfaulting
@@ -22,7 +22,7 @@ gather one outcome per rank under supervision, turn the outcomes into a
   slow one, and every timeout message carries the per-pid status table.
   A result source is three methods — ``waitables()``, ``poll()`` and
   ``heartbeat(pid)``; the pipe fabric's is its frame transport (result
-  frames on the parent's pipe, fork-shared heartbeat words), the socket
+  frames on each rank's result pipe, fork-shared heartbeat words), the socket
   fabric's is the control connections' ``TAG_HB``/``TAG_RESULT`` frames,
   and a test's is a fake.
 * :func:`finish_run` — outcomes to ``BackendRun`` or the typed error.
@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
+import os
+import selectors
 import threading
 import time
 import traceback
@@ -68,7 +70,8 @@ from .base import (
     check_sync,
     describe_workers,
 )
-from .frames import encode_object
+from .frames import Frame, encode_object
+from .tcp_wire import TAG_ABORT, TAG_CLOSE, TAG_REMESH, TAG_RUN, FrameDecoder
 
 
 class Abort(BaseException):
@@ -115,7 +118,7 @@ def serve_rank(ctrl: Any, make_channel: Any, pid: int,
 
     ``ctrl.recv()`` returns the next ``(run_id, nprocs, (program, args,
     kwargs, sync))``, or ``None`` at close; whatever else the supervisor
-    sends — fence, remesh, lease release — the link handles and
+    sends — a heal or remesh, lease ids — the link handles and
     acknowledges itself.  ``ctrl.report(outcome)`` sends an outcome
     back.  ``make_channel(run_id, nprocs, sync)`` is a fresh
     :class:`~repro.backends.exchange.LinkChannel` for one run.  A pool
@@ -132,6 +135,103 @@ def serve_rank(ctrl: Any, make_channel: Any, pid: int,
         # Nothing of a run may stay alive while the rank waits for the
         # next: its arguments and result can be tens of megabytes.
         del channel, outcome, program, args, kwargs
+
+
+def wait_for(fd: int, events: int) -> None:
+    """Sleep until ``fd`` is ready for ``events`` (selector flags)."""
+    with selectors.DefaultSelector() as sel:
+        sel.register(fd, events)
+        sel.select()
+
+
+def write_all(fd: int, chunks: Sequence[Any]) -> None:
+    """Write one whole frame to a non-blocking stream, waiting while it
+    is full: only for a stream whose reader keeps reading (a control
+    link, a result pipe)."""
+    if len(chunks) == 2:  # nothing beside the header: one write
+        chunks = [b"".join(chunks)]
+    for chunk in chunks:
+        mv = memoryview(chunk).cast("B")
+        while mv:
+            try:
+                mv = mv[os.write(fd, mv):]
+            except BlockingIOError:
+                wait_for(fd, selectors.EVENT_WRITE)
+
+
+class RankLink:
+    """A rank's end of its control link — :func:`serve_rank`'s ``ctrl``
+    on both fabrics: one non-blocking stream of frames each way (a
+    socket, or a pair of pipes).  Runs, heals, close and aborts come in;
+    outcomes and acks go out through ``report(outcome)``.
+
+    A fabric supplies ``report``, ``_decode(frame)`` — a ``TAG_RUN``'s
+    ``(program, args, kwargs, sync)`` — and ``_remesh(frame)`` — link to
+    the replacements of dead ranks; ``_open(frame)`` sees every frame as
+    it is handled.
+    """
+
+    def __init__(self, rank: int, rfd: int, wfd: int):
+        self._rank = rank
+        self._rfd = rfd
+        self._wfd = wfd
+        self._dec = FrameDecoder()
+        #: Frames read but not yet handled.
+        self.pending: list[Frame] = []
+
+    def fileno(self) -> int:
+        return self._rfd
+
+    def _read(self, wait: bool = False) -> bool:
+        """Take in what the link holds (with ``wait``, once it holds
+        something); ``False`` once the supervisor hung up."""
+        if wait:
+            wait_for(self._rfd, selectors.EVENT_READ)
+        try:
+            data = os.read(self._rfd, 1 << 16)
+        except (BlockingIOError, InterruptedError):
+            return True
+        except OSError:
+            data = b""
+        self.pending += self._dec.feed(data)
+        return bool(data)
+
+    def aborted(self, run_id: int) -> bool | None:
+        """Whether the supervisor aborted ``run_id``, read without
+        waiting (``None``: it hung up); other frames stay for
+        :meth:`recv`."""
+        if not self._read():
+            return None
+        return any(frame.tag == TAG_ABORT and frame.run_id == run_id
+                   for frame in self.pending)
+
+    def _open(self, frame: Frame) -> Frame:
+        return frame
+
+    def recv(self) -> tuple | None:
+        """The next ``(run_id, nprocs, (program, args, kwargs, sync))``,
+        or ``None`` at close.  A heal is carried out and acknowledged
+        here — or reported failed, which ends the rank."""
+        while True:
+            while not self.pending:
+                if not self._read(wait=True):
+                    return None
+            frame = self._open(self.pending.pop(0))
+            if frame.tag == TAG_CLOSE:
+                return None
+            try:
+                if frame.tag == TAG_RUN:
+                    return frame.run_id, frame.step, self._decode(frame)
+                if frame.tag == TAG_REMESH:
+                    self._remesh(frame)
+                    self.report(("remeshed", frame.run_id, self._rank,
+                                 None, None))
+            except BaseException:  # noqa: BLE001 - reported upward
+                self.report(("error", frame.run_id, self._rank,
+                             traceback.format_exc(), None))
+                if frame.tag == TAG_REMESH:
+                    return None
+            # Anything else, e.g. a stale abort that raced our outcome.
 
 
 def encode_outcome(outcome: tuple) -> tuple[bytes, list]:
@@ -270,7 +370,7 @@ def gather(source: ResultSource, procs: Sequence[Any], run_id: int,
             timeout=limit)
         for tag, rid, pid, a, b in source.poll():
             # Anything else is a stray: an earlier, already-failed run's
-            # reply, a fence or heal ack, an idle rank of a smaller run.
+            # reply, a heal ack, an idle rank of a smaller run.
             if rid == run_id and tag in _OUTCOME_TAGS and pid < nprocs:
                 outcomes[pid] = (tag, a, b)
 
@@ -387,7 +487,7 @@ class PoolHealth:
         Payload buffers delivered through shared-memory segment leases
         (no receive-side copy) over the pool's lifetime.
     zerocopy_fallbacks:
-        Out-of-band payload buffers sent as pipe messages instead
+        Out-of-band payload buffers sent in the pipe's stream instead
         (``REPRO_ZEROCOPY=off`` or segment creation failure) — nonzero
         hits with zero fallbacks means the data plane is fully engaged.
     quarantines:
@@ -450,13 +550,14 @@ class WorkerPool(AbstractContextManager):
     and the four verbs the failure policy (:meth:`_recover`) acts
     through:
 
-    * ``_wake(dead) -> bool`` — unblock the survivors of a run whose
-      ``dead`` workers will never send again; ``False``: the fabric is
-      wedged, rebuild it;
+    * ``_wake(dead) -> bool`` — abort the run on the survivors of
+      ``dead`` workers that will never send again; ``False``: a
+      survivor could not be told, rebuild;
     * ``_replace(dead, generation) -> bool`` — fork replacements for
       ``dead`` and bring the fabric whole again; ``False``: rebuild;
     * ``_resync(nprocs)`` — clear what a failed run left in the fabric
-      (spends no budget);
+      (spends no budget; by default nothing: a stream fabric drops a
+      failed run's frames by run id in the next);
     * ``_rebuild()`` — tear everything down and build afresh.
     """
 
@@ -489,7 +590,7 @@ class WorkerPool(AbstractContextManager):
         self._heal_kinds: list[str] = []
         #: Consecutive faulted runs: what the backoff grows with.
         self._faults_in_a_row = 0
-        # One run at a time: the fence/epoch disciplines assume a single
+        # One run at a time: the run-id/epoch disciplines assume a single
         # in-flight run per fabric, so a second concurrent run() would
         # corrupt it.  Guarded, not serialized — the service scheduler
         # leases one job per pool and anything else is a caller bug.
@@ -502,6 +603,11 @@ class WorkerPool(AbstractContextManager):
         if not self._closed:
             self._closed = True
             self._teardown(graceful=graceful)
+            # A closed pool holds no fd: each reaped worker's sentinel
+            # pipe goes now (``Process.close`` would also forbid asking
+            # whether it is alive).
+            for proc in self._procs:
+                proc._popen.close()
 
     def close(self) -> None:
         """Shut the workers down; the pool is unusable afterwards."""
@@ -593,7 +699,7 @@ class WorkerPool(AbstractContextManager):
         The pool is built with the run already in its workers' hands, so
         lambdas, closures and unpicklable programs work (only packet
         *payloads* cross process boundaries), and ``wall_seconds``
-        includes the fork.  There is no second run to heal, fence or
+        includes the fork.  There is no second run to heal or
         budget restarts for: a failure wakes the survivors, raises its
         typed error, and the pool is torn down.
         """
@@ -652,7 +758,7 @@ class WorkerPool(AbstractContextManager):
         a single fault has no storm to back off from).  A crash heals:
         the survivors are woken, only the dead workers are replaced, and
         the fabric made whole at the next generation.  A deadlock — or a
-        crash the fabric cannot heal from — rebuilds everything.  A spent
+        heal that fails — rebuilds everything.  A spent
         budget shuts the pool down and raises
         :class:`PoolExhaustedError`.
         """
@@ -690,14 +796,18 @@ class WorkerPool(AbstractContextManager):
             self._wake(crashed)
         self._shutdown(graceful=False)
 
-    def _await_acks(self, tag: str, ack_id: int, nprocs: int,
+    def _resync(self, nprocs: int) -> None:
+        """After a failed run: nothing left to clear (see the class
+        docstring)."""
+
+    def _await_acks(self, tag: str, ack_id: int, ranks: Sequence[int],
                     timeout: float = 30.0) -> bool:
-        """Wait until each of the first ``nprocs`` workers has sent
-        ``(tag, ack_id, pid, …)`` over the result source — a fabric
-        verb's acknowledgement; ``False`` once one of them dies or
-        reports an ``error`` for ``ack_id``, or ``timeout`` passes (it
-        bounds forks and handshakes, not a run: not ``join_timeout``)."""
-        procs, pending = self._procs[:nprocs], set(range(nprocs))
+        """Wait until each of ``ranks`` has sent ``(tag, ack_id, pid,
+        …)`` over the result source — a fabric verb's acknowledgement;
+        ``False`` once one of them dies or reports an ``error`` for
+        ``ack_id``, or ``timeout`` passes (it bounds forks and
+        handshakes, not a run: not ``join_timeout``)."""
+        procs, pending = [self._procs[r] for r in ranks], set(ranks)
         deadline = time.monotonic() + timeout
         while pending:
             remaining = deadline - time.monotonic()

@@ -1,61 +1,56 @@
-"""Process backend — the MPI/TCP library versions (Appendices B.2, B.3).
+"""Process backend — the MPI version (Appendix B.2), on one host.
 
 One OS process per virtual processor, so compute genuinely runs in
 parallel (no GIL).  As in the paper's MPI version, communication happens
 *only at superstep boundaries*: during a superstep each processor merely
-buckets its outgoing packets per destination; at the boundary it pushes one
-**combined frame** per peer (possibly empty — the all-to-all itself is the
-implicit synchronization, exactly as in B.2) and blocks until it has
-received the boundary frame of every live peer.  That one round serves
-every ``sync`` mode — a pipe write is its own receipt, so ``strict`` and
+buckets its outgoing packets per destination; at the boundary it sends
+one **combined frame** per peer (possibly empty — the all-to-all itself
+is the implicit synchronization, exactly as in B.2) and waits until it
+holds the boundary frame of every live peer.  That one round serves
+every ``sync`` mode — a pipe loses nothing, so ``strict`` and
 ``relaxed`` coincide here, and ``elide`` runs it over the links of a
 declared pattern (:func:`~repro.backends.exchange.boundary_links`).
 
-Frames are the batched zero-copy representation of
-:mod:`~repro.backends.frames`: per-bucket ``seq``/``h`` metadata plus
-protocol-5 out-of-band payload buffers placed in one leased
-shared-memory region per frame, so a bucket of NumPy halos crosses the
-boundary with one memcpy instead of a pickle stream per packet.  Sends are issued in the
-:func:`~repro.backends.exchange.peer_order` of the precomputed
-total-exchange pairing schedule, the TCP version's deadlock-avoidance
-discipline (B.3).
-
-Who writes a frame is decided per frame.  The thread that called
-``sync()`` offers each one to a push that never waits (destination lock
-free, a recycled region for its buffers, one pipe message within
-``PIPE_BUF`` on a writable pipe): ocean's ghost rows, every empty frame
-and a halo whose link has exchanged one before go out this way, one
-``write`` each, and no second thread is ever started.  Whatever that
-push refuses — a frame that could fill a pipe, or one whose region
-would have to be mapped or touch new pages — is handed, already
-encoded, to a per-run sender thread, while the calling thread turns receiver: B.3's
-"receivers must actively empty the pipe", kept for exactly the frames
-it is about.
+B.2's per-pair buffers, taken literally: every ordered pair of ranks has
+a pipe of its own, with one writer and one reader, and so has the parent
+with each rank — a control pipe down, a result pipe up.  Every pipe is
+non-blocking and carries the same stream of frames as a socket of the
+TCP mesh (:mod:`~repro.backends.tcp_wire`), driven by the same
+:class:`~repro.backends.exchange.StreamLinks` code: a frame goes out as
+far as the pipe takes it, the rest queues, and the rank flushes its
+queues while it reads — B.3's "receivers actively empty the pipe".  No
+write waits for a reader, no lock guards a pipe, no second thread
+sends.  Payload buffers of 2 KiB or more ride one leased shared-memory
+region per frame (:mod:`~repro.backends.shm`), so a bucket of NumPy
+halos crosses the boundary with one memcpy; ``REPRO_ZEROCOPY=off`` puts
+them in the stream instead.  Sends go in the
+:func:`~repro.backends.exchange.peer_order` of the total-exchange
+schedule.
 
 Like the thread backend's vanishing barrier, a processor that finishes
 sends a departure sentinel so peers stop waiting for it; mismatched
 superstep counts then surface as a stats-merge error rather than a hang.
 
-The round itself — which frames, which waits — is
-:class:`~repro.backends.exchange.LinkChannel`'s, and everything around
-the exchange — worker lifecycle, the supervised gather of one outcome
-per rank, crash/deadlock triage, one-shot vs pooled — is the
-fabric-independent :mod:`~repro.backends.pool` core.  This module is
-the pipe fabric behind them: :class:`_FrameChannel` (the pipe transport
-of the round) and :class:`BspPool`, which supplies only
+The round itself is :class:`~repro.backends.exchange.LinkChannel`'s, and
+everything around the exchange — worker lifecycle, the supervised gather
+of one outcome per rank, the failure policy, one-shot vs pooled — is the
+fabric-independent :mod:`~repro.backends.pool` core.  This module is the
+pipe fabric behind them: :class:`FrameTransport` (the pipes, segment
+pools and fork-shared words), :class:`_FrameChannel` (its half of the
+round) and :class:`BspPool`, which supplies only
 
-* **build / teardown**: one :class:`~repro.backends.frames.FrameTransport`
-  (pipes, segment pools, heartbeat words) and a control queue per
-  worker; the parent is the transport's last endpoint, where a worker's
-  outcome or fence ack arrives as a frame like any other;
+* **build / teardown**: one transport and ``p`` workers forked onto it;
+  the parent is the transport's last endpoint, where a worker's outcome
+  arrives as a frame like any other;
 * **dispatch**: ``(program, args)`` encoded once for all workers, array
   arguments too big for the pickle stream arriving as read-only views of
   one shared-memory copy (valid for the run);
-* **the failure policy's verbs**: survivors are woken with ``TAG_DEAD``
-  sent on the dead workers' behalf; a dead worker is replaced by a
-  re-fork onto its inherited pipes; and a failed run is followed by a
-  *fence*, which drains in-flight frames behind a barrier and rewinds
-  the segment pools, so the next run starts clean.
+* **the failure policy's verbs**: survivors are woken by an abort on
+  their control pipes, and a dead worker is re-forked onto the same
+  pipes once both directions of them are drained and every survivor has
+  dropped its link to it, so every stream restarts at a frame boundary.
+  A failed run needs nothing more: what it left in flight reaches the
+  next run and is dropped there by run id.
 
 Deterministic fault injection for all of these paths lives in
 :mod:`repro.faults`.
@@ -63,64 +58,439 @@ Deterministic fault injection for all of these paths lives in
 
 from __future__ import annotations
 
-import threading
-import traceback
-from collections import deque
+import mmap
+import os
+import pickle
+import selectors
 from typing import Any, Collection, Sequence
 
 from .. import faults
 from ..core.errors import PacketError
 from ..core.packets import Packet
-from .exchange import LinkChannel
-from .frames import TAG_DEAD, TAG_FENCE, FrameTransport
+from . import shm
+from . import tcp_wire as wire
+from .exchange import LinkChannel, StreamLink, StreamLinks
+from .frames import (
+    TAG_LEASES,
+    TAG_PKT,
+    TAG_RESULT,
+    Frame,
+    encode_object,
+    encode_packets,
+)
 from .pool import (
     Abort,
     PoolBackend,
     PoolHealth,  # noqa: F401 - re-exported: the snapshot's public home
+    RankLink,
     WorkerPool,
     encode_outcome,
     join_escalating,
     serve_rank,
+    write_all,
 )
 
 
-class _FrameChannel(LinkChannel):
-    """The boundary round over the shared frame transport: the pipe
-    fabric's half of :class:`~repro.backends.exchange.LinkChannel`.
+class FrameTransport:
+    """The pipe fabric: a non-blocking pipe per ordered pair of
+    endpoints, the segment pools, and the fork-shared words.
 
-    A pipe write is its own receipt, so every ``sync`` mode is the one
-    round with no release round; the modes differ only in their link
-    sets.  Frames go out through :meth:`_send`: from the calling thread
-    when that cannot wait, else from a sender thread that exists only
-    once a frame needed it.  A send that fails on that thread (an
-    unpicklable payload) ends as it would on the calling one: recorded,
-    ``TAG_DEAD`` to every peer, the original exception raised out of
-    ``exchange``.
+    Endpoints ``0 .. p-1`` are the ranks and ``p`` is the parent, so
+    pipe ``(q, p)`` is rank ``q``'s result pipe and ``(p, q)`` its
+    control pipe.  The parent creates all of it before forking; every
+    process inherits every pipe and keeps its own
+    :class:`~repro.backends.exchange.StreamLink` for each link it uses
+    (:meth:`link`), so a stream a failed run left mid-frame resumes in
+    the next.  The transport is also the pool core's result source
+    (``waitables``, ``poll``, ``heartbeat``).
+    """
+
+    def __init__(self, nprocs: int):
+        self.nprocs = nprocs
+        ends = range(nprocs + 1)
+        #: ``(src, dst) -> (read fd, write fd)``, both non-blocking.
+        self._pipes: dict[tuple[int, int], tuple[int, int]] = {}
+        for src in ends:
+            for dst in ends:
+                if src != dst:
+                    fds = self._pipes[src, dst] = os.pipe()
+                    for fd in fds:
+                        os.set_blocking(fd, False)
+        #: This process's end of each link it uses, by ``(pid, peer)``.
+        self._links: dict[tuple[int, int], StreamLink] = {}
+        #: Fork-shared heartbeat counters, one 8-byte slot per worker,
+        #: bumped by its owner at every superstep boundary.  Single writer
+        #: per slot; aligned 8-byte stores are atomic on every platform we
+        #: fork on.  Supervisors read them to tell "slow but alive" from
+        #: "dead" and "deadlocked".
+        self._hb_mm = mmap.mmap(-1, max(8 * nprocs, mmap.PAGESIZE))
+        self._hb = memoryview(self._hb_mm).cast("Q")
+        # -- zero-copy data plane (repro.backends.shm) ----------------------
+        # The escape hatch is read here, in the parent, before forking,
+        # so every worker of one fabric agrees on it.
+        self._zc_enabled = shm.zerocopy_enabled()
+        self._zc_token = shm.fabric_token()
+        #: Fork-shared per-src count of segments ever created: all the
+        #: parent needs to sweep a (possibly SIGKILLed) worker's segments
+        #: by deterministic name.  Single writer per slot (the owner);
+        #: slot ``nprocs`` is the parent's own dispatch arena, which a
+        #: full sweep takes with the workers' segments.
+        self._segc_mm = mmap.mmap(-1, max(8 * (nprocs + 1), mmap.PAGESIZE))
+        self._segc = memoryview(self._segc_mm).cast("Q")
+        #: Fork-shared zerocopy telemetry: slot ``2*src`` counts buffers
+        #: delivered through a segment lease, ``2*src + 1`` out-of-band
+        #: buffers sent in the stream instead (REPRO_ZEROCOPY=off, or
+        #: no segment to be had).  Surfaced by ``BspPool.health()``.
+        self._zc_mm = mmap.mmap(-1, max(16 * nprocs, mmap.PAGESIZE))
+        self._zc = memoryview(self._zc_mm).cast("Q")
+        #: Per-process state (a pool is built post-fork, by its first
+        #: lease): each worker only ever touches its own pid's slot.  The
+        #: parent's pool is the dispatch arena; its map and table hold the
+        #: regions of inbound result frames.
+        self._seg_pools: list[shm.SegmentPool | None] = [None] * (nprocs + 1)
+        self._seg_maps = [shm.SegmentMap() for _ in range(nprocs + 1)]
+        self._lease_tables = [shm.LeaseTable() for _ in range(nprocs + 1)]
+        #: Per-src broadcast dedup: ``((run_id, step), {buffer-list key:
+        #: (pin, name, offset, lease_id)})``.  A frame whose buffers were
+        #: already placed this boundary — the same arrays sent to p-1
+        #: peers — is copied into its segment once; the other p-2 frames
+        #: carry aliased leases over the same region.
+        self._dedup: list[Any] = [None] * nprocs
+
+    # -- links ---------------------------------------------------------------
+
+    def link(self, pid: int, peer: int) -> StreamLink:
+        """``pid``'s end of its link with ``peer``, in this process: the
+        queue of pipe ``(pid, peer)`` and the decoder of ``(peer, pid)``."""
+        link = self._links.get((pid, peer))
+        if link is None:
+            link = self._links[pid, peer] = StreamLink()
+        return link
+
+    def fds(self, pid: int, peer: int) -> tuple[int, int]:
+        """``pid``'s ``(read fd, write fd)`` of its link with ``peer``."""
+        return self._pipes[peer, pid][0], self._pipes[pid, peer][1]
+
+    def drop_links(self, pid: int, dead: Collection[int]) -> None:
+        """``pid`` forgets its links to ``dead`` — queued bytes and
+        decoders — and the zero-copy state it shared with them: its pool
+        rewinds (the dead hold leases that will never come home, and the
+        generation bump makes any frame still in flight detectably
+        stale) and its inbound leases are forgotten.  Segments are *not*
+        unlinked here: the next run reuses them, and only the parent's
+        sweep removes names."""
+        for peer in dead:
+            self._links.pop((pid, peer), None)
+        pool = self._seg_pools[pid]
+        if pool is not None:
+            pool.reset()
+        self._lease_tables[pid].clear()
+
+    def drain(self, dead: Collection[int]) -> None:
+        """Empty both directions of every pipe of ``dead``: the parent's
+        part of a heal, once nobody writes them any more (a process
+        still holds every write end, so an empty pipe raises rather than
+        reading end-of-file)."""
+        for (src, dst), (rfd, _) in self._pipes.items():
+            if src in dead or dst in dead:
+                try:
+                    while os.read(rfd, 1 << 16):
+                        pass
+                except BlockingIOError:
+                    pass
+
+    # -- frames --------------------------------------------------------------
+
+    def encode(self, dst: int, tag: int, run_id: int, step: int, src: int,
+               meta: bytes | None = None, buffers: Sequence[Any] = (),
+               releases: Sequence[int] = ()) -> list[Any]:
+        """One frame on pipe ``(src, dst)``, as wire chunks.
+
+        ``releases`` — lease ids going home to ``dst`` — ride the header,
+        and the out-of-band ``buffers`` one leased region of ``src``'s
+        pool, or the stream when no region can be had.
+        """
+        region = self._place(dst, run_id, step, src, buffers) \
+            if buffers and self._zc_enabled else None
+        if buffers:
+            self._zc[2 * src + (region is None)] += len(buffers)
+        if dst == self.nprocs:
+            self._dedup[src] = None  # a result: do not pin it
+        return wire.encode_frame(
+            tag, run_id, step, src, meta, () if region else buffers,
+            (tuple(releases), region) if releases or region else None)
+
+    def _place(self, dst: int, run_id: int, step: int, src: int,
+               buffers: Sequence[memoryview]) -> tuple | None:
+        """Copy a frame's buffers into ONE leased region of ``src``'s
+        pool, at running aligned offsets.
+
+        Returns the header's ``(generation, name, offset, lease id,
+        buffer lengths)``, or ``None`` when no segment could be created.
+        A frame whose buffer list was already placed this boundary — a
+        broadcast — aliases that region instead.
+        """
+        pool = self._seg_pool(src)
+        lens = tuple(mv.nbytes for mv in buffers)
+        cache = self._dedup[src]
+        if cache is None or cache[0] != (run_id, step):
+            cache = self._dedup[src] = ((run_id, step), {})
+        # Keyed by exporter identity: the pinned buffers keep their
+        # exporters alive, so an ``id`` cannot be recycled while its
+        # cache entry exists.
+        key = tuple((id(mv.obj), mv.nbytes) for mv in buffers)
+        hit = cache[1].get(key)
+        if hit is not None:
+            alias = pool.alias(hit[3])
+            if alias is not None:  # same bytes, another destination: no copy
+                return pool.generation, hit[1], hit[2], alias, lens
+        try:
+            lease_id, name, offset, region = pool.lease(
+                dst, sum(map(shm.aligned, lens)))
+        except OSError:  # /dev/shm full: the stream instead
+            return None
+        at = 0
+        for mv in buffers:
+            region[at:at + mv.nbytes] = mv
+            at += shm.aligned(mv.nbytes)
+        cache[1][key] = (buffers, name, offset, lease_id)
+        return pool.generation, name, offset, lease_id, lens
+
+    def open(self, pid: int, frame: Frame) -> Frame:
+        """What ``pid`` does with every frame it receives: take the
+        piggybacked lease ids home to its pool, and put a leased frame's
+        buffers in place — views of the one region, filed in the lease
+        table as one exporter that every payload over it keeps
+        referenced (the lease's liveness probe)."""
+        if frame.lease is None:
+            return frame
+        releases, region = frame.lease
+        self.release(pid, releases)
+        if region is not None:
+            generation, name, offset, lease_id, lens = region
+            mapped = self._seg_maps[pid].region(
+                name, offset, sum(map(shm.aligned, lens)))
+            frame.stale = int(self._lease_tables[pid].register(
+                frame.src, lease_id, generation, mapped))
+            frame.buffers, at = [], 0
+            for n in lens:
+                frame.buffers.append(mapped[at:at + n])
+                at += shm.aligned(n)
+        return frame
+
+    # -- zero-copy data plane ------------------------------------------------
+
+    def _seg_pool(self, src: int) -> shm.SegmentPool:
+        pool = self._seg_pools[src]
+        if pool is None:
+            pool = self._seg_pools[src] = shm.SegmentPool(
+                self._zc_token, src, self._segc
+            )
+        return pool
+
+    def collect_releases(self, pid: int, *,
+                         discard: bool = False) -> dict[int, list[int]]:
+        """Reap ``pid``'s no-longer-referenced inbound leases, per src.
+
+        Called at each superstep boundary; the ids ride back to their
+        segment owners on this boundary's outgoing frames.  ``discard``
+        (TORN_LEASE fault) drops them instead — the owner's pool must
+        then grow, never corrupt, and teardown's sweep still reclaims
+        the segments.
+        """
+        freed = self._lease_tables[pid].collect_free()
+        return {} if discard else freed
+
+    def release(self, pid: int, lease_ids: Sequence[int]) -> None:
+        """Lease ids coming home to ``pid``'s pool, whatever run they
+        belong to: ids are monotonic and unknown ones ignored, so a stale
+        release can never free a live region."""
+        pool = self._seg_pools[pid]
+        if lease_ids and pool is not None:
+            pool.release(lease_ids)
+
+    def leak_segment(self, pid: int) -> None:
+        """LEAK_SEGMENT fault hook: create a segment only the sweep can
+        reclaim."""
+        self._seg_pool(pid).leak()
+
+    def zerocopy_stats(self) -> tuple[int, int]:
+        """Fabric-wide (buffers leased, buffers sent in the stream)."""
+        hits = sum(self._zc[2 * pid] for pid in range(self.nprocs))
+        fallbacks = sum(self._zc[2 * pid + 1] for pid in range(self.nprocs))
+        return int(hits), int(fallbacks)
+
+    def segment_counts(self) -> dict[int, int]:
+        """Segments each worker ever created (the parent's arena apart)."""
+        return {pid: int(self._segc[pid]) for pid in range(self.nprocs)}
+
+    def sweep_segments(self, pids: Sequence[int] | None = None) -> int:
+        """Unlink segments created by ``pids`` (default: everyone).
+
+        Parent-side only: on full teardown/rebuild every name goes; on a
+        partial heal only the dead workers' — survivors' pools stay
+        live.  Unlinking never invalidates a live mapping, so receivers
+        still holding views into a dead sender's segment are unaffected.
+        """
+        pids = range(self.nprocs + 1) if pids is None else pids
+        counts = {pid: int(self._segc[pid]) for pid in pids}
+        return shm.sweep_segments(self._zc_token, counts)
+
+    # -- run dispatch --------------------------------------------------------
+
+    def encode_dispatch(self, obj: Any) -> tuple[bytes, tuple]:
+        """Encode one run's ``(program, args, kwargs, sync)`` once, for
+        all ranks: :func:`encode_object`'s pickle and, per out-of-band
+        buffer, the ``(segment, offset, length)`` of its one copy in the
+        parent's arena (src slot ``nprocs`` of the segment plane) — or
+        the bytes themselves when no arena is to be had.  The arena is
+        rewound here — under the run lock: the previous run's workers
+        were reading it — so a dispatched buffer is valid until the next
+        dispatch, and results are encoded before a run completes, so
+        nothing that leaves a worker aliases it.
+        """
+        head, buffers = encode_object(obj)
+        arena = self._seg_pool(self.nprocs) if self._zc_enabled else None
+        if arena is not None:
+            arena.reset()
+        refs: list[Any] = []
+        for mv in buffers:
+            if arena is not None:
+                try:
+                    _, name, offset, region = arena.lease(0, mv.nbytes)
+                except OSError:  # /dev/shm full: as if the plane were off
+                    arena = None
+            if arena is None:
+                refs.append(bytearray(mv))  # rides the control frame
+                continue
+            region[:] = mv
+            refs.append((name, offset, mv.nbytes))
+        return head, tuple(refs)
+
+    def decode_dispatch(self, pid: int, head: bytes, refs: tuple) -> Any:
+        """Worker-side inverse of :meth:`encode_dispatch`: arena buffers
+        come back as read-only views over the shared pages (every rank
+        sees one object, as on the threads backend and the simulator)."""
+        buffers = []
+        for ref in refs:
+            if isinstance(ref, tuple):
+                ref = self._seg_maps[pid].region(*ref)
+                ref.flags.writeable = False
+            buffers.append(ref)
+        return pickle.loads(head, buffers=buffers)
+
+    # -- the parent's end: the pool core's result source ---------------------
+
+    def waitables(self) -> list:
+        return [self._pipes[pid, self.nprocs][0]
+                for pid in range(self.nprocs)]
+
+    def poll(self) -> list[tuple]:
+        """Every result frame that has arrived, decoded.  Each leased
+        buffer is copied out, once: a result the caller still holds must
+        never alias a region the next run leases again.  The lease is
+        then free, and its id goes home with the next dispatch.
+        """
+        parent, got = self.nprocs, []
+        for pid in range(parent):
+            rfd, dec = self._pipes[pid, parent][0], self.link(parent, pid).dec
+            while True:
+                try:
+                    data = os.read(rfd, 1 << 16)
+                except BlockingIOError:
+                    break
+                for frame in dec.feed(data):
+                    frame = self.open(parent, frame)
+                    got.append(pickle.loads(frame.meta, buffers=[
+                        buf if isinstance(buf, bytearray) else bytearray(buf)
+                        for buf in frame.buffers]))
+        return got
+
+    def beat(self, pid: int) -> None:
+        """Advance ``pid``'s heartbeat (called by the owning worker only)."""
+        self._hb[pid] += 1
+
+    def heartbeat(self, pid: int) -> int:
+        """Current heartbeat count of ``pid`` (supervisor side)."""
+        return self._hb[pid]
+
+    def close(self) -> None:
+        # Orphan sweep first: whoever closes the fabric (the parent, on
+        # teardown/rebuild/KeyboardInterrupt) unlinks every segment any
+        # worker ever created — counts survive worker death in the
+        # fork-shared counter, so even SIGKILL mid-superstep leaks
+        # nothing.  Live mappings elsewhere stay valid; only the names
+        # go.
+        try:
+            self.sweep_segments()
+        except (ValueError, OSError):  # pragma: no cover - already closed
+            pass
+        for seg_pool in self._seg_pools:
+            if seg_pool is not None:
+                seg_pool.close()
+        # Tables before maps: dropping the table's region exporters
+        # releases their buffer exports, so the map's segments close
+        # cleanly instead of lingering until garbage collection.
+        for table in self._lease_tables:
+            table.clear()
+        for seg_map in self._seg_maps:
+            seg_map.close()
+        for fds in self._pipes.values():
+            for fd in fds:
+                os.close(fd)
+        self._pipes.clear()
+        try:
+            for view, mm in ((self._hb, self._hb_mm),
+                             (self._segc, self._segc_mm),
+                             (self._zc, self._zc_mm)):
+                view.release()
+                mm.close()
+        except (BufferError, ValueError):  # pragma: no cover
+            pass
+
+
+class _FrameChannel(StreamLinks, LinkChannel):
+    """The boundary round over a rank's pipes: the pipe fabric's half of
+    :class:`~repro.backends.exchange.LinkChannel`.
+
+    A pipe loses nothing, so every ``sync`` mode is the one round with no
+    release round; the modes differ only in their link sets.  The links
+    are :class:`~repro.backends.exchange.StreamLinks`, one pipe each way
+    per peer — to every rank of the pool, so lease ids can go home to a
+    rank that sits this run out.  The rank's control pipe is watched
+    too: the parent aborts a run there when a peer died.
     """
 
     receipted = True
 
     def __init__(self, pid: int, nprocs: int, transport: FrameTransport,
-                 run_id: int, *, sync: str = "strict"):
+                 run_id: int, ctrl: "_PipeLink", *, sync: str = "strict"):
         super().__init__(pid, nprocs, sync, run_id)
         self._transport = transport
-        transport.beat(pid)  # marks "the run actually started here"
+        self._ctrl = ctrl
         #: This boundary's reaped lease ids, by owner, until a frame to
         #: the owner carries them home.
         self._owed: dict[int, list[int]] = {}
-        # Sender thread for the frames the calling thread could not push
-        # without waiting; started by the first such frame, then kept
-        # (thread start-up per sync is measurable on small machines).
-        # Daemonic: if we abort because a peer died, an in-flight send
-        # may be stuck on a frame nobody will ever drain; the thread must
-        # not keep the process alive then.
-        self._cv = threading.Condition()
-        #: Encoded frames the sender thread is to push, oldest first; the
-        #: head leaves only once it is written.
-        self._queue: deque[tuple] = deque()
-        self._stop = False
-        self._push_error: list[BaseException] = []
-        self._sender: threading.Thread | None = None
+        #: ``(step, chunks)`` of the boundary's empty final.
+        self._empty: tuple[int, list] = (-1, [])
+        peers = [q for q in range(transport.nprocs) if q != pid]
+        self._open_links({q: transport.link(pid, q) for q in peers},
+                         {q: transport.fds(pid, q) for q in peers})
+        self._watch(ctrl.fileno(), selectors.EVENT_READ, self._read_ctrl)
+        transport.beat(pid)  # marks "the run actually started here"
+
+    def _read_ctrl(self) -> None:
+        if self._ctrl.aborted(self._run_id):
+            raise Abort()
+
+    def _ingest(self, peer: int, frame: Frame) -> None:
+        frame = self._transport.open(self._pid, frame)
+        if frame.stale and frame.run_id == self._run_id:
+            raise PacketError(
+                f"pid {self._pid}: frame from pid {frame.src} at "
+                f"superstep {frame.step} carries a zero-copy lease "
+                "from a reset segment pool (stale generation)")
+        self._file(frame)
 
     # -- the transport LinkChannel calls ------------------------------------
 
@@ -145,186 +515,100 @@ class _FrameChannel(LinkChannel):
             transport.leak_segment(pid)
         # An owner we owe no frame this boundary — outside the declared
         # out-links under elide, departed, or outside this run's nprocs
-        # on a larger pool — gets its ids on a dedicated control frame.
+        # on a larger pool — gets its ids on a frame of their own.
         for owner in [q for q in self._owed if q not in out_links]:
-            transport.send_release(owner, self._run_id, pid,
-                                   self._owed.pop(owner))
+            self._enqueue(owner, transport.encode(
+                owner, TAG_LEASES, self._run_id, -1, pid,
+                releases=self._owed.pop(owner)))
 
     def _send(self, peer: int, step: int, bucket: Sequence[Packet],
               volatile: bool) -> None:
-        """Push one frame from the calling thread if that cannot wait,
-        else hand it, encoded, to the sender thread.
-
-        Pipe writes block once the pipe is full, so two peers pushing
-        large boundary frames at each other would deadlock — the exact
-        hazard Appendix B.3 describes ("receivers [must] actively empty
-        the pipe").  So the calling thread pushes only what cannot wait
-        (for ocean's ghost rows: everything) and then plays the receiver.
-        """
-        transport = self._transport
-        frame = transport.encode_frame(peer, self._run_id, step, self._pid,
-                                       bucket,
-                                       releases=self._owed.pop(peer, ()))
-        if transport.push_frame(frame, block=False):
-            return
-        if self._sender is None:
-            self._sender = threading.Thread(
-                target=self._sender_loop, name=f"bsp-send-{self._pid}",
-                daemon=True)
-            self._sender.start()
-        with self._cv:
-            self._queue.append(frame)
-            self._cv.notify_all()
+        releases = self._owed.pop(peer, ())
+        if bucket or releases:
+            chunks = self._transport.encode(
+                peer, TAG_PKT, self._run_id, step, self._pid,
+                *encode_packets(bucket), releases)
+        else:
+            # Identical for every empty link of a boundary: encoded once.
+            if self._empty[0] != step:
+                self._empty = (step, self._transport.encode(
+                    peer, TAG_PKT, self._run_id, step, self._pid,
+                    *encode_packets(())))
+            chunks = self._empty[1]
+        self._enqueue(peer, chunks)
 
     def _signal(self, peer: int, tag: int, step: int) -> None:
-        self._transport.send_control(peer, tag, self._run_id, self._pid,
-                                     step=step)
+        self._enqueue(peer, wire.encode_frame(tag, self._run_id, step,
+                                              self._pid))
 
     def _pump(self) -> None:
-        frame = self._transport.recv(self._pid)
-        if frame.run_id == self._run_id:
-            if frame.stale:
-                raise PacketError(
-                    f"pid {self._pid}: frame from pid {frame.src} at "
-                    f"superstep {frame.step} carries a zero-copy lease "
-                    "from a reset segment pool (stale generation)")
-            if frame.tag == TAG_DEAD and frame.src == self._pid:
-                self._send_wait()  # raises: our own send failed
-        self._file(frame)
+        if self._ctrl.pending:  # an abort that came in with the run
+            self._read_ctrl()
+        self._select(None)
 
     def _settle(self, released: Collection[int]) -> None:
-        self._send_wait()
+        """Pass only once every live link's queue is in its pipe: a
+        frame still queued is not delivered, and its buffers may alias
+        program arrays (the stream fallback)."""
+        link = self._link
+        while any(link[q].out for q in self._peers if q not in self._departed):
+            self._pump()
 
-    # -- the sender thread --------------------------------------------------
-
-    def _sender_loop(self) -> None:
-        transport, queue = self._transport, self._queue
-        while True:
-            with self._cv:
-                while not queue and not self._stop:
-                    self._cv.wait()
-                if not queue:
-                    return
-                frame = queue[0]
-            try:
-                transport.push_frame(frame)
-            except BaseException as exc:
-                # Fail fast: nobody may block on a frame that will never
-                # arrive — every peer, and this worker's own receive loop.
-                self._push_error.append(exc)
-                try:
-                    self.die()
-                    transport.send_control(self._pid, TAG_DEAD,
-                                           self._run_id, self._pid)
-                except BaseException:  # pragma: no cover - transport gone
-                    pass
-            with self._cv:
-                if self._push_error:
-                    queue.clear()
-                else:
-                    queue.popleft()
-                self._cv.notify_all()
-
-    def _send_wait(self) -> None:
-        """Wait until the sender thread has written every frame handed to
-        it, then surface a failed send — this boundary's or an earlier
-        one's."""
-        if self._queue:
-            with self._cv:
-                while self._queue:
-                    self._cv.wait()
-        if self._push_error:
-            raise self._push_error[0]
+    def _announce(self, tag: int, peers: Sequence[int]) -> None:
+        """Signal ``tag`` to each of ``peers`` still in the run, then
+        flush: they wait for it."""
+        peers = [q for q in peers if q not in self._departed]
+        for peer in peers:
+            self._signal(peer, tag, 0)
+        while self._unsent(q for q in peers if q not in self._departed):
+            self._pump()
 
     def close(self) -> None:
-        """Ask the sender thread to exit once its queue is written."""
-        with self._cv:
-            self._stop = True
-            self._cv.notify_all()
+        self._sel.close()  # the link state stays, for the next run
 
 
-def _do_fence(pid: int, nprocs: int, fence_id: int,
-              transport: FrameTransport) -> None:
-    """Drain every in-flight frame behind a one-shot fence barrier.
+class _PipeLink(RankLink):
+    """A rank's control link on the pipe fabric: its control pipe in,
+    its result pipe out; lease ids go home as each frame is handled."""
 
-    Each participant keeps reading its inbound pipe — discarding stale
-    frames — until it has seen the fence
-    frame of every peer, while pushing its own fence frame to each of
-    them.  Universal draining unblocks any sender thread left mid-frame
-    by the failed run, so the transport is empty and lock-free when the
-    fence completes.
-    """
-    peers = [q for q in range(nprocs) if q != pid]
-    pending = set(peers)
-
-    def drain() -> None:
-        while pending:
-            frame = transport.recv(pid)
-            if frame.tag == TAG_FENCE and frame.step == fence_id:
-                pending.discard(frame.src)
-            # Anything else is debris from the failed run: drop it.
-
-    drainer = threading.Thread(target=drain, name=f"bsp-fence-{pid}",
-                               daemon=True)
-    drainer.start()
-    for peer in peers:
-        transport.send_control(peer, TAG_FENCE, fence_id, pid, step=fence_id)
-    drainer.join()
-    # The failed run's zero-copy leases die with it: rewind this worker's
-    # segment pool (the generation bump makes any of its frames still in
-    # flight detectably stale) and forget inbound leases — their release
-    # frames were never going to come.  Segments are *not* unlinked here:
-    # they are reused by the next run, and only the parent's sweep
-    # removes names (teardown, rebuild, heal of dead workers).
-    transport.reset_segments(pid)
-
-
-class _QueueLink:
-    """A pipe worker's control link (see
-    :func:`~repro.backends.pool.serve_rank`): runs, fences and lease
-    releases arrive on its queue; outcomes and fence acks leave as
-    result frames on the parent's pipe."""
-
-    def __init__(self, pid: int, transport: FrameTransport, queue: Any):
-        self._pid = pid
+    def __init__(self, pid: int, transport: FrameTransport):
+        super().__init__(pid, *transport.fds(pid, transport.nprocs))
         self._transport = transport
-        self._queue = queue
 
-    def recv(self) -> tuple | None:
-        pid, transport = self._pid, self._transport
-        while True:
-            msg = self._queue.get()
-            kind = msg[0]
-            if kind == "close":
-                return None
-            if kind == "fence":
-                _, fence_id, nprocs = msg
-                _do_fence(pid, nprocs, fence_id, transport)
-                self.report(("fenced", fence_id, pid, None, None))
-            elif kind == "release":
-                transport.release(pid, msg[1])
-            elif kind == "run":
-                _, run_id, nprocs, head, refs, releases = msg
-                transport.release(pid, releases)
-                try:
-                    return run_id, nprocs, transport.decode_dispatch(
-                        pid, head, refs)
-                except BaseException:  # noqa: BLE001 - reported upward
-                    self.report(("error", run_id, pid,
-                                 traceback.format_exc(), None))
+    def channel(self, run_id: int, nprocs: int, sync: str) -> _FrameChannel:
+        return _FrameChannel(self._rank, nprocs, self._transport, run_id,
+                             self, sync=sync)
+
+    def _open(self, frame: Frame) -> Frame:
+        return self._transport.open(self._rank, frame)
+
+    def _decode(self, frame: Frame) -> Any:
+        return self._transport.decode_dispatch(self._rank,
+                                               *wire.frame_object(frame))
+
+    def _remesh(self, frame: Frame) -> None:
+        self._transport.drop_links(self._rank, wire.frame_object(frame))
 
     def report(self, outcome: tuple) -> None:
-        self._transport.push_result(self._pid, *encode_outcome(outcome))
+        transport = self._transport
+        write_all(self._wfd, transport.encode(
+            transport.nprocs, TAG_RESULT, outcome[1], -1, self._rank,
+            *encode_outcome(outcome)))
+
+
+def _rank_main(pid: int, transport: FrameTransport,
+               first: tuple | None) -> None:
+    ctrl = _PipeLink(pid, transport)
+    serve_rank(ctrl, ctrl.channel, pid, (Abort,), first)
 
 
 class BspPool(WorkerPool):
     """A persistent set of ``p`` forked BSP workers on the pipe/shm fabric.
 
-    Pipes can be fenced: a failed run is followed by a fence that drains
-    the transport, so the pool survives :class:`VirtualProcessorError`
-    without a rebuild, and a crash re-forks only the dead workers while
-    every writer lock is free (a worker killed mid-write dies holding
-    its destination's, which wedges the pipe: rebuild then).
+    A failed run (:class:`VirtualProcessorError`) costs nothing: what it
+    left in the pipes is dropped by run id in the next run.  A crash
+    re-forks only the dead workers (:meth:`_replace`); a deadlock
+    rebuilds everything.
 
     Memory footprint: nothing is mapped or committed up-front.  A
     worker creates a 16 MiB segment per destination the first time a
@@ -344,37 +628,37 @@ class BspPool(WorkerPool):
     # -- lifecycle ----------------------------------------------------------
 
     def _build(self) -> None:
-        ctx = self._ctx
-        self._transport = self._source = FrameTransport(self._capacity, ctx)
-        self._ctrl = [ctx.SimpleQueue() for _ in range(self._capacity)]
+        self._transport = self._source = FrameTransport(self._capacity)
         self._procs = [self._fork(pid) for pid in range(self._capacity)]
 
     def _fork(self, pid: int) -> Any:
-        transport = self._transport
         proc = self._ctx.Process(
-            target=serve_rank,
-            args=(_QueueLink(pid, transport, self._ctrl[pid]),
-                  lambda run_id, nprocs, sync: _FrameChannel(
-                      pid, nprocs, transport, run_id, sync=sync),
-                  pid, (Abort,), self._first),
-            name=f"bsp-pool-{pid}",
-            daemon=True,
-        )
+            target=_rank_main, args=(pid, self._transport, self._first),
+            name=f"bsp-pool-{pid}", daemon=True)
         proc.start()
         return proc
 
-    def _teardown(self, *, graceful: bool) -> None:
-        for ctrl in self._ctrl:
+    def _ctrl_fd(self, pid: int) -> int:
+        return self._transport.fds(self._capacity, pid)[1]
+
+    def _tell(self, pids: Sequence[int], tag: int, run_id: int = 0,
+              meta: bytes | None = None) -> None:
+        """One small control frame to each of ``pids``: a write the
+        kernel takes whole, or — when a control pipe is full, its rank
+        reading no more — none."""
+        frame = b"".join(wire.encode_frame(tag, run_id, 0, -1, meta))
+        for pid in pids:
             try:
-                ctrl.put(("close",))
-            except (OSError, ValueError):  # pragma: no cover
+                os.write(self._ctrl_fd(pid), frame)
+            except BlockingIOError:
                 pass
+
+    def _teardown(self, *, graceful: bool) -> None:
+        self._tell(range(self._capacity), wire.TAG_CLOSE)
         # join → terminate → kill, each stage reaped: a close() racing an
         # in-flight (or failed) run must never leave zombie children.
         join_escalating(self._procs, grace=5.0 if graceful else 0.5)
         self._transport.close()
-        for ctrl in self._ctrl:
-            ctrl.close()
 
     def _fabric_health(self) -> dict[str, Any]:
         zc_hits = zc_fallbacks = 0
@@ -388,76 +672,44 @@ class BspPool(WorkerPool):
     # -- the failure policy's verbs ----------------------------------------
 
     def _wake(self, dead: Sequence[int]) -> bool:
-        """Send TAG_DEAD to every survivor *on behalf of* each dead
-        worker, so one blocked on a frame the victim will never push
-        unwinds (``Abort``) at once.
-
-        ``False`` when the fabric is wedged: a writer lock held (a
-        worker killed mid-``send_packets`` dies holding its
-        destination's), or a pipe that cannot take even a control frame
-        within the deadline of the helper thread that pushes them.
-        """
-        transport, dead_set = self._transport, set(dead)
-        if not transport.locks_free():
-            return False
-
-        def push() -> None:
-            try:
-                for victim in dead:
-                    for peer in range(self._capacity):
-                        if peer not in dead_set:
-                            transport.send_control(peer, TAG_DEAD,
-                                                   self._run_id, victim)
-            except (OSError, ValueError):  # pragma: no cover - closing
-                pass
-
-        pusher = threading.Thread(target=push, name="bsp-notify-dead",
-                                  daemon=True)
-        pusher.start()
-        pusher.join(timeout=2.0)
-        return not pusher.is_alive()
+        """Abort the run on every survivor: its channel watches its
+        control pipe, so one waiting on a frame the dead will never send
+        unwinds (``Abort``) at once."""
+        self._tell([q for q in range(self._capacity) if q not in dead],
+                   wire.TAG_ABORT, self._run_id)
+        return True
 
     def _replace(self, dead: Sequence[int], generation: int) -> bool:
-        """Re-fork the dead workers onto their inherited pipes, then
-        fence.
+        """Re-fork the dead workers onto their pipes.
 
-        The replacements become the new single consumers of the
-        victims' pipes; the fence drains all debris and rewinds every
-        worker's segment pool, so a region leased by a mid-push death is
-        reclaimed with the rest.
+        One invariant makes that safe: no replacement is forked until
+        every survivor has dropped its link to the dead — queued bytes,
+        decoder, and the leases the dead will never return — and both
+        directions of the dead's pipes are drained.  The dead write
+        nothing more, so an empty pipe stays empty, and every stream
+        restarts at a frame boundary.
         """
-        for pid in dead:
-            self._procs[pid] = self._fork(pid)
-        if not self._fence(self._capacity):
+        survivors = [q for q in range(self._capacity) if q not in dead]
+        self._tell(survivors, wire.TAG_REMESH, generation,
+                   pickle.dumps(list(dead)))
+        if not self._await_acks("remeshed", generation, survivors):
             return False
-        # Every pool was rewound or is new: the parent's side of them too.
-        self._transport.reset_segments(self._capacity)
+        transport = self._transport
+        transport.drop_links(self._capacity, dead)
+        transport.drain(dead)
         # The victims' segments have no owner left to reuse them; their
         # replacements continue the name numbering from the fork-shared
         # counter, so sweeping the dead generation now cannot collide.
         # Survivors still holding views into these segments are safe —
         # unlink removes the name, not live mappings.
-        self._transport.sweep_segments(dead)
+        transport.sweep_segments(dead)
+        for pid in dead:
+            self._procs[pid] = self._fork(pid)
         return True
-
-    def _resync(self, nprocs: int) -> None:
-        if not self._fence(nprocs):
-            self._rebuild()
 
     def _rebuild(self) -> None:
         self._teardown(graceful=False)
         self._build()
-
-    def _fence(self, nprocs: int) -> bool:
-        """Drain transport debris left by a failed run; ``False`` when a
-        worker is wedged beyond fencing."""
-        if nprocs <= 1:
-            return True
-        self._run_id += 1
-        for pid in range(nprocs):
-            self._ctrl[pid].put(("fence", self._run_id, nprocs))
-        return self._await_acks("fenced", self._run_id, nprocs,
-                                min(self._join_timeout, 30.0))
 
     # -- dispatch -----------------------------------------------------------
 
@@ -465,13 +717,18 @@ class BspPool(WorkerPool):
         return self._transport.encode_dispatch(spec)
 
     def _dispatch(self, run_id: int, nprocs: int, payload: tuple) -> None:
-        # The leases of the results the parent copied out go home here.
-        owed = self._transport.collect_releases(self._capacity)
-        for pid in range(nprocs):
-            self._ctrl[pid].put(("run", run_id, nprocs, *payload,
-                                 owed.pop(pid, ())))
-        for pid, lease_ids in owed.items():  # ranks sitting this run out
-            self._ctrl[pid].put(("release", lease_ids))
+        transport, parent = self._transport, self._capacity
+        run = wire.encode_frame(wire.TAG_RUN, run_id, nprocs, -1,
+                                *encode_object(payload))
+        # The leases of the results the parent copied out go home here,
+        # to ranks sitting this run out too.
+        owed = transport.collect_releases(parent)
+        for pid in range(parent):
+            if pid in owed:
+                write_all(self._ctrl_fd(pid), transport.encode(
+                    pid, TAG_LEASES, run_id, -1, parent, releases=owed[pid]))
+            if pid < nprocs:
+                write_all(self._ctrl_fd(pid), run)
 
 
 class ProcessBackend(PoolBackend):

@@ -18,10 +18,9 @@ A *lease* is one sender-side region handed to one receiver:
    same size off the free list, else bump-allocates one in a
    per-destination segment (creating segments on demand, each with a
    deterministic fabric-unique name) and returns ``(lease id, name,
-   offset, writable view)``.  ``recycled=True`` — the push that may not
-   wait — is served only from bytes leased before, or not at all.  Lease
-   ids are monotonic for the pool's whole lifetime, so a release that
-   arrives late — or twice — can never free somebody else's region.
+   offset, writable view)``.  Lease ids are monotonic for the pool's
+   whole lifetime, so a release that arrives late — or twice — can
+   never free somebody else's region.
 2. The receiver's :class:`LeaseTable` keeps, per lease, a dedicated
    ``np.frombuffer`` exporter over exactly the leased region.  Payloads
    reconstructed over views of it (``pickle.loads(meta,
@@ -35,11 +34,11 @@ A *lease* is one sender-side region handed to one receiver:
    owed), and ``SegmentPool.release`` puts a region nobody holds any
    more on the free list — a segment rewinds to offset 0 only once *all*
    its leases are back, so no live view is ever overwritten.
-4. Pool ``reset()`` (a fence after a failed run) bumps the pool's
-   *generation* and forgets all leases: frames of the dead run still in
-   flight carry the old generation, which the receiver's table flags as
-   stale — a loud :class:`~repro.core.errors.PacketError`, never a
-   silent alias.
+4. Pool ``reset()`` (a heal: the dead hold leases that will never come
+   back) bumps the pool's *generation* and forgets all leases: frames
+   still in flight carry the old generation, which the receiver's table
+   flags as stale — a loud :class:`~repro.core.errors.PacketError` if
+   one were ever delivered, never a silent alias.
 
 Segments are never unlinked by workers (a mapped view may outlive the
 run); the parent sweeps them by name — creation counts live in a
@@ -59,7 +58,6 @@ import errno
 import mmap
 import os
 import sys
-import threading
 from itertools import chain
 
 import _posixshmem
@@ -165,7 +163,7 @@ def scan_orphans() -> list[str]:
 class _Segment:
     """One named segment owned by a :class:`SegmentPool`."""
 
-    __slots__ = ("name", "mm", "buf", "capacity", "used", "high", "free",
+    __slots__ = ("name", "mm", "buf", "capacity", "used", "free",
                  "outstanding")
 
     def __init__(self, name: str, mm: mmap.mmap):
@@ -176,9 +174,6 @@ class _Segment:
         #: Bump pointer; rewinds to 0 only when ``outstanding`` returns
         #: to 0, so no live lease is overwritten.
         self.used = 0
-        #: High-water mark of ``used``: every byte below it has been
-        #: leased before, so its page is already resident.
-        self.high = 0
         #: Released regions below ``used``, by aligned size.
         self.free: dict[int, list[_Region]] = {}
         self.outstanding = 0
@@ -206,9 +201,8 @@ class SegmentPool:
     whose leases are all back rewinds its bump pointer and forgets its
     free regions.
 
-    Thread-safe: the thread that called ``sync()`` leases recycled
-    regions and applies the releases of inbound frames, the channel's
-    sender thread takes the leases that may map.
+    One thread per pool: the rank's (or the parent's) only one that
+    sends, so nothing here takes a lock.
     """
 
     def __init__(self, token: str, src: int, counter=None, *,
@@ -227,7 +221,6 @@ class SegmentPool:
         self._generation = 0
         self._pools: dict[int, list[_Segment]] = {}
         self._leases: dict[int, _Region] = {}
-        self._lock = threading.Lock()
 
     @property
     def generation(self) -> int:
@@ -254,7 +247,7 @@ class SegmentPool:
         return _Segment(name, mm)
 
     def _hold(self, region: _Region) -> int:
-        """A fresh lease id over ``region`` (pool lock held)."""
+        """A fresh lease id over ``region``."""
         region.holders += 1
         region.seg.outstanding += 1
         lease_id = self._next_lease
@@ -262,45 +255,35 @@ class SegmentPool:
         self._leases[lease_id] = region
         return lease_id
 
-    def lease(self, dst: int, nbytes: int, *, recycled: bool = False
-              ) -> tuple[int, str, int, memoryview] | None:
+    def lease(self, dst: int, nbytes: int
+              ) -> tuple[int, str, int, memoryview]:
         """Reserve ``nbytes`` for ``dst``: (lease id, name, offset, view).
 
         A free region of the same aligned size first, then the bump
-        pointer, then a new segment.  With ``recycled`` only bytes that
-        were leased before are handed out — a free region, or room below
-        a segment's high-water mark — else ``None``: nothing is mapped
-        and no new page is touched, so a push that may not wait, and may
-        not grow the pool ahead of this boundary's releases, can lease.
+        pointer, then a new segment.
         """
         size = aligned(nbytes)
-        with self._lock:
-            segs = self._pools.setdefault(dst, [])
-            # Any receiver can map any segment, so a free region serves
-            # whichever destination asks next (a broadcast placed for one
-            # peer last boundary, another this one); ``dst``'s own first.
-            for seg in chain(segs, *self._pools.values()):
-                spare = seg.free.get(size)
-                if spare:
-                    region = spare.pop()
+        segs = self._pools.setdefault(dst, [])
+        # Any receiver can map any segment, so a free region serves
+        # whichever destination asks next (a broadcast placed for one
+        # peer last boundary, another this one); ``dst``'s own first.
+        for seg in chain(segs, *self._pools.values()):
+            spare = seg.free.get(size)
+            if spare:
+                region = spare.pop()
+                break
+        else:
+            for seg in segs:
+                if size <= seg.capacity - seg.used:
                     break
             else:
-                for seg in segs:
-                    if size <= (seg.high if recycled
-                                else seg.capacity) - seg.used:
-                        break
-                else:
-                    if recycled:
-                        return None
-                    seg = self._new_segment(size)
-                    segs.append(seg)
-                region = _Region(seg, seg.used, size)
-                seg.used += size
-                if seg.used > seg.high:
-                    seg.high = seg.used
-            offset = region.offset
-            return (self._hold(region), seg.name, offset,
-                    seg.buf[offset:offset + nbytes])
+                seg = self._new_segment(size)
+                segs.append(seg)
+            region = _Region(seg, seg.used, size)
+            seg.used += size
+        offset = region.offset
+        return (self._hold(region), seg.name, offset,
+                seg.buf[offset:offset + nbytes])
 
     def alias(self, lease_id: int) -> int | None:
         """A fresh lease over an existing lease's region (broadcast dedup).
@@ -313,63 +296,58 @@ class SegmentPool:
         (released, or wiped by a reset): the caller must place a fresh
         copy.
         """
-        with self._lock:
-            region = self._leases.get(lease_id)
-            return None if region is None else self._hold(region)
+        region = self._leases.get(lease_id)
+        return None if region is None else self._hold(region)
 
     def release(self, lease_ids) -> None:
         """Return leases; unknown ids (stale generation, duplicate
         release) are ignored — ids are never reused, so ignoring is
         always safe."""
-        with self._lock:
-            for lease_id in lease_ids:
-                region = self._leases.pop(lease_id, None)
-                if region is None:
-                    continue
-                seg = region.seg
-                region.holders -= 1
-                seg.outstanding -= 1
-                if seg.outstanding == 0:
-                    seg.used = 0
-                    seg.free.clear()
-                elif region.holders == 0:
-                    seg.free.setdefault(region.size, []).append(region)
+        for lease_id in lease_ids:
+            region = self._leases.pop(lease_id, None)
+            if region is None:
+                continue
+            seg = region.seg
+            region.holders -= 1
+            seg.outstanding -= 1
+            if seg.outstanding == 0:
+                seg.used = 0
+                seg.free.clear()
+            elif region.holders == 0:
+                seg.free.setdefault(region.size, []).append(region)
 
     def leak(self) -> None:
         """Create a segment nothing will ever release (LEAK_SEGMENT
         fault): only the parent's name sweep can reclaim it."""
-        with self._lock:
-            seg = self._new_segment(self._segment_bytes)
-            seg.outstanding += 1
-            self._pools.setdefault(-1, []).append(seg)
+        seg = self._new_segment(self._segment_bytes)
+        seg.outstanding += 1
+        self._pools.setdefault(-1, []).append(seg)
 
     def reset(self) -> None:
-        """Forget every lease and rewind every segment (fence after a
-        failed run).  The generation bump makes any still-in-flight
-        frame of the dead run detectably stale at the receiver."""
-        with self._lock:
-            self._generation += 1
-            self._leases.clear()
-            for segs in self._pools.values():
-                for seg in segs:
-                    seg.outstanding = 0
-                    seg.used = 0
-                    seg.free.clear()
+        """Forget every lease and rewind every segment (a heal; the
+        parent's dispatch arena every run).  The generation bump makes
+        any frame still in flight detectably stale at the receiver."""
+        self._generation += 1
+        self._leases.clear()
+        for segs in self._pools.values():
+            for seg in segs:
+                seg.outstanding = 0
+                seg.used = 0
+                seg.free.clear()
 
     def close(self) -> None:
         """Drop this process's mappings (unlinking is the parent sweep's
         job).  Live payload exports keep their segment mapped — close
         failures on exported buffers are expected and harmless."""
-        with self._lock:
-            for segs in self._pools.values():
-                for seg in segs:
-                    try:
-                        seg.buf.release()
-                        seg.mm.close()
-                    except BufferError:  # pragma: no cover - views alive
-                        pass
-            self._pools.clear()
-            self._leases.clear()
+        for segs in self._pools.values():
+            for seg in segs:
+                try:
+                    seg.buf.release()
+                    seg.mm.close()
+                except BufferError:  # pragma: no cover - views alive
+                    pass
+        self._pools.clear()
+        self._leases.clear()
 
 
 class SegmentMap:
@@ -450,7 +428,7 @@ class LeaseTable:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (fence: the runs that leased them are dead)
+        """Drop every entry (heal: the runs that leased them are dead)
         and generation seen (a re-forked sender counts from zero)."""
         self._entries.clear()
         self._gen.clear()

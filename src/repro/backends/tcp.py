@@ -97,7 +97,6 @@ import selectors
 import socket
 import struct
 import time
-import traceback
 from typing import Any, Collection, Sequence
 
 from .. import faults
@@ -110,12 +109,13 @@ from ..core.errors import (
 )
 from ..core.packets import Packet
 from .base import Backend, BackendRun, Program, check_sync
-from .exchange import LinkChannel
+from .exchange import LinkChannel, StreamLinks
 from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, Frame, encode_object
 from .pool import (
     Abort,
     PoolBackend,
     PoolHealth,
+    RankLink,
     WorkerPool,
     encode_outcome,
     finish_run,
@@ -123,6 +123,7 @@ from .pool import (
     run_rank,
     serve_rank,
     worker_table,
+    write_all,
 )
 from . import tcp_wire as wire
 from .tcp_launch import (
@@ -155,15 +156,6 @@ _RECONNECT_S = 5.0
 #: How long a closing channel waits for its peers' EOF after its own.
 _LINGER_S = 2.0
 
-#: Most chunks one ``sendmsg`` gathers (well under any ``IOV_MAX``).
-_IOV_MAX = 64
-
-#: Selector data sentinels for the two non-peer waitables a channel may
-#: multiplex: the fabric's own listener (inbound relink dials) and the
-#: control link (supervisor aborts during a run).
-_LISTENER = "listener"
-_CTRL = "ctrl"
-
 
 def _next_token() -> int:
     """A launch token no stale mesh on this host will guess."""
@@ -183,16 +175,17 @@ class _PeerLost(BaseException):
 # ---------------------------------------------------------------------------
 
 
-class _MeshChannel(LinkChannel):
+class _MeshChannel(StreamLinks, LinkChannel):
     """The boundary round over a socket mesh (one rank's view): the socket
     fabric's half of :class:`~repro.backends.exchange.LinkChannel`.
 
     An empty bucket goes out as an empty final — it *is* the "no data"
     announcement; per-link TCP FIFO bounds run-ahead to one superstep;
     a socket cannot prove receipt, so ``strict`` and checkpoint fences
-    run the release round.  What this class adds is the transport: one
-    selector loop over the links, a sequenced and journaled send path,
-    and link repair.
+    run the release round.  The links are
+    :class:`~repro.backends.exchange.StreamLinks`, one socket each; what
+    this class adds is a sequenced and journaled send path and link
+    repair.
 
     ``fabric`` is what a mesh that outlives the run hands in: the link
     state that continues across runs, and the means to re-dial a
@@ -215,11 +208,6 @@ class _MeshChannel(LinkChannel):
         self._data_beats = 0
         self._last_beat = time.monotonic()
         self._hb_sent = (0, 0)
-        self._sel = selectors.DefaultSelector()
-        self._link = fabric.links if fabric is not None else {
-            peer: LinkState() for peer in self._socks}
-        self._mask: dict[int, int] = {}
-        self._eof: set[int] = set()
         #: Peers whose reconnect we are passively awaiting (they dial
         #: us, per the pair rule) -> monotonic deadline.
         self._waiting: dict[int, float] = {}
@@ -227,45 +215,30 @@ class _MeshChannel(LinkChannel):
         self._results: dict[int, Any] = {}
         #: ``(step, chunks)`` of the boundary's empty final.
         self._empty: tuple[int, list] = (-1, [])
-        for peer, sock in self._socks.items():
+        for sock in self._socks.values():
             sock.setblocking(False)
-            self._update_mask(peer)  # an earlier run's unsent tail too
+        self._open_links(
+            fabric.links if fabric is not None else {
+                peer: LinkState() for peer in self._socks},
+            {peer: (sock.fileno(),) * 2 for peer, sock in self._socks.items()})
         self._ctrl_watched = False
         if fabric is not None:
             # Inbound relink dials arrive on the fabric's own listener.
             fabric.listener.setblocking(False)
-            self._sel.register(fabric.listener, selectors.EVENT_READ,
-                               _LISTENER)
+            self._watch(fabric.listener.fileno(), selectors.EVENT_READ,
+                        self._accept_relinks)
             if ctrl is not None:
                 # Watch the control socket inside the mesh event loop so
                 # a supervisor TAG_ABORT interrupts a rank stalled
                 # mid-barrier (its peers are dead; no in-band frame is
                 # coming).
-                self._sel.register(ctrl, selectors.EVENT_READ, _CTRL)
+                self._watch(ctrl.fileno(), selectors.EVENT_READ,
+                            self._read_ctrl)
                 self._ctrl_watched = True
         if ctrl is not None:
             ctrl.beat(-1)  # marks "the run actually started here"
 
     # -- plumbing ------------------------------------------------------------
-
-    def _enqueue(self, peer: int, chunks: Sequence[Any]) -> None:
-        """The one send path: write what the socket takes now, queue the
-        rest behind whatever is already queued (link FIFO) for ``_pump``
-        to flush."""
-        if peer not in self._socks:  # peer connection already closed
-            return
-        q = self._link[peer].out
-        idle = not q
-        for chunk in chunks:
-            mv = memoryview(chunk)
-            if mv.format != "B" or mv.ndim != 1:
-                mv = mv.cast("B")
-            if mv.nbytes:
-                q.append(mv)
-        if idle:
-            self._flush(peer)
-        else:
-            self._update_mask(peer)
 
     def _post(self, peer: int, chunks: Sequence[Any], *,
               volatile: bool = False, corrupt: bool = False,
@@ -300,43 +273,16 @@ class _MeshChannel(LinkChannel):
         if dup:
             self._enqueue(peer, out)
 
-    def _unsent(self) -> bool:
-        return any(self._link[peer].out for peer in self._socks)
-
-    def _update_mask(self, peer: int) -> None:
-        sock = self._socks.get(peer)
-        if sock is None:
-            return
-        want = 0 if peer in self._eof else selectors.EVENT_READ
-        if self._link[peer].out:
-            want |= selectors.EVENT_WRITE
-        cur = self._mask.get(peer, 0)
-        if want == cur:
-            return
-        if cur and want:
-            self._sel.modify(sock, want, peer)
-        elif want:
-            self._sel.register(sock, want, peer)
-        else:
-            self._sel.unregister(sock)
-        self._mask[peer] = want
-
     def _drop_sock(self, peer: int) -> None:
         """Discard ``peer``'s socket and unsent bytes (the journal replays
         them), keeping the rest of the link state."""
+        self._forget(peer)
         sock = self._socks.pop(peer, None)
         if sock is not None:
-            if self._mask.get(peer):
-                try:
-                    self._sel.unregister(sock)
-                except (KeyError, ValueError):
-                    pass
             try:
                 sock.close()
             except OSError:
                 pass
-        self._mask[peer] = 0
-        self._link[peer].out.clear()
 
     def _close_peer(self, peer: int) -> None:
         self._eof.add(peer)
@@ -394,13 +340,13 @@ class _MeshChannel(LinkChannel):
         self._waiting.pop(peer, None)
         self._eof.discard(peer)
         self._socks[peer] = sock
+        self._fds[peer] = (sock.fileno(),) * 2
         self._fabric.socks[peer] = sock
         link.out.clear()
         link.dec = wire.FrameDecoder()  # mid-frame debris died with the sock
         link.attempts.clear()
         link.reconnects += 1
-        self._sel.register(sock, selectors.EVENT_READ, peer)
-        self._mask[peer] = selectors.EVENT_READ
+        self._update_mask(peer)
         for s in range(peer_rx, link.tx_seq):
             self._enqueue(peer, wire.reenvelope(link.journal[s], s,
                                                 link.rx_next))
@@ -439,11 +385,11 @@ class _MeshChannel(LinkChannel):
 
     def _read_ctrl(self) -> None:
         """Drain the watched control socket; supervisor aborts raise."""
-        aborts = self._ctrl.read_aborts()
-        if aborts is None:  # supervisor hung up
-            self._sel.unregister(self._ctrl)
+        aborted = self._ctrl.aborted(self._run_id)
+        if aborted is None:  # supervisor hung up
+            self._watch(self._ctrl.fileno(), 0, None)
             self._ctrl_watched = False
-        elif self._run_id in aborts:  # others: stale, of an earlier run
+        elif aborted:
             raise Abort()
 
     def _inject_reset(self, peer: int) -> None:
@@ -466,71 +412,16 @@ class _MeshChannel(LinkChannel):
                     raise _PeerLost(peer)
         if self._fabric is None and not any(self._mask.values()):
             return  # nothing registered: select would only sleep
-        for key, events in self._sel.select(timeout):
-            peer = key.data
-            if peer == _LISTENER:
-                self._accept_relinks()
-                continue
-            if peer == _CTRL:
-                self._read_ctrl()
-                continue
-            if events & selectors.EVENT_WRITE:
-                self._flush(peer)
-            if events & selectors.EVENT_READ:
-                self._read(peer)
+        self._select(timeout)
 
-    def _flush(self, peer: int) -> None:
-        sock = self._socks.get(peer)
-        if sock is None:
-            return
-        q = self._link[peer].out
-        try:
-            while q:
-                # Gathered: a frame is an envelope plus its buffers, and
-                # one syscall per chunk is most of a small boundary's cost.
-                batch = list(itertools.islice(q, _IOV_MAX))
-                sent = sock.sendmsg(batch)
-                for chunk in batch:
-                    if sent < len(chunk):
-                        q[0] = chunk[sent:]
-                        break  # the socket is full
-                    sent -= len(chunk)
-                    q.popleft()
-                else:
-                    continue
-                break
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError:
+    def _link_damaged(self, peer: int, exc: PacketError) -> None:
+        """Structural stream damage: the framing itself cannot be
+        trusted, so surgical NACK repair is impossible — reset the
+        connection and replay the journal."""
+        if self._fabric is not None and peer not in self._departed:
             self._link_down(peer)
             return
-        self._update_mask(peer)
-
-    def _read(self, peer: int) -> None:
-        sock = self._socks.get(peer)
-        if sock is None:
-            return
-        try:
-            data = sock.recv(1 << 16)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
-            self._link_down(peer)
-            return
-        try:
-            frames = self._link[peer].dec.feed(data)
-        except PacketError:
-            # Structural stream damage: the framing itself cannot be
-            # trusted, so surgical NACK repair is impossible — reset the
-            # connection and replay the journal.
-            if self._fabric is not None and peer not in self._departed:
-                self._link_down(peer)
-                return
-            raise
-        for frame in frames:
-            self._ingest(peer, frame)
+        raise exc
 
     def _ingest(self, peer: int, frame: Frame) -> None:
         """Link-level filter: NACK/dup/reorder handling before dispatch."""
@@ -788,46 +679,27 @@ class _MeshChannel(LinkChannel):
 # ---------------------------------------------------------------------------
 
 
-class _CtrlLink:
-    """A rank's blocking control connection to its supervisor — its
+class _CtrlLink(RankLink):
+    """A rank's control connection to its supervisor — its
     :func:`~repro.backends.pool.serve_rank` link — and the mesh fabric
     the rank's runs use, which a remesh replaces."""
 
     def __init__(self, sock: socket.socket, rank: int):
+        # The link reads and writes the fd, and waits with no deadline.
+        os.set_blocking(sock.fileno(), False)
+        super().__init__(rank, sock.fileno(), sock.fileno())
         self._sock = sock
-        self._rank = rank
-        self._dec = wire.FrameDecoder()
         self.fabric: MeshFabric | None = None
 
-    def fileno(self) -> int:
-        """What lets a mesh channel's selector wait on the link itself
-        (abort watching, see :meth:`read_aborts`)."""
-        return self._sock.fileno()
+    def _decode(self, frame: Frame) -> Any:
+        return wire.frame_object(frame)
 
-    def read_aborts(self) -> list[int] | None:
-        """What the link holds right now, without blocking: the run ids
-        the supervisor sent ``TAG_ABORT`` for, or ``None`` once it hung
-        up.  Any other frame (``TAG_REMESH``, ``TAG_RUN``...) is kept
-        for :meth:`recv`."""
-        try:
-            data = self._sock.recv(1 << 16, socket.MSG_DONTWAIT)
-        except (BlockingIOError, InterruptedError):
-            return []
-        except OSError:
-            data = b""
-        if not data:
-            return None
-        aborts = []
-        for frame in self._dec.feed(data):
-            if frame.tag == wire.TAG_ABORT:
-                aborts.append(frame.run_id)
-            else:
-                self._dec._ready.append(frame)
-        return aborts
+    def _remesh(self, frame: Frame) -> None:
+        link_fabric(self.fabric, *wire.frame_object(frame))
 
     def beat(self, step: int, meta: bytes | None = None) -> None:
         try:
-            wire.send_chunks(self._sock, wire.encode_frame(
+            write_all(self._wfd, wire.encode_frame(
                 wire.TAG_HB, 0, step, self._rank, meta))
         except OSError:  # supervisor gone; the run is ending anyway
             pass
@@ -835,35 +707,9 @@ class _CtrlLink:
     def report(self, outcome: tuple) -> None:
         # The stream guarantees this frame precedes our EOF, so the
         # supervisor's "EOF before result" test is exactly "crashed".
-        wire.send_chunks(self._sock, wire.encode_frame(
+        write_all(self._wfd, wire.encode_frame(
             wire.TAG_RESULT, outcome[1], 0, self._rank,
             *encode_outcome(outcome)))
-
-    def recv(self) -> tuple | None:
-        """The next ``TAG_RUN``, or ``None`` at close; a ``TAG_REMESH``
-        (link to the replacements of dead ranks) is carried out — or
-        reported failed, which ends the rank — here."""
-        rank = self._rank
-        while True:
-            frame = wire.recv_frame(self._sock, self._dec)
-            if frame is None or frame.tag == wire.TAG_CLOSE:
-                return None
-            if frame.tag == wire.TAG_REMESH:
-                gen, table, replaced = wire.frame_object(frame)
-                try:
-                    link_fabric(self.fabric, gen, table, replaced)
-                except BaseException:  # noqa: BLE001 - reported upward
-                    self.report(("error", gen, rank, traceback.format_exc(),
-                                 None))
-                    return None
-                self.report(("remeshed", gen, rank, None, None))
-            elif frame.tag == wire.TAG_RUN:
-                try:
-                    return frame.run_id, frame.step, wire.frame_object(frame)
-                except BaseException:  # noqa: BLE001 - reported upward
-                    self.report(("error", frame.run_id, rank,
-                                 traceback.format_exc(), None))
-            # Anything else, e.g. a stale TAG_ABORT that raced our outcome.
 
     def close(self) -> None:
         try:
@@ -877,7 +723,7 @@ def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
     # the supervisor's accept loop is servicing the listener backlog.
     sock = connect_retry(parent_addr, time.monotonic() + 30.0,
                          what="supervisor control listener")
-    wire.send_chunks(sock, wire.encode_frame(wire.TAG_HELLO, 0, 0, rank))
+    write_all(sock.fileno(), wire.encode_frame(wire.TAG_HELLO, 0, 0, rank))
     return _CtrlLink(sock, rank)
 
 
@@ -1105,7 +951,7 @@ class TcpMesh(WorkerPool):
         # ranks as they dial in; a persistent mesh dispatches over every
         # rank's control link, so it waits until all have joined.
         if self._first is not None or \
-                self._await_acks("remeshed", 0, self._capacity):
+                self._await_acks("remeshed", 0, range(self._capacity)):
             return
         dead = self._dead()
         detail = worker_table(self._procs, [None] * self._capacity,
@@ -1123,7 +969,7 @@ class TcpMesh(WorkerPool):
         plane = self._source
         for link in plane.links.values():
             try:
-                wire.send_chunks(link.sock, wire.encode_frame(
+                write_all(link.sock.fileno(), wire.encode_frame(
                     wire.TAG_CLOSE, 0, 0, -1))
             except OSError:
                 pass
@@ -1160,7 +1006,7 @@ class TcpMesh(WorkerPool):
         # Framed once: the chunks are read-only, every rank gets the same.
         chunks = wire.encode_frame(wire.TAG_RUN, run_id, nprocs, -1, *payload)
         for rank in range(nprocs):
-            wire.send_chunks(self._source.links[rank].sock, chunks)
+            write_all(self._source.links[rank].sock.fileno(), chunks)
 
     # -- the failure policy's verbs ----------------------------------------
 
@@ -1175,7 +1021,7 @@ class TcpMesh(WorkerPool):
                 links.pop(rank).close()
                 continue
             try:
-                wire.send_chunks(links[rank].sock, abort)
+                write_all(links[rank].sock.fileno(), abort)
             except OSError:
                 return False
         return True
@@ -1194,10 +1040,10 @@ class TcpMesh(WorkerPool):
             *encode_object((generation, self._table, dead)))
         for link in self._source.links.values():
             try:
-                wire.send_chunks(link.sock, remesh)
+                write_all(link.sock.fileno(), remesh)
             except OSError:
                 return False
-        return self._await_acks("remeshed", generation, self._capacity)
+        return self._await_acks("remeshed", generation, range(self._capacity))
 
     def _resync(self, nprocs: int) -> None:
         self._rebuild()  # a link the run left down is known to its ranks only

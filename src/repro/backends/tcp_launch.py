@@ -38,12 +38,12 @@ import dataclasses
 import random
 import socket
 import time
-from collections import deque
 from typing import Collection
 
 from ..core.errors import BspConfigError, PacketError, SynchronizationError
 from .frames import Frame
-from .tcp_wire import FrameDecoder, recv_msg, send_msg
+from .exchange import StreamLink
+from .tcp_wire import recv_msg, send_msg
 
 #: listen() backlog; must cover every peer dialing at once.
 _BACKLOG = 64
@@ -165,7 +165,7 @@ def _accept_handshake(listener: socket.socket, kind: str, token: int,
         return sock, msg
 
 
-class LinkState:
+class LinkState(StreamLink):
     """Durable per-link transport state, outliving any one connection.
 
     Sequence numbers, the retransmit journal, and the receive cursor are
@@ -180,19 +180,15 @@ class LinkState:
     mode sends) — those are force-trimmed at barrier exit, where the
     peer's release proves receipt, so they are never replayed with
     mutated bytes.  ``stash`` is the receive-side reorder buffer that
-    makes a NACK resend of one frame sufficient.  ``out`` holds the bytes
-    handed to the link but not yet to its socket: a run that ends mid-frame
-    leaves the tail here for the next run to flush, so the stream stays
-    framed and the peer drops the frame by its run id.
+    makes a NACK resend of one frame sufficient.  The unsent tail and
+    the decoder are the :class:`~repro.backends.exchange.StreamLink`'s.
     """
 
-    __slots__ = ("dec", "out", "tx_seq", "rx_next", "peer_ack", "journal",
-                 "volatile", "attempts", "stash", "retransmits",
-                 "reconnects")
+    __slots__ = ("tx_seq", "rx_next", "peer_ack", "journal", "volatile",
+                 "attempts", "stash", "retransmits", "reconnects")
 
     def __init__(self) -> None:
-        self.dec = FrameDecoder()
-        self.out: deque = deque()
+        super().__init__()
         self.tx_seq = 0          # next sequence number to assign
         self.rx_next = 0         # next sequence number expected inbound
         self.peer_ack = 0        # highest cumulative ack seen from peer

@@ -16,7 +16,7 @@ where ``envelope`` is the fixed 23-byte struct
 (``echk`` is the XOR of the preceding 22 envelope bytes, so any
 single-bit flip inside the envelope is caught before its fields are
 trusted), and ``header`` is the pickled tuple ``(tag, run_id, step, src,
-lens, meta)``:
+lens, meta, lease)``:
 
 * ``tag`` — frame kind (:data:`~repro.backends.frames.TAG_PKT` and its
   control siblings, plus the TCP-only tags below);
@@ -27,7 +27,11 @@ lens, meta)``:
   in order; the payload bytes are **not** inside the pickle stream;
 * ``meta`` — the pickle-5 metadata blob produced by
   :func:`repro.backends.frames.encode_packets` (for packet frames) or a
-  small pickled object (for control frames).
+  small pickled object (for control frames);
+* ``lease`` — ``None`` on sockets; on the pipe fabric, the lease ids
+  going home to the receiver and the shared-memory region that holds
+  the frame's buffers instead of the stream
+  (:attr:`~repro.backends.frames.Frame.lease`).
 
 ``seq`` is the per-link sequence number a mesh channel assigns at send
 time (``-1``: unsequenced control-plane frame); ``ack`` piggybacks the
@@ -60,8 +64,9 @@ arrays ride ``meta`` byte-for-byte, which is what keeps the ``H``
 accounting bit-identical to the other backends.
 
 The decoder (:class:`FrameDecoder`) is incremental: feed it whatever
-``recv`` returned and it yields every frame completed so far, keeping
-partial bytes buffered.  It rejects frames whose header or total buffer
+a read returned and it yields every frame completed so far, keeping
+partial bytes buffered — for the sockets of the TCP mesh and the pipes
+of the process backend alike.  It rejects frames whose header or total buffer
 size exceeds a bound (:class:`~repro.core.errors.PacketError`) so a
 corrupt or hostile length prefix cannot make a rank allocate unbounded
 memory.
@@ -72,7 +77,7 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..core.errors import PacketError
 from ..core.packets import Packet
@@ -84,11 +89,12 @@ from .frames import (  # noqa: F401 - TAG_RELEASE/TAG_RESULT re-exported
     encode_packets,
 )
 
-#: TCP-only frame tags, disjoint from :mod:`repro.backends.frames`'s 0..3,
-#: TAG_LEASES = 4 (pipe fabric only: lease ids going home — taken, never on
-#: a socket), TAG_RELEASE = 5 (the release round, which only this fabric
-#: runs) and TAG_RESULT = 8 (an outcome, rank -> supervisor / every rank).
-TAG_HB = 6          #: heartbeat, rank -> supervisor
+#: Control and link tags, disjoint from :mod:`repro.backends.frames`'s
+#: 0..2, TAG_LEASES = 4 (pipe fabric only: lease ids going home),
+#: TAG_RELEASE = 5 (the release round, which only sockets run) and
+#: TAG_RESULT = 8 (an outcome, rank -> supervisor / every rank).  The
+#: control tags serve both fabrics' supervisors.
+TAG_HB = 6          #: heartbeat, rank -> supervisor (sockets)
 TAG_HELLO = 7       #: control-channel registration, rank -> supervisor
 #: Persistent mode — supervisor ships one run to a rank: the object is
 #: ``(program, args, kwargs, sync)``, ``step`` the run's ``nprocs``.
@@ -96,7 +102,9 @@ TAG_RUN = 9
 TAG_CLOSE = 10      #: persistent mode — supervisor shuts a rank down
 TAG_NACK = 11       #: link-level "resend sequence number N" (``step`` = N)
 TAG_ABORT = 12      #: supervisor -> rank: abandon the named run mid-flight
-TAG_REMESH = 13     #: supervisor -> rank: rebuild the mesh at a new epoch
+#: Supervisor -> rank: link to the replacements of dead ranks (a new
+#: mesh epoch on sockets; on pipes, drop the dead links first).
+TAG_REMESH = 13
 
 #: Decoder-emitted marker for a CRC-damaged but structurally intact frame.
 #: Never appears on the wire.
@@ -104,7 +112,7 @@ TAG_CORRUPT = -1
 
 #: Protocol version carried in every envelope; a mismatch is structural
 #: corruption (or an old peer) and resets the link.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: Envelope flag: the trailer is the frame's CRC32.  Every frame sets it;
 #: one without is structural corruption.
@@ -131,18 +139,28 @@ MAX_HEADER_BYTES = 64 << 20
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
 
+def _xor(body: bytes | bytearray) -> int:
+    """XOR of the 22 envelope body bytes, folded in a few integer ops."""
+    x = int.from_bytes(body[:_ENV_BODY.size], "little")
+    x ^= x >> 128
+    x ^= x >> 64
+    x ^= x >> 32
+    x ^= x >> 16
+    x ^= x >> 8
+    return x & 0xFF
+
+
 def pack_envelope(seq: int, ack: int, hlen: int) -> bytes:
     """The 23-byte frame envelope, XOR check byte included."""
     body = _ENV_BODY.pack(WIRE_VERSION, FLAG_CRC, seq, ack, hlen)
-    echk = 0
-    for byte in body:
-        echk ^= byte
-    return body + bytes((echk,))
+    return body + bytes((_xor(body),))
 
 
 def _crc_frame(header: bytes, buffers: Sequence[Any]) -> int:
     """CRC32 over the header plus the first CRC_PAYLOAD_CAP payload bytes."""
     crc = zlib.crc32(header)
+    if not buffers:
+        return crc
     covered = 0
     for buf in buffers:
         if covered >= CRC_PAYLOAD_CAP:
@@ -158,7 +176,7 @@ def _crc_frame(header: bytes, buffers: Sequence[Any]) -> int:
 
 def encode_frame(tag: int, run_id: int, step: int, src: int,
                  meta: bytes | None = None,
-                 buffers: Sequence[Any] = ()) -> list[Any]:
+                 buffers: Sequence[Any] = (), lease: Any = None) -> list[Any]:
     """Encode one unsequenced frame as a list of wire chunks (no payload
     copies).
 
@@ -169,13 +187,11 @@ def encode_frame(tag: int, run_id: int, step: int, src: int,
     payload bytes.  A mesh link sequences the frame with
     :func:`reenvelope` when it sends it.
     """
-    lens = tuple(memoryview(b).nbytes for b in buffers)
-    header = pickle.dumps((tag, run_id, step, src, lens, meta),
+    lens = tuple(memoryview(b).nbytes for b in buffers) if buffers else ()
+    header = pickle.dumps((tag, run_id, step, src, lens, meta, lease),
                           protocol=pickle.HIGHEST_PROTOCOL)
-    chunks: list[Any] = [pack_envelope(-1, -1, len(header)) + header]
-    chunks.extend(buffers)
-    chunks.append(_PREFIX.pack(_crc_frame(header, buffers)))
-    return chunks
+    return [pack_envelope(-1, -1, len(header)) + header, *buffers,
+            _PREFIX.pack(_crc_frame(header, buffers))]
 
 
 def reenvelope(chunks: Sequence[Any], seq: int, ack: int) -> list[Any]:
@@ -212,9 +228,9 @@ def frame_object(frame: Frame) -> Any:
 
 
 class FrameDecoder:
-    """Incremental frame decoder over a TCP byte stream.
+    """Incremental frame decoder over a byte stream (socket or pipe).
 
-    Feed it arbitrary chunks (whatever ``recv`` returned); it yields the
+    Feed it arbitrary chunks (whatever a read returned); it yields the
     frames completed so far and buffers the remainder.  Partial reads,
     multiple frames per chunk, and frames split anywhere — including in
     the middle of the 23-byte envelope — are all handled.
@@ -227,7 +243,7 @@ class FrameDecoder:
     """
 
     __slots__ = ("_buf", "_env", "_header", "_hbytes", "_total",
-                 "_max_frame", "_ready")
+                 "_max_frame")
 
     def __init__(self, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
         self._buf = bytearray()
@@ -238,18 +254,18 @@ class FrameDecoder:
         self._hbytes: bytes = b""
         self._total = 0  # buffer bytes the pending header announced
         self._max_frame = max_frame_bytes
-        #: Completed frames :func:`recv_frame` has not yet handed out.
-        self._ready: list[Frame] = []
 
     def feed(self, data: bytes) -> list[Frame]:
         """Consume ``data``; return every frame it completed."""
-        self._buf += data
+        buf = self._buf
+        buf += data
         frames: list[Frame] = []
-        while True:
+        while self._env is not None or len(buf) >= ENVELOPE_BYTES:
             frame = self._next()
             if frame is None:
-                return frames
+                break
             frames.append(frame)
+        return frames
 
     def _next(self) -> Frame | None:
         buf = self._buf
@@ -257,10 +273,7 @@ class FrameDecoder:
             if len(buf) < ENVELOPE_BYTES:
                 return None
             version, flags, seq, ack, hlen = _ENV_BODY.unpack_from(buf)
-            echk = 0
-            for byte in buf[:_ENV_BODY.size]:
-                echk ^= byte
-            if echk != buf[_ENV_BODY.size]:
+            if _xor(buf) != buf[_ENV_BODY.size]:
                 raise PacketError(
                     "wire frame envelope checksum mismatch (corrupt stream)")
             if version != WIRE_VERSION:
@@ -278,12 +291,13 @@ class FrameDecoder:
             self._env = (seq, ack, hlen)
         seq, ack, hlen = self._env
         if self._header is None:
-            if len(buf) < ENVELOPE_BYTES + hlen:
+            end = ENVELOPE_BYTES + hlen
+            if len(buf) < end:
                 return None
-            hbytes = bytes(buf[ENVELOPE_BYTES:ENVELOPE_BYTES + hlen])
+            hbytes = buf[ENVELOPE_BYTES:end]
             try:
                 header = pickle.loads(hbytes)
-                tag, run_id, step, src, lens, meta = header
+                tag, run_id, step, src, lens, meta, lease = header
             except Exception as exc:
                 raise PacketError(
                     f"undecodable wire frame header: {exc}") from exc
@@ -293,28 +307,28 @@ class FrameDecoder:
                     f"wire frame of {total} payload bytes exceeds the "
                     f"{self._max_frame}-byte bound; raise max_frame_bytes "
                     "or split the payload")
-            del buf[:ENVELOPE_BYTES + hlen]
+            del buf[:end]
             self._header, self._hbytes, self._total = header, hbytes, total
-        if len(buf) < self._total + _PREFIX.size:
+        total = self._total
+        if len(buf) < total + _PREFIX.size:
             return None
-        tag, run_id, step, src, lens, meta = self._header
+        tag, run_id, step, src, lens, meta, lease = self._header
         buffers: list[bytearray] = []
         off = 0
         for n in lens:
-            buffers.append(bytearray(buf[off:off + n]))
+            buffers.append(buf[off:off + n])
             off += n
-        (wire_crc,) = _PREFIX.unpack_from(buf, self._total)
-        del buf[:self._total + _PREFIX.size]
-        hbytes = self._hbytes
-        self._env, self._header, self._hbytes, self._total = (
-            None, None, b"", 0)
-        if _crc_frame(hbytes, buffers) != wire_crc:
+        (wire_crc,) = _PREFIX.unpack_from(buf, total)
+        del buf[:total + _PREFIX.size]
+        self._env = self._header = None
+        if _crc_frame(self._hbytes, buffers) != wire_crc:
             # Framing held (the envelope and header parsed, the byte
             # count matched) but the content did not: a recoverable,
             # single-frame loss.  Stay synchronized and let the channel
             # NACK the sequence number.
             return Frame(TAG_CORRUPT, -1, -1, -1, None, None, seq, ack)
-        return Frame(tag, run_id, step, src, meta, buffers, seq, ack)
+        return Frame(tag, run_id, step, src, meta, buffers, seq, ack,
+                     lease=lease)
 
     @property
     def mid_frame(self) -> bool:
@@ -324,45 +338,8 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------------
-# Blocking helpers (rendezvous and control plane; the data plane uses the
-# non-blocking event loop in tcp.py)
+# Blocking helpers (rendezvous; links and control use the frames above)
 # ---------------------------------------------------------------------------
-
-
-#: Frames up to this size leave :func:`send_chunks` as one ``sendall``.
-_COALESCE_BYTES = 1 << 16
-
-
-def send_chunks(sock, chunks: Iterable[Any]) -> None:
-    """Write every chunk to a *blocking* socket.
-
-    A small frame (envelope+header, buffers, trailer) is joined first so
-    it is one write and one segment — written chunk by chunk, the
-    trailer of a control frame would sit behind Nagle / the peer's
-    delayed ACK.  Large frames go out chunk by chunk, uncopied.
-    """
-    chunks = list(chunks)
-    if sum(memoryview(c).nbytes for c in chunks) <= _COALESCE_BYTES:
-        sock.sendall(b"".join(chunks))
-        return
-    for chunk in chunks:
-        sock.sendall(chunk)
-
-
-def recv_frame(sock, decoder: FrameDecoder, *, bufsize: int = 1 << 16
-               ) -> Frame | None:
-    """Block until the next frame on ``sock``; ``None`` on clean EOF.
-
-    Frames already completed inside ``decoder`` are returned first, so a
-    single ``recv`` that delivered several frames never loses any.
-    """
-    pending = decoder._ready
-    while not pending:
-        data = sock.recv(bufsize)
-        if not data:
-            return None
-        pending.extend(decoder.feed(data))
-    return pending.pop(0)
 
 
 def send_msg(sock, obj: Any) -> None:

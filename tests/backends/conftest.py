@@ -1,5 +1,6 @@
 """Shared fixtures for the backend suites."""
 
+import gc
 import multiprocessing as mp
 import os
 
@@ -32,15 +33,32 @@ def _own_listening_sockets() -> set[str]:
     return listening
 
 
+def _own_pipes() -> int:
+    """How many pipe ends this process holds."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("pipe:[")
+        except OSError:  # the listing's own fd, closed by now
+            continue
+    return count
+
+
 @pytest.fixture
 def no_leaks():
     """Whatever the test did to a pool — and however the pool ended —
     nothing outlives it: no ``bsp-*`` child process, no ``repro-zc-*``
-    shared-memory segment, no listening socket."""
+    shared-memory segment, no listening socket, and no pipe end in the
+    parent (a pipe fabric holds one pipe per ordered pair of ranks)."""
     segments = set(shm.scan_orphans())
     listening = _own_listening_sockets()
+    pipes = _own_pipes()
     yield
     assert not [c for c in mp.active_children() if c.name.startswith("bsp-")]
     leaked = set(shm.scan_orphans()) - segments
     assert not leaked, f"leaked segments: {sorted(leaked)}"
     assert _own_listening_sockets() <= listening
+    # A failed run's traceback holds the workers it failed on (and their
+    # sentinel pipes) in a reference cycle until the collector runs.
+    gc.collect()
+    assert _own_pipes() <= pipes, "leaked pipe ends"

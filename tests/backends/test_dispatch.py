@@ -16,12 +16,12 @@ from the worker's pool, copied out once by the parent.  Exercised here:
 * the arena is rewound per run and result regions are recycled —
   repeated large dispatches and large results do not grow ``/dev/shm``;
 * a result the caller holds owns its memory: bit-intact after the next
-  run, after a failed run's fence and after ``close()``;
+  run, after a failed run and after ``close()``;
 * ``REPRO_ZEROCOPY=off`` and a full ``/dev/shm`` are the same path with
-  the buffers on the pipe: identical results and ledgers;
+  the buffers in the pipe's stream: identical results and ledgers;
 * unpicklable programs still raise the usage error;
 * SIGKILL mid-run with large args, and a rank that dies while encoding
-  its result, heal — also after earlier fences — and close() sweeps
+  its result, heal — also after earlier failed runs — and close() sweeps
   every segment;
 * the parent never grows a ``resource_tracker`` child;
 * TCP: control links are NODELAY (a pooled noop run is sub-20 ms, not a
@@ -275,7 +275,7 @@ class TestArena:
 
     def test_a_held_result_owns_its_memory(self):
         """Nothing the pool does later — the next run leasing the same
-        regions again, a failed run's fence rewinding every pool, close()
+        regions again, a failed run, close()
         unmapping them — reaches a result the caller still holds."""
         block = np.arange(576.0 * 576).reshape(576, 576)
         golden = [(block * (pid + 1)).tobytes() for pid in range(2)]
@@ -370,10 +370,10 @@ class TestCrashSafety:
 
     def test_death_while_encoding_the_result_heals_and_sweeps(self):
         """``os._exit`` from inside the result's pickle pass: nothing
-        was written, no lock is held, the peers have all reported.  Two
-        fenced runs come first: the replacement's segment pool counts
-        its generations from zero again, which must not make its frames
-        or its results look stale to those who saw the old one's."""
+        was written, the peers have all reported.  Two failed runs come
+        first: the replacement's segment pool counts its generations
+        from zero again, which must not make its frames or its results
+        look stale to those who saw the old one's."""
         block = np.full(50_000, 3.0)  # 400 KB: frames and results leased
         with BspPool(3, join_timeout=30.0) as pool:
             for _ in range(2):
@@ -386,7 +386,7 @@ class TestCrashSafety:
             assert (err.value.pid, err.value.exitcode) == (1, 9)
             health = pool.health()
             assert health.alive == 3
-            assert health.heal_kinds[-1] in ("re-fork", "rebuild")
+            assert health.heal_kinds[-1] == "re-fork"
             for i in range(4):
                 run = pool.run(big_then_fatal_result, 3,
                                args=(block + i, "ok"))

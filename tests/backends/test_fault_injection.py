@@ -19,7 +19,9 @@ purpose via :mod:`repro.faults` and asserted on:
   leaves no zombie children.
 """
 
+import os
 import signal
+import threading
 import time
 
 import pytest
@@ -71,6 +73,24 @@ def stubborn_program(bsp):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     time.sleep(3600)
     return True
+
+
+#: More than a pipe holds (64 KiB): a frame this big goes out in part.
+OVERFILL = 256 << 10
+
+
+def killed_mid_frame(bsp, sleep):
+    """pid 1 dies with half a frame in flight each way: it SIGKILLs
+    itself while its frame to pid 0 — who is asleep — is half written,
+    and pid 0 wakes to half-write its own frame to the dead."""
+    if bsp.pid == 1:
+        threading.Timer(sleep / 2, os.kill,
+                        (os.getpid(), signal.SIGKILL)).start()
+    else:
+        time.sleep(sleep)
+    bsp.send(1 - bsp.pid, bytes(OVERFILL))
+    bsp.sync()
+    return bsp.pid
 
 
 def _pool_under(plan, nprocs=3, **kw):
@@ -225,6 +245,18 @@ class TestSelfHealing:
             assert "WorkerCrashError" in health.last_fault
             assert heal_plus_run < 30.0
 
+    def test_death_mid_frame_both_ways_heals_by_refork(self, no_leaks):
+        """The streams of a dead rank restart at a frame boundary: its
+        pipes are drained and the survivor drops its queue and decoder
+        for it before the replacement is forked — nothing to rebuild."""
+        with BspPool(2, join_timeout=30.0) as pool:
+            with pytest.raises(WorkerCrashError) as err:
+                pool.run(killed_mid_frame, 2, args=(1.0,))
+            assert (err.value.pid, err.value.exitcode) == (1, -signal.SIGKILL)
+            assert pool.health().heal_kinds == ("re-fork",)
+            assert _snapshot(pool.run(ring_program, 2)) == _golden(2)
+            assert pool.health().alive == 2
+
     def test_repeated_crashes_consume_budget_then_exhaust(self):
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=0, step=0)])
         with _pool_under(plan, max_restarts=0) as pool:
@@ -272,11 +304,9 @@ class TestNoZombies:
         pool = BspPool(2, join_timeout=60.0)
         # Dispatch directly so close() races a genuinely in-flight run
         # whose workers ignore SIGTERM.
-        import pickle as _pickle
-        blob = _pickle.dumps((stubborn_program, (), {}))
         pool._run_id += 1
-        for pid in range(2):
-            pool._ctrl[pid].put(("run", pool._run_id, 2, blob))
+        pool._dispatch(pool._run_id, 2,
+                       pool._encode((stubborn_program, (), {}, "strict")))
         time.sleep(0.3)  # let the workers enter the stubborn sleep
         t0 = time.monotonic()
         pool.close()

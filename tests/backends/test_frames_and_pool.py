@@ -14,7 +14,6 @@ Three layers of guarantees:
 """
 
 import hashlib
-import multiprocessing as mp
 import threading
 
 import numpy as np
@@ -22,15 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.frames import (
-    FrameTransport,
-    decode_packets,
-    encode_packets,
-)
+from repro.backends.frames import decode_packets, encode_packets
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import BspConfigError, BspUsageError, VirtualProcessorError
 from repro.core.packets import Packet, PacketRuns, delivery_order
 from repro.harness.runner import run_app
+
+from .pipes import Pipes
 
 
 def _mk(src, dst, payload, h, seq):
@@ -97,22 +94,20 @@ class TestCombinerRoundTrip:
 @pytest.fixture()
 def transport(monkeypatch):
     monkeypatch.setenv("REPRO_ZEROCOPY", "on")  # whatever the CI row says
-    t = FrameTransport(2, mp.get_context("fork"))
+    t = Pipes(2)
     yield t
     t.close()
 
 
-def _exchange(transport, payload, *, block=True):
-    """Push one frame 0 -> 1 and receive it: (pushed, region, packets).
+def _exchange(transport, payload):
+    """Send one frame 0 -> 1 and receive it: (sent, region, packets).
 
     ``region`` is the ``(segment name, offset)`` the frame's buffers were
     leased at, read off the receiver's lease table."""
-    frame = transport.encode_frame(1, 1, 0, 0, [_mk(0, 1, payload, 1, 0)])
-    if not transport.push_frame(frame, block=block):
-        return False, None, None
-    known = set(transport._lease_table(1)._entries)
+    transport.send_packets(1, 1, 0, 0, [_mk(0, 1, payload, 1, 0)])
+    known = set(transport._lease_tables[1]._entries)
     packets = transport.recv(1).packets(1)
-    ((_src, lease_id),) = set(transport._lease_table(1)._entries) - known
+    ((_src, lease_id),) = set(transport._lease_tables[1]._entries) - known
     region = transport._seg_pools[0]._leases[lease_id]
     return True, (region.seg.name, region.offset), packets
 
@@ -145,9 +140,9 @@ class TestRecvPool:
         _, first, got = _exchange(transport, halo)
         del got
         _release(transport)
-        # ...and the recycled region is what lets the push go inline.
-        pushed, second, got = _exchange(transport, halo * 2, block=False)
-        assert pushed and second == first
+        # ...and the released region is the one leased next.
+        sent, second, got = _exchange(transport, halo * 2)
+        assert sent and second == first
         np.testing.assert_array_equal(got[0].payload, halo * 2)
 
     def test_distinct_sizes_do_not_alias(self, transport):
@@ -165,11 +160,11 @@ class TestSlabRing:
     """What the ring's suite keeps: the one fallback plane."""
 
     def test_oversized_frame_takes_pipe_path(self, monkeypatch):
-        # With the shm plane off, a frame's buffers follow its header as
-        # pipe messages of their own and still round-trip — from a second
-        # thread, because 64 KiB + 512 bytes is more than a pipe holds.
+        # With the shm plane off, a frame's buffers follow its header in
+        # the stream and still round-trip — from a second thread, because
+        # 64 KiB + 512 bytes is more than a pipe holds.
         monkeypatch.setenv("REPRO_ZEROCOPY", "off")
-        transport = FrameTransport(2, mp.get_context("fork"))
+        transport = Pipes(2)
         try:
             payload = np.arange((64 << 10) // 8 + 64, dtype=np.float64)
             pkt = _mk(0, 1, payload, h=7, seq=3)

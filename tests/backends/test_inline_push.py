@@ -1,15 +1,16 @@
-"""The never-blocking inline push and what still needs the sender thread.
+"""A boundary never waits on a peer's read.
 
-Boundary frames are first offered, on the thread that called ``sync()``,
-to ``FrameTransport.push_frame(frame, block=False)``; only the frames it
-refuses reach the per-run sender thread.  Exercised here:
+Every link of the pipe fabric is a pipe of its own, driven by
+:class:`~repro.backends.exchange.StreamLinks`: a frame goes out as far
+as its pipe takes it, the rest queues, and the rank flushes its queues
+while it waits for inbound frames — the only thing a boundary waits on.
+Exercised here:
 
-* the non-blocking push cannot wait: against a full pipe with a parked
-  reader, a destination lock held by another process, an
-  over-``PIPE_BUF`` message and a pool with no recycled region it
-  returns ``False`` within 50 ms, writes nothing, maps nothing and
-  leaves the sender's segment pool as it found it;
-* it never grows the pool: a link in steady state alternates two
+* a send never waits: against a full pipe with a parked reader it
+  returns within 50 ms with the rest queued, and two ranks pushing
+  frames larger than a pipe at each other, one of them asleep, finish
+  their sends and go back to reading; a small frame is one write;
+* the shm plane does not grow: a link in steady state alternates two
   regions, and frame sizes that differ every boundary stay within two
   segments a link;
 * Appendix B.3 still holds: every rank pushing frames larger than a pipe
@@ -18,14 +19,12 @@ refuses reach the per-run sender thread.  Exercised here:
 * small buffers ride in-band without changing what a program receives:
   hypothesis over sizes straddling the in-band cut, 0-d / empty /
   non-contiguous / read-only arrays;
-* faults met on the calling thread end as they did on the sender
-  thread, and ``count_frame`` ticks once per frame on either path;
-* a pooled ocean run never starts a ``bsp-send-*`` thread, a pooled
-  Cannon run does.
+* faults met in a boundary end as they should, and ``count_frame``
+  ticks once per frame however many writes it takes;
+* no rank ever starts a thread.
 """
 
 import fcntl
-import multiprocessing as mp
 import os
 import select
 import struct
@@ -40,24 +39,25 @@ from hypothesis import strategies as st
 
 from repro import bsp_run
 from repro import faults
-from repro.backends import frames, processes
-from repro.backends.frames import FrameTransport
-from repro.backends.processes import BspPool, ProcessBackend
+from repro.backends import frames
+from repro.backends.processes import BspPool, ProcessBackend, _PipeLink
 from repro.core.errors import DeadlockError, VirtualProcessorError
 from repro.core.packets import Packet, h_units
 from repro.core.stats import ProgramStats
 from repro.harness.runner import run_app
 
+from .pipes import Pipes
+
 pytestmark = pytest.mark.timeout(240)
 
-CTX = mp.get_context("fork")
-#: "Returns within 50 ms" — the bound the non-blocking push is held to.
+#: "Returns within 50 ms" — the bound a send is held to.
 NO_WAIT_S = 0.05
 
 
 @pytest.fixture(autouse=True)
 def _leak_free(no_leaks):
-    """Every test in this module leaves no child, segment or socket."""
+    """Every test in this module leaves no child, segment, socket or
+    pipe."""
 
 
 def _pkt(src, dst, payload, seq=0):
@@ -65,115 +65,47 @@ def _pkt(src, dst, payload, seq=0):
                   seq=seq)
 
 
-def _pipe_bytes(transport, pid):
-    """Bytes sitting unread in ``pid``'s inbound pipe (FIONREAD)."""
-    raw = fcntl.ioctl(transport._recv_conns[pid].fileno(), termios.FIONREAD,
+def _pipe_bytes(transport, src, dst):
+    """Bytes sitting unread in pipe ``(src, dst)`` (FIONREAD)."""
+    raw = fcntl.ioctl(transport._pipes[src, dst][0], termios.FIONREAD,
                       b"\0" * 4)
     return struct.unpack("i", raw)[0]
 
 
-def _fill_pipe(transport, pid):
-    """Fill ``pid``'s inbound pipe to capacity; nobody is reading it."""
-    fd = transport._send_conns[pid].fileno()
-    os.set_blocking(fd, False)
-    try:
-        for chunk in (bytes(select.PIPE_BUF), b"\0"):
-            try:
-                while True:
-                    os.write(fd, chunk)
-            except BlockingIOError:
-                pass
-    finally:
-        os.set_blocking(fd, True)
-
-
-def _pool_state(transport, src):
-    """Everything a lease could change in ``src``'s segment pool."""
-    pool = transport._seg_pools[src]
-    if pool is None:  # built (empty, nothing mapped) by the first lease
-        return 0, []
-    return (pool.outstanding, [
-        (seg.name, seg.used, seg.high, seg.outstanding,
-         sorted((size, len(spare)) for size, spare in seg.free.items()))
-        for segs in pool._pools.values() for seg in segs])
-
-
-def _refused(transport, frame):
-    """A non-blocking push of ``frame`` must refuse, fast, and leave the
-    destination's pipe and lock and the sender's pool exactly as they
-    were."""
-    dst, src = frame[0], frame[3]
-    before = (_pipe_bytes(transport, dst), transport.segment_counts(),
-              _pool_state(transport, src))
-    t0 = time.monotonic()
-    pushed = transport.push_frame(frame, block=False)
-    elapsed = time.monotonic() - t0
-    assert pushed is False
-    assert elapsed < NO_WAIT_S
-    assert (_pipe_bytes(transport, dst), transport.segment_counts(),
-            _pool_state(transport, src)) == before
+def _channels(transport, nprocs=2):
+    return [_PipeLink(pid, transport).channel(1, nprocs, "strict")
+            for pid in range(nprocs)]
 
 
 @pytest.fixture()
 def transport():
-    t = FrameTransport(2, CTX)
+    t = Pipes(2)
     yield t
     t.close()
 
 
-def _boundary(transport, step, payloads, inbox, *, block):
-    """One p=2 boundary as ``_FrameChannel._round`` runs it, both ranks
-    in this process: reap, push (releases piggybacked), receive into
-    ``inbox``.  Each rank consumed its previous inbox before it called
-    ``sync()``, as ``bsp.packets()`` does.  A frame the non-blocking
-    push refuses goes out the way the sender thread would send it;
-    returns which frames went inline."""
-    pushed = []
+def _boundary(transport, step, payloads, inbox):
+    """One p=2 boundary as a channel runs it, both ranks in this
+    process: reap, send (releases piggybacked), receive into ``inbox``.
+    Each rank consumed its previous inbox before it called ``sync()``,
+    as ``bsp.packets()`` does."""
     for pid in (0, 1):
         peer = 1 - pid
         inbox[pid] = None
-        rel = transport.collect_releases(pid).get(peer, ())
-        frame = transport.encode_frame(
+        transport.send_packets(
             peer, 1, step, pid, [_pkt(pid, peer, payloads[pid])],
-            releases=rel)
-        pushed.append(transport.push_frame(frame, block=block))
-        if not pushed[-1]:
-            transport.push_frame(frame)
+            releases=transport.collect_releases(pid).get(peer, ()))
     for pid in (0, 1):
         inbox[pid] = transport.recv(pid).packets(pid)
-    return pushed
-
-
-def _warm(transport, payload, step=0):
-    """One blocking frame 0 -> 1, received, dropped and released: pid
-    0's pool now has recycled bytes a non-blocking push could lease."""
-    transport.send_packets(1, 1, step, 0, [_pkt(0, 1, payload)])
-    transport.recv(1).packets(1)
-    for owner, ids in transport.collect_releases(1).items():
-        transport._seg_pools[owner].release(ids)
-
-
-def _touched(transport):
-    """Bytes under a high-water mark, and segments, over both pools."""
-    segs = [seg for pool in transport._seg_pools[:2]
-            for group in pool._pools.values() for seg in group]
-    return sum(seg.high for seg in segs), len(segs)
-
-
-def _hold_lock(lock, held, release):
-    with lock:
-        held.set()
-        release.wait(30.0)
 
 
 class TestNeverBlocks:
     def test_small_frame_goes_inline_as_one_atomic_message(self, transport):
         ghost = np.arange(66, dtype=np.float64)  # ocean's 528-byte row
-        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, ghost)])
-        *_, buffers, _big, _rel = frame
-        assert buffers == []  # in-band: no out-of-band buffer at all
-        assert transport.push_frame(frame, block=False) is True
-        assert 0 < _pipe_bytes(transport, 1) <= select.PIPE_BUF
+        sender, _ = _channels(transport)
+        sender._send(1, 0, [_pkt(0, 1, ghost)], False)
+        assert not sender._unsent()  # written at once...
+        assert 0 < _pipe_bytes(transport, 0, 1) <= select.PIPE_BUF  # whole
         assert transport._seg_pools[0] is None  # no shm round trip
         (got,) = transport.recv(1).packets(1)
         np.testing.assert_array_equal(got.payload, ghost)
@@ -182,88 +114,69 @@ class TestNeverBlocks:
         7, np.arange(66, dtype=np.float64), np.arange(1024, dtype=np.float64)],
         ids=["int", "inband-array", "leased-array"])
     def test_full_pipe_parked_reader(self, transport, payload):
-        _warm(transport, payload)  # the pool could serve it: the pipe cannot
-        _fill_pipe(transport, 1)
-        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, payload)])
-        _refused(transport, frame)
-        assert transport.locks_free(timeout=0.0)
+        sender, _ = _channels(transport)
+        filler = bytes(BLOB)  # more than the pipe holds
+        sender._send(1, 0, [_pkt(0, 1, filler)], False)
+        assert sender._unsent([1])  # the pipe is full; nobody reads it
+        t0 = time.monotonic()
+        sender._send(1, 1, [_pkt(0, 1, payload)], False)
+        assert time.monotonic() - t0 < NO_WAIT_S
+        got = []
+        reader = threading.Thread(target=lambda: got.extend(
+            transport.recv(1).packets(1)[0].payload for _ in range(2)))
+        reader.start()  # the reader wakes; the sender flushes as it reads
+        while sender._unsent():
+            sender._select(0.05)
+        reader.join(10.0)
+        assert not reader.is_alive()
+        assert got[0] == filler
+        np.testing.assert_array_equal(got[1], payload)
 
-    def test_lock_held_by_another_process(self, transport):
-        held, release = CTX.Event(), CTX.Event()
-        holder = CTX.Process(target=_hold_lock,
-                             args=(transport._locks[1], held, release),
-                             daemon=True)
-        holder.start()
-        try:
-            assert held.wait(10.0)
-            frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, 7)])
-            _refused(transport, frame)
-            assert _pipe_bytes(transport, 1) == 0
-        finally:
-            release.set()
-            holder.join(10.0)
-        assert not holder.is_alive()
-        assert transport.push_frame(frame, block=False) is True
-        assert transport.recv(1).packets(1)[0].payload == 7
+    def test_sender_finishes_its_sends_while_the_peer_sleeps(self, transport):
+        # Both frames overfill their pipe; pid 1 sleeps before its
+        # boundary.  pid 0's send returns at once and pid 0 is back
+        # reading — flushing as it reads — long before pid 1 wakes.
+        channels = _channels(transport)
+        sends, pumped, woke, got = [], [], [], [None, None]
+        send, pump = channels[0]._send, channels[0]._pump
 
-    def test_message_over_pipe_buf_is_refused(self, transport):
-        # bytes never go out-of-band: the whole blob rides the header.
-        frame = transport.encode_frame(
-            1, 1, 0, 0, [_pkt(0, 1, bytes(select.PIPE_BUF))])
-        _refused(transport, frame)
+        def timed_send(*args):
+            t0 = time.monotonic()
+            send(*args)
+            sends.append(time.monotonic() - t0)
 
-    def test_pipe_message_buffers_are_refused(self, monkeypatch):
-        # With the shm plane off a frame's buffers would be pipe
-        # messages of their own, which can fill the pipe.
-        monkeypatch.setenv("REPRO_ZEROCOPY", "off")
-        transport = FrameTransport(2, CTX)
-        try:
-            frame = transport.encode_frame(
-                1, 1, 0, 0, [_pkt(0, 1, np.zeros(1024))])
-            *_, buffers, leased, _rel = frame
-            assert buffers and not leased
-            _refused(transport, frame)
-        finally:
-            transport.close()
+        def first_pump():
+            pumped.append(time.monotonic())
+            pump()
 
-    def test_fresh_pool_is_refused_and_maps_nothing(self, transport):
-        halo = np.arange(1024, dtype=np.float64)  # 8 KiB: out-of-band
-        frame = transport.encode_frame(1, 1, 0, 0, [_pkt(0, 1, halo)])
-        _refused(transport, frame)
-        assert transport.segment_counts() == {0: 0, 1: 0}
-        assert transport.zerocopy_stats() == (0, 0)
-        # Once a segment exists, only bytes below its high-water mark.
-        assert transport.push_frame(frame) is True
-        (got,) = transport.recv(1).packets(1)
-        again = transport.encode_frame(1, 1, 1, 0, [_pkt(0, 1, halo + 1)])
-        _refused(transport, again)  # the one region is still held
-        np.testing.assert_array_equal(got.payload, halo)
-        assert transport.zerocopy_stats() == (1, 0)
+        channels[0]._send, channels[0]._pump = timed_send, first_pump
+        blobs = [bytes([pid + 1]) * BLOB for pid in (0, 1)]
 
-    def test_refusal_after_leasing_returns_the_region(self, transport):
-        halo = np.arange(1024, dtype=np.float64)
-        transport.send_packets(1, 1, 0, 0, [_pkt(0, 1, halo)])
-        pinned = transport.recv(1).packets(1)  # no rewind while it is held
-        _warm(transport, halo, step=1)
-        (seg,) = transport._seg_pools[0]._pools[1]
-        assert [len(spare) for spare in seg.free.values()] == [1]
-        # Enough piggybacked releases to push the header past PIPE_BUF,
-        # which is known only once the lease is in it.
-        frame = transport.encode_frame(1, 1, 2, 0, [_pkt(0, 1, halo)],
-                                       releases=range(10**6, 10**6 + 1500))
-        assert len(frame[4]) < select.PIPE_BUF
-        _refused(transport, frame)
-        assert transport.zerocopy_stats() == (2, 0)  # the two that went out
-        np.testing.assert_array_equal(pinned[0].payload, halo)
+        def rank(pid):
+            if pid == 1:
+                time.sleep(0.5)
+                woke.append(time.monotonic())
+            got[pid] = channels[pid].exchange(
+                pid, 0, [_pkt(pid, 1 - pid, blobs[pid])]).merged()
+
+        threads = [threading.Thread(target=rank, args=(pid,))
+                   for pid in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sends) == 1 and sends[0] < NO_WAIT_S
+        assert pumped[0] < woke[0]
+        assert [g[0].payload for g in got] == [blobs[1], blobs[0]]
 
     def test_fault_hooks_fire_once_however_many_pushes(self, transport):
         # The frame hooks belong to the boundary round, once per frame:
-        # pid 0's frame is refused inline (over PIPE_BUF) and written by
-        # the sender thread — two pushes, one count.
+        # pid 0's frame overfills the pipe and goes out in several
+        # writes — one count.
         counter = faults.FrameCounter(2)
-        channels = [processes._FrameChannel(pid, 2, transport, 1)
-                    for pid in (0, 1)]
-        payload = bytes(range(256)) * 32
+        channels = _channels(transport)
+        payload = bytes(range(256)) * (BLOB // 256)
         got = [None, None]
 
         def boundary(pid):
@@ -281,46 +194,43 @@ class TestNeverBlocks:
                     thread.join(20.0)
             assert not any(thread.is_alive() for thread in threads)
             assert counter.per_sender() == [1, 1]
-            assert channels[0]._sender is not None  # the deferred path
             assert got[0] == [] and got[1][0].payload == payload
         finally:
             counter.close()
 
 
 class TestNeverGrowsThePool:
-    """What the inline push may lease is what was leased before."""
+    """What a link leases in steady state is what it leased before."""
 
     def test_ping_pong_alternates_two_regions_per_link(self, transport):
         halo = np.arange(1024, dtype=np.float64)  # 8 KiB each way
         inbox = [None, None]
-        for step in range(2):  # warm-up: the sender thread's part
-            _boundary(transport, step, (halo, halo + step), inbox, block=True)
-        warm = _touched(transport)
-        assert warm == (2 * 2 * halo.nbytes, 2)  # B.1: two buffers a link
-        for step in range(2, 1002):
-            assert _boundary(transport, step, (halo + step, halo - step),
-                             inbox, block=False) == [True, True]
+        regions = [set(), set()]
+        for step in range(1000):
+            _boundary(transport, step, (halo + step, halo - step), inbox)
             assert inbox[0][0].payload[0] == -step
             assert inbox[1][0].payload[0] == step
-        assert _touched(transport) == warm
-        assert transport.zerocopy_stats() == (2 * 1002, 0)
+            for src in (0, 1):
+                regions[src] |= {
+                    (region.seg.name, region.offset)
+                    for region in transport._seg_pools[src]._leases.values()}
+        assert [len(r) for r in regions] == [2, 2]  # B.1: two buffers a link
+        assert transport.segment_counts() == {0: 1, 1: 1}
+        assert transport.zerocopy_stats() == (2 * 1000, 0)
 
     def test_sizes_that_differ_every_boundary_stay_within_two_segments(
             self, transport):
         # The N-body shape: one essential tree of 11-49 KiB a link, never
         # the same size twice in a row.  4000 boundaries lease ~120 MB a
-        # link — many times a segment — through whichever push takes it.
+        # link — many times a segment.
         rng = np.random.default_rng(0)
         inbox = [None, None]
-        inline = 0
         for step in range(4000):
             sizes = rng.integers(11 << 10, 49 << 10, size=2) // 8
             trees = tuple(np.full(n, float(step)) for n in sizes)
-            inline += sum(_boundary(transport, step, trees, inbox,
-                                    block=False))
+            _boundary(transport, step, trees, inbox)
             assert inbox[0][0].payload[-1] == step
         assert max(transport.segment_counts().values()) <= 2
-        assert inline > 4000  # below a high-water mark most pushes go inline
 
 
 # -- B.3: frames that can fill a pipe still cannot deadlock --------------------
@@ -414,7 +324,7 @@ _sizes = st.one_of(st.sampled_from([0, 1, _CUT - 1, _CUT, _CUT + 1]),
                      "0-d"]), _sizes), min_size=1, max_size=5))
 def test_roundtrip_straddling_the_cut(specs):
     sent = [_variant(kind, n) for kind, n in specs]
-    transport = FrameTransport(2, CTX)
+    transport = Pipes(2)
     try:
         transport.send_packets(1, 1, 0, 0, [
             _pkt(0, 1, arr, seq=i) for i, arr in enumerate(sent)])
@@ -432,13 +342,13 @@ def test_roundtrip_straddling_the_cut(specs):
             1 for arr in sent if arr.nbytes >= frames._INBAND_MAX
             and (arr.flags.c_contiguous or arr.flags.f_contiguous))
         assert transport.zerocopy_stats() == (leased, 0)
-        assert len(transport._lease_table(1)) == bool(leased)  # one a frame
+        assert len(transport._lease_tables[1]) == bool(leased)  # one a frame
         del got, back
     finally:
         transport.close()
 
 
-# -- faults on the inline path -------------------------------------------------
+# -- faults in a boundary -------------------------------------------------------
 
 
 def ring_program(bsp, rounds=2):
@@ -449,8 +359,8 @@ def ring_program(bsp, rounds=2):
 
 
 def small_and_big(bsp, rounds=4):
-    """Each boundary: an int to the next rank (inline), a leased array to
-    the one after (sender thread until its link has a region to reuse)."""
+    """Each boundary: an int to the next rank (in the stream), a leased
+    array to the one after."""
     big = np.ones(20_000)
     for _ in range(rounds):
         bsp.send((bsp.pid + 1) % bsp.nprocs, bsp.pid)
@@ -488,7 +398,6 @@ class TestFaultsOnTheInlinePath:
             assert err.value.pid == 1
             assert "injected pickle failure" in err.value.traceback_text
             assert "in _send\n" in err.value.traceback_text
-            assert "_sender_loop" not in err.value.traceback_text
             health = pool.health()
             assert health.restarts == 0 and health.generation == 0
             # Fewer rounds never reach the inherited fault: a clean run.
@@ -518,41 +427,36 @@ class TestFaultsOnTheInlinePath:
             plan = faults.FaultPlan([], frame_counter=counter)
             with _pool_under(plan) as pool:
                 run = pool.run(small_and_big, 3, args=(4,), sync=sync)
-                assert pool.health().zerocopy_hits == 12  # inline or deferred
+                assert pool.health().zerocopy_hits == 12
             assert run.results == [2, 2, 2]
             assert counter.total() == 4 * frames_per_round
         finally:
             counter.close()
 
 
-# -- who starts a sender thread ------------------------------------------------
+# -- no thread -----------------------------------------------------------------
 
 
 class TestSenderThreadStartedOnlyWhenNeeded:
     @pytest.fixture()
-    def sender_starts(self, monkeypatch):
-        """Fork-shared count of ``bsp-send-*`` threads each rank started:
-        the patched loop is inherited by every worker forked after it."""
-        counter = faults.FrameCounter(4)
-        original = processes._FrameChannel._sender_loop
+    def thread_starts(self, monkeypatch):
+        """Fork-shared count of threads the ranks start: the patched
+        ``start`` is inherited by every worker forked after it."""
+        counter = faults.FrameCounter(1)
+        parent, start = os.getpid(), threading.Thread.start
 
-        def counted(channel):
-            counter.add(channel._pid)
-            original(channel)
+        def counted(thread):
+            if os.getpid() != parent:
+                counter.add(0)
+            start(thread)
 
-        monkeypatch.setattr(processes._FrameChannel, "_sender_loop", counted)
+        monkeypatch.setattr(threading.Thread, "start", counted)
         yield counter
         counter.close()
 
     @pytest.mark.parametrize("sync", ["strict", "relaxed"])
-    def test_pooled_ocean_never_starts_one(self, sender_starts, sync):
+    def test_pooled_ocean_never_starts_one(self, thread_starts, sync):
         with ProcessBackend.pool(2, join_timeout=60.0) as backend:
             stats = run_app("ocean", "66", 2, backend=backend, sync=sync)
         assert stats.S > 400
-        assert sender_starts.total() == 0
-
-    def test_pooled_cannon_starts_one_per_rank(self, sender_starts):
-        with ProcessBackend.pool(4, join_timeout=60.0) as backend:
-            run_app("matmult", "288", 4, backend=backend)
-            assert backend.health().zerocopy_hits > 0
-        assert sender_starts.per_sender() == [1, 1, 1, 1]
+        assert thread_starts.total() == 0

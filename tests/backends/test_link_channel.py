@@ -13,13 +13,13 @@ without forks or sockets:
   link set, plus one release per link when links cannot prove receipt;
 * nothing is sent to a peer that has departed.
 
-Then the pipe transport's own hand-off — the calling thread pushing
-what cannot wait, a sender thread the rest — under forced preemption,
-and the departure rule on both real fabrics: a rank that returns early
-no longer wedges a peer that keeps sending it pipe-sized frames.
+Then the pipe fabric's stream links under forced preemption — frames
+that fit a pipe written at once, larger ones queued and flushed while
+their sender reads — and the departure rule on both real fabrics: a
+rank that returns early no longer wedges a peer that keeps sending it
+pipe-sized frames.
 """
 
-import multiprocessing as mp
 import queue
 import sys
 import threading
@@ -28,18 +28,14 @@ import pytest
 
 from repro import bsp_run
 from repro.backends.exchange import LinkChannel
-from repro.backends.frames import (
-    TAG_PKT,
-    TAG_RELEASE,
-    Frame,
-    FrameTransport,
-    encode_packets,
-)
+from repro.backends.frames import TAG_PKT, TAG_RELEASE, Frame, encode_packets
 from repro.backends.pool import Abort, finish_run, run_rank
-from repro.backends.processes import ProcessBackend, _FrameChannel
+from repro.backends.processes import ProcessBackend, _PipeLink
 from repro.backends.tcp import TcpBackend
 from repro.core.packets import Packet
 from repro.core.stats import ProgramStats
+
+from .pipes import Pipes
 
 MODES = ("strict", "relaxed", "elide")
 
@@ -175,17 +171,22 @@ class TestQueueFabric:
         assert 1 <= len(to_leaver) <= 2
 
 
+#: Byte pairs in a frame larger than a pipe (96 KiB).
+BIG = 48 << 10
+
+
 class TestPipeSenderQueue:
     def test_deferred_and_inline_frames_under_preemption(self):
-        # Four ranks and their sender threads in one process, every
-        # boundary a frame the inline push refuses (8 KiB of bytes ride
-        # the pipe message) to one peer and an inline one to the others,
-        # rotating; a 1 µs switch interval preempts the calling thread
-        # and the sender thread mid-handoff.  A lost or reordered frame
-        # either hangs a rank or changes what it received.
+        # Four ranks as threads of one process, every boundary a frame
+        # larger than a pipe (96 KiB of bytes in the stream: written in
+        # part, the rest queued and flushed while its sender reads) to
+        # one peer and a small one, written at once, to the others,
+        # rotating; a 1 µs switch interval preempts every rank mid-write
+        # and mid-read.  A lost or reordered byte either hangs a rank or
+        # changes what it received.
         nprocs, rounds = 4, 200
-        transport = FrameTransport(nprocs, mp.get_context("fork"))
-        channels = [_FrameChannel(pid, nprocs, transport, 1)
+        transport = Pipes(nprocs)
+        channels = [_PipeLink(pid, transport).channel(1, nprocs, "strict")
                     for pid in range(nprocs)]
         got = [[] for _ in range(nprocs)]
 
@@ -194,7 +195,7 @@ class TestPipeSenderQueue:
                 big = (pid + step) % nprocs
                 outbox = [Packet(src=pid, dst=q, seq=0, h=1,
                                  payload=bytes([pid, step]) * (
-                                     4096 if q == big else 1))
+                                     BIG if q == big else 1))
                           for q in range(nprocs) if q != pid]
                 runs = channels[pid].exchange(pid, step, outbox)
                 got[pid].append(sorted(bytes(p.payload)
@@ -217,18 +218,17 @@ class TestPipeSenderQueue:
         assert not any(thread.is_alive() for thread in threads), "wedged"
         for pid in range(nprocs):
             assert got[pid] == [sorted(
-                bytes([q, step]) * (4096 if (q + step) % nprocs == pid
+                bytes([q, step]) * (BIG if (q + step) % nprocs == pid
                                     else 1)
                 for q in range(nprocs) if q != pid)
                 for step in range(rounds)]
-        assert all(channel._sender is not None for channel in channels)
 
 
 class TestEarlyDepartureOnRealFabrics:
     @pytest.mark.parametrize("cls", [ProcessBackend, TcpBackend])
     def test_a_rank_that_returns_early_wedges_nobody(self, cls):
         # 40 supersteps of 8 KiB at pid 1 would fill a pipe nobody reads
-        # (8 KiB bytes ride the pipe message, off the inline path).
+        # (bytes ride the stream, whatever the shm plane).
         with cls.pool(2, join_timeout=10.0) as backend:
             run = backend.run(leaves_early, 2, args=(40, 8192))
             assert run.results == ["stayed", "left"]

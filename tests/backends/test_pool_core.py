@@ -115,7 +115,7 @@ class TestGather:
     def test_outcomes_in_any_order_strays_ignored(self, fakes):
         source, procs = fakes(2)
         source.post(("ok", 6, 0, "stale run", None),       # earlier run
-                    ("fenced", 7, 0, None, None),           # a fence ack
+                    ("fenced", 7, 0, None, None),           # another ack
                     ("remeshed", 7, 1, None, None),         # a heal ack
                     ("ok", 7, 5, "idle rank", None),        # beyond nprocs
                     ("ok", 7, 1, "r1", "l1"),

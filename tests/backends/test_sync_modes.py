@@ -246,8 +246,8 @@ class TestSixAppLedgerIdentity:
         ("msp", "2.5k"), ("nbody", "1k"), ("matmult", "144"),
     ])
     def test_one_shot_processes_golden_ledgers(self, app, size):
-        """A pool of one run has no recycled region: every leased frame
-        takes the blocking push, in every mode."""
+        """A pool of one run: every leased frame takes a fresh region,
+        in every mode."""
         from repro.harness.runner import run_app
         golden = _ledger_key(run_app(app, size, 4))
         for mode in MODES:

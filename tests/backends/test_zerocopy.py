@@ -6,7 +6,7 @@ receive-side copy — the array a program reads out of ``bsp.get_pkt()``
 is backed by the shared pages themselves.  Exercised here:
 
 * the sender-side :class:`SegmentPool` (bump allocation, free-list
-  reuse, recycled-only leases, rewind on full release, generation bumps)
+  reuse, rewind on full release, generation bumps)
   and receiver-side :class:`LeaseTable` (refcount liveness probe,
   stale-generation detection) in isolation;
 * transport round-trips: out-of-band buffers lease (hit counter), one
@@ -28,7 +28,6 @@ is backed by the shared pages themselves.  Exercised here:
 """
 
 import errno
-import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -38,10 +37,11 @@ from hypothesis import strategies as st
 from repro import bsp_run
 from repro import faults
 from repro.backends import shm
-from repro.backends.frames import FrameTransport
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import PoolExhaustedError, WorkerCrashError
 from repro.core.packets import Packet, h_units
+
+from .pipes import Pipes
 
 # Comfortably above the in-band cut (float64 count): out-of-band.
 BIG_N = 20_000
@@ -197,27 +197,6 @@ class TestSegmentPool:
             pool.close()
             shm.sweep_segments(pool._token, {0: pool._created})
 
-    def test_recycled_lease_never_maps_or_passes_the_high_water_mark(self):
-        pool = shm.SegmentPool(shm.fabric_token(), 0)
-        try:
-            assert pool.lease(1, 4096, recycled=True) is None
-            assert pool.segments == 0  # nothing was mapped for the refusal
-            a, _, _, _ = pool.lease(1, 4096)
-            assert pool.lease(1, 4096, recycled=True) is None  # a is held
-            pool.release([a])  # last lease home: rewound, mark stays
-            (seg,) = pool._pools[1]
-            assert (seg.used, seg.high) == (0, 4096)
-            assert pool.lease(1, 8192, recycled=True) is None  # over the mark
-            b, _, off, view = pool.lease(1, 1024, recycled=True)
-            assert off == 0 and (seg.used, seg.high) == (1024, 4096)
-            # The bump pointer is per destination: no room for pid 2.
-            assert pool.lease(2, 1024, recycled=True) is None
-            assert pool.segments == 1
-            del view
-        finally:
-            pool.close()
-            shm.sweep_segments(pool._token, {0: pool._created})
-
     def test_aliased_region_recycles_after_its_last_holder(self):
         pool = shm.SegmentPool(shm.fabric_token(), 0)
         try:
@@ -225,10 +204,11 @@ class TestSegmentPool:
             a, name, off, _ = pool.lease(1, 4096)
             alias = pool.alias(a)
             pool.release([a])
-            assert pool.lease(1, 4096, recycled=True) is None  # alias holds it
+            _, _, off_new, _ = pool.lease(1, 4096)
+            assert off_new != off  # the alias holds it: a fresh region
             assert pool.alias(a) is None  # a released id cannot be aliased
             pool.release([alias])
-            _, name2, off2, view = pool.lease(1, 4096, recycled=True)
+            _, name2, off2, view = pool.lease(1, 4096)
             assert (name2, off2) == (name, off)
             del view
         finally:
@@ -247,8 +227,8 @@ class TestSegmentPool:
             assert pool.generation == 1 and not seg.free
             assert (seg.used, seg.outstanding) == (0, 0)
             pool.release([pin])  # a dead generation's id: ignored
-            _, _, off, view = pool.lease(1, 4096, recycled=True)
-            assert off == 0  # the bump pointer, below the old mark
+            _, _, off, view = pool.lease(1, 4096)
+            assert off == 0  # the bump pointer, rewound
             del view
         finally:
             pool.close()
@@ -319,7 +299,7 @@ class TestLeaseTable:
     def test_equal_ids_from_two_senders_are_two_leases(self):
         """Lease ids count per sender pool: senders 0 and 2 both hand
         pid 1 their lease 1, and both come home."""
-        transport = FrameTransport(3, mp.get_context("fork"))
+        transport = Pipes(3)
         try:
             for src in (0, 2):
                 transport.send_packets(1, 1, 0, src, [
@@ -344,7 +324,7 @@ def _pkt(src, dst, payload, seq=0):
 class TestTransportRoundTrip:
     @pytest.fixture()
     def transport(self):
-        t = FrameTransport(2, mp.get_context("fork"))
+        t = Pipes(2)
         yield t
         t.close()
 
@@ -430,7 +410,7 @@ class TestTransportRoundTrip:
         """The same buffer sent to two peers is copied into its segment
         once; the second frame carries an aliased lease over the same
         bytes, and the segment rewinds only after both release."""
-        transport = FrameTransport(3, mp.get_context("fork"))
+        transport = Pipes(3)
         try:
             block = np.arange(BIG_N, dtype=np.float64)
             transport.send_packets(1, 1, 0, 0, [_pkt(0, 1, block)])
@@ -459,7 +439,7 @@ class TestTransportRoundTrip:
 
     def test_off_mode_counts_fallbacks(self, monkeypatch):
         monkeypatch.setenv("REPRO_ZEROCOPY", "off")
-        transport = FrameTransport(2, mp.get_context("fork"))
+        transport = Pipes(2)
         try:
             arrays = [np.arange(1000.0) + i for i in range(3)]  # 8 KB each
             transport.send_packets(1, 1, 0, 0, [
@@ -519,7 +499,7 @@ class TestPooledEndToEnd:
 
     def test_pool_reuse_reuses_segments(self):
         """Back-to-back runs on one warm pool must not grow /dev/shm —
-        the fence rewinds pools instead of unlinking them.  Under elide
+        released regions are leased again.  Under elide
         with a declared ring the releases come home on dedicated frames
         (no boundary frame is owed to the owner) and each run moves more
         bytes per link than a segment holds: the count still stops at
