@@ -23,6 +23,10 @@ Scenarios
 * ``halo-small``   — one 528-byte float64 row per peer per superstep on a
   warm p=2 pool (ocean-66's ghost exchange): microseconds per boundary,
   strict and relaxed — per-frame software overhead, no bandwidth.
+* ``one-frame``    — one process, no peer: one ocean ghost-row packet
+  (a 528-byte row in a tuple) encoded onto a pipe of the pipe fabric,
+  read back, decoded and unpickled — the per-frame software toll of
+  the codec alone, in µs of CPU per frame (min of repeats).
 * ``halo-ladder``  — the shm plane just above the in-band cut: µs per
   boundary for 1 and 16 float64 arrays per peer of 2 KiB … 64 KiB − 8,
   p ∈ {2, 4}, strict and relaxed, on one warm pool per p (one recycled
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import sys
@@ -214,6 +219,40 @@ def bench_halo_small(steps: int, *, repeats: int) -> dict:
                        for _ in range(repeats))
             out[f"{sync}_us_per_boundary"] = round(wall / steps * 1e6, 1)
     return out
+
+
+def bench_one_frame(iters: int, *, repeats: int) -> dict:
+    """CPU of one ghost-row frame through the pipe fabric's codec, send
+    to decode, in one process."""
+    from repro.backends.frames import TAG_PKT, encode_packets
+    from repro.backends.processes import FrameTransport
+    from repro.core.packets import Packet
+
+    size = 66  # ocean-66's ghost row, as exchange_ghosts sends it
+    transport = FrameTransport(2)
+    try:
+        wfd, rfd = transport.fds(0, 1)[1], transport.fds(1, 0)[0]
+        dec = transport.link(1, 0).dec
+
+        def one_pass() -> float:
+            t0 = time.process_time()
+            for step in range(iters):
+                row = np.arange(size, dtype=np.float64)
+                chunks = transport.encode(1, TAG_PKT, 1, step, 0,
+                                          *encode_packets([Packet(
+                                              src=0, dst=1, seq=0, h=size,
+                                              payload=("gt", 0, row))]))
+                os.writev(wfd, chunks)
+                (frame,) = dec.feed(os.read(rfd, 1 << 16))
+                (pkt,) = transport.open(1, frame).packets(1)
+            return time.process_time() - t0
+
+        one_pass()  # warm
+        cpu = min(one_pass() for _ in range(repeats))
+    finally:
+        transport.close()
+    return {"array_bytes": size * 8, "frames": iters,
+            "us_per_frame": round(cpu / iters * 1e6, 2)}
 
 
 #: From the in-band cut up to where a frame no longer fits a pipe.
@@ -394,6 +433,13 @@ def main(argv=None) -> int:
               f"us/boundary, relaxed "
               f"{scenarios['halo-small']['relaxed_us_per_boundary']:.1f} "
               f"us/boundary (528 B per peer)")
+
+    # Many short passes: the minimum is the pass nothing preempted.
+    scenarios["one-frame"] = bench_one_frame(
+        1000, repeats=10 if args.quick else 40)
+    print(f"{'one-frame':14s} "
+          f"{scenarios['one-frame']['us_per_frame']:.1f} us/frame CPU, "
+          f"send to decode (528 B row, in-process)")
 
     if hasattr(ProcessBackend, "pool") and not args.quick:
         scenarios["halo-ladder"] = bench_halo_ladder(200, repeats=5)

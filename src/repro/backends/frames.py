@@ -2,45 +2,38 @@
 
 The paper's central claim about superstep discipline is that it lets the
 library "combine messages and schedule the total exchange" (Section 1).
-This module is that combining layer: instead of pickling a Python
-``list[Packet]`` per peer — one reduce call and one payload copy per
-packet — each per-destination bucket crosses the process boundary as
-**one frame**, and so does everything else that crosses one — a run's
-``(program, args, kwargs, sync)``, a rank's outcome — all through
-:func:`encode_object`:
+This module is that combining layer: each per-destination bucket of
+packets crosses the process boundary as **one frame**, and so does
+everything else that crosses one — a run's ``(program, args, kwargs,
+sync)``, a rank's outcome — all through :func:`encode_object`:
 
-* the *meta* blob: the packets' ``seq``/``h`` arrays plus their
-  payloads, serialized once with pickle protocol 5 so that contiguous
-  buffers (NumPy halos, Cannon blocks, essential trees) are split out as
-  out-of-band buffers instead of being copied into the pickle stream.
-  *Small* buffers — under :data:`_INBAND_MAX` — stay in the stream: for
+* the *meta* blob: one protocol-5 pickle of the packets' ``seq``/``h``
+  arrays and payloads.  Contiguous buffers of :data:`_INBAND_MAX` bytes
+  or more leave it as out-of-band buffers; smaller ones stay in it (for
   a 528-byte ghost row a shared-memory round trip costs more than the
-  copy it saves;
-* the out-of-band *buffers* themselves, as raw memoryviews over their
-  exporters: no intermediate copy.
+  copy it saves), and a small array is pickled as its dtype code, shape
+  and bytes rather than through NumPy's reduce;
+* the out-of-band *buffers*, as raw memoryviews over their exporters.
 
-How a frame travels is the fabric's: every link of either fabric is a
-byte stream of :mod:`~repro.backends.tcp_wire` frames.  On the pipe
-fabric (:mod:`repro.backends.processes`) a frame's out-of-band buffers
-go into **one leased region** of the sender's shared-memory segment
-pool (:mod:`repro.backends.shm`), named in the frame header, and the
-receiver reconstructs the payloads with ``pickle.loads(meta,
-buffers=...)`` directly over views of the shared pages: one copy end to
-end.  On sockets, and on pipes when no region can be had
-(``REPRO_ZEROCOPY=off``, or ``/dev/shm`` refusing a segment), the
-buffers follow the header in the stream, sent straight from the source
-memoryviews.
-
-Everything here is transport: h-unit accounting is carried through
-byte-for-byte (``seq`` and ``h`` ride the frame metadata), so ledgers are
-identical to the per-packet implementation's.
+Every link of either fabric is a byte stream of
+:mod:`~repro.backends.tcp_wire` frames.  On the pipe fabric a frame's
+out-of-band buffers go into **one leased region** of the sender's
+shared-memory segment pool (:mod:`repro.backends.shm`), named in the
+frame's lease, and the receiver unpickles over views of the shared
+pages: one copy end to end.  On sockets, and on pipes when no region can
+be had (``REPRO_ZEROCOPY=off``, or ``/dev/shm`` refusing a segment), the
+buffers follow the header in the stream.  ``seq`` and ``h`` ride the
+meta byte-for-byte, so ledgers are identical on every backend.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass
 from typing import Any, Sequence
+
+import numpy as np
 
 from ..core.packets import Packet
 
@@ -55,7 +48,7 @@ TAG_RELEASE = 5
 TAG_RESULT = 8
 
 #: The one cut of the data plane.  Payload buffers smaller than this
-#: stay in the pickle stream: a ghost row then rides its frame's header
+#: stay in the pickle stream: a ghost row then rides its frame's meta
 #: instead of a shared-memory round trip that saves a copy of a few
 #: hundred bytes.  Everything else rides a shared-memory lease on the
 #: pipe fabric, and the stream beside the header on sockets.
@@ -96,14 +89,47 @@ class Frame:
     lease: Any = None
 
     def packets(self, dst: int) -> list[Packet]:
-        """Decode into :class:`Packet` objects addressed to ``dst``."""
-        assert self.meta is not None
+        """Decode into :class:`Packet` objects addressed to ``dst``; an
+        empty bucket has no ``meta`` at all."""
+        if not self.meta:
+            return []
         seqs, hs, payloads = pickle.loads(self.meta, buffers=self.buffers)
         src = self.src
         return [
             Packet(src=src, dst=dst, payload=payload, h=h, seq=seq)
             for seq, h, payload in zip(seqs, hs, payloads)
         ]
+
+
+#: The builtin numeric dtypes the small-array reducer pickles as a code.
+_CODES = {np.dtype(c): np.dtype(c).str for c in
+          "?" + np.typecodes["AllInteger"] + np.typecodes["AllFloat"]}
+
+
+def _array(code: str, shape: tuple, data: bytearray) -> np.ndarray:
+    """A small array :func:`encode_object` pickled by value: writable,
+    over its own bytes."""
+    a = np.frombuffer(data, code)
+    return a if a.shape == shape else a.reshape(shape)
+
+
+def _reduce_array(a: np.ndarray) -> tuple:
+    """Pickle a small writable array as its dtype code, shape and raw
+    bytes — NumPy's own reduce pickles the dtype object, which costs
+    more than the bytes of a ghost row.  Every other array (a non-numeric
+    dtype, a strided or read-only one, or one large enough to leave the
+    stream) takes NumPy's reduce."""
+    dtype = a.dtype
+    if a.nbytes < _INBAND_MAX and dtype.isbuiltin == 1:
+        code, flags = _CODES.get(dtype), a.flags
+        if code is not None and flags.c_contiguous and flags.writeable:
+            return _array, (code, a.shape, bytearray(a))
+    return a.__reduce_ex__(5)
+
+
+class _Pickler(pickle.Pickler):
+    #: Looked up by exact type: an ndarray subclass keeps its own reduce.
+    dispatch_table = {np.ndarray: _reduce_array}
 
 
 def encode_object(obj: Any) -> tuple[bytes, list[memoryview]]:
@@ -113,7 +139,8 @@ def encode_object(obj: Any) -> tuple[bytes, list[memoryview]]:
     ``meta`` is a protocol-5 pickle of ``obj``; contiguous buffers of
     :data:`_INBAND_MAX` bytes or more stay out of it and come back as
     raw memoryviews over their exporters (no intermediate copy).
-    ``pickle.loads(meta, buffers=...)`` is the inverse.
+    ``pickle.loads(meta, buffers=...)`` is the inverse.  One pickler
+    per call: executor threads encode concurrently.
     """
     pbufs: list[pickle.PickleBuffer] = []
 
@@ -123,7 +150,9 @@ def encode_object(obj: Any) -> tuple[bytes, list[memoryview]]:
         pbufs.append(pb)
         return False
 
-    meta = pickle.dumps(obj, protocol=5, buffer_callback=split)
+    out = io.BytesIO()
+    _Pickler(out, protocol=5, buffer_callback=split).dump(obj)
+    meta = out.getvalue()
     buffers = []
     for pb in pbufs:
         try:
@@ -136,7 +165,10 @@ def encode_object(obj: Any) -> tuple[bytes, list[memoryview]]:
 def encode_packets(packets: Sequence[Packet]
                    ) -> tuple[bytes, list[memoryview]]:
     """Combine one per-destination bucket into (meta, out-of-band
-    buffers): :func:`encode_object` of ``(seqs, hs, payloads)``."""
+    buffers): :func:`encode_object` of ``(seqs, hs, payloads)``, and no
+    meta at all for an empty bucket."""
+    if not packets:
+        return b"", []
     return encode_object(([p.seq for p in packets], [p.h for p in packets],
                           [p.payload for p in packets]))
 

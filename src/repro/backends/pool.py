@@ -148,7 +148,7 @@ def write_all(fd: int, chunks: Sequence[Any]) -> None:
     """Write one whole frame to a non-blocking stream, waiting while it
     is full: only for a stream whose reader keeps reading (a control
     link, a result pipe)."""
-    if len(chunks) == 2:  # nothing beside the header: one write
+    if len(chunks) == 3:  # no buffers beside the header: one write
         chunks = [b"".join(chunks)]
     for chunk in chunks:
         mv = memoryview(chunk).cast("B")

@@ -1,75 +1,54 @@
-"""Length-prefixed binary wire protocol for the TCP backend (Appendix B.3).
+"""The byte-stream frame format both fabrics share (Appendix B.3).
 
 The paper's third library version runs "on a network of PCs ... using
 TCP"; its transport moves the same combined boundary frames as the other
-versions, just over a byte stream instead of pipes or shared buffers.
-This module defines that stream format and nothing else — no sockets, no
-event loop — so it is unit-testable against partial reads, frames split
-at arbitrary byte boundaries, and corrupt or oversized headers.
+versions, over a byte stream.  Every link of either fabric — a socket of
+the TCP mesh, a pipe of the process backend — carries this format, and
+this module is that format and nothing else (no sockets, no event
+loop), so it is unit-testable against partial reads, frames split at
+any byte, and corrupt or oversized fields.
 
-One wire frame (protocol version 3) is::
+One wire frame (protocol version 5) is::
 
-    envelope | header (pickle) | buffer bytes ... | u32 crc32
+    envelope | u64 buffer lengths | meta | lease | buffers | u32 crc32
 
-where ``envelope`` is the fixed 23-byte struct
-``version u8 | flags u8 | seq i64 | ack i64 | header_len u32 | echk u8``
-(``echk`` is the XOR of the preceding 22 envelope bytes, so any
-single-bit flip inside the envelope is caught before its fields are
-trusted), and ``header`` is the pickled tuple ``(tag, run_id, step, src,
-lens, meta, lease)``:
-
-* ``tag`` — frame kind (:data:`~repro.backends.frames.TAG_PKT` and its
-  control siblings, plus the TCP-only tags below);
-* ``run_id`` / ``step`` / ``src`` — the same addressing the process
-  backend's frames carry, so stale frames from an aborted run are
-  filtered identically;
-* ``lens`` — sizes of the out-of-band buffers that follow the header,
-  in order; the payload bytes are **not** inside the pickle stream;
-* ``meta`` — the pickle-5 metadata blob produced by
-  :func:`repro.backends.frames.encode_packets` (for packet frames) or a
-  small pickled object (for control frames);
-* ``lease`` — ``None`` on sockets; on the pipe fabric, the lease ids
-  going home to the receiver and the shared-memory region that holds
-  the frame's buffers instead of the stream
-  (:attr:`~repro.backends.frames.Frame.lease`).
-
-``seq`` is the per-link sequence number a mesh channel assigns at send
-time (``-1``: unsequenced control-plane frame); ``ack`` piggybacks the
-sender's cumulative receive position on the reverse direction, which is
-what lets the peer trim its retransmit journal.  The trailing CRC32
-(every frame carries one; :data:`FLAG_CRC` says so) covers the header
-bytes plus the first
-:data:`CRC_PAYLOAD_CAP` payload bytes — full coverage for every control
-and boundary frame the protocol itself produces, bounded cost for
-multi-megabyte application payloads whose tails remain under the
-TCP/link-layer checksums (the cap is a protocol constant so both ends
-always agree on the covered span).
+* ``envelope`` — one fixed struct (:data:`ENVELOPE_BYTES`): version,
+  flags, ``tag``, ``src``, ``seq``, ``ack``, ``run_id``, ``step`` and
+  the counts ``nbufs``, ``meta_len`` and ``lease_len``, closed by the
+  crc32 of those fields: any damage to the envelope is caught before a
+  field is trusted.  ``seq`` is the per-link sequence number a mesh
+  channel assigns at send time (``-1``: unsequenced), ``ack`` the
+  sender's cumulative receive position on the reverse direction;
+* ``meta`` — the raw bytes of :func:`~repro.backends.frames.encode_object`
+  (an empty bucket has none), so the ``seq``/``h`` arrays ride
+  byte-for-byte and ledgers stay bit-identical across backends;
+* ``lease`` — pickled, present only on pipe frames that carry lease ids
+  home or name the shared-memory region holding the buffers
+  (:attr:`~repro.backends.frames.Frame.lease`);
+* ``buffers`` — the out-of-band payload buffers, in the stream;
+* the trailer — the CRC32 of the header (lengths, meta, lease) plus the
+  first :data:`CRC_PAYLOAD_CAP` payload bytes: full coverage for every
+  frame the protocol produces, bounded cost for multi-megabyte payloads
+  whose tails stay under the TCP/link-layer checksums.  It leaves the
+  envelope out, so :func:`reenvelope` re-sequences a frame by swapping
+  its first chunk.
 
 Corruption surfaces on two disjoint paths:
 
-* **structural** — a bad version byte, an envelope checksum mismatch, a
-  cleared :data:`FLAG_CRC`, an insane length, an unpicklable header: the
-  stream framing itself can no
-  longer be trusted, so the decoder raises
-  :class:`~repro.core.errors.PacketError` and the owning link must be
-  reset and replayed from the journal;
-* **recoverable** — framing intact but the CRC disagrees: the decoder
-  stays synchronized, swallows the damaged frame, and emits a
+* **structural** — an envelope crc mismatch, a wrong version, a cleared
+  :data:`FLAG_CRC`, a length over its bound, an undecodable lease: the
+  stream framing can no longer be trusted, so the decoder raises
+  :class:`~repro.core.errors.PacketError` and the owning link is reset
+  and replayed from its journal;
+* **recoverable** — framing intact but the trailer disagrees: the
+  decoder stays synchronized, swallows the frame, and emits a
   :data:`TAG_CORRUPT` marker so the channel can NACK exactly one
-  sequence number and keep the connection.
+  sequence number.
 
-Packet frames reuse the exact per-destination combining and out-of-band
-buffer layout of :mod:`repro.backends.frames`: the ``seq`` and ``h``
-arrays ride ``meta`` byte-for-byte, which is what keeps the ``H``
-accounting bit-identical to the other backends.
-
-The decoder (:class:`FrameDecoder`) is incremental: feed it whatever
-a read returned and it yields every frame completed so far, keeping
-partial bytes buffered — for the sockets of the TCP mesh and the pipes
-of the process backend alike.  It rejects frames whose header or total buffer
-size exceeds a bound (:class:`~repro.core.errors.PacketError`) so a
-corrupt or hostile length prefix cannot make a rank allocate unbounded
-memory.
+:data:`MAX_HEADER_BYTES` bounds the lengths and the lease, and
+``max_frame_bytes`` the meta plus buffer bytes, so a hostile count
+cannot make a rank allocate unbounded memory — and a large in-band
+payload is bounded as payload, not mistaken for a corrupt header.
 """
 
 from __future__ import annotations
@@ -112,7 +91,7 @@ TAG_CORRUPT = -1
 
 #: Protocol version carried in every envelope; a mismatch is structural
 #: corruption (or an old peer) and resets the link.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 #: Envelope flag: the trailer is the frame's CRC32.  Every frame sets it;
 #: one without is structural corruption.
@@ -122,102 +101,83 @@ FLAG_CRC = 0x01
 #: full).  A protocol constant — both ends must agree on the span.
 CRC_PAYLOAD_CAP = 128 << 10
 
-#: version u8 | flags u8 | seq i64 | ack i64 | header_len u32 (then echk u8).
-_ENV_BODY = struct.Struct("<BBqqI")
-#: Total envelope size including the trailing XOR check byte.
-ENVELOPE_BYTES = _ENV_BODY.size + 1
+#: version u8 | flags u8 | tag i16 | src i32 | seq i64 | ack i64 |
+#: run_id i64 | step i64 | nbufs u32 | meta_len u64 | lease_len u32 ...
+_ENV = struct.Struct("<BBhiqqqqIQI")
+#: ... then the crc32 of those 56 bytes: the whole envelope.
+_ENV_CRC = struct.Struct(_ENV.format + "I")
+ENVELOPE_BYTES = _ENV_CRC.size
 
-#: u32 little-endian CRC trailer / rendezvous length prefix.
+#: u32 little-endian CRC word / rendezvous length prefix.
 _PREFIX = struct.Struct("<I")
 
-#: Ceiling on one pickled header (the header carries ``meta``, which for
-#: packet frames holds every payload's pickle metadata — generous, but a
-#: corrupt prefix claiming gigabytes must die here, not in bytearray()).
+#: Ceiling on a frame's header beside ``meta`` — its buffer lengths and
+#: its lease — and on a rendezvous message: a corrupt count claiming
+#: gigabytes must die here, not in an allocation.
 MAX_HEADER_BYTES = 64 << 20
 
-#: Ceiling on the out-of-band buffer bytes of a single frame.
+#: Ceiling on the ``meta`` plus buffer bytes of a single frame.
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
 
-def _xor(body: bytes | bytearray) -> int:
-    """XOR of the 22 envelope body bytes, folded in a few integer ops."""
-    x = int.from_bytes(body[:_ENV_BODY.size], "little")
-    x ^= x >> 128
-    x ^= x >> 64
-    x ^= x >> 32
-    x ^= x >> 16
-    x ^= x >> 8
-    return x & 0xFF
-
-
-def pack_envelope(seq: int, ack: int, hlen: int) -> bytes:
-    """The 23-byte frame envelope, XOR check byte included."""
-    body = _ENV_BODY.pack(WIRE_VERSION, FLAG_CRC, seq, ack, hlen)
-    return body + bytes((_xor(body),))
+def pack_envelope(*fields: int) -> bytes:
+    """The envelope of ``fields`` (in :data:`_ENV` order), sealed with
+    their crc32."""
+    body = _ENV.pack(*fields)
+    return body + _PREFIX.pack(zlib.crc32(body))
 
 
 def _crc_frame(header: bytes, buffers: Sequence[Any]) -> int:
     """CRC32 over the header plus the first CRC_PAYLOAD_CAP payload bytes."""
-    crc = zlib.crc32(header)
-    if not buffers:
-        return crc
-    covered = 0
+    crc, room = zlib.crc32(header), CRC_PAYLOAD_CAP
     for buf in buffers:
-        if covered >= CRC_PAYLOAD_CAP:
+        if room <= 0:
             break
-        mv = memoryview(buf)
-        if mv.format != "B" or mv.ndim != 1:
-            mv = mv.cast("B")
-        take = min(mv.nbytes, CRC_PAYLOAD_CAP - covered)
-        crc = zlib.crc32(mv[:take] if take < mv.nbytes else mv, crc)
-        covered += take
+        mv = memoryview(buf).cast("B")
+        crc = zlib.crc32(mv[:room], crc)
+        room -= mv.nbytes
     return crc
 
 
 def encode_frame(tag: int, run_id: int, step: int, src: int,
                  meta: bytes | None = None,
                  buffers: Sequence[Any] = (), lease: Any = None) -> list[Any]:
-    """Encode one unsequenced frame as a list of wire chunks (no payload
-    copies).
+    """Encode one unsequenced frame as wire chunks, copying no payload:
+    ``[envelope, header, *buffers, crc]``.
 
-    The first chunk is ``envelope + header``; each out-of-band buffer
-    follows as its own chunk (a memoryview straight over the source
-    object), and the CRC trailer closes the frame — so callers can hand
-    the list to a vectored/queued send without ever concatenating
-    payload bytes.  A mesh link sequences the frame with
-    :func:`reenvelope` when it sends it.
+    The header is the buffer lengths, ``meta`` and the pickled
+    ``lease``; each out-of-band buffer follows as its own chunk (a
+    memoryview straight over the source object), so callers hand the
+    list to a vectored/queued send without concatenating payload bytes.
+    A mesh link sequences the frame with :func:`reenvelope` when it
+    sends it.
     """
-    lens = tuple(memoryview(b).nbytes for b in buffers) if buffers else ()
-    header = pickle.dumps((tag, run_id, step, src, lens, meta, lease),
-                          protocol=pickle.HIGHEST_PROTOCOL)
-    return [pack_envelope(-1, -1, len(header)) + header, *buffers,
-            _PREFIX.pack(_crc_frame(header, buffers))]
+    meta = meta or b""
+    pickled = b"" if lease is None else pickle.dumps(
+        lease, protocol=pickle.HIGHEST_PROTOCOL)
+    lens = struct.pack(f"<{len(buffers)}Q", *[
+        memoryview(b).nbytes for b in buffers]) if buffers else b""
+    header = lens + meta + pickled  # meta alone when the rest is empty
+    return [pack_envelope(WIRE_VERSION, FLAG_CRC, tag, src, -1, -1, run_id,
+                          step, len(buffers), len(meta), len(pickled)),
+            header, *buffers, _PREFIX.pack(_crc_frame(header, buffers))]
 
 
 def reenvelope(chunks: Sequence[Any], seq: int, ack: int) -> list[Any]:
     """Re-address an encoded frame with fresh ``seq``/``ack`` fields.
 
-    The CRC trailer intentionally excludes the envelope, so one encoded
-    payload (an empty final, a broadcast result) can be re-sequenced per
-    peer by rebuilding only the small first chunk — header and payload
-    bytes are shared untouched.
+    The CRC trailer leaves the envelope out, so one encoded payload (an
+    empty final, a broadcast result) is re-sequenced per peer by
+    swapping the envelope alone — header and payload chunks are shared
+    untouched.
     """
-    first = memoryview(chunks[0])
-    if first.format != "B" or first.ndim != 1:
-        first = first.cast("B")
-    hlen = _ENV_BODY.unpack_from(first)[4]
-    head = pack_envelope(seq, ack, hlen) + bytes(first[ENVELOPE_BYTES:])
-    return [head, *chunks[1:]]
+    fields = _ENV.unpack_from(chunks[0])
+    return [pack_envelope(*fields[:4], seq, ack, *fields[6:]), *chunks[1:]]
 
 
 def encode_packet_frame(run_id: int, step: int, src: int,
                         packets: Sequence[Packet]) -> list[Any]:
-    """One combined boundary frame for a per-destination packet bucket.
-
-    Reuses :func:`repro.backends.frames.encode_packets`, so the combined
-    layout (and therefore the ``seq``/``h`` accounting) is identical to
-    the process backend's frames.
-    """
+    """One combined boundary frame for a per-destination packet bucket."""
     return encode_frame(TAG_PKT, run_id, step, src, *encode_packets(packets))
 
 
@@ -230,111 +190,117 @@ def frame_object(frame: Frame) -> Any:
 class FrameDecoder:
     """Incremental frame decoder over a byte stream (socket or pipe).
 
-    Feed it arbitrary chunks (whatever a read returned); it yields the
-    frames completed so far and buffers the remainder.  Partial reads,
-    multiple frames per chunk, and frames split anywhere — including in
-    the middle of the 23-byte envelope — are all handled.
-
-    Corruption handling is two-tier (module docstring): structural
-    damage raises :class:`~repro.core.errors.PacketError`; a CRC
-    mismatch on an intact frame yields a :data:`TAG_CORRUPT` marker
-    frame (carrying the envelope's ``seq``) and decoding continues with
-    the next frame.
+    Feed it whatever a read returned — part of a frame, several frames,
+    a frame split anywhere; it returns the frames completed so far and
+    keeps the remainder.  Structural damage raises
+    :class:`~repro.core.errors.PacketError`; a trailer mismatch on an
+    intact frame yields a :data:`TAG_CORRUPT` marker carrying the
+    envelope's ``seq``, and decoding goes on with the next frame.
     """
 
-    __slots__ = ("_buf", "_env", "_header", "_hbytes", "_total",
-                 "_max_frame")
+    __slots__ = ("_buf", "_max_frame")
 
     def __init__(self, *, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
+        #: Bytes of a frame not yet complete.
         self._buf = bytearray()
-        #: Parsed envelope awaiting header/payload: (seq, ack, hlen).
-        self._env: tuple | None = None
-        #: Parsed header awaiting its buffer bytes, or None.
-        self._header: tuple | None = None
-        self._hbytes: bytes = b""
-        self._total = 0  # buffer bytes the pending header announced
         self._max_frame = max_frame_bytes
 
     def feed(self, data: bytes) -> list[Frame]:
-        """Consume ``data``; return every frame it completed."""
+        """Consume ``data``; return every frame it completed.
+
+        Frames are parsed in one pass over the read (or over the
+        leftover plus the read) by offsets; each buffer is copied out of
+        the stream once, and the leftover is kept once per feed.
+        """
         buf = self._buf
-        buf += data
+        if buf:
+            buf += data
+            data = buf
         frames: list[Frame] = []
-        while self._env is not None or len(buf) >= ENVELOPE_BYTES:
-            frame = self._next()
-            if frame is None:
-                break
-            frames.append(frame)
+        off, n = 0, len(data)
+        with memoryview(data) as mv:
+            while n - off >= ENVELOPE_BYTES:
+                end = self._frame(mv, off, n, frames)
+                if end < 0:
+                    break
+                off = end
+            if data is not buf:
+                buf += mv[off:]
+                off = 0
+        if off:  # the view is released: the buffer may shrink
+            del buf[:off]
         return frames
 
-    def _next(self) -> Frame | None:
-        buf = self._buf
-        if self._env is None:
-            if len(buf) < ENVELOPE_BYTES:
-                return None
-            version, flags, seq, ack, hlen = _ENV_BODY.unpack_from(buf)
-            if _xor(buf) != buf[_ENV_BODY.size]:
+    def _frame(self, mv: memoryview, off: int, n: int,
+               frames: list[Frame]) -> int:
+        """Parse the frame at ``off`` into ``frames`` and return where it
+        ends, or -1 while its bytes are not all in."""
+        (version, flags, tag, src, seq, ack, run_id, step, nbufs, mlen,
+         llen, echk) = _ENV_CRC.unpack_from(mv, off)
+        head = off + ENVELOPE_BYTES
+        if zlib.crc32(mv[off:head - 4]) != echk:
+            raise PacketError(
+                "wire frame envelope checksum mismatch (corrupt stream)")
+        if version != WIRE_VERSION:
+            raise PacketError(
+                f"wire protocol version {version} != {WIRE_VERSION} "
+                "(corrupt stream or incompatible peer)")
+        if not flags & FLAG_CRC:
+            raise PacketError("wire frame without a CRC trailer (corrupt "
+                              "stream or incompatible peer)")
+        lens: tuple = ()
+        total = mlen
+        if nbufs or llen:
+            if 8 * nbufs + llen > MAX_HEADER_BYTES:
                 raise PacketError(
-                    "wire frame envelope checksum mismatch (corrupt stream)")
-            if version != WIRE_VERSION:
-                raise PacketError(
-                    f"wire protocol version {version} != {WIRE_VERSION} "
-                    "(corrupt stream or incompatible peer)")
-            if not flags & FLAG_CRC:
-                raise PacketError(
-                    "wire frame without a CRC trailer (corrupt stream or "
-                    "incompatible peer)")
-            if not 0 < hlen <= MAX_HEADER_BYTES:
-                raise PacketError(
-                    f"wire frame header of {hlen} bytes exceeds the "
-                    f"{MAX_HEADER_BYTES}-byte bound (corrupt stream?)")
-            self._env = (seq, ack, hlen)
-        seq, ack, hlen = self._env
-        if self._header is None:
-            end = ENVELOPE_BYTES + hlen
-            if len(buf) < end:
-                return None
-            hbytes = buf[ENVELOPE_BYTES:end]
-            try:
-                header = pickle.loads(hbytes)
-                tag, run_id, step, src, lens, meta, lease = header
-            except Exception as exc:
-                raise PacketError(
-                    f"undecodable wire frame header: {exc}") from exc
-            total = sum(lens)
-            if total > self._max_frame:
-                raise PacketError(
-                    f"wire frame of {total} payload bytes exceeds the "
-                    f"{self._max_frame}-byte bound; raise max_frame_bytes "
-                    "or split the payload")
-            del buf[:end]
-            self._header, self._hbytes, self._total = header, hbytes, total
-        total = self._total
-        if len(buf) < total + _PREFIX.size:
-            return None
-        tag, run_id, step, src, lens, meta, lease = self._header
-        buffers: list[bytearray] = []
-        off = 0
-        for n in lens:
-            buffers.append(buf[off:off + n])
-            off += n
-        (wire_crc,) = _PREFIX.unpack_from(buf, total)
-        del buf[:total + _PREFIX.size]
-        self._env = self._header = None
-        if _crc_frame(self._hbytes, buffers) != wire_crc:
-            # Framing held (the envelope and header parsed, the byte
-            # count matched) but the content did not: a recoverable,
+                    f"wire frame header of {8 * nbufs + llen} bytes exceeds "
+                    f"the {MAX_HEADER_BYTES}-byte bound (corrupt stream?)")
+            if nbufs:
+                if n < head + 8 * nbufs:
+                    return -1
+                lens = struct.unpack_from(f"<{nbufs}Q", mv, head)
+                total += sum(lens)
+        if total > self._max_frame:
+            raise PacketError(
+                f"wire frame of {total} payload bytes exceeds the "
+                f"{self._max_frame}-byte bound; raise max_frame_bytes "
+                "or split the payload")
+        meta_at = head + 8 * nbufs
+        at = meta_at + mlen + llen  # the first buffer
+        end = at + total - mlen + 4
+        if n < end:
+            return -1
+        if zlib.crc32(mv[head:min(end - 4, at + CRC_PAYLOAD_CAP)]) != \
+                _PREFIX.unpack_from(mv, end - 4)[0]:
+            # Framing held (the envelope checked out, the byte count
+            # matched) but the content did not: a recoverable,
             # single-frame loss.  Stay synchronized and let the channel
             # NACK the sequence number.
-            return Frame(TAG_CORRUPT, -1, -1, -1, None, None, seq, ack)
-        return Frame(tag, run_id, step, src, meta, buffers, seq, ack,
-                     lease=lease)
+            frames.append(Frame(TAG_CORRUPT, -1, -1, -1, None, None,
+                                seq, ack))
+            return end
+        lease = None
+        if llen:
+            try:
+                lease = pickle.loads(mv[at - llen:at])
+            except Exception as exc:
+                raise PacketError(
+                    f"undecodable wire frame lease: {exc}") from exc
+        buffers = []
+        for size in lens:
+            buffers.append(bytearray(mv[at:at + size]))
+            at += size
+        frames.append(Frame(
+            tag, run_id, step, src,
+            bytes(mv[meta_at:meta_at + mlen]) if mlen else None,
+            buffers, seq, ack, 0, lease))
+        return end
 
     @property
     def mid_frame(self) -> bool:
         """True while a frame is partially received (stream not at a
         frame boundary) — used to detect truncation on EOF."""
-        return self._env is not None or len(self._buf) > 0
+        return len(self._buf) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from the worker's pool, copied out once by the parent.  Exercised here:
 """
 
 import os
-import pickle
 import statistics
 import time
 
@@ -43,7 +42,7 @@ from repro import faults
 from repro.apps.matmul.cannon import cannon_matmul
 from repro.backends import frames, shm
 from repro.backends.processes import BspPool, ProcessBackend
-from repro.backends.tcp import TcpBackend
+from repro.backends.tcp import TcpBackend, TcpMesh
 from repro.core.errors import (
     BspUsageError,
     VirtualProcessorError,
@@ -427,20 +426,21 @@ class TestTcpDispatch:
 
     def test_payload_is_pickled_once_for_all_ranks(self, monkeypatch):
         """One pass of one pickler, and the array is in no stream: it
-        follows the ``TAG_RUN`` header as a chunk of its own."""
-        streams = []
-        real_dumps = pickle.dumps
+        leaves ``encode_object`` as an out-of-band buffer, which follows
+        the ``TAG_RUN`` header as a chunk of its own."""
+        encoded = []
 
-        def dumps(*args, **kwargs):
-            stream = real_dumps(*args, **kwargs)
-            streams.append(len(stream))
-            return stream
+        def encode(obj):
+            meta, buffers = frames.encode_object(obj)
+            encoded.append((meta, [mv.nbytes for mv in buffers]))
+            return meta, buffers
 
         CountedReduce.pickles = 0
         big = np.arange(MIB, dtype=np.float64)
         with TcpBackend.pool(3) as backend:
-            monkeypatch.setattr(pickle, "dumps", dumps)  # the parent's only
+            monkeypatch.setattr(TcpMesh, "_encode", staticmethod(encode))
             run = backend.run(noop, 3, args=(CountedReduce(), big))
         assert run.results == [0, 1, 2]
         assert CountedReduce.pickles == 1
-        assert streams and max(streams) < big.nbytes
+        ((meta, lens),) = encoded  # one encoding for all three ranks
+        assert lens == [big.nbytes] and len(meta) < 1024

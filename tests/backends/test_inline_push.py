@@ -26,6 +26,7 @@ Exercised here:
 
 import fcntl
 import os
+import pickle
 import select
 import struct
 import termios
@@ -39,7 +40,8 @@ from hypothesis import strategies as st
 
 from repro import bsp_run
 from repro import faults
-from repro.backends import frames
+from repro.backends import frames, tcp_wire
+from repro.backends.frames import TAG_PKT, encode_packets
 from repro.backends.processes import BspPool, ProcessBackend, _PipeLink
 from repro.core.errors import DeadlockError, VirtualProcessorError
 from repro.core.packets import Packet, h_units
@@ -295,7 +297,16 @@ def test_mutual_large_pushes_complete(monkeypatch, nprocs, sync, zerocopy):
 _CUT = frames._INBAND_MAX // 8  # float64 elements at the in-band cut
 
 
+class _Tagged(np.ndarray):
+    """An ndarray subclass: pickled by NumPy's reduce, type and all."""
+
+
+#: Kinds NumPy pickles by value whatever their size: no lease.
+_BY_VALUE = {"datetime64", "object", "subclass"}
+
+
 def _variant(kind, n):
+    """An array of ``kind`` of about ``8 * n`` bytes."""
     base = np.arange(n, dtype=np.float64) * 0.5 - 3.0
     if kind == "readonly":
         base.flags.writeable = False
@@ -311,6 +322,22 @@ def _variant(kind, n):
         base = np.arange(n, dtype=np.int32)
     elif kind == "0-d":
         base = np.array(float(n))
+    elif kind == "big-endian":
+        base = base.astype(">f8")
+    elif kind == "bool":
+        base = np.arange(8 * n) % 3 == 0
+    elif kind == "complex":
+        base = np.arange(n // 2) * (1.5 - 2j)
+    elif kind == "datetime64":
+        base = np.arange(n).astype("M8[s]")
+    elif kind == "structured":
+        base = np.zeros(n, dtype=[("a", "<i4"), ("b", "<f4")])
+        base["a"], base["b"] = np.arange(n), np.arange(n) * 0.25
+    elif kind == "object":
+        base = np.array([0.5 * i for i in range(min(n, 512))] + [None],
+                        dtype=object)
+    elif kind == "subclass":
+        base = base.view(_Tagged)
     return base
 
 
@@ -321,29 +348,56 @@ _sizes = st.one_of(st.sampled_from([0, 1, _CUT - 1, _CUT, _CUT + 1]),
 @settings(max_examples=25, deadline=None)
 @given(specs=st.lists(st.tuples(
     st.sampled_from(["plain", "readonly", "strided", "fortran", "int32",
-                     "0-d"]), _sizes), min_size=1, max_size=5))
+                     "0-d", "big-endian", "bool", "complex", "datetime64",
+                     "structured", "object", "subclass"]), _sizes),
+    min_size=1, max_size=5))
 def test_roundtrip_straddling_the_cut(specs):
     sent = [_variant(kind, n) for kind, n in specs]
     transport = Pipes(2)
     try:
         transport.send_packets(1, 1, 0, 0, [
             _pkt(0, 1, arr, seq=i) for i, arr in enumerate(sent)])
-        got = [np.asarray(p.payload) for p in transport.recv(1).packets(1)]
+        got = [p.payload for p in transport.recv(1).packets(1)]
         for arr, back in zip(sent, got):
+            assert type(back) is type(arr)
             assert back.dtype == arr.dtype and back.shape == arr.shape
-            assert back.tobytes() == arr.tobytes()  # bit-equal
+            if arr.dtype.hasobject:
+                assert back.tolist() == arr.tolist()
+            else:
+                assert back.tobytes() == arr.tobytes()  # bit-equal
+            assert not np.shares_memory(back, arr)
             # NumPy pickles only contiguous arrays as buffers; the
             # rest it copies (always writable), on every path.
             if arr.flags.c_contiguous or arr.flags.f_contiguous:
                 assert back.flags.writeable == arr.flags.writeable
                 if back.flags.writeable and back.size:
-                    back.flat[0] = 1  # really writable
+                    back.flat[0] = back.flat[-1]  # really writable
         leased = sum(
-            1 for arr in sent if arr.nbytes >= frames._INBAND_MAX
+            1 for (kind, _), arr in zip(specs, sent)
+            if arr.nbytes >= frames._INBAND_MAX and kind not in _BY_VALUE
             and (arr.flags.c_contiguous or arr.flags.f_contiguous))
         assert transport.zerocopy_stats() == (leased, 0)
         assert len(transport._lease_tables[1]) == bool(leased)  # one a frame
         del got, back
+    finally:
+        transport.close()
+
+
+def test_empty_bucket_is_a_bare_envelope(monkeypatch):
+    """An empty final on a pipe is the envelope and the CRC word alone,
+    and it is received without a pickle."""
+    transport = Pipes(2)
+    try:
+        chunks = transport.encode(1, TAG_PKT, 1, 0, 0, *encode_packets(()))
+        assert sum(memoryview(c).nbytes for c in chunks) == \
+            tcp_wire.ENVELOPE_BYTES + 4
+
+        def loads(*args, **kwargs):
+            raise AssertionError("an empty bucket was unpickled")
+
+        transport.send_packets(1, 1, 0, 0, [])
+        monkeypatch.setattr(pickle, "loads", loads)
+        assert transport.recv(1).packets(1) == []
     finally:
         transport.close()
 

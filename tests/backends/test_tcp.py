@@ -12,8 +12,10 @@ import hashlib
 import multiprocessing as mp
 import pickle
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -137,40 +139,61 @@ class TestFrameDecoder:
         second = dec.feed((a + b)[cut:])
         assert [f.tag for f in second] == [TAG_PKT]
 
+    @staticmethod
+    def _envelope(version=wire.WIRE_VERSION, flags=wire.FLAG_CRC, *,
+                  nbufs=0, meta_len=0, lease_len=0):
+        """A consistent v5 envelope (valid crc32 word) with these fields."""
+        body = wire._ENV.pack(version, flags, TAG_PKT, 0, -1, -1, 1, 0,
+                              nbufs, meta_len, lease_len)
+        return body + struct.pack("<I", zlib.crc32(body))
+
     def test_oversized_header_rejected(self):
-        dec = wire.FrameDecoder()
-        env = wire.pack_envelope(-1, -1, wire.MAX_HEADER_BYTES + 1)
+        # The lengths array and the lease are what MAX_HEADER_BYTES bounds.
+        env = self._envelope(nbufs=wire.MAX_HEADER_BYTES // 8 + 1)
         with pytest.raises(PacketError, match="header"):
-            dec.feed(env)
+            wire.FrameDecoder().feed(env)
+        env = self._envelope(lease_len=wire.MAX_HEADER_BYTES + 1)
+        with pytest.raises(PacketError, match="header"):
+            wire.FrameDecoder().feed(env)
 
     def test_oversized_frame_rejected(self):
         chunks = wire.encode_frame(TAG_PKT, 0, 0, 0, b"", [b"y" * 64])
         dec = wire.FrameDecoder(max_frame_bytes=16)
         with pytest.raises(PacketError, match="exceeds"):
             dec.feed(_flatten(chunks))
+        # meta counts against the frame bound, announced in the envelope.
+        with pytest.raises(PacketError, match="exceeds"):
+            wire.FrameDecoder(max_frame_bytes=16).feed(
+                self._envelope(meta_len=17))
+
+    def test_meta_beyond_the_header_bound_is_delivered(self, monkeypatch):
+        # A large in-band payload is meta, which only the frame bound
+        # limits — not a corrupt stream.
+        monkeypatch.setattr(wire, "MAX_HEADER_BYTES", 1024)
+        payload = bytes(range(256)) * 32  # pickled in-band, 8 KiB
+        blob = _flatten(wire.encode_packet_frame(1, 0, 0, [
+            Packet(src=0, dst=1, seq=0, payload=payload, h=1)]))
+        (frame,) = wire.FrameDecoder().feed(blob)
+        (pkt,) = frame.packets(1)
+        assert pkt.payload == payload
 
     def test_garbage_header_rejected(self):
-        blob = wire.pack_envelope(-1, -1, 8) + b"notapkl!"
+        # The header's one pickle is a pipe frame's lease: garbage there,
+        # under a valid CRC, is structural damage.
+        lease = b"notapkl!"
+        blob = (self._envelope(lease_len=len(lease)) + lease
+                + struct.pack("<I", zlib.crc32(lease)))
         with pytest.raises(PacketError, match="undecodable"):
             wire.FrameDecoder().feed(blob)
 
-    @staticmethod
-    def _envelope(version, flags):
-        """A consistent envelope (valid check byte) with these fields."""
-        body = wire._ENV_BODY.pack(version, flags, -1, -1, 8)
-        echk = 0
-        for byte in body:
-            echk ^= byte
-        return body + bytes((echk,))
-
     def test_wrong_version_rejected(self):
-        future = self._envelope(wire.WIRE_VERSION + 1, wire.FLAG_CRC)
+        future = self._envelope(wire.WIRE_VERSION + 1)
         with pytest.raises(PacketError, match="version"):
             wire.FrameDecoder().feed(future)
 
     def test_cleared_crc_flag_rejected(self):
         # There is no unchecked frame to fall back to: structural damage.
-        unchecked = self._envelope(wire.WIRE_VERSION, 0)
+        unchecked = self._envelope(flags=0)
         with pytest.raises(PacketError, match="CRC"):
             wire.FrameDecoder().feed(unchecked)
 
@@ -179,6 +202,26 @@ class TestFrameDecoder:
         bad = bytes([good[0] ^ 0x40]) + good[1:]
         with pytest.raises(PacketError, match="envelope"):
             wire.FrameDecoder().feed(bad)
+
+    def test_every_single_bit_envelope_flip_rejected(self):
+        good = _flatten(wire.reenvelope(
+            wire.encode_packet_frame(3, 2, 1, _sample_packets()), 5, 4))
+        for bit in range(8 * wire.ENVELOPE_BYTES):
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << bit % 8
+            with pytest.raises(PacketError, match="envelope"):
+                wire.FrameDecoder().feed(bytes(bad))
+
+    def test_empty_final_is_a_bare_envelope(self, monkeypatch):
+        blob = _flatten(wire.encode_packet_frame(1, 4, 0, []))
+        assert len(blob) == wire.ENVELOPE_BYTES + 4
+
+        def loads(*args, **kwargs):
+            raise AssertionError("an empty bucket was unpickled")
+
+        monkeypatch.setattr(pickle, "loads", loads)
+        (frame,) = wire.FrameDecoder().feed(blob)
+        assert (frame.tag, frame.step, frame.packets(1)) == (TAG_PKT, 4, [])
 
     def test_corrupt_payload_yields_marker_not_frame(self):
         blob = bytearray(_flatten(wire.reenvelope(
