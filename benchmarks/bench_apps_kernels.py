@@ -16,7 +16,9 @@ The full run sizes the Barnes–Hut walk, octree build and count-only walk
 at n=4096 bodies (the paper-scale force phase; build expected ≥5x, the
 walk ≥ ``BH_WALK_FLOOR``, the count ≥3x faster than the walk) and the graph
 phases at paper-like sizes (expected ≥2x).  ``bh_walk_rank`` is the walk at
-the shape the e2e ``nbody-compute`` workload runs on each rank;
+the shape the e2e ``nbody-compute`` workload runs on each rank, and
+``bh_essential`` (≥ ``BH_ESSENTIAL_FLOOR``) the records a rank sends its
+peer there — at that shape in both sweeps;
 ``mg_coarse`` is the ocean V-cycle's bottom solve (sweeps vs the cached
 operator, ≥ ``MG_COARSE_FLOOR``, cold build ≤ ``MG_BUILD_CEILING_S``) and
 ``mg_vcycle_rank`` rank 0's compute of one V-cycle at the shape the e2e
@@ -116,15 +118,20 @@ def scenario_bh_walk(n: int, repeats: int) -> dict:
     return rec
 
 
+def _rank_halves(n: int):
+    """The two count-weighted ORB halves ``bsp_nbody`` at p=2 starts from."""
+    b, tree, skip = _bh_fixture(n)
+    counts = kernels.get("bh_count")(tree, b.pos, DEFAULT_THETA, skip)
+    owner = orb_partition(b.pos, np.maximum(counts.astype(np.float64), 1.0), 2)
+    return tuple(b.subset(np.flatnonzero(owner == q)) for q in range(2))
+
+
 def scenario_bh_walk_rank(n: int, repeats: int) -> dict:
     """One rank's force phase of ``bsp_nbody`` at p=2, as e2e runs it:
     theta=1.0, one count-weighted ORB half against its own tree with the
     self-skip, then against the tree of the other half's essential records
     with ``skip=None``."""
-    b, tree, skip = _bh_fixture(n)
-    counts = kernels.get("bh_count")(tree, b.pos, DEFAULT_THETA, skip)
-    owner = orb_partition(b.pos, np.maximum(counts.astype(np.float64), 1.0), 2)
-    mine, theirs = (b.subset(np.flatnonzero(owner == q)) for q in range(2))
+    mine, theirs = _rank_halves(n)
     local = BHTree(mine.pos, mine.mass)
     rec_m, rec_p = BHTree(theirs.pos, theirs.mass).essential_records(
         *mine.aabb(), DEFAULT_THETA)
@@ -144,6 +151,28 @@ def scenario_bh_walk_rank(n: int, repeats: int) -> dict:
     rec["n"] = n
     rec["local"] = len(mine)
     rec["records"] = far.nbodies
+    return rec
+
+
+#: ``bh_essential`` speedup floor, both sweeps (the e2e shape either way).
+BH_ESSENTIAL_FLOOR = {"full": 1.5, "smoke": 1.5}
+
+
+def scenario_bh_essential(n: int, repeats: int) -> dict:
+    """One rank's essential records for its peer in ``bsp_nbody`` at p=2,
+    as e2e runs it: the other half's tree pruned against this half's box
+    at theta=1.0 (the scalar stack walk vs the level frontier)."""
+    mine, theirs = _rank_halves(n)
+    tree, box = BHTree(theirs.pos, theirs.mass), mine.aabb()
+
+    def make_call(mode):
+        essential = kernels.get("bh_essential", mode)
+        return lambda: essential(tree, *box, DEFAULT_THETA)
+
+    rec = compare(make_call, 20 * repeats)  # a ~ms call: many passes
+    rec["n"] = n
+    rec["records"] = len(kernels.get("bh_essential")(
+        tree, *box, DEFAULT_THETA)[0])
     return rec
 
 
@@ -399,7 +428,7 @@ def scenario_sort_partition(n: int, repeats: int) -> dict:
 def run_suite(smoke: bool) -> dict:
     if smoke:
         sizes = {"bh_build": 512, "bh_walk": 512, "bh_walk_rank": 512,
-                 "bh_count": 512,
+                 "bh_essential": 4096, "bh_count": 512,
                  "bh_direct": 256, "mst_labels": 2000,
                  "mst_minima": 2000, "sssp_updates": 800,
                  "sort_partition": 20000,
@@ -407,7 +436,7 @@ def run_suite(smoke: bool) -> dict:
         repeats = 2
     else:
         sizes = {"bh_build": 4096, "bh_walk": 4096, "bh_walk_rank": 4096,
-                 "bh_count": 4096,
+                 "bh_essential": 4096, "bh_count": 4096,
                  "bh_direct": 2048, "mst_labels": 20000,
                  "mst_minima": 20000, "sssp_updates": 8000,
                  "sort_partition": 500000,
@@ -417,6 +446,7 @@ def run_suite(smoke: bool) -> dict:
         "bh_build": scenario_bh_build,
         "bh_walk": scenario_bh_walk,
         "bh_walk_rank": scenario_bh_walk_rank,
+        "bh_essential": scenario_bh_essential,
         "bh_count": scenario_bh_count,
         "bh_direct": scenario_bh_direct,
         "mst_labels": scenario_mst_labels,
@@ -475,9 +505,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # Sanity floor: the vectorized mode must never be meaningfully slower
     # than the reference (0.8 allows for timer noise on near-parity
-    # phases).  The BH force phase and the multigrid bottom solve have
-    # real floors in both sweeps — a fraction of the speedups
-    # BENCH_kernels.json records, so neither can drift back unnoticed —
+    # phases).  The BH force phase, the essential records and the
+    # multigrid bottom solve have real floors in both sweeps — below the
+    # speedups BENCH_kernels.json records, so none can drift back unnoticed —
     # and the operator's cold build a ceiling: it is paid once per
     # process, inside a run.  The full run additionally enforces
     # ≥5x on the octree build, the count-only walk ≥3x faster than the
@@ -487,6 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         if rec["speedup"] < 0.8:
             failures.append(f"{name}: {rec['speedup']}x (regressed)")
     for name, floors in (("bh_walk", BH_WALK_FLOOR),
+                         ("bh_essential", BH_ESSENTIAL_FLOOR),
                          ("mg_coarse", MG_COARSE_FLOOR)):
         floor = floors["smoke" if args.smoke else "full"]
         if scenarios[name]["speedup"] < floor:

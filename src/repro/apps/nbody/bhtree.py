@@ -33,7 +33,6 @@ from ... import kernels
 # The zero-distance guard is defined beside the kernels that apply it and
 # re-exported here, where the applications have always found it.
 from ...kernels.bh import MIN_SOFTENED_R2, softened_inv_r3  # noqa: F401
-from .bodies import box_min_distance
 
 #: Default opening angle; the SPLASH/paper-era customary value.
 DEFAULT_THETA = 1.0
@@ -143,12 +142,7 @@ class BHTree:
         box to the cell's centre of mass — then it holds for every body in
         the box; otherwise the cell is opened.  Leaves emit their bodies.
         """
-        masses, points = self._prune(
-            lambda com: box_min_distance(box_lo, box_hi, com), theta
-        )
-        if not masses:
-            return np.zeros(0), np.zeros((0, 3))
-        return np.array(masses), np.vstack(points)
+        return kernels.get("bh_essential")(self, box_lo, box_hi, theta)
 
 
 def pairwise_acceleration(

@@ -33,6 +33,7 @@ from typing import Any
 import numpy as np
 
 from ... import kernels
+from ...backends.base import Backend
 from ...collectives import allgather, barrier, gather, scatter
 from ...core.api import Bsp
 from ...core.runtime import bsp_run
@@ -212,6 +213,41 @@ def nbody_program(
     return mine
 
 
+def interaction_counts(pos: np.ndarray, mass: np.ndarray, theta: float,
+                       leaf_size: int, lo: int, hi: int) -> np.ndarray:
+    """BH interaction counts of bodies ``[lo, hi)`` in the whole system.
+
+    Each body is counted against the tree of every body, itself skipped.
+    Counts are exact integers and each body's is its own walk's, so the
+    slices of any split concatenate to the counts of the whole set.
+    """
+    tree = BHTree(pos, mass, leaf_size=leaf_size)
+    return kernels.get("bh_count")(
+        tree, pos[lo:hi], theta, np.arange(lo, hi, dtype=np.int64)
+    )
+
+
+def count_program(bsp: Bsp, pos: np.ndarray, mass: np.ndarray,
+                  theta: float, leaf_size: int) -> np.ndarray:
+    """BSP program: this rank's contiguous slice of the load estimate."""
+    n, p = len(mass), bsp.nprocs
+    return interaction_counts(pos, mass, theta, leaf_size,
+                              bsp.pid * n // p, (bsp.pid + 1) * n // p)
+
+
+def _estimate_on_ranks(backend: Any) -> bool:
+    """Whether the load estimate runs as its own BSP program.
+
+    Only on a warm pool (``health()`` is not ``None``), whose idle
+    workers split the count.  Anywhere else the extra run costs more than
+    the in-process count (the simulator, threads and one-shot forks pay a
+    whole run's startup for it), and an SPMD rank's mesh cannot take two
+    back-to-back runs (the parked run-id bug in ROADMAP.md).
+    """
+    return (isinstance(backend, Backend) and backend.health() is not None
+            and backend.name != "tcp-spmd")
+
+
 @dataclass(frozen=True)
 class NBodyRun:
     """Final merged body state plus BSP accounting."""
@@ -250,15 +286,20 @@ def bsp_nbody(
         raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
     # The paper partitions by the *previous iteration's* load; for a fresh
     # start we estimate per-body interaction counts with one untimed
-    # sequential count-only BH pass (the central bodies of a Plummer
-    # sphere interact with far more cells than the halo — uniform weights
-    # would leave the inner processors ~2x overloaded).  One processor
-    # owns everything whatever the weights, so it skips the pass.
+    # count-only BH pass (the central bodies of a Plummer sphere interact
+    # with far more cells than the halo — uniform weights would leave the
+    # inner processors ~2x overloaded).  One processor owns everything
+    # whatever the weights, so it skips the pass.
     if balance and nprocs > 1 and len(bodies) > 1:
-        tree = BHTree(bodies.pos, bodies.mass, leaf_size=leaf_size)
-        counts = kernels.get("bh_count")(
-            tree, bodies.pos, theta, np.arange(len(bodies), dtype=np.int64)
-        )
+        estimate = (bodies.pos, bodies.mass, theta, leaf_size)
+        if _estimate_on_ranks(backend):
+            # Stats discarded: the estimate was always untimed.
+            counts = np.concatenate(bsp_run(
+                count_program, nprocs, backend=backend, args=estimate,
+                retries=retries, sync=sync,
+            ).results)
+        else:
+            counts = interaction_counts(*estimate, 0, len(bodies))
         weights = np.maximum(counts.astype(np.float64), 1.0)
     else:
         weights = None

@@ -3,8 +3,9 @@
 PRs 1–3 attacked the ``gH`` and ``LS`` terms of the paper's cost model
 ``T = W + gH + LS``; this package attacks ``W``.  Each kernel is the
 local-compute core of one application superstep — the Barnes–Hut octree
-build (``bh_build``), force walk (``bh_walk``) and the count-only walk
-behind the ORB load estimate (``bh_count``), MST fragment labeling, SSSP
+build (``bh_build``), force walk (``bh_walk``), the count-only walk
+behind the ORB load estimate (``bh_count``) and the essential-record
+pruning (``bh_essential``), MST fragment labeling, SSSP
 border-update application, samplesort splitter partitioning, the bottom
 solve of the ocean/plasma multigrid V-cycle (``mg_coarse``) — available
 in two implementations:
@@ -107,7 +108,12 @@ def names() -> list[str]:
 
 @contextmanager
 def using(mode: str) -> Iterator[None]:
-    """Force ``mode`` for the enclosed block (tests, benchmarks)."""
+    """Force ``mode`` for the enclosed block (tests, benchmarks).
+
+    The override is process-local: a worker pool forked *before* the
+    block keeps the mode it was forked with, so fork a pool inside the
+    block to run its ranks in ``mode``.
+    """
     global _override
     if mode not in MODES:
         raise KernelError(f"unknown kernel mode {mode!r}; expected {MODES}")

@@ -32,6 +32,12 @@ The kernels are registered as:
   theta, skip) -> interactions``.  Same frontier rounds and comparison as
   ``bh_walk``; leaves are counted from their CSR widths, nothing is
   expanded and no force term is formed.  The ORB load estimate.
+* ``bh_essential`` — the essential records a tree sends a foreign box:
+  ``(tree, box_lo, box_hi, theta) -> (masses, positions)``.  The
+  reference is the scalar depth-first walk; the vectorized mode judges a
+  whole tree level per round and keeps the frontier in that walk's stack
+  order, so the records match in value *and* order (the order fixes the
+  receiver's far tree, hence its counts).
 * ``bh_direct`` — exact O(N²) accelerations, tiled in the vectorized mode
   so no N×N temporary is ever materialized.
 """
@@ -285,19 +291,27 @@ def _tree_view(tree) -> SimpleNamespace:
     """One call's structure-of-arrays view of a tree: ``com`` as contiguous
     columns, ``size = 2·half``, and the bodies' index, position columns and
     mass in ``leaf_bodies`` order, so a leaf's span of ``leaf_ptr`` reads
-    them with one gather.  ``child`` holds what a walk meets on opening a
-    cell: an internal child as its row, a leaf child as ``−2 − row``, −1
-    for none or massless; its extra last row opens onto the root."""
+    them with one gather.  ``child`` is :func:`_met`'s table plus an extra
+    last row that opens onto the root."""
     c = tree.cells
-    rows = np.arange(len(c.half))
-    met = np.where(c.mass > 0.0, np.where(c.is_leaf, -2 - rows, rows), -1)
-    child = np.append(met, -1)[np.vstack([c.child, [0] + 7 * [-1]])]
+    root, child = _met(c)
+    child = np.vstack([child, [root] + 7 * [-1]])
     return SimpleNamespace(
         com=tuple(np.ascontiguousarray(c.com.T)), mass=c.mass, child=child,
         size=2.0 * c.half, leaf_ptr=c.leaf_ptr, held=np.diff(c.leaf_ptr),
         body=c.leaf_bodies, body_mass=tree.mass[c.leaf_bodies],
         body_pos=tuple(np.ascontiguousarray(tree.pos[c.leaf_bodies].T)),
     )
+
+
+def _met(cells):
+    """What a walk meets on opening each cell, per octant: an internal
+    child as its row, a leaf child as ``−2 − row``, −1 for none or
+    massless — and, coded the same way, what it meets at the root."""
+    rows = np.arange(len(cells.half))
+    met = np.where(cells.mass > 0.0,
+                   np.where(cells.is_leaf, -2 - rows, rows), -1)
+    return met[0], np.append(met, -1)[cells.child]
 
 
 def _blocks(points, skip, block):
@@ -407,6 +421,83 @@ def _mac_rounds(view, pts, theta):
 
 
 # ---------------------------------------------------------------------------
+# bh_essential
+# ---------------------------------------------------------------------------
+
+
+def _bh_essential_reference(tree, box_lo, box_hi, theta):
+    """The scalar depth-first walk with the box distance — the seed."""
+    from ..apps.nbody.bodies import box_min_distance
+
+    masses, points = tree._prune(
+        lambda com: box_min_distance(box_lo, box_hi, com), theta
+    )
+    if not masses:
+        return np.zeros(0), np.zeros((0, 3))
+    return np.array(masses), np.vstack(points)
+
+
+def _bh_essential_vectorized(tree, box_lo, box_hi, theta):
+    """Level-synchronous frontier kept in the scalar walk's stack order.
+
+    ``order`` lists the cells met so far in the order the depth-first walk
+    (children pushed in octant order, so octant 7 pops first) would emit
+    them: an internal cell still to be judged as its row, an emitted cell
+    or leaf as ``−2 − row``.  Each round judges every pending cell at once
+    — the box distance element-wise as ``box_min_distance`` sums it,
+    ``(gx·gx + gy·gy) + gz·gz``, then the walk's ``d > 0 and (2·half)/d <
+    θ`` — and splices each opened cell's massive children, highest octant
+    first, in its place.  Leaves then expand to their bodies in CSR order.
+    """
+    c = tree.cells
+    root, child = _met(c)
+    child = child[:, ::-1]  # highest octant first: the stack's pop order
+    lo = np.asarray(box_lo, dtype=np.float64)
+    hi = np.asarray(box_hi, dtype=np.float64)
+    size = 2.0 * c.half
+    order = np.array([root] if root != -1 else [], dtype=np.int64)
+    while True:
+        pend = np.flatnonzero(order >= 0)
+        if not len(pend):
+            break
+        cell = order[pend]
+        com = c.com[cell]
+        gx, gy, gz = (np.maximum(np.maximum(lo[k] - com[:, k],
+                                            com[:, k] - hi[k]), 0.0)
+                      for k in range(3))
+        d = np.sqrt((gx * gx + gy * gy) + gz * gz)
+        with np.errstate(divide="ignore"):
+            accept = (d > 0.0) & (size[cell] / d < theta)
+        order[pend[accept]] = -2 - cell[accept]
+        opened = np.flatnonzero(~accept)
+        pend, kids = pend[opened], child[cell[opened]]
+        keep = kids != -1
+        width = keep.sum(axis=1)
+        take = np.ones(len(order), dtype=np.int64)
+        take[pend] = width
+        start = np.cumsum(take) - take
+        first = np.cumsum(width) - width
+        spliced = np.repeat(order, take)
+        spliced[np.arange(int(width.sum()))
+                + np.repeat(start[pend] - first, width)] = kids[keep]
+        order = spliced
+    row = -2 - order
+    held = np.where(c.is_leaf[row], np.diff(c.leaf_ptr)[row], 1)
+    total = int(held.sum())
+    if not total:
+        return np.zeros(0), np.zeros((0, 3))
+    owner = np.repeat(row, held)
+    leaf = np.flatnonzero(c.is_leaf[owner])
+    masses, points = c.mass[owner], c.com[owner]
+    first = np.cumsum(held) - held
+    span = np.repeat(c.leaf_ptr[row] - first, held)[leaf] + leaf
+    body = c.leaf_bodies[span]
+    masses[leaf] = tree.mass[body]
+    points[leaf] = tree.pos[body]
+    return masses, points
+
+
+# ---------------------------------------------------------------------------
 # bh_direct
 # ---------------------------------------------------------------------------
 
@@ -462,5 +553,7 @@ register("bh_walk", "reference", _bh_walk_reference)
 register("bh_walk", "vectorized", _bh_walk_vectorized)
 register("bh_count", "reference", _bh_count_reference)
 register("bh_count", "vectorized", _bh_count_vectorized)
+register("bh_essential", "reference", _bh_essential_reference)
+register("bh_essential", "vectorized", _bh_essential_vectorized)
 register("bh_direct", "reference", _bh_direct_reference)
 register("bh_direct", "vectorized", _bh_direct_vectorized)

@@ -20,6 +20,7 @@ from repro.apps.nbody import (
     total_energy,
     uniform_cube,
 )
+from repro.backends.base import Backend
 
 
 class TestSoftenedInverse:
@@ -436,6 +437,21 @@ class TestBspNBody:
         assert np.allclose(run.bodies.pos, direct.bodies.pos, atol=1e-9)
 
 
+class _RunCounter(Backend):
+    """Delegates to ``inner`` (``health()`` too), counting its runs."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.runs = inner, inner.name, 0
+
+    def run(self, program, nprocs, args=(), kwargs=None, *, sync="strict"):
+        self.runs += 1
+        return self.inner.run(program, nprocs, args=args, kwargs=kwargs,
+                              sync=sync)
+
+    def health(self):
+        return self.inner.health()
+
+
 class TestLoadEstimate:
     """The driver's ORB pre-pass counts interactions; it forms no forces."""
 
@@ -464,6 +480,86 @@ class TestLoadEstimate:
                 orb_partition(b.pos, np.maximum(counted, 1.0), p),
                 orb_partition(b.pos, np.maximum(walked, 1.0), p),
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        p=st.integers(1, 6),
+        leaf=st.sampled_from([1, 8, 16]),
+        theta=st.sampled_from([0.0, 0.5, 1.0, 1.2]),
+        mode=st.sampled_from(["vectorized", "reference"]),
+        seed=st.integers(0, 1000),
+    )
+    def test_property_rank_slices_concatenate_to_whole_counts(
+        self, n, p, leaf, theta, mode, seed
+    ):
+        """Each rank counts ``[pid·n/p, (pid+1)·n/p)``; the slices, some
+        empty when n < p, are the whole set's counts — so the ORB owner."""
+        from repro import kernels
+        from repro.apps.nbody.parallel import interaction_counts
+
+        rng = np.random.default_rng(seed)
+        pos, mass = rng.normal(size=(n, 3)), rng.random(n) + 0.1
+        with kernels.using(mode):
+            whole = kernels.get("bh_count")(
+                BHTree(pos, mass, leaf_size=leaf), pos, theta,
+                np.arange(n, dtype=np.int64),
+            )
+            slices = [
+                interaction_counts(pos, mass, theta, leaf,
+                                   q * n // p, (q + 1) * n // p)
+                for q in range(p)
+            ]
+        got = np.concatenate(slices)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("mode", ["vectorized", "reference"])
+    def test_warm_pool_counts_on_its_ranks(self, mode, monkeypatch):
+        """A pooled backend runs the estimate as a second BSP run; the
+        parent builds no tree, and the ledger is the simulator's."""
+        from repro import kernels
+        from repro.apps.nbody import parallel
+        from repro.backends.processes import ProcessBackend
+
+        built = []
+        tree_cls = parallel.BHTree
+        # The override is process-local: fork the pool inside it.
+        with kernels.using(mode), ProcessBackend.pool(2) as pool:
+            monkeypatch.setattr(
+                parallel, "BHTree",
+                lambda *a, **k: built.append(1) or tree_cls(*a, **k),
+            )
+            backend = _RunCounter(pool)
+            run = bsp_nbody(plummer(4096, seed=3), 2, steps=1,
+                            warmup_steps=1, backend=backend)
+        assert (run.stats.S, run.stats.H) == (7, 2635)
+        assert backend.runs == 2
+        assert built == []
+
+    @pytest.mark.parametrize("backend", ["simulator", "threads", "processes"])
+    def test_other_backends_count_in_process(self, backend):
+        from repro.backends.base import get_backend
+
+        b = plummer(300, seed=23)
+        counted = _RunCounter(get_backend(backend))
+        run = bsp_nbody(b, 2, steps=1, backend=counted)
+        assert counted.runs == 1
+        ref = bsp_nbody(b, 2, steps=1)
+        assert np.array_equal(run.bodies.pos, ref.bodies.pos)
+        assert (run.stats.S, run.stats.H) == (ref.stats.S, ref.stats.H)
+
+    @pytest.mark.parametrize("name,runs", [("simulator", 2),
+                                           ("tcp-spmd", 1)])
+    def test_warm_spmd_rank_counts_in_process(self, name, runs):
+        """A backend reporting health takes the count run, unless it is an
+        SPMD rank, whose mesh cannot take two back-to-back runs."""
+        from repro.backends.simulator import SimulatorBackend
+
+        warm = _RunCounter(SimulatorBackend())
+        warm.name, warm.health = name, lambda: "warm"
+        bsp_nbody(plummer(100, seed=24), 2, steps=1, backend=warm)
+        assert warm.runs == runs
 
     def test_one_processor_skips_the_estimate(self, monkeypatch):
         """p=1 owns everything whatever the weights: no whole-system tree."""

@@ -207,6 +207,75 @@ class TestBhCountEquivalence:
         )
 
 
+class TestBhEssentialEquivalence:
+    """``bh_essential`` emits the scalar walk's records: same values, same
+    order — the order the receiver builds its far tree (and counts) from."""
+
+    @staticmethod
+    def assert_same_records(tree, lo, hi, theta):
+        want_m, want_p = kernels.get("bh_essential", "reference")(
+            tree, lo, hi, theta
+        )
+        got_m, got_p = kernels.get("bh_essential", "vectorized")(
+            tree, lo, hi, theta
+        )
+        for got, want in ((got_m, want_m), (got_p, want_p)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        return want_m
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from(BODY_SHAPES),
+        n=st.sampled_from([0, 1, 2, 9, 150, 300]),
+        leaf=st.sampled_from([1, 8, 16]),
+        theta=st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.5]),
+        box=st.sampled_from(["overlap", "point", "body", "far"]),
+        massless=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_property_records_match_in_value_and_order(
+        self, shape, n, leaf, theta, box, massless, seed
+    ):
+        pos, mass = body_set(shape, n, seed)
+        if massless:  # a zero-mass half: subtrees the walk never enters
+            mass[: n // 2] = 0.0
+        tree = BHTree(pos, mass, leaf_size=leaf)
+        rng = np.random.default_rng(seed)
+        lo = pos[0] if box == "body" and n else rng.normal(size=3)
+        lo = lo + (40.0 if box == "far" else 0.0)
+        hi = lo + {"overlap": 2.0 * rng.random(3), "far": 1.0}.get(box, 0.0)
+        self.assert_same_records(tree, lo, hi, theta)
+
+    def test_massless_subtree_and_coincident_bodies(self):
+        pos, mass = body_set("two_cluster", 120, 9)
+        pos[:20] = pos[0]
+        mass[60:] = 0.0
+        tree = BHTree(pos, mass, leaf_size=4)
+        assert np.any((tree.cells.mass == 0.0) & ~tree.cells.is_leaf)
+        for theta in (0.0, 0.7, 1.2):
+            masses = self.assert_same_records(
+                tree, np.full(3, 10.0), np.full(3, 10.5), theta
+            )
+            assert masses.sum() == pytest.approx(mass.sum())
+
+    def test_e2e_shaped_records_and_far_tree_counts(self):
+        """The records one rank of ``bsp_nbody(plummer(4096), 2)`` sends,
+        and the counts of the far tree built from them, agree."""
+        b = plummer(4096, seed=0)
+        owner = b.pos[:, 0] >= np.median(b.pos[:, 0])
+        mine, theirs = b.subset(np.flatnonzero(owner)), b.subset(
+            np.flatnonzero(~owner))
+        tree = BHTree(theirs.pos, theirs.mass)
+        box = mine.aabb()
+        self.assert_same_records(tree, *box, 1.0)
+        counts = []
+        for mode in MODES:
+            rec_m, rec_p = kernels.get("bh_essential", mode)(tree, *box, 1.0)
+            counts.append(kernels.get("bh_count", "vectorized")(
+                BHTree(rec_p, rec_m), mine.pos, 1.0, None))
+        assert np.array_equal(*counts)
+
 
 class TestBhEquivalence:
     @pytest.mark.parametrize("theta", [0.3, 0.8, 1.2])
