@@ -10,7 +10,10 @@ sockets, in strict's release round.  Three experiments:
   The effective per-superstep synchronization cost is ``wall / rounds``;
   best-of-``REPEATS`` to shave scheduler noise.  On pipes the two modes
   are the same code path; on TCP relaxed sends one empty final per link
-  where strict sends a final and a release.
+  where strict sends a final and a release.  Threads run the same round
+  over in-process queues, so their strict and relaxed coincide too; the
+  threads rows are also taken at p = 2 and 4, to show how the round's
+  ``p - 1`` frames per rank scale.
 * **Declared ring** — one packet per rank around a ring whose pattern
   is declared, under all three modes.  Only ``elide`` uses the
   declaration: its boundary is one frame per rank instead of ``p - 1``,
@@ -32,7 +35,9 @@ Acceptance floors (enforced, nonzero exit):
   relaxed and declared-ring elide.  A ceiling, not a strict/relaxed
   ratio: the two are one code path on pipes, so their ratio is a coin
   flip;
-* both fabrics: declared-ring ``elide <= 0.8 x strict`` at p=8;
+* every fabric, threads included: declared-ring
+  ``elide <= 0.8 x strict`` at p=8 (the pipe ceiling does not apply to
+  threads);
 * TCP empty supersteps ``relaxed_speedup_x >= 2.0`` (``>= 1.3`` quick);
 * ocean-on-TCP ``relaxed_speedup_x >= 1.1`` (``>= 1.0`` quick).
 
@@ -46,6 +51,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
@@ -55,6 +61,7 @@ from repro import bsp_run
 from repro.apps.ocean import bsp_ocean
 from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
+from repro.backends.threads import ThreadBackend
 
 NPROCS = 8
 ROUNDS = 400
@@ -62,6 +69,7 @@ ROUNDS_QUICK = 120
 REPEATS = 3
 REPEATS_QUICK = 2
 MODES = ("strict", "relaxed", "elide")
+KINDS = ("processes", "tcp", "threads")
 
 OCEAN_N, OCEAN_STEPS, OCEAN_NPROCS = 66, 2, 4
 
@@ -104,27 +112,34 @@ def _best_of(fn, repeats):
     return min(fn() for _ in range(repeats))
 
 
-def bench_microbench(kind: str, rounds: int, repeats: int) -> dict:
-    cls = {"processes": ProcessBackend, "tcp": TcpBackend}[kind]
-    golden = bsp_run(identity_ring, NPROCS)
+def _backend(kind: str, nprocs: int):
+    """A warm pool of ``kind``; threads have no pool, only a backend."""
+    if kind == "threads":
+        return contextlib.nullcontext(ThreadBackend())
+    return {"processes": ProcessBackend, "tcp": TcpBackend}[kind].pool(nprocs)
+
+
+def bench_microbench(kind: str, rounds: int, repeats: int,
+                     nprocs: int = NPROCS) -> dict:
+    golden = bsp_run(identity_ring, nprocs)
     golden_key = (golden.results, _ledger_key(golden.stats))
 
-    row: dict = {"nprocs": NPROCS, "rounds": rounds}
-    with cls.pool(NPROCS) as backend:
+    row: dict = {"nprocs": nprocs, "rounds": rounds}
+    with _backend(kind, nprocs) as backend:
 
         def per_boundary_us(program, mode):
             def once():
                 t0 = time.perf_counter()
-                bsp_run(program, NPROCS, args=(rounds,), backend=backend,
+                bsp_run(program, nprocs, args=(rounds,), backend=backend,
                         sync=mode)
                 return time.perf_counter() - t0
 
             return round(_best_of(once, repeats) / rounds * 1e6, 1)
 
-        bsp_run(barrier_rounds, NPROCS, args=(rounds,),
+        bsp_run(barrier_rounds, nprocs, args=(rounds,),
                 backend=backend)  # warm the pool + fabric
         for mode in MODES:
-            check = bsp_run(identity_ring, NPROCS, backend=backend,
+            check = bsp_run(identity_ring, nprocs, backend=backend,
                             sync=mode)
             if (check.results, _ledger_key(check.stats)) != golden_key:
                 raise AssertionError(
@@ -140,11 +155,10 @@ def bench_microbench(kind: str, rounds: int, repeats: int) -> dict:
 
 
 def bench_ocean(kind: str, repeats: int) -> dict:
-    cls = {"processes": ProcessBackend, "tcp": TcpBackend}[kind]
     golden = bsp_ocean(OCEAN_N, OCEAN_STEPS, OCEAN_NPROCS)
     row: dict = {"n": OCEAN_N, "steps": OCEAN_STEPS, "nprocs": OCEAN_NPROCS,
                  "supersteps": golden.stats.S}
-    with cls.pool(OCEAN_NPROCS) as backend:
+    with _backend(kind, OCEAN_NPROCS) as backend:
         bsp_ocean(OCEAN_N, OCEAN_STEPS, OCEAN_NPROCS,
                   backend=backend)  # warm
         for mode in ("strict", "relaxed"):
@@ -181,9 +195,11 @@ def main(argv=None) -> int:
     ocean_floor = 1.0 if args.quick else 1.1
 
     micro = {kind: bench_microbench(kind, rounds, repeats)
-             for kind in ("processes", "tcp")}
-    ocean = {kind: bench_ocean(kind, repeats)
-             for kind in ("processes", "tcp")}
+             for kind in KINDS}
+    threads_by_p = {str(p): bench_microbench("threads", rounds, repeats, p)
+                    for p in (2, 4)}
+    threads_by_p[str(NPROCS)] = micro["threads"]
+    ocean = {kind: bench_ocean(kind, repeats) for kind in KINDS}
 
     failed = []
     print(f"effective L per boundary: p={NPROCS}, {rounds} supersteps, "
@@ -206,6 +222,9 @@ def main(argv=None) -> int:
         if got > ceiling:
             failed.append(f"processes microbench {cell} "
                           f"({got} us > {ceiling} us)")
+    print("  threads empty by p: " + "   ".join(
+        f"p={p} strict {row['L_strict_us']:.1f} / relaxed "
+        f"{row['L_relaxed_us']:.1f} us" for p, row in threads_by_p.items()))
     if micro["tcp"]["relaxed_speedup_x"] < floor:
         failed.append(f"tcp microbench "
                       f"({micro['tcp']['relaxed_speedup_x']}x < {floor}x)")
@@ -229,6 +248,7 @@ def main(argv=None) -> int:
         "elide_ring_ratio": elide_ratio,
         "ocean_floor_x": ocean_floor,
         "microbench": micro,
+        "threads_by_p": threads_by_p,
         "ocean": ocean,
     }
     if args.output:

@@ -7,7 +7,7 @@ ship with the library, mirroring the paper's three library versions:
 * :mod:`~repro.backends.simulator` — deterministic serialized execution;
   the paper's "IPC single-processor simulation" used to measure work depth.
 * :mod:`~repro.backends.threads` — one OS thread per virtual processor
-  with double-buffered shared mailboxes (the shared-memory version, B.1).
+  over by-reference in-process links (the shared-memory version, B.1).
 * :mod:`~repro.backends.processes` — one OS process per virtual processor
   exchanging at superstep boundaries (the MPI/TCP versions, B.2/B.3).
 
@@ -59,8 +59,8 @@ Program = Callable[..., Any]
 
 #: Synchronization modes of the exchange protocol; what each means is
 #: :func:`repro.backends.exchange.boundary_links` (DESIGN
-#: "Synchronization modes").  The simulator and the thread backend
-#: accept all three and ignore them.
+#: "Synchronization modes").  The simulator accepts all three and
+#: ignores them.
 SYNC_MODES = ("strict", "relaxed", "elide")
 
 

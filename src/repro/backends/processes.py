@@ -27,9 +27,9 @@ them in the stream instead.  Sends go in the
 :func:`~repro.backends.exchange.peer_order` of the total-exchange
 schedule.
 
-Like the thread backend's vanishing barrier, a processor that finishes
-sends a departure sentinel so peers stop waiting for it; mismatched
-superstep counts then surface as a stats-merge error rather than a hang.
+A processor that finishes sends a departure sentinel so peers stop
+waiting for it; mismatched superstep counts then surface as a
+stats-merge error rather than a hang.
 
 The round itself is :class:`~repro.backends.exchange.LinkChannel`'s, and
 everything around the exchange — worker lifecycle, the supervised gather

@@ -1,169 +1,82 @@
 """Thread backend — the shared-memory library version (Appendix B.1).
 
-One OS thread per virtual processor, all runnable concurrently.  As in the
-paper's shared-memory implementation, communication goes through *two
-alternating input-buffer sets* indexed by superstep parity: a sender
-deposits its packets (pre-bucketed by destination) in its own slot of the
-current parity's buffer set, everyone synchronizes, and receivers then read
-every sender's slot.  The parity alternation is what lets superstep ``i+1``
-writes proceed while stragglers may conceptually still hold superstep ``i``
-data — the same trick as the paper's two large input buffers.  Because each
-sender writes only its own slot, no locks are needed beyond the barrier
-(the paper needed locks only because its processes shared one buffer).
+One OS thread per virtual processor, all runnable concurrently, running
+the boundary round of every fabric,
+:class:`~repro.backends.exchange.LinkChannel`; only the transport is
+this fabric's own.  A link is the receiver's inbox, one queue per rank,
+and a frame is the sender's bucket *object*: payloads cross by
+reference, with no pickle and no copy.  A frame put on an inbox is
+received, so no mode adds a release round; ``elide``, the checkpoint
+fence and departures work as on pipes and sockets.
 
-The barrier is a *vanishing* barrier: a processor that returns from its
-program leaves the party, so remaining processors can keep synchronizing.
-(If they do, the ledgers will disagree on superstep counts and the stats
-merge reports the program bug; a correct BSP program has every processor
-sync the same number of times.)
-
-CPython's GIL serializes pure-Python compute, so this backend demonstrates
-*semantics* and I/O concurrency rather than compute speed-up; NumPy kernels
-do release the GIL and overlap.  Performance reproduction uses the cost
-model on simulator-measured (W, H, S) — see DESIGN.md.
+CPython's GIL serializes pure-Python compute, so this backend
+demonstrates *semantics* and I/O concurrency rather than compute
+speed-up; NumPy kernels do release the GIL and overlap.  Performance
+reproduction uses the cost model on simulator-measured (W, H, S) — see
+DESIGN.md.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import traceback
-from collections import defaultdict
-from typing import Any, Sequence
+from queue import SimpleQueue
+from typing import Any, Collection, NamedTuple, Sequence
 
 import numpy as np
 
-from ..core.api import Bsp
-from ..core.errors import SynchronizationError, VirtualProcessorError
-from ..core.packets import Packet, PacketRuns
-from ..core.stats import VPLedger
-from .base import (
-    Backend,
-    BackendRun,
-    Program,
-    check_pattern_sends,
-    check_sync,
-)
+from ..core.packets import Packet
+from .base import Backend, BackendRun, Program, check_sync
+from .exchange import LinkChannel
+from .frames import TAG_PKT
+from .pool import Abort, finish_run, run_rank
 from .shm import zerocopy_enabled
 
 
-class _Abort(BaseException):
-    """Unwinds worker threads after a peer failed."""
+class _Item(NamedTuple):
+    """One frame on an in-process link: the bucket itself, never
+    encoded.  Every run has fresh inboxes, so the run id is constant."""
+
+    tag: int
+    step: int
+    src: int
+    bucket: Sequence[Packet] = ()
+    run_id: int = 0
+
+    def packets(self, dst: int) -> Sequence[Packet]:
+        return self.bucket
 
 
-class VanishingBarrier:
-    """A cyclic barrier whose party count shrinks as members leave.
+class _ThreadChannel(LinkChannel):
+    """The boundary round over in-process queues.
 
-    ``wait()`` blocks until every *current* party has arrived; ``leave()``
-    permanently removes the caller from the party (and releases a waiting
-    cohort that is now complete); ``abort()`` breaks the barrier, waking all
-    waiters with :class:`SynchronizationError`.
-    """
-
-    def __init__(self, parties: int):
-        if parties < 1:
-            raise ValueError("parties must be >= 1")
-        self._cond = threading.Condition()
-        self._parties = parties
-        self._waiting = 0
-        self._generation = 0
-        self._broken = False
-
-    def wait(self) -> None:
-        with self._cond:
-            if self._broken:
-                raise SynchronizationError("barrier is broken")
-            generation = self._generation
-            self._waiting += 1
-            if self._waiting == self._parties:
-                self._release()
-                return
-            while generation == self._generation and not self._broken:
-                self._cond.wait()
-            if self._broken:
-                raise SynchronizationError("barrier broken while waiting")
-
-    def leave(self) -> None:
-        with self._cond:
-            self._parties -= 1
-            if 0 < self._parties == self._waiting:
-                self._release()
-
-    def abort(self) -> None:
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
-
-    def _release(self) -> None:
-        self._waiting = 0
-        self._generation += 1
-        self._cond.notify_all()
-
-    @property
-    def parties(self) -> int:
-        with self._cond:
-            return self._parties
-
-
-#: A sender's deposit: (superstep stamp, {dst: [packets]}).
-_Slot = tuple[int, dict[int, list[Packet]]]
-
-
-class _ThreadShared:
-    """Double-buffered mailbox slots + the superstep barrier."""
-
-    def __init__(self, nprocs: int):
-        self.nprocs = nprocs
-        empty: _Slot = (-1, {})
-        self.slots: list[list[_Slot]] = [
-            [empty] * nprocs for _ in range(2)
-        ]
-        self.barrier = VanishingBarrier(nprocs)
-
-
-class _ThreadChannel:
-    """Per-processor view of the shared mailbox structure.
-
-    Payloads cross by *reference* — the Packet objects a receiver reads
-    out of a sender's parity slot hold the very objects the sender
-    queued, so a NumPy halo costs zero copies and zero pickling.  The
-    hazard of by-reference delivery is the send()→sync() window: a
+    The hazard of by-reference delivery is the send()→sync() window: a
     program that mutates an array *after* sending it would silently
     change what the receiver gets.  :meth:`prepare_payload` guards that
     window by flipping the array's writeable flag off at send time (an
     attempted mutation then raises ``ValueError`` at the faulty line —
-    loud, attributable) and restoring it on delivery, i.e. right after
-    the barrier that publishes the superstep's sends.  With
-    ``REPRO_ZEROCOPY=off`` the guard becomes a documented *copy-on-send*
-    fallback: every outgoing array is copied at send time, restoring
-    full value semantics for programs that insist on recycling their
-    send buffers mid-superstep.
+    loud, attributable), and :meth:`_settle` restores it once the round
+    has passed.  With ``REPRO_ZEROCOPY=off`` the guard becomes a
+    documented *copy-on-send* fallback: every outgoing array is copied
+    at send time, restoring full value semantics for programs that
+    recycle their send buffers mid-superstep.
     """
 
-    def __init__(self, shared: _ThreadShared, abort: threading.Event, *,
-                 zerocopy: bool = True):
-        self._shared = shared
-        self._abort = abort
-        self._pattern = None
+    receipted = True
+
+    def __init__(self, pid: int, nprocs: int, sync: str,
+                 inboxes: Sequence[SimpleQueue], zerocopy: bool):
+        super().__init__(pid, nprocs, sync, 0)
+        self._inboxes = inboxes
         self._zerocopy = zerocopy
         #: Arrays *this channel* froze at send time, by id — only those
-        #: are unfrozen on delivery, so an array the program itself made
-        #: read-only stays read-only.
+        #: are thawed, so an array the program itself made read-only
+        #: stays read-only.
         self._frozen: dict[int, np.ndarray] = {}
 
-    def declare_pattern(self, pattern) -> None:
-        """Parity with the real backends: shared memory has no frames to
-        elide, but declared patterns are validated identically."""
-        self._pattern = pattern
-
     def prepare_payload(self, payload: Any) -> Any:
-        """Apply the by-reference mutation guard to one outgoing payload.
-
-        Zero-copy on: writeable arrays are frozen until delivery.
-        Zero-copy off: arrays are copied at send time (copy-on-send).
-        Non-array payloads pass through untouched — they are shared by
-        reference exactly as this backend always has.
-        """
+        """Freeze (zero-copy on) or copy (off) one outgoing array;
+        anything else is shared by reference as it is."""
         if isinstance(payload, np.ndarray):
             if not self._zerocopy:
                 return payload.copy()
@@ -172,97 +85,58 @@ class _ThreadChannel:
                 self._frozen[id(payload)] = payload
         return payload
 
-    def exchange(self, pid: int, step: int, outbox: list[Packet]) -> PacketRuns:
-        shared = self._shared
-        buckets: dict[int, list[Packet]] = defaultdict(list)
-        for pkt in outbox:
-            buckets[pkt.dst].append(pkt)
-        if self._pattern is not None:
-            check_pattern_sends(pid, step, buckets, self._pattern)
-        parity = step % 2
-        shared.slots[parity][pid] = (step, dict(buckets))
-        try:
-            shared.barrier.wait()
-        except SynchronizationError:
-            raise _Abort() from None
-        if self._abort.is_set():
-            raise _Abort()
-        # Delivery: the barrier has published every send of this
-        # superstep, so the guarded window is over — restore the
-        # writeable flags this channel flipped.  Receivers see writable
-        # arrays, as on every other backend.
+    # -- the transport LinkChannel calls ------------------------------------
+
+    def _enter(self, step: int, outbox: list[Packet],
+               out_links: Sequence[int]) -> None:
+        pass
+
+    def _send(self, peer: int, step: int, bucket: Sequence[Packet],
+              volatile: bool) -> None:
+        self._inboxes[peer].put(_Item(TAG_PKT, step, self._pid, bucket))
+
+    def _signal(self, peer: int, tag: int, step: int) -> None:
+        self._inboxes[peer].put(_Item(tag, step, self._pid))
+
+    def _pump(self) -> None:
+        self._file(self._inboxes[self._pid].get())
+
+    def _settle(self, released: Collection[int]) -> None:
+        """The round has passed: thaw what this boundary froze.
+        Receivers see writable arrays, as on every other backend."""
         if self._frozen:
             for arr in self._frozen.values():
                 arr.flags.writeable = True
             self._frozen.clear()
-        # Each sender's slot holds its per-destination bucket in send order,
-        # i.e. a seq-sorted run; collecting in src order yields the inbox
-        # pre-ordered (PacketRuns), so Bsp.sync skips the sort.
-        runs: list[tuple[int, list[Packet]]] = []
-        for src in range(shared.nprocs):
-            stamp, by_dst = shared.slots[parity][src]
-            if stamp == step:
-                run = by_dst.get(pid)
-                if run:
-                    runs.append((src, run))
-        return PacketRuns(runs)
 
 
 class ThreadBackend(Backend):
-    """Concurrent threads with double-buffered shared mailboxes."""
+    """Concurrent threads over by-reference in-process links."""
 
     name = "threads"
 
-    def run(
-        self,
-        program: Program,
-        nprocs: int,
-        args: Sequence[Any] = (),
-        kwargs: dict[str, Any] | None = None,
-        *,
-        sync: str = "strict",
-    ) -> BackendRun:
+    def run(self, program: Program, nprocs: int, args: Sequence[Any] = (),
+            kwargs: dict[str, Any] | None = None, *,
+            sync: str = "strict") -> BackendRun:
         self.check_nprocs(nprocs)
-        # The vanishing barrier synchronizes memory, not messages; there
-        # is nothing to piggyback or elide, so all modes share one path
-        # (accounting is identical by construction).
         check_sync(sync)
         kwargs = kwargs or {}
-        shared = _ThreadShared(nprocs)
-        abort = threading.Event()
+        inboxes = [SimpleQueue() for _ in range(nprocs)]
         zerocopy = zerocopy_enabled()
-        results: list[Any] = [None] * nprocs
-        ledgers: list[VPLedger | None] = [None] * nprocs
-        errors: list[tuple[int, str, BaseException] | None] = [None] * nprocs
+        outcomes: list[tuple | None] = [None] * nprocs
 
-        def body(pid: int) -> None:
-            channel = _ThreadChannel(shared, abort, zerocopy=zerocopy)
-            bsp = Bsp(pid, nprocs, channel)
-            try:
-                results[pid] = program(bsp, *args, **kwargs)
-                ledgers[pid] = bsp._finish()
-                shared.barrier.leave()
-            except _Abort:
-                pass
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                errors[pid] = (pid, traceback.format_exc(), exc)
-                abort.set()
-                shared.barrier.abort()
+        def rank(pid: int) -> None:
+            channel = _ThreadChannel(pid, nprocs, sync, inboxes, zerocopy)
+            tag, _, _, a, b = run_rank(channel, pid, nprocs, 0, program,
+                                       args, kwargs, (Abort,))
+            outcomes[pid] = (tag, a, b)
 
-        threads = [
-            threading.Thread(target=body, args=(pid,), name=f"bsp-{pid}", daemon=True)
-            for pid in range(nprocs)
-        ]
+        threads = [threading.Thread(target=rank, args=(pid,),
+                                    name=f"bsp-{pid}", daemon=True)
+                   for pid in range(nprocs)]
         t0 = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
-        wall = time.perf_counter() - t0
-
-        for entry in errors:
-            if entry is not None:
-                pid, text, exc = entry
-                raise VirtualProcessorError(pid, text, exc)
-        assert all(ledger is not None for ledger in ledgers)
-        return BackendRun(results=results, ledgers=list(ledgers), wall_seconds=wall)
+        return finish_run(outcomes, time.perf_counter() - t0)

@@ -211,9 +211,9 @@ class VirtualProcessorError(BspError, RuntimeError):
     pid:
         The virtual processor whose program raised.
     original:
-        The original exception instance when available (thread/simulator
-        backends); ``None`` for process backends, where only the formatted
-        traceback crosses the pipe.
+        The original exception instance on the simulator; ``None`` on
+        every other backend, whose ranks report through the pool core's
+        outcome (the formatted traceback only).
     traceback_text:
         Formatted traceback of the original failure.
     """

@@ -1,13 +1,9 @@
-"""Backend-specific internals: registry, determinism, vanishing barrier."""
-
-import threading
+"""Backend-specific internals: registry, determinism, process fail-fast."""
 
 import pytest
 
 from repro import BspConfigError, bsp_run
 from repro.backends.base import available_backends, get_backend, register_backend
-from repro.backends.threads import VanishingBarrier
-from repro.core.errors import SynchronizationError
 
 
 class TestRegistry:
@@ -66,70 +62,6 @@ class TestSimulatorDeterminism:
             ("a", 0), ("a", 1), ("a", 2),
             ("b", 0), ("b", 1), ("b", 2),
         ]
-
-
-class TestVanishingBarrier:
-    def test_basic_two_party(self):
-        barrier = VanishingBarrier(2)
-        hits = []
-
-        def worker():
-            barrier.wait()
-            hits.append(1)
-
-        t = threading.Thread(target=worker)
-        t.start()
-        barrier.wait()
-        t.join(timeout=2)
-        assert hits == [1]
-
-    def test_leave_releases_waiting_cohort(self):
-        barrier = VanishingBarrier(2)
-        released = threading.Event()
-
-        def waiter():
-            barrier.wait()
-            released.set()
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        # Give the waiter time to park, then leave: it must be released.
-        import time
-
-        time.sleep(0.05)
-        barrier.leave()
-        assert released.wait(timeout=2)
-        t.join(timeout=2)
-
-    def test_abort_raises_in_waiters(self):
-        barrier = VanishingBarrier(2)
-        errors = []
-
-        def waiter():
-            try:
-                barrier.wait()
-            except SynchronizationError:
-                errors.append(True)
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        import time
-
-        time.sleep(0.05)
-        barrier.abort()
-        t.join(timeout=2)
-        assert errors == [True]
-        with pytest.raises(SynchronizationError):
-            barrier.wait()
-
-    def test_reusable_across_generations(self):
-        barrier = VanishingBarrier(1)
-        for _ in range(5):
-            barrier.wait()
-
-    def test_invalid_parties(self):
-        with pytest.raises(ValueError):
-            VanishingBarrier(0)
 
 
 class TestProcessesBackend:

@@ -1,14 +1,15 @@
-"""The one boundary round, over an in-memory fabric and the two real ones.
+"""The one boundary round, over the threads fabric and the two real ones.
 
 Which frames a boundary sends and which it waits for — the data round,
 the release round, departures — is written once, in
 :class:`~repro.backends.exchange.LinkChannel`; a fabric supplies only
-its transport.  The transport below is a queue per rank and fits in a
-dozen lines, which is the claim that the seam is that narrow.  Over it,
-without forks or sockets:
+its transport.  The threads backend's transport is a queue per rank and
+fits in a few dozen lines, which is the claim that the seam is that
+narrow.  Over it, without forks or sockets:
 
 * results and (S, H, h-series, m-series) ledgers equal the simulator's
-  in every sync mode, with and without a release round;
+  in every sync mode, with and without a release round (a test-only
+  subclass turns receipts off), and under forced preemption;
 * the frame budget of each mode: one frame per link of the boundary's
   link set, plus one release per link when links cannot prove receipt;
 * nothing is sent to a peer that has departed.
@@ -20,16 +21,15 @@ rank that returns early no longer wedges a peer that keeps sending it
 pipe-sized frames.
 """
 
-import queue
 import sys
 import threading
+from unittest import mock
 
 import pytest
 
 from repro import bsp_run
-from repro.backends.exchange import LinkChannel
-from repro.backends.frames import TAG_PKT, TAG_RELEASE, Frame, encode_packets
-from repro.backends.pool import Abort, finish_run, run_rank
+from repro.backends import threads
+from repro.backends.frames import TAG_PKT, TAG_RELEASE
 from repro.backends.processes import ProcessBackend, _PipeLink
 from repro.backends.tcp import TcpBackend
 from repro.core.packets import Packet
@@ -40,56 +40,32 @@ from .pipes import Pipes
 MODES = ("strict", "relaxed", "elide")
 
 
-class _QueueChannel(LinkChannel):
-    """The whole transport of an in-memory fabric: a queue per rank."""
+def _run(program, nprocs, sync, *, receipted=True, args=()):
+    """One ``ThreadBackend`` run whose channels record every frame they
+    send: the ``BackendRun`` and the frames, as ``(tag, src, dst)``.
+    ``receipted=False`` adds the release round sockets run."""
+    sent = []
 
-    def __init__(self, pid, nprocs, sync, inboxes, sent, receipted):
-        super().__init__(pid, nprocs, sync, 1)
-        self.receipted = receipted
-        self._inboxes = inboxes
-        self._sent = sent
+    class Recording(threads._ThreadChannel):
+        def _send(self, peer, step, bucket, volatile):
+            sent.append((TAG_PKT, self._pid, peer))
+            super()._send(peer, step, bucket, volatile)
 
-    def _enter(self, step, outbox, out_links):
-        pass
+        def _signal(self, peer, tag, step):
+            sent.append((tag, self._pid, peer))
+            super()._signal(peer, tag, step)
 
-    def _send(self, peer, step, bucket, volatile):
-        self._put(peer, Frame(TAG_PKT, 1, step, self._pid,
-                              *encode_packets(bucket)))
-
-    def _signal(self, peer, tag, step):
-        self._put(peer, Frame(tag, 1, step, self._pid, None, None))
-
-    def _put(self, peer, frame):
-        self._sent.append((frame.tag, self._pid, peer))
-        self._inboxes[peer].put(frame)
-
-    def _pump(self):
-        self._file(self._inboxes[self._pid].get(timeout=10.0))
-
-    def _settle(self, released):
-        pass
-
-
-def _run(program, nprocs, sync, *, receipted=False, args=()):
-    """One run on ``nprocs`` threads over the queue fabric: the
-    ``BackendRun`` and every frame sent, as ``(tag, src, dst)``."""
-    inboxes = [queue.Queue() for _ in range(nprocs)]
-    sent, outcomes = [], [None] * nprocs
-
-    def rank(pid):
-        channel = _QueueChannel(pid, nprocs, sync, inboxes, sent, receipted)
-        tag, _, _, a, b = run_rank(channel, pid, nprocs, 1, program, args,
-                                   {}, (Abort,))
-        outcomes[pid] = (tag, a, b)
-
-    threads = [threading.Thread(target=rank, args=(pid,), daemon=True)
-               for pid in range(nprocs)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(20.0)
-    assert not any(thread.is_alive() for thread in threads), "wedged"
-    return finish_run(outcomes, 0.0), sent
+    Recording.receipted = receipted
+    runs = []
+    with mock.patch.object(threads, "_ThreadChannel", Recording):
+        driver = threading.Thread(target=lambda: runs.append(
+            threads.ThreadBackend().run(program, nprocs, args, sync=sync)),
+            daemon=True)
+        driver.start()
+        driver.join(20.0)
+    assert not driver.is_alive(), "wedged"
+    (run,) = runs
+    return run, sent
 
 
 def _snapshot(results, stats):
@@ -150,7 +126,7 @@ class TestQueueFabric:
 
     @pytest.mark.parametrize("sync,receipted,data,releases", [
         ("strict", False, 24, 24),   # a frame and a release per link
-        ("strict", True, 24, 0),     # a write that is its own receipt
+        ("strict", True, 24, 0),     # a put that is its own receipt
         ("relaxed", False, 24, 0),
         ("elide", False, 24, 0),     # no declared pattern: every link
     ])
@@ -169,6 +145,20 @@ class TestQueueFabric:
         # before pid 1's LEFT was read; none after that.
         to_leaver = [s for s in sent if s[:3] == (TAG_PKT, 0, 1)]
         assert 1 <= len(to_leaver) <= 2
+
+    @pytest.mark.parametrize("sync", MODES)
+    def test_matches_the_simulator_under_preemption(self, sync):
+        # Four ranks on two cores, a 1 µs switch interval: every put and
+        # every take of an inbox is preempted somewhere.  A lost or
+        # misfiled item hangs a rank or changes what it received.
+        golden = bsp_run(all_to_all, 4, backend="simulator", args=(200,))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run, _ = _run(all_to_all, 4, sync, args=(200,))
+        finally:
+            sys.setswitchinterval(interval)
+        assert run.results == golden.results
 
 
 #: Byte pairs in a frame larger than a pipe (96 KiB).

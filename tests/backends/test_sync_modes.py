@@ -5,7 +5,8 @@ and ``elide`` change *when a processor may pass the barrier*, never what
 the program observes.  Exercised here:
 
 * bit-identical results and (S, H, h-series, m-series) ledgers versus
-  the simulator golden, for every mode on both pooled backends — on a
+  the simulator golden, for every mode on both pooled backends and on
+  threads — on a
   ring with deliberate empty supersteps (the barrier-bound shape the
   modes exist to accelerate), and property-tested over random
   pattern-respecting programs;
@@ -20,9 +21,10 @@ the program observes.  Exercised here:
   fence, so a resumed run restarts from a fully quiesced boundary);
 * the wire-frame budgets of the one boundary contract, counted by a
   :class:`~repro.faults.FrameCounter` at the actual send sites: one
-  frame per link of the boundary's link set on both fabrics (every peer;
-  the declared links under elide; none for an empty pattern), plus one
-  release per link for TCP strict — data-bearing or not;
+  frame per link of the boundary's link set on every fabric, threads
+  included (every peer; the declared links under elide; none for an
+  empty pattern), plus one release per link for TCP strict —
+  data-bearing or not;
 * an out-of-pattern send under a validating declaration fails loudly at
   the next boundary instead of deadlocking the receiver, and an
   inconsistent declaration stalls the run on both fabrics alike.
@@ -38,6 +40,7 @@ from repro import bsp_run
 from repro import faults
 from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
+from repro.backends.threads import ThreadBackend
 from repro.core.errors import (
     DeadlockError,
     SynchronizationError,
@@ -175,9 +178,13 @@ def _pooled(backend_kind, nprocs, plan, **kw):
         return cls.pool(nprocs, **kw)
 
 
-@pytest.fixture(scope="module", params=["processes", "tcp"])
+@pytest.fixture(scope="module", params=["processes", "tcp", "threads"])
 def mode_pool(request):
-    """One shared 4-worker pool per backend for the equivalence sweeps."""
+    """One shared 4-worker pool per backend for the equivalence sweeps
+    (threads has no pool: a plain backend)."""
+    if request.param == "threads":
+        yield request.param, ThreadBackend()
+        return
     cls = {"processes": ProcessBackend, "tcp": TcpBackend}[request.param]
     with cls.pool(4) as backend:
         yield request.param, backend
@@ -331,13 +338,19 @@ class TestRelaxedFaultContracts:
 
 
 def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4):
-    """Total wire frames a pooled run actually sent, via FrameCounter."""
+    """Total wire frames a run actually sent, via FrameCounter: a pool
+    whose workers inherited the plan, or threads under it."""
     counter = faults.FrameCounter(nprocs)
     plan = faults.FaultPlan([], frame_counter=counter)
     try:
-        with _pooled(backend_kind, nprocs, plan) as backend:
-            bsp_run(program, nprocs, backend=backend, args=(rounds,),
-                    sync=sync)
+        if backend_kind == "threads":
+            with faults.injected(plan):
+                bsp_run(program, nprocs, backend="threads",
+                        args=(rounds,), sync=sync)
+        else:
+            with _pooled(backend_kind, nprocs, plan) as backend:
+                bsp_run(program, nprocs, backend=backend, args=(rounds,),
+                        sync=sync)
         return counter.total()
     finally:
         counter.close()
@@ -353,11 +366,12 @@ class TestEmptySuperstepFrameBudgets:
     backend    mode                         frames
     ========== ============================ ==========================
     processes  strict / relaxed / elide     links (one per link)
+    threads    strict / relaxed / elide     links (one per link)
     tcp        relaxed                      links (one final per link)
     tcp        strict, empty or with data   2·links (final + release)
-    both       elide, declared ring         p·rounds (one per declared
+    all three  elide, declared ring         p·rounds (one per declared
                                             link)
-    both       elide, empty pattern         0 (full barrier elision)
+    all three  elide, empty pattern         0 (full barrier elision)
     ========== ============================ ==========================
     """
 
@@ -386,7 +400,12 @@ class TestEmptySuperstepFrameBudgets:
         assert _count_frames("tcp", "relaxed", empty_steps,
                              self.P, self.ROUNDS) == self.LINKS
 
-    @pytest.mark.parametrize("backend_kind", ["processes", "tcp"])
+    @pytest.mark.parametrize("sync", MODES)
+    def test_threads_every_mode_one_frame_per_link(self, sync):
+        assert _count_frames("threads", sync, empty_steps,
+                             self.P, self.ROUNDS) == self.LINKS
+
+    @pytest.mark.parametrize("backend_kind", ["processes", "tcp", "threads"])
     def test_elide_declared_ring_one_frame_per_declared_link(self,
                                                              backend_kind):
         assert _count_frames(backend_kind, "elide", declared_ring_steps,
@@ -398,4 +417,8 @@ class TestEmptySuperstepFrameBudgets:
 
     def test_pipes_elide_empty_pattern_sends_nothing(self):
         assert _count_frames("processes", "elide", empty_pattern_steps,
+                             self.P, self.ROUNDS) == 0
+
+    def test_threads_elide_empty_pattern_sends_nothing(self):
+        assert _count_frames("threads", "elide", empty_pattern_steps,
                              self.P, self.ROUNDS) == 0
