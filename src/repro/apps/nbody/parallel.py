@@ -238,14 +238,12 @@ def count_program(bsp: Bsp, pos: np.ndarray, mass: np.ndarray,
 def _estimate_on_ranks(backend: Any) -> bool:
     """Whether the load estimate runs as its own BSP program.
 
-    Only on a warm pool (``health()`` is not ``None``), whose idle
-    workers split the count.  Anywhere else the extra run costs more than
-    the in-process count (the simulator, threads and one-shot forks pay a
-    whole run's startup for it), and an SPMD rank's mesh cannot take two
-    back-to-back runs (the parked run-id bug in ROADMAP.md).
+    Only on a warm backend (``health()`` is not ``None``: a pool, or an
+    SPMD rank's mesh), whose idle ranks split the count.  Anywhere else
+    the extra run costs more than the in-process count (the simulator,
+    threads and one-shot forks pay a whole run's startup for it).
     """
-    return (isinstance(backend, Backend) and backend.health() is not None
-            and backend.name != "tcp-spmd")
+    return isinstance(backend, Backend) and backend.health() is not None
 
 
 @dataclass(frozen=True)

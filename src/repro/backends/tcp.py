@@ -82,9 +82,9 @@ Behind the pool core, :class:`TcpMesh` supplies only
 rank per machine (``python -m repro.harness launch-tcp --rank r ...``);
 every invocation runs the same program on the shared
 :func:`~repro.backends.pool.run_rank` and all-gathers outcomes at the
-end.  After a failed run, ``remesh()``
-re-admits the surviving ranks (and a relaunched replacement) at the
-next generation.
+end, and runs follow each other on one mesh as on a pool.  After a lost
+peer, ``remesh()`` re-admits the surviving ranks (and a relaunched
+replacement) at the next generation.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ from .tcp_launch import (
     LinkState,
     MeshFabric,
     bind_listener,
+    close_quietly,
     connect_retry,
     link_fabric,
     relink_accept,
@@ -217,10 +218,17 @@ class _MeshChannel(StreamLinks, LinkChannel):
         self._empty: tuple[int, list] = (-1, [])
         for sock in self._socks.values():
             sock.setblocking(False)
+        links = fabric.links if fabric is not None else {
+            peer: LinkState() for peer in self._socks}
         self._open_links(
-            fabric.links if fabric is not None else {
-                peer: LinkState() for peer in self._socks},
+            links,
             {peer: (sock.fileno(),) * 2 for peer, sock in self._socks.items()})
+        #: Frames of this run that the last run's channel read from a
+        #: faster peer, filed one per :meth:`_pump`: inside the run.
+        self._held: list[Frame] = []
+        for link in links.values():
+            self._held += link.held
+            link.held = []
         self._ctrl_watched = False
         if fabric is not None:
             # Inbound relink dials arrive on the fabric's own listener.
@@ -279,10 +287,7 @@ class _MeshChannel(StreamLinks, LinkChannel):
         self._forget(peer)
         sock = self._socks.pop(peer, None)
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
 
     def _close_peer(self, peer: int) -> None:
         self._eof.add(peer)
@@ -330,10 +335,7 @@ class _MeshChannel(StreamLinks, LinkChannel):
             # A frame the peer never received was already trimmed (it was
             # volatile and its barrier completed — impossible unless the
             # peer lies) — the link cannot be made whole.
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
             self._close_peer(peer)
             raise _PeerLost(peer)
         sock.setblocking(False)
@@ -366,10 +368,7 @@ class _MeshChannel(StreamLinks, LinkChannel):
             peer, peer_rx = got
             if not (0 <= peer < self._nprocs and peer != self._pid
                     and peer in self._link) or peer in self._departed:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                close_quietly(sock)
                 continue
             if peer in self._socks:  # stale half-open socket superseded
                 self._drop_sock(peer)
@@ -404,6 +403,9 @@ class _MeshChannel(StreamLinks, LinkChannel):
         self._link_down(peer)
 
     def _pump(self, timeout: float = 0.05) -> None:
+        if self._held:
+            self._file(self._held.pop(0))  # a TAG_DEAD raises, in the run
+            return
         if self._waiting:
             now = time.monotonic()
             for peer, deadline in list(self._waiting.items()):
@@ -474,8 +476,13 @@ class _MeshChannel(StreamLinks, LinkChannel):
 
     def _file(self, frame: Frame) -> None:
         """The round's filing, plus what only sockets carry: the SPMD
-        outcomes (a peer's ``TAG_DEAD`` precedes its outcome there), and
-        the data frames that prove liveness to :meth:`_beat`."""
+        outcomes (a peer's ``TAG_DEAD`` precedes its outcome there), a
+        faster SPMD peer's next run (held on its link for the next
+        channel), and the data frames that prove liveness to
+        :meth:`_beat`."""
+        if frame.run_id > self._run_id:
+            self._link[frame.src].held.append(frame)
+            return
         tag = frame.tag
         if tag == wire.TAG_RESULT:
             if frame.run_id == self._run_id:
@@ -583,14 +590,21 @@ class _MeshChannel(StreamLinks, LinkChannel):
         flush.  A departed peer is not skipped: in SPMD mode it still
         pumps this link through the result all-gather, and must see our
         LEFT before our EOF; only an already-dead link is."""
+        self._post_all(peers, wire.encode_frame(tag, self._run_id, 0,
+                                                self._pid),
+                       30.0 if tag == TAG_LEFT else 5.0)
+
+    def _post_all(self, peers: Sequence[int], chunks: list,
+                  timeout: float) -> None:
+        """Post one frame on every live link of ``peers``, then flush."""
         for peer in peers:
             if peer in self._eof:
                 continue
             try:
-                self._signal(peer, tag, 0)
+                self._post(peer, chunks)
             except _PeerLost:
                 continue  # as in _drain: the other peers still need theirs
-        self._drain(30.0 if tag == TAG_LEFT else 5.0)
+        self._drain(timeout)
 
     def _drain(self, timeout: float) -> None:
         """Best-effort flush of every outbound queue."""
@@ -613,24 +627,25 @@ class _MeshChannel(StreamLinks, LinkChannel):
         meta, buffers = encode_outcome(outcome)
         # This rank's own entry is what its peers will decode.
         self._results[self._pid] = pickle.loads(meta, buffers=buffers)
-        chunks = wire.encode_frame(
-            wire.TAG_RESULT, self._run_id, 0, self._pid, meta, buffers)
-        for peer in self._peers:
-            if peer not in self._eof:
-                self._post(peer, chunks)
-        self._drain(timeout=30.0)
+        self._post_all(self._peers, wire.encode_frame(
+            wire.TAG_RESULT, self._run_id, 0, self._pid, meta, buffers), 30.0)
 
-    def gather_results(self, nprocs: int, timeout: float) -> dict[int, Any]:
+    def gather_results(self, timeout: float) -> list[tuple]:
+        """Every rank's ``(tag, a, b)`` outcome, by rank.  A closed link
+        brings no outcome, so the gather raises as soon as every missing
+        rank's link is closed, or once ``timeout`` passes."""
         self._gathering = True  # a peer's TAG_DEAD precedes its outcome
         deadline = time.monotonic() + timeout
-        want = [q for q in self._peers if q < nprocs]
-        while not all(q in self._results for q in want):
+        while missing := [q for q in self._peers if q not in self._results]:
+            if set(missing) <= self._eof:
+                raise SynchronizationError(
+                    f"links to ranks {missing} closed before their outcomes")
             if time.monotonic() > deadline:
-                missing = [q for q in want if q not in self._results]
                 raise SynchronizationError(
                     f"timed out gathering outcomes from ranks {missing}")
             self._pump(0.1)
-        return dict(self._results)
+        return [(oc[0], oc[3], oc[4])
+                for oc in map(self._results.get, range(self._nprocs))]
 
     def close(self) -> None:
         """End the run on this channel; without a fabric (a pool of one
@@ -645,10 +660,7 @@ class _MeshChannel(StreamLinks, LinkChannel):
         if self._fabric is None:
             self._linger()
             for sock in self._socks.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                close_quietly(sock)
         self._sel.close()  # forgets every registration with it
 
     def _linger(self) -> None:
@@ -712,10 +724,7 @@ class _CtrlLink(RankLink):
             *encode_outcome(outcome)))
 
     def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        close_quietly(self._sock)
 
 
 def _connect_ctrl(parent_addr: tuple[str, int], rank: int) -> _CtrlLink:
@@ -777,10 +786,7 @@ class _Link:
         self.rank: int | None = None  # known once TAG_HELLO arrives
 
     def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        close_quietly(self.sock)
 
 
 class _CtrlPlane:
@@ -853,10 +859,7 @@ class _CtrlPlane:
         for link in list(self.links.values()) + self.anon:
             link.close()
         self.links, self.anon = {}, []
-        try:
-            self.listener.close()
-        except OSError:
-            pass
+        close_quietly(self.listener)
 
     # -- result source --------------------------------------------------------
 
@@ -1103,10 +1106,13 @@ class TcpSpmdBackend(Backend):
     all-gathered at the end, so every rank returns the complete
     :class:`BackendRun` (rank 0's invocation typically reports).
 
-    Supervision here is in-band only (there is no common parent): a
-    vanished peer surfaces via EOF/``SO_KEEPALIVE`` as an aborted run,
-    not as an attributed :class:`WorkerCrashError`.  A failed run marks
-    the mesh broken — relaunch the ranks rather than reusing it.
+    Runs follow each other on one mesh as on a pool: a faster rank's
+    next run waits on its links for the slower ranks, and a program
+    error leaves the mesh as usable as a pool's.  Supervision is in-band
+    only (there is no common parent): a vanished peer surfaces via
+    EOF/``SO_KEEPALIVE`` as a :class:`SynchronizationError`, not as an
+    attributed :class:`WorkerCrashError`, and so does every later run
+    until each rank calls :meth:`remesh`.
     """
 
     name = "tcp-spmd"
@@ -1116,8 +1122,6 @@ class TcpSpmdBackend(Backend):
                  bind_host: str | None = None, timeout: float = 60.0,
                  generation: int = 0):
         Backend.check_nprocs(nprocs)
-        if not 0 <= rank < nprocs:
-            raise BspConfigError(f"rank {rank} out of range({nprocs})")
         self._rank = rank
         self._nprocs = nprocs
         self._timeout = timeout
@@ -1125,7 +1129,6 @@ class TcpSpmdBackend(Backend):
             rank, nprocs, coordinator, token=token,
             generation=generation, bind_host=bind_host, timeout=timeout)
         self._run_id = 0
-        self._dirty = False
         self._last_fault: str | None = None
         self._heal_kinds: list[str] = []
 
@@ -1140,7 +1143,7 @@ class TcpSpmdBackend(Backend):
     def remesh(self) -> int:
         """Re-admit this rank to the mesh at the next generation.
 
-        Called by *every* participating rank after a failed run (the
+        Called by *every* participating rank after a lost peer (the
         harness ``launch-tcp --max-heals`` retry loop does this): each
         rank tears its links down and re-rendezvouses under
         ``fold_token(token, generation + 1)``, so survivors and a
@@ -1168,7 +1171,6 @@ class TcpSpmdBackend(Backend):
             raise RemeshError(
                 f"rank {self._rank}: remesh to generation {gen} failed: "
                 f"{exc}") from exc
-        self._dirty = False
         self._heal_kinds.append("re-admit")
         return gen
 
@@ -1204,39 +1206,25 @@ class TcpSpmdBackend(Backend):
                 f"this mesh has {self._nprocs} ranks; cannot run "
                 f"nprocs={nprocs}")
         check_sync(sync)
-        if self._dirty:
-            raise BspConfigError(
-                "mesh streams may be corrupt after a failed run; call "
-                "remesh() on every rank (or relaunch them)")
+        if down := self._fabric.down():
+            raise SynchronizationError(
+                f"links to ranks {down} are down; remesh()")
         self._run_id += 1
-        run_id = self._run_id
         channel = _MeshChannel(
-            self._rank, nprocs, self._fabric.socks, run_id, None,
+            self._rank, nprocs, self._fabric.socks, self._run_id, None,
             sync=sync, fabric=self._fabric)
         t0 = time.perf_counter()
         try:
             channel.broadcast_result(run_rank(
-                channel, self._rank, nprocs, run_id, program, args,
+                channel, self._rank, nprocs, self._run_id, program, args,
                 kwargs or {}, (Abort, _PeerLost)))
-            try:
-                gathered = channel.gather_results(nprocs, self._timeout)
-            except (Abort, _PeerLost) as exc:
-                self._dirty = True
-                self._last_fault = f"{type(exc).__name__}: {exc}"
-                raise SynchronizationError(
-                    f"a peer vanished while gathering outcomes: {exc!r}"
-                ) from None
+            outcomes = channel.gather_results(self._timeout)
+        except (_PeerLost, SynchronizationError) as exc:
+            self._last_fault = f"{type(exc).__name__}: {exc}"
+            raise SynchronizationError(f"rank {self._rank}: {exc}") from exc
         finally:
             channel.close()
-        wall = time.perf_counter() - t0
-        outcomes: list[tuple | None] = [None] * nprocs
-        for r, oc in gathered.items():
-            if 0 <= r < nprocs:
-                outcomes[r] = (oc[0], oc[3], oc[4])
-        if any(o is None or o[0] != "ok" for o in outcomes):
-            self._dirty = True
-            self._last_fault = "run failure (see raised error)"
-        return finish_run(outcomes, wall)
+        return finish_run(outcomes, time.perf_counter() - t0)
 
     def close(self) -> None:
         self._fabric.close()

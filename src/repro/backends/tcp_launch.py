@@ -34,6 +34,7 @@ previous generation are refused rather than silently woven back in.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 import socket
@@ -67,6 +68,12 @@ def fold_token(token: int, generation: int) -> int:
     random launch tokens make vanishingly unlikely.
     """
     return ((token & 0x7FFFFFFF) * 1_000_003 + generation) & 0x7FFFFFFF
+
+
+def close_quietly(sock: socket.socket) -> None:
+    """Close ``sock``; a failing close changes nothing for its link."""
+    with contextlib.suppress(OSError):
+        sock.close()
 
 
 def bind_listener(host: str, port: int = 0) -> socket.socket:
@@ -180,12 +187,15 @@ class LinkState(StreamLink):
     mode sends) — those are force-trimmed at barrier exit, where the
     peer's release proves receipt, so they are never replayed with
     mutated bytes.  ``stash`` is the receive-side reorder buffer that
-    makes a NACK resend of one frame sufficient.  The unsent tail and
-    the decoder are the :class:`~repro.backends.exchange.StreamLink`'s.
+    makes a NACK resend of one frame sufficient.  ``held`` keeps the
+    frames of a later run than the reader's — a faster SPMD peer's,
+    read along with the end of this run — for the next run's channel.
+    The unsent tail and the decoder are the
+    :class:`~repro.backends.exchange.StreamLink`'s.
     """
 
     __slots__ = ("tx_seq", "rx_next", "peer_ack", "journal", "volatile",
-                 "attempts", "stash", "retransmits", "reconnects")
+                 "attempts", "stash", "held", "retransmits", "reconnects")
 
     def __init__(self) -> None:
         super().__init__()
@@ -196,6 +206,7 @@ class LinkState(StreamLink):
         self.volatile: set[int] = set()
         self.attempts: dict[int, int] = {}
         self.stash: dict[int, Frame] = {}
+        self.held: list[Frame] = []
         self.retransmits = 0
         self.reconnects = 0
 
@@ -230,6 +241,11 @@ class MeshFabric:
     def wire_token(self) -> int:
         return fold_token(self.token, self.generation)
 
+    def down(self) -> list[int]:
+        """The peers whose socket a failed run closed: only a new
+        generation links them again."""
+        return [q for q, sock in self.socks.items() if sock.fileno() < 0]
+
     def dials(self, peer: int) -> bool:
         """Pair rule: the higher rank of a pair re-dials the lower."""
         return peer < self.rank
@@ -241,16 +257,10 @@ class MeshFabric:
 
     def close(self) -> None:
         for sock in self.socks.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_quietly(sock)
         self.socks.clear()
         if self.listener is not None:
-            try:
-                self.listener.close()
-            except OSError:
-                pass
+            close_quietly(self.listener)
             self.listener = None
 
 
@@ -312,10 +322,7 @@ def relink_accept(fabric: MeshFabric, sock: socket.socket,
         tune_mesh_socket(sock)
         return peer, msg[3]
     except Exception:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        close_quietly(sock)
         return None
 
 
@@ -448,8 +455,7 @@ def link_fabric(fabric: MeshFabric, generation: int,
     dial never meets a listener still vetting mid-run relinks.
     """
     rank = fabric.rank
-    broken = [q for q, sock in fabric.socks.items()
-              if q not in forked and sock.fileno() < 0]
+    broken = [q for q in fabric.down() if q not in forked]
     if broken:  # down mid-repair when the run failed: rebuild instead
         raise SynchronizationError(
             f"rank {rank}: links to ranks {broken} are down")

@@ -162,13 +162,8 @@ def bsp_run(
                 cfg.store.clear(cfg.run_key)
             run_program = CheckpointedProgram(program, cfg, resume_step)
         try:
-            if sync == "strict":
-                # Keep the legacy call shape: custom Backend subclasses
-                # registered before the sync layer existed stay valid.
-                run = engine.run(run_program, nprocs, args=args, kwargs=kwargs)
-            else:
-                run = engine.run(run_program, nprocs, args=args,
-                                 kwargs=kwargs, sync=sync)
+            run = engine.run(run_program, nprocs, args=args, kwargs=kwargs,
+                             sync=sync)
             break
         except WorkerCrashError:
             if attempts_left <= 0:

@@ -550,10 +550,10 @@ class TestLoadEstimate:
         assert (run.stats.S, run.stats.H) == (ref.stats.S, ref.stats.H)
 
     @pytest.mark.parametrize("name,runs", [("simulator", 2),
-                                           ("tcp-spmd", 1)])
+                                           ("tcp-spmd", 2)])
     def test_warm_spmd_rank_counts_in_process(self, name, runs):
-        """A backend reporting health takes the count run, unless it is an
-        SPMD rank, whose mesh cannot take two back-to-back runs."""
+        """A backend reporting health takes the count run, whatever its
+        name: an SPMD rank's mesh takes back-to-back runs like a pool."""
         from repro.backends.simulator import SimulatorBackend
 
         warm = _RunCounter(SimulatorBackend())

@@ -67,13 +67,60 @@ def crashy_program(bsp):
     return bsp.pid
 
 
-def _spmd_main(rank, nprocs, port, q):
+def slow_end_ring_program(bsp, slow):
+    """The ring, with rank ``slow`` late to leave: the others finish
+    first and start their next run while it still gathers this one."""
+    acc = ring_program(bsp)
+    if bsp.pid == slow:
+        time.sleep(0.2)
+    return acc
+
+
+def _spmd_main(rank, nprocs, port, q, runs):
+    """One forked SPMD rank: ``runs`` — ``(program, args, sync)`` each —
+    back to back on one mesh, then ``(rank, rows)`` on ``q``: a run's
+    ``(results, S, H)``, or the raised error's name and seconds taken."""
     backend = TcpSpmdBackend(rank, nprocs, ("127.0.0.1", port), token=1234)
+    rows = []
     try:
-        run = bsp_run(ring_program, nprocs, backend=backend)
-        q.put((rank, run.results, run.stats.S, run.stats.H))
+        for program, args, sync in runs:
+            t0 = time.monotonic()
+            try:
+                run = bsp_run(program, nprocs, args=args, backend=backend,
+                              sync=sync)
+                rows.append((run.results, run.stats.S, run.stats.H))
+            except Exception as exc:
+                rows.append((type(exc).__name__, time.monotonic() - t0))
+        q.put((rank, rows))
     finally:
         backend.close()
+
+
+def _spmd(runs_of, nprocs=3, timeout=60.0):
+    """Fork ``nprocs`` SPMD ranks, rank ``r`` doing ``runs_of[r]``; their
+    rows by rank.  The read has a deadline, so a hung mesh fails the
+    test instead of stalling it."""
+    lsock = socket.socket()
+    lsock.bind(("127.0.0.1", 0))
+    port = lsock.getsockname()[1]
+    lsock.close()
+    ctx = mp.get_context("fork")
+    q = ctx.Queue()
+    procs = [ctx.Process(target=_spmd_main,
+                         args=(r, nprocs, port, q, runs_of[r]))
+             for r in range(nprocs)]
+    for proc in procs:
+        proc.start()
+    deadline = time.monotonic() + timeout
+    try:
+        return dict(q.get(timeout=max(0.1, deadline - time.monotonic()))
+                    for _ in range(nprocs))
+    finally:
+        for proc in procs:
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +544,45 @@ class TestTcpMesh:
 
 class TestTcpSpmd:
     def test_three_rank_all_gather(self):
-        lsock = socket.socket()
-        lsock.bind(("127.0.0.1", 0))
-        port = lsock.getsockname()[1]
-        lsock.close()
-        ctx = mp.get_context("fork")
-        q = ctx.Queue()
-        procs = [ctx.Process(target=_spmd_main, args=(r, 3, port, q))
-                 for r in range(3)]
-        for proc in procs:
-            proc.start()
-        try:
-            rows = sorted(q.get(timeout=60) for _ in range(3))
-        finally:
-            for proc in procs:
-                proc.join(10)
+        rows = _spmd([[(ring_program, (), "strict")]] * 3)
         golden = bsp_run(ring_program, 3, backend="simulator")
         # Every rank gathered the same complete result vector and ledgers.
-        for rank, results, s, h in rows:
+        for [(results, s, h)] in rows.values():
             assert results == golden.results
             assert (s, h) == (golden.stats.S, golden.stats.H)
+
+    @pytest.mark.parametrize("sync", ["strict", "relaxed", "elide"])
+    def test_back_to_back_runs_with_a_slow_rank(self, sync):
+        """A fast rank's next run reaches a rank still gathering this
+        one: its frames wait on the link for that rank's next run."""
+        runs = [(slow_end_ring_program, (n % 3,), sync) for n in range(6)]
+        rows = _spmd([runs] * 3)
+        golden = bsp_run(slow_end_ring_program, 3, args=(0,),
+                         backend="simulator")
+        for rank_rows in rows.values():
+            assert rank_rows == [(golden.results, golden.stats.S,
+                                  golden.stats.H)] * len(runs)
+
+    def test_a_lost_peer_fails_every_later_run(self):
+        """Rank 2 leaves after one run.  The survivors' next run raises
+        as soon as its link is down — the gather does not wait out the
+        60 s timeout for an outcome a closed link cannot bring — and so
+        does every run after it, until a remesh."""
+        runs = [(ring_program, (), "strict")] * 3
+        rows = _spmd([runs, runs, runs[:1]])
+        for rank in (0, 1):
+            first, lost, after = rows[rank]
+            assert first[0] == rows[2][0][0]
+            assert lost[0] == after[0] == "SynchronizationError"
+            assert lost[1] < 20.0 and after[1] < 1.0
+
+    def test_a_program_error_leaves_the_mesh_usable(self):
+        runs = [(crashy_program, (), "strict"), (ring_program, (), "strict")]
+        rows = _spmd([runs] * 3)
+        golden = bsp_run(ring_program, 3, backend="simulator")
+        for failed, ok in rows.values():
+            assert failed[0] == "VirtualProcessorError"
+            assert ok == (golden.results, golden.stats.S, golden.stats.H)
 
 
 class TestTcpCalibration:

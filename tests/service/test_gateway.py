@@ -325,6 +325,9 @@ class _SilentGateway:
                         "job_id": "j1", "state": "DONE"}})
 
     def close(self):
+        # A close() from this thread does not wake the accept() blocked
+        # in _serve on Linux; shutdown() does.
+        self._listener.shutdown(socket.SHUT_RDWR)
         self._listener.close()
         self._thread.join(timeout=30)
 
