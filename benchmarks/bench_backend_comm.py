@@ -39,6 +39,14 @@ Scenarios
 * ``args-large``   — per-run dispatch of two 8 MiB array arguments to a
   warm pool running a no-op body: what shipping ``(program, args)``
   costs, in MB of arguments per second of ``run()`` wall.
+* ``results``      — per-run cost of bringing one 2.65 MB float64 array
+  home from each rank of a warm p=4 pool (Cannon's block at n=1152,
+  the ``matmult-bulk`` result tail): ms/run, MB/s of results, and the
+  parent's minor page faults per run (``resource.getrusage``).  A
+  result is a view of its rank's leased region, so the parent touches
+  no fresh page: the scenario fails the run when the parent takes more
+  than :data:`RESULT_FAULTS_MAX` faults per run (a copy-out takes
+  ~2.6k).
 * ``memcpy-baseline`` — single-process ``np.copyto`` bandwidth over the
   ``numpy-large`` buffer size: the hardware ceiling one payload copy can
   reach on this host.  ``numpy-large`` additionally reports
@@ -46,8 +54,10 @@ Scenarios
   fork-crossing exchange achieves.
 
 CI enforcement: ``--floor SCENARIO=MBPS`` (repeatable) exits non-zero
-when a scenario lands below its floor, and ``--check-leaks`` exits
-non-zero if the run leaves new ``repro-zc-*`` segments in ``/dev/shm``.
+when a scenario lands below its floor, ``--check-leaks`` exits
+non-zero if the run leaves new ``repro-zc-*`` segments in ``/dev/shm``,
+and the ``results`` scenario exits non-zero on a parent that faults in
+its results.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -123,6 +134,11 @@ def small_program(bsp, steps: int, nmsgs: int) -> int:
 
 def noop_program(bsp, a, b) -> int:
     return a.shape[0] + b.shape[0]
+
+
+def block_program(bsp, n: int):
+    """Return one ``n``-float64 array per rank: the result path alone."""
+    return np.full(n, float(bsp.pid))
 
 
 def trivial_program(bsp) -> int:
@@ -358,6 +374,37 @@ def bench_args(nprocs: int, narrays: int, array_bytes: int,
     }
 
 
+#: Most minor page faults the parent may take per ``results`` run.
+RESULT_FAULTS_MAX = 100
+
+
+def bench_results(nprocs: int, *, nruns: int, n: int = 576 * 576) -> dict:
+    """Per-run cost of the result path: each rank of a warm pool
+    returns one ``n``-float64 array, and the parent reads an element of
+    each and lets the results go before the next run, as Cannon's
+    driver does once it has assembled C."""
+    with ProcessBackend.pool(nprocs) as backend:
+        for _ in range(3):  # warm: workers, and the regions results take
+            backend.run(block_program, nprocs, args=(n,))
+        faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        walls = []
+        for _ in range(nruns):
+            t0 = time.perf_counter()
+            results = backend.run(block_program, nprocs, args=(n,)).results
+            if [float(r[-1]) for r in results] != list(range(nprocs)):
+                raise RuntimeError(f"wrong results: {results}")
+            del results
+            walls.append(time.perf_counter() - t0)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
+    wall = statistics.median(walls)
+    return {
+        "nprocs": nprocs, "runs": nruns, "array_bytes": n * 8,
+        "ms_per_run": round(1e3 * wall, 3),
+        "mb_per_s": round(nprocs * n * 8 / 1e6 / wall, 2),
+        "parent_minflt_per_run": round(faults / nruns, 1),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -385,6 +432,18 @@ def main(argv=None) -> int:
     repeats = 2 if args.quick else 3
     p = 4
     scenarios = {}
+
+    if hasattr(ProcessBackend, "pool"):
+        # First: the larger buffers the other scenarios free in this
+        # process raise glibc's trim threshold, after which even a
+        # copy-out would reuse warm heap pages; Cannon's driver runs in
+        # the state this one sees.
+        scenarios["results"] = bench_results(p, nruns=6 if args.quick else 20)
+        print(f"{'results':14s} "
+              f"{scenarios['results']['mb_per_s']:10.1f} MB/s "
+              f"({scenarios['results']['ms_per_run']:.1f} ms/run, "
+              f"{scenarios['results']['parent_minflt_per_run']:.0f} parent "
+              f"faults/run returning {p} x 2.65 MB)")
 
     if args.quick:
         # numpy-large keeps the full-mode 4 MiB arrays (fewer steps): at
@@ -483,6 +542,11 @@ def main(argv=None) -> int:
         print(f"wrote snapshot {label!r} to {args.output}")
 
     failed = False
+    faults = scenarios.get("results", {}).get("parent_minflt_per_run")
+    if faults is not None and faults > RESULT_FAULTS_MAX:
+        print(f"FAULT FAIL: results cost the parent {faults:.0f} minor "
+              f"faults per run, above {RESULT_FAULTS_MAX}: a copy-out?")
+        failed = True
     for spec in args.floor:
         name, _, mbps = spec.partition("=")
         got = scenarios.get(name, {}).get("mb_per_s")

@@ -71,10 +71,7 @@ class Frame:
 
     ``lease`` is the pipe fabric's shared-memory envelope, ``None`` on
     sockets: ``(lease ids going home to the receiver, the region holding
-    the buffers or None)``.  ``stale`` is set on receipt when that
-    region predates a reset of its sender's segment pool: the bytes may
-    alias a newer lease, so a channel that matches the frame to its
-    current run must fail loudly instead of delivering it.
+    the buffers or None)``.
     """
 
     tag: int
@@ -85,7 +82,6 @@ class Frame:
     buffers: list[bytearray] | None
     seq: int = -1
     ack: int = -1
-    stale: int = 0
     lease: Any = None
 
     def packets(self, dst: int) -> list[Packet]:

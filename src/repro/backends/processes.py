@@ -65,7 +65,6 @@ import selectors
 from typing import Any, Collection, Sequence
 
 from .. import faults
-from ..core.errors import PacketError
 from ..core.packets import Packet
 from . import shm
 from . import tcp_wire as wire
@@ -173,18 +172,19 @@ class FrameTransport:
 
     def drop_links(self, pid: int, dead: Collection[int]) -> None:
         """``pid`` forgets its links to ``dead`` — queued bytes and
-        decoders — and the zero-copy state it shared with them: its pool
-        rewinds (the dead hold leases that will never come home, and the
-        generation bump makes any frame still in flight detectably
-        stale) and its inbound leases are forgotten.  Segments are *not*
+        decoders — and the zero-copy state it shared with them, and
+        nothing else: the leases the dead hold on its pool go home (they
+        never would), and its inbound leases from the dead are forgotten
+        (a replacement numbers its leases afresh).  A region the parent
+        or a survivor still holds is never rewound.  Segments are *not*
         unlinked here: the next run reuses them, and only the parent's
         sweep removes names."""
         for peer in dead:
             self._links.pop((pid, peer), None)
         pool = self._seg_pools[pid]
         if pool is not None:
-            pool.reset()
-        self._lease_tables[pid].clear()
+            pool.release_held_by(dead)
+        self._lease_tables[pid].forget(dead)
 
     def drain(self, dead: Collection[int]) -> None:
         """Empty both directions of every pipe of ``dead``: the parent's
@@ -225,8 +225,8 @@ class FrameTransport:
         """Copy a frame's buffers into ONE leased region of ``src``'s
         pool, at running aligned offsets.
 
-        Returns the header's ``(generation, name, offset, lease id,
-        buffer lengths)``, or ``None`` when no segment could be created.
+        Returns the header's ``(name, offset, lease id, buffer
+        lengths)``, or ``None`` when no segment could be created.
         A frame whose buffer list was already placed this boundary — a
         broadcast — aliases that region instead.
         """
@@ -241,9 +241,9 @@ class FrameTransport:
         key = tuple((id(mv.obj), mv.nbytes) for mv in buffers)
         hit = cache[1].get(key)
         if hit is not None:
-            alias = pool.alias(hit[3])
+            alias = pool.alias(hit[3], dst)
             if alias is not None:  # same bytes, another destination: no copy
-                return pool.generation, hit[1], hit[2], alias, lens
+                return hit[1], hit[2], alias, lens
         try:
             lease_id, name, offset, region = pool.lease(
                 dst, sum(map(shm.aligned, lens)))
@@ -254,7 +254,7 @@ class FrameTransport:
             region[at:at + mv.nbytes] = mv
             at += shm.aligned(mv.nbytes)
         cache[1][key] = (buffers, name, offset, lease_id)
-        return pool.generation, name, offset, lease_id, lens
+        return name, offset, lease_id, lens
 
     def open(self, pid: int, frame: Frame) -> Frame:
         """What ``pid`` does with every frame it receives: take the
@@ -267,11 +267,10 @@ class FrameTransport:
         releases, region = frame.lease
         self.release(pid, releases)
         if region is not None:
-            generation, name, offset, lease_id, lens = region
+            name, offset, lease_id, lens = region
             mapped = self._seg_maps[pid].region(
                 name, offset, sum(map(shm.aligned, lens)))
-            frame.stale = int(self._lease_tables[pid].register(
-                frame.src, lease_id, generation, mapped))
+            self._lease_tables[pid].register(frame.src, lease_id, mapped)
             frame.buffers, at = [], 0
             for n in lens:
                 frame.buffers.append(mapped[at:at + n])
@@ -386,10 +385,12 @@ class FrameTransport:
                 for pid in range(self.nprocs)]
 
     def poll(self) -> list[tuple]:
-        """Every result frame that has arrived, decoded.  Each leased
-        buffer is copied out, once: a result the caller still holds must
-        never alias a region the next run leases again.  The lease is
-        then free, and its id goes home with the next dispatch.
+        """Every result frame that has arrived, decoded in place: a
+        leased buffer comes back as a view of the rank's region, as a
+        rank's inbound payloads do.  The lease is the caller's for as
+        long as it holds the result — no pool rewinds a held region, a
+        heal included — and its id goes home with the first dispatch
+        after the caller lets go.
         """
         parent, got = self.nprocs, []
         for pid in range(parent):
@@ -401,9 +402,8 @@ class FrameTransport:
                     break
                 for frame in dec.feed(data):
                     frame = self.open(parent, frame)
-                    got.append(pickle.loads(frame.meta, buffers=[
-                        buf if isinstance(buf, bytearray) else bytearray(buf)
-                        for buf in frame.buffers]))
+                    got.append(pickle.loads(frame.meta,
+                                            buffers=frame.buffers))
         return got
 
     def beat(self, pid: int) -> None:
@@ -484,13 +484,7 @@ class _FrameChannel(StreamLinks, LinkChannel):
             raise Abort()
 
     def _ingest(self, peer: int, frame: Frame) -> None:
-        frame = self._transport.open(self._pid, frame)
-        if frame.stale and frame.run_id == self._run_id:
-            raise PacketError(
-                f"pid {self._pid}: frame from pid {frame.src} at "
-                f"superstep {frame.step} carries a zero-copy lease "
-                "from a reset segment pool (stale generation)")
-        self._file(frame)
+        self._file(self._transport.open(self._pid, frame))
 
     # -- the transport LinkChannel calls ------------------------------------
 
@@ -720,8 +714,8 @@ class BspPool(WorkerPool):
         transport, parent = self._transport, self._capacity
         run = wire.encode_frame(wire.TAG_RUN, run_id, nprocs, -1,
                                 *encode_object(payload))
-        # The leases of the results the parent copied out go home here,
-        # to ranks sitting this run out too.
+        # The leases of the results the caller has let go of go home
+        # here, to ranks sitting this run out too.
         owed = transport.collect_releases(parent)
         for pid in range(parent):
             if pid in owed:

@@ -28,17 +28,21 @@ A *lease* is one sender-side region handed to one receiver:
    as long as the program holds any of them, so
    ``sys.getrefcount(region)`` is the lease's liveness probe: 2 (table
    entry + probe argument) means every consumer dropped its payload.
-3. ``LeaseTable.collect_free()`` runs at each superstep boundary; the
-   freed ids ride back to the segment owner piggybacked on the next
-   boundary frame (or a dedicated release frame when no data frame is
-   owed), and ``SegmentPool.release`` puts a region nobody holds any
-   more on the free list — a segment rewinds to offset 0 only once *all*
-   its leases are back, so no live view is ever overwritten.
-4. Pool ``reset()`` (a heal: the dead hold leases that will never come
-   back) bumps the pool's *generation* and forgets all leases: frames
-   still in flight carry the old generation, which the receiver's table
-   flags as stale — a loud :class:`~repro.core.errors.PacketError` if
-   one were ever delivered, never a silent alias.
+3. ``LeaseTable.collect_free()`` runs at each superstep boundary (and
+   the parent's at each run dispatch); the freed ids ride back to the
+   segment owner piggybacked on the next frame it is owed (or a
+   dedicated release frame when none is), and ``SegmentPool.release``
+   puts a region nobody holds any more on the free list — a segment
+   rewinds to offset 0 only once *all* its leases are back, so no live
+   view is ever overwritten.  The parent is a receiver like any rank: a
+   large result the caller holds is a view of the rank's region, and
+   stays valid — across runs, heals and ``close()`` — for as long as
+   the caller holds it, and occupies the rank's segment while held.
+4. A heal is targeted: every lease records its holder, and a survivor
+   releases only the leases the dead hold (they will never come home)
+   and forgets only the inbound leases whose source is dead (a
+   replacement numbers its leases afresh).  A region the parent or
+   another survivor holds is never rewound.
 
 Segments are never unlinked by workers (a mapped view may outlive the
 run); the parent sweeps them by name — creation counts live in a
@@ -218,14 +222,10 @@ class SegmentPool:
         self._segment_bytes = segment_bytes
         self._created = int(counter[src]) if counter is not None else 0
         self._next_lease = 1
-        self._generation = 0
         self._pools: dict[int, list[_Segment]] = {}
         self._leases: dict[int, _Region] = {}
-
-    @property
-    def generation(self) -> int:
-        """Bumped by every :meth:`reset`; stamped into outgoing frames."""
-        return self._generation
+        #: Who holds each live lease (the destination it was sent to).
+        self._holder: dict[int, int] = {}
 
     @property
     def outstanding(self) -> int:
@@ -246,13 +246,14 @@ class SegmentPool:
             self._counter[self._src] = self._created
         return _Segment(name, mm)
 
-    def _hold(self, region: _Region) -> int:
-        """A fresh lease id over ``region``."""
+    def _hold(self, region: _Region, dst: int) -> int:
+        """A fresh lease id over ``region``, held by ``dst``."""
         region.holders += 1
         region.seg.outstanding += 1
         lease_id = self._next_lease
         self._next_lease += 1
         self._leases[lease_id] = region
+        self._holder[lease_id] = dst
         return lease_id
 
     def lease(self, dst: int, nbytes: int
@@ -282,10 +283,10 @@ class SegmentPool:
             region = _Region(seg, seg.used, size)
             seg.used += size
         offset = region.offset
-        return (self._hold(region), seg.name, offset,
+        return (self._hold(region, dst), seg.name, offset,
                 seg.buf[offset:offset + nbytes])
 
-    def alias(self, lease_id: int) -> int | None:
+    def alias(self, lease_id: int, dst: int) -> int | None:
         """A fresh lease over an existing lease's region (broadcast dedup).
 
         The same payload sent to several destinations is copied into its
@@ -293,20 +294,19 @@ class SegmentPool:
         and so its own release — over the same bytes.  The region is
         recycled, and its segment rewinds, only after *every* receiver
         has let go.  ``None`` when ``lease_id`` is no longer live
-        (released, or wiped by a reset): the caller must place a fresh
-        copy.
+        (released): the caller must place a fresh copy.
         """
         region = self._leases.get(lease_id)
-        return None if region is None else self._hold(region)
+        return None if region is None else self._hold(region, dst)
 
     def release(self, lease_ids) -> None:
-        """Return leases; unknown ids (stale generation, duplicate
-        release) are ignored — ids are never reused, so ignoring is
-        always safe."""
+        """Return leases; unknown ids (a duplicate release) are ignored
+        — ids are never reused, so ignoring is always safe."""
         for lease_id in lease_ids:
             region = self._leases.pop(lease_id, None)
             if region is None:
                 continue
+            del self._holder[lease_id]
             seg = region.seg
             region.holders -= 1
             seg.outstanding -= 1
@@ -323,17 +323,16 @@ class SegmentPool:
         seg.outstanding += 1
         self._pools.setdefault(-1, []).append(seg)
 
+    def release_held_by(self, holders) -> None:
+        """Return every lease held by one of ``holders`` (a heal: the
+        dead will never send theirs home); every other lease stays."""
+        self.release([lease_id for lease_id, dst in self._holder.items()
+                      if dst in holders])
+
     def reset(self) -> None:
-        """Forget every lease and rewind every segment (a heal; the
-        parent's dispatch arena every run).  The generation bump makes
-        any frame still in flight detectably stale at the receiver."""
-        self._generation += 1
-        self._leases.clear()
-        for segs in self._pools.values():
-            for seg in segs:
-                seg.outstanding = 0
-                seg.used = 0
-                seg.free.clear()
+        """Return every lease, so every segment rewinds (the parent's
+        dispatch arena, each run)."""
+        self.release(list(self._leases))
 
     def close(self) -> None:
         """Drop this process's mappings (unlinking is the parent sweep's
@@ -348,6 +347,7 @@ class SegmentPool:
                     pass
         self._pools.clear()
         self._leases.clear()
+        self._holder.clear()
 
 
 class SegmentMap:
@@ -391,20 +391,10 @@ class LeaseTable:
 
     def __init__(self) -> None:
         self._entries: dict[tuple[int, int], np.ndarray] = {}
-        #: Highest pool generation seen per src; a frame below it leased
-        #: from a pool that has since been reset — stale.
-        self._gen: dict[int, int] = {}
 
-    def register(self, src: int, lease_id: int, generation: int,
-                 region: np.ndarray) -> bool:
-        """File one inbound lease; ``True`` means the frame is stale (its
-        generation predates a reset of ``src``'s pool)."""
-        seen = self._gen.get(src, 0)
-        if generation < seen:
-            return True
-        self._gen[src] = generation
+    def register(self, src: int, lease_id: int, region: np.ndarray) -> None:
+        """File one inbound lease."""
         self._entries[src, lease_id] = region
-        return False
 
     def collect_free(self) -> dict[int, list[int]]:
         """Reap leases with no live consumer, grouped by owning src.
@@ -427,8 +417,13 @@ class LeaseTable:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def forget(self, srcs) -> None:
+        """Drop the entries leased by ``srcs`` (a heal: a re-forked
+        sender numbers its leases from one again).  The payloads over
+        them stay valid: only the table lets go."""
+        for key in [key for key in self._entries if key[0] in srcs]:
+            del self._entries[key]
+
     def clear(self) -> None:
-        """Drop every entry (heal: the runs that leased them are dead)
-        and generation seen (a re-forked sender counts from zero)."""
+        """Drop every entry (the fabric is closing)."""
         self._entries.clear()
-        self._gen.clear()

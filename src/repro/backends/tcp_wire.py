@@ -293,7 +293,7 @@ class FrameDecoder:
         frames.append(Frame(
             tag, run_id, step, src,
             bytes(mv[meta_at:meta_at + mlen]) if mlen else None,
-            buffers, seq, ack, 0, lease))
+            buffers, seq, ack, lease))
         return end
 
     @property

@@ -370,9 +370,9 @@ class TestCrashSafety:
     def test_death_while_encoding_the_result_heals_and_sweeps(self):
         """``os._exit`` from inside the result's pickle pass: nothing
         was written, the peers have all reported.  Two failed runs come
-        first: the replacement's segment pool counts its generations
-        from zero again, which must not make its frames or its results
-        look stale to those who saw the old one's."""
+        first: the replacement's segment pool numbers its leases from
+        one again, which must not collide with the leases those who saw
+        the old one's still remember."""
         block = np.full(50_000, 3.0)  # 400 KB: frames and results leased
         with BspPool(3, join_timeout=30.0) as pool:
             for _ in range(2):

@@ -6,9 +6,9 @@ receive-side copy — the array a program reads out of ``bsp.get_pkt()``
 is backed by the shared pages themselves.  Exercised here:
 
 * the sender-side :class:`SegmentPool` (bump allocation, free-list
-  reuse, rewind on full release, generation bumps)
-  and receiver-side :class:`LeaseTable` (refcount liveness probe,
-  stale-generation detection) in isolation;
+  reuse, rewind on full release, a heal's release by holder)
+  and receiver-side :class:`LeaseTable` (refcount liveness probe, a
+  heal's forget by source) in isolation;
 * transport round-trips: out-of-band buffers lease (hit counter), one
   region and one table entry a frame, small ones stay in-band, releases
   flow back both piggybacked and on dedicated frames;
@@ -19,6 +19,9 @@ is backed by the shared pages themselves.  Exercised here:
 * hostile-consumer property: mutating a delivered view after the next
   barrier never corrupts later deliveries (leases are never rewound
   while held);
+* the lifetime of a large result: a view of the rank's region, valid
+  for as long as the caller holds it — across runs, a heal and
+  ``close()`` — and the same under ``REPRO_ZEROCOPY=off``;
 * leak-freedom under chaos: SIGKILL mid-superstep, an exhausted restart
   budget, and the LEAK_SEGMENT / TORN_LEASE fault hooks all end with
   zero orphaned ``/dev/shm`` entries and no live worker (``no_leaks``);
@@ -28,6 +31,7 @@ is backed by the shared pages themselves.  Exercised here:
 """
 
 import errno
+import os
 
 import numpy as np
 import pytest
@@ -47,6 +51,8 @@ from .pipes import Pipes
 BIG_N = 20_000
 # Comfortably below it.
 SMALL_N = 64
+# Cannon's 2.65 MB block at n = 1152, p = 4 (the e2e ``matmult-bulk``).
+BLOCK_N = 576 * 576
 
 #: Every test in this module leaves /dev/shm and the process table as it
 #: found them.
@@ -83,6 +89,33 @@ def big_declared_ring(bsp, n=10 * BIG_N, rounds=12):
         bsp.sync()
         total += sum(float(pkt.payload[0]) for pkt in bsp.packets())
     return total
+
+
+def big_result(bsp, value, die_pid=-1, n=BLOCK_N):
+    """Pass a big array round the ring, then return one: ``value + pid``
+    in every element.  Rank ``die_pid`` exits hard while it holds its
+    neighbour's lease, so a heal has a survivor's lease to return."""
+    bsp.send((bsp.pid + 1) % bsp.nprocs, np.full(n, value))
+    bsp.sync()
+    if bsp.pid == die_pid:
+        os._exit(9)
+    bsp.sync()
+    return np.full(n, value + bsp.pid)
+
+
+def leases_out(bsp):
+    """How many leases of this rank's pool are out, once two boundaries
+    have taken every earlier run's releases home."""
+    bsp.sync()
+    bsp.sync()
+    pool = bsp._channel._transport._seg_pools[bsp.pid]
+    return 0 if pool is None else pool.outstanding
+
+
+def _check_results(results, value):
+    for pid, result in enumerate(results):
+        assert result.shape == (BLOCK_N,)
+        assert result.min() == result.max() == value + pid, (pid, value)
 
 
 def hostile_consumer(bsp, rounds, n):
@@ -163,18 +196,18 @@ class TestSegmentPool:
             pool.close()
             shm.sweep_segments(pool._token, {0: pool._created})
 
-    def test_reset_bumps_generation_and_forgets_leases(self):
+    def test_reset_returns_every_lease_and_keeps_segments(self):
         pool = shm.SegmentPool(shm.fabric_token(), 0)
         try:
             pool.lease(1, 128)
-            assert pool.generation == 0 and pool.outstanding == 1
+            assert pool.outstanding == 1
             pool.reset()
-            assert pool.generation == 1 and pool.outstanding == 0
+            assert pool.outstanding == 0
             # Segments survive a reset (reused, not unlinked) ...
             assert pool.segments == 1
             lid, _, off, view = pool.lease(1, 128)
             assert off == 0
-            # ... and lease ids never restart: stale releases stay safe.
+            # ... and lease ids never restart: late releases stay safe.
             assert lid == 2
             del view
         finally:
@@ -202,11 +235,11 @@ class TestSegmentPool:
         try:
             pin, _, _, _ = pool.lease(1, 64)  # no rewind while it is held
             a, name, off, _ = pool.lease(1, 4096)
-            alias = pool.alias(a)
+            alias = pool.alias(a, 2)
             pool.release([a])
             _, _, off_new, _ = pool.lease(1, 4096)
             assert off_new != off  # the alias holds it: a fresh region
-            assert pool.alias(a) is None  # a released id cannot be aliased
+            assert pool.alias(a, 2) is None  # a released id cannot be aliased
             pool.release([alias])
             _, name2, off2, view = pool.lease(1, 4096)
             assert (name2, off2) == (name, off)
@@ -224,12 +257,33 @@ class TestSegmentPool:
             (seg,) = pool._pools[1]
             assert seg.free
             pool.reset()
-            assert pool.generation == 1 and not seg.free
+            assert not seg.free
             assert (seg.used, seg.outstanding) == (0, 0)
-            pool.release([pin])  # a dead generation's id: ignored
+            pool.release([pin])  # an id already returned: ignored
             _, _, off, view = pool.lease(1, 4096)
             assert off == 0  # the bump pointer, rewound
             del view
+        finally:
+            pool.close()
+            shm.sweep_segments(pool._token, {0: pool._created})
+
+    def test_release_held_by_returns_only_those_holders_leases(self):
+        """A heal: the leases the dead hold go home, an alias of the same
+        region held by a survivor keeps it, and nothing else rewinds."""
+        pool = shm.SegmentPool(shm.fabric_token(), 0)
+        try:
+            kept, _, _, _ = pool.lease(3, 4096)       # the parent's
+            a, name_a, off_a, _ = pool.lease(1, 4096)
+            alias = pool.alias(a, 2)                  # a survivor's
+            dead, name, off_dead, _ = pool.lease(1, 8192)
+            pool.release_held_by({1})
+            assert pool.outstanding == 2  # ``kept`` and ``alias``
+            assert pool.alias(a, 2) is None and pool.alias(dead, 2) is None
+            # The dead's own region is free again; the aliased one is not.
+            assert pool.lease(2, 8192)[1:3] == (name, off_dead)
+            assert pool.lease(1, 4096)[1:3] != (name_a, off_a)
+            pool.release([kept, alias])
+            assert pool.outstanding == 2  # the two just leased
         finally:
             pool.close()
             shm.sweep_segments(pool._token, {0: pool._created})
@@ -260,8 +314,8 @@ class TestLeaseTable:
             table = shm.LeaseTable()
             r1 = seg_map.region(name, off1, 256)
             r2 = seg_map.region(name, off2, 256)
-            assert table.register(0, lid1, 0, r1) is False
-            assert table.register(0, lid2, 0, r2) is False
+            table.register(0, lid1, r1)
+            table.register(0, lid2, r2)
             payload = r1[:100]  # a consumer view keeps lid1 alive
             del r1, r2
             assert table.collect_free() == {0: [lid2]}
@@ -274,27 +328,30 @@ class TestLeaseTable:
             pool.close()
             shm.sweep_segments(token, {0: pool._created})
 
-    def test_stale_generation_flagged(self):
+    def test_forget_drops_only_the_dead_sources_entries(self):
+        """A heal forgets what the dead leased (a replacement numbers
+        its leases from one again); a payload over such a region stays
+        readable, and the survivors' entries stay in the table."""
         token = shm.fabric_token()
         pool = shm.SegmentPool(token, 0)
         seg_map = shm.SegmentMap()
         try:
             _, name, off, sv = pool.lease(1, 64)
+            sv[:] = b"\x07" * 64
             del sv
             table = shm.LeaseTable()
-            region = seg_map.region(name, off, 64)
-            assert table.register(0, 1, 1, region) is False  # gen 1 seen
-            assert table.register(0, 2, 0, region) is True   # gen 0: stale
-            assert table.register(0, 3, 1, region) is False  # same gen: fine
-            assert table.register(0, 4, 2, region) is False  # newer: fine
-            table.clear()
-            assert len(table) == 0
-            del region
+            for src in (0, 1, 2):
+                table.register(src, 1, seg_map.region(name, off, 64))
+            payload = table._entries[1, 1][:8]
+            table.forget({1})
+            assert sorted(table._entries) == [(0, 1), (2, 1)]
+            assert bytes(payload) == b"\x07" * 8
+            assert table.collect_free() == {0: [1], 2: [1]}
+            del payload
         finally:
             seg_map.close()
             pool.close()
             shm.sweep_segments(token, {0: pool._created})
-
 
     def test_equal_ids_from_two_senders_are_two_leases(self):
         """Lease ids count per sender pool: senders 0 and 2 both hand
@@ -334,7 +391,7 @@ class TestTransportRoundTrip:
         transport.send_packets(1, 1, 0, 0, [
             _pkt(0, 1, big, seq=0), _pkt(0, 1, small, seq=1)])
         frame = transport.recv(1)
-        assert frame.stale == 0 and len(frame.buffers) == 1
+        assert len(frame.buffers) == 1
         got = frame.packets(1)
         np.testing.assert_array_equal(np.asarray(got[0].payload), big)
         np.testing.assert_array_equal(np.asarray(got[1].payload), small)
@@ -537,6 +594,67 @@ class TestHostileConsumerProperty:
         assert pool.run(hostile_consumer, 3, args=(2, 600)).results == [0] * 3
         hits, _ = pool._transport.zerocopy_stats()
         assert hits > 0
+
+
+# -- the lifetime of a large result -------------------------------------------
+
+
+class TestHeldResults:
+    """A large result is a view of its rank's leased region: valid for as
+    long as the caller holds it, across runs, heals and ``close()``."""
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_held_results_outlive_two_more_runs_and_stay_writable(
+            self, monkeypatch, mode):
+        monkeypatch.setenv("REPRO_ZEROCOPY", mode)
+        with BspPool(2, join_timeout=60.0) as pool:
+            held = pool.run(big_result, 2, args=(1.0,)).results
+            for value in (2.0, 3.0):
+                _check_results(pool.run(big_result, 2, args=(value,)).results,
+                               value)
+            _check_results(held, 1.0)
+            assert all(result.flags.writeable for result in held)
+            for result in held:
+                result[:] = -1.0  # the caller's to write: nothing else moves
+            _check_results(pool.run(big_result, 2, args=(4.0,)).results, 4.0)
+            health = pool.health()
+        assert (health.zerocopy_hits > 0) == (mode == "on")
+        assert (health.zerocopy_fallbacks > 0) == (mode == "off")
+
+    def test_a_heal_keeps_held_results(self):
+        """Rank 1 dies in run 2: run 1's results, which the caller still
+        holds, are never rewound under run 3's, and from the first run
+        after the heal no survivor's segment count grows."""
+        with BspPool(3, join_timeout=30.0) as pool:
+            held = pool.run(big_result, 3, args=(1.0,)).results
+            with pytest.raises(WorkerCrashError):
+                pool.run(big_result, 3, args=(5.0, 1))
+            assert pool.health().heal_kinds == ("re-fork",)
+            counts = []
+            for i in range(4):
+                _check_results(pool.run(big_result, 3, args=(7.0 + i,)).results,
+                               7.0 + i)
+                _check_results(held, 1.0)
+                counts.append(pool._transport.segment_counts())
+            assert [(c[0], c[2]) for c in counts] == \
+                [(counts[0][0], counts[0][2])] * 4
+
+    def test_a_heal_returns_only_the_deads_leases(self):
+        """Rank 1 dies holding rank 0's lease: the heal sends it home,
+        and the leases the caller's held results pin stay out."""
+        with BspPool(3, join_timeout=30.0) as pool:
+            held = pool.run(big_result, 3, args=(1.0,)).results
+            with pytest.raises(WorkerCrashError):
+                pool.run(big_result, 3, args=(5.0, 1))
+            assert pool.run(leases_out, 3).results == [1, 0, 1]
+            _check_results(held, 1.0)
+
+    def test_a_held_result_outlives_close(self):
+        with BspPool(2, join_timeout=60.0) as pool:
+            held = pool.run(big_result, 2, args=(1.0,)).results
+        _check_results(held, 1.0)  # ``no_leaks``: and no name is left
+        held[0][:] = 2.0
+        assert held[0].sum() == 2.0 * BLOCK_N
 
 
 # -- accounting invariance ----------------------------------------------------
