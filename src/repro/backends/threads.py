@@ -55,8 +55,8 @@ class _ThreadChannel(LinkChannel):
     change what the receiver gets.  :meth:`prepare_payload` guards that
     window by flipping the array's writeable flag off at send time (an
     attempted mutation then raises ``ValueError`` at the faulty line —
-    loud, attributable), and :meth:`_settle` restores it once the round
-    has passed.  With ``REPRO_ZEROCOPY=off`` the guard becomes a
+    loud, attributable), and :meth:`_enter` restores it once the program
+    is inside ``sync()``.  With ``REPRO_ZEROCOPY=off`` the guard becomes a
     documented *copy-on-send* fallback: every outgoing array is copied
     at send time, restoring full value semantics for programs that
     recycle their send buffers mid-superstep.
@@ -79,7 +79,9 @@ class _ThreadChannel(LinkChannel):
         anything else is shared by reference as it is."""
         if isinstance(payload, np.ndarray):
             if not self._zerocopy:
-                return payload.copy()
+                copy = payload.copy()  # as read-only as what was sent
+                copy.flags.writeable = payload.flags.writeable
+                return copy
             if payload.flags.writeable and id(payload) not in self._frozen:
                 payload.flags.writeable = False
                 self._frozen[id(payload)] = payload
@@ -89,7 +91,10 @@ class _ThreadChannel(LinkChannel):
 
     def _enter(self, step: int, outbox: list[Packet],
                out_links: Sequence[int]) -> None:
-        pass
+        """The send window has closed: thaw before any receiver looks."""
+        for arr in self._frozen.values():
+            arr.flags.writeable = True
+        self._frozen.clear()
 
     def _send(self, peer: int, step: int, bucket: Sequence[Packet],
               volatile: bool) -> None:
@@ -102,12 +107,7 @@ class _ThreadChannel(LinkChannel):
         self._file(self._inboxes[self._pid].get())
 
     def _settle(self, released: Collection[int]) -> None:
-        """The round has passed: thaw what this boundary froze.
-        Receivers see writable arrays, as on every other backend."""
-        if self._frozen:
-            for arr in self._frozen.values():
-                arr.flags.writeable = True
-            self._frozen.clear()
+        pass
 
 
 class ThreadBackend(Backend):

@@ -3,6 +3,7 @@
 import gc
 import multiprocessing as mp
 import os
+import threading
 
 import pytest
 
@@ -48,12 +49,18 @@ def _own_pipes() -> int:
 def no_leaks():
     """Whatever the test did to a pool — and however the pool ended —
     nothing outlives it: no ``bsp-*`` child process, no ``repro-zc-*``
-    shared-memory segment, no listening socket, and no pipe end in the
-    parent (a pipe fabric holds one pipe per ordered pair of ranks)."""
+    shared-memory segment, no listening socket, no pipe end in the
+    parent (a pipe fabric holds one pipe per ordered pair of ranks), and
+    no thread the test started (one that is finishing gets a second)."""
     segments = set(shm.scan_orphans())
     listening = _own_listening_sockets()
     pipes = _own_pipes()
+    threads = set(threading.enumerate())
     yield
+    for thread in set(threading.enumerate()) - threads:
+        thread.join(1.0)
+    stray = [t.name for t in set(threading.enumerate()) - threads]
+    assert not stray, f"threads still alive: {sorted(stray)}"
     assert not [c for c in mp.active_children() if c.name.startswith("bsp-")]
     leaked = set(shm.scan_orphans()) - segments
     assert not leaked, f"leaked segments: {sorted(leaked)}"

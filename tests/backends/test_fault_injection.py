@@ -39,7 +39,8 @@ from repro.core.errors import (
     VirtualProcessorError,
     WorkerCrashError,
 )
-from repro.core.stats import ProgramStats
+
+from .conformance import oracle, snapshot
 
 # Module-level programs: pooled runs ship them by pickle.
 
@@ -104,30 +105,6 @@ def _pool_under(plan, nprocs=3, **kw):
         return BspPool(nprocs, **kw)
 
 
-def _golden(nprocs, rounds=2):
-    run = bsp_run(ring_program, nprocs, backend="simulator", args=(rounds,))
-    return (
-        tuple(tuple(r) for r in run.results),
-        run.stats.S,
-        run.stats.H,
-        tuple(s.h for s in run.stats.supersteps),
-        tuple(s.m for s in run.stats.supersteps),
-    )
-
-
-def _snapshot(run):
-    stats = getattr(run, "stats", None)
-    if stats is None:  # a raw BackendRun from BspPool.run
-        stats = ProgramStats.from_ledgers(run.ledgers)
-    return (
-        tuple(tuple(r) for r in run.results),
-        stats.S,
-        stats.H,
-        tuple(s.h for s in stats.supersteps),
-        tuple(s.m for s in stats.supersteps),
-    )
-
-
 class TestCrashDetection:
     def test_sigkill_detected_fast_and_attributed(self):
         plan = faults.FaultPlan([faults.Fault(faults.KILL, pid=1, step=1)])
@@ -171,7 +148,7 @@ class TestCrashDetection:
     def test_hooks_inert_without_plan(self):
         assert faults.active() is None
         run = bsp_run(ring_program, 3, backend="processes")
-        assert _snapshot(run)[0] == _golden(3)[0]
+        assert snapshot(run)[0] == oracle(ring_program, nprocs=3)[0]
 
 
 class TestProgramLevelFaults:
@@ -187,7 +164,8 @@ class TestProgramLevelFaults:
             health = pool.health()
             assert health.restarts == 0 and health.generation == 0
             assert health.restarts_left == pool._max_restarts
-            assert _snapshot(pool.run(ring_program, 3)) == _golden(3)
+            assert snapshot(pool.run(ring_program, 3)) == \
+                oracle(ring_program, nprocs=3)
 
     def test_poison_fails_in_sender_thread(self):
         plan = faults.FaultPlan([faults.Fault(faults.POISON, pid=1, step=0)])
@@ -235,9 +213,9 @@ class TestSelfHealing:
             with pytest.raises(WorkerCrashError):
                 pool.run(ring_program, 3)
             t0 = time.monotonic()
-            snapshot = _snapshot(pool.run(ring_program, 3))
+            healed = snapshot(pool.run(ring_program, 3))
             heal_plus_run = time.monotonic() - t0
-            assert snapshot == _golden(3)
+            assert healed == oracle(ring_program, nprocs=3)
             health = pool.health()
             assert health.generation == 1
             assert health.restarts >= 1
@@ -254,7 +232,8 @@ class TestSelfHealing:
                 pool.run(killed_mid_frame, 2, args=(1.0,))
             assert (err.value.pid, err.value.exitcode) == (1, -signal.SIGKILL)
             assert pool.health().heal_kinds == ("re-fork",)
-            assert _snapshot(pool.run(ring_program, 2)) == _golden(2)
+            assert snapshot(pool.run(ring_program, 2)) == \
+                oracle(ring_program, nprocs=2)
             assert pool.health().alive == 2
 
     def test_repeated_crashes_consume_budget_then_exhaust(self):
@@ -274,7 +253,7 @@ class TestSelfHealing:
             backend = ProcessBackend.pool(3, join_timeout=30.0)
         with backend:
             run = bsp_run(ring_program, 3, backend=backend, retries=1)
-            assert _snapshot(run) == _golden(3)
+            assert snapshot(run) == oracle(ring_program, nprocs=3)
 
     def test_retries_do_not_mask_program_errors(self):
         plan = faults.FaultPlan([faults.Fault(faults.RAISE, pid=0, step=0)])
@@ -294,7 +273,8 @@ class TestSelfHealing:
             with pytest.raises(WorkerCrashError) as err:
                 pool.run(ring_program, 3)
             assert err.value.pid == plan.faults[0].pid
-            assert _snapshot(pool.run(ring_program, 3)) == _golden(3)
+            assert snapshot(pool.run(ring_program, 3)) == \
+                oracle(ring_program, nprocs=3)
             assert pool.health().alive == 3
 
 

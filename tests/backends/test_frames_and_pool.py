@@ -1,19 +1,18 @@
 """Tests for the batched zero-copy exchange layer and the persistent pool.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * the frame combiner is a faithful round-trip (payload kinds, ``h``/``seq``
   metadata, writability of reconstructed arrays);
+* a frame's leased region is handed out again only once every consumer
+  dropped it, and with the shm plane off its buffers ride the stream;
 * :class:`~repro.core.packets.PacketRuns` concatenation produces exactly
-  the canonical ``(src, seq)`` order the old global sort did (property
+  the canonical ``(src, seq)`` order of ``delivery_order`` (property
   tested on random permutations);
 * a :class:`~repro.backends.processes.BspPool` is reusable across runs —
-  fresh ledgers every time, surviving failed runs — and the accounting the
-  whole stack produces is bit-identical to the pre-frame implementation
-  (golden values recorded from the seed revision).
+  fresh ledgers every time, surviving failed runs.
 """
 
-import hashlib
 import threading
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.backends.frames import decode_packets, encode_packets
 from repro.backends.processes import BspPool, ProcessBackend
 from repro.core.errors import BspConfigError, BspUsageError, VirtualProcessorError
 from repro.core.packets import Packet, PacketRuns, delivery_order
-from repro.harness.runner import run_app
 
 from .pipes import Pipes
 
@@ -119,7 +117,7 @@ def _release(transport):
         transport._seg_pools[owner].release(ids)
 
 
-class TestRecvPool:
+class TestLeaseRecycling:
     """The receive buffer of a frame is its leased region: it is handed
     out again only once every consumer dropped the payloads over it."""
 
@@ -156,8 +154,8 @@ class TestRecvPool:
         np.testing.assert_array_equal(held[0].payload, np.ones(512))
 
 
-class TestSlabRing:
-    """What the ring's suite keeps: the one fallback plane."""
+class TestInStreamFallback:
+    """The one fallback plane: a frame's buffers in the stream."""
 
     def test_oversized_frame_takes_pipe_path(self, monkeypatch):
         # With the shm plane off, a frame's buffers follow its header in
@@ -294,43 +292,3 @@ class TestBspPoolReuse:
             second = backend.run(ring_program, 3, args=(2,))
         assert first.results == [[2], [0], [1]]
         assert second.results == [[1], [2], [0]]
-
-
-# ---------------------------------------------------------------------------
-# Golden accounting: bit-identical to the pre-frame (seed) implementation
-# ---------------------------------------------------------------------------
-
-#: (S, H, sha256-prefix of the comma-joined per-superstep h series), as
-#: measured on the simulator backend at the seed revision (p=4, seed 0).
-GOLDEN_SEED_ACCOUNTING = {
-    ("ocean", "66"): (489, 15890, "b5882e80f3a2ab0c"),
-    ("mst", "2.5k"): (7, 573, "42755087de787f56"),
-    ("sp", "2.5k"): (23, 245, "78da159294fa786c"),
-    ("msp", "2.5k"): (34, 3243, "5a9c0ce5981e431b"),
-    ("nbody", "1k"): (7, 1511, "0faf953a2126eb31"),
-    ("matmult", "144"): (3, 10368, "83b281fc68d1317b"),
-}
-
-
-class TestGoldenAccounting:
-    """The exchange layer is transport only: W/H/S must never move."""
-
-    @pytest.mark.parametrize("app,size", sorted(GOLDEN_SEED_ACCOUNTING))
-    def test_simulator_accounting_unchanged(self, app, size):
-        golden_s, golden_h, golden_digest = GOLDEN_SEED_ACCOUNTING[(app, size)]
-        stats = run_app(app, size, 4)
-        series = ",".join(str(ss.h) for ss in stats.supersteps)
-        digest = hashlib.sha256(series.encode()).hexdigest()[:16]
-        assert (stats.S, stats.H) == (golden_s, golden_h)
-        assert digest == golden_digest
-
-    @pytest.mark.parametrize("app,size", sorted(GOLDEN_SEED_ACCOUNTING))
-    def test_tcp_accounting_matches_simulator_golden(self, app, size):
-        # Real sockets are still transport only: the combined-frame layout
-        # rides the TCP stream byte-for-byte, so the golden ledgers hold.
-        golden_s, golden_h, golden_digest = GOLDEN_SEED_ACCOUNTING[(app, size)]
-        stats = run_app(app, size, 4, backend="tcp")
-        series = ",".join(str(ss.h) for ss in stats.supersteps)
-        digest = hashlib.sha256(series.encode()).hexdigest()[:16]
-        assert (stats.S, stats.H) == (golden_s, golden_h)
-        assert digest == golden_digest

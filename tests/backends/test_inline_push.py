@@ -15,7 +15,8 @@ Exercised here:
   segments a link;
 * Appendix B.3 still holds: every rank pushing frames larger than a pipe
   at its peers, mixed with 8-byte frames, for 50 boundaries, strict and
-  relaxed, shm plane on and off, equals the simulator;
+  relaxed, shm plane on and off, completes on the planes it should (what
+  it delivers is the conformance matrix's ``heavy_mixed`` family);
 * small buffers ride in-band without changing what a program receives:
   hypothesis over sizes straddling the in-band cut, 0-d / empty /
   non-contiguous / read-only arrays;
@@ -45,9 +46,9 @@ from repro.backends.frames import TAG_PKT, encode_packets
 from repro.backends.processes import BspPool, ProcessBackend, _PipeLink
 from repro.core.errors import DeadlockError, VirtualProcessorError
 from repro.core.packets import Packet, h_units
-from repro.core.stats import ProgramStats
 from repro.harness.runner import run_app
 
+from .conformance import BLOB, heavy_mixed, oracle, snapshot
 from .pipes import Pipes
 
 pytestmark = pytest.mark.timeout(240)
@@ -237,54 +238,16 @@ class TestNeverGrowsThePool:
 
 # -- B.3: frames that can fill a pipe still cannot deadlock --------------------
 
-#: Larger than a pipe (64 KiB) whichever way it travels: the bytes blob
-#: rides the header, the array is out-of-band and with zero-copy off
-#: goes down the pipe as a message of its own.
-BLOB = 96 << 10
-ARRAY_N = 12_288  # float64: 96 KiB
-BOUNDARIES = 50
-
-
-def heavy_mixed(bsp, boundaries=BOUNDARIES):
-    """Every link carries a pipe-filling frame at two boundaries in three
-    — both directions at once, the B.3 hazard — and an 8-byte one
-    otherwise, so most ranks push both kinds in one superstep."""
-    digest = 0
-    big = np.arange(ARRAY_N, dtype=np.float64) + bsp.pid
-    for step in range(boundaries):
-        for q in range(bsp.nprocs):
-            if q == bsp.pid:
-                continue
-            if (step + bsp.pid + q) % 3:
-                bsp.send(q, bytes([step % 251]) * BLOB)
-                bsp.send(q, big)
-            else:
-                bsp.send(q, np.int64(step * 7 + bsp.pid))
-        bsp.sync()
-        for pkt in bsp.packets():
-            payload = pkt.payload
-            if isinstance(payload, bytes):
-                digest += len(payload) + payload[0]
-            else:
-                digest += int(np.asarray(payload).sum()) % 1_000_003
-    return digest
-
-
-def _ledger_key(stats):
-    return (stats.S, stats.H, stats.h_series, stats.m_series)
-
-
 @pytest.mark.parametrize("zerocopy", ["on", "off"])
 @pytest.mark.parametrize("sync", ["strict", "relaxed"])
 @pytest.mark.parametrize("nprocs", [2, 3])
 def test_mutual_large_pushes_complete(monkeypatch, nprocs, sync, zerocopy):
+    """The pushes finish on the planes they should; what they deliver is
+    the conformance matrix's ``heavy_mixed`` family."""
     monkeypatch.setenv("REPRO_ZEROCOPY", zerocopy)
-    golden = bsp_run(heavy_mixed, nprocs)
     with ProcessBackend.pool(nprocs, join_timeout=120.0) as backend:
-        run = bsp_run(heavy_mixed, nprocs, backend=backend, sync=sync)
+        bsp_run(heavy_mixed, nprocs, backend=backend, sync=sync)
         health = backend.health()
-    assert run.results == golden.results
-    assert _ledger_key(run.stats) == _ledger_key(golden.stats)
     assert health.restarts == 0
     if zerocopy == "on":
         assert health.zerocopy_hits > 0 and health.zerocopy_fallbacks == 0
@@ -430,16 +393,6 @@ def _pool_under(plan, nprocs=3, **kw):
         return BspPool(nprocs, **kw)
 
 
-def _snapshot(run):
-    stats = ProgramStats.from_ledgers(run.ledgers)
-    return [list(r) for r in run.results], _ledger_key(stats)
-
-
-def _golden(nprocs, rounds):
-    run = bsp_run(ring_program, nprocs, args=(rounds,))
-    return [list(r) for r in run.results], _ledger_key(run.stats)
-
-
 class TestFaultsOnTheInlinePath:
     @pytest.mark.parametrize("sync", ["strict", "relaxed"])
     def test_poison_raises_from_the_calling_thread(self, sync):
@@ -455,8 +408,9 @@ class TestFaultsOnTheInlinePath:
             health = pool.health()
             assert health.restarts == 0 and health.generation == 0
             # Fewer rounds never reach the inherited fault: a clean run.
-            assert _snapshot(pool.run(ring_program, 3, args=(2,),
-                                      sync=sync)) == _golden(3, 2)
+            assert snapshot(pool.run(ring_program, 3, args=(2,),
+                                     sync=sync)) == \
+                oracle(ring_program, (2,), 3)
 
     @pytest.mark.parametrize("sync", ["strict", "relaxed"])
     def test_dropped_inline_frame_is_still_a_deadlock(self, sync):
@@ -467,8 +421,8 @@ class TestFaultsOnTheInlinePath:
                 pool.run(ring_program, 3, sync=sync)
             assert err.value.stalled
             # The rebuilt workers forked from a plan-free parent.
-            assert _snapshot(pool.run(ring_program, 3,
-                                      sync=sync)) == _golden(3, 2)
+            assert snapshot(pool.run(ring_program, 3, sync=sync)) == \
+                oracle(ring_program, (2,), 3)
 
     @pytest.mark.parametrize("sync,frames_per_round", [
         ("strict", 6),    # one per link, empty or not

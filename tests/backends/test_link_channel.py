@@ -27,18 +27,15 @@ from unittest import mock
 
 import pytest
 
-from repro import bsp_run
+from repro import SYNC_MODES
 from repro.backends import threads
 from repro.backends.frames import TAG_PKT, TAG_RELEASE
 from repro.backends.processes import ProcessBackend, _PipeLink
 from repro.backends.tcp import TcpBackend
 from repro.core.packets import Packet
-from repro.core.stats import ProgramStats
 
+from .conformance import oracle, snapshot
 from .pipes import Pipes
-
-MODES = ("strict", "relaxed", "elide")
-
 
 def _run(program, nprocs, sync, *, receipted=True, args=()):
     """One ``ThreadBackend`` run whose channels record every frame they
@@ -66,10 +63,6 @@ def _run(program, nprocs, sync, *, receipted=True, args=()):
     assert not driver.is_alive(), "wedged"
     (run,) = runs
     return run, sent
-
-
-def _snapshot(results, stats):
-    return results, (stats.S, stats.H, stats.h_series, stats.m_series)
 
 
 def ring(bsp, rounds=3):
@@ -115,14 +108,11 @@ def leaves_early(bsp, rounds, size=8):
 
 class TestQueueFabric:
     @pytest.mark.parametrize("receipted", [False, True])
-    @pytest.mark.parametrize("sync", MODES)
+    @pytest.mark.parametrize("sync", SYNC_MODES)
     @pytest.mark.parametrize("program,nprocs", [(ring, 3), (all_to_all, 4)])
     def test_matches_the_simulator(self, program, nprocs, sync, receipted):
-        golden = bsp_run(program, nprocs, backend="simulator")
         run, _ = _run(program, nprocs, sync, receipted=receipted)
-        stats = ProgramStats.from_ledgers(run.ledgers)
-        assert _snapshot(run.results, stats) == \
-            _snapshot(golden.results, golden.stats)
+        assert snapshot(run) == oracle(program, nprocs=nprocs)
 
     @pytest.mark.parametrize("sync,receipted,data,releases", [
         ("strict", False, 24, 24),   # a frame and a release per link
@@ -137,7 +127,7 @@ class TestQueueFabric:
         assert tags.count(TAG_PKT) == data
         assert tags.count(TAG_RELEASE) == releases
 
-    @pytest.mark.parametrize("sync", MODES)
+    @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_nothing_is_sent_to_a_departed_peer(self, sync):
         run, sent = _run(leaves_early, 2, sync, args=(6,))
         assert run.results == ["stayed", "left"]
@@ -146,19 +136,18 @@ class TestQueueFabric:
         to_leaver = [s for s in sent if s[:3] == (TAG_PKT, 0, 1)]
         assert 1 <= len(to_leaver) <= 2
 
-    @pytest.mark.parametrize("sync", MODES)
+    @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_matches_the_simulator_under_preemption(self, sync):
         # Four ranks on two cores, a 1 µs switch interval: every put and
         # every take of an inbox is preempted somewhere.  A lost or
         # misfiled item hangs a rank or changes what it received.
-        golden = bsp_run(all_to_all, 4, backend="simulator", args=(200,))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             run, _ = _run(all_to_all, 4, sync, args=(200,))
         finally:
             sys.setswitchinterval(interval)
-        assert run.results == golden.results
+        assert snapshot(run)[0] == oracle(all_to_all, (200,), 4)[0]
 
 
 #: Byte pairs in a frame larger than a pipe (96 KiB).

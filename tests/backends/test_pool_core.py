@@ -34,6 +34,8 @@ from repro.core.errors import (
     WorkerCrashError,
 )
 
+from .conformance import oracle, snapshot
+
 # -- the gather, on fakes -----------------------------------------------------
 
 
@@ -224,12 +226,6 @@ def stuck_program(bsp):
     bsp.sync()
 
 
-def _snapshot(run):
-    return (run.results, run.stats.S, run.stats.H,
-            [s.h for s in run.stats.supersteps],
-            [s.m for s in run.stats.supersteps])
-
-
 @contextlib.contextmanager
 def _backend(fabric, mode, *, plan=None, join_timeout=30.0, **options):
     cls = {"processes": ProcessBackend, "tcp": TcpBackend}[fabric]
@@ -254,13 +250,12 @@ class TestOneCoreTwoFabricsTwoModes:
 
     def _next_run_is_golden(self, backend, mode):
         if mode == "pooled":
-            assert _snapshot(bsp_run(ring_program, NPROCS, backend=backend)) \
-                == _snapshot(bsp_run(ring_program, NPROCS,
-                                     backend="simulator"))
+            assert snapshot(bsp_run(ring_program, NPROCS, backend=backend)) \
+                == oracle(ring_program, nprocs=NPROCS)
             assert backend.health().alive == NPROCS
 
     def test_ok(self, fabric, mode):
-        golden = _snapshot(bsp_run(ring_program, NPROCS, backend="simulator"))
+        golden = oracle(ring_program, nprocs=NPROCS)
         program = ring_program
         if mode == "oneshot":
             rounds = 2  # a closure: fork inherits what pickle could not ship
@@ -269,7 +264,7 @@ class TestOneCoreTwoFabricsTwoModes:
                 return ring_program(bsp, rounds)
         with _backend(fabric, mode) as backend:
             for sync in ("strict", "relaxed"):
-                assert _snapshot(bsp_run(program, NPROCS, backend=backend,
+                assert snapshot(bsp_run(program, NPROCS, backend=backend,
                                          sync=sync)) == golden
 
     def test_program_raises(self, fabric, mode):

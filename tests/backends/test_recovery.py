@@ -37,6 +37,8 @@ from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
 from repro.core.errors import DeadlockError, WorkerCrashError
 
+from .conformance import ledger_key, oracle, snapshot
+
 # Module-level programs: pooled runs ship them by pickle.
 
 
@@ -55,15 +57,6 @@ def counting_ring(bsp, rounds=6, pause=0.0):
         bsp.sync()
         total += sum(pkt.payload for pkt in bsp.packets())
     return total
-
-
-def _ledger_key(stats):
-    return (stats.S, stats.H, stats.h_series, stats.m_series)
-
-
-def _golden_ring(nprocs, rounds=6):
-    run = bsp_run(counting_ring, nprocs, args=(rounds,))
-    return run.results, _ledger_key(run.stats)
 
 
 def _pooled(backend_kind, nprocs, plan, **kw):
@@ -86,15 +79,13 @@ def _cfg(tmp_path, run_key, **kw):
 class TestCrashAtEverySuperstep:
     @pytest.mark.parametrize("kill_step", list(range(6)))
     def test_ring_identity_processes(self, tmp_path, kill_step):
-        golden_results, golden_ledger = _golden_ring(2)
         plan = faults.FaultPlan(
             [faults.Fault(faults.KILL, pid=1, step=kill_step)])
         with _pooled("processes", 2, plan) as backend:
             run = bsp_run(counting_ring, 2, backend=backend, retries=1,
                           checkpoint=_cfg(tmp_path, f"ring-{kill_step}"))
             health = backend.health()
-        assert run.results == golden_results
-        assert _ledger_key(run.stats) == golden_ledger
+        assert snapshot(run) == oracle(counting_ring, (6,), 2)
         # Satellite: the heal is visible through the supervision surface.
         assert health.generation >= 1
         assert health.restarts >= 1
@@ -102,15 +93,13 @@ class TestCrashAtEverySuperstep:
 
     @pytest.mark.parametrize("kill_step", [0, 3, 5])
     def test_ring_identity_tcp(self, tmp_path, kill_step):
-        golden_results, golden_ledger = _golden_ring(2)
         plan = faults.FaultPlan(
             [faults.Fault(faults.KILL, pid=1, step=kill_step)])
         with _pooled("tcp", 2, plan) as backend:
             run = bsp_run(counting_ring, 2, backend=backend, retries=1,
                           checkpoint=_cfg(tmp_path, f"tring-{kill_step}"))
             health = backend.health()
-        assert run.results == golden_results
-        assert _ledger_key(run.stats) == golden_ledger
+        assert snapshot(run) == oracle(counting_ring, (6,), 2)
         assert health.generation >= 1
         assert health.restarts_left == 4  # one heal spent of the default 5
         assert "WorkerCrashError" in health.last_fault
@@ -143,7 +132,7 @@ class TestApplicationIdentity:
                             checkpoint=_cfg(tmp_path, "ocean"))
         assert np.array_equal(golden.state.psi, run.state.psi)
         assert np.array_equal(golden.state.zeta, run.state.zeta)
-        assert _ledger_key(run.stats) == _ledger_key(golden.stats)
+        assert ledger_key(run.stats) == ledger_key(golden.stats)
 
     @pytest.mark.parametrize("backend_kind", ["processes", "tcp"])
     def test_sssp(self, tmp_path, backend_kind):
@@ -161,7 +150,7 @@ class TestApplicationIdentity:
                            backend=backend, retries=1,
                            checkpoint=_cfg(tmp_path, "sssp"))
         assert np.array_equal(golden.dist, run.dist)
-        assert _ledger_key(run.stats) == _ledger_key(golden.stats)
+        assert ledger_key(run.stats) == ledger_key(golden.stats)
 
     @pytest.mark.parametrize("backend_kind", ["processes", "tcp"])
     def test_nbody(self, tmp_path, backend_kind):
@@ -177,7 +166,7 @@ class TestApplicationIdentity:
         assert np.array_equal(golden.bodies.pos, run.bodies.pos)
         assert np.array_equal(golden.bodies.vel, run.bodies.vel)
         assert np.array_equal(golden.bodies.ident, run.bodies.ident)
-        assert _ledger_key(run.stats) == _ledger_key(golden.stats)
+        assert ledger_key(run.stats) == ledger_key(golden.stats)
 
 
 class TestDamagedCheckpointFallback:
@@ -185,7 +174,6 @@ class TestDamagedCheckpointFallback:
     def test_damaged_newest_falls_back_to_previous(self, tmp_path, kind):
         """The shard written at the kill step is damaged on disk, so the
         retry must resume from the *previous* barrier — and still match."""
-        golden_results, golden_ledger = _golden_ring(2)
         plan = faults.FaultPlan([
             faults.Fault(kind, pid=1, step=3),
             faults.Fault(faults.KILL, pid=1, step=3),
@@ -194,14 +182,12 @@ class TestDamagedCheckpointFallback:
         with _pooled("processes", 2, plan) as backend:
             run = bsp_run(counting_ring, 2, backend=backend, retries=1,
                           checkpoint=cfg)
-        assert run.results == golden_results
-        assert _ledger_key(run.stats) == golden_ledger
+        assert snapshot(run) == oracle(counting_ring, (6,), 2)
 
     @pytest.mark.parametrize("kind", sorted(faults.CHECKPOINT_KINDS))
     def test_every_shard_damaged_restarts_from_zero(self, tmp_path, kind):
         """When no checkpoint validates the ladder bottoms out at a full
         restart — never a resume from garbage — and identity still holds."""
-        golden_results, golden_ledger = _golden_ring(2)
         tampers = [faults.Fault(kind, pid=pid, step=step)
                    for pid in (0, 1) for step in range(6)]
         plan = faults.FaultPlan(
@@ -214,20 +200,17 @@ class TestDamagedCheckpointFallback:
             # resume from, so the retry genuinely restarted at step 0.
             # (The clean replacement worker then re-published valid
             # shards, which is why the store is healthy afterwards.)
-        assert run.results == golden_results
-        assert _ledger_key(run.stats) == golden_ledger
+        assert snapshot(run) == oracle(counting_ring, (6,), 2)
 
 
 class TestDeadlockResume:
     def test_deadlock_retried_under_checkpointing(self, tmp_path):
-        golden_results, golden_ledger = _golden_ring(2)
         plan = faults.FaultPlan(
             [faults.Fault(faults.DROP_FRAME, pid=0, step=2, arg=1)])
         with _pooled("processes", 2, plan, join_timeout=2.5) as backend:
             run = bsp_run(counting_ring, 2, backend=backend, retries=1,
                           checkpoint=_cfg(tmp_path, "deadlock"))
-        assert run.results == golden_results
-        assert _ledger_key(run.stats) == golden_ledger
+        assert snapshot(run) == oracle(counting_ring, (6,), 2)
 
     def test_deadlock_not_retried_without_checkpointing(self):
         """Replaying a deadlocked program from zero would deadlock
@@ -242,7 +225,6 @@ class TestDeadlockResume:
 
 class TestKeyboardInterrupt:
     def test_sigint_tears_down_and_stays_resumable(self, tmp_path):
-        golden_results, golden_ledger = _golden_ring(2, rounds=40)
         cfg = _cfg(tmp_path, "sigint")
         backend = ProcessBackend.pool(2)
         timer = threading.Timer(
@@ -272,8 +254,7 @@ class TestKeyboardInterrupt:
                 counting_ring, 2, args=(40, 0.0), backend=fresh,
                 checkpoint=CheckpointConfig(store=store, run_key="sigint",
                                             resume=True))
-        assert run.results == golden_results
-        assert _ledger_key(run.stats) == golden_ledger
+        assert snapshot(run) == oracle(counting_ring, (40,), 2)
 
 
 class TestTcpCrashParity:

@@ -44,6 +44,8 @@ from repro.core.errors import (
 )
 from repro.core.packets import Packet
 
+from .conformance import ledger_key
+
 # ---------------------------------------------------------------------------
 # Module-level programs (pooled runs ship programs by pickle)
 # ---------------------------------------------------------------------------
@@ -160,10 +162,6 @@ class TestDecoderFuzz:
 # ---------------------------------------------------------------------------
 
 
-def _ledger_key(stats):
-    return (stats.S, stats.H, stats.h_series, stats.m_series)
-
-
 def _chaos_plan(kill_step: int) -> faults.FaultPlan:
     """Every network fault kind, spread across ranks, plus one SIGKILL."""
     return faults.FaultPlan([
@@ -199,7 +197,7 @@ class TestChaos:
             health = backend.health()
         assert np.array_equal(golden.state.psi, run.state.psi)
         assert np.array_equal(golden.state.zeta, run.state.zeta)
-        assert _ledger_key(run.stats) == _ledger_key(golden.stats)
+        assert ledger_key(run.stats) == ledger_key(golden.stats)
         # The crash healed in place: the epoch advanced, the mesh was
         # never rebuilt, and the link-level repairs are all accounted.
         assert health.generation >= 1
@@ -227,7 +225,7 @@ class TestChaos:
                            sync=sync)
             health = backend.health()
         assert np.array_equal(golden.dist, run.dist)
-        assert _ledger_key(run.stats) == _ledger_key(golden.stats)
+        assert ledger_key(run.stats) == ledger_key(golden.stats)
         assert health.generation >= 1
         assert "re-fork" in health.heal_kinds
         assert "rebuild" not in health.heal_kinds

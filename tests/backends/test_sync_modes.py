@@ -1,16 +1,12 @@
-"""Three-mode synchronization equivalence and the relaxed-mode contracts.
+"""The synchronization modes' contracts beyond equivalence.
 
 The sync layer's promise (DESIGN "Synchronization modes"): ``relaxed``
 and ``elide`` change *when a processor may pass the barrier*, never what
-the program observes.  Exercised here:
+the program observes.  That identity — results and ledgers equal to the
+simulator's in every mode, on every fabric, for random programs and
+the six paper applications — is the conformance matrix
+(``test_conformance.py``).  Exercised here:
 
-* bit-identical results and (S, H, h-series, m-series) ledgers versus
-  the simulator golden, for every mode on both pooled backends and on
-  threads — on a
-  ring with deliberate empty supersteps (the barrier-bound shape the
-  modes exist to accelerate), and property-tested over random
-  pattern-respecting programs;
-* the same ledger identity for all six paper applications;
 * fault handling survives the mode switch: a dropped frame stalls a
   relaxed run into :class:`DeadlockError` (a missing final is
   indistinguishable from a missing message — run-ahead must not paper
@@ -30,24 +26,19 @@ the program observes.  Exercised here:
   inconsistent declaration stalls the run on both fabrics alike.
 """
 
-import random
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro import bsp_run
+from repro import SYNC_MODES, bsp_run
 from repro import faults
 from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
-from repro.backends.threads import ThreadBackend
 from repro.core.errors import (
     DeadlockError,
     SynchronizationError,
     VirtualProcessorError,
 )
 
-MODES = ("strict", "relaxed", "elide")
+from .conformance import oracle, snapshot
 
 # Module-level programs: pooled runs ship them by pickle.
 
@@ -68,29 +59,6 @@ def pattern_ring(bsp, rounds=4):
     p = bsp.nprocs
     bsp.pattern({(bsp.pid + 1) % p}, {(bsp.pid - 1) % p})
     return mixed_ring(bsp, rounds)
-
-
-def patterned_random(bsp, edges, rounds, seed):
-    """A random pattern-respecting program, deterministic in (seed, pid).
-
-    ``edges`` is the full directed communication graph; each round every
-    edge fires with probability 0.7 — so some rounds leave some (or all)
-    links silent, exactly the partial-emptiness relaxed sync must handle.
-    """
-    bsp.pattern({d for s, d in edges if s == bsp.pid},
-                {s for s, d in edges if d == bsp.pid})
-    rng = random.Random(seed * 131 + bsp.pid)
-    inboxes = []
-    for r in range(rounds):
-        for s, d in edges:
-            if s == bsp.pid:
-                fire = rng.random() < 0.7
-                payload = rng.randrange(1_000_000)
-                if fire:
-                    bsp.send(d, (bsp.pid, r, payload))
-        bsp.sync()
-        inboxes.append(sorted(pkt.payload for pkt in bsp.packets()))
-    return inboxes
 
 
 def counting_ring(bsp, rounds=6):
@@ -163,103 +131,11 @@ def out_of_pattern(bsp):
     return True
 
 
-def _ledger_key(stats):
-    return (stats.S, stats.H, stats.h_series, stats.m_series)
-
-
-def _snapshot(run):
-    return (run.results, _ledger_key(run.stats))
-
-
 def _pooled(backend_kind, nprocs, plan, **kw):
     """A pooled backend whose *initial* workers inherited ``plan``."""
     cls = {"processes": ProcessBackend, "tcp": TcpBackend}[backend_kind]
     with faults.injected(plan):
         return cls.pool(nprocs, **kw)
-
-
-@pytest.fixture(scope="module", params=["processes", "tcp", "threads"])
-def mode_pool(request):
-    """One shared 4-worker pool per backend for the equivalence sweeps
-    (threads has no pool: a plain backend)."""
-    if request.param == "threads":
-        yield request.param, ThreadBackend()
-        return
-    cls = {"processes": ProcessBackend, "tcp": TcpBackend}[request.param]
-    with cls.pool(4) as backend:
-        yield request.param, backend
-
-
-class TestThreeModeEquivalence:
-    def test_mixed_ring_identity(self, mode_pool):
-        _, backend = mode_pool
-        golden = _snapshot(bsp_run(mixed_ring, 4))
-        for mode in MODES:
-            run = bsp_run(mixed_ring, 4, backend=backend, sync=mode)
-            assert _snapshot(run) == golden, mode
-
-    def test_pattern_ring_identity(self, mode_pool):
-        """With the pattern declared, elide prunes non-neighbor frames —
-        and still reproduces the strict ledger bit-for-bit."""
-        _, backend = mode_pool
-        golden = _snapshot(bsp_run(pattern_ring, 4))
-        for mode in MODES:
-            run = bsp_run(pattern_ring, 4, backend=backend, sync=mode)
-            assert _snapshot(run) == golden, mode
-
-    def test_elide_without_pattern_is_safe(self, mode_pool):
-        """No declaration: elide degrades to relaxed (wait on everyone)."""
-        _, backend = mode_pool
-        golden = _snapshot(bsp_run(mixed_ring, 4, args=(3,)))
-        run = bsp_run(mixed_ring, 4, backend=backend, args=(3,),
-                      sync="elide")
-        assert _snapshot(run) == golden
-
-    @settings(max_examples=5, deadline=None)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_property_random_patterned_programs(self, mode_pool, seed, data):
-        """Any pattern-respecting program is mode-invariant, including
-        rounds where a declared link happens to stay silent."""
-        _, backend = mode_pool
-        all_edges = [(s, d) for s in range(4) for d in range(4) if s != d]
-        edges = tuple(sorted(data.draw(
-            st.sets(st.sampled_from(all_edges), min_size=1, max_size=6))))
-        rounds = data.draw(st.integers(1, 3))
-        args = (edges, rounds, seed)
-        golden = _snapshot(bsp_run(patterned_random, 4, args=args))
-        for mode in ("relaxed", "elide"):
-            run = bsp_run(patterned_random, 4, backend=backend, args=args,
-                          sync=mode)
-            assert _snapshot(run) == golden, (mode, edges, rounds)
-
-
-class TestSixAppLedgerIdentity:
-    """The acceptance sweep: every paper app, every mode, one ledger."""
-
-    @pytest.mark.parametrize("app,size", [
-        ("ocean", "66"), ("mst", "2.5k"), ("sp", "2.5k"),
-        ("msp", "2.5k"), ("nbody", "1k"), ("matmult", "144"),
-    ])
-    def test_golden_ledgers(self, app, size, mode_pool):
-        from repro.harness.runner import run_app
-        _, backend = mode_pool
-        golden = _ledger_key(run_app(app, size, 4))
-        for mode in MODES:
-            stats = run_app(app, size, 4, backend=backend, sync=mode)
-            assert _ledger_key(stats) == golden, mode
-
-    @pytest.mark.parametrize("app,size", [
-        ("ocean", "66"), ("mst", "2.5k"), ("sp", "2.5k"),
-        ("msp", "2.5k"), ("nbody", "1k"), ("matmult", "144"),
-    ])
-    def test_one_shot_processes_golden_ledgers(self, app, size):
-        """A pool of one run: every leased frame takes a fresh region,
-        in every mode."""
-        from repro.harness.runner import run_app
-        golden = _ledger_key(run_app(app, size, 4))
-        for mode in MODES:
-            stats = run_app(app, size, 4, backend="processes", sync=mode)
-            assert _ledger_key(stats) == golden, mode
 
 
 class TestRelaxedFaultContracts:
@@ -297,7 +173,7 @@ class TestRelaxedFaultContracts:
         """Kill a worker mid-run under checkpointing: the healed relaxed
         run must reproduce the uninterrupted golden bit-for-bit."""
         from repro import CheckpointConfig, DiskCheckpointStore
-        golden = _snapshot(bsp_run(counting_ring, 2))
+        golden = oracle(counting_ring, nprocs=2)
         plan = faults.FaultPlan(
             [faults.Fault(faults.KILL, pid=1, step=kill_step)])
         cfg = CheckpointConfig(
@@ -307,7 +183,7 @@ class TestRelaxedFaultContracts:
             run = bsp_run(counting_ring, 2, backend=backend, retries=1,
                           checkpoint=cfg, sync="relaxed")
             health = backend.health()
-        assert _snapshot(run) == golden
+        assert snapshot(run) == golden
         assert health.generation >= 1
         assert "WorkerCrashError" in health.last_fault
 
@@ -327,14 +203,14 @@ class TestRelaxedFaultContracts:
         like a lost message" — pid 0 awaits a frame pid 1 never owes it,
         whatever the link is made of; the pool then serves the next run."""
         cls = {"processes": ProcessBackend, "tcp": TcpBackend}[backend_kind]
-        golden = _snapshot(bsp_run(pattern_ring, 3))
+        golden = oracle(pattern_ring, nprocs=3)
         with cls.pool(3, join_timeout=2.5) as backend:
             with pytest.raises(DeadlockError) as err:
                 bsp_run(inconsistent_pattern, 3, backend=backend,
                         sync="elide")
             assert 0 in err.value.stalled
             run = bsp_run(pattern_ring, 3, backend=backend, sync="elide")
-        assert _snapshot(run) == golden
+        assert snapshot(run) == golden
 
 
 def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4):
@@ -400,7 +276,7 @@ class TestEmptySuperstepFrameBudgets:
         assert _count_frames("tcp", "relaxed", empty_steps,
                              self.P, self.ROUNDS) == self.LINKS
 
-    @pytest.mark.parametrize("sync", MODES)
+    @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_threads_every_mode_one_frame_per_link(self, sync):
         assert _count_frames("threads", sync, empty_steps,
                              self.P, self.ROUNDS) == self.LINKS

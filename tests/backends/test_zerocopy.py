@@ -13,9 +13,9 @@ is backed by the shared pages themselves.  Exercised here:
   region and one table entry a frame, small ones stay in-band, releases
   flow back both piggybacked and on dedicated frames;
 * pooled end-to-end runs in both modes — ``REPRO_ZEROCOPY=off`` must
-  give bit-identical results with the fallback counter ticking instead;
-* accounting invariance: the six paper apps produce bit-identical
-  (S, H, h-series) ledgers with the data plane on and off;
+  give bit-identical results with the fallback counter ticking instead
+  (that results and ledgers equal the simulator's with the plane on and
+  off, apps included, is the conformance matrix's);
 * hostile-consumer property: mutating a delivered view after the next
   barrier never corrupts later deliveries (leases are never rewound
   while held);
@@ -655,35 +655,6 @@ class TestHeldResults:
         _check_results(held, 1.0)  # ``no_leaks``: and no name is left
         held[0][:] = 2.0
         assert held[0].sum() == 2.0 * BLOCK_N
-
-
-# -- accounting invariance ----------------------------------------------------
-
-
-GOLDEN_SEED_ACCOUNTING = {
-    ("ocean", "66"): (489, 15890, "b5882e80f3a2ab0c"),
-    ("mst", "2.5k"): (7, 573, "42755087de787f56"),
-    ("sp", "2.5k"): (23, 245, "78da159294fa786c"),
-    ("msp", "2.5k"): (34, 3243, "5a9c0ce5981e431b"),
-    ("nbody", "1k"): (7, 1511, "0faf953a2126eb31"),
-    ("matmult", "144"): (3, 10368, "83b281fc68d1317b"),
-}
-
-
-class TestAccountingInvariance:
-    @pytest.mark.parametrize("mode", ["on", "off"])
-    @pytest.mark.parametrize("app,size", sorted(GOLDEN_SEED_ACCOUNTING))
-    def test_golden_ledgers_identical_both_modes(self, monkeypatch, app,
-                                                 size, mode):
-        """H counts bytes the *program* sent, not bytes the wire moved:
-        the data plane must be invisible to the paper's accounting."""
-        import hashlib
-        from repro.harness.runner import run_app
-        monkeypatch.setenv("REPRO_ZEROCOPY", mode)
-        stats = run_app(app, size, 4, backend="processes")
-        digest = hashlib.sha256(",".join(
-            str(s.h) for s in stats.supersteps).encode()).hexdigest()[:16]
-        assert (stats.S, stats.H, digest) == GOLDEN_SEED_ACCOUNTING[app, size]
 
 
 # -- chaos: no leaked segments ------------------------------------------------
