@@ -7,6 +7,10 @@ simulator's in every mode, on every fabric, for random programs and
 the six paper applications — is the conformance matrix
 (``test_conformance.py``).  Exercised here:
 
+* the identity on one shared pool per fabric: a ring with deliberate
+  empty supersteps (the barrier-bound shape the modes exist to
+  accelerate), with and without its pattern declared, and random
+  pattern-respecting programs in the run-ahead modes;
 * fault handling survives the mode switch: a dropped frame stalls a
   relaxed run into :class:`DeadlockError` (a missing final is
   indistinguishable from a missing message — run-ahead must not paper
@@ -27,18 +31,21 @@ the six paper applications — is the conformance matrix
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SYNC_MODES, bsp_run
 from repro import faults
 from repro.backends.processes import ProcessBackend
 from repro.backends.tcp import TcpBackend
+from repro.backends.threads import ThreadBackend
 from repro.core.errors import (
     DeadlockError,
     SynchronizationError,
     VirtualProcessorError,
 )
 
-from .conformance import oracle, snapshot
+from .conformance import NPROCS, oracle, patterned_random, snapshot
 
 # Module-level programs: pooled runs ship them by pickle.
 
@@ -136,6 +143,62 @@ def _pooled(backend_kind, nprocs, plan, **kw):
     cls = {"processes": ProcessBackend, "tcp": TcpBackend}[backend_kind]
     with faults.injected(plan):
         return cls.pool(nprocs, **kw)
+
+
+@pytest.fixture(scope="module", params=["processes", "tcp", "threads"])
+def mode_pool(request):
+    """One shared 4-worker pool per backend for the equivalence sweeps
+    (threads has no pool: a plain backend)."""
+    if request.param == "threads":
+        yield request.param, ThreadBackend()
+        return
+    cls = {"processes": ProcessBackend, "tcp": TcpBackend}[request.param]
+    with cls.pool(4) as backend:
+        yield request.param, backend
+
+
+class TestThreeModeEquivalence:
+    def test_mixed_ring_identity(self, mode_pool):
+        _, backend = mode_pool
+        golden = oracle(mixed_ring)
+        for mode in SYNC_MODES:
+            run = bsp_run(mixed_ring, 4, backend=backend, sync=mode)
+            assert snapshot(run) == golden, mode
+
+    def test_pattern_ring_identity(self, mode_pool):
+        """With the pattern declared, elide prunes non-neighbor frames —
+        and still reproduces the strict ledger bit-for-bit."""
+        _, backend = mode_pool
+        golden = oracle(pattern_ring)
+        for mode in SYNC_MODES:
+            run = bsp_run(pattern_ring, 4, backend=backend, sync=mode)
+            assert snapshot(run) == golden, mode
+
+    def test_elide_without_pattern_is_safe(self, mode_pool):
+        """No declaration: elide degrades to relaxed (wait on everyone)."""
+        _, backend = mode_pool
+        golden = oracle(mixed_ring, (3,))
+        run = bsp_run(mixed_ring, 4, backend=backend, args=(3,),
+                      sync="elide")
+        assert snapshot(run) == golden
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_property_random_patterned_programs(self, mode_pool, seed, data):
+        """Any pattern-respecting program is mode-invariant, including
+        rounds where a declared link happens to stay silent."""
+        _, backend = mode_pool
+        all_edges = [(s, d) for s in range(NPROCS) for d in range(NPROCS)
+                     if s != d]
+        edges = tuple(sorted(data.draw(
+            st.sets(st.sampled_from(all_edges), min_size=1, max_size=6))))
+        rounds = data.draw(st.integers(1, 3))
+        args = (edges, rounds, seed, True, False)
+        golden = oracle(patterned_random, args)
+        for mode in ("relaxed", "elide"):
+            run = bsp_run(patterned_random, 4, backend=backend, args=args,
+                          sync=mode)
+            assert snapshot(run) == golden, (mode, edges, rounds)
 
 
 class TestRelaxedFaultContracts:

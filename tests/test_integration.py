@@ -18,6 +18,48 @@ from repro.apps.matmul import cannon_matmul
 from repro.graphs import geometric_graph, spatial_partition
 
 
+class TestCrossBackendAgreement:
+    """'Portability': a program's results and its (H, S) accounting are
+    identical on all three library implementations."""
+
+    def test_all_apps_one_seed(self):
+        gg = geometric_graph(120, seed=9)
+        owner = spatial_partition(gg.points, 3)
+        rng = np.random.default_rng(9)
+        a, b = rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
+        bodies = plummer(40, seed=9)
+
+        reference = {}
+        for backend in ("simulator", "threads", "processes"):
+            results = {
+                "mst": round(bsp_mst(gg.graph, owner, 3,
+                                     backend=backend).weight, 9),
+                "sp": bsp_sssp(gg.graph, owner, 3, source=0,
+                               backend=backend).dist.sum().round(9),
+                "mm": cannon_matmul(a, b, 4, backend=backend).c.sum()
+                .round(9),
+                "ocean": bsp_ocean(18, 1, 2, backend=backend)
+                .state.psi.sum().round(12),
+                "nbody": bsp_nbody(bodies, 2, steps=1, theta=0.0,
+                                   dt=0.01, backend=backend)
+                .bodies.pos.sum().round(9),
+            }
+            if not reference:
+                reference = results
+            else:
+                assert results == reference, f"{backend} diverged"
+
+    def test_stats_shape_identical_across_backends(self):
+        gg = geometric_graph(100, seed=4)
+        owner = spatial_partition(gg.points, 3)
+        shapes = set()
+        for backend in ("simulator", "threads", "processes"):
+            stats = bsp_sssp(gg.graph, owner, 3, source=0,
+                             backend=backend).stats
+            shapes.add((stats.S, stats.H))
+        assert len(shapes) == 1
+
+
 class TestCostModelClaims:
     """Section 4: 'the cost model [is] very reliable in modeling the
     overall behavior of an application, including the prediction of
