@@ -56,8 +56,9 @@ Scenarios
 CI enforcement: ``--floor SCENARIO=MBPS`` (repeatable) exits non-zero
 when a scenario lands below its floor, ``--check-leaks`` exits
 non-zero if the run leaves new ``repro-zc-*`` segments in ``/dev/shm``,
-and the ``results`` scenario exits non-zero on a parent that faults in
-its results.
+the ``results`` scenario exits non-zero on a parent that faults in
+its results, and ``one-frame`` exits non-zero above
+:data:`ONE_FRAME_US_MAX` µs per frame.
 """
 
 from __future__ import annotations
@@ -235,6 +236,14 @@ def bench_halo_small(steps: int, *, repeats: int) -> dict:
                        for _ in range(repeats))
             out[f"{sync}_us_per_boundary"] = round(wall / steps * 1e6, 1)
     return out
+
+
+#: Most µs of CPU one ``one-frame`` frame may cost, in every mode (CI's
+#: ``--quick`` smoke included): twice the 18.8 µs the scenario read once
+#: ``Packet`` became a named tuple rebuilt at decode without re-checking
+#: (``BENCH_comm.json`` label ``per-superstep``; the parent read 20.6).
+#: A return of the codec's fixed per-frame cost fails the run.
+ONE_FRAME_US_MAX = 38.0
 
 
 def bench_one_frame(iters: int, *, repeats: int) -> dict:
@@ -542,6 +551,11 @@ def main(argv=None) -> int:
         print(f"wrote snapshot {label!r} to {args.output}")
 
     failed = False
+    per_frame = scenarios["one-frame"]["us_per_frame"]
+    if per_frame > ONE_FRAME_US_MAX:
+        print(f"CEILING FAIL: one-frame costs {per_frame:.1f} us of CPU per "
+              f"frame, above {ONE_FRAME_US_MAX}: the codec's fixed cost?")
+        failed = True
     faults = scenarios.get("results", {}).get("parent_minflt_per_run")
     if faults is not None and faults > RESULT_FAULTS_MAX:
         print(f"FAULT FAIL: results cost the parent {faults:.0f} minor "

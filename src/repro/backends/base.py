@@ -85,7 +85,8 @@ def check_pattern_sends(pid: int, step: int, buckets: Iterable[int],
     if pattern is None or not pattern.validate:
         return
     allowed = pattern.sends_to
-    bad = sorted(d for d in buckets if d != pid and d not in allowed)
+    bad = () if allowed.issuperset(buckets) else sorted(
+        d for d in buckets if d != pid and d not in allowed)
     if bad:
         raise BspUsageError(
             f"pid {pid} sent outside its declared communication pattern "

@@ -199,7 +199,8 @@ class LinkChannel:
         self._fence = False
         # A departed peer reads nothing more of this run: no frame is
         # owed to it (on a pipe one would sit there, or fill it).
-        out_links = [q for q in out_links if q not in self._departed]
+        if self._departed:
+            out_links = [q for q in out_links if q not in self._departed]
         self._enter(step, outbox, out_links)
         buckets: dict[int, list[Packet]] = {}
         for pkt in outbox:
@@ -249,8 +250,9 @@ class LinkChannel:
         """Pump until every live link of ``links`` has delivered into
         ``got``."""
         departed = self._departed
-        while any(q not in got and q not in departed for q in links):
-            self._pump()
+        for q in links:  # ``got`` and ``departed`` only grow
+            while q not in got and q not in departed:
+                self._pump()
 
     def _file(self, frame: Frame) -> None:
         """File one inbound frame; another run's is debris."""
@@ -362,15 +364,13 @@ class StreamLinks:
             except OSError:
                 self._link_down(peer)
                 return
-        for chunk in chunks:
-            mv = memoryview(chunk)
-            if mv.format != "B" or mv.ndim != 1:
-                mv = mv.cast("B")
-            if sent >= mv.nbytes:
-                sent -= mv.nbytes
-            else:
-                q.append(mv[sent:])
-                sent = 0
+        for c in chunks:  # sized without a view unless it queues
+            n = len(c) if type(c) is bytes else memoryview(c).nbytes
+            if sent < n:
+                mv = memoryview(c)
+                q.append((mv if mv.format == "B" and mv.ndim == 1
+                          else mv.cast("B"))[sent:])
+            sent = max(sent - n, 0)
         if q:
             self._update_mask(peer)
 

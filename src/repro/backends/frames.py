@@ -31,6 +31,7 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -90,11 +91,9 @@ class Frame:
         if not self.meta:
             return []
         seqs, hs, payloads = pickle.loads(self.meta, buffers=self.buffers)
-        src = self.src
-        return [
-            Packet(src=src, dst=dst, payload=payload, h=h, seq=seq)
-            for seq, h, payload in zip(seqs, hs, payloads)
-        ]
+        # The sender checked every h: rebuilt without the check.
+        return list(map(Packet._make, zip(
+            repeat(self.src), repeat(dst), payloads, hs, seqs)))
 
 
 #: The builtin numeric dtypes the small-array reducer pickles as a code.
@@ -165,8 +164,8 @@ def encode_packets(packets: Sequence[Packet]
     meta at all for an empty bucket."""
     if not packets:
         return b"", []
-    return encode_object(([p.seq for p in packets], [p.h for p in packets],
-                          [p.payload for p in packets]))
+    _, _, payloads, hs, seqs = zip(*packets)
+    return encode_object((seqs, hs, payloads))
 
 
 def decode_packets(meta: bytes, buffers: list[bytearray] | None,

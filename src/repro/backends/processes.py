@@ -544,9 +544,9 @@ class _FrameChannel(StreamLinks, LinkChannel):
         """Pass only once every live link's queue is in its pipe: a
         frame still queued is not delivered, and its buffers may alias
         program arrays (the stream fallback)."""
-        link = self._link
-        while any(link[q].out for q in self._peers if q not in self._departed):
-            self._pump()
+        for q in self._peers:  # queues only shrink while pumping
+            while self._link[q].out and q not in self._departed:
+                self._pump()
 
     def _announce(self, tag: int, peers: Sequence[int]) -> None:
         """Signal ``tag`` to each of ``peers`` still in the run, then

@@ -29,11 +29,14 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Protocol
 
 from .errors import BspUsageError
 from .packets import Packet, PacketRuns, delivery_order, h_units
 from .stats import VPLedger
+
+_packet_h = attrgetter("h")
 
 
 class ExchangeChannel(Protocol):
@@ -138,11 +141,11 @@ class Bsp:
         if self._prepare is not None:
             payload = self._prepare(payload)
         cost = h_units(payload) if h is None else h
-        pkt = Packet(src=self._pid, dst=dst, payload=payload, h=cost, seq=self._seq)
+        self._outbox.append(Packet(self._pid, dst, payload, cost, self._seq))
         self._seq += 1
-        self._outbox.append(pkt)
-        self._sample.h_sent += pkt.h
-        self._sample.msgs_sent += 1
+        sample = self._sample
+        sample.h_sent += cost
+        sample.msgs_sent += 1
 
     def send_pkt(self, dst: int, payload: Any) -> None:
         """Paper-faithful alias of :meth:`send` (``bspSendPkt``)."""
@@ -204,7 +207,8 @@ class Bsp:
         the *previous* superstep still unread are discarded.
         """
         self._check_live()
-        self._sample.work_seconds += self._clock() - self._t0
+        sample = self._sample
+        sample.work_seconds += self._clock() - self._t0
         outbox, self._outbox = self._outbox, []
         inbound = self._channel.exchange(self._pid, self._step, outbox)
         if isinstance(inbound, PacketRuns):
@@ -213,8 +217,8 @@ class Bsp:
             ordered = inbound.merged()
         else:
             ordered = delivery_order(inbound)
-        self._sample.h_recv = sum(p.h for p in ordered)
-        self._sample.msgs_recv = len(ordered)
+        sample.h_recv = sum(map(_packet_h, ordered))
+        sample.msgs_recv = len(ordered)
         self._inbox = deque(ordered)
         self._step += 1
         self._seq = 0

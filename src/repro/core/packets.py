@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,46 @@ def h_units(payload: Any) -> int:
 #: Element types that cost one 8-byte word each; a container holding only
 #: these has the closed-form size ``8 * len`` (no per-element recursion).
 _WORD_TYPES = frozenset((bool, int, float, complex, type(None)))
+#: Containers whose size is the sum over their elements.
+_SEQ_TYPES = frozenset((tuple, list, set, frozenset))
 
 
 def _payload_nbytes(payload: Any) -> int:
+    # Exact-type fast path: a payload of a builtin type (and an exact
+    # ndarray) is sized without the isinstance chain.  Subclasses (an
+    # IntEnum, a namedtuple, an ndarray subclass) and NumPy scalars
+    # take the chain, which sizes them as before.
+    kind = type(payload)
+    if kind in _WORD_TYPES:
+        return 8
+    if kind in _SEQ_TYPES:
+        return _items_nbytes(payload)
+    if kind is np.ndarray:
+        return payload.nbytes
+    if kind is str and payload.isascii():
+        return len(payload)
+    return _nbytes_by_isinstance(payload)
+
+
+def _items_nbytes(items: Any) -> int:
+    """Size of a tuple/list/set: the sum over its elements."""
+    # A long container takes the chain's one C-level type sweep; a
+    # short mixed tuple such as a tagged ghost row is summed in line.
+    if len(items) > 8 and _WORD_TYPES.issuperset(map(type, items)):
+        return 8 * len(items)
+    total = 0
+    for item in items:
+        kind = type(item)
+        if kind in _WORD_TYPES:
+            total += 8
+        elif kind is np.ndarray:
+            total += item.nbytes
+        else:
+            total += _payload_nbytes(item)
+    return total
+
+
+def _nbytes_by_isinstance(payload: Any) -> int:
     if payload is None or isinstance(payload, (bool, int, float, complex)):
         return 8
     if isinstance(payload, (bytes, bytearray)):
@@ -92,9 +130,24 @@ def _payload_nbytes(payload: Any) -> int:
     return PACKET_BYTES
 
 
-@dataclass(frozen=True)
-class Packet:
+class _PacketFields(NamedTuple):
+    src: int
+    dst: int
+    payload: Any
+    h: int
+    seq: int = 0
+
+
+class Packet(_PacketFields):
     """One message in flight between two virtual processors.
+
+    An immutable named tuple: every boundary builds one per message at
+    ``send`` and one per message at decode, and a tuple is built in C
+    where a frozen dataclass sets each field through
+    ``object.__setattr__`` (half the cost).  Equality, hashing, pickling
+    and the repr go by the five fields; being a tuple, a packet also
+    iterates, unpacks and equals a plain tuple of its fields.
+    Construction refuses ``h < 1``.
 
     Attributes
     ----------
@@ -112,15 +165,17 @@ class Packet:
         order deterministic across backends.
     """
 
-    src: int
-    dst: int
-    payload: Any
-    h: int
-    seq: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.h < 1:
-            raise PacketError(f"packet h-units must be >= 1, got {self.h}")
+    #: Rebuild from ``(src, dst, payload, h, seq)`` without the h check,
+    #: in C: for a decoder rebuilding packets their sender checked.
+    _make = classmethod(tuple.__new__)
+
+    def __new__(cls, src: int, dst: int, payload: Any, h: int,
+                seq: int = 0) -> "Packet":
+        if h < 1:
+            raise PacketError(f"packet h-units must be >= 1, got {h}")
+        return tuple.__new__(cls, (src, dst, payload, h, seq))
 
 
 def delivery_order(packets: Iterable[Packet]) -> list[Packet]:
@@ -152,7 +207,7 @@ class PacketRuns:
     def __init__(self, runs_by_src: Iterable[tuple[int, list[Packet]]]):
         #: (src, run) pairs; stored sorted by src, empty runs dropped.
         self._runs: list[list[Packet]] = [
-            run for _, run in sorted(runs_by_src, key=lambda item: item[0]) if run
+            run for _, run in sorted(runs_by_src, key=itemgetter(0)) if run
         ]
 
     def merged(self) -> list[Packet]:

@@ -26,6 +26,8 @@ Work is measured two ways at once:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import starmap
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import BspUsageError
@@ -43,12 +45,28 @@ class SuperstepSample:
     msgs_recv: int = 0
 
 
+#: A sample's fields in declaration order: one row of a ledger.
+_SAMPLE_ROW = attrgetter("work_seconds", "charged", "h_sent", "h_recv",
+                         "msgs_sent", "msgs_recv")
+
+
+def _ledger_from_rows(pid: int, rows: list[tuple]) -> "VPLedger":
+    return VPLedger(pid, list(starmap(SuperstepSample, rows)))
+
+
 @dataclass
 class VPLedger:
     """Per-superstep samples recorded by a single virtual processor."""
 
     pid: int
     samples: list[SuperstepSample] = field(default_factory=list)
+
+    def __reduce__(self):
+        # A rank's ledger goes home as one row per superstep, not as one
+        # pickled object per sample: a fraction of the bytes and of the
+        # time at both ends.
+        return _ledger_from_rows, (self.pid,
+                                   list(map(_SAMPLE_ROW, self.samples)))
 
     def begin_superstep(self) -> SuperstepSample:
         sample = SuperstepSample()
@@ -131,29 +149,28 @@ class ProgramStats:
                 "every virtual processor must call sync() the same number of "
                 "times"
             )
-        nsteps = counts.pop()
-        steps = []
-        for i in range(nsteps):
-            samples = [ledger.samples[i] for ledger in ledgers]
-            steps.append(
-                SuperstepStats(
-                    index=i,
-                    w=max(s.work_seconds for s in samples),
-                    charged=max(s.charged for s in samples),
-                    h=max(max(s.h_sent, s.h_recv) for s in samples),
-                    h_sent_max=max(s.h_sent for s in samples),
-                    h_recv_max=max(s.h_recv for s in samples),
-                    m=max(max(s.msgs_sent, s.msgs_recv) for s in samples),
-                    total_work=sum(s.work_seconds for s in samples),
-                    total_charged=sum(s.charged for s in samples),
-                    total_msgs=sum(s.msgs_sent for s in samples),
-                )
-            )
+        # One transposed pass: per ledger, its samples' fields as columns;
+        # per field, one tuple per superstep across the ledgers, in
+        # ledger order, so every max and sum sees the values in the
+        # order the per-superstep definition does (bit-identical floats).
+        cols = [tuple(zip(*map(_SAMPLE_ROW, ledger.samples)))
+                for ledger in ledgers]
+        if counts.pop() == 0:
+            steps: tuple[SuperstepStats, ...] = ()
+        else:
+            work, charged, sent, recv, msent, mrecv = (
+                list(zip(*[col[f] for col in cols])) for f in range(6))
+            h_sent, h_recv = list(map(max, sent)), list(map(max, recv))
+            steps = tuple(map(
+                SuperstepStats, range(len(work)), map(max, work),
+                map(max, charged), map(max, h_sent, h_recv), h_sent, h_recv,
+                map(max, map(max, msent), map(max, mrecv)),
+                map(sum, work), map(sum, charged), map(sum, msent)))
         return cls(
             nprocs=len(ledgers),
-            supersteps=tuple(steps),
-            total_work=sum(ledger.total_work_seconds for ledger in ledgers),
-            total_charged=sum(ledger.total_charged for ledger in ledgers),
+            supersteps=steps,
+            total_work=sum(sum(col[0]) for col in cols if col),
+            total_charged=sum(sum(col[1]) for col in cols if col),
             wall_seconds=wall_seconds,
         )
 

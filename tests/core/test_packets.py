@@ -1,5 +1,8 @@
 """Unit and property tests for packet encoding and h-unit accounting."""
 
+import enum
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +72,33 @@ class TestPacket:
     def test_rejects_nonpositive_h(self):
         with pytest.raises(PacketError):
             Packet(src=0, dst=1, payload=b"", h=0)
+
+    def test_contract(self):
+        """What programs and backends may rely on, whatever the
+        representation: construction, fields, immutability, value
+        semantics, pickling, the h check and the repr."""
+        kw = Packet(src=0, dst=1, payload="x", h=2, seq=3)
+        pos = Packet(0, 1, "x", 2, 3)
+        assert (kw.src, kw.dst, kw.payload, kw.h, kw.seq) == (0, 1, "x", 2, 3)
+        assert kw == pos and hash(kw) == hash(pos)
+        assert len({kw, pos}) == 1
+        assert Packet(0, 1, "x", 2).seq == 0
+        assert Packet(0, 1, "x", 2, seq=4) != kw
+        assert Packet(0, 1, "y", 2, 3) != kw
+        for field in ("src", "dst", "payload", "h", "seq", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(kw, field, 9)
+        back = pickle.loads(pickle.dumps(kw, protocol=pickle.HIGHEST_PROTOCOL))
+        assert type(back) is Packet and back == kw
+        for h in (0, -1):
+            with pytest.raises(PacketError, match="h-units must be >= 1"):
+                Packet(0, 1, b"", h)
+            with pytest.raises(PacketError):
+                Packet(src=0, dst=1, payload=b"", h=h, seq=0)
+        text = repr(kw)
+        assert text.startswith("Packet(")
+        for part in ("src=0", "dst=1", "payload='x'", "h=2", "seq=3"):
+            assert part in text
 
     def test_delivery_order_by_src_then_seq(self):
         pkts = [
@@ -153,3 +183,91 @@ class TestPacketCodec:
             got.extend(out.feed(frags[idx]))
         assert sorted(got) == sorted(messages)
         assert out.pending == 0
+
+
+def _reference_nbytes(payload):
+    """The isinstance-chain definition of a payload's size, verbatim as
+    it was before the exact-type fast path (recursing into itself)."""
+    if payload is None or isinstance(payload, (bool, int, float, complex)):
+        return 8
+    if isinstance(payload, (bytes, bytearray)):
+        return len(payload)
+    if isinstance(payload, memoryview):
+        return payload.nbytes
+    if isinstance(payload, np.ndarray):
+        return int(payload.nbytes)
+    if isinstance(payload, np.generic):
+        return int(payload.nbytes)
+    if isinstance(payload, str):
+        return len(payload.encode("utf-8"))
+    if isinstance(payload, (tuple, list, set, frozenset)):
+        if not set(map(type, payload)) - {bool, int, float, complex,
+                                          type(None)}:
+            return 8 * len(payload)
+        return sum(map(_reference_nbytes, payload))
+    if isinstance(payload, dict):
+        return sum(
+            _reference_nbytes(k) + _reference_nbytes(v)
+            for k, v in payload.items()
+        )
+    return PACKET_BYTES
+
+
+class _Color(enum.IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Pair(tuple):
+    pass
+
+
+class _Tagged(np.ndarray):
+    pass
+
+
+_arrays = st.builds(
+    lambda n, dtype, tagged: (np.ones(n, dtype=dtype).view(_Tagged)
+                              if tagged else np.ones(n, dtype=dtype)),
+    st.integers(0, 40),
+    st.sampled_from([np.float64, np.int32, np.uint8, np.complex128, bool]),
+    st.booleans())
+_hashable = st.one_of(
+    st.integers(-2**70, 2**70), st.booleans(), st.none(),
+    st.floats(allow_nan=False), st.complex_numbers(allow_nan=False),
+    st.text(max_size=12), st.binary(max_size=24),
+    st.sampled_from(list(_Color)),
+    st.sampled_from([np.float64(2.5), np.int32(7), np.complex128(1j),
+                     np.bool_(True), np.uint8(3)]))
+_leaves = st.one_of(
+    _hashable,
+    st.binary(max_size=24).map(bytearray),
+    st.binary(max_size=24).map(memoryview),
+    _arrays,
+    _arrays.map(lambda a: memoryview(np.ascontiguousarray(a))))
+_payloads = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=12),
+        st.lists(kids, max_size=12).map(tuple),
+        st.lists(kids, max_size=4).map(_Pair),
+        st.sets(_hashable, max_size=10),
+        st.frozensets(_hashable, max_size=10),
+        st.dictionaries(_hashable, kids, max_size=5)),
+    max_leaves=30)
+
+
+class TestHUnitsFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(_payloads)
+    def test_equals_isinstance_chain(self, payload):
+        expected = max(1, -(-_reference_nbytes(payload) // PACKET_BYTES))
+        assert h_units(payload) == expected
+
+    def test_subclasses_take_no_wrong_shortcut(self):
+        row = np.arange(66, dtype=np.float64)
+        for payload in (_Color.BLUE, _Pair((1, "ab", row)), row.view(_Tagged),
+                        ("gt", 0, row), [_Color.RED] * 20, np.complex128(1j),
+                        "é" * 9, ("é", b"xy", None, 2.5)):
+            expected = max(1, -(-_reference_nbytes(payload) // PACKET_BYTES))
+            assert h_units(payload) == expected

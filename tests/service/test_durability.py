@@ -341,13 +341,13 @@ class TestDurableGatewayInProcess:
         return GatewayConfig(**defaults)
 
     def test_terminal_records_and_keys_survive_restart(self, tmp_path):
-        with serve_in_background(self._config(tmp_path)) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             done = client.submit(app="noop", size="1", nprocs=2,
                                  backend="threads", key="idem-1")
             assert done["state"] == "DONE"
-        with serve_in_background(self._config(tmp_path)) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             again = client.submit(app="noop", size="1", nprocs=2,
                                   backend="threads", key="idem-1")
             assert again["job_id"] == done["job_id"]
@@ -359,8 +359,8 @@ class TestDurableGatewayInProcess:
     def test_queued_jobs_survive_restart_in_fair_order(self, tmp_path):
         """Stop a gateway with a full queue; the successor runs the
         queue in the order the first gateway would have."""
-        with serve_in_background(self._config(tmp_path)) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             blocker = client.submit(app="spin", size="4", nprocs=2,
                                     backend="threads",
                                     params={"spin_seconds": 0.2},
@@ -377,8 +377,8 @@ class TestDurableGatewayInProcess:
                 handle.close()
             blocker.close()
             queued_ids = [h.job_id for h in queued]
-        with serve_in_background(self._config(tmp_path)) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             finals = {}
             deadline = time.time() + 60
             while len(finals) < len(queued_ids) and time.time() < deadline:
@@ -396,14 +396,14 @@ class TestDurableGatewayInProcess:
             assert client.health()["journal"]["replayed"] >= len(queued_ids)
 
     def test_damaged_tail_reported_not_replayed(self, tmp_path):
-        with serve_in_background(self._config(tmp_path)) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             client.submit(app="noop", size="1", nprocs=2,
                           backend="threads")
         with open(os.path.join(tmp_path, "journal.log"), "ab") as fh:
             fh.write(b"torn garbage with no newline")
-        with serve_in_background(self._config(tmp_path)) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(self._config(tmp_path)) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             health = client.health()
             assert health["journal"]["damaged"] == 1
             # Replay then compaction leaves a clean journal behind.
@@ -422,8 +422,8 @@ class TestHealthProbing:
             [faults.Fault(faults.POOL_SICK, 0, seq)
              for seq in range(1, 200)])
         with faults.injected(plan):
-            with serve_in_background(config) as svc:
-                client = ServiceClient(svc.host, svc.port)
+            with serve_in_background(config) as svc, \
+                    ServiceClient(svc.host, svc.port) as client:
                 deadline = time.time() + 60
                 while time.time() < deadline:
                     slots = {s["slot"]: s for s in client.health()["fleet"]}
@@ -445,8 +445,8 @@ class TestHealthProbing:
         config = GatewayConfig(
             fleet=(FleetSpec(backend="threads", nprocs=2, pools=1),),
             probe_interval=0.0, shed_retry_after=7.0)
-        with serve_in_background(config) as svc:
-            client = ServiceClient(svc.host, svc.port)
+        with serve_in_background(config) as svc, \
+                ServiceClient(svc.host, svc.port) as client:
             svc.gateway.fleet.slots[0].quarantine()
             with pytest.raises(ServiceOverloadError,
                                match="quarantined") as excinfo:
