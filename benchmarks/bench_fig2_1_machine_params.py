@@ -114,20 +114,22 @@ def calibrate_sync_modes():
 
 
 def test_fig2_1_sync_mode_latency(once):
-    """The relaxed-synchronization optimisation, in Figure 2.1's units.
+    """The synchronization modes, in Figure 2.1's units.
 
-    Dropping the two-phase barrier (counts + release on tcp; the
-    release broadcast on pipes) must shrink L — the single-packet
-    superstep is pure barrier — while leaving g essentially alone.
+    Strict and relaxed are one round (a frame per link) on every
+    fabric, so their L agree within noise; elide prunes the boundary to
+    the latency program's declared ring, which must shrink L — the
+    single-packet superstep is pure barrier — while leaving g
+    essentially alone.
     """
     results = once(calibrate_sync_modes)
     headers = ["backend", "nprocs"] + [f"L {m}" for m in SYNC_MODES] + [
-        "relaxed speedup"]
+        "elide speedup"]
     rows = []
     for backend in ("processes", "tcp"):
         for p in SYNC_NPROCS:
             ls = [results[(backend, p, m)].L_us for m in SYNC_MODES]
-            rows.append([backend, p] + ls + [ls[0] / ls[1]])
+            rows.append([backend, p] + ls + [ls[0] / ls[2]])
     emit(
         "fig2_1_sync_mode_latency",
         render_table(
@@ -135,10 +137,9 @@ def test_fig2_1_sync_mode_latency(once):
             title="Superstep latency L (µs) by synchronization mode",
         ),
     )
-    # Relaxed must never be slower than strict by more than noise; on
-    # the barrier-bound microbenchmark it should be clearly faster, but
-    # the hard >= 2x acceptance floor lives in bench_barrier.py.
+    # Elide must shrink L at the widest p; the L ceilings and the
+    # elide <= 0.8 x strict floor live in bench_barrier.py.
     for backend in ("processes", "tcp"):
         strict = results[(backend, max(SYNC_NPROCS), "strict")].L_us
-        relaxed = results[(backend, max(SYNC_NPROCS), "relaxed")].L_us
-        assert relaxed < strict * 1.10
+        elide = results[(backend, max(SYNC_NPROCS), "elide")].L_us
+        assert elide < strict

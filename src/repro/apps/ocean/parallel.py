@@ -424,9 +424,10 @@ def bsp_ocean(
     :func:`~repro.core.runtime.bsp_run`; the program snapshots its fields
     at the top of every time step, so a crashed run resumes from the
     last completed time-step boundary.  ``sync`` selects the
-    synchronization mode (``"strict"``/``"relaxed"``/``"elide"``) —
-    ocean's many small ghost-exchange supersteps are nearly pure
-    barrier, which is exactly where relaxed sync pays.
+    synchronization mode (``"strict"``/``"relaxed"``/``"elide"``; the
+    first two are one round) — ocean's many small ghost-exchange
+    supersteps are nearly pure barrier, which is where a cheaper
+    boundary pays.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")

@@ -36,7 +36,7 @@ from .. import faults
 from ..core.errors import BspConfigError, PacketError
 from ..core.packets import Packet, PacketRuns
 from .base import check_pattern_sends
-from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, TAG_RELEASE, Frame
+from .frames import TAG_DEAD, TAG_LEFT, TAG_PKT, Frame
 from .pool import Abort
 from .tcp_wire import FrameDecoder
 
@@ -102,9 +102,8 @@ def peer_order(nprocs: int, pid: int) -> list[int]:
 
 def boundary_links(sync: str, fence: bool, pattern: Any,
                    peers: Sequence[int]
-                   ) -> tuple[Sequence[int], frozenset[int], bool]:
-    """The superstep boundary contract: ``(out_links, in_links,
-    release_round)``.
+                   ) -> tuple[Sequence[int], Collection[int]]:
+    """The superstep boundary contract: ``(out_links, in_links)``.
 
     A processor sends exactly one frame — its bucket, or an empty final —
     on each out-link, in ``peers`` (schedule) order, and passes once it
@@ -114,19 +113,13 @@ def boundary_links(sync: str, fence: bool, pattern: Any,
     a declared :class:`~repro.bsplib.CommPattern` uses ``sends_to`` /
     ``receives_from``, so the boundary costs O(degree) and undeclared
     links carry nothing; a checkpoint ``fence`` uses every peer whatever
-    the mode, because a cut needs all processors at the same boundary.
-
-    ``release_round`` is what ``strict`` (and a fence) adds on a fabric
-    whose links cannot prove receipt: a frame handed to a socket may be
-    lost and replayed, so passing additionally waits for a release from
-    every peer it sent to.  A pipe loses nothing: a frame is delivered
-    once the boundary has flushed it into the pipe, so the pipe fabric
-    runs the same round in every mode.
+    the mode, because a cut needs all processors at the same boundary;
+    holding a frame from every peer is that cut.
     """
     if sync == "elide" and pattern is not None and not fence:
         out_links = [q for q in peers if q in pattern.sends_to]
-        return out_links, pattern.receives_from, False
-    return peers, frozenset(peers), fence or sync == "strict"
+        return out_links, pattern.receives_from
+    return peers, peers
 
 
 class LinkChannel:
@@ -134,32 +127,21 @@ class LinkChannel:
 
     Which links a boundary uses is :func:`boundary_links`; what happens
     on them is :meth:`_round`, written once: a frame per live out-link,
-    then one from each live in-link, then — where a link cannot prove
-    receipt — the release round.  Inbound frames are filed by
-    :meth:`_file` (data by step and source, releases, departures,
-    aborts), and :meth:`depart` / :meth:`die` announce a rank's end.
+    then one from each live in-link.  Inbound frames are filed by
+    :meth:`_file` (data by step and source, departures, aborts), and
+    :meth:`depart` / :meth:`die` announce a rank's end.
 
     A fabric subclass supplies only its transport:
 
     * ``_enter(step, outbox, out_links)`` — heartbeat, boundary fault
       hooks and whatever upkeep the fabric does before a frame goes out;
-    * ``_send(peer, step, bucket, volatile)`` — put one boundary frame on
-      a link without waiting for the peer to read it (``volatile``: a
-      release round will prove receipt, so the payload need not be
-      copied);
+    * ``_send(peer, step, bucket)`` — put one boundary frame on a link
+      without waiting for the peer to read it;
     * ``_signal(peer, tag, step)`` — put one control frame on a link;
     * ``_pump()`` — wait for inbound traffic and :meth:`_file` it;
-    * ``_settle(released)`` — pass only once nothing this boundary sent
-      can still fail or alias program memory (``released``: the peers
-      whose release proves they hold our frame);
-    * :attr:`receipted` — true when a flushed frame is as good as
-      received.
+    * ``_settle()`` — pass only once nothing this boundary sent can
+      still alias program memory.
     """
-
-    #: A link that cannot lose a frame (a pipe: once flushed, the frame
-    #: sits in the destination's pipe) needs no release round in any
-    #: mode.
-    receipted = False
 
     def __init__(self, pid: int, nprocs: int, sync: str, run_id: int):
         self._pid = pid
@@ -175,8 +157,6 @@ class LinkChannel:
         #: in-links that have arrived.  Link FIFO bounds a peer's
         #: run-ahead to one step.
         self._data: dict[int, dict[int, list[Packet]]] = {}
-        #: Release-round receipts by step: the peers that hold our frame.
-        self._released: dict[int, set[int]] = {}
 
     def declare_pattern(self, pattern) -> None:
         """Bind this processor's :class:`~repro.bsplib.CommPattern`.
@@ -194,7 +174,7 @@ class LinkChannel:
 
     def exchange(self, pid: int, step: int,
                  outbox: list[Packet]) -> PacketRuns:
-        out_links, in_links, release_round = boundary_links(
+        out_links, in_links = boundary_links(
             self._sync, self._fence, self._pattern, self._peers)
         self._fence = False
         # A departed peer reads nothing more of this run: no frame is
@@ -207,8 +187,7 @@ class LinkChannel:
             buckets.setdefault(pkt.dst, []).append(pkt)
         if self._pattern is not None:
             check_pattern_sends(pid, step, buckets, self._pattern)
-        got = self._round(step, buckets, out_links, in_links,
-                          release_round and not self.receipted)
+        got = self._round(step, buckets, out_links, in_links)
         own = buckets.get(pid)
         if own is not None:
             got[pid] = own
@@ -218,15 +197,9 @@ class LinkChannel:
         return PacketRuns(got.items())
 
     def _round(self, step: int, buckets: dict[int, list[Packet]],
-               out_links: Sequence[int], in_links: Collection[int],
-               release_round: bool) -> dict[int, list[Packet]]:
-        """One boundary: a frame per out-link, one from each live in-link.
-
-        With ``release_round``, once every in-link's frame is in hand a
-        ``TAG_RELEASE`` goes to each of those peers, and the round passes
-        after the release of every peer it sent to — proof that peer
-        holds our frame.
-        """
+               out_links: Sequence[int], in_links: Collection[int]
+               ) -> dict[int, list[Packet]]:
+        """One boundary: a frame per out-link, one from each live in-link."""
         pid = self._pid
         plan = faults._ACTIVE
         for peer in out_links:
@@ -234,16 +207,9 @@ class LinkChannel:
                 if plan.drops_frame(pid, step, peer):
                     continue  # lost message: the peer stalls on our frame
                 plan.count_frame(pid)
-            self._send(peer, step, buckets.get(peer, ()), release_round)
+            self._send(peer, step, buckets.get(peer, ()))
         self._await(self._data.setdefault(step, {}), in_links)
-        if release_round:
-            for peer in self._peers:
-                if peer in in_links and peer not in self._departed:
-                    self._signal(peer, TAG_RELEASE, step)
-                    if plan is not None:
-                        plan.count_frame(pid)
-            self._await(self._released.setdefault(step, set()), out_links)
-        self._settle(self._released.pop(step, ()))
+        self._settle()
         return self._data.pop(step)
 
     def _await(self, got: Collection[int], links: Collection[int]) -> None:
@@ -262,8 +228,6 @@ class LinkChannel:
         if tag == TAG_PKT:
             self._data.setdefault(frame.step, {})[frame.src] = \
                 frame.packets(self._pid)
-        elif tag == TAG_RELEASE:
-            self._released.setdefault(frame.step, set()).add(frame.src)
         elif tag == TAG_LEFT:
             self._departed.add(frame.src)
         elif tag == TAG_DEAD:

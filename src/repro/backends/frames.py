@@ -40,11 +40,8 @@ from ..core.packets import Packet
 
 #: Frame tags.  TAG_LEASES carries zero-copy lease ids back to the
 #: segment owner when no boundary frame is owed to piggyback them on
-#: (pipe fabric only; not the release round's ``TAG_RELEASE``).
+#: (pipe fabric only).
 TAG_PKT, TAG_LEFT, TAG_DEAD, TAG_LEASES = 0, 1, 2, 4
-#: The release round — "I hold every frame of step s" (only a fabric
-#: whose links cannot prove receipt runs it).
-TAG_RELEASE = 5
 #: A worker -> supervisor outcome or ack, on either fabric.
 TAG_RESULT = 8
 

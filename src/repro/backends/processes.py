@@ -7,9 +7,9 @@ buckets its outgoing packets per destination; at the boundary it sends
 one **combined frame** per peer (possibly empty — the all-to-all itself
 is the implicit synchronization, exactly as in B.2) and waits until it
 holds the boundary frame of every live peer.  That one round serves
-every ``sync`` mode — a pipe loses nothing, so ``strict`` and
-``relaxed`` coincide here, and ``elide`` runs it over the links of a
-declared pattern (:func:`~repro.backends.exchange.boundary_links`).
+every ``sync`` mode — ``strict`` and ``relaxed`` coincide, and
+``elide`` runs it over the links of a declared pattern
+(:func:`~repro.backends.exchange.boundary_links`).
 
 B.2's per-pair buffers, taken literally: every ordered pair of ranks has
 a pipe of its own, with one writer and one reader, and so has the parent
@@ -453,15 +453,13 @@ class _FrameChannel(StreamLinks, LinkChannel):
     """The boundary round over a rank's pipes: the pipe fabric's half of
     :class:`~repro.backends.exchange.LinkChannel`.
 
-    A pipe loses nothing, so every ``sync`` mode is the one round with no
-    release round; the modes differ only in their link sets.  The links
-    are :class:`~repro.backends.exchange.StreamLinks`, one pipe each way
-    per peer — to every rank of the pool, so lease ids can go home to a
-    rank that sits this run out.  The rank's control pipe is watched
+    Every ``sync`` mode is the one round; the modes differ only in their
+    link sets.  The links are
+    :class:`~repro.backends.exchange.StreamLinks`, one pipe each way per
+    peer — to every rank of the pool, so lease ids can go home to a rank
+    that sits this run out.  The rank's control pipe is watched
     too: the parent aborts a run there when a peer died.
     """
-
-    receipted = True
 
     def __init__(self, pid: int, nprocs: int, transport: FrameTransport,
                  run_id: int, ctrl: "_PipeLink", *, sync: str = "strict"):
@@ -515,8 +513,7 @@ class _FrameChannel(StreamLinks, LinkChannel):
                 owner, TAG_LEASES, self._run_id, -1, pid,
                 releases=self._owed.pop(owner)))
 
-    def _send(self, peer: int, step: int, bucket: Sequence[Packet],
-              volatile: bool) -> None:
+    def _send(self, peer: int, step: int, bucket: Sequence[Packet]) -> None:
         releases = self._owed.pop(peer, ())
         if bucket or releases:
             chunks = self._transport.encode(
@@ -540,7 +537,7 @@ class _FrameChannel(StreamLinks, LinkChannel):
             self._read_ctrl()
         self._select(None)
 
-    def _settle(self, released: Collection[int]) -> None:
+    def _settle(self) -> None:
         """Pass only once every live link's queue is in its pipe: a
         frame still queued is not delivered, and its buffers may alias
         program arrays (the stream fallback)."""

@@ -14,21 +14,18 @@ every ledger) is bit-identical to the other backends.
 supplies a transport for: in
 :func:`~repro.backends.exchange.peer_order` (B.3's pairing discipline)
 every rank sends each out-link exactly one frame — its combined bucket,
-or an empty final — and has "arrived" once every live in-link's frame is
-in hand; per-link TCP FIFO bounds run-ahead to one superstep (early
-frames are stashed by step).  A socket cannot prove receipt, so the
-**strict** (default) mode adds a *release* round: an arrived rank
-broadcasts ``TAG_RELEASE`` and passes only after receiving every live
-peer's release — two frames per link per boundary, data-bearing or not.
-That is what lets strict send its payload buffers uncopied: the release
-proves they were received before the program can touch them.
+or an empty final — and passes once every live in-link's frame is in
+hand: the all-to-all is the barrier, as in B.2, so a boundary costs one
+frame per live link, data-bearing or not.  Per-link TCP FIFO bounds
+run-ahead to one superstep (early frames are stashed by step), and the
+link journal snapshots every frame's payload bytes, so a frame that
+must be replayed is the frame that was sent, whatever the program did
+to its arrays since.
 
-``run(..., sync="relaxed")`` drops the release round — one frame per
-live link per boundary, the journal snapshotting payload bytes instead —
-and ``sync="elide"`` additionally uses a declared
-:class:`~repro.bsplib.CommPattern` to skip undeclared links entirely.
-All modes deliver bit-identical results and ledgers; checkpoint cuts run
-the strict round over every link in every mode; and in every mode a
+``strict`` and ``relaxed`` are that one round; ``sync="elide"`` uses a
+declared :class:`~repro.bsplib.CommPattern` to skip undeclared links
+entirely, and a checkpoint cut uses every link in every mode.  All
+modes deliver bit-identical results and ledgers, and in every mode a
 dropped frame (DROP_FRAME fault injection) stalls its receiver forever,
 which supervision reports as a
 :class:`~repro.core.errors.DeadlockError`.
@@ -97,7 +94,7 @@ import selectors
 import socket
 import struct
 import time
-from typing import Any, Collection, Sequence
+from typing import Any, Sequence
 
 from .. import faults
 from ..core.errors import (
@@ -182,8 +179,7 @@ class _MeshChannel(StreamLinks, LinkChannel):
 
     An empty bucket goes out as an empty final — it *is* the "no data"
     announcement; per-link TCP FIFO bounds run-ahead to one superstep;
-    a socket cannot prove receipt, so ``strict`` and checkpoint fences
-    run the release round.  The links are
+    every mode runs the one round.  The links are
     :class:`~repro.backends.exchange.StreamLinks`, one socket each; what
     this class adds is a sequenced and journaled send path and link
     repair.
@@ -216,6 +212,9 @@ class _MeshChannel(StreamLinks, LinkChannel):
         self._results: dict[int, Any] = {}
         #: ``(step, chunks)`` of the boundary's empty final.
         self._empty: tuple[int, list] = (-1, [])
+        #: ``id(exporter) -> (view, bytes)``: this boundary's journal
+        #: copies, one per buffer however many peers it goes to.
+        self._copies: dict[int, tuple[memoryview, bytes]] = {}
         for sock in self._socks.values():
             sock.setblocking(False)
         links = fabric.links if fabric is not None else {
@@ -249,18 +248,16 @@ class _MeshChannel(StreamLinks, LinkChannel):
     # -- plumbing ------------------------------------------------------------
 
     def _post(self, peer: int, chunks: Sequence[Any], *,
-              volatile: bool = False, corrupt: bool = False,
-              dup: bool = False) -> None:
+              corrupt: bool = False, dup: bool = False) -> None:
         """Sequence, journal, and transmit one encoded frame to ``peer``.
 
         The frame gets the link's next sequence number (plus a
         piggybacked cumulative ack) via :func:`wire.reenvelope` and a
         journal entry retained until the peer acks past it.  The journal
-        snapshots the payload bytes — the chunks may alias live program
-        arrays that mutate before any ack arrives — unless the entry is
-        ``volatile``: a strict-mode boundary frame, whose release round
-        proves receipt before the program runs again, is journaled
-        uncopied and force-trimmed at barrier exit.
+        snapshots the payload bytes: the chunks may alias live program
+        arrays that mutate before any ack arrives.  A buffer is copied
+        once per boundary, so every peer it goes to journals the same
+        bytes (the view in ``_copies`` keeps its exporter's id unique).
         ``corrupt``/``dup`` are fault-injection knobs: the journal always
         keeps the clean single copy, so recovery repairs the damage.
         """
@@ -268,12 +265,16 @@ class _MeshChannel(StreamLinks, LinkChannel):
         seq = link.tx_seq
         link.tx_seq += 1
         out = wire.reenvelope(chunks, seq, link.rx_next)
-        if volatile:
-            link.journal[seq] = out
-            link.volatile.add(seq)
-        else:
-            link.journal[seq] = [
-                c if isinstance(c, bytes) else bytes(c) for c in out]
+        copies = self._copies
+        entry = []
+        for c in out:
+            if not isinstance(c, bytes):
+                held = copies.get(id(c.obj))
+                if held is None:
+                    held = copies[id(c.obj)] = (c, bytes(c))
+                c = held[1]
+            entry.append(c)
+        link.journal[seq] = entry
         if corrupt:
             trailer = bytes(out[-1])
             out = out[:-1] + [bytes((trailer[0] ^ 0xFF,)) + trailer[1:]]
@@ -332,9 +333,9 @@ class _MeshChannel(StreamLinks, LinkChannel):
         """Splice a fresh connection into the link, replaying the journal."""
         link = self._link[peer]
         if any(s not in link.journal for s in range(peer_rx, link.tx_seq)):
-            # A frame the peer never received was already trimmed (it was
-            # volatile and its barrier completed — impossible unless the
-            # peer lies) — the link cannot be made whole.
+            # The peer claims not to hold a frame it already acked (only
+            # a peer that lies about its cursor can): the entry is gone
+            # and the link cannot be made whole.
             close_quietly(sock)
             self._close_peer(peer)
             raise _PeerLost(peer)
@@ -444,7 +445,6 @@ class _MeshChannel(StreamLinks, LinkChannel):
                 for s in range(link.peer_ack, frame.ack):
                     link.journal.pop(s, None)
                     link.attempts.pop(s, None)
-                    link.volatile.discard(s)
                 link.peer_ack = frame.ack
             if frame.seq < link.rx_next:
                 return  # retransmit overlap or injected duplicate
@@ -467,8 +467,9 @@ class _MeshChannel(StreamLinks, LinkChannel):
         link.attempts[seq] = n
         entry = link.journal.get(seq)
         if entry is None or n > _MAX_RETRANSMITS:
-            # Either the damage outlived the retry budget or the entry is
-            # gone (trimmed volatile): escalate to a full link reset.
+            # Either the damage outlived the retry budget or the peer
+            # NACKed a frame it already acked (the entry is gone):
+            # escalate to a full link reset.
             self._link_down(peer)
             return
         link.retransmits += 1
@@ -540,11 +541,9 @@ class _MeshChannel(StreamLinks, LinkChannel):
                         [q for q in self._peers if q in self._socks]):
                     self._inject_reset(peer)
 
-    def _send(self, peer: int, step: int, bucket: Sequence[Packet],
-              volatile: bool) -> None:
-        """Post one boundary frame; the chunks alias live program arrays,
-        journaled uncopied only when a release round will prove receipt
-        (``volatile``: trimmed in :meth:`_settle`)."""
+    def _send(self, peer: int, step: int, bucket: Sequence[Packet]) -> None:
+        """Post one boundary frame; the chunks alias live program arrays
+        until :meth:`_settle` (the journal holds a copy)."""
         plan = faults._ACTIVE
         corrupt = dup = False
         if plan is not None:
@@ -563,27 +562,19 @@ class _MeshChannel(StreamLinks, LinkChannel):
                 self._empty = (step, wire.encode_packet_frame(
                     self._run_id, step, self._pid, ()))
             chunks = self._empty[1]
-        self._post(peer, chunks, volatile=volatile, corrupt=corrupt, dup=dup)
+        self._post(peer, chunks, corrupt=corrupt, dup=dup)
 
     def _signal(self, peer: int, tag: int, step: int) -> None:
         self._post(peer, wire.encode_frame(tag, self._run_id, step,
                                            self._pid))
 
-    def _settle(self, released: Collection[int]) -> None:
+    def _settle(self) -> None:
         """Pass only once the outbound queues are drained — payload
         memoryviews reference live program arrays, so returning earlier
         would let the program mutate bytes still queued on a socket."""
         while self._unsent():
             self._pump()
-        # A peer's release proves it received the frame we sent it, so
-        # the volatile journal entries can never be NACKed or replayed —
-        # trim them before the arrays they alias mutate.
-        for q in released:
-            link = self._link[q]
-            for s in link.volatile:
-                link.journal.pop(s, None)
-                link.attempts.pop(s, None)
-            link.volatile.clear()
+        self._copies.clear()
 
     def _announce(self, tag: int, peers: Sequence[int]) -> None:
         """Post one ``tag`` sentinel to every live link of ``peers``, then
@@ -604,6 +595,7 @@ class _MeshChannel(StreamLinks, LinkChannel):
                 self._post(peer, chunks)
             except _PeerLost:
                 continue  # as in _drain: the other peers still need theirs
+        self._copies.clear()
         self._drain(timeout)
 
     def _drain(self, timeout: float) -> None:

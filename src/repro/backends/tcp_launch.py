@@ -182,20 +182,17 @@ class LinkState(StreamLink):
     them — until a new generation, whose fabric starts every link afresh.
 
     ``journal`` maps ``seq -> encoded chunks`` for every sent frame the
-    peer has not yet cumulatively acked; ``volatile`` marks journal
-    entries whose payload memoryviews alias live program arrays (strict
-    mode sends) — those are force-trimmed at barrier exit, where the
-    peer's release proves receipt, so they are never replayed with
-    mutated bytes.  ``stash`` is the receive-side reorder buffer that
-    makes a NACK resend of one frame sufficient.  ``held`` keeps the
-    frames of a later run than the reader's — a faster SPMD peer's,
-    read along with the end of this run — for the next run's channel.
-    The unsent tail and the decoder are the
-    :class:`~repro.backends.exchange.StreamLink`'s.
+    peer has not yet cumulatively acked: a copy, never a view of program
+    memory, so a replay resends the bytes that were sent.  ``stash`` is
+    the receive-side reorder buffer that makes a NACK resend of one
+    frame sufficient.  ``held`` keeps the frames of a later run than the
+    reader's — a faster SPMD peer's, read along with the end of this run
+    — for the next run's channel.  The unsent tail and the decoder are
+    the :class:`~repro.backends.exchange.StreamLink`'s.
     """
 
-    __slots__ = ("tx_seq", "rx_next", "peer_ack", "journal", "volatile",
-                 "attempts", "stash", "held", "retransmits", "reconnects")
+    __slots__ = ("tx_seq", "rx_next", "peer_ack", "journal", "attempts",
+                 "stash", "held", "retransmits", "reconnects")
 
     def __init__(self) -> None:
         super().__init__()
@@ -203,7 +200,6 @@ class LinkState(StreamLink):
         self.rx_next = 0         # next sequence number expected inbound
         self.peer_ack = 0        # highest cumulative ack seen from peer
         self.journal: dict[int, list] = {}
-        self.volatile: set[int] = set()
         self.attempts: dict[int, int] = {}
         self.stash: dict[int, Frame] = {}
         self.held: list[Frame] = []

@@ -60,17 +60,15 @@ from typing import Any, Sequence
 
 from ..core.errors import PacketError
 from ..core.packets import Packet
-from .frames import (  # noqa: F401 - TAG_RELEASE/TAG_RESULT re-exported
+from .frames import (  # noqa: F401 - TAG_RESULT re-exported
     TAG_PKT,
-    TAG_RELEASE,
     TAG_RESULT,
     Frame,
     encode_packets,
 )
 
 #: Control and link tags, disjoint from :mod:`repro.backends.frames`'s
-#: 0..2, TAG_LEASES = 4 (pipe fabric only: lease ids going home),
-#: TAG_RELEASE = 5 (the release round, which only sockets run) and
+#: 0..2, TAG_LEASES = 4 (pipe fabric only: lease ids going home) and
 #: TAG_RESULT = 8 (an outcome, rank -> supervisor / every rank).  The
 #: control tags serve both fabrics' supervisors.
 TAG_HB = 6          #: heartbeat, rank -> supervisor (sockets)

@@ -5,8 +5,7 @@ the boundary round of every fabric,
 :class:`~repro.backends.exchange.LinkChannel`; only the transport is
 this fabric's own.  A link is the receiver's inbox, one queue per rank,
 and a frame is the sender's bucket *object*: payloads cross by
-reference, with no pickle and no copy.  A frame put on an inbox is
-received, so no mode adds a release round; ``elide``, the checkpoint
+reference, with no pickle and no copy.  ``elide``, the checkpoint
 fence and departures work as on pipes and sockets.
 
 CPython's GIL serializes pure-Python compute, so this backend
@@ -21,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from queue import SimpleQueue
-from typing import Any, Collection, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +61,6 @@ class _ThreadChannel(LinkChannel):
     recycle their send buffers mid-superstep.
     """
 
-    receipted = True
-
     def __init__(self, pid: int, nprocs: int, sync: str,
                  inboxes: Sequence[SimpleQueue], zerocopy: bool):
         super().__init__(pid, nprocs, sync, 0)
@@ -96,8 +93,7 @@ class _ThreadChannel(LinkChannel):
             arr.flags.writeable = True
         self._frozen.clear()
 
-    def _send(self, peer: int, step: int, bucket: Sequence[Packet],
-              volatile: bool) -> None:
+    def _send(self, peer: int, step: int, bucket: Sequence[Packet]) -> None:
         self._inboxes[peer].put(_Item(TAG_PKT, step, self._pid, bucket))
 
     def _signal(self, peer: int, tag: int, step: int) -> None:
@@ -106,7 +102,7 @@ class _ThreadChannel(LinkChannel):
     def _pump(self) -> None:
         self._file(self._inboxes[self._pid].get())
 
-    def _settle(self, released: Collection[int]) -> None:
+    def _settle(self) -> None:
         pass
 
 

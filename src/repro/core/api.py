@@ -310,8 +310,8 @@ class Bsp:
             agent.write(self._step, self._pid, self._nprocs, capture(),
                         list(self._inbox), self._ledger.samples[:-1])
         # A checkpoint cut must be a consistent global state: fence the
-        # next boundary back to the strict two-phase barrier so no peer
-        # runs ahead across the cut.  Checkpoint spacing is deterministic
+        # next boundary over every link (no elided one) so no peer runs
+        # ahead across the cut.  Checkpoint spacing is deterministic
         # (same ``checkpoint_every`` on every pid), so all ranks fence
         # the same boundary.  No-op for channels without sync modes.
         fence = getattr(self._channel, "fence_next_sync", None)

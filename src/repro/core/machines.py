@@ -255,12 +255,11 @@ class CalibrationResult:
     nprocs: int
     g_us: float
     L_us: float
-    #: Synchronization mode the measurement ran under: relaxed drops
-    #: the release round a socket fabric's strict boundary pays, elide
-    #: prunes the boundary to the declared links (the latency program's
-    #: ring), so on sockets their L is the headline number of the
-    #: relaxed-synchronization optimisation; on pipes strict and relaxed
-    #: measure one code path.
+    #: Synchronization mode the measurement ran under.  Strict and
+    #: relaxed measure one code path on every fabric (a frame per link
+    #: per boundary); elide prunes the boundary to the declared links
+    #: (the latency program's ring), so its L is the headline number of
+    #: the relaxed-synchronization optimisation.
     sync: str = "strict"
 
     def as_profile(self, name: str | None = None) -> MachineProfile:

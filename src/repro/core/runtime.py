@@ -98,11 +98,9 @@ def bsp_run(
     sync:
         Synchronization mode of the exchange protocol.  Every boundary
         is one frame per link, run-ahead bounded to one superstep by
-        link FIFO; ``"strict"`` (the default) additionally proves
-        receipt with a release round where the fabric needs one
-        (sockets — on pipes it is the same round as ``"relaxed"``), and
-        ``"elide"`` uses only the links of a pattern declared with
-        ``bsp.pattern(...)``.  Results and (S, H, h) ledgers are
+        link FIFO; ``"strict"`` (the default) and ``"relaxed"`` are that
+        one round on every fabric, and ``"elide"`` uses only the links
+        of a pattern declared with ``bsp.pattern(...)``.  Results and (S, H, h) ledgers are
         bit-identical across modes; only the barrier cost differs.
     checkpoint:
         A :class:`~repro.checkpoint.CheckpointConfig`, or ``None`` (no

@@ -106,7 +106,7 @@ class TestNeverBlocks:
     def test_small_frame_goes_inline_as_one_atomic_message(self, transport):
         ghost = np.arange(66, dtype=np.float64)  # ocean's 528-byte row
         sender, _ = _channels(transport)
-        sender._send(1, 0, [_pkt(0, 1, ghost)], False)
+        sender._send(1, 0, [_pkt(0, 1, ghost)])
         assert not sender._unsent()  # written at once...
         assert 0 < _pipe_bytes(transport, 0, 1) <= select.PIPE_BUF  # whole
         assert transport._seg_pools[0] is None  # no shm round trip
@@ -119,10 +119,10 @@ class TestNeverBlocks:
     def test_full_pipe_parked_reader(self, transport, payload):
         sender, _ = _channels(transport)
         filler = bytes(BLOB)  # more than the pipe holds
-        sender._send(1, 0, [_pkt(0, 1, filler)], False)
+        sender._send(1, 0, [_pkt(0, 1, filler)])
         assert sender._unsent([1])  # the pipe is full; nobody reads it
         t0 = time.monotonic()
-        sender._send(1, 1, [_pkt(0, 1, payload)], False)
+        sender._send(1, 1, [_pkt(0, 1, payload)])
         assert time.monotonic() - t0 < NO_WAIT_S
         got = []
         reader = threading.Thread(target=lambda: got.extend(

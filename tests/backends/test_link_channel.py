@@ -1,17 +1,16 @@
 """The one boundary round, over the threads fabric and the two real ones.
 
-Which frames a boundary sends and which it waits for — the data round,
-the release round, departures — is written once, in
+Which frames a boundary sends and which it waits for — the data round
+and departures — is written once, in
 :class:`~repro.backends.exchange.LinkChannel`; a fabric supplies only
 its transport.  The threads backend's transport is a queue per rank and
 fits in a few dozen lines, which is the claim that the seam is that
 narrow.  Over it, without forks or sockets:
 
 * results and (S, H, h-series, m-series) ledgers equal the simulator's
-  in every sync mode, with and without a release round (a test-only
-  subclass turns receipts off), and under forced preemption;
+  in every sync mode, and under forced preemption;
 * the frame budget of each mode: one frame per link of the boundary's
-  link set, plus one release per link when links cannot prove receipt;
+  link set, and no other frame;
 * nothing is sent to a peer that has departed.
 
 Then the pipe fabric's stream links under forced preemption — frames
@@ -29,7 +28,7 @@ import pytest
 
 from repro import SYNC_MODES
 from repro.backends import threads
-from repro.backends.frames import TAG_PKT, TAG_RELEASE
+from repro.backends.frames import TAG_LEFT, TAG_PKT
 from repro.backends.processes import ProcessBackend, _PipeLink
 from repro.backends.tcp import TcpBackend
 from repro.core.packets import Packet
@@ -37,22 +36,20 @@ from repro.core.packets import Packet
 from .conformance import oracle, snapshot
 from .pipes import Pipes
 
-def _run(program, nprocs, sync, *, receipted=True, args=()):
+def _run(program, nprocs, sync, *, args=()):
     """One ``ThreadBackend`` run whose channels record every frame they
-    send: the ``BackendRun`` and the frames, as ``(tag, src, dst)``.
-    ``receipted=False`` adds the release round sockets run."""
+    send: the ``BackendRun`` and the frames, as ``(tag, src, dst)``."""
     sent = []
 
     class Recording(threads._ThreadChannel):
-        def _send(self, peer, step, bucket, volatile):
+        def _send(self, peer, step, bucket):
             sent.append((TAG_PKT, self._pid, peer))
-            super()._send(peer, step, bucket, volatile)
+            super()._send(peer, step, bucket)
 
         def _signal(self, peer, tag, step):
             sent.append((tag, self._pid, peer))
             super()._signal(peer, tag, step)
 
-    Recording.receipted = receipted
     runs = []
     with mock.patch.object(threads, "_ThreadChannel", Recording):
         driver = threading.Thread(target=lambda: runs.append(
@@ -107,25 +104,20 @@ def leaves_early(bsp, rounds, size=8):
 
 
 class TestQueueFabric:
-    @pytest.mark.parametrize("receipted", [False, True])
     @pytest.mark.parametrize("sync", SYNC_MODES)
     @pytest.mark.parametrize("program,nprocs", [(ring, 3), (all_to_all, 4)])
-    def test_matches_the_simulator(self, program, nprocs, sync, receipted):
-        run, _ = _run(program, nprocs, sync, receipted=receipted)
+    def test_matches_the_simulator(self, program, nprocs, sync):
+        run, _ = _run(program, nprocs, sync)
         assert snapshot(run) == oracle(program, nprocs=nprocs)
 
-    @pytest.mark.parametrize("sync,receipted,data,releases", [
-        ("strict", False, 24, 24),   # a frame and a release per link
-        ("strict", True, 24, 0),     # a put that is its own receipt
-        ("relaxed", False, 24, 0),
-        ("elide", False, 24, 0),     # no declared pattern: every link
-    ])
-    def test_frame_budget_per_mode(self, sync, receipted, data, releases):
-        # p=3, 4 empty boundaries: 3 * 2 links * 4 = 24.
-        _, sent = _run(empty_steps, 3, sync, receipted=receipted)
+    @pytest.mark.parametrize("sync", SYNC_MODES)  # elide: no pattern declared
+    def test_frame_budget_per_mode(self, sync):
+        # p=3, 4 empty boundaries: 3 * 2 links * 4 = 24 frames, and the
+        # LEFT each rank sends each peer at its end (6): nothing else.
+        _, sent = _run(empty_steps, 3, sync)
         tags = [tag for tag, _, _ in sent]
-        assert tags.count(TAG_PKT) == data
-        assert tags.count(TAG_RELEASE) == releases
+        assert tags.count(TAG_PKT) == 24
+        assert len(tags) - 24 == tags.count(TAG_LEFT) == 6
 
     @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_nothing_is_sent_to_a_departed_peer(self, sync):

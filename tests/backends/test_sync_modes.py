@@ -17,14 +17,14 @@ the six paper applications — is the conformance matrix
   over it), while a slow-but-beating program stays a plain
   :class:`SynchronizationError`;
 * crash-mid-superstep recovery under checkpointing reproduces the
-  golden run in relaxed mode (the checkpoint cut falls back to a strict
-  fence, so a resumed run restarts from a fully quiesced boundary);
+  golden run in relaxed mode (the checkpoint cut is a fence over every
+  link, so a resumed run restarts from a boundary all ranks share);
 * the wire-frame budgets of the one boundary contract, counted by a
   :class:`~repro.faults.FrameCounter` at the actual send sites: one
   frame per link of the boundary's link set on every fabric, threads
   included (every peer; the declared links under elide; none for an
-  empty pattern), plus one release per link for TCP strict —
-  data-bearing or not;
+  empty pattern; every peer at a checkpoint fence), data-bearing or
+  not;
 * an out-of-pattern send under a validating declaration fails loudly at
   the next boundary instead of deadlocking the receiver, and an
   inconsistent declaration stalls the run on both fabrics alike.
@@ -109,6 +109,16 @@ def one_packet_ring(bsp, rounds=4):
     """Every boundary carries data on one link per rank, none on the rest."""
     for r in range(rounds):
         bsp.send((bsp.pid + 1) % bsp.nprocs, r)
+        bsp.sync()
+    return bsp.pid
+
+
+def fenced_steps(bsp, rounds=4):
+    """Empty supersteps, every boundary a checkpoint fence; the empty
+    pattern would let elide skip every link but the fence's."""
+    bsp.pattern(())
+    for r in range(rounds):
+        bsp.checkpoint(lambda: r)
         bsp.sync()
     return bsp.pid
 
@@ -276,7 +286,8 @@ class TestRelaxedFaultContracts:
         assert snapshot(run) == golden
 
 
-def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4):
+def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4,
+                  **run_kw):
     """Total wire frames a run actually sent, via FrameCounter: a pool
     whose workers inherited the plan, or threads under it."""
     counter = faults.FrameCounter(nprocs)
@@ -285,11 +296,11 @@ def _count_frames(backend_kind, sync, program, nprocs=3, rounds=4):
         if backend_kind == "threads":
             with faults.injected(plan):
                 bsp_run(program, nprocs, backend="threads",
-                        args=(rounds,), sync=sync)
+                        args=(rounds,), sync=sync, **run_kw)
         else:
             with _pooled(backend_kind, nprocs, plan) as backend:
                 bsp_run(program, nprocs, backend=backend, args=(rounds,),
-                        sync=sync)
+                        sync=sync, **run_kw)
         return counter.total()
     finally:
         counter.close()
@@ -306,11 +317,14 @@ class TestEmptySuperstepFrameBudgets:
     ========== ============================ ==========================
     processes  strict / relaxed / elide     links (one per link)
     threads    strict / relaxed / elide     links (one per link)
-    tcp        relaxed                      links (one final per link)
-    tcp        strict, empty or with data   2·links (final + release)
+    tcp        strict / relaxed             links (one final per link)
+    tcp        strict, with data            links (the data frame is
+                                            the final)
     all three  elide, declared ring         p·rounds (one per declared
                                             link)
     all three  elide, empty pattern         0 (full barrier elision)
+    all three  any mode, fenced by a        links (a fence uses every
+               checkpoint                   peer, and no release)
     ========== ============================ ==========================
     """
 
@@ -328,12 +342,12 @@ class TestEmptySuperstepFrameBudgets:
 
     def test_tcp_strict_baseline(self):
         assert _count_frames("tcp", "strict", empty_steps,
-                             self.P, self.ROUNDS) == 2 * self.LINKS
+                             self.P, self.ROUNDS) == self.LINKS
 
-    def test_tcp_strict_with_data_still_two_per_link(self):
-        """The final *is* the data frame: no third, announcing, frame."""
+    def test_tcp_strict_with_data_one_per_link(self):
+        """The final *is* the data frame: no second, announcing, frame."""
         assert _count_frames("tcp", "strict", one_packet_ring,
-                             self.P, self.ROUNDS) == 2 * self.LINKS
+                             self.P, self.ROUNDS) == self.LINKS
 
     def test_tcp_relaxed_one_final_per_link(self):
         assert _count_frames("tcp", "relaxed", empty_steps,
@@ -361,3 +375,13 @@ class TestEmptySuperstepFrameBudgets:
     def test_threads_elide_empty_pattern_sends_nothing(self):
         assert _count_frames("threads", "elide", empty_pattern_steps,
                              self.P, self.ROUNDS) == 0
+
+    @pytest.mark.parametrize("sync", SYNC_MODES)
+    @pytest.mark.parametrize("backend_kind", ["processes", "tcp", "threads"])
+    def test_fenced_boundary_one_frame_per_link(self, tmp_path,
+                                                backend_kind, sync):
+        from repro import CheckpointConfig, DiskCheckpointStore
+        cfg = CheckpointConfig(store=DiskCheckpointStore(tmp_path / "ckpt"),
+                               run_key=f"fenced-{backend_kind}-{sync}")
+        assert _count_frames(backend_kind, sync, fenced_steps, self.P,
+                             self.ROUNDS, checkpoint=cfg) == self.LINKS

@@ -17,6 +17,7 @@ import threading
 import time
 import zlib
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -33,13 +34,14 @@ from repro import (
 from repro import faults
 from repro.backends import tcp_wire as wire
 from repro.backends.base import get_backend
-from repro.backends.frames import TAG_PKT, encode_object
+from repro.backends.frames import TAG_LEFT, TAG_PKT, encode_object
 from repro.backends.tcp import (
     TcpBackend,
     TcpMesh,
     TcpSpmdBackend,
     _connect_ctrl,
     _MeshChannel,
+    _PeerLost,
 )
 from repro.backends.tcp_launch import MeshFabric, bind_listener, parse_hostport
 from repro.core.packets import Packet
@@ -169,19 +171,19 @@ class TestFrameDecoder:
 
     def test_several_frames_in_one_chunk(self):
         blob = b"".join(
-            _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, s, 0))
+            _flatten(wire.encode_frame(TAG_LEFT, 1, s, 0))
             for s in range(4))
         frames = wire.FrameDecoder().feed(blob)
         assert [f.step for f in frames] == [0, 1, 2, 3]
 
     def test_split_straddling_two_frames(self):
-        a = _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0,
+        a = _flatten(wire.encode_frame(TAG_LEFT, 1, 0, 0,
                                        pickle.dumps(1)))
         b = _flatten(wire.encode_packet_frame(1, 0, 0, _sample_packets()))
         dec = wire.FrameDecoder()
         cut = len(a) + 3  # mid-prefix of the second frame
         first = dec.feed((a + b)[:cut])
-        assert [f.tag for f in first] == [wire.TAG_RELEASE]
+        assert [f.tag for f in first] == [TAG_LEFT]
         assert dec.mid_frame
         second = dec.feed((a + b)[cut:])
         assert [f.tag for f in second] == [TAG_PKT]
@@ -245,7 +247,7 @@ class TestFrameDecoder:
             wire.FrameDecoder().feed(unchecked)
 
     def test_flipped_envelope_bit_rejected(self):
-        good = _flatten(wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0))
+        good = _flatten(wire.encode_frame(TAG_LEFT, 1, 0, 0))
         bad = bytes([good[0] ^ 0x40]) + good[1:]
         with pytest.raises(PacketError, match="envelope"):
             wire.FrameDecoder().feed(bad)
@@ -374,7 +376,7 @@ class TestMeshChannelPair:
         chan = _MeshChannel(0, 2, {1: pair[0]}, 1, None)
         chan._post(1, wire.encode_frame(TAG_PKT, 1, 0, 0, b"", [self.BIG]))
         assert chan._link[1].out, "the socket took it all: nothing was queued"
-        chan._post(1, wire.encode_frame(wire.TAG_RELEASE, 1, 0, 0))
+        chan._post(1, wire.encode_frame(TAG_LEFT, 1, 0, 0))
         pair[1].setblocking(False)
         dec, frames = wire.FrameDecoder(), []
         deadline = time.monotonic() + 20.0
@@ -385,7 +387,7 @@ class TestMeshChannelPair:
             except BlockingIOError:
                 pass
         assert [(f.seq, f.tag) for f in frames] == [
-            (0, TAG_PKT), (1, wire.TAG_RELEASE)]
+            (0, TAG_PKT), (1, TAG_LEFT)]
         assert bytes(frames[0].buffers[0]) == self.BIG
 
     def test_a_run_ended_mid_frame_leaves_its_tail_to_the_next(self, pair):
@@ -403,7 +405,7 @@ class TestMeshChannelPair:
             first.close()
             assert fabric.links[1].out, "nothing was left unsent"
             second = _MeshChannel(0, 2, {1: pair[0]}, 2, None, fabric=fabric)
-            second._post(1, wire.encode_frame(wire.TAG_RELEASE, 2, 0, 0))
+            second._post(1, wire.encode_frame(TAG_LEFT, 2, 0, 0))
             pair[1].setblocking(False)
             dec, frames = wire.FrameDecoder(), []
             deadline = time.monotonic() + 20.0
@@ -417,8 +419,96 @@ class TestMeshChannelPair:
         finally:
             listener.close()
         assert [(f.seq, f.run_id, f.tag) for f in frames] == [
-            (0, 1, TAG_PKT), (1, 2, wire.TAG_RELEASE)]
+            (0, 1, TAG_PKT), (1, 2, TAG_LEFT)]
         assert bytes(frames[0].buffers[0]) == self.BIG
+
+    @pytest.fixture
+    def fabric(self, pair):
+        listener = bind_listener("127.0.0.1")
+        yield MeshFabric(0, 2, {1: pair[0]}, listener, {},
+                         listener.getsockname(), 0)
+        listener.close()
+
+    @staticmethod
+    def _decode(chunks):
+        (frame,) = wire.FrameDecoder().feed(_flatten(chunks))
+        return frame
+
+    def _ack_from_peer(self, seq, ack):
+        """Peer 1's empty final, sequenced ``seq``, acking below ``ack``."""
+        return self._decode(wire.reenvelope(
+            wire.encode_packet_frame(1, seq, 1, ()), seq, ack))
+
+    def test_nack_for_an_acked_frame_resets_the_link(self, fabric,
+                                                     monkeypatch):
+        # The journal keeps every frame until the peer acks past it, so
+        # only a peer that NACKs a frame it already acked finds the entry
+        # gone: nothing to resend, and the link is reset instead.
+        chan = _MeshChannel(0, 2, fabric.socks, 1, None, fabric=fabric)
+        resets = []
+        monkeypatch.setattr(chan, "_link_down", resets.append)
+        link = chan._link[1]
+        chan._post(1, wire.encode_packet_frame(1, 0, 0, ()))
+        nack = self._decode(wire.encode_frame(wire.TAG_NACK, 1, 0, 1))
+        chan._ingest(1, nack)  # still journaled: resent surgically
+        assert (link.retransmits, resets) == (1, [])
+        chan._ingest(1, self._ack_from_peer(0, 1))
+        assert 0 not in link.journal
+        chan._ingest(1, nack)
+        assert (link.retransmits, resets) == (1, [1])
+        chan.close()
+
+    def test_relink_behind_the_journal_loses_the_peer(self, fabric):
+        # A relink replays the journal from the peer's receive cursor;
+        # a cursor behind an entry the peer already acked cannot be
+        # served, so the peer is lost rather than handed a gap.
+        chan = _MeshChannel(0, 2, fabric.socks, 1, None, fabric=fabric)
+        link = chan._link[1]
+        for step in range(2):
+            chan._post(1, wire.encode_packet_frame(1, step, 0, ()))
+        chan._ingest(1, self._ack_from_peer(0, 1))
+        assert sorted(link.journal) == [1]
+        fresh, far = socket.socketpair()
+        try:
+            chan._resume_link(1, fresh, 1)  # from the cursor: replayed
+            assert link.reconnects == 1
+            stale, stale_far = socket.socketpair()
+            with pytest.raises(_PeerLost) as err:
+                chan._resume_link(1, stale, 0)
+            assert err.value.peer == 1 and 1 in chan._eof
+            assert stale.fileno() == -1  # closed, never spliced in
+            stale_far.close()
+            far.setblocking(False)
+            (replayed,) = wire.FrameDecoder().feed(far.recv(1 << 16))
+            assert (replayed.seq, replayed.step) == (1, 1)
+        finally:
+            far.close()
+            chan.close()
+
+    def test_a_buffer_sent_to_two_peers_is_journaled_once(self):
+        # The journal copies a payload buffer once per boundary and every
+        # peer it goes to shares that copy; the next boundary copies the
+        # program's array afresh.
+        links = [socket.socketpair() for _ in range(2)]
+        chan = _MeshChannel(0, 3, {1: links[0][0], 2: links[1][0]}, 1, None)
+        block = np.arange(4096, dtype=np.float64)
+        copies = []
+        try:
+            for step in range(2):
+                for peer in (1, 2):
+                    chan._send(peer, step, [Packet(src=0, dst=peer, seq=0,
+                                                   h=1, payload=block)])
+                chan._settle()
+                # [envelope, header, the block's buffer, crc] per peer
+                one, two = (chan._link[q].journal[step][2] for q in (1, 2))
+                assert one is two and one == block.tobytes()
+                copies.append(one)
+                block += 1  # the program moves on; the journal must not
+            assert copies[0] == (block - 2).tobytes() != copies[1]
+        finally:
+            chan.close()
+            for sock in (s for pair in links for s in pair):
+                sock.close()
 
 
 # ---------------------------------------------------------------------------
